@@ -7,15 +7,12 @@ Three measurements back the compiled-engine acceptance criteria:
   must be at least 5x faster than the legacy 3-D gather of
   :func:`repro.core.approx_conv.lut_product_sums`, with bit-exact outputs.
 * **Per-backend throughput** on the same layer: every *available* engine
-  backend (numpy, numba, lowmem, ...) compiles the accurate, perforated+V
-  and LUT product models and reports patches/s; unavailable backends are
-  listed with their reason *and* the precise import failure (exception
-  type + message from a fresh probe), so a results file claiming
-  ``"available": false`` is self-describing.  All backend outputs are
-  asserted bit-exact against the legacy reference; the numpy backend must
-  meet the legacy speedup floor above.  Backends advertising the
-  ``fused_multi_plan`` capability additionally run one batched
-  ``compile_multi`` launch over a mixed plan stack and report fused
+  backend (numpy, lowmem, ...) compiles the accurate, perforated+V and LUT
+  product models and reports patches/s; unavailable backends are listed
+  with their reason.  All backend outputs are asserted bit-exact against
+  the legacy reference; the numpy backend must meet the legacy speedup
+  floor above.  Every backend additionally runs one batched
+  ``compile_multi`` launch over a mixed plan stack and reports fused
   plan-patches/s next to the per-plan loop, bit-exact against it.
 * **End-to-end sweep wall-clock** on the Table III configuration (accurate
   baseline plus m = 1..3 with and without the control variate): the
@@ -112,13 +109,10 @@ def run_backend_throughput() -> list[dict]:
     """Per-backend patches/s of the three compiled product models.
 
     Every available backend must be bit-exact against the legacy reference;
-    unavailable backends are reported with their reason *and* a fresh
-    import probe (exception type + message), not hidden.  Backends with the
-    ``fused_multi_plan`` capability also time one batched ``compile_multi``
-    launch over a mixed plan stack, bit-exact against the per-plan loop.
+    unavailable backends are reported with their reason, not hidden.  Every
+    backend also times one batched ``compile_multi`` launch over a mixed
+    plan stack, bit-exact against the per-plan loop.
     """
-    from repro.provenance.environment import PROBED_PACKAGES, probe_package
-
     rng = np.random.default_rng(0)
     acts = rng.integers(0, 256, size=(PATCHES, TAPS), dtype=np.uint8)
     weights = rng.integers(0, 256, size=(TAPS, FILTERS), dtype=np.uint8)
@@ -157,19 +151,9 @@ def run_backend_throughput() -> list[dict]:
         backend = get_backend(name)
         available, reason = backend.availability()
         if not available:
-            row = {"backend": name, "available": False, "reason": reason}
-            if name in PROBED_PACKAGES:
-                # The precise import failure, freshly probed — e.g.
-                # "ModuleNotFoundError: No module named 'numba'".
-                row["import_error"] = probe_package(name)["reason"]
-            rows.append(row)
+            rows.append({"backend": name, "available": False, "reason": reason})
             continue
-        row = {
-            "backend": name,
-            "available": True,
-            "fused_multi_plan": bool(backend.fused_multi_plan),
-            "cases": {},
-        }
+        row = {"backend": name, "available": True, "cases": {}}
         for case_name, model, expected in cases:
             kernel = backend.compile(model, weights, cv)
             out = kernel(acts)  # warm-up + correctness in one
@@ -178,8 +162,7 @@ def run_backend_throughput() -> list[dict]:
             )
             elapsed = _best_of(lambda: kernel(acts))
             row["cases"][case_name] = PATCHES / elapsed
-        if backend.fused_multi_plan:
-            row["fused"] = _run_fused_backend_case(backend, multi_models, weights, cv, acts)
+        row["fused"] = _run_fused_backend_case(backend, multi_models, weights, cv, acts)
         rows.append(row)
     return rows
 
@@ -273,23 +256,19 @@ def _render(lut: dict, backends: list[dict], sweep: dict) -> str:
     ]
     for row in backends:
         if not row["available"]:
-            detail = row["reason"]
-            if row.get("import_error"):
-                detail = f"{detail}; probe: {row['import_error']}"
-            lines.append(f"  {row['backend']:<8} unavailable ({detail})")
+            lines.append(f"  {row['backend']:<8} unavailable ({row['reason']})")
             continue
         cases = "  ".join(
             f"{case}: {pps:10.0f}" for case, pps in row["cases"].items()
         )
         lines.append(f"  {row['backend']:<8} {cases}")
-        fused = row.get("fused")
-        if fused:
-            lines.append(
-                f"  {'':<8} fused x{fused['plans']}: "
-                f"{fused['fused_pps']:10.0f} plan-patches/s "
-                f"(per-plan loop {fused['per_plan_pps']:10.0f}, "
-                f"{fused['speedup']:.2f}x)"
-            )
+        fused = row["fused"]
+        lines.append(
+            f"  {'':<8} fused x{fused['plans']}: "
+            f"{fused['fused_pps']:10.0f} plan-patches/s "
+            f"(per-plan loop {fused['per_plan_pps']:10.0f}, "
+            f"{fused['speedup']:.2f}x)"
+        )
     lines += [
         "",
         "Table III sweep (vgg13, accurate + m=1..3 x {with, without} V):",

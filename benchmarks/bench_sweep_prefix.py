@@ -1,28 +1,14 @@
-"""Prefix-reuse sweep throughput and shared-memory dataset publishing.
+"""Shared-memory publishing footprint of the multi-process sweep.
 
-Two measurements back the plan-invariant-prefix acceptance criteria:
-
-* **Sweep wall-clock** on a Table III-style per-layer plan set (plans keep a
-  growing prefix of the network exact and approximate the remaining layers
-  with m = 1..3, plus the accurate baseline): :func:`plan_sweep` with prefix
-  reuse armed must be faster than the same serial sweep with all cross-plan
-  reuse disabled, with **bit-identical records**.
-* **Fused multi-plan sweep wall-clock** on a DSE-generation-shaped workload
-  (a ~37-plan candidate stack of per-layer sensitivity families — the shape
-  every NSGA-II generation produces): :func:`plan_sweep` with ``fuse_plans=True``
-  must beat the same serial prefix-reusing sweep with fusion disabled by at
-  least :data:`FUSED_MIN_SPEEDUP`, with **bit-identical records**.  The
-  ratio is regression-gated as ``sweep_prefix.fused_sweep.speedup_vs_unfused``
-  in ``repro verify-results``.
-* **Per-worker footprint** of the multi-process sweep: publishing the
-  trained parameters *and the evaluation datasets* through the shared-memory
-  store must shrink the pickled per-worker payload by a large factor, and —
-  measured via ``/proc/<pid>/smaps_rollup`` in a fresh subprocess — the
-  private (unique) bytes a worker holds after materializing the evaluation
-  images.
+Publishing the trained parameters *and the evaluation datasets* through the
+shared-memory store must shrink the pickled per-worker payload by a large
+factor; the private (unique) bytes a worker holds after materializing the
+evaluation images are measured via ``/proc/<pid>/smaps_rollup`` in a fresh
+subprocess.
 
 Results are printed, written to ``results/sweep_prefix.txt`` and merged into
-the machine-readable ``results/BENCH_engine.json`` ledger.  Run via pytest
+the ``sweep_prefix`` section of the machine-readable
+``results/BENCH_engine.json`` ledger.  Run via pytest
 (``pytest -m engine benchmarks/bench_sweep_prefix.py``) or as a script.
 """
 
@@ -33,7 +19,6 @@ import pickle
 import subprocess
 import sys
 import tempfile
-import time
 
 import numpy as np
 import pytest
@@ -46,36 +31,19 @@ from repro.nn.optimizers import SGD
 from repro.nn.training import Trainer
 from repro.simulation.campaign import (
     TrainedModel,
-    plan_sweep,
     publish_datasets,
     publish_trained_models,
-)
-from repro.simulation.inference import (
-    AccurateProduct,
-    ExecutionPlan,
-    PerforatedProduct,
 )
 
 pytestmark = pytest.mark.engine
 
-PREFIX_MIN_SPEEDUP = 1.1
-FUSED_MIN_SPEEDUP = 1.3
 PAYLOAD_MIN_REDUCTION = 5.0
-#: Evaluation-set size of the fused-sweep workload — the screening regime of
-#: a DSE generation: many candidate plans over a modest image set, where the
-#: per-plan divergence launches (quantize + im2col + matmul per plan) are the
-#: marginal cost fusion collapses into shared stacked launches.
-FUSED_EVAL_IMAGES = 500
-#: Alternating timing repetitions per path; each path's time is the best
-#: (min) across them, which strips scheduler/allocator noise from the
-#: regression-gated ratio without changing what is measured.
-FUSED_TIMING_REPS = 3
 
 _SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
-def _setup() -> tuple[TrainedModel, dict, list]:
-    """One quickly trained network plus a per-layer Table III-style plan set."""
+def _setup() -> tuple[TrainedModel, dict]:
+    """One quickly trained network and its dataset."""
     dataset = make_synthetic_cifar(
         SyntheticCifarConfig(
             num_classes=10, image_size=32, train_per_class=20, test_per_class=20, seed=3
@@ -87,135 +55,7 @@ def _setup() -> tuple[TrainedModel, dict, list]:
     trained = TrainedModel(
         name="vgg13", dataset_name=dataset.name, model=model, float_accuracy=0.0
     )
-    mac_names = [node.name for node in model.conv_dense_nodes()]
-    plans = [("baseline", ExecutionPlan.uniform(AccurateProduct()))]
-    # Per-layer plans: exact through a growing prefix, perforated after —
-    # the sweep shape whose work is dominated by plan-invariant prefixes.
-    for depth in (len(mac_names) - 2, len(mac_names) - 4):
-        for m in (1, 2, 3):
-            plan = ExecutionPlan.uniform(AccurateProduct())
-            for name in mac_names[depth:]:
-                plan = plan.with_layer(name, PerforatedProduct(m))
-            plans.append((f"exact{depth}_m{m}", plan))
-    return trained, {dataset.name: dataset}, plans
-
-
-def _fused_setup(trained: TrainedModel) -> tuple[list, dict]:
-    """The fused-sweep evaluation target: the same trained network pointed
-    at a larger synthetic test split (:data:`FUSED_EVAL_IMAGES` images).
-
-    The fused path's wins are array-level (shared im2col/quantize, mask-
-    deduped matmuls, act-terms computed once), so they scale with evaluated
-    bytes while both paths' fixed costs (calibration, the one shared prefix
-    walk) do not; the larger split measures the array regime instead of the
-    fixed-cost floor.
-    """
-    dataset = make_synthetic_cifar(
-        SyntheticCifarConfig(
-            num_classes=10,
-            image_size=32,
-            train_per_class=20,
-            test_per_class=FUSED_EVAL_IMAGES // 10,
-            seed=3,
-        )
-    )
-    eval_target = TrainedModel(
-        name=trained.name,
-        dataset_name=dataset.name,
-        model=trained.model,
-        float_accuracy=trained.float_accuracy,
-    )
-    return [eval_target], {dataset.name: dataset}
-
-
-def _fused_plan_set(model) -> list:
-    """A DSE-generation-shaped candidate stack (~37 plans).
-
-    Mixes uniform perforated plans, per-layer exact-prefix variants at
-    several divergence depths, and a few exact duplicates — the population
-    an NSGA-II generation actually hands the evaluator (crossover routinely
-    re-proposes parents).  Duplicates and shared prefixes are the structure
-    the fused path exploits; the unfused comparator sees the same list.
-    """
-    mac_names = [node.name for node in model.conv_dense_nodes()]
-    plans = [("baseline", ExecutionPlan.uniform(AccurateProduct()))]
-    # Single-layer families: every (m, control-variate) setting applied to
-    # ONE layer with the rest exact — the per-layer sensitivity screen that
-    # seeds the paper's DSE.  Each family shares the whole prefix, diverges
-    # at one layer with one shared input, and re-converges to an identical
-    # all-exact fingerprint suffix — the structure the fused walk collapses
-    # into one stacked launch per layer.  The screened layers are the last
-    # convolutions, where the checkpointed prefix covers most of the
-    # network and the divergence launch is the marginal cost per plan.
-    for depth in range(len(mac_names) - 6, len(mac_names) - 1):
-        for m in (1, 2, 3):
-            for cv in (True, False):
-                plan = ExecutionPlan.uniform(AccurateProduct()).with_layer(
-                    mac_names[depth], PerforatedProduct(m, use_control_variate=cv)
-                )
-                label = f"layer{depth}_m{m}{'_cv' if cv else ''}"
-                plans.append((label, plan))
-    # Re-proposed survivors: same plan objects under fresh labels
-    # (crossover routinely re-emits parents into the next generation).
-    resubmitted = [plans[i] for i in (1, 7, 13, 19, 25, 3)]
-    plans += [(f"resubmit_{label}", plan) for label, plan in resubmitted]
-    return plans
-
-
-def run_fused_sweep_wallclock(trained, datasets, plans) -> dict:
-    """Serial fused vs unfused plan sweep (both prefix-reusing, bit-identical).
-
-    Times :data:`FUSED_TIMING_REPS` alternating unfused/fused pairs and
-    keeps each path's best wall-clock; every repetition's records are
-    asserted bit-identical across the two paths.
-    """
-    kwargs = dict(
-        max_eval_images=FUSED_EVAL_IMAGES, calibration_images=32, max_workers=1,
-        reuse_prefix=True,
-    )
-
-    unfused_times: list[float] = []
-    fused_times: list[float] = []
-    for _ in range(FUSED_TIMING_REPS):
-        start = time.perf_counter()
-        unfused = plan_sweep(trained, datasets, plans, fuse_plans=False, **kwargs)
-        unfused_times.append(time.perf_counter() - start)
-
-        start = time.perf_counter()
-        fused = plan_sweep(trained, datasets, plans, fuse_plans=True, **kwargs)
-        fused_times.append(time.perf_counter() - start)
-
-        assert fused == unfused, "fused multi-plan path changed sweep results"
-    unfused_time = min(unfused_times)
-    fused_time = min(fused_times)
-    return {
-        "plans": len(plans),
-        "eval_images": FUSED_EVAL_IMAGES,
-        "unfused_time": unfused_time,
-        "fused_time": fused_time,
-        "speedup_vs_unfused": unfused_time / fused_time,
-    }
-
-
-def run_prefix_sweep_wallclock(trained, datasets, plans) -> dict:
-    """Serial plan sweep with vs without cross-plan reuse (bit-identical)."""
-    kwargs = dict(max_eval_images=None, calibration_images=64, max_workers=1)
-
-    start = time.perf_counter()
-    no_reuse = plan_sweep(trained, datasets, plans, reuse_prefix=False, **kwargs)
-    no_reuse_time = time.perf_counter() - start
-
-    start = time.perf_counter()
-    reused = plan_sweep(trained, datasets, plans, reuse_prefix=True, **kwargs)
-    reuse_time = time.perf_counter() - start
-
-    assert reused == no_reuse, "prefix reuse changed sweep results"
-    return {
-        "plans": len(plans),
-        "no_reuse_time": no_reuse_time,
-        "reuse_time": reuse_time,
-        "speedup": no_reuse_time / reuse_time,
-    }
+    return trained, {dataset.name: dataset}
 
 
 def _worker_private_kib(payload_path: str) -> int | None:
@@ -299,21 +139,9 @@ def run_shared_payload_footprint(trained, datasets) -> dict:
     return result
 
 
-def _render(sweep: dict, fused: dict, footprint: dict) -> str:
+def _render(footprint: dict) -> str:
     lines = [
-        "plan-invariant prefix reuse + shared-memory dataset publishing",
-        "",
-        f"Per-layer plan sweep ({sweep['plans']} plans, serial, bit-identical):",
-        f"  no reuse  {sweep['no_reuse_time']:8.2f} s",
-        f"  reuse     {sweep['reuse_time']:8.2f} s",
-        f"  speedup   {sweep['speedup']:.2f}x  (required >= {PREFIX_MIN_SPEEDUP:.2f}x)",
-        "",
-        f"Fused multi-plan sweep ({fused['plans']} DSE-generation plans, "
-        f"{fused['eval_images']} images, serial, bit-identical):",
-        f"  unfused   {fused['unfused_time']:8.2f} s  (prefix reuse on)",
-        f"  fused     {fused['fused_time']:8.2f} s",
-        f"  speedup   {fused['speedup_vs_unfused']:.2f}x  "
-        f"(required >= {FUSED_MIN_SPEEDUP:.2f}x)",
+        "shared-memory dataset publishing",
         "",
         "Per-worker payload (models + datasets shipped to each worker):",
         f"  plain copies   {footprint['plain_payload_bytes']:12,} bytes",
@@ -335,21 +163,12 @@ def _render(sweep: dict, fused: dict, footprint: dict) -> str:
 
 
 def test_sweep_prefix_benchmark(results_dir):
-    """Prefix reuse speeds up the per-layer sweep bit-exactly, and shared
-    publishing shrinks the per-worker payload by a large factor."""
-    trained, datasets, plans = _setup()
-    sweep = run_prefix_sweep_wallclock([trained], datasets, plans)
-    fused_plans = _fused_plan_set(trained.model)
-    fused_models, fused_datasets = _fused_setup(trained)
-    fused = run_fused_sweep_wallclock(fused_models, fused_datasets, fused_plans)
+    """Shared publishing shrinks the per-worker payload by a large factor."""
+    trained, datasets = _setup()
     footprint = run_shared_payload_footprint([trained], datasets)
-    rendered = _render(sweep, fused, footprint)
+    rendered = _render(footprint)
     path = write_result(results_dir, "sweep_prefix.txt", rendered)
-    json_path = update_json_result(
-        results_dir,
-        "sweep_prefix",
-        {"sweep": sweep, "fused_sweep": fused, "footprint": footprint},
-    )
+    json_path = update_json_result(results_dir, "sweep_prefix", {"footprint": footprint})
     from repro.provenance import dataset_digest, model_digest
 
     manifest_path = record_bench(
@@ -359,37 +178,15 @@ def test_sweep_prefix_benchmark(results_dir):
             "dataset_digests": {
                 name: dataset_digest(ds) for name, ds in datasets.items()
             },
-            "plans": len(plans),
-            "fused_plans": len(fused_plans),
-            "fused_eval_images": FUSED_EVAL_IMAGES,
-            "fused_timing_reps": FUSED_TIMING_REPS,
-            "min_speedup": PREFIX_MIN_SPEEDUP,
-            "min_fused_speedup": FUSED_MIN_SPEEDUP,
             "min_payload_reduction": PAYLOAD_MIN_REDUCTION,
         },
-        outputs={"sweep": sweep, "fused_sweep": fused, "footprint": footprint},
+        outputs={"footprint": footprint},
     )
     print("\n" + rendered)
     print(f"\n[written to {path} and {json_path}; manifest {manifest_path}]")
-    assert sweep["speedup"] >= PREFIX_MIN_SPEEDUP
-    # 10 % noise margin matches the regression gate's
-    # SPEEDUP_NOISE_TOLERANCE (and bench_dse_search's floor assert); the
-    # recorded value is still gated against the full 1.3 target by
-    # `repro verify-results`.
-    assert fused["speedup_vs_unfused"] >= FUSED_MIN_SPEEDUP * 0.9, (
-        f"fused sweep ran at {fused['speedup_vs_unfused']:.2f}x the per-plan "
-        f"path — the batched launches must clear {FUSED_MIN_SPEEDUP:.2f}x "
-        f"(minus the 10% timing-noise margin)"
-    )
     assert footprint["payload_reduction"] >= PAYLOAD_MIN_REDUCTION
 
 
 if __name__ == "__main__":
-    trained_main, datasets_main, plans_main = _setup()
-    sweep_main = run_prefix_sweep_wallclock([trained_main], datasets_main, plans_main)
-    fused_models_main, fused_datasets_main = _fused_setup(trained_main)
-    fused_main = run_fused_sweep_wallclock(
-        fused_models_main, fused_datasets_main, _fused_plan_set(trained_main.model)
-    )
-    footprint_main = run_shared_payload_footprint([trained_main], datasets_main)
-    print(_render(sweep_main, fused_main, footprint_main))
+    trained_main, datasets_main = _setup()
+    print(_render(run_shared_payload_footprint([trained_main], datasets_main)))

@@ -91,7 +91,7 @@ def record_bench(
     shape, epochs, model/dataset digests where available); ``outputs`` the
     measured metrics — typically the same payload merged into the
     ``BENCH_JSON`` ledger section.  The provenance environment block
-    (including e.g. *why* numba is unavailable) is stamped automatically.
+    (including e.g. *why* an optional package is unavailable) is stamped automatically.
     Returns the manifest path.
     """
     with record_run("bench", label=name, inputs=inputs) as manifest:

@@ -3,9 +3,9 @@
 The approximate executor compiles every (layer, plan) combination into a
 :class:`repro.core.product_kernels.ProductKernel` through a pluggable
 *engine backend* (:mod:`repro.core.backends`).  All backends are bit-exact
-— they trade simulation speed and memory only — and unavailable backends
-(e.g. ``numba`` without the package installed) fall back to ``numpy`` with
-a warning.  The same selection is available end to end:
+— they trade simulation speed and memory only — and every backend also
+compiles the multi-plan kernel that evaluates several plans' blocks of one
+layer in a single launch.  The same selection is available end to end:
 
 * library: ``ApproximateExecutor(model, calib, engine_backend="lowmem")``
 * sweeps:  ``parallel_sweep(models, datasets, engine_backend="lowmem")``
@@ -14,7 +14,8 @@ a warning.  The same selection is available end to end:
            and ``python -m repro backends`` to list availability.
 
 This script compiles one ResNet-shaped conv layer's product models through
-every available backend and checks them against the legacy reference.
+every available backend, singly and as one multi-plan kernel, and checks
+them against the legacy reference.
 """
 
 import numpy as np
@@ -44,10 +45,11 @@ def main() -> None:
         if not available:
             print(f"  {name:<8} unavailable: {reason}")
             continue
-        for label, model, reference in (
+        cases = (
             ("perforated m=2 +V", PerforatedProduct(2, True), perforated_ref),
             ("lut (random table)", LUTProduct(LUTMultiplier(lut, name="example")), lut_ref),
-        ):
+        )
+        for label, model, reference in cases:
             kernel = backend.compile(model, weights, cv)
             ok = np.array_equal(kernel(acts), reference)
             print(
@@ -55,6 +57,16 @@ def main() -> None:
                 f"bit-exact: {'yes' if ok else 'NO'}"
             )
             assert ok, f"backend {name} diverged from the legacy reference on {label}"
+        # Both plans in one launch: the shared activation block is
+        # evaluated under each plan and the outputs are stacked plan-major.
+        multi = backend.compile_multi([model for _, model, _ in cases], weights, cv)
+        stacked = multi.product_sums_multi(acts, shared=True)
+        ok = np.array_equal(stacked, np.concatenate([ref for _, _, ref in cases]))
+        print(
+            f"  {name:<8} {'both, one launch':<20} -> {type(multi).__name__:<22} "
+            f"bit-exact: {'yes' if ok else 'NO'}"
+        )
+        assert ok, f"backend {name} multi-plan kernel diverged from the reference"
 
 
 if __name__ == "__main__":

@@ -57,11 +57,10 @@ selects one for the sweep::
 
     python -m repro backends
     python -m repro accuracy --model vgg13 --engine-backend lowmem
-    python -m repro accuracy --model vgg13 --engine-backend numba  # JIT
 
 Backends are bit-exact — they change simulation speed and memory only — and
-an unavailable backend (e.g. ``numba`` without the package installed) falls
-back to ``numpy`` with a warning.
+an unavailable backend (one whose availability probe fails) falls back to
+``numpy`` with a warning.
 
 Package layout
 --------------

@@ -26,7 +26,6 @@ def cmd_accuracy(args: argparse.Namespace) -> int:
         perforations=tuple(args.perforations),
         max_eval_images=args.max_eval_images,
         engine_backend=args.engine_backend,
-        reuse_prefix=not args.no_prefix_reuse,
     )
     table = Table(
         title=f"{args.model} on {dataset.name} "
@@ -58,13 +57,6 @@ def register(sub) -> None:
         default=None,
         help="engine backend compiling the product kernels (bit-exact; "
         "unavailable backends fall back to numpy with a warning)",
-    )
-    accuracy.add_argument(
-        "--no-prefix-reuse",
-        action="store_true",
-        help="disable cross-plan reuse of plan-invariant work (activation "
-        "codes and the plan-invariant layer prefix); reuse is bit-exact, "
-        "this is an escape hatch for debugging and A/B timing",
     )
     accuracy.add_argument("--verbose", action="store_true")
     accuracy.set_defaults(func=cmd_accuracy)

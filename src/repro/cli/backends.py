@@ -20,7 +20,6 @@ def cmd_backends(args: argparse.Namespace) -> int:
                     "name": name,
                     "available": available,
                     "default": name == DEFAULT_BACKEND,
-                    "fused_multi_plan": bool(backend.fused_multi_plan),
                     "description": backend.describe(),
                     "unavailable_reason": None if available else reason,
                 }
@@ -29,7 +28,7 @@ def cmd_backends(args: argparse.Namespace) -> int:
         return 0
     table = Table(
         title="Registered engine backends",
-        columns=["name", "available", "default", "fused", "notes"],
+        columns=["name", "available", "default", "notes"],
     )
     for name in backend_names():
         backend = get_backend(name)
@@ -38,7 +37,6 @@ def cmd_backends(args: argparse.Namespace) -> int:
             name,
             "yes" if available else "no",
             "*" if name == DEFAULT_BACKEND else "",
-            "yes" if backend.fused_multi_plan else "no",
             reason if not available else backend.describe(),
         )
     print(table.render())

@@ -162,7 +162,6 @@ def sweep_jobs_local(
     *,
     max_eval_images: int | None = None,
     engine_backend: str | None = None,
-    reuse_prefix: bool = True,
 ):
     """The Table III sweep through the in-process job API.
 
@@ -176,7 +175,7 @@ def sweep_jobs_local(
 
     Returns ``(sweep, totals, stats)`` — the :class:`SweepResult`, the
     per-sweep job/cache totals, and the manager's final
-    ``repro-runtime-stats/v1.1`` payload.
+    ``repro-runtime-stats/v1.2`` payload.
     """
     from repro.runtime.jobs import JobManager, LocalJobClient, sweep_over_jobs
     from repro.runtime.sizing import resolve_worker_count
@@ -191,7 +190,6 @@ def sweep_jobs_local(
         requested_workers=workers,
         max_eval_images=max_eval_images,
         engine_backend=engine_backend,
-        reuse_prefix=reuse_prefix,
     )
     with LocalJobClient(manager) as client:
         sweep, totals = sweep_over_jobs(client, perforations=tuple(perforations))

@@ -97,8 +97,6 @@ def _check_remote_flags(args: argparse.Namespace) -> str | None:
         clashes.append("--calibration-images")
     if args.engine_backend is not None:
         clashes.append("--engine-backend")
-    if args.no_prefix_reuse:
-        clashes.append("--no-prefix-reuse")
     if not clashes:
         return None
     return (
@@ -182,7 +180,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 "calibration_images": args.calibration_images,
                 "engine_backend": args.engine_backend,
                 "workers": args.workers,
-                "reuse_prefix": not args.no_prefix_reuse,
                 "ledger_dir": ledger_dir,
                 "resume": args.resume,
                 "remote": args.remote,
@@ -218,7 +215,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 max_eval_images=args.max_eval_images,
                 calibration_images=args.calibration_images,
                 engine_backend=args.engine_backend,
-                reuse_prefix=not args.no_prefix_reuse,
                 eval_images=eval_images,
                 eval_labels=eval_labels,
             )
@@ -252,7 +248,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
                     max_eval_images=args.max_eval_images,
                     calibration_images=args.calibration_images,
                     engine_backend=args.engine_backend,
-                    reuse_prefix=not args.no_prefix_reuse,
                     # The shared service already hosts any eval subsample as
                     # its dataset's test split; passing the arrays alongside
                     # `service` is rejected by run_campaign.
@@ -477,7 +472,6 @@ def register(sub) -> None:
         "names exit with a clear error)",
     )
     dse.add_argument("--cache-dir", default=None)
-    dse.add_argument("--no-prefix-reuse", action="store_true")
     dse.add_argument(
         "--json", action="store_true", help="emit the campaign result as JSON"
     )

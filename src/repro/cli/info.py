@@ -32,14 +32,13 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(table.render())
     table = Table(
         title="Engine backends",
-        columns=["name", "available", "default", "fused", "reason"],
+        columns=["name", "available", "default", "reason"],
     )
     for row in env["engine_backends"]:
         table.add_row(
             row["name"],
             "yes" if row["available"] else "no",
             "*" if row["default"] else "",
-            "yes" if row.get("fused_multi_plan") else "no",
             row["reason"] or "",
         )
     print()
@@ -55,14 +54,6 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"auto workers resolve to {runtime['auto_workers']} on this host, "
         f"job queue depth {runtime['default_queue_depth']}, "
         f"per-session in-flight cap {runtime['default_session_inflight']}"
-    )
-    fused = runtime.get("fused_backends", [])
-    print(
-        f"fused multi-plan: {'on' if runtime.get('default_fuse_plans') else 'off'} "
-        f"by default, group size {runtime.get('default_plan_group_size')}, "
-        f"capable backends: {', '.join(fused) if fused else 'none'} "
-        f"(stats report fused_launches / plans_per_launch_avg / "
-        f"prefix_cache_hits)"
     )
     serving = env["serving"]
     cache_entries = serving["cache_entries"]

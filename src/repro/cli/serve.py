@@ -94,7 +94,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_eval_images=max_eval_images,
         calibration_images=calibration_images,
         engine_backend=args.engine_backend,
-        reuse_prefix=not args.no_prefix_reuse,
         # A daemon's results are meant to be shared: force the publish-once
         # path when asked, even for a serial pool.
         use_shared_memory=True if args.force_shared_memory else None,
@@ -189,7 +188,6 @@ def register(sub) -> None:
     )
     serve.add_argument("--max-eval-images", type=int, default=None)
     serve.add_argument("--calibration-images", type=int, default=128)
-    serve.add_argument("--no-prefix-reuse", action="store_true")
     serve.add_argument(
         "--queue-depth",
         type=int,

@@ -112,7 +112,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "max_eval_images": args.max_eval_images,
                 "engine_backend": args.engine_backend,
                 "workers": args.workers,
-                "reuse_prefix": not args.no_prefix_reuse,
             }
         )
         sweep, totals, stats = sweep_jobs_local(
@@ -122,7 +121,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             args.workers,
             max_eval_images=args.max_eval_images,
             engine_backend=args.engine_backend,
-            reuse_prefix=not args.no_prefix_reuse,
         )
         manifest.outputs.update(sweep_manifest_outputs(sweep))
         manifest.outputs["jobs"] = totals
@@ -172,7 +170,6 @@ def register(sub) -> None:
         "generation); distinct streams are derived per consumer",
     )
     sweep.add_argument("--cache-dir", default=None)
-    sweep.add_argument("--no-prefix-reuse", action="store_true")
     sweep.add_argument("--verbose", action="store_true")
     add_remote_flag(sweep)
     sweep.set_defaults(func=cmd_sweep)

@@ -162,7 +162,6 @@ def cmd_table3(args: argparse.Namespace) -> int:
                 "max_eval_images": args.max_eval_images,
                 "engine_backend": args.engine_backend,
                 "workers": args.workers,
-                "reuse_prefix": not args.no_prefix_reuse,
             }
         )
         sweep, totals, stats = sweep_jobs_local(
@@ -172,7 +171,6 @@ def cmd_table3(args: argparse.Namespace) -> int:
             args.workers,
             max_eval_images=args.max_eval_images,
             engine_backend=args.engine_backend,
-            reuse_prefix=not args.no_prefix_reuse,
         )
         manifest.outputs.update(sweep_manifest_outputs(sweep))
         manifest.outputs["jobs"] = totals
@@ -230,7 +228,6 @@ def register(sub) -> None:
         "generation); distinct streams are derived per consumer",
     )
     table3.add_argument("--cache-dir", default=None)
-    table3.add_argument("--no-prefix-reuse", action="store_true")
     table3.add_argument("--verbose", action="store_true")
     add_remote_flag(table3)
     table3.set_defaults(func=cmd_table3)

@@ -19,7 +19,7 @@ This package implements Section III of the paper:
   (layer, plan) and reused across batches; the LUT path becomes two matrix
   products via the ``lut = exact - error`` decomposition.
 * :mod:`~repro.core.backends` — the pluggable engine-backend registry
-  (``numpy`` / ``numba`` / ``lowmem``) selecting *how* product kernels are
+  (``numpy`` / ``lowmem``) selecting *how* product kernels are
   compiled; all backends are bit-exact and selectable via
   ``AcceleratorConfig.engine_backend``, the executor's ``engine_backend``
   argument and the CLI's ``--engine-backend`` flag.
@@ -64,7 +64,6 @@ from repro.core.backends import (
     BackendUnavailableError,
     EngineBackend,
     LowMemoryBackend,
-    NumbaBackend,
     NumpyBackend,
     available_backend_names,
     backend_names,
@@ -101,7 +100,6 @@ __all__ = [
     "BackendUnavailableError",
     "EngineBackend",
     "NumpyBackend",
-    "NumbaBackend",
     "LowMemoryBackend",
     "register_backend",
     "backend_names",

@@ -32,7 +32,7 @@ class AcceleratorConfig:
     engine_backend:
         Name of the registered :mod:`repro.core.backends` engine backend the
         software simulation of this accelerator should compile its product
-        kernels with (``numpy``, ``numba``, ``lowmem``, ...).  Purely a
+        kernels with (``numpy``, ``lowmem``, ...).  Purely a
         simulation-speed/memory knob: every backend is bit-exact, so it
         never changes the modeled accuracy or hardware figures.
     """

@@ -11,21 +11,20 @@ process-wide registry lets callers select one by name —
     The default BLAS-backed kernels of
     :mod:`repro.core.product_kernels` (float32/float64 sgemm/dgemm with the
     exactness bounds documented there).
-``numba``
-    JIT-compiled per-tap loops.  Only *available* when the optional
-    :mod:`numba` package is importable; resolving it on a machine without
-    numba falls back cleanly to ``numpy`` (with a warning) instead of
-    failing, and the parity suite skips it with a reason.
 ``lowmem``
     A low-memory streaming variant of the numpy backend: the LUT
     error-matrix footprint is capped (forcing the per-tap evaluation for
     large layers) and every kernel is evaluated in bounded patch chunks, so
     peak transient memory is independent of the batch size.
 
+Every backend compiles both a per-plan kernel (:meth:`EngineBackend.compile`)
+and a multi-plan kernel (:meth:`EngineBackend.compile_multi`) that stacks
+several plans' blocks of one layer into one launch; the executor's
+multi-plan walk uses both.
+
 All backends are **bit-exact** against the legacy reference functions in
 :mod:`repro.core.approx_conv`; the ``pytest -m engine`` parity suite is
-parametrized over every registered backend and enforces this (skipping
-unavailable backends with a reason).
+parametrized over every registered backend and enforces this.
 
 Selection is threaded through the stack: ``AcceleratorConfig.engine_backend``
 names the backend implied by a hardware configuration (honored by
@@ -49,38 +48,26 @@ from repro.core.product_kernels import (
     MultiPlanKernel,
     ProductKernel,
 )
-from repro.multipliers.base import OPERAND_LEVELS
-
-try:  # pragma: no cover - numba is an optional accelerator dependency
-    import numba as _numba
-except ImportError:  # pragma: no cover - exercised on numba-less installs
-    _numba = None
-
 
 DEFAULT_BACKEND = "numpy"
 
 
 class BackendUnavailableError(RuntimeError):
-    """Raised when an unavailable backend is asked to compile a kernel."""
+    """Raised when an unavailable backend is resolved without fallback."""
 
 
 class EngineBackend(abc.ABC):
     """Strategy that compiles product models into per-layer kernels.
 
     Subclasses define a unique :attr:`name`, an availability probe and the
-    :meth:`compile` hook.  A backend must be *bit-exact* against the legacy
-    reference paths of :mod:`repro.core.approx_conv` — backends trade only
-    speed and memory, never results.
+    :meth:`compile` / :meth:`compile_multi` hooks.  A backend must be
+    *bit-exact* against the legacy reference paths of
+    :mod:`repro.core.approx_conv` — backends trade only speed and memory,
+    never results.
     """
 
     #: Registry key; subclasses override.
     name: str = "abstract"
-
-    #: Capability flag: True when :meth:`compile_multi` produces a fused
-    #: multi-plan kernel.  Callers branch on this flag — never on
-    #: ``hasattr`` — so backends without the capability (e.g. ``lowmem``)
-    #: degrade cleanly to the per-plan path.
-    fused_multi_plan: bool = False
 
     @abc.abstractmethod
     def availability(self) -> tuple[bool, str]:
@@ -95,6 +82,7 @@ class EngineBackend(abc.ABC):
     ) -> ProductKernel:
         """Compile ``product_model`` against one layer's quantized weights."""
 
+    @abc.abstractmethod
     def compile_multi(
         self,
         product_models,
@@ -104,39 +92,24 @@ class EngineBackend(abc.ABC):
     ):
         """Fuse P per-plan product models into one batched multi-plan kernel.
 
-        Backends advertising :attr:`fused_multi_plan` override this and
-        return an object with the :class:`~repro.core.product_kernels.
+        Returns an object with the :class:`~repro.core.product_kernels.
         MultiPlanKernel` interface (``plans``, ``product_sums_multi(act,
         shared=...)``).  ``kernels``, when given, carries the already
         compiled per-plan kernels for the same ``(models, weights, cv)``
         triple so precompiled state (LUT error matrices) is reused instead
-        of rebuilt.  The base implementation refuses: callers must check
-        the capability flag first.
+        of rebuilt.
         """
-        raise BackendUnavailableError(
-            f"engine backend {self.name!r} has no fused multi-plan compiler "
-            f"(fused_multi_plan is false); check the capability flag and use "
-            f"per-plan compile() instead"
-        )
 
     def describe(self) -> str:
         """One-line human-readable description used by the CLI listing."""
         doc = (type(self).__doc__ or "").strip().splitlines()
         return doc[0] if doc else self.name
 
-    def _require_available(self) -> None:
-        available, reason = self.availability()
-        if not available:
-            raise BackendUnavailableError(
-                f"engine backend {self.name!r} is unavailable: {reason}"
-            )
-
 
 class NumpyBackend(EngineBackend):
     """Default numpy/BLAS kernels (exact float32/float64 matmuls)."""
 
     name = "numpy"
-    fused_multi_plan = True
 
     def __init__(self, options: KernelOptions | None = None):
         self.options = options if options is not None else KernelOptions()
@@ -168,7 +141,7 @@ class NumpyBackend(EngineBackend):
         )
 
 
-class LowMemoryBackend(EngineBackend):
+class LowMemoryBackend(NumpyBackend):
     """Streaming numpy kernels with a capped LUT error-matrix footprint.
 
     Two knobs bound peak memory:
@@ -181,7 +154,10 @@ class LowMemoryBackend(EngineBackend):
       products, correction terms) independent of the batch size.
 
     Outputs are bit-exact with every other backend: chunking splits work
-    along the patch axis only, and rows are computed independently.
+    along the patch axis only, and rows are computed independently.  The
+    inherited :meth:`compile_multi` fuses the chunked kernels; the stacked
+    launch evaluates each of their blocks through the chunked kernel
+    itself, so the bound holds on the multi-plan path too.
     """
 
     name = "lowmem"
@@ -195,407 +171,14 @@ class LowMemoryBackend(EngineBackend):
             raise ValueError("max_error_matrix_bytes must be non-negative")
         if chunk_patches < 1:
             raise ValueError("chunk_patches must be positive")
-        self.options = KernelOptions(max_error_matrix_bytes=max_error_matrix_bytes)
+        super().__init__(KernelOptions(max_error_matrix_bytes=max_error_matrix_bytes))
         self.chunk_patches = int(chunk_patches)
 
-    def availability(self) -> tuple[bool, str]:
-        return True, ""
-
     def compile(
         self, product_model, weight_codes: np.ndarray, control_variate
     ) -> ProductKernel:
-        kernel = product_model.compile(
-            weight_codes, control_variate, options=self.options
-        )
+        kernel = super().compile(product_model, weight_codes, control_variate)
         return ChunkedKernel(kernel, self.chunk_patches)
-
-
-# ----------------------------------------------------------------------
-# Numba backend
-# ----------------------------------------------------------------------
-#
-# The kernel bodies are plain-python nested loops written in the shape numba
-# JIT-compiles well (prange over patches, contiguous inner loops).  They are
-# only ever executed through ``numba.njit`` — on a numba-less install the
-# backend reports itself unavailable and is never asked to compile.
-
-
-def _kernel_masked_matmul(act, w, mask):  # pragma: no cover - numba-compiled
-    patches, taps = act.shape
-    filters = w.shape[1]
-    out = np.zeros((patches, filters), dtype=np.int64)
-    for p in range(patches):
-        for j in range(taps):
-            a = np.int64(act[p, j])
-            a = a - (a & mask)
-            if a == 0:
-                continue
-            for f in range(filters):
-                out[p, f] += a * w[j, f]
-    return out
-
-
-def _kernel_masked_sums(act, mask):  # pragma: no cover - numba-compiled
-    patches, taps = act.shape
-    out = np.zeros(patches, dtype=np.int64)
-    for p in range(patches):
-        total = np.int64(0)
-        for j in range(taps):
-            total += np.int64(act[p, j]) & mask
-        out[p] = total
-    return out
-
-
-def _kernel_lut_sums(act, w, lut):  # pragma: no cover - numba-compiled
-    patches, taps = act.shape
-    filters = w.shape[1]
-    out = np.zeros((patches, filters), dtype=np.int64)
-    for p in range(patches):
-        for j in range(taps):
-            row = lut[:, act[p, j]]
-            for f in range(filters):
-                out[p, f] += row[w[j, f]]
-    return out
-
-
-# Fused multi-plan bodies: one JIT launch evaluates every plan's block of a
-# ``(plans, patches, taps)`` activation stack, so the sweep's per-plan
-# dispatch overhead collapses into the outer ``q`` loop *inside* the kernel.
-
-
-def _kernel_multi_masked_matmul(act, w, masks):  # pragma: no cover - numba-compiled
-    plans, patches, taps = act.shape
-    filters = w.shape[1]
-    out = np.zeros((plans, patches, filters), dtype=np.int64)
-    for q in range(plans):
-        mask = masks[q]
-        for p in range(patches):
-            for j in range(taps):
-                a = np.int64(act[q, p, j])
-                a = a - (a & mask)
-                if a == 0:
-                    continue
-                for f in range(filters):
-                    out[q, p, f] += a * w[j, f]
-    return out
-
-
-def _kernel_multi_masked_sums(act, masks):  # pragma: no cover - numba-compiled
-    plans, patches, taps = act.shape
-    out = np.zeros((plans, patches), dtype=np.int64)
-    for q in range(plans):
-        mask = masks[q]
-        for p in range(patches):
-            total = np.int64(0)
-            for j in range(taps):
-                total += np.int64(act[q, p, j]) & mask
-            out[q, p] = total
-    return out
-
-
-def _kernel_multi_lut_sums(act, w, luts):  # pragma: no cover - numba-compiled
-    plans, patches, taps = act.shape
-    filters = w.shape[1]
-    out = np.zeros((plans, patches, filters), dtype=np.int64)
-    for q in range(plans):
-        for p in range(patches):
-            for j in range(taps):
-                row = luts[q][:, act[q, p, j]]
-                for f in range(filters):
-                    out[q, p, f] += row[w[j, f]]
-    return out
-
-
-class _NumbaPerforatedKernel(ProductKernel):
-    """JIT perforated (or, with ``m=0``, accurate) product sums."""
-
-    def __init__(self, fns, weight_codes, m, control_variate):
-        w = np.ascontiguousarray(np.asarray(weight_codes), dtype=np.int64)
-        if w.ndim != 2:
-            raise ValueError(f"weight_codes must be 2-D (taps, filters), got {w.shape}")
-        super().__init__(*w.shape)
-        if control_variate is not None and control_variate.n_filters != self.filters:
-            raise ValueError(
-                f"control variate has {control_variate.n_filters} filters, "
-                f"weights have {self.filters}"
-            )
-        self._fns = fns
-        self._w = w
-        self._mask = np.int64((1 << int(m)) - 1)
-        self.control_variate = control_variate
-
-    def product_sums(self, act_codes: np.ndarray) -> np.ndarray:
-        act = np.ascontiguousarray(self._check_acts(act_codes))
-        sums = self._fns["masked_matmul"](act, self._w, self._mask)
-        cv = self.control_variate
-        if cv is None:
-            return sums
-        correction = cv.correction(self._fns["masked_sums"](act, self._mask))
-        if cv.quantized:
-            return sums + correction.astype(np.int64)
-        return sums.astype(np.float64) + correction
-
-
-class _NumbaLUTKernel(ProductKernel):
-    """JIT per-tap LUT gather (no error-matrix materialization at all)."""
-
-    def __init__(self, fns, weight_codes, lut):
-        w = np.ascontiguousarray(np.asarray(weight_codes), dtype=np.int64)
-        if w.ndim != 2:
-            raise ValueError(f"weight_codes must be 2-D (taps, filters), got {w.shape}")
-        if w.size and (w.min() < 0 or w.max() >= OPERAND_LEVELS):
-            raise ValueError(f"weight codes out of range [0, {OPERAND_LEVELS - 1}]")
-        super().__init__(*w.shape)
-        self._fns = fns
-        self._w = w
-        self._lut = np.ascontiguousarray(np.asarray(lut, dtype=np.int64))
-        if self._lut.shape != (OPERAND_LEVELS, OPERAND_LEVELS):
-            raise ValueError(f"lut must have shape (256, 256), got {self._lut.shape}")
-
-    def product_sums(self, act_codes: np.ndarray) -> np.ndarray:
-        act = self._check_acts(act_codes)
-        if act.dtype != np.uint8 and act.size and (
-            act.min() < 0 or act.max() >= OPERAND_LEVELS
-        ):
-            raise ValueError(f"activation codes out of range [0, {OPERAND_LEVELS - 1}]")
-        act = np.ascontiguousarray(act, dtype=np.int64)
-        return self._fns["lut_sums"](act, self._w, self._lut)
-
-
-class _NumbaMultiPlanKernel:
-    """Fused multi-plan launches through the JIT kernel bodies.
-
-    Mirrors the :class:`~repro.core.product_kernels.MultiPlanKernel`
-    interface: the perforated/accurate blocks of a plan stack are evaluated
-    by one ``_kernel_multi_masked_matmul`` launch (one ``(plans,)`` mask
-    vector), the LUT blocks by one ``_kernel_multi_lut_sums`` launch (one
-    ``(plans, 256, 256)`` table stack), and anything else falls back to its
-    own per-plan kernel — bit-exact with the per-plan numba kernels by
-    construction (identical integer arithmetic, per-plan loop moved inside
-    the JIT body).
-    """
-
-    def __init__(self, fns, product_models, weight_codes, control_variate):
-        # Resolved lazily by NumbaBackend.compile_multi to avoid the import
-        # cycle with repro.simulation.inference.
-        from repro.simulation.inference import (
-            AccurateProduct,
-            LUTProduct,
-            PerforatedProduct,
-        )
-
-        w = np.ascontiguousarray(np.asarray(weight_codes), dtype=np.int64)
-        if w.ndim != 2:
-            raise ValueError(f"weight_codes must be 2-D (taps, filters), got {w.shape}")
-        self.taps, self.filters = w.shape
-        self._fns = fns
-        self._w = w
-        self._kinds: list[str] = []
-        self._masks: list[int] = []
-        self._cvs: list = []
-        self._luts: list[np.ndarray] = []
-        self._fallbacks: list = []
-        for model in product_models:
-            if isinstance(model, AccurateProduct):
-                self._kinds.append("perf")
-                self._masks.append(0)
-                self._cvs.append(None)
-            elif isinstance(model, PerforatedProduct):
-                cv = control_variate if model.use_control_variate else None
-                if cv is not None and cv.n_filters != self.filters:
-                    raise ValueError(
-                        f"control variate has {cv.n_filters} filters, "
-                        f"weights have {self.filters}"
-                    )
-                self._kinds.append("perf")
-                self._masks.append((1 << int(model.m)) - 1)
-                self._cvs.append(cv)
-            elif isinstance(model, LUTProduct):
-                lut = np.ascontiguousarray(np.asarray(model.lut, dtype=np.int64))
-                if lut.shape != (OPERAND_LEVELS, OPERAND_LEVELS):
-                    raise ValueError(
-                        f"lut must have shape (256, 256), got {lut.shape}"
-                    )
-                if w.size and (w.min() < 0 or w.max() >= OPERAND_LEVELS):
-                    raise ValueError(
-                        f"weight codes out of range [0, {OPERAND_LEVELS - 1}]"
-                    )
-                self._kinds.append("lut")
-                self._masks.append(0)
-                self._cvs.append(None)
-                self._luts.append(lut)
-            else:
-                self._kinds.append("fallback")
-                self._masks.append(0)
-                self._cvs.append(None)
-                self._fallbacks.append(
-                    model.compile(weight_codes, control_variate)
-                )
-        self._lut_stack = (
-            np.ascontiguousarray(np.stack(self._luts)) if self._luts else None
-        )
-
-    @property
-    def plans(self) -> int:
-        return len(self._kinds)
-
-    def product_sums_multi(
-        self, act_codes: np.ndarray, shared: bool = False
-    ) -> np.ndarray:
-        act = np.asarray(act_codes)
-        if act.ndim != 2 or act.shape[1] != self.taps:
-            raise ValueError(
-                f"activations must have shape (patches, {self.taps}), got {act.shape}"
-            )
-        if shared:
-            n = act.shape[0]
-        else:
-            if act.shape[0] % self.plans:
-                raise ValueError(
-                    f"stacked activations ({act.shape[0]} rows) do not divide "
-                    f"into {self.plans} equal plan blocks"
-                )
-            n = act.shape[0] // self.plans
-
-        def block(p: int) -> np.ndarray:
-            return act if shared else act[p * n : (p + 1) * n]
-
-        out = np.empty((self.plans * n, self.filters), dtype=np.float64)
-        perf = [p for p, k in enumerate(self._kinds) if k == "perf"]
-        if perf:
-            stack = np.empty((len(perf), n, self.taps), dtype=np.int64)
-            for row, p in enumerate(perf):
-                stack[row] = block(p)
-            masks = np.asarray([self._masks[p] for p in perf], dtype=np.int64)
-            sums = self._fns["multi_masked_matmul"](stack, self._w, masks)
-            corrections = self._fns["multi_masked_sums"](stack, masks)
-            for row, p in enumerate(perf):
-                dst = out[p * n : (p + 1) * n]
-                cv = self._cvs[p]
-                if cv is None:
-                    dst[...] = sums[row]
-                    continue
-                correction = cv.correction(corrections[row])
-                if cv.quantized:
-                    correction = correction.astype(np.int64)
-                np.add(sums[row], correction, out=dst, casting="unsafe")
-        luts = [p for p, k in enumerate(self._kinds) if k == "lut"]
-        if luts:
-            stack = np.empty((len(luts), n, self.taps), dtype=np.int64)
-            for row, p in enumerate(luts):
-                stack[row] = block(p)
-            sums = self._fns["multi_lut_sums"](stack, self._w, self._lut_stack)
-            for row, p in enumerate(luts):
-                out[p * n : (p + 1) * n] = sums[row]
-        fallback_iter = iter(self._fallbacks)
-        for p, kind in enumerate(self._kinds):
-            if kind == "fallback":
-                out[p * n : (p + 1) * n] = next(fallback_iter)(block(p))
-        return out
-
-    def __call__(self, act_codes: np.ndarray, shared: bool = False) -> np.ndarray:
-        return self.product_sums_multi(act_codes, shared=shared)
-
-
-class NumbaBackend(EngineBackend):
-    """JIT-compiled per-tap loops via numba (optional dependency)."""
-
-    name = "numba"
-    fused_multi_plan = True
-
-    def __init__(self):
-        self._fns: dict | None = None
-        self._probe_error: str | None = None
-
-    def availability(self) -> tuple[bool, str]:
-        if _numba is None:
-            return False, "the 'numba' package is not installed"
-        if self._probe_error is not None:
-            return False, self._probe_error
-        return True, ""
-
-    def _compiled_fns(self) -> dict:
-        """JIT-compile the kernel bodies once per backend instance."""
-        if self._fns is None:
-            njit = _numba.njit
-            self._fns = {
-                "masked_matmul": njit(cache=False, nogil=True)(_kernel_masked_matmul),
-                "masked_sums": njit(cache=False, nogil=True)(_kernel_masked_sums),
-                "lut_sums": njit(cache=False, nogil=True)(_kernel_lut_sums),
-                "multi_masked_matmul": njit(cache=False, nogil=True)(
-                    _kernel_multi_masked_matmul
-                ),
-                "multi_masked_sums": njit(cache=False, nogil=True)(
-                    _kernel_multi_masked_sums
-                ),
-                "multi_lut_sums": njit(cache=False, nogil=True)(
-                    _kernel_multi_lut_sums
-                ),
-            }
-        return self._fns
-
-    def compile(
-        self, product_model, weight_codes: np.ndarray, control_variate
-    ) -> ProductKernel:
-        self._require_available()
-        # Local import: repro.simulation.inference imports this module at
-        # load time, so the concrete model types are resolved lazily here.
-        from repro.simulation.inference import (
-            AccurateProduct,
-            LUTProduct,
-            PerforatedProduct,
-        )
-
-        try:
-            fns = self._compiled_fns()
-        except Exception as exc:
-            # A broken numba install (e.g. llvmlite/ABI mismatch) surfaces
-            # here on first compile; record it and fall back permanently.
-            # Only the JIT step is guarded — kernel-construction errors
-            # (shape/range validation) propagate like any other backend's.
-            self._probe_error = f"numba JIT compilation failed: {exc}"
-            warnings.warn(
-                f"engine backend 'numba' disabled after a compile failure; "
-                f"falling back to numpy kernels ({exc})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return product_model.compile(weight_codes, control_variate)
-        if isinstance(product_model, AccurateProduct):
-            return _NumbaPerforatedKernel(fns, weight_codes, 0, None)
-        if isinstance(product_model, PerforatedProduct):
-            cv = control_variate if product_model.use_control_variate else None
-            return _NumbaPerforatedKernel(fns, weight_codes, product_model.m, cv)
-        if isinstance(product_model, LUTProduct):
-            return _NumbaLUTKernel(fns, weight_codes, product_model.lut)
-        # Models without a specialized numba kernel use their own compiled
-        # form — still bit-exact, just not JIT-ed.
-        return product_model.compile(weight_codes, control_variate)
-
-    def compile_multi(
-        self,
-        product_models,
-        weight_codes: np.ndarray,
-        control_variate,
-        kernels=None,
-    ):
-        self._require_available()
-        try:
-            fns = self._compiled_fns()
-        except Exception as exc:
-            self._probe_error = f"numba JIT compilation failed: {exc}"
-            warnings.warn(
-                f"engine backend 'numba' disabled after a compile failure; "
-                f"falling back to numpy multi-plan kernels ({exc})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return NumpyBackend().compile_multi(
-                product_models, weight_codes, control_variate
-            )
-        return _NumbaMultiPlanKernel(
-            fns, product_models, weight_codes, control_variate
-        )
 
 
 # ----------------------------------------------------------------------
@@ -647,8 +230,8 @@ def resolve_backend(
     """Resolve a backend name (or instance) to a usable backend.
 
     ``None`` resolves to the default (``numpy``) backend.  When the
-    requested backend exists but is unavailable (e.g. ``numba`` without the
-    numba package), the default backend is returned with a warning if
+    requested backend exists but is unavailable (its availability probe
+    fails), the default backend is returned with a warning if
     ``allow_fallback`` is true — this is the "fall back cleanly" contract —
     otherwise :class:`BackendUnavailableError` is raised.
     """
@@ -675,7 +258,6 @@ def resolve_backend(
 
 
 register_backend(NumpyBackend())
-register_backend(NumbaBackend())
 register_backend(LowMemoryBackend())
 
 
@@ -684,7 +266,6 @@ __all__ = [
     "BackendUnavailableError",
     "EngineBackend",
     "NumpyBackend",
-    "NumbaBackend",
     "LowMemoryBackend",
     "register_backend",
     "backend_names",

@@ -17,7 +17,7 @@ substrate into that decision procedure:
 * :mod:`~repro.dse.evaluator` — :class:`PlanEvaluator` (in-process) and
   :class:`ServicePlanEvaluator` (fanned across a
   :class:`repro.runtime.service.EvaluationService` worker pool): accuracy
-  scoring through the executor's plan-context prefix reuse, both bit-exact
+  scoring through the executor's multi-plan walk, both bit-exact
   with :func:`repro.simulation.campaign.plan_sweep`;
 * :mod:`~repro.dse.engine` — :func:`run_campaign` wiring it all together
   (the CLI exposes it as ``python -m repro dse``, with ``--workers N``

@@ -10,7 +10,7 @@
 3. hand a :class:`CampaignContext` to the selected
    :class:`~repro.dse.strategies.SearchStrategy`, whose ``score`` callback
    dedups assignments within the run, replays ledger records on resume,
-   evaluates fresh plans in batches through the prefix-reuse machinery,
+   evaluates fresh plans in batches through the multi-plan walk,
    records each result in the ledger *as soon as it is measured* (so a
    killed campaign loses at most the in-flight batch), updates the
    :class:`~repro.dse.pareto.ParetoFront`, and enforces the evaluation
@@ -373,7 +373,6 @@ def build_campaign_service(
     max_eval_images: int | None = None,
     calibration_images: int = 128,
     engine_backend: str | None = None,
-    reuse_prefix: bool = True,
     eval_images: np.ndarray | None = None,
     eval_labels: np.ndarray | None = None,
 ) -> "EvaluationService":
@@ -408,7 +407,6 @@ def build_campaign_service(
         max_eval_images=max_eval_images,
         calibration_images=calibration_images,
         engine_backend=engine_backend,
-        reuse_prefix=reuse_prefix,
     )
 
 
@@ -417,7 +415,6 @@ def _check_service_setup(
     max_eval_images: int | None,
     calibration_images: int,
     engine_backend: str | None,
-    reuse_prefix: bool,
     eval_images: np.ndarray | None,
     eval_labels: np.ndarray | None,
 ) -> None:
@@ -441,7 +438,6 @@ def _check_service_setup(
         for name, ours, theirs in (
             ("max_eval_images", max_eval_images, service.max_eval_images),
             ("calibration_images", int(calibration_images), service.calibration_images),
-            ("reuse_prefix", bool(reuse_prefix), service.reuse_prefix),
         )
         if ours != theirs
     ]
@@ -471,7 +467,6 @@ def run_campaign(
     max_eval_images: int | None = None,
     calibration_images: int = 128,
     engine_backend: str | None = None,
-    reuse_prefix: bool = True,
     eval_images: np.ndarray | None = None,
     eval_labels: np.ndarray | None = None,
     workers: int | None = 1,
@@ -566,7 +561,6 @@ def run_campaign(
                     max_eval_images=max_eval_images,
                     calibration_images=calibration_images,
                     engine_backend=engine_backend,
-                    reuse_prefix=reuse_prefix,
                     eval_images=eval_images,
                     eval_labels=eval_labels,
                 )
@@ -579,7 +573,6 @@ def run_campaign(
                     max_eval_images,
                     calibration_images,
                     engine_backend,
-                    reuse_prefix,
                     eval_images,
                     eval_labels,
                 )
@@ -595,7 +588,6 @@ def run_campaign(
                     max_eval_images=max_eval_images,
                     calibration_images=calibration_images,
                     engine_backend=engine_backend,
-                    reuse_prefix=reuse_prefix,
                     eval_images=eval_images,
                     eval_labels=eval_labels,
                 )

@@ -8,21 +8,19 @@ Two interchangeable evaluators implement the campaign's scoring surface
   :class:`~repro.simulation.inference.ApproximateExecutor` for the whole
   campaign — exactly the executor a serial
   :func:`~repro.simulation.campaign.plan_sweep` worker would build — and
-  scores each candidate batch the way the sweep does: the batch's plan set
-  is armed as the executor's plan context and plans are visited in the
-  prefix-aware fingerprint order of
-  :func:`~repro.runtime.scheduling.order_plan_cells`.
+  scores each candidate batch the way a sweep worker does: in one
+  multi-plan walk that runs every shared layer prefix once.
 * :class:`ServicePlanEvaluator` fans each batch across the persistent
   worker pool of a :class:`~repro.runtime.service.EvaluationService`
   instead — the parallel path behind ``run_campaign(workers=N)`` — while
   reporting the *same* ledger context key, so serial and parallel
   campaigns share records freely.
 
-Because the executor construction, the reuse machinery and the service
+Because the executor construction, the multi-plan walk and the service
 workers are all bit-exact, every accuracy either evaluator reports is
 identical to the value a hand-enumerated
-:func:`~repro.simulation.campaign.plan_sweep` (or a fresh executor with
-reuse disabled) would measure for the same plan — the acceptance bar of
+:func:`~repro.simulation.campaign.plan_sweep` (or a fresh executor scoring
+the plan alone) would measure for the same plan — the acceptance bar of
 the DSE subsystem.
 """
 
@@ -35,11 +33,7 @@ import numpy as np
 from repro.core.backends import EngineBackend
 from repro.datasets.synthetic import Dataset
 from repro.simulation.campaign import TrainedModel
-from repro.simulation.inference import (
-    ApproximateExecutor,
-    ExecutionPlan,
-    plan_fingerprint_sort_key,
-)
+from repro.simulation.inference import ApproximateExecutor, ExecutionPlan
 from repro.simulation.metrics import accuracy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,8 +85,8 @@ class PlanEvaluator:
     campaign and a hand-enumerated sweep over the same knobs agree
     bit-exactly: ``max_eval_images`` caps the test split (prefix slice),
     ``calibration_images`` slices the head of the training split, and
-    ``engine_backend`` / ``reuse_prefix`` select the (bit-exact) execution
-    machinery.  ``eval_images`` / ``eval_labels`` override the evaluation
+    ``engine_backend`` selects the (bit-exact) kernel backend.
+    ``eval_images`` / ``eval_labels`` override the evaluation
     arrays entirely — the hook the CLI's seeded eval subsampling uses.
     """
 
@@ -103,7 +97,6 @@ class PlanEvaluator:
         max_eval_images: int | None = None,
         calibration_images: int = 128,
         engine_backend: "str | EngineBackend | None" = None,
-        reuse_prefix: bool = True,
         batch_size: int = 256,
         eval_images: np.ndarray | None = None,
         eval_labels: np.ndarray | None = None,
@@ -113,7 +106,6 @@ class PlanEvaluator:
         self.max_eval_images = max_eval_images
         self.calibration_images = int(calibration_images)
         self.batch_size = int(batch_size)
-        self.reuse_prefix = bool(reuse_prefix)
         self.eval_images, self.eval_labels = _resolve_eval_arrays(
             dataset, max_eval_images, eval_images, eval_labels
         )
@@ -121,8 +113,6 @@ class PlanEvaluator:
             trained.model,
             dataset.train_images[: self.calibration_images],
             engine_backend=engine_backend,
-            reuse_plan_invariant_acts=self.reuse_prefix,
-            reuse_plan_invariant_prefix=self.reuse_prefix,
         )
         self.evaluations = 0
 
@@ -147,30 +137,18 @@ class PlanEvaluator:
     def evaluate(self, plans: Sequence[ExecutionPlan]) -> list[float]:
         """Accuracies of ``plans`` on the evaluation set, in input order.
 
-        The batch is armed as the executor's plan context and visited in
-        prefix-aware fingerprint order; results are returned in the input
-        order.  Bit-exact with evaluating each plan on a fresh executor.
+        The whole batch rides one multi-plan walk of the executor.
+        Bit-exact with evaluating each plan on a fresh executor.
         """
         plans = list(plans)
-        if not plans:
-            return []
-        order = range(len(plans))
-        if self.reuse_prefix:
-            self.executor.set_plan_context(plans)
-            mac_names = tuple(self.mac_layer_names())
-            sort_keys = {
-                index: plan_fingerprint_sort_key(plan.fingerprints(mac_names))
-                for index, plan in enumerate(plans)
-            }
-            order = sorted(order, key=sort_keys.__getitem__)
-        accuracies: dict[int, float] = {}
-        for index in order:
-            predictions = self.executor.predict(
-                self.eval_images, plans[index], batch_size=self.batch_size
-            )
-            accuracies[index] = accuracy(predictions, self.eval_labels)
-            self.evaluations += 1
-        return [accuracies[index] for index in range(len(plans))]
+        predictions_per_plan = self.executor.predict_many(
+            self.eval_images, plans, batch_size=self.batch_size
+        )
+        self.evaluations += len(plans)
+        return [
+            accuracy(predictions, self.eval_labels)
+            for predictions in predictions_per_plan
+        ]
 
     def submit(self, plans: Sequence[ExecutionPlan]) -> ResolvedBatch:
         """Async-shaped scoring surface (eager here — no workers to overlap).
@@ -187,7 +165,7 @@ class ServicePlanEvaluator:
 
     Scoring fans each candidate batch across the persistent workers of an
     :class:`~repro.runtime.service.EvaluationService` (which schedules the
-    batch prefix-aware and arms each worker's plan context); everything
+    batch prefix-aware); everything
     else — evaluation arrays, calibration slice, batch size, and therefore
     the ledger :meth:`context_key` — matches the in-process evaluator
     exactly, so serial and parallel campaigns replay each other's ledger
@@ -210,7 +188,6 @@ class ServicePlanEvaluator:
         self.max_eval_images = service.max_eval_images
         self.calibration_images = service.calibration_images
         self.batch_size = service.batch_size
-        self.reuse_prefix = service.reuse_prefix
         self.engine_backend = service.engine_backend
         self.eval_images, self.eval_labels = _resolve_eval_arrays(
             self.dataset, self.max_eval_images, None, None
@@ -227,8 +204,6 @@ class ServicePlanEvaluator:
                 self.trained.model,
                 self.dataset.train_images[: self.calibration_images],
                 engine_backend=self.engine_backend,
-                reuse_plan_invariant_acts=self.reuse_prefix,
-                reuse_plan_invariant_prefix=self.reuse_prefix,
             )
         return self._executor
 

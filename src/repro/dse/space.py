@@ -21,8 +21,8 @@ to a modeled network energy for costing:
 Candidate :class:`ProductModel` instances are shared across every plan the
 space produces, so the executor's per-instance kernel cache compiles each
 (layer, candidate) combination exactly once for the whole campaign, and the
-structural fingerprints keep the plan-invariant prefix reuse effective
-across candidate batches.
+structural fingerprints let the multi-plan walk deduplicate candidates and
+share their layer prefixes within every batch.
 """
 
 from __future__ import annotations

@@ -4,11 +4,10 @@ One dictionary answers "what machine, what software, what defaults produced
 this number?" — it is embedded verbatim in every :class:`RunManifest` and
 printed by ``repro info --json``.  Two properties matter:
 
-* **failure reasons are recorded, not discarded** — an optional package
-  (numba) that fails to import contributes its import-error message, so a
-  results file claiming ``"numba": {"available": false}`` explains *why*
-  (the ROADMAP PR-2 carryover: stale hardware claims must be
-  self-describing);
+* **failure reasons are recorded, not discarded** — a probed package that
+  fails to import contributes its import-error message, so a results file
+  claiming ``"scipy": {"available": false}`` explains *why* (stale
+  hardware claims must be self-describing);
 * **determinism** — given one interpreter on one host the block is stable,
   so manifests of repeated runs differ only where the measurement differs.
 """
@@ -24,8 +23,8 @@ from repro import __version__
 
 #: Optional/load-bearing packages probed for the environment block.  numpy
 #: is required, scipy accelerates the LUT decomposition (the engine degrades
-#: without it), numba backs the JIT engine backend.
-PROBED_PACKAGES = ("numpy", "scipy", "numba")
+#: without it).
+PROBED_PACKAGES = ("numpy", "scipy")
 
 
 def probe_package(name: str) -> dict:
@@ -62,10 +61,6 @@ def _engine_backend_rows() -> list[dict]:
                 "name": name,
                 "available": available,
                 "default": name == DEFAULT_BACKEND,
-                # Capability flag, not hasattr: backends without a fused
-                # multi-plan compiler (e.g. lowmem) report False and the
-                # executor degrades to the per-plan loop.
-                "fused_multi_plan": bool(backend.fused_multi_plan),
                 "reason": None if available else reason,
             }
         )
@@ -102,9 +97,6 @@ def _runtime_defaults() -> dict:
     from repro.runtime.sizing import resolve_worker_count
     from repro.runtime.stats import STATS_SCHEMA
 
-    from repro.core.backends import backend_names, get_backend
-    from repro.runtime.scheduling import DEFAULT_PLAN_GROUP_SIZE
-
     return {
         "stats_schema": STATS_SCHEMA,
         # A `workers=None` auto request resolved on this host (affinity/
@@ -112,16 +104,6 @@ def _runtime_defaults() -> dict:
         "auto_workers": resolve_worker_count(None),
         "default_queue_depth": JobQueue().max_depth,
         "default_session_inflight": JobQueue().max_inflight_per_session,
-        # Fused multi-plan path: on by default, with the launch counters
-        # (`fused_launches`, `plans_per_launch_avg`, prefix-checkpoint
-        # hits) reported by every stats() payload under the schema above.
-        "default_fuse_plans": True,
-        "default_plan_group_size": DEFAULT_PLAN_GROUP_SIZE,
-        "fused_backends": [
-            name
-            for name in backend_names()
-            if get_backend(name).fused_multi_plan
-        ],
     }
 
 

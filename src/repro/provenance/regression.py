@@ -74,11 +74,6 @@ _ABSOLUTE_FLOORS = {
         "parallel execution lost to serial (the scheduler must degrade to "
         "serial rather than lose to it)",
     ),
-    "speedup_vs_unfused": (
-        1.3,
-        "fused multi-plan sweep lost its launch-collapse margin over the "
-        "per-plan path",
-    ),
 }
 
 _IGNORED_KEYS = {

@@ -138,21 +138,6 @@ class CellCostModel:
         """Current relative cost of one product of ``kind`` (accurate = 1)."""
         return self._technique_cost.get(kind, DEFAULT_UNKNOWN_COST)
 
-    def cell_cost(
-        self,
-        model_index: int,
-        plan: ExecutionPlan,
-        mac_names: Sequence[str],
-    ) -> float:
-        """Predicted cost of one cell, in accurate-MAC equivalents."""
-        work = self._layer_work.get(int(model_index), {})
-        total = 0.0
-        for name, fingerprint in zip(mac_names, plan.fingerprints(mac_names)):
-            total += work.get(name, 1.0) * self.technique_factor(
-                fingerprint_kind(fingerprint)
-            )
-        return total
-
     def group_cost(
         self,
         model_index: int,
@@ -170,8 +155,8 @@ class CellCostModel:
         prices as the sum over depths of (distinct prefixes at that depth)
         x (layer work) x (technique factor of the block's model), which is
         what makes a group of prefix-sharing plans cheaper than the sum of
-        its per-plan :meth:`cell_cost` — the dedupe the scheduler should
-        balance on.
+        its plans priced one by one — the dedupe the scheduler should
+        balance on.  A one-plan group prices a single cell.
         """
         work = self._layer_work.get(int(model_index), {})
         sequences = {plan.fingerprints(mac_names) for plan in plans}

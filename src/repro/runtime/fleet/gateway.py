@@ -17,7 +17,7 @@ unchanged against a gateway URL.  What changes is what is behind it:
 * job handles become ``<shard>/<job id>`` refs, so ``GET /jobs/<ref>``
   routes the poll back to the owning shard;
 * ``/stats`` fans out and aggregates every healthy shard's
-  ``repro-runtime-stats/v1.1`` payload (numeric counters summed, the cache
+  ``repro-runtime-stats/v1.2`` payload (numeric counters summed, the cache
   hit ratio recomputed from the summed counters, sessions namespaced
   ``<shard>/<session>``) plus ``gateway`` and ``shards`` sections;
 * a shard that stops answering is reported as a fast ``503`` with a

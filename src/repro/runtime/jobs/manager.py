@@ -58,8 +58,7 @@ class JobManager:
         An already-constructed engine to front (not owned: ``close()``
         leaves it running).  Mutually exclusive with the engine knobs.
     max_workers / requested_workers / chunks_per_worker / max_eval_images /
-    calibration_images / engine_backend / reuse_prefix / use_shared_memory /
-    batch_size:
+    calibration_images / engine_backend / use_shared_memory / batch_size:
         Engine knobs, as in :class:`~repro.runtime.service.EvaluationService`.
     max_queue_depth / max_inflight_per_session:
         Admission bounds (see :class:`~repro.runtime.jobs.queue.JobQueue`).
@@ -102,7 +101,6 @@ class JobManager:
         max_eval_images: int | None = None,
         calibration_images: int = 128,
         engine_backend: str | None = None,
-        reuse_prefix: bool = True,
         use_shared_memory: bool | None = None,
         batch_size: int = 256,
         max_queue_depth: int = 64,
@@ -137,7 +135,6 @@ class JobManager:
                 max_eval_images=max_eval_images,
                 calibration_images=calibration_images,
                 engine_backend=engine_backend,
-                reuse_prefix=reuse_prefix,
                 use_shared_memory=use_shared_memory,
                 batch_size=batch_size,
             )
@@ -327,7 +324,8 @@ class JobManager:
 
         Raises :class:`~repro.runtime.jobs.queue.AdmissionError` when the
         queue is full or the session is over its in-flight cap, and plain
-        ``IndexError`` / ``TypeError`` / ``ValueError`` on malformed input
+        ``IndexError`` / ``TypeError`` / ``ValueError`` on malformed input —
+        including a plan that overrides a layer the model does not have
         (the transport maps the two families to 429 and 400).
         """
         if self._closed:
@@ -351,9 +349,11 @@ class JobManager:
         plans = list(plans)
         if not plans:
             raise ValueError("a job needs at least one plan")
+        mac_names = self.service.mac_names(model_index)
         for plan in plans:
             if not isinstance(plan, ExecutionPlan):
                 raise TypeError(f"job plans must be ExecutionPlans, got {plan!r}")
+            plan.check_layers(mac_names)
         sess = self.sessions.get_or_create(session)
         with self._lock:
             self._seq += 1

@@ -1,10 +1,10 @@
 """Prefix-aware scheduling of evaluation cells.
 
 An evaluation *cell* is one ``(model, plan)`` pair.  Consecutive cells that
-share a per-layer fingerprint prefix let the executor's plan-context
-checkpoints resume mid-network instead of re-running the shared prefix
-(:meth:`repro.simulation.inference.ApproximateExecutor.set_plan_context`),
-so the order cells run in is a first-order performance knob.  This module
+share a per-layer fingerprint prefix land in one multi-plan walk of the
+executor, which runs the shared prefix once
+(:meth:`repro.simulation.inference.ApproximateExecutor.forward_many`), so
+the order cells run in is a first-order performance knob.  This module
 owns that ordering:
 
 * :func:`order_plan_cells` — the classic sweep schedule over a
@@ -22,8 +22,8 @@ owns that ordering:
   schedule is partitioned by *predicted cell cost*
   (:class:`~repro.runtime.cost_model.CellCostModel`) instead of cell
   count, with cuts nudged toward prefix-divergence boundaries
-  (:func:`shared_prefix_depths`) so splitting loses as little checkpoint
-  reuse as possible.  This is what stops one LUT-heavy chunk from
+  (:func:`shared_prefix_depths`) so splitting re-walks as little shared
+  prefix as possible.  This is what stops one LUT-heavy chunk from
   straggling a whole batch.
 
 Every chunking function preserves the prefix-adjacency contract: chunks
@@ -45,20 +45,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 
 T = TypeVar("T")
 
-#: Default cap on how many plans one fused multi-plan launch stacks.  The
-#: fused path's memory scales with the stacked block count at the deepest
-#: divergence (every live activation is repeated per diverging plan), so
-#: groups are bounded; 8 keeps the stacked activations of the reference
-#: networks within the footprint of a few per-plan batches while already
-#: amortizing nearly all of the per-launch dispatch overhead.
+#: Cap on how many cells one plan group holds — the unit the pool path
+#: prices and never splits across chunks.  Small enough that a batch still
+#: spreads over every worker, large enough that each group amortizes its
+#: prefix walk over several plans.
 DEFAULT_PLAN_GROUP_SIZE = 8
 
 
 def model_mac_names(trained: "TrainedModel") -> tuple[str, ...]:
     """MAC (conv/dense) layer names of one trained model, in execution order.
 
-    The same key the executor's checkpoint-depth computation uses, so
-    schedule adjacency matches the checkpoint structure exactly.
+    The same key the executor's multi-plan walk uses, so schedule
+    adjacency matches the prefixes the walk shares exactly.
     """
     return tuple(node.name for node in trained.model.conv_dense_nodes())
 
@@ -90,9 +88,8 @@ def order_plan_cells(
     Cells are grouped by model (one calibrated executor per model is kept
     per worker), and within one model the plans are ordered
     lexicographically by their per-MAC-layer fingerprint sequence.  Plans
-    sharing a layer prefix therefore become *adjacent*, which maximizes the
-    executor's prefix-checkpoint and activation-code cache hits when cells
-    run in schedule order.
+    sharing a layer prefix therefore become *adjacent*, so chunking the
+    schedule keeps them in one multi-plan walk.
     """
     cells: list[tuple[int, int]] = []
     for model_index, trained in enumerate(models):
@@ -114,13 +111,13 @@ def plan_group_slices(
     """Plan-group boundaries of a prefix-sorted schedule, as ``(start, stop)``.
 
     A *plan group* is a maximal run of consecutive same-model cells, capped
-    at ``max_group_plans`` — the unit one fused multi-plan launch evaluates
+    at ``max_group_plans`` — the granularity the service's pool path prices
+    and cuts chunks at, so a group is never split across workers.  On a
+    fingerprint-sorted schedule the cells of a group share the deepest
+    prefixes the plan set offers, so the worker's multi-plan walk
     (:meth:`repro.simulation.inference.ApproximateExecutor.forward_many`)
-    and the granularity :func:`cost_balanced_chunks` should cut at so a
-    group is never split across workers.  On a fingerprint-sorted schedule
-    the cells of a group share the deepest prefixes the plan set offers, so
-    the fused walk dedupes maximal work.  Concatenating the slices covers
-    ``schedule`` exactly, in order.
+    dedupes maximal work.  Concatenating the slices covers ``schedule``
+    exactly, in order.
 
     ``split_depths`` (from :func:`shared_prefix_depths`, one entry per
     consecutive-cell boundary) additionally aligns groups with *divergence
@@ -130,7 +127,7 @@ def plan_group_slices(
     runs of plans that all diverge at one layer (constant boundary depth)
     separated by depth drops; cutting at the drops keeps each family —
     whose members share their divergence layer's input, the sharing the
-    fused launch actually exploits — in one launch instead of splitting it
+    stacked launch actually exploits — in one group instead of splitting it
     at an arbitrary count boundary.
     """
     if int(max_group_plans) < 1:
@@ -202,8 +199,8 @@ def shared_prefix_depths(
     ``depths[i]`` is the number of leading MAC layers on which
     ``schedule[i]`` and ``schedule[i + 1]`` compute bit-identical
     activations (0 when the cells belong to different models).  A cut at a
-    zero-depth boundary costs no checkpoint reuse at all; a cut at depth
-    ``d`` re-runs a ``d``-layer prefix once — which is what
+    zero-depth boundary shares nothing to begin with; a cut at depth ``d``
+    re-runs a ``d``-layer prefix once — which is what
     :func:`cost_balanced_chunks` minimizes when placing cuts.
     """
     depths: list[int] = []

@@ -13,18 +13,19 @@ service is the one execution path behind all of them:
 * **prefix-aware scheduling** — submitted cells are ordered with the
   fingerprint schedule of :mod:`repro.runtime.scheduling` and distributed
   as contiguous chunks, so plans sharing a layer prefix land adjacently on
-  one worker and resume from checkpoints instead of re-running the prefix;
-* **cost-balanced work stealing** — on the pool path the schedule is split
-  into *more chunks than workers* (``chunks_per_worker`` per worker),
-  balanced by the predicted cell cost of a
+  one worker, whose multi-plan walk runs that prefix once;
+* **cost-balanced work stealing** — on the pool path the schedule is cut
+  into plan groups (:func:`~repro.runtime.scheduling.plan_group_slices`)
+  and the groups into *more chunks than workers* (``chunks_per_worker``
+  per worker), balanced by the predicted group cost of a
   :class:`~repro.runtime.cost_model.CellCostModel` with cuts biased toward
   prefix-divergence boundaries; idle workers drain the excess chunks from
   the pool's queue, so one LUT-heavy straggler chunk no longer serializes
   the batch.  Measured chunk wall-clocks feed back into the cost model
   (online refinement), sharpening the balance across a session;
 * **bit-exact** — every accuracy the service returns is identical to
-  evaluating the same plan on a fresh in-process executor with reuse
-  disabled (pinned by the parity suite).
+  evaluating the same plan on a fresh in-process executor (pinned by the
+  parity suite).
 
 Lifecycle::
 
@@ -59,7 +60,6 @@ from repro.runtime.publishing import (
     publish_trained_models,
 )
 from repro.runtime.scheduling import (
-    DEFAULT_PLAN_GROUP_SIZE,
     contiguous_chunks,
     cost_balanced_chunks,
     model_mac_names,
@@ -187,24 +187,9 @@ class EvaluationService:
         ``max_workers * chunks_per_worker`` cost-balanced chunks, so idle
         workers steal queued chunks instead of waiting on a straggler.
         ``1`` restores one-chunk-per-worker static partitioning.
-    max_eval_images / calibration_images / engine_backend / reuse_prefix:
+    max_eval_images / calibration_images / engine_backend:
         As in :func:`repro.simulation.campaign.plan_sweep` — they select
         the (bit-exact) measurement setup every worker reproduces.
-    fuse_plans:
-        Ride the fused multi-plan path: workers evaluate each plan group
-        (consecutive same-model cells of the prefix-sorted schedule, up to
-        ``plan_group_size`` plans) through one batched backend launch per
-        layer (:meth:`~repro.simulation.inference
-        .ApproximateExecutor.forward_many`) instead of looping plans in
-        Python, the scheduler prices and cuts chunks at group granularity,
-        and :meth:`stats` reports ``fused_launches`` /
-        ``plans_per_launch_avg``.  Bit-exact either way; backends without
-        the ``fused_multi_plan`` capability (e.g. ``lowmem``) fall back to
-        the per-plan loop automatically.
-    plan_group_size:
-        Cap on plans per fused group (default
-        :data:`~repro.runtime.scheduling.DEFAULT_PLAN_GROUP_SIZE`); bounds
-        the fused path's stacked-activation memory.
     use_shared_memory:
         ``None`` (default) publishes models and datasets exactly when
         worker processes are used; ``True`` forces the publish/attach
@@ -226,11 +211,8 @@ class EvaluationService:
         max_eval_images: int | None = None,
         calibration_images: int = 128,
         engine_backend: str | None = None,
-        reuse_prefix: bool = True,
         use_shared_memory: bool | None = None,
         batch_size: int = 256,
-        fuse_plans: bool = True,
-        plan_group_size: int = DEFAULT_PLAN_GROUP_SIZE,
     ):
         self.models = list(trained_models)
         if not self.models:
@@ -255,10 +237,6 @@ class EvaluationService:
             )
         if int(batch_size) < 1:
             raise ValueError(f"batch_size must be a positive integer, got {batch_size}")
-        if int(plan_group_size) < 1:
-            raise ValueError(
-                f"plan_group_size must be a positive integer, got {plan_group_size}"
-            )
         self.max_workers = int(max_workers)
         self.requested_workers = (
             self.max_workers if requested_workers is None else int(requested_workers)
@@ -267,11 +245,8 @@ class EvaluationService:
         self.max_eval_images = max_eval_images
         self.calibration_images = int(calibration_images)
         self.engine_backend = engine_backend
-        self.reuse_prefix = bool(reuse_prefix)
         self.use_shared_memory = use_shared_memory
         self.batch_size = int(batch_size)
-        self.fuse_plans = bool(fuse_plans)
-        self.plan_group_size = int(plan_group_size)
 
         self._worker_counters = {counter: 0 for counter in STAT_COUNTERS}
         self._counters_lock = threading.Lock()
@@ -330,10 +305,7 @@ class EvaluationService:
                 self.max_eval_images,
                 self.calibration_images,
                 self.engine_backend,
-                self.reuse_prefix,
                 self.batch_size,
-                self.fuse_plans,
-                self.plan_group_size,
             )
             if self.serial:
                 self._serial_state = {}
@@ -466,7 +438,6 @@ class EvaluationService:
             "max_eval_images": self.max_eval_images,
             "calibration_images": self.calibration_images,
             "engine_backend": self.engine_backend,
-            "reuse_prefix": self.reuse_prefix,
             "use_shared_memory": self.use_shared_memory,
             "batch_size": self.batch_size,
             "nbytes_shared": self.nbytes_shared(),
@@ -480,16 +451,15 @@ class EvaluationService:
                     self._worker_counters[key] += int(value)
 
     def stats(self) -> dict:
-        """Counters of the session so far (``repro-runtime-stats/v1.1`` schema).
+        """Counters of the session so far (``repro-runtime-stats/v1.2`` schema).
 
         The payload nests everything engine-level under ``"engine"``, with
         ``requested_workers`` (what the caller asked for) next to the
         effective ``workers`` — the schema the jobs layer extends with its
-        ``jobs``/``cache``/``sessions`` sections.  v1.1 adds (additively)
-        the fused multi-plan observability counters: ``fused_launches``,
-        ``fused_plans_total``, ``plans_per_launch_avg`` (``None`` until the
-        first fused launch) and the prefix-checkpoint / activation-code
-        cache hit counters, aggregated across every worker.
+        ``jobs``/``cache``/``sessions`` sections — plus the fused
+        multi-plan launch counters ``fused_launches``,
+        ``fused_plans_total`` and ``plans_per_launch_avg`` (``None`` until
+        the first fused launch), aggregated across every worker.
         """
         from repro.runtime.stats import runtime_stats
 
@@ -502,8 +472,6 @@ class EvaluationService:
             "batches_submitted": self.batches_submitted,
             "cells_submitted": self.cells_submitted,
             "nbytes_shared": self.nbytes_shared(),
-            "fuse_plans": self.fuse_plans,
-            "plan_group_size": self.plan_group_size,
         }
         with self._counters_lock:
             counters = dict(self._worker_counters)
@@ -539,6 +507,7 @@ class EvaluationService:
                 )
             if not isinstance(plan, ExecutionPlan):
                 raise TypeError(f"cell plan must be an ExecutionPlan, got {plan!r}")
+            plan.check_layers(self._mac_names[model_index])
             validated.append((model_index, plan))
         return validated
 
@@ -547,21 +516,21 @@ class EvaluationService:
 
         Cells are ordered with the prefix-aware fingerprint schedule.  The
         serial path evaluates them in-process as one contiguous block; the
-        pool path splits the schedule into up to ``max_workers *
-        chunks_per_worker`` cost-balanced contiguous chunks (cuts biased
-        toward prefix-divergence boundaries) and dispatches them
-        asynchronously — the excess chunks sit in the pool's queue and are
-        *stolen* by whichever worker goes idle first, so a mispredicted
-        straggler delays one chunk, not the whole batch.  With
-        ``fuse_plans`` on, the chunking unit is the *plan group* (up to
-        ``plan_group_size`` consecutive same-model cells), priced as one
-        fused launch tree (:meth:`CellCostModel.group_cost`) and never
-        split across chunks — so the groups a worker fuses are exactly the
-        groups the scheduler balanced.  Chunking never changes what is
-        evaluated: every cell runs the same measurement regardless of
-        worker count (the bit-exactness contract).  ``batch.results()``
-        resolves to accuracies in the cells' *submission* order.  The
-        service auto-starts on first submission.
+        pool path cuts the schedule into plan groups (up to
+        :data:`~repro.runtime.scheduling.DEFAULT_PLAN_GROUP_SIZE` consecutive
+        same-model cells, cut at divergence-family boundaries), prices each
+        group as one multi-plan walk (:meth:`CellCostModel.group_cost`), and
+        balances the groups into up to ``max_workers * chunks_per_worker``
+        contiguous chunks (cuts biased toward prefix-divergence boundaries)
+        dispatched asynchronously — the excess chunks sit in the pool's
+        queue and are *stolen* by whichever worker goes idle first, so a
+        mispredicted straggler delays one chunk, not the whole batch.
+        Chunking never changes what is evaluated: every cell runs the same
+        measurement regardless of worker count (the bit-exactness
+        contract).  ``batch.results()`` resolves to accuracies in the
+        cells' *submission* order.  Plans overriding a layer their model
+        does not have raise :class:`ValueError`.  The service auto-starts
+        on first submission.
         """
         if self._closed:
             raise RuntimeError("EvaluationService is closed")
@@ -582,41 +551,28 @@ class EvaluationService:
             return EvaluationBatch(order, chunk_results, None, len(cells))
         cost_model = self.cost_model()
         depths = shared_prefix_depths(schedule, self._mac_names)
-        max_chunks = self.max_workers * self.chunks_per_worker
-        if self.fuse_plans:
-            # Chunk at plan-group granularity: each group is one fused
-            # launch tree on its worker, so a cut through a group would
-            # shrink the very batch the fusion amortizes.
-            slices = plan_group_slices(
-                schedule, self.plan_group_size, split_depths=depths
+        # Chunk at plan-group granularity: each group shares its prefix
+        # walk on one worker, so a cut through a group would re-walk it.
+        slices = plan_group_slices(schedule, split_depths=depths)
+        groups = [schedule[start:stop] for start, stop in slices]
+        group_costs = [
+            cost_model.group_cost(
+                group[0][0],
+                [plan for _, plan in group],
+                self._mac_names[group[0][0]],
             )
-            groups = [schedule[start:stop] for start, stop in slices]
-            group_costs = [
-                cost_model.group_cost(
-                    group[0][0],
-                    [plan for _, plan in group],
-                    self._mac_names[group[0][0]],
-                )
-                for group in groups
-            ]
-            # Depth between the last cell of one group and the first of the
-            # next — the prefix a cut between those groups would re-run.
-            group_depths = [depths[stop - 1] for _, stop in slices[:-1]]
-            group_chunks = cost_balanced_chunks(
-                groups, group_costs, max_chunks, split_depths=group_depths
-            )
-            chunks = [
-                [cell for group in chunk for cell in group]
-                for chunk in group_chunks
-            ]
-        else:
-            costs = [
-                cost_model.cell_cost(model_index, plan, self._mac_names[model_index])
-                for model_index, plan in schedule
-            ]
-            chunks = cost_balanced_chunks(
-                schedule, costs, max_chunks, split_depths=depths
-            )
+            for group in groups
+        ]
+        # Depth between the last cell of one group and the first of the
+        # next — the prefix a cut between those groups would re-run.
+        group_depths = [depths[stop - 1] for _, stop in slices[:-1]]
+        group_chunks = cost_balanced_chunks(
+            groups,
+            group_costs,
+            self.max_workers * self.chunks_per_worker,
+            split_depths=group_depths,
+        )
+        chunks = [[cell for group in chunk for cell in group] for chunk in group_chunks]
         chunk_units = [
             cost_model.chunk_units_by_kind(chunk, self._mac_names)
             for chunk in chunks

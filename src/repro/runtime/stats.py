@@ -7,7 +7,7 @@ another, and ``repro info`` a third.  This module pins the shared shape:
 .. code-block:: json
 
     {
-      "schema": "repro-runtime-stats/v1.1",
+      "schema": "repro-runtime-stats/v1.2",
       "engine":   { "requested_workers": ..., "workers": ..., ... },
       "jobs":     { "submitted": ..., "depth": ..., "rejected": ..., ... },
       "cache":    { "entries": ..., "hits": ..., "misses": ..., "evictions": ..., ... },
@@ -21,17 +21,17 @@ the emitting object has that layer (a bare
 every emitter follows: the former is what the caller asked for (``None``
 for auto-sizing), the latter the effective pool size actually running.
 
-v1.1 extends ``engine`` *additively* with the fused multi-plan
-observability counters (``fused_launches``, ``fused_plans_total``,
-``plans_per_launch_avg``) and the cross-plan reuse cache counters
-(``prefix_cache_hits``/``misses``, ``act_cache_hits``/``misses``); every
-v1 key keeps its meaning, so v1 consumers keep working.
+v1.1 extended ``engine`` with the fused multi-plan launch counters
+(``fused_launches``, ``fused_plans_total``, ``plans_per_launch_avg``).
+v1.2 drops from ``engine`` the two multi-plan fusion settings and the
+executor's cross-call cache hit/miss counters; every remaining key keeps
+its meaning, so a v1.1 consumer only loses those fields.
 """
 
 from __future__ import annotations
 
 #: Version tag embedded in every stats payload.
-STATS_SCHEMA = "repro-runtime-stats/v1.1"
+STATS_SCHEMA = "repro-runtime-stats/v1.2"
 
 
 def runtime_stats(

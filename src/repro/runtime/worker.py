@@ -10,11 +10,12 @@ One worker process hosts:
   recently evaluated model.  Schedules group cells by model
   (:mod:`repro.runtime.scheduling`), so this preserves reuse across a
   model's cells while bounding peak memory to one executor (kernel caches,
-  activation buffers and quantized weights included);
-* the plan-context arming: every chunk a worker receives carries its plans,
-  and the executor's plan-invariant prefix reuse is armed with exactly that
-  chunk's plan set before evaluation (bit-exact — checkpoints are only
-  substituted on exact fingerprint-prefix matches).
+  activation buffers and quantized weights included).
+
+Every chunk a worker receives is evaluated one model segment at a time:
+the segment's plans go to one
+:meth:`~repro.simulation.inference.ApproximateExecutor.predict_many` call,
+which walks their shared layer prefixes once.
 
 The same functions back both execution modes of the
 :class:`~repro.runtime.service.EvaluationService`: worker processes operate
@@ -25,18 +26,13 @@ private state dict, so two live services in one process never collide.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Sequence
 
 import numpy as np
 
 from repro.runtime.publishing import SharedDatasets, SharedTrainedModels
-from repro.runtime.scheduling import (
-    DEFAULT_PLAN_GROUP_SIZE,
-    model_mac_names,
-    plan_group_slices,
-    shared_prefix_depths,
-)
 from repro.simulation.inference import ApproximateExecutor, ExecutionPlan
 from repro.simulation.metrics import accuracy
 
@@ -47,14 +43,7 @@ _WORKER_STATE: dict = {}
 #: Executor counters mirrored into the worker state (and reported per chunk
 #: to the service).  Accumulated as *deltas* around each model segment, so
 #: the single-slot executor cache dropping an executor never loses counts.
-STAT_COUNTERS = (
-    "fused_launches",
-    "fused_plans_total",
-    "prefix_cache_hits",
-    "prefix_cache_misses",
-    "act_cache_hits",
-    "act_cache_misses",
-)
+STAT_COUNTERS = ("fused_launches", "fused_plans_total")
 
 
 def init_worker_state(
@@ -64,10 +53,7 @@ def init_worker_state(
     max_eval_images: int | None,
     calibration_images: int,
     engine_backend: str | None = None,
-    reuse_prefix: bool = True,
     batch_size: int = 256,
-    fuse_plans: bool = True,
-    plan_group_size: int = DEFAULT_PLAN_GROUP_SIZE,
 ) -> None:
     """(Re)initialize one worker's state dict, attaching shared blocks."""
     if isinstance(trained_models, SharedTrainedModels):
@@ -85,10 +71,7 @@ def init_worker_state(
         max_eval_images=max_eval_images,
         calibration_images=calibration_images,
         engine_backend=engine_backend,
-        reuse_prefix=bool(reuse_prefix),
         batch_size=int(batch_size),
-        fuse_plans=bool(fuse_plans),
-        plan_group_size=int(plan_group_size),
         executors={},
         executor_builds=0,
         cells_evaluated=0,
@@ -101,37 +84,24 @@ def _init_pool_worker(*initargs) -> None:
     init_worker_state(_WORKER_STATE, *initargs)
 
 
-def executor_for(
-    state: dict, model_index: int, plans: "Sequence[ExecutionPlan] | None" = None
-) -> ApproximateExecutor:
+def executor_for(state: dict, model_index: int) -> ApproximateExecutor:
     """Calibrated executor of one model, cached per worker (single slot).
 
     Only the most recent model's executor is kept: schedules group cells by
     model, so this preserves reuse across a model's cells while bounding
     peak memory to one executor — matching the serial sweep's profile.
-    When ``plans`` is given (and reuse is on) the executor's plan-invariant
-    prefix reuse is armed with that plan set, replacing any previous
-    context; consecutive cells of the chunk then resume at the deepest
-    matching checkpoint instead of re-running shared layer prefixes.
     """
     executor = state["executors"].get(model_index)
     if executor is None:
         trained = state["models"][model_index]
         dataset = state["datasets"][trained.dataset_name]
         calib = dataset.train_images[: state["calibration_images"]]
-        reuse = state.get("reuse_prefix", True)
         executor = ApproximateExecutor(
-            trained.model,
-            calib,
-            engine_backend=state["engine_backend"],
-            reuse_plan_invariant_acts=reuse,
-            reuse_plan_invariant_prefix=reuse,
+            trained.model, calib, engine_backend=state["engine_backend"]
         )
         state["executors"].clear()
         state["executors"][model_index] = executor
         state["executor_builds"] += 1
-    if plans and state.get("reuse_prefix", True):
-        executor.set_plan_context(list(plans))
     return executor
 
 
@@ -149,19 +119,7 @@ def eval_arrays(state: dict, trained) -> tuple[np.ndarray, np.ndarray]:
 
 def eval_plan_cell(state: dict, model_index: int, plan: ExecutionPlan) -> float:
     """Accuracy of one model under one plan, using the cached executor."""
-    trained = state["models"][model_index]
-    test_images, test_labels = eval_arrays(state, trained)
-    executor = executor_for(state, model_index)
-    predictions = executor.predict(test_images, plan, batch_size=state["batch_size"])
-    state["cells_evaluated"] += 1
-    return accuracy(predictions, test_labels)
-
-
-def _executor_counters(executor: ApproximateExecutor) -> dict[str, int]:
-    """Snapshot of the executor's reuse + fused counters, one flat dict."""
-    counters = dict(executor.reuse_stats())
-    counters.update(executor.fused_stats())
-    return counters
+    return eval_cell_chunk(state, [(model_index, plan)])[0]
 
 
 def eval_cell_chunk(
@@ -169,53 +127,29 @@ def eval_cell_chunk(
 ) -> list[float]:
     """Accuracies of one contiguous schedule chunk, in chunk order.
 
-    Consecutive cells of the same model are grouped: the group's plan set
-    is armed as the executor's plan context once, then each *plan group*
-    (up to ``plan_group_size`` consecutive plans — the same granularity the
-    service's scheduler cuts chunks at) rides one fused multi-plan launch
-    per layer via :meth:`~repro.simulation.inference
-    .ApproximateExecutor.predict_many` when ``fuse_plans`` is on and the
-    backend advertises the capability; otherwise plans run the classic
-    per-plan loop.  Both paths are bit-exact, and the prefix adjacency
-    arranged by the scheduler turns into checkpoint hits either way.
+    Consecutive cells of the same model form one segment, evaluated by a
+    single :meth:`~repro.simulation.inference.ApproximateExecutor
+    .predict_many` call: the executor deduplicates the segment's plans and
+    walks each shared layer prefix once, so the prefix adjacency the
+    scheduler arranged turns into shared work.
     """
     results: list[float] = []
-    fuse = bool(state.get("fuse_plans", True))
-    group_size = int(state.get("plan_group_size", DEFAULT_PLAN_GROUP_SIZE))
-    start = 0
-    while start < len(chunk):
-        stop = start
-        model_index = chunk[start][0]
-        while stop < len(chunk) and chunk[stop][0] == model_index:
-            stop += 1
-        trained = state["models"][model_index]
-        segment = chunk[start:stop]
+    for model_index, segment in itertools.groupby(chunk, key=lambda cell: cell[0]):
         plans = [plan for _, plan in segment]
-        executor = executor_for(state, model_index, plans=plans)
+        trained = state["models"][model_index]
+        executor = executor_for(state, model_index)
         test_images, test_labels = eval_arrays(state, trained)
-        before = _executor_counters(executor)
-        fused = fuse and executor.fused_multi_plan
-        depths = shared_prefix_depths(segment, {model_index: model_mac_names(trained)})
-        for group_start, group_stop in plan_group_slices(
-            segment, group_size, split_depths=depths
-        ):
-            group = plans[group_start:group_stop]
-            if fused and len(group) > 1:
-                predictions_per_plan = executor.predict_many(
-                    test_images, group, batch_size=state["batch_size"]
-                )
-            else:
-                predictions_per_plan = [
-                    executor.predict(test_images, plan, batch_size=state["batch_size"])
-                    for plan in group
-                ]
-            for predictions in predictions_per_plan:
-                results.append(accuracy(predictions, test_labels))
-                state["cells_evaluated"] += 1
-        after = _executor_counters(executor)
+        before = executor.fused_stats()
+        predictions_per_plan = executor.predict_many(
+            test_images, plans, batch_size=state["batch_size"]
+        )
+        results.extend(
+            accuracy(predictions, test_labels) for predictions in predictions_per_plan
+        )
+        state["cells_evaluated"] += len(plans)
+        after = executor.fused_stats()
         for counter in STAT_COUNTERS:
             state[counter] = state.get(counter, 0) + after[counter] - before[counter]
-        start = stop
     return results
 
 
@@ -233,8 +167,8 @@ def _timed_eval_cell_chunk_task(
     queueing or pickling — which is what the service feeds back into its
     :class:`~repro.runtime.cost_model.CellCostModel` for online refinement
     of the per-technique throughput factors.  ``counters`` is this chunk's
-    *delta* of the :data:`STAT_COUNTERS` (fused launches, prefix/act cache
-    hits), which the service aggregates for :meth:`EvaluationService.stats`.
+    *delta* of the :data:`STAT_COUNTERS` (fused launches), which the
+    service aggregates for :meth:`EvaluationService.stats`.
     """
     before = {
         counter: _WORKER_STATE.get(counter, 0) for counter in STAT_COUNTERS

@@ -365,8 +365,6 @@ def _sweep_service(
     max_workers: int | None,
     engine_backend: str | None,
     use_shared_memory: bool | None,
-    reuse_prefix: bool,
-    fuse_plans: bool = True,
 ) -> EvaluationService:
     """One ephemeral :class:`EvaluationService` sized for a sweep's cells."""
     # Affinity/load-aware sizing and the degrade-to-serial clamp: a request
@@ -381,9 +379,7 @@ def _sweep_service(
         max_eval_images=max_eval_images,
         calibration_images=calibration_images,
         engine_backend=engine_backend,
-        reuse_prefix=reuse_prefix,
         use_shared_memory=use_shared_memory,
-        fuse_plans=fuse_plans,
     )
 
 
@@ -396,8 +392,6 @@ def plan_sweep(
     max_workers: int | None = None,
     engine_backend: str | None = None,
     use_shared_memory: bool | None = None,
-    reuse_prefix: bool = True,
-    fuse_plans: bool = True,
 ) -> list[PlanAccuracyRecord]:
     """Evaluate every trained model under every labeled execution plan.
 
@@ -405,27 +399,17 @@ def plan_sweep(
     approximation studies, now a thin client of the evaluation runtime:
     each ``(label, plan)`` pair is one cell per model, the service orders
     cells with the prefix-aware scheduler (so consecutive cells share the
-    deepest possible prefix, armed as each worker executor's plan context)
-    and publishes trained parameters and datasets once through shared
-    memory instead of copying them per worker.  Results are returned in
-    ``(model, plan)`` input order and are bit-identical to evaluating each
-    plan on a fresh executor with reuse disabled.
+    deepest possible prefix, which each worker's multi-plan walk runs
+    once) and publishes trained parameters and datasets once through
+    shared memory instead of copying them per worker.  Results are
+    returned in ``(model, plan)`` input order and are bit-identical to
+    evaluating each plan on a fresh executor.
 
     Parameters not shared with :func:`parallel_sweep`:
 
     plans:
         Labeled :class:`~repro.simulation.inference.ExecutionPlan` objects;
         labels key the returned records.
-    reuse_prefix:
-        Arm cross-plan reuse (activation codes and the plan-invariant
-        layer prefix) in every worker executor.  Disable to force full
-        re-execution per cell — the escape hatch the CLI exposes as
-        ``--no-prefix-reuse``.
-    fuse_plans:
-        Evaluate plan groups through the fused multi-plan backend path
-        (one batched launch per layer instead of a Python loop over
-        plans); see :class:`~repro.runtime.service.EvaluationService`.
-        Bit-exact either way.
     """
     models = list(trained_models)
     plans = list(plans)
@@ -445,8 +429,6 @@ def plan_sweep(
         max_workers,
         engine_backend,
         use_shared_memory,
-        reuse_prefix,
-        fuse_plans=fuse_plans,
     )
     with service:
         accuracies = service.evaluate_cells(cells)
@@ -522,8 +504,6 @@ def parallel_sweep(
     max_workers: int | None = None,
     engine_backend: str | None = None,
     use_shared_memory: bool | None = None,
-    reuse_prefix: bool = True,
-    fuse_plans: bool = True,
 ) -> SweepResult:
     """:func:`accuracy_sweep` fanned across the evaluation runtime's workers.
 
@@ -557,14 +537,6 @@ def parallel_sweep(
         processes are used; ``True`` forces the publish/attach round trip
         even on the serial path (useful for testing), ``False`` ships
         models and datasets directly.
-    reuse_prefix:
-        Arm the worker executors' cross-plan reuse (plan-invariant
-        activation codes and layer prefix).  Disable (the CLI's
-        ``--no-prefix-reuse``) to force full re-execution per cell.
-    fuse_plans:
-        Ride the fused multi-plan backend path for plan groups (see
-        :class:`~repro.runtime.service.EvaluationService`); bit-exact
-        either way.
     """
     models = list(trained_models)
     specs = _sweep_cell_specs(models, perforations)
@@ -580,8 +552,6 @@ def parallel_sweep(
         max_workers,
         engine_backend,
         use_shared_memory,
-        reuse_prefix,
-        fuse_plans=fuse_plans,
     )
     with service:
         accuracies = service.evaluate_cells(cells)
@@ -599,7 +569,6 @@ def accuracy_sweep(
     max_eval_images: int | None = None,
     calibration_images: int = 128,
     engine_backend: str | None = None,
-    reuse_prefix: bool = True,
 ) -> SweepResult:
     """Evaluate every trained model under every approximation mode (serially).
 
@@ -629,5 +598,4 @@ def accuracy_sweep(
         calibration_images=calibration_images,
         max_workers=1,
         engine_backend=engine_backend,
-        reuse_prefix=reuse_prefix,
     )

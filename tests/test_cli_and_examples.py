@@ -55,8 +55,9 @@ class TestCli:
     def test_backends_command(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("numpy", "numba", "lowmem"):
+        for name in ("numpy", "lowmem"):
             assert name in out
+        assert "numba" not in out
         assert "available" in out
 
     def test_accuracy_command_with_engine_backend(self, capsys, tmp_path):
@@ -88,34 +89,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["accuracy", "--engine-backend", "gpu"])
 
-    def test_no_prefix_reuse_flag(self, capsys, tmp_path):
-        args = build_parser().parse_args(["accuracy", "--no-prefix-reuse"])
-        assert args.no_prefix_reuse is True
-        assert build_parser().parse_args(["accuracy"]).no_prefix_reuse is False
-        # The escape hatch runs end to end (reuse is bit-exact, so the
-        # printed table is the same either way).
-        assert (
-            main(
-                [
-                    "accuracy",
-                    "--model",
-                    "vgg13",
-                    "--classes",
-                    "10",
-                    "--epochs",
-                    "1",
-                    "--perforations",
-                    "1",
-                    "--max-eval-images",
-                    "16",
-                    "--cache-dir",
-                    str(tmp_path),
-                    "--no-prefix-reuse",
-                ]
-            )
-            == 0
-        )
-        assert "ours loss" in capsys.readouterr().out
+    def test_no_prefix_reuse_flag(self, capsys):
+        """The cross-plan reuse escape hatch is gone: every verb that had
+        ``--no-prefix-reuse`` now rejects it as an unknown argument."""
+        for verb in ("accuracy", "sweep", "table3", "dse", "serve"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([verb, "--no-prefix-reuse"])
+            assert excinfo.value.code == 2
+            assert "--no-prefix-reuse" in capsys.readouterr().err
 
 
 class TestBackendsJson:
@@ -125,7 +106,7 @@ class TestBackendsJson:
         assert main(["backends", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         names = [entry["name"] for entry in payload]
-        assert {"numpy", "numba", "lowmem"} <= set(names)
+        assert names == ["numpy", "lowmem"]
         defaults = [entry for entry in payload if entry["default"]]
         assert len(defaults) == 1 and defaults[0]["name"] == "numpy"
         for entry in payload:
@@ -135,14 +116,9 @@ class TestBackendsJson:
                 "default",
                 "description",
                 "unavailable_reason",
-                "fused_multi_plan",
             }
             if not entry["available"]:
                 assert entry["unavailable_reason"]
-        fused = {entry["name"]: entry["fused_multi_plan"] for entry in payload}
-        assert fused["numpy"] is True
-        assert fused["numba"] is True
-        assert fused["lowmem"] is False
 
 
 class TestCliErrorPaths:
@@ -159,6 +135,10 @@ class TestCliErrorPaths:
         err = capsys.readouterr().err
         assert "unknown engine backend" in err
         assert "numpy" in err
+
+    def test_numba_is_an_unknown_backend(self, capsys):
+        assert main(["dse", "--engine-backend", "numba"]) == 2
+        assert "unknown engine backend 'numba'" in capsys.readouterr().err
 
     def test_sweep_unknown_backend(self, capsys):
         assert main(["sweep", "--engine-backend", "tpu"]) == 2

@@ -15,7 +15,6 @@ from repro.core.approx_conv import accurate_product_sums, lut_product_sums
 from repro.core.backends import (
     DEFAULT_BACKEND,
     BackendUnavailableError,
-    EngineBackend,
     LowMemoryBackend,
     NumpyBackend,
     available_backend_names,
@@ -35,20 +34,23 @@ from repro.core.product_kernels import (
     _WeightOperand,
     exact_int_matmul,
 )
-from repro.simulation.inference import (
-    ApproximateExecutor,
-    LUTProduct,
-    PerforatedProduct,
-)
+from repro.simulation.inference import ApproximateExecutor, LUTProduct
 
 pytestmark = pytest.mark.engine
 
 
+class _UnavailableBackend(NumpyBackend):
+    """A backend whose availability probe fails."""
+
+    name = "stub-unavailable"
+
+    def availability(self):
+        return False, "stubbed out"
+
+
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = backend_names()
-        for expected in ("numpy", "numba", "lowmem"):
-            assert expected in names
+        assert backend_names() == ["numpy", "lowmem"]
         assert DEFAULT_BACKEND == "numpy"
         assert has_backend("numpy") and not has_backend("gpu")
 
@@ -77,19 +79,8 @@ class TestRegistry:
         assert resolve_backend("lowmem") is backend
 
     def test_unavailable_backend_falls_back_with_warning(self):
-        """The 'falls back cleanly' contract, exercised through a stub so it
-        holds regardless of whether numba is installed."""
-
-        class Unavailable(EngineBackend):
-            name = "stub-unavailable"
-
-            def availability(self):
-                return False, "stubbed out"
-
-            def compile(self, product_model, weight_codes, control_variate):
-                raise AssertionError("must never compile")
-
-        stub = Unavailable()
+        """The 'falls back cleanly' contract, exercised through a stub."""
+        stub = _UnavailableBackend()
         with pytest.warns(RuntimeWarning, match="stubbed out"):
             resolved = resolve_backend(stub)
         assert resolved.name == DEFAULT_BACKEND
@@ -97,16 +88,11 @@ class TestRegistry:
             resolve_backend(stub, allow_fallback=False)
 
     def test_numba_backend_honest_about_availability(self):
-        backend = get_backend("numba")
-        available, reason = backend.availability()
-        try:
-            import numba  # noqa: F401
-
-            assert available
-        except ImportError:
-            assert not available and "numba" in reason
-            with pytest.raises(BackendUnavailableError):
-                backend._require_available()
+        """No registered backend claims ``numba``: the name resolves as
+        unknown instead of silently falling back to numpy."""
+        assert "numba" not in backend_names()
+        with pytest.raises(KeyError, match="unknown engine backend 'numba'"):
+            resolve_backend("numba")
 
     def test_accelerator_config_validates_backend(self):
         assert AcceleratorConfig().engine_backend == "numpy"
@@ -124,122 +110,12 @@ class TestRegistry:
     def test_executor_falls_back_for_unavailable_backend(
         self, trained_tiny_model, tiny_dataset
     ):
-        if "numba" in available_backend_names():
-            pytest.skip("numba installed: no unavailable builtin backend to test")
         calib = tiny_dataset.train_images[:32]
         with pytest.warns(RuntimeWarning, match="falling back"):
-            executor = ApproximateExecutor(trained_tiny_model, calib, engine_backend="numba")
+            executor = ApproximateExecutor(
+                trained_tiny_model, calib, engine_backend=_UnavailableBackend()
+            )
         assert executor.engine_backend.name == DEFAULT_BACKEND
-
-
-class TestNumbaBackendWithStubJit:
-    """Validate the numba kernel bodies without numba installed.
-
-    The kernels are plain-python loop nests that only gain speed from
-    ``numba.njit``; substituting an identity decorator runs the exact same
-    code paths the JIT would compile, pinning the algorithm (and the
-    backend's dispatch / fallback wiring) bit-exact on any machine.
-    """
-
-    @pytest.fixture
-    def stub_backend(self, monkeypatch):
-        import repro.core.backends as backends_mod
-
-        class _StubNumba:
-            @staticmethod
-            def njit(*args, **kwargs):
-                return lambda fn: fn
-
-        monkeypatch.setattr(backends_mod, "_numba", _StubNumba())
-        backend = backends_mod.NumbaBackend()
-        assert backend.availability() == (True, "")
-        return backend
-
-    @pytest.fixture
-    def small_operands(self, rng):
-        # Small on purpose: the stubbed kernels run as pure-python loops.
-        acts = rng.integers(0, 256, size=(9, 7), dtype=np.uint8)
-        weights = rng.integers(0, 256, size=(7, 4), dtype=np.uint8)
-        return acts, weights
-
-    def test_accurate_bit_exact(self, stub_backend, small_operands):
-        from repro.simulation.inference import AccurateProduct
-
-        acts, weights = small_operands
-        kernel = stub_backend.compile(AccurateProduct(), weights, None)
-        np.testing.assert_array_equal(kernel(acts), accurate_product_sums(acts, weights))
-
-    @pytest.mark.parametrize("m", [0, 2, 7])
-    @pytest.mark.parametrize("use_cv", [True, False])
-    def test_perforated_bit_exact(self, stub_backend, small_operands, m, use_cv):
-        from repro.core.approx_conv import perforated_product_sums
-
-        acts, weights = small_operands
-        cv = ControlVariate.from_weight_matrix(weights)
-        kernel = stub_backend.compile(PerforatedProduct(m, use_cv), weights, cv)
-        expected = perforated_product_sums(acts, weights, m, cv if use_cv else None)
-        result = kernel(acts)
-        assert np.asarray(result).dtype == np.asarray(expected).dtype
-        np.testing.assert_array_equal(result, expected)
-
-    def test_lut_bit_exact(self, stub_backend, small_operands, rng):
-        from repro.multipliers.lut import LUTMultiplier
-
-        acts, weights = small_operands
-        lut = np.arange(256, dtype=np.int64)[:, None] * np.arange(256, dtype=np.int64)
-        lut = lut + rng.integers(-300, 300, size=(256, 256))
-        kernel = stub_backend.compile(
-            LUTProduct(LUTMultiplier(lut, name="stub")), weights, None
-        )
-        np.testing.assert_array_equal(kernel(acts), lut_product_sums(acts, weights, lut))
-
-    def test_exotic_model_falls_back_to_own_kernel(self, stub_backend, small_operands):
-        from repro.baselines.weight_oriented import WeightOrientedProduct
-
-        acts, weights = small_operands
-        cv = ControlVariate.from_weight_matrix(weights)
-        model = WeightOrientedProduct(1, 3, threshold=128)
-        kernel = stub_backend.compile(model, weights, cv)
-        np.testing.assert_array_equal(
-            kernel(acts), model.product_sums(acts, weights, cv)
-        )
-
-    def test_validation_errors_propagate_without_disabling_backend(
-        self, stub_backend, small_operands
-    ):
-        """A bad compile input raises like any backend — it must not be
-        misdiagnosed as a broken JIT and permanently disable numba."""
-        acts, weights = small_operands
-        bad_cv = ControlVariate(np.zeros(weights.shape[1] + 1))
-        with pytest.raises(ValueError, match="filters"):
-            stub_backend.compile(PerforatedProduct(1, True), weights, bad_cv)
-        assert stub_backend.availability() == (True, "")
-        cv = ControlVariate.from_weight_matrix(weights)
-        kernel = stub_backend.compile(PerforatedProduct(1, True), weights, cv)
-        from repro.core.approx_conv import perforated_product_sums
-
-        np.testing.assert_array_equal(
-            kernel(acts), perforated_product_sums(acts, weights, 1, cv)
-        )
-
-    def test_broken_jit_disables_backend_with_warning(self, monkeypatch, small_operands):
-        """A numba install whose JIT blows up must not take the run down."""
-        import repro.core.backends as backends_mod
-        from repro.simulation.inference import AccurateProduct
-
-        class _BrokenNumba:
-            @staticmethod
-            def njit(*args, **kwargs):
-                raise RuntimeError("llvmlite ABI mismatch")
-
-        monkeypatch.setattr(backends_mod, "_numba", _BrokenNumba())
-        backend = backends_mod.NumbaBackend()
-        acts, weights = small_operands
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            kernel = backend.compile(AccurateProduct(), weights, None)
-        np.testing.assert_array_equal(kernel(acts), accurate_product_sums(acts, weights))
-        available, reason = backend.availability()
-        assert not available and "ABI mismatch" in reason
 
 
 class TestLowMemoryBackend:

@@ -6,7 +6,7 @@ stateless function in :mod:`repro.core.approx_conv`; this is what allows the
 executor to run the compiled engine by default while keeping the legacy path
 as the reference.  The ``engine_backend`` fixture parametrizes the suite
 over the backend registry and skips (with a reason) any backend whose
-availability probe fails, e.g. ``numba`` on a numba-less install.
+availability probe fails.
 Run standalone with ``pytest -m engine``.
 """
 
@@ -207,8 +207,8 @@ class TestKernelParity:
 class TestBackendKernelParity:
     """Every registered backend is bit-exact against the legacy reference.
 
-    Unavailable backends (e.g. numba without the package) are skipped with a
-    reason by the ``engine_backend`` fixture, never silently dropped.
+    Unavailable backends are skipped with a reason by the
+    ``engine_backend`` fixture, never silently dropped.
     """
 
     def test_accurate(self, operands, engine_backend):
@@ -376,73 +376,6 @@ class TestExecutorEngineParity:
         restored = executor.forward(images, plan)
         assert not np.array_equal(overridden, reference)
         np.testing.assert_array_equal(restored, reference)
-
-    def test_cross_plan_activation_cache(self, trained_tiny_model, tiny_dataset):
-        """The first MAC layer's quantized activations are computed once per
-        batch and reused across plans — bit-exactly."""
-        images = tiny_dataset.test_images[:8]
-        calib = tiny_dataset.train_images[:32]
-        cached = ApproximateExecutor(trained_tiny_model, calib)
-        uncached = ApproximateExecutor(
-            trained_tiny_model, calib, reuse_plan_invariant_acts=False
-        )
-        plans = [
-            ExecutionPlan.uniform(AccurateProduct()),
-            ExecutionPlan.uniform(PerforatedProduct(2, True)),
-            ExecutionPlan.uniform(PerforatedProduct(3, False)),
-        ]
-        for plan in plans:
-            np.testing.assert_array_equal(
-                cached.forward(images, plan), uncached.forward(images, plan)
-            )
-        assert cached.act_cache_misses == 1
-        assert cached.act_cache_hits == len(plans) - 1
-        assert uncached.act_cache_hits == 0 and uncached.act_cache_misses == 0
-        # A different batch (same shape, different window) must re-quantize.
-        cached.forward(tiny_dataset.test_images[8:16], plans[0])
-        assert cached.act_cache_misses == 2
-
-    def test_cross_plan_cache_across_batched_eval(self, trained_tiny_model, tiny_dataset):
-        """Batched multi-plan evaluation quantizes each batch once: the LRU
-        holds every batch of the eval set, so the second plan is all hits."""
-        images = tiny_dataset.test_images[:12]
-        calib = tiny_dataset.train_images[:32]
-        executor = ApproximateExecutor(trained_tiny_model, calib)
-        reference = ApproximateExecutor(
-            trained_tiny_model, calib, reuse_plan_invariant_acts=False
-        )
-        plans = [
-            ExecutionPlan.uniform(AccurateProduct()),
-            ExecutionPlan.uniform(PerforatedProduct(2, True)),
-        ]
-        for plan in plans:
-            np.testing.assert_array_equal(
-                executor.logits(images, plan, batch_size=4),
-                reference.logits(images, plan, batch_size=4),
-            )
-        assert executor.act_cache_misses == 3  # three batches, quantized once
-        assert executor.act_cache_hits == 3  # all reused by the second plan
-
-    def test_cross_plan_cache_with_distinct_live_batches(
-        self, trained_tiny_model, tiny_dataset
-    ):
-        """Two independently allocated same-shape batches, both alive: the
-        identity tokens must compare by referent identity (never ndarray
-        ``==``) and each batch must be re-quantized."""
-        calib = tiny_dataset.train_images[:32]
-        executor = ApproximateExecutor(trained_tiny_model, calib)
-        plan = ExecutionPlan.uniform(AccurateProduct())
-        a = tiny_dataset.test_images[:4].copy()
-        b = tiny_dataset.test_images[:4].copy()
-        out_a = executor.forward(a, plan)
-        out_b = executor.forward(b, plan)
-        assert executor.act_cache_misses == 2 and executor.act_cache_hits == 0
-        # Same batch again under another plan: now a genuine hit.
-        np.testing.assert_array_equal(out_b, executor.forward(b, plan))
-        assert executor.act_cache_hits == 1
-        np.testing.assert_array_equal(
-            out_a, ApproximateExecutor(trained_tiny_model, calib).forward(a, plan)
-        )
 
     def test_batched_logits_match_single_batch(self, trained_tiny_model, tiny_dataset):
         """Persistent activation buffers must not leak state across batches."""

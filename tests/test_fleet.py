@@ -15,7 +15,7 @@ The gateway contract lives here:
   surviving shards keep serving, and an evicted shard only rejoins after
   re-verifying its ``(name, dataset, context_key)`` identity;
 * **aggregation** — ``/stats`` fans out and sums shard counters into one
-  ``repro-runtime-stats/v1.1`` payload with namespaced sessions;
+  ``repro-runtime-stats/v1.2`` payload with namespaced sessions;
 * **client resilience** — :class:`~repro.runtime.jobs.client.HttpJobClient`
   retries idempotent GETs through transient connection failures (flaky
   stub server) but never retries a POST.
@@ -238,7 +238,7 @@ class TestGatewayEndpoints:
                 timeout=240,
             )
         stats = client.stats()
-        assert stats["schema"] == "repro-runtime-stats/v1.1"
+        assert stats["schema"] == "repro-runtime-stats/v1.2"
         assert {"engine", "jobs", "cache", "sessions", "gateway", "shards"} <= set(
             stats
         )

@@ -1,24 +1,24 @@
-"""Fused multi-plan path: kernels, backends, executor, scheduler, service.
+"""Multi-plan path: kernels, backends, executor, scheduler, service.
 
-The acceptance criterion of the fused sweep is *bit-exactness*: collapsing
-the outer plan loop into one batched backend launch must never change a
-number, at any layer of the stack.  This suite pins that end to end:
+The acceptance criterion of the multi-plan walk is *bit-exactness*:
+collapsing the outer plan loop into one batched backend launch must never
+change a number, at any layer of the stack.  This suite pins that end to
+end:
 
 * :class:`~repro.core.product_kernels.MultiPlanKernel` — stacked and
   shared launches equal the per-plan kernels on randomized mixed stacks
   (accurate / perforated ± control variate / LUT / fallback);
 * ``QuantizedLinearOp.output_real_stacked`` — equals the tiled per-plan
   :meth:`output_real` bit for bit;
-* ``EngineBackend.compile_multi`` — the capability-flag contract, the
-  numba kernel bodies under a stub JIT, and the broken-JIT fallback;
-* ``ApproximateExecutor.forward_many`` — randomized property tests against
-  the per-plan ``forward`` loop, including duplicate plans, single-plan
-  and zero-shared-prefix sets, plus the fused-launch counters;
+* ``EngineBackend.compile_multi`` — reuses precompiled per-plan kernels;
+* ``ApproximateExecutor.forward_many`` — randomized plan families on every
+  backend against the per-plan reference walk (``use_compiled=False``),
+  duplicate plans, single-plan and zero-shared-prefix sets, the bound on
+  stacked launch rows, and the fused-launch counters;
 * :func:`~repro.runtime.scheduling.plan_group_slices` — depth-aware group
   cuts land on divergence-family boundaries;
-* the service / ``plan_sweep`` — fused and unfused sweeps agree at every
-  worker count, and the fused sweep reproduces the committed golden
-  accuracy table byte-exactly.
+* the service / ``parallel_sweep`` — the sweep reproduces the committed
+  golden accuracy table byte-exactly.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.backends import (
-    BackendUnavailableError,
-    EngineBackend,
-    NumpyBackend,
-    get_backend,
-)
+from repro.core.backends import EngineBackend, NumpyBackend, backend_names, get_backend
 from repro.core.control_variate import ControlVariate
 from repro.core.product_kernels import (
     AccurateKernel,
@@ -40,6 +35,8 @@ from repro.core.product_kernels import (
     MultiPlanKernel,
     PerforatedKernel,
 )
+from repro.multipliers.perforated import PerforatedMultiplier
+from repro.multipliers.truncated import TruncatedMultiplier
 from repro.quantization.qlayers import QuantizedLinearOp
 from repro.quantization.schemes import QuantParams
 from repro.runtime.scheduling import (
@@ -47,6 +44,7 @@ from repro.runtime.scheduling import (
     plan_group_slices,
     shared_prefix_depths,
 )
+from repro.simulation import inference
 from repro.simulation.campaign import TrainedModel, plan_sweep
 from repro.simulation.inference import (
     AccurateProduct,
@@ -55,6 +53,7 @@ from repro.simulation.inference import (
     LUTProduct,
     PerforatedProduct,
 )
+from repro.simulation.metrics import accuracy
 
 pytestmark = pytest.mark.engine
 
@@ -210,12 +209,26 @@ class TestOutputRealStacked:
 
 
 class TestCompileMultiContract:
-    def test_capability_flags(self):
-        assert get_backend("numpy").fused_multi_plan
-        assert get_backend("numba").fused_multi_plan
-        assert not get_backend("lowmem").fused_multi_plan
+    def test_capability_flags(self, rng):
+        """No capability flag remains: every registered backend compiles a
+        multi-plan kernel, bit-exact with its per-plan kernels."""
+        weights = rng.integers(0, 256, size=(6, 4), dtype=np.uint8)
+        cv = ControlVariate.from_weight_matrix(weights)
+        models = [AccurateProduct(), PerforatedProduct(2), PerforatedProduct(2, False)]
+        act = rng.integers(0, 256, size=(5, 6), dtype=np.uint8)
+        for name in backend_names():
+            backend = get_backend(name)
+            assert not hasattr(backend, "fused_multi_plan")
+            multi = backend.compile_multi(models, weights, cv)
+            expected = [backend.compile(model, weights, cv)(act) for model in models]
+            np.testing.assert_array_equal(
+                multi.product_sums_multi(act, shared=True), np.concatenate(expected)
+            )
 
-    def test_base_compile_multi_refuses_without_capability(self, rng):
+    def test_base_compile_multi_refuses_without_capability(self):
+        """A backend that cannot compile multi-plan kernels is refused when
+        it is defined, not when the executor first needs one."""
+
         class NoFusion(EngineBackend):
             name = "stub-no-fusion"
 
@@ -225,9 +238,8 @@ class TestCompileMultiContract:
             def compile(self, product_model, weight_codes, control_variate):
                 raise AssertionError("not exercised")
 
-        weights = rng.integers(0, 256, size=(4, 2), dtype=np.uint8)
-        with pytest.raises(BackendUnavailableError, match="fused_multi_plan"):
-            NoFusion().compile_multi([AccurateProduct()], weights, None)
+        with pytest.raises(TypeError, match="compile_multi"):
+            NoFusion()
 
     def test_numpy_compile_multi_reuses_precompiled_kernels(self, rng):
         weights = rng.integers(0, 256, size=(4, 2), dtype=np.uint8)
@@ -235,98 +247,6 @@ class TestCompileMultiContract:
         kernels = [backend.compile(AccurateProduct(), weights, None)]
         multi = backend.compile_multi([AccurateProduct()], weights, None, kernels)
         assert multi.kernels[0] is kernels[0]
-
-
-class TestCompileMultiStubJit:
-    """The numba multi-plan kernel bodies, run as plain python loops.
-
-    Same approach as ``TestNumbaBackendWithStubJit`` in
-    ``test_engine_backends.py``: an identity ``njit`` executes exactly the
-    code the JIT would compile, pinning the fused algorithm bit-exact on a
-    numba-less machine.
-    """
-
-    @pytest.fixture
-    def stub_backend(self, monkeypatch):
-        import repro.core.backends as backends_mod
-
-        class _StubNumba:
-            @staticmethod
-            def njit(*args, **kwargs):
-                return lambda fn: fn
-
-        monkeypatch.setattr(backends_mod, "_numba", _StubNumba())
-        backend = backends_mod.NumbaBackend()
-        assert backend.availability() == (True, "")
-        return backend
-
-    @pytest.fixture
-    def model_stack(self, rng):
-        from repro.baselines.weight_oriented import WeightOrientedProduct
-        from repro.multipliers.lut import LUTMultiplier
-
-        return [
-            AccurateProduct(),
-            PerforatedProduct(2, use_control_variate=True),
-            PerforatedProduct(2, use_control_variate=False),
-            PerforatedProduct(3, use_control_variate=True),
-            LUTProduct(LUTMultiplier(_random_lut(rng), name="stub")),
-            WeightOrientedProduct(1, 3, threshold=128),
-        ]
-
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_fused_bit_exact_vs_numpy_multi(
-        self, stub_backend, model_stack, rng, shared
-    ):
-        weights = rng.integers(0, 256, size=(6, 4), dtype=np.uint8)
-        cv = ControlVariate.from_weight_matrix(weights)
-        multi = stub_backend.compile_multi(model_stack, weights, cv)
-        assert multi.plans == len(model_stack)
-        reference = NumpyBackend().compile_multi(model_stack, weights, cv)
-        n = 5
-        rows = n if shared else len(model_stack) * n
-        act = rng.integers(0, 256, size=(rows, 6), dtype=np.uint8)
-        np.testing.assert_array_equal(
-            multi.product_sums_multi(act, shared=shared),
-            reference.product_sums_multi(act, shared=shared),
-        )
-
-    def test_validation_errors_propagate(self, stub_backend, rng):
-        weights = rng.integers(0, 256, size=(6, 4), dtype=np.uint8)
-        bad_cv = ControlVariate(np.zeros(weights.shape[1] + 1))
-        with pytest.raises(ValueError, match="filters"):
-            stub_backend.compile_multi(
-                [PerforatedProduct(1, True)], weights, bad_cv
-            )
-        multi = stub_backend.compile_multi([AccurateProduct()], weights, None)
-        with pytest.raises(ValueError, match="shape"):
-            multi.product_sums_multi(
-                rng.integers(0, 256, size=(3, 9), dtype=np.uint8)
-            )
-        with pytest.raises(ValueError, match="equal plan blocks"):
-            stub_backend.compile_multi(
-                [AccurateProduct(), AccurateProduct()], weights, None
-            ).product_sums_multi(rng.integers(0, 256, size=(3, 6), dtype=np.uint8))
-
-    def test_broken_jit_falls_back_to_numpy_fusion(self, monkeypatch, rng):
-        import repro.core.backends as backends_mod
-
-        class _BrokenNumba:
-            @staticmethod
-            def njit(*args, **kwargs):
-                raise RuntimeError("llvmlite ABI mismatch")
-
-        monkeypatch.setattr(backends_mod, "_numba", _BrokenNumba())
-        backend = backends_mod.NumbaBackend()
-        weights = rng.integers(0, 256, size=(5, 3), dtype=np.uint8)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            multi = backend.compile_multi([AccurateProduct()], weights, None)
-        assert isinstance(multi, MultiPlanKernel)
-        act = rng.integers(0, 256, size=(4, 5), dtype=np.uint8)
-        np.testing.assert_array_equal(
-            multi.product_sums_multi(act, shared=True),
-            AccurateKernel(weights)(act).astype(np.float64),
-        )
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +282,43 @@ def _random_plans(trained, count: int, seed: int) -> list[ExecutionPlan]:
     return plans
 
 
+def _plan_families(trained, seed: int) -> list[ExecutionPlan]:
+    """Plan families forking at the first, a middle and the last MAC layer.
+
+    Each family shares a random prefix and forks at its layer into several
+    product models (perforated ± control variate, LUT), each followed by a
+    random suffix; the batch repeats one plan object and carries an equal
+    but distinct copy of another.
+    """
+    rng = np.random.default_rng(seed)
+    mac_names = model_mac_names(trained)
+    menu = [
+        AccurateProduct(),
+        PerforatedProduct(1),
+        PerforatedProduct(2, use_control_variate=False),
+        PerforatedProduct(3),
+        LUTProduct(PerforatedMultiplier(2)),
+        LUTProduct(TruncatedMultiplier(1, 2)),
+    ]
+
+    def pick():
+        return menu[int(rng.integers(0, len(menu)))]
+
+    plans: list[ExecutionPlan] = []
+    for fork in (0, len(mac_names) // 2, len(mac_names) - 1):
+        prefix = ExecutionPlan.uniform(AccurateProduct())
+        for name in mac_names[:fork]:
+            prefix = prefix.with_layer(name, pick())
+        for model in rng.permutation(len(menu))[:4]:
+            plan = prefix.with_layer(mac_names[fork], menu[int(model)])
+            for name in mac_names[fork + 1 :]:
+                plan = plan.with_layer(name, pick())
+            plans.append(plan)
+    plans.append(plans[1])
+    plans.append(ExecutionPlan(plans[5].default, dict(plans[5].per_layer)))
+    return plans
+
+
 class TestExecutorForwardMany:
     @pytest.fixture(scope="class")
     def executor(self, trained, tiny_dataset):
@@ -372,7 +329,6 @@ class TestExecutorForwardMany:
     def test_randomized_parity_with_per_plan_forward(
         self, executor, trained, tiny_dataset
     ):
-        assert executor.fused_multi_plan
         images = tiny_dataset.test_images[:12]
         for seed in (3, 17):
             plans = _random_plans(trained, count=5, seed=seed)
@@ -420,19 +376,57 @@ class TestExecutorForwardMany:
         assert stats["fused_launches"] > 0
         assert stats["fused_plans_total"] >= stats["fused_launches"] * 2
 
-    def test_lowmem_backend_degrades_to_per_plan_loop(self, trained, tiny_dataset):
-        executor = ApproximateExecutor(
-            trained.model,
-            tiny_dataset.train_images[:32],
-            engine_backend="lowmem",
-        )
-        assert not executor.fused_multi_plan
+    def test_forward_is_forward_many_of_one_plan(self, executor, trained, tiny_dataset):
         images = tiny_dataset.test_images[:6]
-        plans = _random_plans(trained, count=3, seed=9)
-        fused = executor.forward_many(images, plans)
-        for plan, logits in zip(plans, fused):
-            np.testing.assert_array_equal(logits, executor.forward(images, plan))
-        assert executor.fused_stats()["fused_launches"] == 0
+        for plan in _random_plans(trained, count=3, seed=41):
+            np.testing.assert_array_equal(
+                executor.forward(images, plan), executor.forward_many(images, [plan])[0]
+            )
+
+    @pytest.mark.parametrize("backend", backend_names())
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_randomized_plan_families_match_reference_walk(
+        self, trained, tiny_dataset, backend, seed
+    ):
+        """Plan families forking at the first, a middle and the last MAC
+        layer, with duplicates and LUT blocks, equal the per-plan reference."""
+        calib = tiny_dataset.train_images[:32]
+        compiled = ApproximateExecutor(trained.model, calib, engine_backend=backend)
+        reference = ApproximateExecutor(trained.model, calib, use_compiled=False)
+        plans = _plan_families(trained, seed)
+        images = tiny_dataset.test_images[:10]
+        outputs = compiled.forward_many(images, plans)
+        assert len(outputs) == len(plans)
+        for plan, logits in zip(plans, outputs):
+            np.testing.assert_array_equal(logits, reference.forward(images, plan))
+
+    def test_stacked_launches_stay_within_row_target(
+        self, trained, tiny_dataset, monkeypatch
+    ):
+        """However many plans a caller sends, no stacked launch carries more
+        than ``_STACKED_ROWS_TARGET`` image rows."""
+        executor = ApproximateExecutor(trained.model, tiny_dataset.train_images[:32])
+        launched: list[int] = []
+        run_multi = ApproximateExecutor._run_mac_node_multi
+
+        def spy(self, name, layer, x, models, shared):
+            out = run_multi(self, name, layer, x, models, shared)
+            launched.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(ApproximateExecutor, "_run_mac_node_multi", spy)
+        plans = _random_plans(trained, count=64, seed=7)
+        mac_names = model_mac_names(trained)
+        lines = {plan.fingerprints(mac_names) for plan in plans}
+        assert len(lines) > 16  # more lines than one walk carries
+        images = tiny_dataset.test_images[:24]
+        outputs = executor.forward_many(images, plans)
+        assert launched and max(launched) <= inference._STACKED_ROWS_TARGET
+        reference = ApproximateExecutor(
+            trained.model, tiny_dataset.train_images[:32], use_compiled=False
+        )
+        for plan, logits in zip(plans[::8], outputs[::8]):
+            np.testing.assert_array_equal(logits, reference.forward(images, plan))
 
 
 class TestPlanGroupSlices:
@@ -521,20 +515,26 @@ class TestServiceFusedParity:
     def test_plan_sweep_fused_equals_unfused(
         self, trained, tiny_dataset, max_workers
     ):
+        """The service's multi-plan sweep equals every plan run alone through
+        the per-plan reference walk, at every worker count."""
         plans = _random_plans(trained, count=6, seed=23)
         labeled = [(f"p{i}", plan) for i, plan in enumerate(plans)]
-        datasets = {tiny_dataset.name: tiny_dataset}
-        kwargs = dict(
+        fused = plan_sweep(
+            [trained],
+            {tiny_dataset.name: tiny_dataset},
+            labeled,
             max_eval_images=16,
             calibration_images=32,
             max_workers=max_workers,
         )
-        fused = plan_sweep([trained], datasets, labeled, fuse_plans=True, **kwargs)
-        unfused = plan_sweep(
-            [trained], datasets, labeled, fuse_plans=False, **kwargs
+        reference = ApproximateExecutor(
+            trained.model, tiny_dataset.train_images[:32], use_compiled=False
         )
-        assert [r.accuracy for r in fused] == [r.accuracy for r in unfused]
-        assert [r.plan_label for r in fused] == [r.plan_label for r in unfused]
+        images = tiny_dataset.test_images[:16]
+        labels = tiny_dataset.test_labels[:16]
+        unfused = [accuracy(reference.predict(images, plan), labels) for plan in plans]
+        assert [r.accuracy for r in fused] == unfused
+        assert [r.plan_label for r in fused] == [label for label, _ in labeled]
 
     def test_service_stats_report_fused_launches(self, trained, tiny_dataset):
         from repro.runtime import EvaluationService
@@ -550,7 +550,7 @@ class TestServiceFusedParity:
             service.evaluate_plans(0, plans)
             stats = service.stats()
         engine = stats["engine"]
-        assert engine["fuse_plans"] is True
+        assert "fuse_plans" not in engine and "plan_group_size" not in engine
         assert engine["fused_launches"] > 0
         assert engine["plans_per_launch_avg"] > 1.0
 
@@ -558,9 +558,9 @@ class TestServiceFusedParity:
 @pytest.mark.runtime
 class TestGoldenAccuracyParity:
     def test_fused_sweep_reproduces_committed_golden_table(self):
-        """The fused path must reproduce the committed golden accuracy
-        table byte-exactly — the same invariant ``repro verify-results``
-        gates, pinned here directly against the fused/unfused toggle."""
+        """The sweep must reproduce the committed golden accuracy table
+        byte-exactly — the same invariant ``repro verify-results`` gates,
+        pinned here directly."""
         import os
 
         from repro.provenance.manifest import load_json
@@ -576,27 +576,21 @@ class TestGoldenAccuracyParity:
             pytest.skip("no committed golden accuracy table")
         golden = load_json(golden_path)
         trained, dataset = _train_workload_model()
-        rows_by_mode = {}
-        for fuse in (True, False):
-            sweep = parallel_sweep(
-                [trained],
-                {dataset.name: dataset},
-                perforations=PERFORATIONS,
-                calibration_images=CALIBRATION_IMAGES,
-                max_workers=1,
-                fuse_plans=fuse,
-            )
-            rows_by_mode[fuse] = [
-                {
-                    "m": record.m,
-                    "with_control_variate": record.with_control_variate,
-                    "accuracy": record.approximate_accuracy,
-                    "accuracy_loss": record.accuracy_loss,
-                }
-                for record in sweep.records
-            ]
-            assert (
-                sweep.baselines[(trained.name, dataset.name)]
-                == golden["baseline_accuracy"]
-            )
-        assert rows_by_mode[True] == rows_by_mode[False] == golden["rows"]
+        sweep = parallel_sweep(
+            [trained],
+            {dataset.name: dataset},
+            perforations=PERFORATIONS,
+            calibration_images=CALIBRATION_IMAGES,
+            max_workers=1,
+        )
+        rows = [
+            {
+                "m": record.m,
+                "with_control_variate": record.with_control_variate,
+                "accuracy": record.approximate_accuracy,
+                "accuracy_loss": record.accuracy_loss,
+            }
+            for record in sweep.records
+        ]
+        assert sweep.baselines[(trained.name, dataset.name)] == golden["baseline_accuracy"]
+        assert rows == golden["rows"]

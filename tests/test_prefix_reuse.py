@@ -1,11 +1,11 @@
-"""Plan-invariant prefix reuse: fingerprints, checkpoints, bit-exactness.
+"""Shared layer prefixes of the multi-plan walk: fingerprints, bit-exactness.
 
-The central property pinned here is the acceptance criterion of the prefix
-machinery: a multi-plan sweep with prefix reuse (and the activation-code
-cache) enabled is **bit-identical** to evaluating every plan on a fresh
-executor with all reuse disabled — for randomized plan sets that diverge at
-varying depths, including plans that already differ at the first MAC layer
-(zero-length shared prefix).
+The central property pinned here: evaluating a plan batch through
+:meth:`ApproximateExecutor.forward_many`, which runs every layer prefix
+shared by several plans once, is **bit-identical** to running each plan
+alone through the per-plan reference walk (``use_compiled=False``) — for
+randomized plan sets that diverge at varying depths, including plans that
+already differ at the first MAC layer (zero-length shared prefix).
 """
 
 from __future__ import annotations
@@ -25,19 +25,16 @@ from repro.simulation.inference import (
 
 
 @pytest.fixture()
-def reuse_executor(trained_tiny_model, tiny_dataset):
-    """A private executor with all cross-plan reuse enabled (default)."""
+def executor(trained_tiny_model, tiny_dataset):
+    """A private compiled executor."""
     return ApproximateExecutor(trained_tiny_model, tiny_dataset.train_images[:64])
 
 
 @pytest.fixture(scope="module")
 def reference_executor(trained_tiny_model, tiny_dataset):
-    """Reference executor with every cross-plan cache disabled."""
+    """The per-plan reference walk."""
     return ApproximateExecutor(
-        trained_tiny_model,
-        tiny_dataset.train_images[:64],
-        reuse_plan_invariant_acts=False,
-        reuse_plan_invariant_prefix=False,
+        trained_tiny_model, tiny_dataset.train_images[:64], use_compiled=False
     )
 
 
@@ -76,59 +73,20 @@ class TestFingerprints:
         assert fps == (("accurate",), ("perforated", 1, True))
 
 
-class TestPlanContext:
-    def test_global_prefix_depth(self, reuse_executor):
-        names = reuse_executor.mac_layer_names()
-        perf = PerforatedProduct(2)
-        plans = [
-            _exact_prefix_plan(names, 3, perf),
-            _exact_prefix_plan(names, 5, perf),
-        ]
-        assert reuse_executor.plan_invariant_prefix(plans) == 3
-        # identical plans agree everywhere
-        assert reuse_executor.plan_invariant_prefix([plans[0], plans[0]]) == len(names)
-        # divergence at the first MAC layer: zero-length prefix
-        zero = [ExecutionPlan.uniform(AccurateProduct()), ExecutionPlan.uniform(perf)]
-        assert reuse_executor.plan_invariant_prefix(zero) == 0
-
-    def test_checkpoint_depths_cover_pairwise_divergence(self, reuse_executor):
-        names = reuse_executor.mac_layer_names()
-        plans = [
-            _exact_prefix_plan(names, 0, PerforatedProduct(1)),
-            _exact_prefix_plan(names, 2, PerforatedProduct(1)),
-            _exact_prefix_plan(names, 5, PerforatedProduct(1)),
-            _exact_prefix_plan(names, 5, PerforatedProduct(2)),
-        ]
-        depth = reuse_executor.set_plan_context(plans)
-        assert depth == 0  # the k=0 plan diverges immediately
-        # pairwise divergence depths: (k2 vs k5*) -> 2, (k5 vs k5) -> 5
-        assert reuse_executor.plan_context.depths == (2, 5)
-
-    def test_empty_plan_set_rejected(self, reuse_executor):
-        with pytest.raises(ValueError):
-            reuse_executor.set_plan_context([])
-
-    def test_clear_plan_context(self, reuse_executor):
-        reuse_executor.set_plan_context([ExecutionPlan.uniform(PerforatedProduct(1))] * 2)
-        assert reuse_executor.plan_context is not None
-        reuse_executor.clear_plan_context()
-        assert reuse_executor.plan_context is None
-
-
 class TestPrefixBitExactness:
     @pytest.mark.parametrize("trial", range(3))
     def test_randomized_plans_bit_identical_to_fresh_executors(
-        self, trial, reuse_executor, reference_executor, tiny_dataset, rng
+        self, trial, executor, reference_executor, tiny_dataset
     ):
-        """Property test: context-armed sweep == per-plan no-reuse execution.
+        """Property test: multi-plan walk == per-plan reference execution.
 
-        Plans diverge at randomized depths — always including a pair that
+        Plans diverge at randomized depths — always including one that
         diverges at the first MAC layer (zero-length shared prefix) — and
-        are evaluated over two eval batches in a shuffled order, twice, so
-        both the checkpoint-record and the checkpoint-resume paths run.
+        the batch is evaluated over two image batches in two shuffled
+        orders, so results cannot depend on plan or call order.
         """
         trial_rng = np.random.default_rng(1000 + trial)
-        names = reuse_executor.mac_layer_names()
+        names = executor.mac_layer_names()
         models = [
             PerforatedProduct(int(trial_rng.integers(1, 4)), bool(trial_rng.integers(2))),
             PerforatedProduct(int(trial_rng.integers(1, 4)), bool(trial_rng.integers(2))),
@@ -143,104 +101,56 @@ class TestPrefixBitExactness:
             for i, depth in enumerate(depths)
         ]
         plans.append(ExecutionPlan.uniform(AccurateProduct()))
-        reuse_executor.set_plan_context(plans)
 
         batches = [tiny_dataset.test_images[:12], tiny_dataset.test_images[12:24]]
-        order = list(range(len(plans))) * 2
-        trial_rng.shuffle(order)
-        for plan_index in order:
+        for _ in range(2):
+            order = list(range(len(plans)))
+            trial_rng.shuffle(order)
             for batch in batches:
-                np.testing.assert_array_equal(
-                    reuse_executor.forward(batch, plans[plan_index]),
-                    reference_executor.forward(batch, plans[plan_index]),
-                )
-
-    def test_checkpoints_actually_hit(self, reuse_executor, tiny_dataset):
-        names = reuse_executor.mac_layer_names()
-        perf = PerforatedProduct(2, use_control_variate=False)
-        plans = [
-            _exact_prefix_plan(names, 4, perf),
-            _exact_prefix_plan(names, 4, PerforatedProduct(1)),
-        ]
-        reuse_executor.set_plan_context(plans)
-        batch = tiny_dataset.test_images[:8]
-        reuse_executor.forward(batch, plans[0])
-        assert reuse_executor.prefix_cache_misses == 1
-        assert reuse_executor.prefix_cache_hits == 0
-        reuse_executor.forward(batch, plans[1])
-        assert reuse_executor.prefix_cache_hits == 1
-        # the checkpoint layer's quantized input codes are reused as well
-        assert reuse_executor.act_cache_hits >= 1
-
-    def test_oversized_eval_set_pins_only_cap_batches(
-        self, trained_tiny_model, tiny_dataset, reference_executor
-    ):
-        """An eval set spanning more batches than the LRU cap must not
-        thrash the cache: logits() pins checkpoints for the first cap-many
-        batches only (never evicted in plan-major order, so later plans
-        still resume on them) and skips stores beyond — bit-exact either
-        way."""
-        executor = ApproximateExecutor(
-            trained_tiny_model,
-            tiny_dataset.train_images[:64],
-            prefix_cache_batches=2,
-        )
-        names = executor.mac_layer_names()
-        perf = PerforatedProduct(2)
-        plans = [
-            _exact_prefix_plan(names, 4, perf),
-            _exact_prefix_plan(names, 4, PerforatedProduct(1)),
-        ]
-        executor.set_plan_context(plans)
-        images = tiny_dataset.test_images[:30]
-        for plan in plans:  # 30 images / batch 10 = 3 batches > cap of 2
-            np.testing.assert_array_equal(
-                executor.logits(images, plan, batch_size=10),
-                reference_executor.logits(images, plan, batch_size=10),
-            )
-        # the first two batches stayed pinned and served the second plan
-        assert all(len(entries) <= 2 for entries in executor._prefix_cache.values())
-        assert executor.prefix_cache_hits >= 2
-        assert executor._suppress_prefix_stores is False  # restored
+                outputs = executor.forward_many(batch, [plans[i] for i in order])
+                for plan_index, logits in zip(order, outputs):
+                    np.testing.assert_array_equal(
+                        logits, reference_executor.forward(batch, plans[plan_index])
+                    )
 
     def test_plan_outside_context_is_correct(
-        self, reuse_executor, reference_executor, tiny_dataset
+        self, executor, reference_executor, tiny_dataset
     ):
-        """A plan never declared in the context must still run bit-exact."""
-        names = reuse_executor.mac_layer_names()
+        """Nothing outlives a call: a plan evaluated after an unrelated plan
+        batch on the same images still runs bit-exact."""
+        names = executor.mac_layer_names()
         perf = PerforatedProduct(1)
-        reuse_executor.set_plan_context(
-            [_exact_prefix_plan(names, 2, perf), _exact_prefix_plan(names, 4, perf)]
-        )
         batch = tiny_dataset.test_images[:8]
-        reuse_executor.forward(batch, _exact_prefix_plan(names, 2, perf))
+        executor.forward_many(
+            batch, [_exact_prefix_plan(names, 2, perf), _exact_prefix_plan(names, 4, perf)]
+        )
         outsider = _exact_prefix_plan(names, 3, PerforatedProduct(3, False))
         np.testing.assert_array_equal(
-            reuse_executor.forward(batch, outsider),
+            executor.forward(batch, outsider),
             reference_executor.forward(batch, outsider),
         )
 
-    def test_weight_override_invalidates_checkpoints(
-        self, reuse_executor, tiny_dataset
-    ):
-        """Prefix checkpoints embed prefix-layer weights: overriding them
-        must drop the checkpoints, not serve stale activations."""
-        names = reuse_executor.mac_layer_names()
+    def test_weight_override_invalidates_checkpoints(self, executor, tiny_dataset):
+        """Compiled single- and multi-plan kernels embed layer weights:
+        overriding them must recompile, not serve stale results."""
+        names = executor.mac_layer_names()
         perf = PerforatedProduct(2)
         plans = [_exact_prefix_plan(names, 3, perf), _exact_prefix_plan(names, 5, perf)]
-        reuse_executor.set_plan_context(plans)
         batch = tiny_dataset.test_images[:8]
-        before = reuse_executor.forward(batch, plans[0])
-        first = names[0]
-        zeroed = [np.zeros_like(c) for c in reuse_executor.quantized_weights(first)]
-        reuse_executor.set_weight_override(first, zeroed)
+        before = executor.forward_many(batch, plans)
+        # Override the layer where the two plans' walks fork: it runs as a
+        # stacked multi-plan launch.
+        fork = names[3]
+        zeroed = [np.zeros_like(c) for c in executor.quantized_weights(fork)]
+        executor.set_weight_override(fork, zeroed)
         try:
-            overridden = reuse_executor.forward(batch, plans[0])
+            overridden = executor.forward_many(batch, plans)
         finally:
-            reuse_executor.clear_weight_overrides()
-        restored = reuse_executor.forward(batch, plans[0])
-        assert not np.allclose(overridden, before)
-        np.testing.assert_array_equal(restored, before)
+            executor.clear_weight_overrides()
+        restored = executor.forward_many(batch, plans)
+        for old, new, back in zip(before, overridden, restored):
+            assert not np.allclose(new, old)
+            np.testing.assert_array_equal(back, old)
 
 
 class TestActBufferReshaping:
@@ -250,20 +160,14 @@ class TestActBufferReshaping:
         """Regression: per-(layer, group) activation buffers persist across
         forward calls; growing, shrinking and re-growing the batch must
         reallocate / slice correctly, never write into a stale shape."""
-        executor = ApproximateExecutor(
-            trained_tiny_model,
-            tiny_dataset.train_images[:64],
-            reuse_plan_invariant_acts=False,  # exercise the raw buffer path
-        )
+        executor = ApproximateExecutor(trained_tiny_model, tiny_dataset.train_images[:64])
         plan = ExecutionPlan.uniform(PerforatedProduct(2))
         images = tiny_dataset.test_images
         for size in (16, 4, 16, 7, 20, 1):
             batch = images[:size]
             # fresh executor per size: an oracle whose buffers never churned
             fresh = ApproximateExecutor(
-                trained_tiny_model,
-                tiny_dataset.train_images[:64],
-                reuse_plan_invariant_acts=False,
+                trained_tiny_model, tiny_dataset.train_images[:64]
             )
             np.testing.assert_array_equal(
                 executor.forward(batch, plan), fresh.forward(batch, plan)
@@ -272,11 +176,7 @@ class TestActBufferReshaping:
     def test_buffers_grow_but_never_shrink_mid_sequence(
         self, trained_tiny_model, tiny_dataset
     ):
-        executor = ApproximateExecutor(
-            trained_tiny_model,
-            tiny_dataset.train_images[:64],
-            reuse_plan_invariant_acts=False,
-        )
+        executor = ApproximateExecutor(trained_tiny_model, tiny_dataset.train_images[:64])
         plan = ExecutionPlan.uniform(AccurateProduct())
         executor.forward(tiny_dataset.test_images[:10], plan)
         shapes_after_10 = {k: b.shape for k, b in executor._act_buffers.items()}

@@ -418,6 +418,22 @@ class TestPriorityScheduling:
             manager.close()
 
 
+class TestPlanValidation:
+    def test_unknown_layer_is_rejected_and_never_cached(self, manager, trained):
+        """A plan overriding a layer the model lacks is refused at submit:
+        it is neither evaluated as the default plan nor cached as a hit."""
+        first = trained.model.conv_dense_nodes()[0].name
+        accurate = ExecutionPlan.uniform(AccurateProduct())
+        bogus = accurate.with_layer("conv_does_not_exist", PerforatedProduct(3))
+        valid = accurate.with_layer(first, PerforatedProduct(3))
+        with pytest.raises(ValueError, match="conv_does_not_exist"):
+            manager.submit(0, [accurate, bogus, valid])
+        stats = manager.stats()
+        assert stats["jobs"]["submitted"] == 0
+        assert stats["cache"]["entries"] == 0
+        assert stats["cache"]["hits"] == stats["cache"]["misses"] == 0
+
+
 class TestDeadlines:
     """Expired-in-queue vs expired-mid-run both end ``cancelled`` with
     reason ``deadline_exceeded`` — and the admission stats tell them apart."""
@@ -584,7 +600,7 @@ class TestGracefulClose:
 class TestStatsSchema:
     def test_manager_stats_schema(self, manager):
         stats = manager.stats()
-        assert stats["schema"] == "repro-runtime-stats/v1.1"
+        assert stats["schema"] == "repro-runtime-stats/v1.2"
         assert {"requested_workers", "workers"} <= set(stats["engine"])
         assert {"submitted", "completed", "rejected", "depth"} <= set(stats["jobs"])
         assert {"hits", "misses", "evictions", "hit_ratio"} <= set(stats["cache"])

@@ -175,11 +175,11 @@ class TestCellCostModel:
 
     def test_lut_priced_far_above_perforated(self):
         model = self._model()
-        lut = model.cell_cost(0, _plan(FakeLUT(), FakeLUT(), FakeLUT()), NAMES)
-        perf = model.cell_cost(
-            0, _plan(PerforatedProduct(2), PerforatedProduct(2), PerforatedProduct(2)), NAMES
+        lut = model.group_cost(0, [_plan(FakeLUT(), FakeLUT(), FakeLUT())], NAMES)
+        perf = model.group_cost(
+            0, [_plan(PerforatedProduct(2), PerforatedProduct(2), PerforatedProduct(2))], NAMES
         )
-        accurate = model.cell_cost(0, _plan(None, None, None), NAMES)
+        accurate = model.group_cost(0, [_plan(None, None, None)], NAMES)
         assert lut / perf == pytest.approx(
             DEFAULT_TECHNIQUE_COST["lut"] / DEFAULT_TECHNIQUE_COST["perforated"]
         )
@@ -227,7 +227,7 @@ class TestCellCostModel:
 
     def test_unknown_model_and_layers_degrade_to_unit_work(self):
         model = CellCostModel({})
-        cost = model.cell_cost(7, _plan(None, None, None), NAMES)
+        cost = model.group_cost(7, [_plan(None, None, None)], NAMES)
         assert cost == pytest.approx(len(NAMES))  # 1.0 work x 1.0 factor
 
     def test_smoothing_validation(self):

@@ -207,7 +207,7 @@ class TestServiceParity:
         serial = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
         assert stolen == serial  # bit-exact AND input-ordered
         # Every finished chunk reported a wall-clock into the cost model.
-        assert stats["schema"] == "repro-runtime-stats/v1.1"
+        assert stats["schema"] == "repro-runtime-stats/v1.2"
         assert stats["engine"]["cost_model_observations"] > 0
         assert stats["engine"]["cost_model_seconds_per_unit"] > 0.0
 
@@ -262,6 +262,24 @@ class TestServiceLifecycle:
                 service.evaluate_plans(5, [ExecutionPlan.uniform(AccurateProduct())])
             with pytest.raises(KeyError):
                 service.model_index("resnet44")
+
+    def test_plan_naming_an_unknown_layer_is_rejected(self, trained, tiny_dataset):
+        """An override of a layer the model lacks must not be evaluated as
+        the plan's default."""
+        first = trained.model.conv_dense_nodes()[0].name
+        bogus = ExecutionPlan.uniform(AccurateProduct()).with_layer(
+            "conv_does_not_exist", PerforatedProduct(3)
+        )
+        valid = ExecutionPlan.uniform(AccurateProduct()).with_layer(
+            first, PerforatedProduct(3)
+        )
+        with EvaluationService(
+            [trained], {tiny_dataset.name: tiny_dataset}, max_workers=1, max_eval_images=8
+        ) as service:
+            with pytest.raises(ValueError, match="conv_does_not_exist"):
+                service.evaluate_plans(0, [valid, bogus])
+            assert service.cells_submitted == 0
+            assert len(service.evaluate_plans(0, [valid])) == 1
 
     def test_forced_worker_failure_propagates_and_unlinks(
         self, trained, tiny_dataset

@@ -87,7 +87,7 @@ class TestEndpoints:
 
     def test_stats_schema_over_the_wire(self, client):
         stats = client.stats()
-        assert stats["schema"] == "repro-runtime-stats/v1.1"
+        assert stats["schema"] == "repro-runtime-stats/v1.2"
         assert {"engine", "jobs", "cache", "sessions"} <= set(stats)
 
     def test_unknown_job_is_404(self, client):
@@ -136,6 +136,27 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as error:
             urllib.request.urlopen(request)
         assert error.value.code == 400
+
+    def test_unknown_layer_is_400(self, server, trained):
+        first = trained.model.conv_dense_nodes()[0].name
+        accurate = ExecutionPlan.uniform(AccurateProduct())
+        plans = [
+            accurate,
+            accurate.with_layer("conv_does_not_exist", PerforatedProduct(3)),
+            accurate.with_layer(first, PerforatedProduct(3)),
+        ]
+        entries = server.manager.cache.stats()["entries"]
+        request = urllib.request.Request(
+            f"{server.url}/jobs",
+            data=json.dumps({"model_index": 0, "plans": encode_plans(plans)}).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as error:
+            urllib.request.urlopen(request)
+        assert error.value.code == 400
+        assert "conv_does_not_exist" in json.loads(error.value.read().decode())["error"]
+        assert server.manager.cache.stats()["entries"] == entries
 
     def test_empty_plans_is_400(self, server):
         request = urllib.request.Request(

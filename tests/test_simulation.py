@@ -411,9 +411,8 @@ class TestCampaign:
         assert not os.path.exists(store.name)
 
     def test_plan_sweep_parity_across_execution_modes(self, small_dataset, tmp_path):
-        """plan_sweep with prefix reuse + shared memory + workers is
-        bit-identical to the serial no-reuse path (the acceptance criterion
-        of the prefix-reuse PR)."""
+        """plan_sweep with shared memory + workers is bit-identical to
+        sweeping every plan on its own, where no layer prefix is shared."""
         from repro.simulation.campaign import plan_sweep
         from repro.simulation.inference import (
             AccurateProduct,
@@ -433,9 +432,13 @@ class TestCampaign:
                 plans.append((f"exact{depth}_m{m}", plan))
         datasets = {small_dataset.name: small_dataset}
         kwargs = dict(max_eval_images=16)
-        reference = plan_sweep(
-            [trained], datasets, plans, max_workers=1, reuse_prefix=False, **kwargs
-        )
+        reference = [
+            record
+            for labeled in plans
+            for record in plan_sweep(
+                [trained], datasets, [labeled], max_workers=1, **kwargs
+            )
+        ]
         assert [r.plan_label for r in reference] == [label for label, _ in plans]
         reused = plan_sweep([trained], datasets, plans, max_workers=1, **kwargs)
         parallel = plan_sweep([trained], datasets, plans, max_workers=2, **kwargs)
