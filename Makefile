@@ -15,11 +15,11 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest -W error::pytest.PytestUnknownMarkWarning
 
-.PHONY: check tier1 engine dse dse-smoke runtime-smoke scheduler-unit serve-smoke gateway-smoke verify-results bench-refresh
+.PHONY: check tier1 engine dse dse-smoke runtime-smoke scheduler-unit serve-smoke verify-results bench-refresh
 
 # verify-results runs LAST so it judges the bench ledger the engine/dse/
 # serve targets just rewrote, not a stale one.
-check: tier1 engine dse runtime-smoke dse-smoke serve-smoke gateway-smoke verify-results
+check: tier1 engine dse runtime-smoke dse-smoke serve-smoke verify-results
 
 tier1:
 	$(PYTEST) -x -q
@@ -54,29 +54,19 @@ dse-smoke:
 	  --seed 0 --cache-dir $(DSE_SMOKE_DIR) --ledger $(DSE_SMOKE_DIR)/ledger
 
 # HTTP job-daemon suite + end-to-end serve smoke.  The pytest leg runs the
-# endpoint-contract/served-parity/admission tests plus the serve-throughput
-# bench (jobs/sec + cache-hit ratio merged into results/BENCH_engine.json);
-# the script leg boots the real `repro serve --golden-workload` CLI on an
-# ephemeral port, POSTs the golden sweep over HTTP, verifies it byte-exactly
-# against results/golden/accuracy_table.json, asserts a duplicate submission
-# is served from the result cache, and SIGTERMs into a clean shutdown with
-# no leaked /dev/shm blocks.
+# endpoint-contract/served-parity/admission/client-retry tests plus the
+# serve-throughput bench (jobs/sec + cache-hit ratio merged into
+# results/BENCH_engine.json); the script leg boots the real `repro serve
+# --golden-workload --cache-persist` CLI on an ephemeral port, POSTs the
+# golden sweep over HTTP, verifies it byte-exactly against
+# results/golden/accuracy_table.json, asserts a duplicate submission is
+# served from the result cache, runs `repro sweep|table3 --remote <url>`,
+# SIGTERMs into a clean shutdown with no leaked /dev/shm blocks, then
+# warm-restarts a daemon on the persisted cache and demands a 0-miss
+# golden sweep.
 serve-smoke:
 	$(PYTEST) -q -m serve tests benchmarks/bench_serve_throughput.py
 	PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py
-
-# Fleet suite + end-to-end gateway smoke.  The pytest leg covers the
-# routing table, gateway endpoints/fan-out stats, shard failure/recovery
-# and the HTTP client's GET-only retry policy; the script leg boots a real
-# two-shard fleet through the CLI (one adopted `repro serve` daemon + one
-# gateway-spawned golden shard with a persisted result cache), verifies a
-# gateway-routed golden sweep byte-exactly, runs `repro sweep|table3
-# --remote <gateway>`, kills a shard and demands a fast machine-readable
-# 503, SIGTERMs into a clean shutdown (no /dev/shm leaks), then
-# warm-restarts the golden shard and demands a 100% cache-hit sweep.
-gateway-smoke:
-	$(PYTEST) -q -m fleet tests
-	PYTHONPATH=src $(PYTHON) scripts/gateway_smoke.py
 
 # Provenance regression gate: replay the deterministic golden workload and
 # compare fresh results against results/golden/.  Honors SKIP_REGRESSION=1

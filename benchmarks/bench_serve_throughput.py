@@ -22,21 +22,12 @@ Recorded into the ``serve_throughput`` section of the machine-readable
   content-addressed recipe key or the dedup itself changed.
 * ``wall_clock_s`` — observability only (ignored by the gate).
 
-The ``gateway_throughput`` section measures the same client fan driven
-through a two-shard :class:`~repro.runtime.fleet.GatewayServer` fleet with
-persisted result caches: ``jobs_pps`` (floor-gated — routing overhead must
-not collapse throughput) plus ``warm_hit_ratio``, the cache-hit ratio of
-re-running the identical job set against a *restarted* fleet reloading the
-same persist directories — exactly 1.0 by construction, compared exactly.
-
 Run via pytest (``pytest -m serve benchmarks/bench_serve_throughput.py``)
 or as a script.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 import threading
 import time
 
@@ -47,7 +38,6 @@ from conftest import record_bench, update_json_result
 
 from repro.runtime.jobs import HttpJobClient, JobManager
 from repro.runtime.server import JobServer
-from repro.simulation.campaign import TrainedModel
 from repro.simulation.inference import (
     AccurateProduct,
     ExecutionPlan,
@@ -102,6 +92,42 @@ def _setup():
     return trained, dataset
 
 
+def _drive_clients(url: str, clients: int, jobs_per_client: int) -> float:
+    """Fan N synthetic HTTP clients at ``url``; return the wall time.
+
+    Client ``i``'s job ``s`` submits recipe ``PLAN_POOL[(i + s) %
+    len(PLAN_POOL)]`` — deterministic, so the unique recipe set (and with
+    it every cache counter) is fixed regardless of thread interleaving.
+    """
+    errors: list[BaseException] = []
+
+    def client_loop(index: int) -> None:
+        try:
+            client = HttpJobClient(url, poll_interval=0.01)
+            for step in range(jobs_per_client):
+                plans = [PLAN_POOL[(index + step) % len(PLAN_POOL)]]
+                job_id = client.submit_job(
+                    0, plans, session=f"client-{index}", label=f"bench-{index}-{step}"
+                )
+                client.wait(job_id, timeout=600)
+        except BaseException as error:  # surfaced after the join
+            errors.append(error)
+
+    start = time.perf_counter()
+    workers = [
+        threading.Thread(target=client_loop, args=(index,))
+        for index in range(clients)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    wall = time.perf_counter() - start
+    if errors:
+        raise errors[0]
+    return wall
+
+
 def run_serve_throughput(trained, dataset, clients=CLIENTS, jobs_per_client=JOBS_PER_CLIENT) -> dict:
     """Fan N synthetic HTTP clients over one daemon; measure served rates."""
     manager = JobManager(
@@ -114,33 +140,8 @@ def run_serve_throughput(trained, dataset, clients=CLIENTS, jobs_per_client=JOBS
     server = JobServer(manager)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    errors: list[BaseException] = []
-
-    def client_loop(index: int) -> None:
-        try:
-            client = HttpJobClient(server.url, poll_interval=0.01)
-            for step in range(jobs_per_client):
-                plans = [PLAN_POOL[(index + step) % len(PLAN_POOL)]]
-                job_id = client.submit_job(
-                    0, plans, session=f"client-{index}", label=f"bench-{index}-{step}"
-                )
-                client.wait(job_id, timeout=600)
-        except BaseException as error:  # surfaced after the join
-            errors.append(error)
-
     try:
-        start = time.perf_counter()
-        workers = [
-            threading.Thread(target=client_loop, args=(index,))
-            for index in range(clients)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        wall = time.perf_counter() - start
-        if errors:
-            raise errors[0]
+        wall = _drive_clients(server.url, clients, jobs_per_client)
         stats = HttpJobClient(server.url).stats()
     finally:
         server.shutdown_and_close()
@@ -164,137 +165,6 @@ def run_serve_throughput(trained, dataset, clients=CLIENTS, jobs_per_client=JOBS
     }
 
 
-def _drive_clients(url: str, clients: int, jobs_per_client: int, models: int) -> float:
-    """Fan N synthetic HTTP clients at ``url``; return the wall time.
-
-    Client ``i``'s job ``s`` targets global model ``(i + s) % models`` with
-    recipe ``PLAN_POOL[(i + s) % len(PLAN_POOL)]`` — deterministic, so the
-    unique (model, recipe) set (and with it every cache counter) is fixed
-    regardless of thread interleaving.
-    """
-    errors: list[BaseException] = []
-
-    def client_loop(index: int) -> None:
-        try:
-            client = HttpJobClient(url, poll_interval=0.01)
-            for step in range(jobs_per_client):
-                plans = [PLAN_POOL[(index + step) % len(PLAN_POOL)]]
-                job_id = client.submit_job(
-                    (index + step) % models,
-                    plans,
-                    session=f"client-{index}",
-                    label=f"bench-{index}-{step}",
-                )
-                client.wait(job_id, timeout=600)
-        except BaseException as error:  # surfaced after the join
-            errors.append(error)
-
-    start = time.perf_counter()
-    workers = [
-        threading.Thread(target=client_loop, args=(index,))
-        for index in range(clients)
-    ]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    wall = time.perf_counter() - start
-    if errors:
-        raise errors[0]
-    return wall
-
-
-def run_gateway_throughput(
-    trained, dataset, clients=CLIENTS, jobs_per_client=JOBS_PER_CLIENT
-) -> dict:
-    """The same client fan through a two-shard gateway, cold then warm.
-
-    Shard 0 hosts the bench model, shard 1 the same trained graph under a
-    second architecture name (disjoint routing keys, zero extra training).
-    Both shards persist their result cache; after the cold pass the whole
-    fleet is torn down and rebooted on the same persist directories, and
-    the identical job set is replayed — every cell must come back from the
-    reloaded caches (``warm_hit_ratio`` exactly 1.0).
-    """
-    from repro.runtime.fleet import Backend, BackendPool, GatewayServer
-
-    hosted = [
-        trained,
-        TrainedModel(
-            name="vgg16",
-            dataset_name=dataset.name,
-            model=trained.model,
-            float_accuracy=trained.float_accuracy,
-        ),
-    ]
-
-    def run_pass(persist_root: str) -> tuple[dict, float]:
-        """Boot the fleet fresh, drive the fan, return (stats, wall)."""
-        managers, servers, threads = [], [], []
-        gateway = gw_thread = None
-        try:
-            for index, model in enumerate(hosted):
-                manager = JobManager(
-                    [model],
-                    {dataset.name: dataset},
-                    calibration_images=64,
-                    max_queue_depth=clients * jobs_per_client + 1,
-                    max_inflight_per_session=jobs_per_client + 1,
-                    cache_persist_dir=os.path.join(persist_root, f"shard{index}"),
-                )
-                server = JobServer(manager)
-                thread = threading.Thread(target=server.serve_forever, daemon=True)
-                thread.start()
-                managers.append(manager)
-                servers.append(server)
-                threads.append(thread)
-            pool = BackendPool(
-                [
-                    Backend(f"shard{index}", server.url)
-                    for index, server in enumerate(servers)
-                ]
-            )
-            gateway = GatewayServer(pool)
-            gw_thread = threading.Thread(target=gateway.serve_forever, daemon=True)
-            gw_thread.start()
-            wall = _drive_clients(
-                gateway.url, clients, jobs_per_client, models=len(hosted)
-            )
-            stats = HttpJobClient(gateway.url).stats()
-            return stats, wall
-        finally:
-            if gateway is not None:
-                gateway.shutdown_and_close()
-                gw_thread.join(timeout=10)
-            for server, thread in zip(servers, threads):
-                server.shutdown_and_close()
-                thread.join(timeout=10)
-
-    with tempfile.TemporaryDirectory(prefix="bench-gateway-") as persist_root:
-        cold_stats, cold_wall = run_pass(persist_root)
-        warm_stats, _warm_wall = run_pass(persist_root)
-
-    jobs_total = clients * jobs_per_client
-    cold_cache, warm_cache = cold_stats["cache"], warm_stats["cache"]
-    return {
-        "clients": clients,
-        "jobs_per_client": jobs_per_client,
-        "shards": len(hosted),
-        "unique_recipes": len(PLAN_POOL),
-        "jobs_completed": cold_stats["jobs"]["completed"],
-        "cells_total": cold_cache["hits"] + cold_cache["misses"],
-        "cache_hits": cold_cache["hits"],
-        "cache_misses": cold_cache["misses"],
-        "cache_hit_ratio": cold_cache["hit_ratio"],
-        "jobs_pps": jobs_total / cold_wall,
-        "warm_loaded": warm_cache["loaded"],
-        "warm_hits": warm_cache["hits"],
-        "warm_misses": warm_cache["misses"],
-        "warm_hit_ratio": warm_cache["hit_ratio"],
-        "wall_clock_s": cold_wall,
-    }
-
-
 def _render(metrics: dict) -> list[str]:
     return [
         "Serve throughput: N concurrent HTTP clients over one job daemon",
@@ -308,23 +178,6 @@ def _render(metrics: dict) -> list[str]:
         f"  cache hit ratio    {metrics['cache_hit_ratio']:6.2f}"
         f"  ({metrics['cache_hits']} hits / {metrics['cache_misses']} misses)",
         f"  wall clock         {metrics['wall_clock_s']:8.2f} s",
-    ]
-
-
-def _render_gateway(metrics: dict) -> list[str]:
-    return [
-        "Gateway throughput: the same client fan through a 2-shard fleet",
-        f"({metrics['clients']} clients x {metrics['jobs_per_client']} jobs, "
-        f"{metrics['shards']} shards, persisted caches)",
-        "",
-        f"  jobs served        {metrics['jobs_completed']:6d}"
-        f"  ({metrics['jobs_pps']:8.2f} jobs/s through the gateway)",
-        f"  cold hit ratio     {metrics['cache_hit_ratio']:6.2f}"
-        f"  ({metrics['cache_hits']} hits / {metrics['cache_misses']} misses)",
-        f"  warm hit ratio     {metrics['warm_hit_ratio']:6.2f}"
-        f"  ({metrics['warm_hits']} hits, {metrics['warm_loaded']} reloaded "
-        f"from disk)",
-        f"  wall clock         {metrics['wall_clock_s']:8.2f} s (cold pass)",
     ]
 
 
@@ -361,49 +214,6 @@ def test_serve_throughput_benchmark(results_dir):
     assert metrics["jobs_pps"] > 0
 
 
-def test_gateway_throughput_benchmark(results_dir):
-    """The same fan through a two-shard gateway fleet: routed jobs/sec is
-    floor-gated, and a restarted fleet on the same persist directories
-    replays the whole job set from the reloaded caches (hit ratio exactly
-    1.0)."""
-    trained, dataset = _setup()
-    metrics = run_gateway_throughput(trained, dataset)
-    json_path = update_json_result(results_dir, "gateway_throughput", metrics)
-    from repro.provenance import dataset_digest, model_digest
-
-    manifest_path = record_bench(
-        "gateway_throughput",
-        inputs={
-            "model_digest": model_digest(trained.model),
-            "dataset_digest": dataset_digest(dataset),
-            "clients": CLIENTS,
-            "jobs_per_client": JOBS_PER_CLIENT,
-            "shards": metrics["shards"],
-            "unique_recipes": len(PLAN_POOL),
-        },
-        outputs=metrics,
-    )
-    print("\n" + "\n".join(_render_gateway(metrics)))
-    print(f"[gateway throughput written to {json_path}; manifest {manifest_path}]")
-
-    jobs_total = CLIENTS * JOBS_PER_CLIENT
-    # Deterministic by construction: the (model, recipe) pairing collapses
-    # to len(PLAN_POOL) unique cells split across the two shards, each
-    # evaluated exactly once in the cold pass...
-    assert metrics["jobs_completed"] == jobs_total
-    assert metrics["cache_misses"] == len(PLAN_POOL)
-    assert metrics["cache_hits"] == jobs_total - len(PLAN_POOL)
-    # ...and never again after the restart: the warm fleet answers every
-    # cell from the persisted caches.
-    assert metrics["warm_loaded"] == len(PLAN_POOL)
-    assert metrics["warm_misses"] == 0
-    assert metrics["warm_hits"] == jobs_total
-    assert metrics["warm_hit_ratio"] == 1.0
-    assert metrics["jobs_pps"] > 0
-
-
 if __name__ == "__main__":
     trained_main, dataset_main = _setup()
     print("\n".join(_render(run_serve_throughput(trained_main, dataset_main))))
-    print()
-    print("\n".join(_render_gateway(run_gateway_throughput(trained_main, dataset_main))))

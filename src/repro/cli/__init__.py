@@ -22,10 +22,6 @@ regenerate the paper's headline artifacts without writing Python:
   long-lived HTTP job daemon (POST ``/jobs``, poll ``/jobs/<id>``); and
   ``repro sweep|table3|dse --remote http://...`` run the exact same
   workloads as thin clients of such a daemon;
-* ``python -m repro gateway --spawn "--golden-workload" --backend URL`` —
-  one front URL over N sharded daemons (disjoint model sets, health-checked
-  backend pool, aggregated ``/stats``); every ``--remote`` client works
-  unchanged against the gateway URL;
 * ``python -m repro error-model --m 2`` — the closed-form vs Monte-Carlo
   convolution error statistics of Section III.
 
@@ -79,7 +75,6 @@ from repro.cli import (
     backends,
     dse,
     error_model,
-    gateway,
     hardware,
     info,
     serve,
@@ -100,7 +95,6 @@ _VERBS = (
     verify_results,
     error_model,
     serve,
-    gateway,
 )
 
 

@@ -55,20 +55,6 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"job queue depth {runtime['default_queue_depth']}, "
         f"per-session in-flight cap {runtime['default_session_inflight']}"
     )
-    serving = env["serving"]
-    cache_entries = serving["cache_entries"]
-    persist = serving["cache_persist_path"]
-    print(
-        f"serving: queue depth {serving['queue_depth']}, "
-        f"session cap {serving['session_inflight_cap']}, "
-        f"default priority {serving['default_priority']} "
-        f"(starvation limit {serving['starvation_limit']}), "
-        f"cache {'unbounded' if cache_entries is None else cache_entries} "
-        f"entries ({'memory-only' if persist is None else persist}), "
-        f"client retries {serving['client_retries']} "
-        f"(backoff {serving['client_backoff_s']}s..."
-        f"{serving['client_max_backoff_s']}s)"
-    )
     return 0
 
 

@@ -99,8 +99,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         use_shared_memory=True if args.force_shared_memory else None,
         max_queue_depth=args.queue_depth,
         max_inflight_per_session=args.session_inflight,
-        default_priority=args.default_priority,
-        starvation_limit=args.starvation_limit,
         cache_entries=args.cache_entries,
         cache_persist_dir=args.cache_persist,
         ledger_dir=args.ledger_dir,
@@ -201,20 +199,6 @@ def register(sub) -> None:
         default=8,
         help="admission control: per-session in-flight job cap (HTTP 429 "
         "reason session_busy beyond it)",
-    )
-    serve.add_argument(
-        "--default-priority",
-        type=int,
-        default=0,
-        help="priority band of jobs submitted without an explicit one "
-        "(higher runs first; FIFO within a band)",
-    )
-    serve.add_argument(
-        "--starvation-limit",
-        type=int,
-        default=8,
-        help="after this many consecutive pops that bypass the oldest "
-        "queued job, serve it regardless of priority",
     )
     serve.add_argument(
         "--cache-persist",

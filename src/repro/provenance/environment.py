@@ -107,38 +107,6 @@ def _runtime_defaults() -> dict:
     }
 
 
-def _serving_defaults() -> dict:
-    """The deployed-daemon policy knobs, as ``repro serve``/``gateway`` default them.
-
-    Everything an operator can tune on a running fleet — admission bounds,
-    the priority/starvation policy, result-cache sizing and persistence,
-    and the gateway's retry/health-check posture — in one inspectable
-    block, so "what knobs is this deployment actually running?" is a
-    ``repro info --json`` away instead of a source dive.
-    """
-    from repro.runtime.jobs.cache import ResultCache
-    from repro.runtime.jobs.client import HttpJobClient
-    from repro.runtime.jobs.queue import JobQueue
-
-    queue = JobQueue()
-    cache = ResultCache()
-    client = HttpJobClient("http://example.invalid")
-    return {
-        "queue_depth": queue.max_depth,
-        "session_inflight_cap": queue.max_inflight_per_session,
-        "default_priority": 0,
-        "starvation_limit": queue.starvation_limit,
-        "cache_entries": cache.max_entries,  # None = unbounded
-        "cache_persist_path": cache.persist_dir,  # None = memory-only
-        "client_retries": client.retries,
-        "client_backoff_s": client.backoff,
-        "client_max_backoff_s": client.max_backoff,
-        "client_request_timeout_s": client.request_timeout,
-        "gateway_fail_threshold": 1,
-        "gateway_health_interval_s": 1.0,
-    }
-
-
 def provenance_environment() -> dict:
     """The environment block embedded in every manifest.
 
@@ -146,9 +114,7 @@ def provenance_environment() -> dict:
     ``machine`` / ``cpu_count`` (host facts), ``packages`` (probe results
     incl. import-failure reasons), ``engine_backends`` (registry
     availability with reasons), ``seed_defaults``, ``runtime`` (stats
-    schema + admission defaults), ``serving`` (daemon/gateway policy-knob
-    defaults: queue depth, session cap, priority/starvation policy, cache
-    sizing + persistence, client retry posture).
+    schema + admission defaults).
     """
     return {
         "package": {"name": "repro-dac21", "version": __version__},
@@ -161,7 +127,6 @@ def provenance_environment() -> dict:
         "engine_backends": _engine_backend_rows(),
         "seed_defaults": _seed_defaults(),
         "runtime": _runtime_defaults(),
-        "serving": _serving_defaults(),
     }
 
 

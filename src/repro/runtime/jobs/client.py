@@ -37,6 +37,12 @@ from repro.runtime.jobs.model import JobState
 from repro.runtime.jobs.queue import AdmissionError
 from repro.simulation.inference import ExecutionPlan
 
+#: Transport-failure retries of one idempotent GET (POSTs never retry).
+GET_RETRIES = 3
+#: First retry delay; doubled per attempt up to :data:`RETRY_MAX_BACKOFF_S`.
+RETRY_BACKOFF_S = 0.05
+RETRY_MAX_BACKOFF_S = 2.0
+
 
 class JobFailedError(RuntimeError):
     """A polled job reached ``failed`` (or ``cancelled``) instead of ``done``."""
@@ -81,19 +87,10 @@ class LocalJobClient:
         session: str = "default",
         label: str = "",
         dataset: str | None = None,
-        priority: int | None = None,
-        deadline_s: float | None = None,
     ) -> str:
         if isinstance(model, str):
             model = self.manager.resolve_model(model, dataset)
-        return self.manager.submit(
-            model,
-            plans,
-            session=session,
-            label=label,
-            priority=priority,
-            deadline_s=deadline_s,
-        ).id
+        return self.manager.submit(model, plans, session=session, label=label).id
 
     def job(self, job_id: str) -> dict:
         return self.manager.job(job_id).view()
@@ -140,13 +137,15 @@ class HttpJobClient:
     poll can stall past the request timeout.
 
     Transport-level failures (connection refused/reset, timeout — i.e. no
-    HTTP response at all) are **retried for GETs only**, up to ``retries``
-    times with capped exponential backoff: status polls and stats reads
-    are idempotent, so one blip mid-campaign should not fail hours of
-    work.  ``POST /jobs`` is *never* retried — a submission that died
-    after reaching the daemon may already hold an in-flight slot, and a
-    blind resend would double-submit.  HTTP error responses (4xx/5xx) are
-    never retried either: the daemon answered; retrying cannot change it.
+    HTTP response at all) are **retried for GETs only**, up to
+    :data:`GET_RETRIES` times with exponential backoff from
+    :data:`RETRY_BACKOFF_S` capped at :data:`RETRY_MAX_BACKOFF_S`: status
+    polls and stats reads are idempotent, so one blip mid-campaign should
+    not fail hours of work.  ``POST /jobs`` is *never* retried — a
+    submission that died after reaching the daemon may already hold an
+    in-flight slot, and a blind resend would double-submit.  HTTP error
+    responses (4xx/5xx) are never retried either: the daemon answered;
+    retrying cannot change it.
     """
 
     def __init__(
@@ -154,18 +153,10 @@ class HttpJobClient:
         base_url: str,
         poll_interval: float = 0.05,
         request_timeout: float = 60.0,
-        retries: int = 3,
-        backoff: float = 0.05,
-        max_backoff: float = 2.0,
     ):
-        if int(retries) < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         self.base_url = base_url.rstrip("/")
         self.poll_interval = float(poll_interval)
         self.request_timeout = float(request_timeout)
-        self.retries = int(retries)
-        self.backoff = float(backoff)
-        self.max_backoff = float(max_backoff)
         self._model_cache: list[dict] | None = None
 
     # ------------------------------------------------------------------
@@ -211,8 +202,8 @@ class HttpJobClient:
 
     def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
         # Only idempotent GETs retry; see the class docstring.
-        attempts = 1 + (self.retries if method == "GET" else 0)
-        delay = self.backoff
+        attempts = 1 + (GET_RETRIES if method == "GET" else 0)
+        delay = RETRY_BACKOFF_S
         for attempt in range(attempts):
             try:
                 return self._request_once(method, path, payload)
@@ -220,12 +211,8 @@ class HttpJobClient:
                 if error.status is not None or attempt + 1 == attempts:
                     raise
                 time.sleep(delay)
-                delay = min(delay * 2, self.max_backoff)
+                delay = min(delay * 2, RETRY_MAX_BACKOFF_S)
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def request(self, method: str, path: str, payload: dict | None = None) -> dict:
-        """One raw JSON round trip (the gateway's forwarding primitive)."""
-        return self._request(method, path, payload)
 
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
@@ -243,18 +230,12 @@ class HttpJobClient:
         session: str = "default",
         label: str = "",
         dataset: str | None = None,
-        priority: int | None = None,
-        deadline_s: float | None = None,
     ) -> str:
         payload: dict = {
             "plans": encode_plans(list(plans)),
             "session": session,
             "label": label,
         }
-        if priority is not None:
-            payload["priority"] = priority
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
         if isinstance(model, int):
             payload["model_index"] = model
         else:

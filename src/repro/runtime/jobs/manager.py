@@ -62,11 +62,6 @@ class JobManager:
         Engine knobs, as in :class:`~repro.runtime.service.EvaluationService`.
     max_queue_depth / max_inflight_per_session:
         Admission bounds (see :class:`~repro.runtime.jobs.queue.JobQueue`).
-    default_priority:
-        Priority band of jobs submitted without an explicit one.
-    starvation_limit:
-        Consecutive-bypass bound before the oldest queued job is served
-        regardless of priority (see :class:`~repro.runtime.jobs.queue.JobQueue`).
     cache_entries:
         Result-cache capacity (``None`` = unbounded).
     cache_persist_dir:
@@ -105,8 +100,6 @@ class JobManager:
         batch_size: int = 256,
         max_queue_depth: int = 64,
         max_inflight_per_session: int = 8,
-        default_priority: int = 0,
-        starvation_limit: int = 8,
         cache_entries: int | None = None,
         cache_persist_dir: str | None = None,
         ledger_dir: str | None = None,
@@ -139,13 +132,9 @@ class JobManager:
                 batch_size=batch_size,
             )
             self._owns_service = True
-        if isinstance(default_priority, bool) or not isinstance(default_priority, int):
-            raise TypeError(f"default_priority must be an integer, got {default_priority!r}")
-        self.default_priority = default_priority
         self.queue = JobQueue(
             max_depth=max_queue_depth,
             max_inflight_per_session=max_inflight_per_session,
-            starvation_limit=starvation_limit,
         )
         self.cache = ResultCache(cache_entries, persist_dir=cache_persist_dir)
         self.sessions = SessionRegistry(SeedBank(seed), ledger_dir=ledger_dir)
@@ -163,11 +152,6 @@ class JobManager:
         self.jobs_completed = 0
         self.jobs_failed = 0
         self.jobs_cancelled = 0
-        #: Deadline expiries, counted distinctly by where they were caught:
-        #: still queued (the dispatcher refused to run the job) vs mid-run
-        #: (evaluated, results cached, but finalized cancelled).
-        self.deadline_expired_queued = 0
-        self.deadline_expired_running = 0
         if auto_start:
             self.start()
 
@@ -292,8 +276,6 @@ class JobManager:
                 "completed": self.jobs_completed,
                 "failed": self.jobs_failed,
                 "cancelled": self.jobs_cancelled,
-                "deadline_expired_queued": self.deadline_expired_queued,
-                "deadline_expired_running": self.deadline_expired_running,
                 "rejected": self.queue.rejected,
                 "by_state": states,
                 **self.queue.stats(),
@@ -311,16 +293,8 @@ class JobManager:
         plans: Sequence[ExecutionPlan],
         session: str = "default",
         label: str = "",
-        priority: int | None = None,
-        deadline_s: float | None = None,
     ) -> Job:
         """Admit one job; returns it immediately (poll or :meth:`Job.wait`).
-
-        ``priority`` (default: the manager's ``default_priority``) picks the
-        scheduling band — higher runs first, FIFO within a band.
-        ``deadline_s`` bounds the job's total latency from admission: a job
-        whose deadline elapses finalizes ``cancelled`` with reason
-        ``deadline_exceeded`` whether it was still queued or already running.
 
         Raises :class:`~repro.runtime.jobs.queue.AdmissionError` when the
         queue is full or the session is over its in-flight cap, and plain
@@ -330,16 +304,6 @@ class JobManager:
         """
         if self._closed:
             raise AdmissionError("closed", "job service is shut down")
-        if priority is None:
-            priority = self.default_priority
-        elif isinstance(priority, bool) or not isinstance(priority, int):
-            raise TypeError(f"priority must be an integer, got {priority!r}")
-        if deadline_s is not None:
-            if isinstance(deadline_s, bool) or not isinstance(deadline_s, (int, float)):
-                raise TypeError(f"deadline_s must be a number, got {deadline_s!r}")
-            deadline_s = float(deadline_s)
-            if not deadline_s > 0:
-                raise ValueError(f"deadline_s must be positive, got {deadline_s}")
         model_index = int(model_index)
         if not 0 <= model_index < len(self.service.models):
             raise IndexError(
@@ -357,15 +321,7 @@ class JobManager:
         sess = self.sessions.get_or_create(session)
         with self._lock:
             self._seq += 1
-            job = Job(
-                f"job-{self._seq:06d}",
-                sess.id,
-                model_index,
-                plans,
-                label=label,
-                priority=priority,
-                deadline_s=deadline_s,
-            )
+            job = Job(f"job-{self._seq:06d}", sess.id, model_index, plans, label=label)
             self._jobs[job.id] = job
         try:
             self.queue.push(job, sess)
@@ -390,16 +346,6 @@ class JobManager:
             if job is None:
                 if self.queue.closed:
                     return
-                continue
-            if job.expired():
-                job.cancel(
-                    f"deadline of {job.deadline_s}s elapsed while the job "
-                    "was still queued",
-                    reason="deadline_exceeded",
-                )
-                with self._lock:
-                    self.deadline_expired_queued += 1
-                self._finalize(job)
                 continue
             try:
                 self._run_job(job)
@@ -451,17 +397,6 @@ class JobManager:
                 )
         hits = len(keys) - len(miss_keys)
         results = [values[key] for key in keys]
-        if job.expired():
-            # The evaluation itself is never wasted — every fresh cell is
-            # already in the cache and the session ledger above — but the
-            # caller's deadline has passed, so the job finalizes cancelled.
-            job.cancel(
-                f"deadline of {job.deadline_s}s elapsed while the job was running",
-                reason="deadline_exceeded",
-            )
-            with self._lock:
-                self.deadline_expired_running += 1
-            return
         if self.record_manifests:
             self._write_manifest(job, context, results, hits, len(miss_keys))
         job.finish(results, hits, len(miss_keys))

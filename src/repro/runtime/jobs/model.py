@@ -8,15 +8,11 @@ property of the hosting service and is folded into every cell's
 content-addressed key).  Jobs move through a strict lifecycle::
 
     QUEUED -> RUNNING -> DONE | FAILED
-    QUEUED | RUNNING ------> CANCELLED        (service closed / deadline)
+    QUEUED ------------> CANCELLED        (service closed)
 
 Cancellations carry a machine-readable :attr:`Job.reason` code alongside
 the human message: ``"service_closed"`` when the daemon shut down with
-the job still queued, ``"deadline_exceeded"`` when the job's deadline
-elapsed — whether it expired *in the queue* (the dispatcher cancels it
-instead of running it) or *mid-run* (the evaluation completes, results
-are still cached and ledgered, but the job finalizes cancelled because
-its caller's deadline has passed).
+the job still queued.
 
 State transitions happen on the dispatcher thread; readers (HTTP handler
 threads, polling clients) synchronize through :meth:`Job.wait` /
@@ -27,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import threading
-import time
 from typing import Sequence
 
 from repro.simulation.inference import ExecutionPlan
@@ -57,23 +52,14 @@ class Job:
         model_index: int,
         plans: Sequence[ExecutionPlan],
         label: str = "",
-        priority: int = 0,
-        deadline_s: float | None = None,
     ):
         self.id = job_id
         self.session_id = session_id
         self.model_index = int(model_index)
         self.plans = list(plans)
         self.label = str(label)
-        #: Scheduling band: higher pops first (see JobQueue).
-        self.priority = int(priority)
-        #: Caller's deadline, seconds from admission; ``None`` = no deadline.
-        self.deadline_s = None if deadline_s is None else float(deadline_s)
-        self.deadline_at = (
-            None if deadline_s is None else time.monotonic() + float(deadline_s)
-        )
-        #: Machine-readable cancellation code (``service_closed`` /
-        #: ``deadline_exceeded``); ``None`` unless CANCELLED.
+        #: Machine-readable cancellation code (``service_closed``);
+        #: ``None`` unless CANCELLED.
         self.reason: str | None = None
         self.state = JobState.QUEUED
         #: Accuracies in plan submission order (set when DONE).
@@ -112,22 +98,12 @@ class Job:
             self.state = JobState.FAILED
         self._finished.set()
 
-    def cancel(
-        self,
-        message: str = "service closed while job was queued",
-        reason: str = "service_closed",
-    ) -> None:
+    def cancel(self) -> None:
         with self._lock:
-            self.error = str(message)
-            self.reason = str(reason)
+            self.error = "service closed while job was queued"
+            self.reason = "service_closed"
             self.state = JobState.CANCELLED
         self._finished.set()
-
-    def expired(self, now: float | None = None) -> bool:
-        """Whether the job's deadline has elapsed (always False without one)."""
-        if self.deadline_at is None:
-            return False
-        return (time.monotonic() if now is None else now) >= self.deadline_at
 
     # ------------------------------------------------------------------
     # Reader side
@@ -149,8 +125,6 @@ class Job:
                 "model_index": self.model_index,
                 "label": self.label,
                 "state": self.state.value,
-                "priority": self.priority,
-                "deadline_s": self.deadline_s,
                 "reason": self.reason,
                 "cells": len(self.plans),
                 "accuracies": None

@@ -1,4 +1,4 @@
-"""Priority job queue with admission control and deadline-aware entries.
+"""FIFO job queue with admission control.
 
 Submission is *admission-controlled*: a job enters the queue only when
 
@@ -9,19 +9,13 @@ Submission is *admission-controlled*: a job enters the queue only when
   running (one greedy client cannot monopolize the backlog).
 
 Rejections raise :class:`AdmissionError` with a machine-readable
-``reason`` code (``"queue_full"`` / ``"session_busy"``) plus a human
-message — the transport layer maps them to HTTP 429 bodies verbatim.
+``reason`` code (``"closed"`` / ``"queue_full"`` / ``"session_busy"``)
+plus a human message — the transport layer maps them to HTTP 429 bodies
+verbatim.
 
-Ordering is **priority-banded FIFO**: jobs carry an integer priority
-(higher pops first, default 0) and within one band the dispatcher pops
-jobs in strict submission order — which is what keeps duplicate-cell
-behavior deterministic (the *first* submission of a cell evaluates it;
-every later one is a cache hit).  Starvation is bounded, not merely
-hoped away: every pop that bypasses the globally-oldest queued job
-increments a counter, and once ``starvation_limit`` consecutive bypasses
-accumulate the next pop serves that oldest job regardless of its band.
-The escape hatch is deterministic (a counter, not wall-clock aging), so
-test runs and replayed traffic order identically.
+Ordering is strict FIFO: the dispatcher pops jobs in submission order,
+which is what keeps duplicate-cell behavior deterministic (the *first*
+submission of a cell evaluates it; every later one is a cache hit).
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ class AdmissionError(RuntimeError):
 
 
 class JobQueue:
-    """Bounded priority queue of :class:`~repro.runtime.jobs.model.Job` objects.
+    """Bounded FIFO queue of :class:`~repro.runtime.jobs.model.Job` objects.
 
     Parameters
     ----------
@@ -56,17 +50,9 @@ class JobQueue:
         :meth:`release` when the job reaches a terminal state — both
         mutations go through the queue lock, so a concurrent push can
         never lose a finalizer's decrement.
-    starvation_limit:
-        After this many consecutive pops that bypassed the globally-oldest
-        queued job, the next pop serves that job regardless of priority.
     """
 
-    def __init__(
-        self,
-        max_depth: int = 64,
-        max_inflight_per_session: int = 8,
-        starvation_limit: int = 8,
-    ):
+    def __init__(self, max_depth: int = 64, max_inflight_per_session: int = 8):
         if int(max_depth) < 1:
             raise ValueError(f"max_depth must be positive, got {max_depth}")
         if int(max_inflight_per_session) < 1:
@@ -74,29 +60,19 @@ class JobQueue:
                 "max_inflight_per_session must be positive, "
                 f"got {max_inflight_per_session}"
             )
-        if int(starvation_limit) < 1:
-            raise ValueError(
-                f"starvation_limit must be positive, got {starvation_limit}"
-            )
         self.max_depth = int(max_depth)
         self.max_inflight_per_session = int(max_inflight_per_session)
-        self.starvation_limit = int(starvation_limit)
-        #: One FIFO per priority band; tuples of (arrival seq, job).
-        self._bands: "dict[int, deque[tuple[int, Job]]]" = {}
-        self._size = 0
-        self._arrivals = 0
-        self._bypassed = 0
+        self._jobs: "deque[Job]" = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
         self.rejected = 0
-        self.starvation_pops = 0
 
     # ------------------------------------------------------------------
     @property
     def depth(self) -> int:
         with self._lock:
-            return self._size
+            return len(self._jobs)
 
     @property
     def closed(self) -> bool:
@@ -104,14 +80,11 @@ class JobQueue:
 
     def push(self, job: Job, session: Session) -> None:
         """Admit ``job`` for ``session`` or raise :class:`AdmissionError`."""
-        # Plain objects without a priority land in band 0 — the queue only
-        # needs an ordering key, not the full Job surface.
-        priority = int(getattr(job, "priority", 0))
         with self._not_empty:
             if self._closed:
                 self.rejected += 1
                 raise AdmissionError("closed", "job service is shut down")
-            if self._size >= self.max_depth:
+            if len(self._jobs) >= self.max_depth:
                 self.rejected += 1
                 raise AdmissionError(
                     "queue_full",
@@ -126,9 +99,7 @@ class JobQueue:
                     "poll them to completion first",
                 )
             session.inflight += 1
-            self._arrivals += 1
-            self._bands.setdefault(priority, deque()).append((self._arrivals, job))
-            self._size += 1
+            self._jobs.append(job)
             self._not_empty.notify()
 
     def release(self, session: Session) -> None:
@@ -139,46 +110,23 @@ class JobQueue:
             session.inflight = max(0, session.inflight - 1)
 
     # ------------------------------------------------------------------
-    def _oldest_band(self) -> int:
-        """Band holding the globally-oldest entry (min arrival seq)."""
-        return min(
-            (band for band, jobs in self._bands.items() if jobs),
-            key=lambda band: self._bands[band][0][0],
-        )
-
-    def _pop_locked(self) -> Job:
-        oldest = self._oldest_band()
-        if self._bypassed >= self.starvation_limit:
-            band = oldest
-            self.starvation_pops += 1
-        else:
-            band = max(b for b, jobs in self._bands.items() if jobs)
-        self._bypassed = 0 if band == oldest else self._bypassed + 1
-        _, job = self._bands[band].popleft()
-        self._size -= 1
-        return job
-
     def pop(self, timeout: float | None = None) -> Job | None:
-        """Next job (highest band, FIFO within it, starvation-bounded);
-        ``None`` on timeout or when closed+empty."""
+        """Oldest queued job; ``None`` on timeout or when closed+empty."""
         with self._not_empty:
-            while not self._size:
+            while not self._jobs:
                 if self._closed:
                     return None
                 if not self._not_empty.wait(timeout):
                     return None
-            return self._pop_locked()
+            return self._jobs.popleft()
 
     def drain(self) -> list[Job]:
         """Remove and return every queued job in arrival order
         (close-time cancellation)."""
         with self._lock:
-            entries: list[tuple[int, Job]] = []
-            for jobs in self._bands.values():
-                entries.extend(jobs)
-                jobs.clear()
-            self._size = 0
-            return [job for _, job in sorted(entries, key=lambda entry: entry[0])]
+            jobs = list(self._jobs)
+            self._jobs.clear()
+            return jobs
 
     def close(self) -> None:
         """Stop admitting; wake blocked poppers (idempotent)."""
@@ -189,17 +137,10 @@ class JobQueue:
     def stats(self) -> dict:
         with self._lock:
             return {
-                "depth": self._size,
+                "depth": len(self._jobs),
                 "max_depth": self.max_depth,
                 "max_inflight_per_session": self.max_inflight_per_session,
                 "rejected": self.rejected,
-                "starvation_limit": self.starvation_limit,
-                "starvation_pops": self.starvation_pops,
-                "bands": {
-                    str(band): len(jobs)
-                    for band, jobs in sorted(self._bands.items())
-                    if jobs
-                },
             }
 
 

@@ -11,16 +11,17 @@ dependencies.
 API (all JSON)::
 
     GET  /healthz        {"status": "ok", "models": N, "uptime_s": ...}
-    GET  /stats          the repro-runtime-stats/v1.2 payload
+    GET  /stats          the repro-runtime-stats/v1.3 payload
     GET  /models         {"models": [{index, name, dataset,
                                       mac_layer_names, context_key}, ...]}
-    POST /jobs           {"model": name | "model_index": i, "plans": [...],
-                          "session": ..., "label": ...,
-                          "priority": int?, "deadline_s": seconds?}
+    POST /jobs           {"model": name [, "dataset": name] | "model_index": i,
+                          "plans": [...], "session": ..., "label": ...}
                          -> 202 {"job": {...}}   (409-free: poll the job)
-                         -> 400 bad model/plan payloads
+                         -> 400 bad Content-Length, unknown payload keys,
+                                bad model/plan payloads
                          -> 404 unknown model
-                         -> 429 {"reason": "queue_full" | "session_busy"}
+                         -> 429 {"reason": "closed" | "queue_full" |
+                                           "session_busy"}
     GET  /jobs/<id>      {"job": {id, state, accuracies, cache_hits, ...}}
 
 Plans travel through the fingerprint-preserving codec
@@ -41,6 +42,12 @@ from repro.runtime.jobs.codec import PlanCodecError, decode_plans
 from repro.runtime.jobs.manager import JobManager
 from repro.runtime.jobs.queue import AdmissionError
 from repro.runtime.jobs.sessions import SessionError
+
+#: Every key a ``POST /jobs`` payload may carry; anything else is a 400, so
+#: a misspelled ``session`` cannot silently run in the default session.
+JOB_PAYLOAD_KEYS = frozenset(
+    {"model", "model_index", "dataset", "plans", "session", "label"}
+)
 
 
 class JobServer(ThreadingHTTPServer):
@@ -83,11 +90,13 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
         pass
 
     # ------------------------------------------------------------------
-    def _send_json(self, status: int, payload: dict) -> None:
+    def _send_json(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:  # also ends this keep-alive connection after the reply
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -141,17 +150,29 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
 
     def _submit_job(self) -> None:
         manager = self.server.manager
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):
+            # The body's extent is unknown: reading it could block forever
+            # (``-1`` reads to EOF) or misparse it as the next request, so
+            # answer unread and drop the connection.
+            message = f"Content-Length must be a non-negative integer, got {length!r}"
+            self._send_json(400, {"error": message}, close=True)
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = 0
-        try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            payload = json.loads(self.rfile.read(int(length)).decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             self._send_error_json(400, f"request body is not valid JSON: {error}")
             return
         if not isinstance(payload, dict):
             self._send_error_json(400, "request body must be a JSON object")
+            return
+        unknown = sorted(set(payload) - JOB_PAYLOAD_KEYS)
+        if unknown:
+            self._send_error_json(
+                400,
+                f"unknown job payload keys: {', '.join(unknown)} "
+                f"(allowed: {', '.join(sorted(JOB_PAYLOAD_KEYS))})",
+            )
             return
         # Resolve the model reference: explicit index or name (+ dataset).
         if "model_index" in payload:
@@ -183,28 +204,12 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
         if not plans:
             self._send_error_json(400, "a job needs at least one plan")
             return
-        priority = payload.get("priority")
-        if priority is not None and (
-            isinstance(priority, bool) or not isinstance(priority, int)
-        ):
-            self._send_error_json(400, f"priority must be an integer, got {priority!r}")
-            return
-        deadline_s = payload.get("deadline_s")
-        if deadline_s is not None and (
-            isinstance(deadline_s, bool) or not isinstance(deadline_s, (int, float))
-        ):
-            self._send_error_json(
-                400, f"deadline_s must be a number, got {deadline_s!r}"
-            )
-            return
         try:
             job = manager.submit(
                 model_index,
                 plans,
                 session=str(payload.get("session", "default")),
                 label=str(payload.get("label", "")),
-                priority=priority,
-                deadline_s=deadline_s,
             )
         except AdmissionError as error:
             self._send_error_json(429, error.message, reason=error.reason)

@@ -451,7 +451,7 @@ class EvaluationService:
                     self._worker_counters[key] += int(value)
 
     def stats(self) -> dict:
-        """Counters of the session so far (``repro-runtime-stats/v1.2`` schema).
+        """Counters of the session so far (``repro-runtime-stats/v1.3`` schema).
 
         The payload nests everything engine-level under ``"engine"``, with
         ``requested_workers`` (what the caller asked for) next to the

@@ -7,7 +7,7 @@ another, and ``repro info`` a third.  This module pins the shared shape:
 .. code-block:: json
 
     {
-      "schema": "repro-runtime-stats/v1.2",
+      "schema": "repro-runtime-stats/v1.3",
       "engine":   { "requested_workers": ..., "workers": ..., ... },
       "jobs":     { "submitted": ..., "depth": ..., "rejected": ..., ... },
       "cache":    { "entries": ..., "hits": ..., "misses": ..., "evictions": ..., ... },
@@ -26,12 +26,16 @@ v1.1 extended ``engine`` with the fused multi-plan launch counters
 v1.2 drops from ``engine`` the two multi-plan fusion settings and the
 executor's cross-call cache hit/miss counters; every remaining key keeps
 its meaning, so a v1.1 consumer only loses those fields.
+v1.3 drops from ``jobs`` the per-band queue depths, the band-bypass
+bound and counter, and the two job-expiry counters (the queue is one
+FIFO and jobs carry no expiry); again every remaining key keeps its
+meaning.
 """
 
 from __future__ import annotations
 
 #: Version tag embedded in every stats payload.
-STATS_SCHEMA = "repro-runtime-stats/v1.2"
+STATS_SCHEMA = "repro-runtime-stats/v1.3"
 
 
 def runtime_stats(

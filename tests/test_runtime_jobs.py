@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from multiprocessing import shared_memory
 from types import SimpleNamespace
 
@@ -337,85 +336,30 @@ class TestAdmissionControl:
         assert rejected.value.reason == "closed"
 
 
-class TestPriorityScheduling:
-    """Queue-ordering semantics: priority bands, FIFO within a band, and
-    the deterministic starvation escape."""
+class TestFifoQueue:
+    """Queue ordering: strict FIFO pops and arrival-order drains."""
 
     @staticmethod
     def _session():
         return SessionRegistry(SeedBank(0)).get_or_create()
 
-    def test_fifo_preserved_within_a_priority_band(self):
+    def test_pops_in_submission_order(self):
         queue = JobQueue(max_depth=8)
         session = self._session()
-        jobs = [SimpleNamespace(priority=0, tag=i) for i in range(5)]
+        jobs = [SimpleNamespace(tag=i) for i in range(5)]
         for job in jobs:
             queue.push(job, session)
         assert [queue.pop(0.1).tag for _ in jobs] == [0, 1, 2, 3, 4]
 
-    def test_higher_priority_pops_first(self):
+    def test_drain_returns_arrival_order(self):
         queue = JobQueue(max_depth=8)
         session = self._session()
-        for priority, tag in [(0, "a"), (1, "b"), (0, "c"), (2, "d"), (1, "e")]:
-            queue.push(SimpleNamespace(priority=priority, tag=tag), session)
-        # Band 2 first, then band 1 FIFO, then band 0 FIFO.
-        assert [queue.pop(0.1).tag for _ in range(5)] == ["d", "b", "e", "a", "c"]
-
-    def test_starvation_is_bounded_by_the_bypass_limit(self):
-        queue = JobQueue(max_depth=16, starvation_limit=2)
-        session = self._session()
-        queue.push(SimpleNamespace(priority=0, tag="old"), session)
-        for i in range(5):
-            queue.push(SimpleNamespace(priority=1, tag=f"hi{i}"), session)
-        # Two high-priority pops bypass the oldest job; the third pop must
-        # serve it regardless of band.
-        order = [queue.pop(0.1).tag for _ in range(6)]
-        assert order == ["hi0", "hi1", "old", "hi2", "hi3", "hi4"]
-        assert queue.stats()["starvation_pops"] == 1
-
-    def test_drain_returns_arrival_order_across_bands(self):
-        queue = JobQueue(max_depth=8)
-        session = self._session()
-        for priority, tag in [(2, "a"), (0, "b"), (1, "c")]:
-            queue.push(SimpleNamespace(priority=priority, tag=tag), session)
-        assert [job.tag for job in queue.drain()] == ["a", "b", "c"]
+        for tag in ("a", "b", "c"):
+            queue.push(SimpleNamespace(tag=tag), session)
+        assert queue.pop(0.1).tag == "a"
+        queue.push(SimpleNamespace(tag="d"), session)
+        assert [job.tag for job in queue.drain()] == ["b", "c", "d"]
         assert queue.depth == 0
-
-    def test_default_priority_knob_and_view(self, trained, tiny_dataset):
-        manager = JobManager(
-            [trained],
-            {tiny_dataset.name: tiny_dataset},
-            default_priority=3,
-            auto_start=False,
-        )
-        try:
-            plan = [ExecutionPlan.uniform(AccurateProduct())]
-            defaulted = manager.submit(0, plan)
-            explicit = manager.submit(0, plan, session="bob", priority=-1)
-            assert defaulted.priority == 3
-            assert defaulted.view()["priority"] == 3
-            assert explicit.view()["priority"] == -1
-        finally:
-            manager.close()
-
-    def test_priority_and_deadline_validation(self, trained, tiny_dataset):
-        manager = JobManager(
-            [trained], {tiny_dataset.name: tiny_dataset}, auto_start=False
-        )
-        plan = [ExecutionPlan.uniform(AccurateProduct())]
-        try:
-            with pytest.raises(TypeError):
-                manager.submit(0, plan, priority=True)
-            with pytest.raises(TypeError):
-                manager.submit(0, plan, priority="high")
-            with pytest.raises(TypeError):
-                manager.submit(0, plan, deadline_s="soon")
-            with pytest.raises(ValueError):
-                manager.submit(0, plan, deadline_s=0)
-            with pytest.raises(ValueError):
-                manager.submit(0, plan, deadline_s=-2.5)
-        finally:
-            manager.close()
 
 
 class TestPlanValidation:
@@ -432,76 +376,6 @@ class TestPlanValidation:
         assert stats["jobs"]["submitted"] == 0
         assert stats["cache"]["entries"] == 0
         assert stats["cache"]["hits"] == stats["cache"]["misses"] == 0
-
-
-class TestDeadlines:
-    """Expired-in-queue vs expired-mid-run both end ``cancelled`` with
-    reason ``deadline_exceeded`` — and the admission stats tell them apart."""
-
-    def test_expired_in_queue_is_cancelled_before_running(
-        self, trained, tiny_dataset
-    ):
-        manager = JobManager(
-            [trained], {tiny_dataset.name: tiny_dataset}, auto_start=False
-        )
-        try:
-            job = manager.submit(
-                0,
-                [ExecutionPlan.uniform(AccurateProduct())],
-                deadline_s=0.01,
-            )
-            time.sleep(0.05)  # expire while the dispatcher is not running
-            manager.start()
-            assert job.wait(30)
-            assert job.state is JobState.CANCELLED
-            assert job.reason == "deadline_exceeded"
-            view = job.view()
-            assert view["state"] == "cancelled"
-            assert view["reason"] == "deadline_exceeded"
-            assert "queued" in view["error"]
-            stats = manager.stats()
-            assert stats["jobs"]["deadline_expired_queued"] == 1
-            assert stats["jobs"]["deadline_expired_running"] == 0
-            assert stats["jobs"]["cancelled"] == 1
-            # Never ran: the cache saw no traffic at all.
-            assert stats["cache"]["misses"] == 0
-        finally:
-            manager.close()
-
-    def test_expired_mid_run_is_cancelled_but_results_are_cached(
-        self, trained, tiny_dataset
-    ):
-        manager = JobManager(
-            [trained], {tiny_dataset.name: tiny_dataset}, auto_start=False
-        )
-        try:
-            evaluate = manager.service.evaluate_plans
-
-            def slow_evaluate(model_index, plans):
-                time.sleep(0.2)
-                return evaluate(model_index, plans)
-
-            manager.service.evaluate_plans = slow_evaluate
-            plan = ExecutionPlan.uniform(PerforatedProduct(2))
-            job = manager.submit(0, [plan], deadline_s=0.05)
-            manager.start()
-            assert job.wait(60)
-            assert job.state is JobState.CANCELLED
-            assert job.reason == "deadline_exceeded"
-            assert "running" in job.view()["error"]
-            stats = manager.stats()
-            assert stats["jobs"]["deadline_expired_running"] == 1
-            assert stats["jobs"]["deadline_expired_queued"] == 0
-            # The evaluation was not wasted: the cell is in the cache, so a
-            # deadline-free resubmission of the same plan is a pure hit.
-            assert stats["cache"]["entries"] == 1
-            redo = manager.submit(0, [plan])
-            assert redo.wait(60)
-            assert redo.state is JobState.DONE
-            assert redo.cache_hits == 1
-            assert redo.cache_misses == 0
-        finally:
-            manager.close()
 
 
 class TestCachePersistence:
@@ -600,7 +474,7 @@ class TestGracefulClose:
 class TestStatsSchema:
     def test_manager_stats_schema(self, manager):
         stats = manager.stats()
-        assert stats["schema"] == "repro-runtime-stats/v1.2"
+        assert stats["schema"] == "repro-runtime-stats/v1.3"
         assert {"requested_workers", "workers"} <= set(stats["engine"])
         assert {"submitted", "completed", "rejected", "depth"} <= set(stats["jobs"])
         assert {"hits", "misses", "evictions", "hit_ratio"} <= set(stats["cache"])

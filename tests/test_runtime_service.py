@@ -207,7 +207,7 @@ class TestServiceParity:
         serial = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
         assert stolen == serial  # bit-exact AND input-ordered
         # Every finished chunk reported a wall-clock into the cost model.
-        assert stats["schema"] == "repro-runtime-stats/v1.2"
+        assert stats["schema"] == "repro-runtime-stats/v1.3"
         assert stats["engine"]["cost_model_observations"] > 0
         assert stats["engine"]["cost_model_seconds_per_unit"] > 0.0
 

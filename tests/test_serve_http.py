@@ -13,12 +13,18 @@ The daemon contract lives here:
   :class:`~repro.runtime.jobs.client.RemotePlanEvaluator` produces the
   exact front of a local campaign with the same measurement setup;
 * **cross-client caching over the wire** — a duplicate HTTP submission is
-  served from the daemon's result cache, visible in ``/stats``.
+  served from the daemon's result cache, visible in ``/stats``;
+* **malformed wire input** — a bad ``Content-Length`` is answered at once
+  without reading the body, and unknown payload keys are named in a 400;
+* **client resilience** — :class:`~repro.runtime.jobs.client.HttpJobClient`
+  retries idempotent GETs through transient connection failures (flaky
+  stub server) but never retries a POST.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -36,6 +42,7 @@ from repro.runtime.jobs import (
     encode_plans,
     sweep_over_jobs,
 )
+from repro.runtime.jobs.client import GET_RETRIES
 from repro.runtime.server import JobServer
 from repro.simulation.campaign import TrainedModel, parallel_sweep
 from repro.simulation.inference import AccurateProduct, ExecutionPlan, PerforatedProduct
@@ -87,7 +94,7 @@ class TestEndpoints:
 
     def test_stats_schema_over_the_wire(self, client):
         stats = client.stats()
-        assert stats["schema"] == "repro-runtime-stats/v1.2"
+        assert stats["schema"] == "repro-runtime-stats/v1.3"
         assert {"engine", "jobs", "cache", "sessions"} <= set(stats)
 
     def test_unknown_job_is_404(self, client):
@@ -185,36 +192,57 @@ class TestEndpoints:
             urllib.request.urlopen(f"{server.url}/teapot")
         assert error.value.code == 404
 
-    def test_priority_and_deadline_round_trip(self, client):
-        job_id = client.submit_job(
-            0,
-            [ExecutionPlan.uniform(AccurateProduct())],
-            session="prio",
-            priority=2,
-            deadline_s=120.0,
-        )
-        view = client.wait(job_id, timeout=240)
-        assert view["priority"] == 2
-        assert view["deadline_s"] == 120.0
-        assert view["reason"] is None
-
     def test_bad_priority_and_deadline_are_400(self, server):
+        """Unknown payload keys are refused and named — a stale client's
+        ``priority``/``deadline_s`` or a misspelled ``session`` must not
+        run silently with defaults."""
         plans = encode_plans([ExecutionPlan.uniform(AccurateProduct())])
-        for payload in (
-            {"model_index": 0, "plans": plans, "priority": "high"},
-            {"model_index": 0, "plans": plans, "priority": True},
-            {"model_index": 0, "plans": plans, "deadline_s": "soon"},
-            {"model_index": 0, "plans": plans, "deadline_s": -1},
+        submitted = server.manager.stats()["jobs"]["submitted"]
+        for extra, named in (
+            ({"priority": 2}, "priority"),
+            ({"deadline_s": 120.0}, "deadline_s"),
+            ({"sesion": "alice"}, "sesion"),
+            ({"priority": 1, "deadline_s": 5}, "deadline_s, priority"),
         ):
             request = urllib.request.Request(
                 f"{server.url}/jobs",
-                data=json.dumps(payload).encode(),
+                data=json.dumps({"model_index": 0, "plans": plans, **extra}).encode(),
                 headers={"Content-Type": "application/json"},
                 method="POST",
             )
             with pytest.raises(urllib.error.HTTPError) as error:
                 urllib.request.urlopen(request)
-            assert error.value.code == 400, payload
+            assert error.value.code == 400, extra
+            message = json.loads(error.value.read().decode())["error"]
+            assert f"unknown job payload keys: {named} " in message
+        assert server.manager.stats()["jobs"]["submitted"] == submitted
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "+5", "1.5", ""])
+    def test_bad_content_length_is_400_at_once(self, server, length):
+        """A Content-Length that is not a non-negative integer is answered
+        without reading the body, and the connection is closed."""
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\n"
+                b"Host: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+                b'{"model_index": 0'
+            )
+            response = b""
+            while True:  # until the server closes the connection
+                try:
+                    chunk = sock.recv(65536)
+                except ConnectionResetError:  # closed with the body unread
+                    break
+                if not chunk:
+                    break
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert b"connection: close" in head.lower()
+        assert "Content-Length" in json.loads(body)["error"]
 
 
 @pytest.mark.runtime
@@ -324,3 +352,90 @@ class TestAdmissionOverTheWire:
         finally:
             srv.shutdown_and_close()
             thread.join(timeout=10)
+
+
+# ----------------------------------------------------------------------
+class _FlakyServer:
+    """A stub that kills the first N connections, then answers 200 JSON."""
+
+    def __init__(self, flaky_connections: int):
+        self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self.socket.bind(("127.0.0.1", 0))
+        self.socket.listen(16)
+        self.flaky = int(flaky_connections)
+        self.connections = 0
+        self._closed = False
+        threading.Thread(target=self._loop, daemon=True).start()
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.socket.getsockname()[1]}"
+
+    def _loop(self) -> None:
+        while not self._closed:
+            try:
+                connection, _address = self.socket.accept()
+            except OSError:
+                return
+            self.connections += 1
+            if self.connections <= self.flaky:
+                # Accept then slam the door: the client sees a reset /
+                # "remote end closed connection without response".
+                connection.close()
+                continue
+            try:
+                connection.recv(65536)
+                body = b'{"ok": true}'
+                connection.sendall(
+                    b"HTTP/1.1 200 OK\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: " + str(len(body)).encode() + b"\r\n"
+                    b"Connection: close\r\n\r\n" + body
+                )
+            except OSError:
+                pass
+            finally:
+                connection.close()
+
+    def close(self) -> None:
+        self._closed = True
+        try:
+            self.socket.close()
+        except OSError:
+            pass
+
+
+class TestHttpClientRetries:
+    def test_get_survives_transient_connection_failures(self):
+        stub = _FlakyServer(flaky_connections=GET_RETRIES - 1)
+        try:
+            client = HttpJobClient(stub.url)
+            assert client.healthz() == {"ok": True}
+            assert stub.connections == GET_RETRIES  # the flakes + one success
+        finally:
+            stub.close()
+
+    def test_get_gives_up_past_the_retry_budget(self):
+        stub = _FlakyServer(flaky_connections=GET_RETRIES + 5)
+        try:
+            client = HttpJobClient(stub.url)
+            with pytest.raises(JobClientError) as error:
+                client.healthz()
+            assert error.value.status is None
+            assert stub.connections == 1 + GET_RETRIES  # initial try + retries
+        finally:
+            stub.close()
+
+    def test_post_is_never_retried(self):
+        stub = _FlakyServer(flaky_connections=1)
+        try:
+            client = HttpJobClient(stub.url)
+            with pytest.raises(JobClientError) as error:
+                client.submit_job(0, [ExecutionPlan.uniform(AccurateProduct())])
+            assert error.value.status is None
+            # One connection, no second submission attempt: a POST that
+            # died may already hold server-side state.
+            assert stub.connections == 1
+        finally:
+            stub.close()
