@@ -1,6 +1,7 @@
 # CI-style entry points.  `make check` is the gate a PR must pass: the
 # tier-1 suite, the engine parity/throughput suite, the DSE search suite +
-# benchmark, the DSE CLI smoke, and the provenance regression gate
+# benchmark, the DSE CLI smoke, the perfbench result digests, and the
+# provenance regression gate
 # (verify-results), which replays the deterministic golden workload and
 # compares the freshly merged results/BENCH_engine.json against the
 # checked-in baselines under results/golden/.  The perf-tracking benches
@@ -15,11 +16,11 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest -W error::pytest.PytestUnknownMarkWarning
 
-.PHONY: check tier1 engine dse dse-smoke runtime-smoke scheduler-unit serve-smoke verify-results bench-refresh
+.PHONY: check tier1 engine dse dse-smoke runtime-smoke scheduler-unit serve-smoke perfbench-digests verify-results bench-refresh
 
 # verify-results runs LAST so it judges the bench ledger the engine/dse/
 # serve targets just rewrote, not a stale one.
-check: tier1 engine dse runtime-smoke dse-smoke serve-smoke verify-results
+check: tier1 engine dse runtime-smoke dse-smoke serve-smoke perfbench-digests verify-results
 
 tier1:
 	$(PYTEST) -x -q
@@ -67,6 +68,20 @@ dse-smoke:
 serve-smoke:
 	$(PYTEST) -q -m serve tests benchmarks/bench_serve_throughput.py
 	PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py
+
+# Result digests of the repo benchmark: one short seed-0 run of each
+# perfbench workload (the first run in a checkout trains its model cache
+# into .perfbench/), failing unless the run's result line reports
+# "correct": true and "failed": 0.  Timings are not judged here.
+PERFBENCH_WORKLOADS = table3 dse_greedy dse_greedy_pool served_mixed
+PERFBENCH_CHECK = import json, sys; r = json.loads(sys.stdin.readlines()[-1]); \
+  print(sys.argv[1], "correct:", r["correct"], "failed:", r["failed"]); \
+  sys.exit(r["correct"] is not True or r["failed"] != 0)
+perfbench-digests:
+	@set -e; for w in $(PERFBENCH_WORKLOADS); do \
+	  $(PYTHON) perfbench/run.py --workload $$w --seed 0 --seconds 1 --trace 0 \
+	    | $(PYTHON) -c '$(PERFBENCH_CHECK)' $$w; \
+	done
 
 # Provenance regression gate: replay the deterministic golden workload and
 # compare fresh results against results/golden/.  Honors SKIP_REGRESSION=1

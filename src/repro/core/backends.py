@@ -17,10 +17,13 @@ process-wide registry lets callers select one by name —
     large layers) and every kernel is evaluated in bounded patch chunks, so
     peak transient memory is independent of the batch size.
 
-Every backend compiles both a per-plan kernel (:meth:`EngineBackend.compile`)
-and a multi-plan kernel (:meth:`EngineBackend.compile_multi`) that stacks
-several plans' blocks of one layer into one launch; the executor's
-multi-plan walk uses both.
+The executor runs every compiled MAC launch through one kernel shape: it
+compiles each distinct per-block kernel once with
+:meth:`EngineBackend.compile` and fuses a layer's blocks with
+:meth:`EngineBackend.compile_multi` into a
+:class:`~repro.core.product_kernels.MultiPlanKernel` (one block when the
+layer runs a single product model), which it caches by the blocks'
+fingerprints.
 
 All backends are **bit-exact** against the legacy reference functions in
 :mod:`repro.core.approx_conv`; the ``pytest -m engine`` parity suite is

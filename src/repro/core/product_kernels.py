@@ -387,8 +387,9 @@ class MultiPlanKernel:
       matmul.
 
     Output is always the ``(P*N, filters)`` product sums in float64 — the
-    dtype :meth:`QuantizedLinearOp.output_real` converts to anyway — with
+    dtype :meth:`QuantizedLinearOp.output_real_stacked` dequantizes — with
     block p bit-identical (as a value) to ``kernels[p](act_block_p)``.
+    ``P = 1`` is the executor's single-model launch.
     Kernel types the fusion does not understand (chunked, callback,
     streaming low-memory LUTs) are evaluated per block through their own
     kernel, so fusion never changes results, only launch count.

@@ -93,6 +93,17 @@ def plan_key(context_key: str, plan: ExecutionPlan, layer_names: "tuple[str, ...
     return digest.hexdigest()
 
 
+def _read_record(path: str) -> dict | None:
+    """The JSON object stored at ``path``, or ``None`` when the file is
+    missing, unreadable, not UTF-8, not JSON, or not a JSON object."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            record = json.load(handle)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
 class CampaignLedger:
     """Content-addressed store of evaluated design points.
 
@@ -128,14 +139,14 @@ class CampaignLedger:
         return len(self._memory)
 
     def get(self, key: str) -> dict | None:
-        """The record stored under ``key``, or ``None`` (counted as a miss)."""
+        """The record stored under ``key``, or ``None`` (counted as a miss).
+
+        A corrupt record file (see :func:`_read_record`) is a miss, so a
+        resumed campaign re-evaluates the point and overwrites it.
+        """
         record = self._memory.get(key)
         if record is None and self.path is not None:
-            try:
-                with open(self._record_path(key), "r", encoding="utf-8") as handle:
-                    record = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                record = None
+            record = _read_record(self._record_path(key))
             if record is not None:
                 self._memory[key] = record
         if record is None:
@@ -173,8 +184,8 @@ class CampaignLedger:
         """Yield every ``(key, record)`` pair stored in the ledger directory.
 
         Scans the directory (not :attr:`_memory`), skipping temp files and
-        anything unparsable, and leaves the hit/miss counters untouched —
-        this is the bulk-load path a warm-starting
+        the corrupt records :meth:`get` misses on, and leaves the hit/miss
+        counters untouched — this is the bulk-load path a warm-starting
         :class:`~repro.runtime.jobs.cache.ResultCache` uses, not a lookup.
         Keys are yielded in sorted filename order so a capped consumer
         loads deterministically.
@@ -184,16 +195,9 @@ class CampaignLedger:
         for filename in sorted(os.listdir(self.path)):
             if not filename.endswith(".json"):
                 continue
-            key = filename[: -len(".json")]
-            try:
-                with open(
-                    os.path.join(self.path, filename), "r", encoding="utf-8"
-                ) as handle:
-                    record = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if isinstance(record, dict):
-                yield key, record
+            record = _read_record(os.path.join(self.path, filename))
+            if record is not None:
+                yield filename[: -len(".json")], record
 
     def stats(self) -> dict[str, int]:
         """Hit/miss counters plus the records this instance touched."""

@@ -18,11 +18,11 @@ to a modeled network energy for costing:
   multipliers), i.e. the per-layer accounting a runtime-reconfigurable
   array pays.
 
-Candidate :class:`ProductModel` instances are shared across every plan the
-space produces, so the executor's per-instance kernel cache compiles each
-(layer, candidate) combination exactly once for the whole campaign, and the
-structural fingerprints let the multi-plan walk deduplicate candidates and
-share their layer prefixes within every batch.
+Candidates carry structural fingerprints, so the executor's
+fingerprint-keyed kernel cache compiles a (layer, candidate) block once and
+reuses it for every plan that holds the candidate, and the multi-plan walk
+deduplicates candidates and shares their layer prefixes within every
+batch.
 """
 
 from __future__ import annotations

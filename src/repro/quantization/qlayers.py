@@ -77,6 +77,8 @@ class QuantizedLinearOp:
     ) -> np.ndarray:
         """Dequantized real output of the quantized linear operation.
 
+        The one-block case of :meth:`output_real_stacked`.
+
         Parameters
         ----------
         act_codes:
@@ -89,26 +91,9 @@ class QuantizedLinearOp:
             (perforation, LUT multipliers, control-variate correction) pass
             their own sums here.
         """
-        act = self._check_activations(act_codes)
         if product_sum is None:
-            product_sum = self.exact_product_sum(act)
-        product_sum = np.asarray(product_sum, dtype=np.float64)
-        expected = (act.shape[0], self.filters)
-        if product_sum.shape != expected:
-            raise ValueError(
-                f"product_sum must have shape {expected}, got {product_sum.shape}"
-            )
-        act_sums = act.astype(np.int64).sum(axis=1, keepdims=True).astype(np.float64)
-        z_w = float(self.weight_params.zero_point)
-        z_a = float(act_params.zero_point)
-        corrected = (
-            product_sum
-            - z_w * act_sums
-            - z_a * self._weight_code_sums.astype(np.float64)[None, :]
-            + float(self.taps) * z_w * z_a
-        )
-        scale = self.weight_params.scale * act_params.scale
-        return scale * corrected + self.bias[None, :]
+            product_sum = self.exact_product_sum(act_codes)
+        return self.output_real_stacked(act_codes, act_params, product_sum, 1)
 
     def output_real_stacked(
         self,
@@ -120,32 +105,32 @@ class QuantizedLinearOp:
         """Dequantized outputs of ``plans`` product-sum blocks sharing one
         activation block (block ``p`` = rows ``[p*N, (p+1)*N)``).
 
-        Bit-exact with tiling ``act_codes`` ``plans`` times and calling
-        :meth:`output_real` once — every correction is elementwise with the
-        same operands in the same order — but the act-dependent terms
-        (the int64 widening + per-patch sums of the shared codes) are
-        computed once instead of once per block.
+        Each block is corrected as
+
+            s_w s_a (sums - z_w sum_j aq_j - z_a sum_j wq_j + k z_w z_a) + bias
+
+        with the act-dependent term (the per-patch sums of the shared codes)
+        computed once for all blocks, so the result equals ``plans`` one-block
+        calls bit for bit.  ``product_sums`` is never modified.
         """
         act = self._check_activations(act_codes)
-        product_sums = np.array(product_sums, dtype=np.float64)
+        product_sums = np.asarray(product_sums, dtype=np.float64)
         n = act.shape[0]
         expected = (plans * n, self.filters)
         if product_sums.shape != expected:
             raise ValueError(
                 f"product_sums must have shape {expected}, got {product_sums.shape}"
             )
-        # int64-accumulated reduce: identical sums to astype(int64).sum()
-        # (integer arithmetic) without materializing the 8x-wider act
-        # temporary on the stacked hot path.
+        # int64-accumulated reduce: exact integer sums without materializing
+        # an 8x-wider int64 copy of the codes.
         act_sums = act.sum(axis=1, keepdims=True, dtype=np.int64).astype(np.float64)
         z_w = float(self.weight_params.zero_point)
         z_a = float(act_params.zero_point)
-        # The elementwise operations and their order match output_real
-        # exactly (bit-exact results); they are applied in place on the
-        # owned float64 copy, sparing one (plans*n, filters) temporary per
-        # step of the correction chain.
-        out = product_sums.reshape(plans, n, self.filters)
-        np.subtract(out, (z_w * act_sums)[None], out=out)
+        # The first step allocates the output; the rest of the correction
+        # chain runs in place on it, one elementwise operation at a time.
+        out = np.subtract(
+            product_sums.reshape(plans, n, self.filters), (z_w * act_sums)[None]
+        )
         np.subtract(
             out, (z_a * self._weight_code_sums.astype(np.float64))[None, None, :],
             out=out,

@@ -23,13 +23,20 @@ Every :class:`ProductModel` can be *compiled* against one layer's quantized
 weights via :meth:`ProductModel.compile`, yielding a
 :class:`repro.core.product_kernels.ProductKernel` that hoists all
 weight-dependent work (int64 weight conversion, LUT error-matrix
-construction, control constants) out of the per-batch hot loop.  The
-executor compiles each (layer, group, product model) combination once,
-caches the kernel for the lifetime of the product-model instance, and reuses
-persistent uint8 activation buffers across batches, so a sweep that runs the
-same plan over a full test set performs only the unavoidable per-batch work.
-The legacy uncompiled path is kept behind ``use_compiled=False`` and the
-``pytest -m engine`` parity suite pins both paths bit-exact.
+construction, control constants) out of the per-batch hot loop.  Every
+compiled MAC launch is one
+:class:`~repro.core.product_kernels.MultiPlanKernel` call followed by one
+dequantization (:meth:`QuantizedLinearOp.output_real_stacked`); a layer
+that runs a single product model is a one-block launch.  Kernels are cached
+per ``(layer, group, per-block fingerprints)``, at most
+``_KERNEL_CACHE_CAP`` of them, oldest evicted first, and their blocks are
+compiled once per ``(layer, group, fingerprint)`` and shared through a weak
+index.  Equal plans built from fresh product-model instances (decoded from
+the wire, unpickled in a pool worker) therefore compile nothing, and the
+persistent uint8 activation buffers are reused across batches, so a sweep
+performs only the unavoidable per-batch work.  The uncompiled reference
+walk is kept behind ``use_compiled=False`` and the ``pytest -m engine``
+parity suite pins both paths bit-exact.
 
 Engine backends
 ---------------
@@ -37,8 +44,7 @@ Engine backends
 parameter selects an :class:`repro.core.backends.EngineBackend` by name —
 ``numpy`` (default BLAS kernels) or ``lowmem`` (capped LUT error matrix plus
 chunked evaluation).  All backends are bit-exact; they trade speed and
-memory only, and every backend compiles both per-plan and multi-plan
-kernels.  Selection is exposed end to end::
+memory only.  Selection is exposed end to end::
 
     executor = ApproximateExecutor(model, calib, engine_backend="lowmem")
     parallel_sweep(models, datasets, engine_backend="lowmem")
@@ -56,11 +62,12 @@ plan):
 * plans are deduplicated by their per-layer fingerprints
   (:meth:`ProductModel.fingerprint`) and sorted so that plans sharing a
   layer prefix are adjacent;
-* the prefix all plans agree on runs once, at the full image batch;
+* the prefix all plans agree on runs once, at the full image batch, as
+  one-block launches;
 * from the first layer where plans diverge, every distinct plan "line"
-  rides one stacked backend launch per MAC layer
-  (:meth:`repro.core.backends.EngineBackend.compile_multi`), chunked over
-  images so that no launch exceeds ``_STACKED_ROWS_TARGET`` rows;
+  rides one stacked launch per MAC layer (a single block again where
+  all lines run one product model), chunked over images so that no
+  launch exceeds ``_STACKED_ROWS_TARGET`` rows;
 * a batch of more than ``_MAX_WALK_LINES`` distinct lines is cut at its
   shallowest divergences into several such walks, so the stacked rows stay
   bounded whatever the number of plans a caller sends.
@@ -94,6 +101,7 @@ from repro.core.product_kernels import (
     CallbackKernel,
     KernelOptions,
     LUTKernel,
+    MultiPlanKernel,
     PerforatedKernel,
     ProductKernel,
 )
@@ -124,7 +132,7 @@ class ProductModel(abc.ABC):
         control_variate: ControlVariate,
         options: KernelOptions | None = None,
     ) -> ProductKernel:
-        """Compile this model against one layer's weights (run once per plan).
+        """Compile this model against one layer's weights.
 
         The default implementation wraps :meth:`product_sums`; subclasses
         with an exploitable structure return a specialized kernel instead.
@@ -143,10 +151,10 @@ class ProductModel(abc.ABC):
         identity — conservative but never wrong; subclasses whose behavior
         is fully determined by their configuration return a structural
         token instead.  The instance is anchored by a weak reference (never
-        a raw ``id()``): fingerprints key the executor's multi-plan kernel
-        cache, which outlives the plan objects, and a recycled id must not
-        let a new, different model match an old kernel.  A dead weakref
-        only compares equal to itself.
+        a raw ``id()``): fingerprints key the executor's kernel cache,
+        which outlives the plan objects, and a recycled id must not let a
+        new, different model match an old kernel.  A dead weakref only
+        compares equal to itself.
         """
         return (type(self).__qualname__, weakref.ref(self))
 
@@ -380,9 +388,8 @@ class ApproximateExecutor:
     activation_percentile:
         Percentile used for activation calibration; 100 gives min/max.
     use_compiled:
-        Run each MAC layer through its compiled
-        :class:`~repro.core.product_kernels.ProductKernel` (compiled once
-        per (layer, group, product model) and cached) on the stacked
+        Run each MAC layer as fused kernel launches (compiled once per
+        ``(layer, group, fingerprints)`` and cached) on the stacked
         multi-plan walk.  Disable to run every plan through the per-plan
         reference walk over ``ProductModel.product_sums``; both paths are
         bit-exact.
@@ -405,17 +412,17 @@ class ApproximateExecutor:
         self.use_compiled = bool(use_compiled)
         self.engine_backend = resolve_backend(engine_backend)
         self._nodes: dict[str, _QuantizedMacNode] = {}
-        # Compiled kernels, keyed by product-model instance (weakly, so plans
-        # can be discarded) then by (layer, group).
-        self._kernel_cache: "weakref.WeakKeyDictionary[ProductModel, dict[tuple[str, int], ProductKernel]]" = (
-            weakref.WeakKeyDictionary()
-        )
         # Batch-persistent uint8 activation-code buffers per (layer, group).
         self._act_buffers: dict[tuple[str, int], np.ndarray] = {}
-        # Fused multi-plan launches: compiled MultiPlanKernels keyed by
-        # (layer, group, per-block fingerprints), plus the observability
-        # counters surfaced through EvaluationService.stats().
-        self._multi_kernel_cache: dict[tuple, object] = {}
+        # Compiled kernels keyed by (layer, group, per-block fingerprints),
+        # oldest evicted first beyond _KERNEL_CACHE_CAP; their per-block
+        # kernels are indexed weakly by (layer, group, fingerprint).
+        self._kernels: dict[tuple, MultiPlanKernel] = {}
+        self._blocks: "weakref.WeakValueDictionary[tuple, ProductKernel]" = (
+            weakref.WeakValueDictionary()
+        )
+        # Launches of more than one plan block, surfaced through
+        # EvaluationService.stats().
         self.fused_launches = 0
         self.fused_plans_total = 0
         self._calibrate(calibration_images, activation_percentile)
@@ -497,22 +504,20 @@ class ApproximateExecutor:
                 raise ValueError("override shape mismatch")
             overrides.append(codes)
         node.weight_overrides = overrides
-        self._kernel_cache = weakref.WeakKeyDictionary()
-        self._multi_kernel_cache = {}
+        self._kernels, self._blocks = {}, weakref.WeakValueDictionary()
 
     def clear_weight_overrides(self) -> None:
         """Remove all inference-time weight overrides."""
         for node in self._nodes.values():
             node.weight_overrides = [None] * len(node.ops)
-        self._kernel_cache = weakref.WeakKeyDictionary()
-        self._multi_kernel_cache = {}
+        self._kernels, self._blocks = {}, weakref.WeakValueDictionary()
 
     def reuse_stats(self) -> dict[str, int]:
         """Cross-call cache counters: none, since no activations outlive a call."""
         return {}
 
     def fused_stats(self) -> dict[str, int]:
-        """Fused multi-plan launch counters (cumulative)."""
+        """Counters of launches carrying more than one plan (cumulative)."""
         return {
             "fused_launches": self.fused_launches,
             "fused_plans_total": self.fused_plans_total,
@@ -583,12 +588,16 @@ class ApproximateExecutor:
         """Execute nodes ``start:stop`` under ``plan`` on top of ``activations``."""
         for node in self.model.nodes[start:stop]:
             inputs = [activations[name] for name in node.inputs]
-            if node.name in self._nodes:
+            if node.name not in self._nodes:
+                activations[node.name] = node.layer.forward(*inputs, training=False)
+            elif self.use_compiled:
                 activations[node.name] = self._run_mac_node(
-                    node.name, node.layer, inputs[0], plan.model_for(node.name)
+                    node.name, node.layer, inputs[0], [plan.model_for(node.name)], False
                 )
             else:
-                activations[node.name] = node.layer.forward(*inputs, training=False)
+                activations[node.name] = self._run_reference_mac(
+                    node.layer, self._nodes[node.name], inputs[0], plan.model_for(node.name)
+                )
 
     def _forward_lines(
         self,
@@ -672,8 +681,14 @@ class ApproximateExecutor:
         for index in range(start_index, len(nodes)):
             node = nodes[index]
             depth = mac_depth.get(node.name)
+            if depth is None:
+                inputs = [activations[name] for name in node.inputs]
+                activations[node.name] = node.layer.forward(*inputs, training=False)
+                continue
+            mac_input = node.inputs[0]
+            x = activations[mac_input]
             shared_split = False
-            if depth is not None and depth in splits:
+            if depth in splits:
                 cuts = splits[depth]
                 new_runs: list[tuple[int, int]] = []
                 counts: list[int] = []
@@ -683,8 +698,6 @@ class ApproximateExecutor:
                     counts.append(len(bounds) - 1)
                     new_runs.extend(zip(bounds, bounds[1:]))
                 shared_split = len(runs) == 1 and counts[0] > 1
-                mac_input = node.inputs[0]
-                raw_input = activations[mac_input]
                 needed = self._names_needed_from(index)
                 needed_after = self._names_needed_from(index + 1)
                 expanded: dict[str, np.ndarray] = {}
@@ -698,22 +711,14 @@ class ApproximateExecutor:
                     expanded[name] = _expand_line_blocks(arr, batch, counts)
                 activations = expanded
                 runs = new_runs
-                x = raw_input if shared_split else activations[node.inputs[0]]
-            elif depth is not None:
-                x = activations[node.inputs[0]]
-            if depth is not None:
-                models = [line_plans[s].model_for(node.name) for s, _ in runs]
-                if len(runs) == 1 or len({m.fingerprint() for m in models}) == 1:
-                    activations[node.name] = self._run_mac_node(
-                        node.name, node.layer, x, models[0]
-                    )
-                else:
-                    activations[node.name] = self._run_mac_node_multi(
-                        node.name, node.layer, x, models, shared_split
-                    )
-            else:
-                inputs = [activations[name] for name in node.inputs]
-                activations[node.name] = node.layer.forward(*inputs, training=False)
+                if not shared_split:
+                    x = activations[mac_input]
+            models = [line_plans[s].model_for(node.name) for s, _ in runs]
+            if not shared_split and len({m.fingerprint() for m in models}) == 1:
+                models = models[:1]  # one product model: the stack is one block
+            activations[node.name] = self._run_mac_node(
+                node.name, node.layer, x, models, shared_split
+            )
         return activations[self.model.output_name]
 
     def _names_needed_from(self, index: int) -> set[str]:
@@ -760,121 +765,44 @@ class ApproximateExecutor:
         """Predicted class labels."""
         return self.logits(images, plan, batch_size=batch_size).argmax(axis=1)
 
-    def _run_mac_node_multi(
-        self,
-        name: str,
-        layer: Conv2D | Dense,
-        x: np.ndarray,
-        models: list[ProductModel],
-        shared: bool,
-    ) -> np.ndarray:
-        """One fused launch evaluating ``len(models)`` plan blocks of a MAC.
-
-        ``shared=False``: ``x`` is the block-stacked input (``blocks *
-        batch`` leading rows).  ``shared=True``: ``x`` is a single shared
-        block and the output fans out to ``len(models)`` stacked blocks.
-        """
-        qnode = self._nodes[name]
-        return self._run_compiled_mac(
-            layer,
-            qnode,
-            x,
-            x.shape[0] * (len(models) if shared else 1),
-            lambda g, act_codes: self._run_group_multi(qnode, g, act_codes, models, shared),
-        )
-
-    _MULTI_KERNEL_CACHE_CAP = 256
-
-    def _multi_kernel_for(
-        self, qnode: _QuantizedMacNode, group: int, models: list[ProductModel]
-    ):
-        """Compiled fused kernel for one per-block model assignment."""
-        fps = tuple(model.fingerprint() for model in models)
-        key = (qnode.node_name, group, fps)
-        kernel = self._multi_kernel_cache.get(key)
-        if kernel is None:
-            # Per-block kernels deduped by fingerprint: blocks repeating a
-            # model reuse one compiled kernel (and its LUT error matrix).
-            by_fp: dict[tuple, ProductKernel] = {}
-            kernels = []
-            for model, fp in zip(models, fps):
-                block_kernel = by_fp.get(fp)
-                if block_kernel is None:
-                    block_kernel = self._kernel_for(qnode, group, model)
-                    by_fp[fp] = block_kernel
-                kernels.append(block_kernel)
-            override = qnode.weight_overrides[group]
-            weight_codes = (
-                override if override is not None else qnode.ops[group].weight_codes
-            )
-            kernel = self.engine_backend.compile_multi(
-                models, weight_codes, qnode.control_variates[group], kernels=kernels
-            )
-            if len(self._multi_kernel_cache) >= self._MULTI_KERNEL_CACHE_CAP:
-                self._multi_kernel_cache.pop(next(iter(self._multi_kernel_cache)))
-            self._multi_kernel_cache[key] = kernel
-        return kernel
-
-    def _run_group_multi(
-        self,
-        qnode: _QuantizedMacNode,
-        group: int,
-        act_codes: np.ndarray,
-        models: list[ProductModel],
-        shared: bool,
-    ) -> np.ndarray:
-        op = qnode.ops[group]
-        kernel = self._multi_kernel_for(qnode, group, models)
-        sums = kernel.product_sums_multi(act_codes, shared=shared)
-        self.fused_launches += 1
-        self.fused_plans_total += len(models)
-        if shared:
-            # Every correction is per-patch, so the stacked variant (act
-            # terms computed once, broadcast across blocks) reproduces the
-            # per-block output_real calls bit-exactly without tiling.
-            return op.output_real_stacked(
-                act_codes, qnode.act_params, sums, len(models)
-            )
-        return op.output_real(act_codes, qnode.act_params, product_sum=sums)
-
-    # ------------------------------------------------------------------
     def _run_mac_node(
         self,
         name: str,
         layer: Conv2D | Dense,
         x: np.ndarray,
-        product_model: ProductModel,
+        models: list[ProductModel],
+        shared: bool,
     ) -> np.ndarray:
-        qnode = self._nodes[name]
-        if self.use_compiled:
-            return self._run_compiled_mac(
-                layer,
-                qnode,
-                x,
-                x.shape[0],
-                lambda g, act_codes: self._run_group(qnode, g, act_codes, product_model),
-            )
-        return self._run_reference_mac(layer, qnode, x, product_model)
+        """One compiled launch per group evaluating ``len(models)`` plan blocks.
 
-    def _run_compiled_mac(
-        self,
-        layer: Conv2D | Dense,
-        qnode: _QuantizedMacNode,
-        x: np.ndarray,
-        out_images: int,
-        run_group,
-    ) -> np.ndarray:
-        """Quantize a MAC node's input once, then ``run_group(g, act_codes)``.
+        ``shared=False``: ``x`` is the block-stacked input (``blocks *
+        batch`` leading rows); a single model evaluates all of it as one
+        block.  ``shared=True``: ``x`` is a single shared block and the
+        output fans out to ``len(models)`` stacked blocks.
 
         A convolution quantizes its compact NHWC input and unfolds the uint8
         codes (padding with the zero-point code, i.e. quantize(0)) —
         elementwise identical to unfold-then-quantize, but the im2col gather
         duplicates every pixel ~k^2 times, so this quantizes up to k^2 x
-        less data and gathers uint8 instead of float64.  ``out_images`` is
-        the number of output images ``run_group`` produces.
+        less data and gathers uint8 instead of float64.
         """
+        qnode = self._nodes[name]
+        plans = len(models) if shared else 1
+
+        def launch(group: int, act_codes: np.ndarray) -> np.ndarray:
+            kernel = self._kernel(qnode, group, models)
+            sums = kernel.product_sums_multi(act_codes, shared=shared)
+            if len(models) > 1:
+                self.fused_launches += 1
+                self.fused_plans_total += len(models)
+            # Every correction is per-patch, so a shared block's act terms
+            # are computed once and broadcast across the plan blocks.
+            return qnode.ops[group].output_real_stacked(
+                act_codes, qnode.act_params, sums, plans
+            )
+
         if isinstance(layer, Dense):
-            return run_group(0, self._quantize_acts(qnode, 0, x))
+            return launch(0, self._quantize_acts(qnode, 0, x))
         cin_per_group = layer.in_channels // layer.groups
         cout_per_group = layer.out_channels // layer.groups
         codes = self._quantize_acts(qnode, -1, x)
@@ -889,9 +817,47 @@ class ApproximateExecutor:
                 layer.pad,
                 pad_value=pad_code,
             )
-            out_flat = run_group(g, act_codes)
-            outputs.append(out_flat.reshape(out_images, out_h, out_w, cout_per_group))
+            out_flat = launch(g, act_codes)
+            outputs.append(
+                out_flat.reshape(x.shape[0] * plans, out_h, out_w, cout_per_group)
+            )
         return np.concatenate(outputs, axis=-1) if layer.groups > 1 else outputs[0]
+
+    #: Most cached kernels per executor: a daemon receives LUT tables by
+    #: value, so the fingerprints it compiles for are unbounded.
+    _KERNEL_CACHE_CAP = 256
+
+    def _kernel(
+        self, qnode: _QuantizedMacNode, group: int, models: list[ProductModel]
+    ) -> MultiPlanKernel:
+        """Compiled kernel for one per-block model assignment of a layer group.
+
+        Keyed by fingerprints, so plans rebuilt from fresh product-model
+        instances (decoded from the wire, unpickled in a pool worker) reuse
+        it.  Blocks are compiled once per ``(layer, group, fingerprint)``
+        and shared by every cached kernel through the weak block index, so a
+        LUT error matrix is built once per layer.
+        """
+        fps = tuple(model.fingerprint() for model in models)
+        key = (qnode.node_name, group, fps)
+        kernel = self._kernels.get(key)
+        if kernel is not None:
+            return kernel
+        override = qnode.weight_overrides[group]
+        weight_codes = override if override is not None else qnode.ops[group].weight_codes
+        cv = qnode.control_variates[group]
+        blocks = []
+        for model, fp in zip(models, fps):
+            block = self._blocks.get((qnode.node_name, group, fp))
+            if block is None:
+                block = self.engine_backend.compile(model, weight_codes, cv)
+                self._blocks[(qnode.node_name, group, fp)] = block
+            blocks.append(block)
+        kernel = self.engine_backend.compile_multi(models, weight_codes, cv, kernels=blocks)
+        if len(self._kernels) >= self._KERNEL_CACHE_CAP:
+            self._kernels.pop(next(iter(self._kernels)))
+        self._kernels[key] = kernel
+        return kernel
 
     def _run_reference_mac(
         self,
@@ -902,7 +868,9 @@ class ApproximateExecutor:
     ) -> np.ndarray:
         """Unfold-then-quantize per group (the ``use_compiled=False`` path)."""
         if isinstance(layer, Dense):
-            return self._run_group(qnode, 0, self._quantize_acts(qnode, 0, x), product_model)
+            return self._run_reference_group(
+                qnode, 0, self._quantize_acts(qnode, 0, x), product_model
+            )
         cin_per_group = layer.in_channels // layer.groups
         cout_per_group = layer.out_channels // layer.groups
         outputs = []
@@ -915,7 +883,7 @@ class ApproximateExecutor:
                 layer.pad,
             )
             act_codes = self._quantize_acts(qnode, g, cols)
-            out_flat = self._run_group(qnode, g, act_codes, product_model)
+            out_flat = self._run_reference_group(qnode, g, act_codes, product_model)
             outputs.append(out_flat.reshape(x.shape[0], out_h, out_w, cout_per_group))
         return np.concatenate(outputs, axis=-1) if layer.groups > 1 else outputs[0]
 
@@ -936,27 +904,7 @@ class ApproximateExecutor:
             self._act_buffers[key] = buffer
         return quantize(cols, qnode.act_params, out=buffer[: cols.shape[0]])
 
-    def _kernel_for(
-        self, qnode: _QuantizedMacNode, group: int, product_model: ProductModel
-    ) -> ProductKernel:
-        per_model = self._kernel_cache.get(product_model)
-        if per_model is None:
-            per_model = {}
-            self._kernel_cache[product_model] = per_model
-        key = (qnode.node_name, group)
-        kernel = per_model.get(key)
-        if kernel is None:
-            override = qnode.weight_overrides[group]
-            weight_codes = (
-                override if override is not None else qnode.ops[group].weight_codes
-            )
-            kernel = self.engine_backend.compile(
-                product_model, weight_codes, qnode.control_variates[group]
-            )
-            per_model[key] = kernel
-        return kernel
-
-    def _run_group(
+    def _run_reference_group(
         self,
         qnode: _QuantizedMacNode,
         group: int,
@@ -964,14 +912,11 @@ class ApproximateExecutor:
         product_model: ProductModel,
     ) -> np.ndarray:
         op = qnode.ops[group]
-        if self.use_compiled:
-            sums = self._kernel_for(qnode, group, product_model)(act_codes)
-        else:
-            override = qnode.weight_overrides[group]
-            weight_codes = override if override is not None else op.weight_codes
-            sums = product_model.product_sums(
-                act_codes, weight_codes, qnode.control_variates[group]
-            )
+        override = qnode.weight_overrides[group]
+        weight_codes = override if override is not None else op.weight_codes
+        sums = product_model.product_sums(
+            act_codes, weight_codes, qnode.control_variates[group]
+        )
         return op.output_real(act_codes, qnode.act_params, product_sum=sums)
 
 

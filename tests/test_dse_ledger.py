@@ -18,6 +18,7 @@ from repro.simulation.inference import (
     PerforatedProduct,
 )
 from repro.multipliers.perforated import PerforatedMultiplier
+from repro.runtime.jobs.cache import ResultCache
 
 pytestmark = pytest.mark.dse
 
@@ -121,6 +122,31 @@ class TestCampaignLedger:
         with open(os.path.join(str(tmp_path), "bad.json"), "w") as handle:
             handle.write("{not json")
         assert ledger.get("bad") is None
+
+    def test_non_utf8_record_treated_as_missing(self, tmp_path):
+        """Byte garbage is a miss, and a warm-starting result cache skips it
+        and still loads the good records."""
+        CampaignLedger(path=str(tmp_path)).put("good", {"accuracy": 0.25})
+        with open(os.path.join(str(tmp_path), "garbage.json"), "wb") as handle:
+            handle.write(b"\xff\xfe\x80 not utf-8 \xc3")
+        ledger = CampaignLedger(path=str(tmp_path))
+        assert ledger.get("garbage") is None
+        assert ledger.get("good") == {"accuracy": 0.25}
+        assert ledger.misses == 1 and ledger.hits == 1
+        cache = ResultCache(persist_dir=str(tmp_path))
+        assert cache.stats()["loaded"] == 1
+        assert cache.get("good") == 0.25
+
+    def test_non_object_record_treated_as_missing(self, tmp_path):
+        """A JSON value that is not an object is a miss, not a record."""
+        CampaignLedger(path=str(tmp_path)).put("good", {"accuracy": 0.5})
+        with open(os.path.join(str(tmp_path), "list.json"), "w") as handle:
+            json.dump([1, 2], handle)
+        ledger = CampaignLedger(path=str(tmp_path))
+        assert ledger.get("list") is None
+        assert ledger.misses == 1
+        assert list(ledger.iter_disk_records()) == [("good", {"accuracy": 0.5})]
+        assert ResultCache(persist_dir=str(tmp_path)).get("good") == 0.5
 
     def test_memory_only_ledger(self):
         ledger = CampaignLedger(path=None)

@@ -14,7 +14,8 @@ end:
 * ``ApproximateExecutor.forward_many`` — randomized plan families on every
   backend against the per-plan reference walk (``use_compiled=False``),
   duplicate plans, single-plan and zero-shared-prefix sets, the bound on
-  stacked launch rows, and the fused-launch counters;
+  stacked launch rows, the fused-launch counters, one-block launches for
+  a single plan, and the bounded fingerprint-keyed kernel cache;
 * :func:`~repro.runtime.scheduling.plan_group_slices` — depth-aware group
   cuts land on divergence-family boundaries;
 * the service / ``parallel_sweep`` — the sweep reproduces the committed
@@ -34,6 +35,7 @@ from repro.core.product_kernels import (
     LUTKernel,
     MultiPlanKernel,
     PerforatedKernel,
+    ProductKernel,
 )
 from repro.multipliers.perforated import PerforatedMultiplier
 from repro.multipliers.truncated import TruncatedMultiplier
@@ -370,11 +372,103 @@ class TestExecutorForwardMany:
             "fused_launches": 0,
             "fused_plans_total": 0,
         }
+        # A single plan rides one-block launches, which are not fused.
+        executor.forward(tiny_dataset.test_images[:6], _random_plans(trained, 2, 5)[1])
+        assert executor.fused_stats() == {
+            "fused_launches": 0,
+            "fused_plans_total": 0,
+        }
         plans = _random_plans(trained, count=4, seed=5)
         executor.forward_many(tiny_dataset.test_images[:6], plans)
         stats = executor.fused_stats()
         assert stats["fused_launches"] > 0
         assert stats["fused_plans_total"] >= stats["fused_launches"] * 2
+
+    def test_one_plan_makes_no_per_plan_kernel_calls(
+        self, trained, tiny_dataset, monkeypatch
+    ):
+        """A single plan runs every MAC layer as a one-block fused launch:
+        the executor never calls a per-plan kernel directly."""
+        calib = tiny_dataset.train_images[:32]
+        executor = ApproximateExecutor(trained.model, calib, engine_backend="numpy")
+        menu = [
+            PerforatedProduct(2),
+            LUTProduct(TruncatedMultiplier(1, 2)),
+            AccurateProduct(),
+            PerforatedProduct(3, use_control_variate=False),
+        ]
+        plan = ExecutionPlan.uniform(PerforatedProduct(1))
+        for i, name in enumerate(model_mac_names(trained)):
+            plan = plan.with_layer(name, menu[i % len(menu)])
+        calls: list[int] = []
+        call = ProductKernel.__call__
+
+        def spy(kernel, act_codes):
+            calls.append(act_codes.shape[0])
+            return call(kernel, act_codes)
+
+        monkeypatch.setattr(ProductKernel, "__call__", spy)
+        images = tiny_dataset.test_images[:6]
+        logits = executor.forward(images, plan)
+        assert calls == []
+        reference = ApproximateExecutor(trained.model, calib, use_compiled=False)
+        np.testing.assert_array_equal(logits, reference.forward(images, plan))
+
+    def test_equal_fingerprints_reuse_compiled_kernels(
+        self, trained, tiny_dataset, monkeypatch
+    ):
+        """A plan rebuilt from fresh product-model instances (as a decoded
+        wire plan or an unpickled pool chunk is) compiles nothing new."""
+        executor = ApproximateExecutor(trained.model, tiny_dataset.train_images[:32])
+        compiled: list[str] = []
+        compile_one, compile_multi = NumpyBackend.compile, NumpyBackend.compile_multi
+
+        def spy_one(backend, model, *args, **kwargs):
+            compiled.append("block")
+            return compile_one(backend, model, *args, **kwargs)
+
+        def spy_multi(backend, models, *args, **kwargs):
+            compiled.append("kernel")
+            return compile_multi(backend, models, *args, **kwargs)
+
+        monkeypatch.setattr(NumpyBackend, "compile", spy_one)
+        monkeypatch.setattr(NumpyBackend, "compile_multi", spy_multi)
+        last = model_mac_names(trained)[-1]
+
+        def build():
+            return ExecutionPlan.uniform(PerforatedProduct(2)).with_layer(
+                last, PerforatedProduct(3, use_control_variate=False)
+            )
+
+        images = tiny_dataset.test_images[:4]
+        first = executor.forward(images, build())
+        assert compiled
+        compiled.clear()
+        np.testing.assert_array_equal(executor.forward(images, build()), first)
+        assert compiled == []
+
+    def test_kernel_cache_is_bounded(self, trained, tiny_dataset):
+        """More distinct fused combinations than the cap evict the oldest
+        kernels instead of growing the cache, and results stay exact."""
+        calib = tiny_dataset.train_images[:32]
+        executor = ApproximateExecutor(trained.model, calib)
+        cap = ApproximateExecutor._KERNEL_CACHE_CAP
+        menu = [AccurateProduct()] + [
+            PerforatedProduct(m, use_control_variate=cv)
+            for m in range(1, 8)
+            for cv in (True, False)
+        ]
+        pairs = [(a, b) for i, a in enumerate(menu) for b in menu[i + 1 :]]
+        layers = len(model_mac_names(trained))
+        count = cap // layers + 2  # every pair fuses each layer: > cap combos
+        images = tiny_dataset.test_images[:2]
+        for a, b in pairs[:count]:
+            plans = [ExecutionPlan.uniform(a), ExecutionPlan.uniform(b)]
+            outputs = executor.forward_many(images, plans)
+        assert len(executor._kernels) == cap
+        reference = ApproximateExecutor(trained.model, calib, use_compiled=False)
+        for plan, logits in zip(plans, outputs):
+            np.testing.assert_array_equal(logits, reference.forward(images, plan))
 
     def test_forward_is_forward_many_of_one_plan(self, executor, trained, tiny_dataset):
         images = tiny_dataset.test_images[:6]
@@ -407,14 +501,14 @@ class TestExecutorForwardMany:
         than ``_STACKED_ROWS_TARGET`` image rows."""
         executor = ApproximateExecutor(trained.model, tiny_dataset.train_images[:32])
         launched: list[int] = []
-        run_multi = ApproximateExecutor._run_mac_node_multi
+        run_mac = ApproximateExecutor._run_mac_node
 
         def spy(self, name, layer, x, models, shared):
-            out = run_multi(self, name, layer, x, models, shared)
+            out = run_mac(self, name, layer, x, models, shared)
             launched.append(out.shape[0])
             return out
 
-        monkeypatch.setattr(ApproximateExecutor, "_run_mac_node_multi", spy)
+        monkeypatch.setattr(ApproximateExecutor, "_run_mac_node", spy)
         plans = _random_plans(trained, count=64, seed=7)
         mac_names = model_mac_names(trained)
         lines = {plan.fingerprints(mac_names) for plan in plans}
