@@ -39,7 +39,8 @@ scheduler-unit:
 	$(PYTEST) -q tests/test_runtime_scheduling.py
 
 # Evaluation-runtime suite: scheduler units plus EvaluationService lifecycle
-# and graceful shutdown, service-vs-serial bit-exact parity, work stealing,
+# and graceful shutdown (worker failure and SIGKILL injection),
+# service-vs-serial bit-exact parity, the one-BLAS-thread worker pin,
 # parallel DSE campaigns.
 runtime-smoke: scheduler-unit
 	$(PYTEST) -q -m runtime tests

@@ -175,7 +175,7 @@ def sweep_jobs_local(
 
     Returns ``(sweep, totals, stats)`` — the :class:`SweepResult`, the
     per-sweep job/cache totals, and the manager's final
-    ``repro-runtime-stats/v1.3`` payload.
+    ``repro-runtime-stats/v1.4`` payload.
     """
     from repro.runtime.jobs import JobManager, LocalJobClient, sweep_over_jobs
     from repro.runtime.sizing import resolve_worker_count

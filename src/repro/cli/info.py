@@ -52,6 +52,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(
         f"runtime: stats schema {runtime['stats_schema']}, "
         f"auto workers resolve to {runtime['auto_workers']} on this host, "
+        f"BLAS threads {runtime['blas_threads']} here and "
+        f"{runtime['pool_worker_blas_threads']} per pool worker, "
         f"job queue depth {runtime['default_queue_depth']}, "
         f"per-session in-flight cap {runtime['default_session_inflight']}"
     )

@@ -84,17 +84,21 @@ def _seed_defaults() -> dict:
 
 
 def _runtime_defaults() -> dict:
-    """The runtime layer's stats schema and admission defaults.
+    """The runtime layer's stats schema, BLAS threading and admission defaults.
 
     ``repro info`` surfaces the same schema identifier every live
     ``stats()`` payload carries (:data:`repro.runtime.stats.STATS_SCHEMA`),
-    plus the worker sizing this host would resolve an auto request to and
-    the job layer's admission-control defaults — so a manifest records how
-    the runtime *would* be configured even for runs that never start a
-    service.
+    plus the worker sizing this host would resolve an auto request to, the
+    BLAS threads of this process and of each pool worker, and the job
+    layer's admission-control defaults — so a manifest records how the
+    runtime *would* be configured even for runs that never start a service.
     """
     from repro.runtime.jobs.queue import JobQueue
-    from repro.runtime.sizing import resolve_worker_count
+    from repro.runtime.sizing import (
+        POOL_WORKER_BLAS_THREADS,
+        blas_thread_count,
+        resolve_worker_count,
+    )
     from repro.runtime.stats import STATS_SCHEMA
 
     return {
@@ -102,6 +106,11 @@ def _runtime_defaults() -> dict:
         # A `workers=None` auto request resolved on this host (affinity/
         # load-aware) — the effective pool an unconstrained run would get.
         "auto_workers": resolve_worker_count(None),
+        # OpenBLAS threads of this (host) process, which the serial path
+        # uses; None when numpy's BLAS exposes no thread-count getter.
+        "blas_threads": blas_thread_count(),
+        # What every pool worker pins its OpenBLAS to before its first chunk.
+        "pool_worker_blas_threads": POOL_WORKER_BLAS_THREADS,
         "default_queue_depth": JobQueue().max_depth,
         "default_session_inflight": JobQueue().max_inflight_per_session,
     }
@@ -114,7 +123,7 @@ def provenance_environment() -> dict:
     ``machine`` / ``cpu_count`` (host facts), ``packages`` (probe results
     incl. import-failure reasons), ``engine_backends`` (registry
     availability with reasons), ``seed_defaults``, ``runtime`` (stats
-    schema + admission defaults).
+    schema, worker and BLAS-thread sizing, admission defaults).
     """
     return {
         "package": {"name": "repro-dac21", "version": __version__},

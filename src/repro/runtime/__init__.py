@@ -10,15 +10,14 @@ execution path that serves them:
 * :mod:`~repro.runtime.scheduling` — prefix-aware ordering plus count- and
   cost-balanced contiguous chunking of ``(model, plan)`` cells;
 * :mod:`~repro.runtime.cost_model` — :class:`CellCostModel`: prices cells
-  from per-layer technique throughput (LUT ~40x perforated), refined
-  online from measured chunk wall-clocks;
+  from per-layer technique throughput (LUT ~40x perforated);
 * :mod:`~repro.runtime.sizing` — pool auto-sizing policy (affinity-aware
-  CPU count, load discount, degrade-to-serial clamp of requested counts);
+  CPU count, load discount, degrade-to-serial clamp of requested counts)
+  and the one-BLAS-thread pin of every pool worker;
 * :mod:`~repro.runtime.worker` — per-process executor cache and cell
   evaluation (shared by the pool and the in-process serial path);
 * :mod:`~repro.runtime.service` — :class:`EvaluationService`: persistent
-  worker pool, cost-balanced work-stealing batch submission, graceful
-  shutdown.
+  worker pool, one cost-balanced chunk per worker, graceful shutdown.
 
 :func:`repro.simulation.campaign.parallel_sweep` /
 :func:`~repro.simulation.campaign.plan_sweep` and the DSE engine's

@@ -57,8 +57,8 @@ class JobManager:
     service:
         An already-constructed engine to front (not owned: ``close()``
         leaves it running).  Mutually exclusive with the engine knobs.
-    max_workers / requested_workers / chunks_per_worker / max_eval_images /
-    calibration_images / engine_backend / use_shared_memory / batch_size:
+    max_workers / requested_workers / max_eval_images / calibration_images /
+    engine_backend / use_shared_memory / batch_size:
         Engine knobs, as in :class:`~repro.runtime.service.EvaluationService`.
     max_queue_depth / max_inflight_per_session:
         Admission bounds (see :class:`~repro.runtime.jobs.queue.JobQueue`).
@@ -92,7 +92,6 @@ class JobManager:
         service: EvaluationService | None = None,
         max_workers: int | None = 1,
         requested_workers: int | None = None,
-        chunks_per_worker: int = 4,
         max_eval_images: int | None = None,
         calibration_images: int = 128,
         engine_backend: str | None = None,
@@ -124,7 +123,6 @@ class JobManager:
                 datasets,
                 max_workers=max_workers,
                 requested_workers=requested_workers,
-                chunks_per_worker=chunks_per_worker,
                 max_eval_images=max_eval_images,
                 calibration_images=calibration_images,
                 engine_backend=engine_backend,

@@ -235,8 +235,8 @@ def cost_balanced_chunks(
     :func:`contiguous_chunks`), but balanced by the per-cell ``costs``
     instead of cell count: the ``j``-th cut lands where the cumulative
     cost is closest to ``total * j / k``, so a schedule with one expensive
-    (LUT-heavy) tail yields one small expensive chunk and several larger
-    cheap ones — the shape work stealing needs.
+    (LUT-heavy) tail yields one small expensive chunk and larger cheap
+    ones, so no worker straggles behind the expensive cells.
 
     ``split_depths`` (from :func:`shared_prefix_depths`) optionally biases
     each cut toward prefix-divergence boundaries: cutting where

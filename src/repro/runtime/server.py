@@ -11,7 +11,7 @@ dependencies.
 API (all JSON)::
 
     GET  /healthz        {"status": "ok", "models": N, "uptime_s": ...}
-    GET  /stats          the repro-runtime-stats/v1.3 payload
+    GET  /stats          the repro-runtime-stats/v1.4 payload
     GET  /models         {"models": [{index, name, dataset,
                                       mac_layer_names, context_key}, ...]}
     POST /jobs           {"model": name [, "dataset": name] | "model_index": i,

@@ -14,15 +14,15 @@ service is the one execution path behind all of them:
   fingerprint schedule of :mod:`repro.runtime.scheduling` and distributed
   as contiguous chunks, so plans sharing a layer prefix land adjacently on
   one worker, whose multi-plan walk runs that prefix once;
-* **cost-balanced work stealing** — on the pool path the schedule is cut
-  into plan groups (:func:`~repro.runtime.scheduling.plan_group_slices`)
-  and the groups into *more chunks than workers* (``chunks_per_worker``
-  per worker), balanced by the predicted group cost of a
-  :class:`~repro.runtime.cost_model.CellCostModel` with cuts biased toward
-  prefix-divergence boundaries; idle workers drain the excess chunks from
-  the pool's queue, so one LUT-heavy straggler chunk no longer serializes
-  the batch.  Measured chunk wall-clocks feed back into the cost model
-  (online refinement), sharpening the balance across a session;
+* **one cost-balanced chunk per worker** — on the pool path the schedule
+  is cut into plan groups
+  (:func:`~repro.runtime.scheduling.plan_group_slices`) and the groups
+  into one chunk per worker, balanced by the predicted group cost of a
+  :class:`~repro.runtime.cost_model.CellCostModel` (a LUT-mapped layer
+  prices about 40x a perforated one) with cuts biased toward
+  prefix-divergence boundaries.  Each worker runs its BLAS on one thread
+  (:func:`~repro.runtime.sizing.pin_pool_worker_blas_threads`), so the
+  pool runs one busy thread per core;
 * **bit-exact** — every accuracy the service returns is identical to
   evaluating the same plan on a fresh in-process executor (pinned by the
   parity suite).
@@ -70,8 +70,8 @@ from repro.runtime.scheduling import (
 from repro.runtime.sizing import auto_worker_count
 from repro.runtime.worker import (
     STAT_COUNTERS,
+    _eval_cell_chunk_task,
     _init_pool_worker,
-    _timed_eval_cell_chunk_task,
     eval_cell_chunk,
     init_worker_state,
 )
@@ -92,9 +92,8 @@ class EvaluationBatch:
     through doomed work.  The first failure is cached: every later
     :meth:`results` call re-raises *it*, not the ``CancelledError`` of the
     chunks the cleanup cancelled.  Pool chunks return ``(accuracies,
-    wall_clock, counters)`` triples; each measured wall-clock is folded
-    into the service's cost model — and each counter delta into the
-    service's aggregated worker counters — as the chunk completes.
+    counters)`` pairs; each counter delta is folded into the service's
+    aggregated worker counters as the chunk completes.
     """
 
     def __init__(
@@ -103,16 +102,12 @@ class EvaluationBatch:
         chunk_results: list[list[float]] | None,
         futures: "list[Future] | None",
         num_cells: int,
-        cost_model: CellCostModel | None = None,
-        chunk_units: list[dict[str, float]] | None = None,
         counters_sink: "Callable[[dict[str, int]], None] | None" = None,
     ):
         self._order = order
         self._chunk_results = chunk_results
         self._futures = futures
         self._num_cells = num_cells
-        self._cost_model = cost_model
-        self._chunk_units = chunk_units
         self._counters_sink = counters_sink
         self._failure: BaseException | None = None
 
@@ -126,12 +121,9 @@ class EvaluationBatch:
         if self._chunk_results is None:
             collected: list[list[float]] = []
             try:
-                for index, future in enumerate(self._futures):
-                    outcome = future.result()
-                    accuracies, elapsed, counters = outcome
+                for future in self._futures:
+                    accuracies, counters = future.result()
                     collected.append(accuracies)
-                    if self._cost_model is not None and self._chunk_units:
-                        self._cost_model.observe(self._chunk_units[index], elapsed)
                     if self._counters_sink is not None:
                         self._counters_sink(counters)
             except BaseException as exc:
@@ -182,11 +174,6 @@ class EvaluationService:
         effective ``workers`` in :meth:`stats` so a degraded-to-serial run
         is visible as ``requested_workers=4, workers=1``.  Defaults to
         ``max_workers``.
-    chunks_per_worker:
-        Pool-path oversubscription factor: each batch is split into up to
-        ``max_workers * chunks_per_worker`` cost-balanced chunks, so idle
-        workers steal queued chunks instead of waiting on a straggler.
-        ``1`` restores one-chunk-per-worker static partitioning.
     max_eval_images / calibration_images / engine_backend:
         As in :func:`repro.simulation.campaign.plan_sweep` — they select
         the (bit-exact) measurement setup every worker reproduces.
@@ -207,7 +194,6 @@ class EvaluationService:
         *,
         max_workers: int | None = None,
         requested_workers: int | None = None,
-        chunks_per_worker: int = 4,
         max_eval_images: int | None = None,
         calibration_images: int = 128,
         engine_backend: str | None = None,
@@ -231,17 +217,12 @@ class EvaluationService:
             raise ValueError(
                 f"max_workers must be a positive integer, got {max_workers}"
             )
-        if int(chunks_per_worker) < 1:
-            raise ValueError(
-                f"chunks_per_worker must be a positive integer, got {chunks_per_worker}"
-            )
         if int(batch_size) < 1:
             raise ValueError(f"batch_size must be a positive integer, got {batch_size}")
         self.max_workers = int(max_workers)
         self.requested_workers = (
             self.max_workers if requested_workers is None else int(requested_workers)
         )
-        self.chunks_per_worker = int(chunks_per_worker)
         self.max_eval_images = max_eval_images
         self.calibration_images = int(calibration_images)
         self.engine_backend = engine_backend
@@ -401,9 +382,8 @@ class EvaluationService:
         """The session's cell cost model (built lazily, one per service).
 
         Layer work is extracted once per hosted model (a one-image dummy
-        forward); the per-technique throughput factors start at the
-        bench-calibrated defaults and are refined online from the measured
-        chunk wall-clocks of every pool batch.
+        forward) and priced with the bench-calibrated per-technique
+        throughput factors.
         """
         # Imported lazily: cost_model imports the simulation package, whose
         # campaign module imports this module back — a top-level import here
@@ -428,7 +408,6 @@ class EvaluationService:
         """
         return {
             "workers": self.max_workers,
-            "chunks_per_worker": self.chunks_per_worker,
             "serial": self.serial,
             "models": [
                 {"name": trained.name, "dataset": trained.dataset_name}
@@ -451,7 +430,7 @@ class EvaluationService:
                     self._worker_counters[key] += int(value)
 
     def stats(self) -> dict:
-        """Counters of the session so far (``repro-runtime-stats/v1.3`` schema).
+        """Counters of the session so far (``repro-runtime-stats/v1.4`` schema).
 
         The payload nests everything engine-level under ``"engine"``, with
         ``requested_workers`` (what the caller asked for) next to the
@@ -466,7 +445,6 @@ class EvaluationService:
         engine = {
             "requested_workers": self.requested_workers,
             "workers": self.max_workers,
-            "chunks_per_worker": self.chunks_per_worker,
             "models": len(self.models),
             "datasets": len(self.datasets),
             "batches_submitted": self.batches_submitted,
@@ -483,9 +461,6 @@ class EvaluationService:
         engine["plans_per_launch_avg"] = (
             counters["fused_plans_total"] / launches if launches else None
         )
-        if self._cost_model is not None:
-            engine["cost_model_observations"] = self._cost_model.observations
-            engine["cost_model_seconds_per_unit"] = self._cost_model.seconds_per_unit
         if self._serial_state is not None:
             engine["executor_builds"] = self._serial_state.get("executor_builds", 0)
             engine["cells_evaluated"] = self._serial_state.get("cells_evaluated", 0)
@@ -520,17 +495,14 @@ class EvaluationService:
         :data:`~repro.runtime.scheduling.DEFAULT_PLAN_GROUP_SIZE` consecutive
         same-model cells, cut at divergence-family boundaries), prices each
         group as one multi-plan walk (:meth:`CellCostModel.group_cost`), and
-        balances the groups into up to ``max_workers * chunks_per_worker``
-        contiguous chunks (cuts biased toward prefix-divergence boundaries)
-        dispatched asynchronously — the excess chunks sit in the pool's
-        queue and are *stolen* by whichever worker goes idle first, so a
-        mispredicted straggler delays one chunk, not the whole batch.
-        Chunking never changes what is evaluated: every cell runs the same
-        measurement regardless of worker count (the bit-exactness
-        contract).  ``batch.results()`` resolves to accuracies in the
-        cells' *submission* order.  Plans overriding a layer their model
-        does not have raise :class:`ValueError`.  The service auto-starts
-        on first submission.
+        balances the groups into one contiguous chunk per worker (cuts
+        biased toward prefix-divergence boundaries), dispatched
+        asynchronously.  Chunking never changes what is evaluated: every
+        cell runs the same measurement regardless of worker count (the
+        bit-exactness contract).  ``batch.results()`` resolves to
+        accuracies in the cells' *submission* order.  Plans overriding a
+        layer their model does not have raise :class:`ValueError`.  The
+        service auto-starts on first submission.
         """
         if self._closed:
             raise RuntimeError("EvaluationService is closed")
@@ -567,27 +539,19 @@ class EvaluationService:
         # next — the prefix a cut between those groups would re-run.
         group_depths = [depths[stop - 1] for _, stop in slices[:-1]]
         group_chunks = cost_balanced_chunks(
-            groups,
-            group_costs,
-            self.max_workers * self.chunks_per_worker,
-            split_depths=group_depths,
+            groups, group_costs, self.max_workers, split_depths=group_depths
         )
-        chunks = [[cell for group in chunk for cell in group] for chunk in group_chunks]
-        chunk_units = [
-            cost_model.chunk_units_by_kind(chunk, self._mac_names)
-            for chunk in chunks
-        ]
         futures = [
-            self._pool.submit(_timed_eval_cell_chunk_task, chunk)
-            for chunk in chunks
+            self._pool.submit(
+                _eval_cell_chunk_task, [cell for group in chunk for cell in group]
+            )
+            for chunk in group_chunks
         ]
         return EvaluationBatch(
             order,
             None,
             futures,
             len(cells),
-            cost_model=cost_model,
-            chunk_units=chunk_units,
             counters_sink=self._absorb_worker_counters,
         )
 

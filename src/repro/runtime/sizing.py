@@ -26,7 +26,12 @@ This module is the one place that policy lives:
   counts by ``run_campaign(workers=N)``, the sweeps and the CLI:
   ``min(requested, effective_cpu_count())``, so ``repro dse --workers 4``
   on a 1-CPU box degrades to the serial in-process path (1.0x serial)
-  instead of running 4 contending processes (0.54x).
+  instead of running 4 contending processes (0.54x);
+* :func:`pin_pool_worker_blas_threads` — the first step of every pool
+  worker: numpy's OpenBLAS runs one thread per core, so N forked workers
+  would run N x cores BLAS threads on the cores the pool was sized to.
+  Each worker is pinned to :data:`POOL_WORKER_BLAS_THREADS`; the host
+  process and the serial path keep their BLAS threads.
 
 :class:`~repro.runtime.service.EvaluationService` itself honors an
 *explicit* ``max_workers`` verbatim (tests rely on exercising the pool
@@ -36,7 +41,22 @@ intent enters the system — the campaign/sweep entry points.
 
 from __future__ import annotations
 
+import ctypes
 import os
+
+#: BLAS threads each pool worker runs with: the pool already has one worker
+#: per schedulable core, so more threads per worker only oversubscribe.
+POOL_WORKER_BLAS_THREADS = 1
+
+#: ``(setter, getter)`` thread-count symbols of the OpenBLAS builds numpy
+#: ships or links: the scipy-openblas wheels (64- and 32-bit integer
+#: interfaces) and a distribution's own OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 def effective_cpu_count() -> int:
@@ -100,8 +120,64 @@ def resolve_worker_count(
     return max(1, workers)
 
 
+def _openblas_thread_calls():
+    """``(setter, getter)`` of the OpenBLAS numpy loaded, or ``None``.
+
+    Looked up among the shared objects already mapped into this process
+    (``/proc/self/maps``) and opened with ``RTLD_NOLOAD``, so the calls
+    reach the very library numpy's matmuls run on and never load another.
+    ``None`` without ``/proc`` or without an OpenBLAS exporting a known
+    thread-count pair.
+    """
+    import numpy  # noqa: F401 - importing numpy maps its BLAS
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted(
+                {line.split()[-1] for line in maps if "openblas" in line.lower()}
+            )
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(library, setter) and hasattr(library, getter):
+                # void set(int count); int get(void)
+                set_threads = getattr(library, setter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads = getattr(library, getter)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+def pin_pool_worker_blas_threads() -> None:
+    """Pin this process's OpenBLAS to :data:`POOL_WORKER_BLAS_THREADS`.
+
+    Called by each pool worker before it does any work.  Workers fork from
+    a host whose OpenBLAS has already read its environment, so an
+    ``OPENBLAS_NUM_THREADS`` set inside a worker comes too late; the
+    library's own setter does not.  Does nothing when no setter is found.
+    """
+    calls = _openblas_thread_calls()
+    if calls is not None:
+        calls[0](POOL_WORKER_BLAS_THREADS)
+
+
+def blas_thread_count() -> int | None:
+    """This process's OpenBLAS thread count, or ``None`` without a getter."""
+    calls = _openblas_thread_calls()
+    return None if calls is None else int(calls[1]())
+
+
 __all__ = [
+    "POOL_WORKER_BLAS_THREADS",
     "effective_cpu_count",
     "auto_worker_count",
     "resolve_worker_count",
+    "pin_pool_worker_blas_threads",
+    "blas_thread_count",
 ]

@@ -7,7 +7,7 @@ another, and ``repro info`` a third.  This module pins the shared shape:
 .. code-block:: json
 
     {
-      "schema": "repro-runtime-stats/v1.3",
+      "schema": "repro-runtime-stats/v1.4",
       "engine":   { "requested_workers": ..., "workers": ..., ... },
       "jobs":     { "submitted": ..., "depth": ..., "rejected": ..., ... },
       "cache":    { "entries": ..., "hits": ..., "misses": ..., "evictions": ..., ... },
@@ -30,12 +30,16 @@ v1.3 drops from ``jobs`` the per-band queue depths, the band-bypass
 bound and counter, and the two job-expiry counters (the queue is one
 FIFO and jobs carry no expiry); again every remaining key keeps its
 meaning.
+v1.4 drops from ``engine`` the ``chunks_per_worker`` setting and the two
+``cost_model_*`` counters (pool batches run one chunk per worker and the
+cost model is no longer refined online); every remaining key keeps its
+meaning.
 """
 
 from __future__ import annotations
 
 #: Version tag embedded in every stats payload.
-STATS_SCHEMA = "repro-runtime-stats/v1.3"
+STATS_SCHEMA = "repro-runtime-stats/v1.4"
 
 
 def runtime_stats(

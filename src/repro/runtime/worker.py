@@ -20,19 +20,20 @@ which walks their shared layer prefixes once.
 The same functions back both execution modes of the
 :class:`~repro.runtime.service.EvaluationService`: worker processes operate
 on the module-global :data:`_WORKER_STATE` (populated by the pool
-initializer), while the serial in-process path passes the service's own
-private state dict, so two live services in one process never collide.
+initializer, which first pins the worker's BLAS to one thread), while the
+serial in-process path passes the service's own private state dict, so two
+live services in one process never collide.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Sequence
 
 import numpy as np
 
 from repro.runtime.publishing import SharedDatasets, SharedTrainedModels
+from repro.runtime.sizing import pin_pool_worker_blas_threads
 from repro.simulation.inference import ApproximateExecutor, ExecutionPlan
 from repro.simulation.metrics import accuracy
 
@@ -80,7 +81,13 @@ def init_worker_state(
 
 
 def _init_pool_worker(*initargs) -> None:
-    """Pool initializer: populate the process-global worker state."""
+    """Pool initializer: pin BLAS to one thread, then populate the state.
+
+    The pool runs one worker per schedulable core; a worker that kept the
+    host's one-BLAS-thread-per-core would oversubscribe them
+    (:func:`~repro.runtime.sizing.pin_pool_worker_blas_threads`).
+    """
+    pin_pool_worker_blas_threads()
     init_worker_state(_WORKER_STATE, *initargs)
 
 
@@ -153,34 +160,24 @@ def eval_cell_chunk(
     return results
 
 
-def _eval_cell_chunk_task(chunk: Sequence[tuple[int, ExecutionPlan]]) -> list[float]:
-    """Pool task: evaluate one chunk against the process-global state."""
-    return eval_cell_chunk(_WORKER_STATE, chunk)
-
-
-def _timed_eval_cell_chunk_task(
+def _eval_cell_chunk_task(
     chunk: Sequence[tuple[int, ExecutionPlan]],
-) -> tuple[list[float], float, dict[str, int]]:
-    """Pool task returning ``(accuracies, wall_clock_seconds, counters)``.
+) -> tuple[list[float], dict[str, int]]:
+    """Pool task returning ``(accuracies, counters)`` of one chunk.
 
-    The wall-clock is measured inside the worker — compute time only, no
-    queueing or pickling — which is what the service feeds back into its
-    :class:`~repro.runtime.cost_model.CellCostModel` for online refinement
-    of the per-technique throughput factors.  ``counters`` is this chunk's
-    *delta* of the :data:`STAT_COUNTERS` (fused launches), which the
-    service aggregates for :meth:`EvaluationService.stats`.
+    ``counters`` is this chunk's *delta* of the :data:`STAT_COUNTERS`
+    (fused launches), which the service aggregates for
+    :meth:`EvaluationService.stats`.
     """
     before = {
         counter: _WORKER_STATE.get(counter, 0) for counter in STAT_COUNTERS
     }
-    start = time.perf_counter()
     results = eval_cell_chunk(_WORKER_STATE, chunk)
-    elapsed = time.perf_counter() - start
     delta = {
         counter: _WORKER_STATE.get(counter, 0) - before[counter]
         for counter in STAT_COUNTERS
     }
-    return results, elapsed, delta
+    return results, delta
 
 
 __all__ = [

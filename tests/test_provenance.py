@@ -43,6 +43,7 @@ from repro.provenance import (
 )
 from repro.provenance.manifest import DIGEST_KEY, jsonable
 from repro.provenance.regression import DEFAULT_TOLERANCE, classify_key
+from repro.runtime.sizing import blas_thread_count
 
 
 @pytest.fixture(autouse=True)
@@ -440,9 +441,15 @@ class TestInfoCommand:
         assert set(payload["runtime"]) == {
             "stats_schema",
             "auto_workers",
+            "blas_threads",
+            "pool_worker_blas_threads",
             "default_queue_depth",
             "default_session_inflight",
         }
+        # The host's own BLAS threads, read through the library's getter,
+        # next to the one thread every pool worker pins itself to.
+        assert payload["runtime"]["blas_threads"] == blas_thread_count()
+        assert payload["runtime"]["pool_worker_blas_threads"] == 1
         for row in payload["engine_backends"]:
             assert set(row) == {"name", "available", "default", "reason"}
 

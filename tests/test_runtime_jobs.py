@@ -474,7 +474,7 @@ class TestGracefulClose:
 class TestStatsSchema:
     def test_manager_stats_schema(self, manager):
         stats = manager.stats()
-        assert stats["schema"] == "repro-runtime-stats/v1.3"
+        assert stats["schema"] == "repro-runtime-stats/v1.4"
         assert {"requested_workers", "workers"} <= set(stats["engine"])
         assert {"submitted", "completed", "rejected", "depth"} <= set(stats["jobs"])
         assert {"hits", "misses", "evictions", "hit_ratio"} <= set(stats["cache"])

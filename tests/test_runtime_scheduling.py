@@ -1,8 +1,7 @@
 """Unit tests of the cost-model-driven scheduler (:mod:`repro.runtime`).
 
-Fast, model-free tests of the scheduling layer introduced with the
-work-stealing runtime — the properties the service's bit-exactness and
-load balance rest on:
+Fast, model-free tests of the runtime's scheduling layer — the properties
+the service's bit-exactness and load balance rest on:
 
 * :func:`~repro.runtime.scheduling.contiguous_chunks` is count-balanced:
   exactly ``min(n, max_chunks)`` chunks whose sizes differ by at most one
@@ -12,10 +11,10 @@ load balance rest on:
   predicted cost, isolates stragglers, never reorders or drops a cell,
   and biases cuts toward prefix-divergence boundaries;
 * :class:`~repro.runtime.cost_model.CellCostModel` prices LUT-mapped
-  layers far above perforated ones and refines its factors online from
-  measured chunk wall-clocks;
+  layers far above perforated ones;
 * :mod:`~repro.runtime.sizing` resolves requested worker counts against
-  the schedulable CPUs (degrade-to-serial clamp).
+  the schedulable CPUs (degrade-to-serial clamp) and pins a pool worker's
+  BLAS threads through the library's setter, doing nothing without one.
 
 These run in milliseconds (no trained models, no pools) and are wired
 into ``make runtime-smoke`` via the ``scheduler-unit`` target.
@@ -37,9 +36,13 @@ from repro.runtime.scheduling import (
     cost_balanced_chunks,
     shared_prefix_depths,
 )
+from repro.runtime import sizing
 from repro.runtime.sizing import (
+    POOL_WORKER_BLAS_THREADS,
     auto_worker_count,
+    blas_thread_count,
     effective_cpu_count,
+    pin_pool_worker_blas_threads,
     resolve_worker_count,
 )
 from repro.simulation.inference import (
@@ -170,8 +173,8 @@ class TestCostBalancedChunks:
 
 
 class TestCellCostModel:
-    def _model(self, **kwargs) -> CellCostModel:
-        return CellCostModel({0: {name: 100.0 for name in NAMES}}, **kwargs)
+    def _model(self) -> CellCostModel:
+        return CellCostModel({0: {name: 100.0 for name in NAMES}})
 
     def test_lut_priced_far_above_perforated(self):
         model = self._model()
@@ -192,47 +195,10 @@ class TestCellCostModel:
         assert fingerprint_kind(("lut", "abc")) == "lut"
         assert fingerprint_kind((object(),)) == "unknown"
 
-    def test_chunk_units_by_kind_sums_raw_work(self):
-        model = self._model()
-        chunk = [
-            (0, _plan(None, PerforatedProduct(2), FakeLUT())),
-            (0, _plan(None, None, None)),
-        ]
-        units = model.chunk_units_by_kind(chunk, {0: NAMES})
-        assert units == {"accurate": 400.0, "perforated": 100.0, "lut": 100.0}
-
-    def test_observe_calibrates_seconds_and_reprices_dominant_kind(self):
-        model = self._model(smoothing=1.0)  # trust the latest chunk fully
-        assert model.predict_seconds(100.0) is None
-        # Anchor the seconds-per-unit scale with an accurate-only chunk:
-        # 100 units in 1 s -> 0.01 s/unit... but predicted cost is weighted,
-        # accurate factor 1.0, so scale = 1.0 / 100.
-        model.observe({"accurate": 100.0}, 1.0)
-        assert model.seconds_per_unit == pytest.approx(0.01)
-        assert model.predict_seconds(100.0) == pytest.approx(1.0)
-        # A LUT-dominated chunk that runs 2x its prediction re-prices the
-        # LUT factor upward (the host's LUT path is slower than assumed).
-        before = model.technique_factor("lut")
-        units = {"lut": 100.0}
-        predicted_s = model.predict_seconds(model.predicted_cost(units))
-        model.observe(units, 2.0 * predicted_s)
-        assert model.technique_factor("lut") == pytest.approx(2.0 * before)
-
-    def test_observe_ignores_degenerate_measurements(self):
-        model = self._model()
-        model.observe({"accurate": 100.0}, 0.0)  # no wall-clock
-        model.observe({}, 1.0)  # no work
-        assert model.observations == 0
-        assert model.seconds_per_unit is None
-
     def test_unknown_model_and_layers_degrade_to_unit_work(self):
         model = CellCostModel({})
         cost = model.group_cost(7, [_plan(None, None, None)], NAMES)
         assert cost == pytest.approx(len(NAMES))  # 1.0 work x 1.0 factor
-
-    def test_smoothing_validation(self):
-        with pytest.raises(ValueError, match="smoothing"):
-            self._model(smoothing=1.5)
 
 
 class TestSizing:
@@ -257,3 +223,20 @@ class TestSizing:
     def test_invalid_request_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
             resolve_worker_count(0)
+
+    def test_pin_calls_the_setter_and_the_count_reads_the_getter(self, monkeypatch):
+        threads = [4]
+        monkeypatch.setattr(
+            sizing,
+            "_openblas_thread_calls",
+            lambda: (lambda count: threads.append(count), lambda: threads[-1]),
+        )
+        assert blas_thread_count() == 4
+        pin_pool_worker_blas_threads()
+        assert threads == [4, POOL_WORKER_BLAS_THREADS]
+        assert blas_thread_count() == 1
+
+    def test_blas_helpers_do_nothing_without_a_setter(self, monkeypatch):
+        monkeypatch.setattr(sizing, "_openblas_thread_calls", lambda: None)
+        pin_pool_worker_blas_threads()  # no library to pin: a no-op
+        assert blas_thread_count() is None

@@ -7,9 +7,12 @@ The acceptance criteria of the subsystem live here:
   in-process :meth:`~repro.dse.evaluator.PlanEvaluator.evaluate` and with
   :func:`~repro.simulation.campaign.plan_sweep`, across multiple engine
   backends;
-* **graceful shutdown** — a forced worker failure (and a
-  ``KeyboardInterrupt`` on the serial path) still drains the workers and
-  unlinks every shared-memory block: no leaked ``/dev/shm`` segments;
+* **graceful shutdown** — a forced worker failure, a SIGKILLed worker
+  (and a ``KeyboardInterrupt`` on the serial path) still drains the
+  workers and unlinks every shared-memory block: no leaked ``/dev/shm``
+  segments;
+* **one BLAS thread per pool worker** — workers pin numpy's OpenBLAS to
+  one thread while the host process keeps its own count;
 * **parallel DSE campaigns** — ``run_campaign(workers=N)`` produces a
   Pareto front identical (same points, bit-exact accuracies) to the
   serial campaign, and shares ledger records with it (resume performs
@@ -21,6 +24,9 @@ The acceptance criteria of the subsystem live here:
 from __future__ import annotations
 
 import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -39,6 +45,7 @@ from repro.runtime import (
     contiguous_chunks,
     resolve_worker_count,
     schedule_cells,
+    sizing,
 )
 from repro.simulation.campaign import TrainedModel, plan_sweep
 from repro.simulation.inference import (
@@ -63,6 +70,29 @@ class ExplodingProduct(ProductModel):
 
     def fingerprint(self) -> tuple:
         return ("exploding",)
+
+
+class StallingProduct(ProductModel):
+    """Product model that parks its worker mid-chunk until it is killed.
+
+    Publishes the evaluating process's pid at ``pid_path`` (atomically, so
+    a reader never sees a partial write), then sleeps far longer than any
+    test waits: the failure-injection test SIGKILLs that pid mid-chunk.
+    """
+
+    def __init__(self, pid_path: str):
+        self.pid_path = pid_path
+
+    def product_sums(self, act_codes, weight_codes, control_variate):
+        partial = self.pid_path + ".partial"
+        with open(partial, "w") as handle:
+            handle.write(str(os.getpid()))
+        os.replace(partial, self.pid_path)
+        time.sleep(60.0)
+        raise RuntimeError("stalled worker was never killed")
+
+    def fingerprint(self) -> tuple:
+        return ("stalling",)
 
 
 class InterruptingProduct(ProductModel):
@@ -184,32 +214,36 @@ class TestServiceParity:
         expected = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
         assert accuracies == expected + expected  # both hosted models agree
 
-    def test_work_stealing_chunks_stay_bit_exact_and_input_ordered(
+    def test_one_chunk_per_worker_is_bit_exact_in_input_order(
         self, trained, tiny_dataset
     ):
-        """Oversubscribed cost-balanced chunking (chunks_per_worker=3, the
-        work-stealing shape) changes only *where* cells run: accuracies are
-        bit-exact with the in-process evaluator and returned in submission
-        order, and the measured chunk wall-clocks feed the cost model."""
+        """A pool batch goes out as one cost-balanced chunk per worker, which
+        changes only *where* cells run: accuracies are bit-exact with the
+        in-process evaluator and returned in submission order."""
         plans = _random_plans(trained, count=9, seed=29)
         kwargs = dict(max_eval_images=24, calibration_images=32)
         with EvaluationService(
             [trained],
             {tiny_dataset.name: tiny_dataset},
             max_workers=2,
-            chunks_per_worker=3,
             use_shared_memory=True,
             **kwargs,
         ) as service:
-            assert service.stats()["engine"]["chunks_per_worker"] == 3
-            stolen = service.evaluate_plans(0, plans)
+            chunk_sizes: list[int] = []
+            submit = service._pool.submit
+
+            def counting_submit(task, chunk):
+                chunk_sizes.append(len(chunk))
+                return submit(task, chunk)
+
+            service._pool.submit = counting_submit
+            pooled = service.evaluate_plans(0, plans)
             stats = service.stats()
         serial = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
-        assert stolen == serial  # bit-exact AND input-ordered
-        # Every finished chunk reported a wall-clock into the cost model.
-        assert stats["schema"] == "repro-runtime-stats/v1.3"
-        assert stats["engine"]["cost_model_observations"] > 0
-        assert stats["engine"]["cost_model_seconds_per_unit"] > 0.0
+        assert pooled == serial  # bit-exact AND input-ordered
+        # 9 plans make at least two plan groups: one chunk for each worker.
+        assert len(chunk_sizes) == 2 and sum(chunk_sizes) == len(plans)
+        assert stats["schema"] == "repro-runtime-stats/v1.4"
 
     def test_empty_and_single_cell_batches(self, trained, tiny_dataset):
         with EvaluationService(
@@ -345,6 +379,53 @@ class TestServiceLifecycle:
                 batch.results()
             assert again.value is first.value  # cached, not a CancelledError
 
+    def test_sigkilled_worker_breaks_the_batch_and_close_unlinks(
+        self, trained, tiny_dataset, tmp_path
+    ):
+        """Failure injection: SIGKILL one pool worker mid-chunk.
+
+        ``results()`` raises ``BrokenProcessPool`` promptly (long before the
+        stalled chunk would have finished), a second ``results()`` re-raises
+        the same exception object, and ``close()`` returns and unlinks every
+        shared block.
+        """
+        pid_path = str(tmp_path / "stalled-worker.pid")
+        stall = ExecutionPlan.uniform(AccurateProduct()).with_layer(
+            trained.model.conv_dense_nodes()[0].name, StallingProduct(pid_path)
+        )
+        healthy = ExecutionPlan.uniform(PerforatedProduct(2))
+        service = EvaluationService(
+            [trained],
+            {tiny_dataset.name: tiny_dataset},
+            max_workers=2,
+            max_eval_images=8,
+            calibration_images=16,
+            use_shared_memory=True,
+        )
+        try:
+            service.start()
+            handles = service.shared_store_handles()
+            batch = service.submit([(0, healthy), (0, stall)])
+            deadline = time.monotonic() + 30.0
+            while not os.path.exists(pid_path):
+                assert time.monotonic() < deadline, "no worker reached the stall"
+                time.sleep(0.01)
+            with open(pid_path) as handle:
+                os.kill(int(handle.read()), signal.SIGKILL)
+            started = time.monotonic()
+            with pytest.raises(BrokenProcessPool) as first:
+                batch.results()
+            assert time.monotonic() - started < 5.0
+            with pytest.raises(BrokenProcessPool) as again:
+                batch.results()
+            assert again.value is first.value
+        finally:
+            started = time.monotonic()
+            service.close()
+            close_s = time.monotonic() - started
+        assert close_s < 5.0
+        _assert_no_leaked_stores(handles)
+
     def test_keyboard_interrupt_in_sweep_unlinks_stores(
         self, trained, tiny_dataset, monkeypatch
     ):
@@ -379,6 +460,44 @@ class TestServiceLifecycle:
                     shared_memory.SharedMemory(name=store.name)
             else:
                 assert not os.path.exists(store.name)
+
+
+class TestPoolWorkerBlasThreads:
+    def test_pool_workers_pin_blas_to_one_thread(self, trained, tiny_dataset):
+        """Each worker reads back one OpenBLAS thread through the library's
+        getter; the host process keeps its own count."""
+        host_threads = sizing.blas_thread_count()
+        if host_threads is None:
+            pytest.skip("numpy's BLAS exposes no thread-count getter")
+        with EvaluationService(
+            [trained],
+            {tiny_dataset.name: tiny_dataset},
+            max_workers=2,
+            max_eval_images=8,
+            calibration_images=16,
+        ) as service:
+            futures = [
+                service._pool.submit(sizing.blas_thread_count) for _ in range(8)
+            ]
+            worker_threads = {future.result() for future in futures}
+        assert worker_threads == {1}
+        assert sizing.blas_thread_count() == host_threads
+
+    def test_pool_without_a_blas_setter_starts_and_stays_bit_exact(
+        self, trained, tiny_dataset, monkeypatch
+    ):
+        """When the setter lookup finds nothing the pin is a no-op: the pool
+        still starts and its accuracies stay bit-exact with the evaluator."""
+        monkeypatch.setattr(sizing, "_openblas_thread_calls", lambda: None)
+        plans = _random_plans(trained, count=4, seed=13)
+        kwargs = dict(max_eval_images=24, calibration_images=32)
+        with EvaluationService(
+            [trained], {tiny_dataset.name: tiny_dataset}, max_workers=2, **kwargs
+        ) as service:
+            pooled = service.evaluate_plans(0, plans)
+            # The forked workers inherited the failing lookup.
+            assert service._pool.submit(sizing.blas_thread_count).result() is None
+        assert pooled == PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
 
 
 class TestParallelCampaign:
