@@ -7,11 +7,14 @@ quantized / approximate executors need, because the systolic MAC array of
 Section IV consumes one weight column per filter and streams activation
 patches through it.
 
-The gather indices depend only on the convolution geometry, so
+The forward unfold, :func:`im2col`, is one strided-window copy: a
+``(batch, out_h, out_w, kh, kw, channels)`` window view over the padded
+input, flattened by a single contiguous copy.  The scatter indices of the
+adjoint, :func:`col2im`, depend only on the convolution geometry, so
 :func:`im2col_indices` memoizes them (LRU, keyed by the geometry tuple):
-repeated batches through the same layer — the common case in accuracy
-sweeps — pay the index construction once.  The cached arrays are returned
-read-only and shared between callers.
+every training batch through the same layer pays the index construction
+once.  The cached arrays are returned read-only and shared between callers;
+they serve ``col2im`` only.
 """
 
 from __future__ import annotations
@@ -101,11 +104,16 @@ def im2col(
     (columns, out_h, out_w):
         ``columns`` has shape ``(batch * out_h * out_w, kernel_h * kernel_w *
         channels)`` with the tap ordering ``(kh, kw, channel)`` — matching the
-        filter reshape used by :class:`repro.nn.layers.Conv2D`.
+        filter reshape used by :class:`repro.nn.layers.Conv2D`.  It is
+        C-contiguous, and a read-only view of ``x`` (or of its padded copy)
+        wherever no copy is needed — a 1x1 kernel at stride 1, or one window
+        over the whole padded input — so callers must never write into it.
     """
     if x.ndim != 4:
         raise ValueError(f"expected NHWC input, got shape {x.shape}")
     batch, height, width, channels = x.shape
+    out_h = conv_output_size(height, kernel_h, stride, pad)
+    out_w = conv_output_size(width, kernel_w, stride, pad)
     if pad:
         x = np.pad(
             x,
@@ -113,12 +121,20 @@ def im2col(
             mode="constant",
             constant_values=pad_value,
         )
-    rows, cols, out_h, out_w = im2col_indices(
-        height, width, kernel_h, kernel_w, stride, pad
+    step_b, step_h, step_w, step_c = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(batch, out_h, out_w, kernel_h, kernel_w, channels),
+        strides=(step_b, step_h * stride, step_w * stride, step_h, step_w, step_c),
+        writeable=False,
     )
-    # Gather: result (batch, patches, taps_spatial, channels)
-    patches = x[:, rows, cols, :]
-    columns = patches.reshape(batch * out_h * out_w, kernel_h * kernel_w * channels)
+    # ``reshape`` makes the one contiguous copy wherever windows overlap or
+    # skip, and returns a view where they already lie row-major in ``x``;
+    # ``ascontiguousarray`` copies such a view only when ``x`` is itself
+    # strided (a grouped convolution's channel slice).
+    columns = np.ascontiguousarray(
+        windows.reshape(batch * out_h * out_w, kernel_h * kernel_w * channels)
+    )
     return columns, out_h, out_w
 
 

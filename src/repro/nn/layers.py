@@ -306,10 +306,15 @@ class BatchNorm(Layer):
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
+        # gamma * ((x - mean) * inv_std) + beta, in place on one owned
+        # temporary: the same operations in the same order.
+        out = np.subtract(x, mean)
+        out *= inv_std
         if training:
-            self._cache = {"x_hat": x_hat, "inv_std": inv_std, "axes": axes, "n": None}
-        return self.gamma * x_hat + self.beta
+            self._cache = {"x_hat": out.copy(), "inv_std": inv_std, "axes": axes, "n": None}
+        out *= self.gamma
+        out += self.beta
+        return out
 
     def backward(self, grad: np.ndarray) -> tuple[np.ndarray, ...]:
         if self._cache is None:

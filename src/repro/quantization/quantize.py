@@ -36,9 +36,9 @@ def calibrate_percentile(tensor: np.ndarray, percentile: float = 99.9) -> QuantP
     arr = np.asarray(tensor, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot calibrate an empty tensor")
-    lo = float(np.percentile(arr, 100.0 - percentile))
-    hi = float(np.percentile(arr, percentile))
-    return QuantParams.from_range(lo, hi)
+    # One partition serves both order statistics.
+    lo, hi = np.percentile(arr, [100.0 - percentile, percentile])
+    return QuantParams.from_range(float(lo), float(hi))
 
 
 def quantize(
@@ -58,7 +58,10 @@ def quantize(
         batch-persistent buffer instead of allocating per call.
     """
     arr = np.asarray(tensor, dtype=np.float64)
-    q = np.rint(arr / params.scale) + params.zero_point
+    # clip(rint(arr / scale) + zero_point), in place on one owned temporary.
+    q = np.divide(arr, params.scale)
+    np.rint(q, out=q)
+    q += params.zero_point
     np.clip(q, QMIN, QMAX, out=q)
     if out is None:
         return q.astype(np.uint8)

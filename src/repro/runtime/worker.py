@@ -5,12 +5,14 @@ One worker process hosts:
 * the attached trained models and datasets (read-only views into the
   service's shared blocks when publication is on — see
   :mod:`repro.runtime.publishing`);
-* a **single-slot executor cache**: the calibrated
-  :class:`~repro.simulation.inference.ApproximateExecutor` of the most
-  recently evaluated model.  Schedules group cells by model
-  (:mod:`repro.runtime.scheduling`), so this preserves reuse across a
-  model's cells while bounding peak memory to one executor (kernel caches,
-  activation buffers and quantized weights included).
+* one calibrated
+  :class:`~repro.simulation.inference.ApproximateExecutor` per hosted
+  model, built on the model's first segment and kept for the worker's
+  life, so each model is calibrated once however often the schedule
+  switches between models.  Only the active model keeps its working set:
+  a switch drops the idle executor's activation buffers and compiled
+  kernels (rebuilt on its next segment), so peak memory stays one
+  model's working set plus every model's small quantized weights.
 
 Every chunk a worker receives is evaluated one model segment at a time:
 the segment's plans go to one
@@ -42,8 +44,7 @@ from repro.simulation.metrics import accuracy
 _WORKER_STATE: dict = {}
 
 #: Executor counters mirrored into the worker state (and reported per chunk
-#: to the service).  Accumulated as *deltas* around each model segment, so
-#: the single-slot executor cache dropping an executor never loses counts.
+#: to the service).  Accumulated as *deltas* around each model segment.
 STAT_COUNTERS = ("fused_launches", "fused_plans_total")
 
 
@@ -74,6 +75,7 @@ def init_worker_state(
         engine_backend=engine_backend,
         batch_size=int(batch_size),
         executors={},
+        active_model=None,
         executor_builds=0,
         cells_evaluated=0,
     )
@@ -92,11 +94,12 @@ def _init_pool_worker(*initargs) -> None:
 
 
 def executor_for(state: dict, model_index: int) -> ApproximateExecutor:
-    """Calibrated executor of one model, cached per worker (single slot).
+    """Calibrated executor of one model, built once per worker.
 
-    Only the most recent model's executor is kept: schedules group cells by
-    model, so this preserves reuse across a model's cells while bounding
-    peak memory to one executor — matching the serial sweep's profile.
+    Switching models drops the previously active executor's working set
+    (:meth:`~repro.simulation.inference.ApproximateExecutor
+    .drop_working_set`), so one model's buffers and kernels are live at a
+    time while no model is calibrated twice.
     """
     executor = state["executors"].get(model_index)
     if executor is None:
@@ -106,9 +109,12 @@ def executor_for(state: dict, model_index: int) -> ApproximateExecutor:
         executor = ApproximateExecutor(
             trained.model, calib, engine_backend=state["engine_backend"]
         )
-        state["executors"].clear()
         state["executors"][model_index] = executor
         state["executor_builds"] += 1
+    active = state["active_model"]
+    if active is not None and active != model_index:
+        state["executors"][active].drop_working_set()
+    state["active_model"] = model_index
     return executor
 
 

@@ -512,6 +512,15 @@ class ApproximateExecutor:
             node.weight_overrides = [None] * len(node.ops)
         self._kernels, self._blocks = {}, weakref.WeakValueDictionary()
 
+    def drop_working_set(self) -> None:
+        """Free the activation buffers and compiled kernels.
+
+        The next pass rebuilds both on demand; the calibration (activation
+        parameters, quantized weights, control variates) is kept.
+        """
+        self._act_buffers = {}
+        self._kernels, self._blocks = {}, weakref.WeakValueDictionary()
+
     def reuse_stats(self) -> dict[str, int]:
         """Cross-call cache counters: none, since no activations outlive a call."""
         return {}
@@ -782,9 +791,9 @@ class ApproximateExecutor:
 
         A convolution quantizes its compact NHWC input and unfolds the uint8
         codes (padding with the zero-point code, i.e. quantize(0)) —
-        elementwise identical to unfold-then-quantize, but the im2col gather
+        elementwise identical to unfold-then-quantize, but the im2col unfold
         duplicates every pixel ~k^2 times, so this quantizes up to k^2 x
-        less data and gathers uint8 instead of float64.
+        less data and copies uint8 instead of float64.
         """
         qnode = self._nodes[name]
         plans = len(models) if shared else 1

@@ -61,7 +61,10 @@ class TestIm2col:
         x = rng.normal(size=(2, 5, 5, 4))
         cols, out_h, out_w = im2col(x, 1, 1, 1, 0)
         assert cols.shape == (2 * 25, 4)
-        assert np.allclose(cols, x.reshape(-1, 4))
+        assert np.array_equal(cols.view(np.uint64), x.reshape(-1, 4).view(np.uint64))
+        # The windows already tile ``x`` row-major: a read-only view, no copy.
+        assert np.shares_memory(cols, x)
+        assert not cols.flags.writeable
 
     @given(
         height=st.integers(4, 10),

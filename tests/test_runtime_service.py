@@ -214,6 +214,44 @@ class TestServiceParity:
         expected = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
         assert accuracies == expected + expected  # both hosted models agree
 
+    def test_worker_calibrates_each_model_once_with_one_live_working_set(
+        self, trained, tiny_dataset
+    ):
+        """Segments of models A, B, A, B build two executors, not four; the
+        executor switched away from holds no activation buffers or compiled
+        kernels, and every accuracy equals a fresh executor's."""
+        from repro.runtime import worker
+
+        second = TrainedModel(
+            name="vgg13-bis",
+            dataset_name=tiny_dataset.name,
+            model=trained.model,
+            float_accuracy=0.0,
+        )
+        plans = _random_plans(trained, count=3, seed=11)
+        kwargs = dict(max_eval_images=24, calibration_images=32)
+        state: dict = {}
+        worker.init_worker_state(
+            state,
+            [trained, second],
+            {tiny_dataset.name: tiny_dataset},
+            kwargs["max_eval_images"],
+            kwargs["calibration_images"],
+        )
+        accuracies = []
+        for step, model_index in enumerate((0, 1, 0, 1)):
+            cells = [(model_index, plan) for plan in plans]
+            accuracies.append(worker.eval_cell_chunk(state, cells))
+            active = state["executors"][model_index]
+            assert active._act_buffers and active._kernels
+            if step:
+                idle = state["executors"][1 - model_index]
+                assert not idle._act_buffers and not idle._kernels
+                assert len(idle._blocks) == 0
+        assert state["executor_builds"] == 2
+        expected = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
+        assert accuracies == [expected] * 4
+
     def test_one_chunk_per_worker_is_bit_exact_in_input_order(
         self, trained, tiny_dataset
     ):
