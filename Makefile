@@ -32,16 +32,18 @@ engine:
 dse:
 	$(PYTEST) -q -m dse tests benchmarks/bench_dse_search.py
 
-# Scheduler unit subset: model-free tests of the cost model, the balanced
-# and cost-balanced chunking contracts and the pool-sizing policy — runs in
-# about a second, the first thing to reach for when touching the scheduler.
+# Scheduler unit subset: model-free tests of the prefix-aware ordering, the
+# chunking contracts, the pool workers' image ranges and the sizing policy
+# (core share of image-shard threads, BLAS pin) — runs in about a second,
+# the first thing to reach for when touching the scheduler.
 scheduler-unit:
 	$(PYTEST) -q tests/test_runtime_scheduling.py
 
 # Evaluation-runtime suite: scheduler units plus EvaluationService lifecycle
 # and graceful shutdown (worker failure and SIGKILL injection),
-# service-vs-serial bit-exact parity, the one-BLAS-thread worker pin,
-# parallel DSE campaigns.
+# service-vs-serial bit-exact parity with the pool's image split (images
+# not divisible by the workers, fewer images than workers), one BLAS
+# thread per image-shard thread, parallel DSE campaigns.
 runtime-smoke: scheduler-unit
 	$(PYTEST) -q -m runtime tests
 

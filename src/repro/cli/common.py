@@ -108,10 +108,11 @@ def add_workers_flag(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker process count of the evaluation service (1 = in-process "
-        "serial; N > 1 fans evaluation cells across N persistent worker "
-        "processes with models and datasets published once through shared "
-        "memory; results are bit-exact either way). Requests beyond the "
+        help="worker process count of the evaluation service (1 = in-process, "
+        "one image shard per schedulable CPU; N > 1 gives each of N "
+        "persistent worker processes the whole batch on its own range of "
+        "the images, with models and datasets published once through "
+        "shared memory; results are bit-exact either way). Requests beyond the "
         "schedulable CPUs (cgroup/affinity-aware, not the machine's core "
         "count) are clamped — on a 1-CPU host any N degrades to the serial "
         "path at 1.0x serial instead of N contending processes",

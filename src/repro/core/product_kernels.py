@@ -293,12 +293,14 @@ class LUTKernel(ProductKernel):
         if _sparse is not None:
             # int8 ones: 8x smaller than int64 for a patches*taps-long array
             # that is pure structure; scipy promotes the product back to the
-            # error matrix's int64.
-            if self._ones.shape[0] < indices.shape[0]:
-                self._ones = np.ones(indices.shape[0], dtype=np.int8)
+            # error matrix's int64.  Bound once: a concurrent caller may
+            # swap in a shorter scratch array between a check and a slice.
+            ones = self._ones
+            if ones.shape[0] < indices.shape[0]:
+                ones = self._ones = np.ones(indices.shape[0], dtype=np.int8)
             indptr = np.arange(patches + 1, dtype=np.int64) * self.taps
             onehot = _sparse.csr_matrix(
-                (self._ones[: indices.shape[0]], indices, indptr),
+                (ones[: indices.shape[0]], indices, indptr),
                 shape=(patches, self.taps * OPERAND_LEVELS),
             )
             return np.asarray(onehot @ self._error_matrix)
@@ -624,11 +626,12 @@ class MultiPlanKernel:
             offset = self._block_slots[p] * width
             np.add(blocks[p], self._tap_offsets[None, :] + offset, out=indices[row])
         flat = indices.reshape(rows * self.taps)
-        if self._ones.shape[0] < flat.shape[0]:
-            self._ones = np.ones(flat.shape[0], dtype=np.int8)
+        ones = self._ones  # bound once, as in LUTKernel._error_sums_compiled
+        if ones.shape[0] < flat.shape[0]:
+            ones = self._ones = np.ones(flat.shape[0], dtype=np.int8)
         indptr = np.arange(rows + 1, dtype=np.int64) * self.taps
         onehot = _sparse.csr_matrix(
-            (self._ones[: flat.shape[0]], flat, indptr),
+            (ones[: flat.shape[0]], flat, indptr),
             shape=(rows, self._stacked_error.shape[0]),
         )
         errors = np.asarray(onehot @ self._stacked_error)

@@ -84,33 +84,41 @@ def _seed_defaults() -> dict:
 
 
 def _runtime_defaults() -> dict:
-    """The runtime layer's stats schema, BLAS threading and admission defaults.
+    """The runtime layer's stats schema, threading and admission defaults.
 
     ``repro info`` surfaces the same schema identifier every live
     ``stats()`` payload carries (:data:`repro.runtime.stats.STATS_SCHEMA`),
     plus the worker sizing this host would resolve an auto request to, the
-    BLAS threads of this process and of each pool worker, and the job
-    layer's admission-control defaults — so a manifest records how the
-    runtime *would* be configured even for runs that never start a service.
+    image-shard and BLAS threads of this process and of each pool worker,
+    and the job layer's admission-control defaults — so a manifest records
+    how the runtime *would* be configured even for runs that never start a
+    service.
     """
     from repro.runtime.jobs.queue import JobQueue
     from repro.runtime.sizing import (
-        POOL_WORKER_BLAS_THREADS,
+        EVAL_BLAS_THREADS,
         blas_thread_count,
+        eval_thread_count,
         resolve_worker_count,
     )
     from repro.runtime.stats import STATS_SCHEMA
 
+    auto_workers = resolve_worker_count(None)
     return {
         "stats_schema": STATS_SCHEMA,
         # A `workers=None` auto request resolved on this host (affinity/
         # load-aware) — the effective pool an unconstrained run would get.
-        "auto_workers": resolve_worker_count(None),
-        # OpenBLAS threads of this (host) process, which the serial path
-        # uses; None when numpy's BLAS exposes no thread-count getter.
+        "auto_workers": auto_workers,
+        # Image-shard threads this process splits each evaluated batch
+        # into (the serial path), and each worker of that auto-sized pool.
+        "eval_threads": eval_thread_count(),
+        "pool_worker_eval_threads": eval_thread_count(auto_workers),
+        # OpenBLAS threads of this process right now: the library default
+        # until its first sharded walk pins it; None when numpy's BLAS
+        # exposes no thread-count getter.
         "blas_threads": blas_thread_count(),
-        # What every pool worker pins its OpenBLAS to before its first chunk.
-        "pool_worker_blas_threads": POOL_WORKER_BLAS_THREADS,
+        # What every pool worker pins its OpenBLAS to before its first task.
+        "pool_worker_blas_threads": EVAL_BLAS_THREADS,
         "default_queue_depth": JobQueue().max_depth,
         "default_session_inflight": JobQueue().max_inflight_per_session,
     }

@@ -25,7 +25,7 @@ timing-derived values keyed by index are still floors, not exact matches:
     an environment artifact, not a baseline worth defending) — but
     ``speedup_vs_serial`` values additionally carry an *absolute* floor of
     1.0 (minus :data:`SPEEDUP_NOISE_TOLERANCE` noise margin), regardless
-    of the golden: with cost-balanced scheduling and the
+    of the golden: with the pool's image split and the
     degrade-to-serial worker clamp, parallel execution must never lose to
     serial on any host, so a fresh sub-0.9x "speedup" is a scheduling
     regression even if the golden once recorded one.

@@ -7,17 +7,19 @@ execution path that serves them:
 
 * :mod:`~repro.runtime.publishing` — publish-once shared-memory channel
   for trained models and datasets (workers attach read-only views);
-* :mod:`~repro.runtime.scheduling` — prefix-aware ordering plus count- and
-  cost-balanced contiguous chunking of ``(model, plan)`` cells;
-* :mod:`~repro.runtime.cost_model` — :class:`CellCostModel`: prices cells
-  from per-layer technique throughput (LUT ~40x perforated);
+* :mod:`~repro.runtime.scheduling` — prefix-aware ordering of
+  ``(model, plan)`` cells (plus the chunking helpers no path uses any
+  more, kept for their tests and perfbench's hooks);
 * :mod:`~repro.runtime.sizing` — pool auto-sizing policy (affinity-aware
-  CPU count, load discount, degrade-to-serial clamp of requested counts)
-  and the one-BLAS-thread pin of every pool worker;
+  CPU count, load discount, degrade-to-serial clamp of requested counts),
+  each process's core share of image-shard threads, and the
+  one-BLAS-thread pin of every process that evaluates plans;
 * :mod:`~repro.runtime.worker` — per-process executor cache and cell
-  evaluation (shared by the pool and the in-process serial path);
+  evaluation on a contiguous share of the images (shared by the pool and
+  the in-process serial path);
 * :mod:`~repro.runtime.service` — :class:`EvaluationService`: persistent
-  worker pool, one cost-balanced chunk per worker, graceful shutdown.
+  worker pool, the whole schedule to every worker on its own image range,
+  graceful shutdown.
 
 :func:`repro.simulation.campaign.parallel_sweep` /
 :func:`~repro.simulation.campaign.plan_sweep` and the DSE engine's
@@ -31,12 +33,6 @@ from repro.runtime.publishing import (
     SharedTrainedModels,
     publish_datasets,
     publish_trained_models,
-)
-from repro.runtime.cost_model import (
-    DEFAULT_TECHNIQUE_COST,
-    CellCostModel,
-    fingerprint_kind,
-    model_layer_work,
 )
 from repro.runtime.scheduling import (
     contiguous_chunks,
@@ -60,10 +56,6 @@ __all__ = [
     "SharedTrainedModels",
     "publish_datasets",
     "publish_trained_models",
-    "CellCostModel",
-    "DEFAULT_TECHNIQUE_COST",
-    "fingerprint_kind",
-    "model_layer_work",
     "contiguous_chunks",
     "cost_balanced_chunks",
     "model_mac_names",

@@ -14,17 +14,13 @@ owns that ordering:
   :class:`~repro.runtime.service.EvaluationService` uses for *arbitrary*
   submitted cell lists (any mix of models and plans), returning a
   permutation of cell indices;
-* :func:`contiguous_chunks` — the count-balanced worker-chunking contract:
-  ``min(len(schedule), max_chunks)`` contiguous slices whose sizes differ
-  by at most one, so each worker receives one contiguous block and the
-  adjacency arranged by the sort survives distribution;
-* :func:`cost_balanced_chunks` — the cost-model-driven generalization: the
-  schedule is partitioned by *predicted cell cost*
-  (:class:`~repro.runtime.cost_model.CellCostModel`) instead of cell
-  count, with cuts nudged toward prefix-divergence boundaries
-  (:func:`shared_prefix_depths`) so splitting re-walks as little shared
-  prefix as possible.  This is what stops one LUT-heavy chunk from
-  straggling a whole batch.
+* :func:`contiguous_chunks`, :func:`plan_group_slices`,
+  :func:`shared_prefix_depths` and :func:`cost_balanced_chunks` — the
+  count-, group- and cost-balanced ways of cutting a schedule into
+  contiguous worker chunks.  No evaluation path cuts schedules any more
+  (the pool splits a batch by images, see
+  :mod:`repro.runtime.service`); they stay for their contract tests and
+  because perfbench's span hooks resolve them.
 
 Every chunking function preserves the prefix-adjacency contract: chunks
 are contiguous slices of the schedule, concatenating them reproduces the
@@ -45,10 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 
 T = TypeVar("T")
 
-#: Cap on how many cells one plan group holds — the unit the pool path
-#: prices and never splits across chunks.  Small enough that a batch still
-#: spreads over every worker, large enough that each group amortizes its
-#: prefix walk over several plans.
+#: Cap on how many cells one plan group holds — the unit
+#: :func:`plan_group_slices` never splits across chunks.
 DEFAULT_PLAN_GROUP_SIZE = 8
 
 
@@ -111,8 +105,8 @@ def plan_group_slices(
     """Plan-group boundaries of a prefix-sorted schedule, as ``(start, stop)``.
 
     A *plan group* is a maximal run of consecutive same-model cells, capped
-    at ``max_group_plans`` — the granularity the service's pool path prices
-    and cuts chunks at, so a group is never split across workers.  On a
+    at ``max_group_plans`` — the granularity a chunking cuts at, so a
+    group is never split across workers.  On a
     fingerprint-sorted schedule the cells of a group share the deepest
     prefixes the plan set offers, so the worker's multi-plan walk
     (:meth:`repro.simulation.inference.ApproximateExecutor.forward_many`)

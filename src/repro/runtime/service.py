@@ -11,21 +11,23 @@ service is the one execution path behind all of them:
   batch: executors stay calibrated, kernels stay compiled, and successive
   DSE generations or sweep batches pay zero per-batch setup;
 * **prefix-aware scheduling** — submitted cells are ordered with the
-  fingerprint schedule of :mod:`repro.runtime.scheduling` and distributed
-  as contiguous chunks, so plans sharing a layer prefix land adjacently on
-  one worker, whose multi-plan walk runs that prefix once;
-* **one cost-balanced chunk per worker** — on the pool path the schedule
-  is cut into plan groups
-  (:func:`~repro.runtime.scheduling.plan_group_slices`) and the groups
-  into one chunk per worker, balanced by the predicted group cost of a
-  :class:`~repro.runtime.cost_model.CellCostModel` (a LUT-mapped layer
-  prices about 40x a perforated one) with cuts biased toward
-  prefix-divergence boundaries.  Each worker runs its BLAS on one thread
-  (:func:`~repro.runtime.sizing.pin_pool_worker_blas_threads`), so the
-  pool runs one busy thread per core;
+  fingerprint schedule of :mod:`repro.runtime.scheduling`, so plans
+  sharing a layer prefix are adjacent and each model segment rides one
+  multi-plan walk that runs that prefix once;
+* **image shares, not plan chunks** — on the pool path every worker
+  takes the whole schedule on its own contiguous range of each model's
+  evaluation images (:func:`~repro.runtime.worker.image_range`) and
+  returns per-cell correct counts, which :meth:`EvaluationBatch.results`
+  sums and divides by the image count.  Every worker fuses the whole plan
+  batch, the work splits evenly whatever the plans cost, and no cost
+  model is needed.  Inside every process the executor splits its images
+  again into one shard thread per core the process owns, each on one
+  BLAS thread (:mod:`repro.runtime.sizing`), so the host runs one busy
+  thread per core on the serial path and in the pool alike;
 * **bit-exact** — every accuracy the service returns is identical to
   evaluating the same plan on a fresh in-process executor (pinned by the
-  parity suite).
+  parity suite): every operation from the input to the logits is
+  per-image, and ``count / n`` is the correctly rounded accuracy.
 
 Lifecycle::
 
@@ -36,7 +38,7 @@ Lifecycle::
 
 ``close()`` (or leaving the ``with`` block, normally *or* via an exception
 such as :class:`KeyboardInterrupt`) drains the workers, cancels queued
-chunks, and unlinks every shared block — no leaked ``/dev/shm`` segments,
+tasks, and unlinks every shared block — no leaked ``/dev/shm`` segments,
 even when a worker failed mid-batch.
 
 ``max_workers=1`` degenerates to a fully in-process serial path with no
@@ -59,7 +61,10 @@ from repro.runtime.publishing import (
     publish_datasets,
     publish_trained_models,
 )
-from repro.runtime.scheduling import (
+# contiguous_chunks, cost_balanced_chunks, plan_group_slices and
+# shared_prefix_depths are unused here but stay importable: perfbench's
+# span hooks resolve them by this module's path.
+from repro.runtime.scheduling import (  # noqa: F401
     contiguous_chunks,
     cost_balanced_chunks,
     model_mac_names,
@@ -73,75 +78,80 @@ from repro.runtime.worker import (
     _eval_cell_chunk_task,
     _init_pool_worker,
     eval_cell_chunk,
+    image_range,
     init_worker_state,
 )
 from repro.simulation.inference import ExecutionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from repro.runtime.cost_model import CellCostModel
     from repro.simulation.campaign import TrainedModel
 
 
 class EvaluationBatch:
     """Handle of one submitted cell batch; resolves to input-order accuracies.
 
-    Returned by :meth:`EvaluationService.submit`.  On the pool path the
-    chunks run asynchronously — :meth:`results` blocks until every chunk is
-    done, cancelling the rest of the batch on the first failure (including
-    :class:`KeyboardInterrupt`) so the service drains instead of churning
-    through doomed work.  The first failure is cached: every later
-    :meth:`results` call re-raises *it*, not the ``CancelledError`` of the
-    chunks the cleanup cancelled.  Pool chunks return ``(accuracies,
-    counters)`` pairs; each counter delta is folded into the service's
-    aggregated worker counters as the chunk completes.
+    Returned by :meth:`EvaluationService.submit`.  ``order`` maps schedule
+    positions to submission indices and ``images[i]`` is the evaluation
+    image count of the cell at schedule position ``i``.  Each worker's
+    result is a list of per-cell correct counts in schedule order, on its
+    own share of the images; :meth:`results` sums them and divides by the
+    image count.  On the pool path the workers run asynchronously —
+    :meth:`results` blocks until every one is done, cancelling the rest of
+    the batch on the first failure (including :class:`KeyboardInterrupt`)
+    so the service drains instead of churning through doomed work.  The
+    first failure is cached: every later :meth:`results` call re-raises
+    *it*, not the ``CancelledError`` of the tasks the cleanup cancelled.
+    Pool tasks return ``(counts, counters)`` pairs; each counter delta is
+    folded into the service's aggregated worker counters as the task
+    completes.
     """
 
     def __init__(
         self,
         order: list[int],
-        chunk_results: list[list[float]] | None,
+        images: list[int],
+        counts: list[list[int]] | None,
         futures: "list[Future] | None",
-        num_cells: int,
         counters_sink: "Callable[[dict[str, int]], None] | None" = None,
     ):
         self._order = order
-        self._chunk_results = chunk_results
+        self._images = images
+        self._counts = counts
         self._futures = futures
-        self._num_cells = num_cells
         self._counters_sink = counters_sink
         self._failure: BaseException | None = None
 
     def __len__(self) -> int:
-        return self._num_cells
+        return len(self._order)
 
     def results(self) -> list[float]:
         """Accuracies in the *submission* order of the batch's cells."""
         if self._failure is not None:
             raise self._failure
-        if self._chunk_results is None:
-            collected: list[list[float]] = []
+        if self._counts is None:
+            collected: list[list[int]] = []
             try:
                 for future in self._futures:
-                    accuracies, counters = future.result()
-                    collected.append(accuracies)
+                    counts, counters = future.result()
+                    collected.append(counts)
                     if self._counters_sink is not None:
                         self._counters_sink(counters)
             except BaseException as exc:
                 # First failure (worker exception, KeyboardInterrupt, ...):
-                # stop feeding the pool — queued chunks are dead weight —
+                # stop feeding the pool — queued tasks are dead weight —
                 # and remember the cause so repeated results() calls see it
-                # instead of the CancelledError of the chunks we cancel.
+                # instead of the CancelledError of the tasks we cancel.
                 for future in self._futures:
                     future.cancel()
                 self._failure = exc
                 self._futures = None
                 raise
-            self._chunk_results = collected
+            self._counts = collected
             self._futures = None
-        flat = [value for chunk in self._chunk_results for value in chunk]
-        ordered: list[float] = [0.0] * self._num_cells
+        ordered: list[float] = [0.0] * len(self._order)
         for schedule_pos, cell_index in enumerate(self._order):
-            ordered[cell_index] = flat[schedule_pos]
+            correct = sum(counts[schedule_pos] for counts in self._counts)
+            ordered[cell_index] = correct / self._images[schedule_pos]
         return ordered
 
 
@@ -235,8 +245,14 @@ class EvaluationService:
             index: model_mac_names(trained)
             for index, trained in enumerate(self.models)
         }
+        # Evaluation images per hosted model: what the pool's image split divides.
+        self._image_counts = []
+        for trained in self.models:
+            labels = self.datasets[trained.dataset_name].test_labels
+            if max_eval_images is not None:
+                labels = labels[:max_eval_images]
+            self._image_counts.append(len(labels))
         self._pool: ProcessPoolExecutor | None = None
-        self._cost_model: CellCostModel | None = None
         self._serial_state: dict | None = None
         self._model_store: SharedTrainedModels | None = None
         self._dataset_store: SharedDatasets | None = None
@@ -300,7 +316,7 @@ class EvaluationService:
                     max_workers=self.max_workers,
                     mp_context=context,
                     initializer=_init_pool_worker,
-                    initargs=initargs,
+                    initargs=(self.max_workers, *initargs),
                 )
         except BaseException:
             self._started = True  # let close() tear down the partial state
@@ -316,12 +332,12 @@ class EvaluationService:
         self.close()
 
     def close(self) -> None:
-        """Drain workers, cancel queued chunks, unlink shared blocks.
+        """Drain workers, cancel queued tasks, unlink shared blocks.
 
         Idempotent, and safe to call at any point of the lifecycle —
         including from an exception path such as :class:`KeyboardInterrupt`
-        or after a worker failure: running chunks are waited out, queued
-        chunks are cancelled, and every published block is released.
+        or after a worker failure: running tasks are waited out, queued
+        tasks are cancelled, and every published block is released.
         """
         if self._closed:
             return
@@ -378,26 +394,6 @@ class EvaluationService:
             if store is not None
         )
 
-    def cost_model(self) -> CellCostModel:
-        """The session's cell cost model (built lazily, one per service).
-
-        Layer work is extracted once per hosted model (a one-image dummy
-        forward) and priced with the bench-calibrated per-technique
-        throughput factors.
-        """
-        # Imported lazily: cost_model imports the simulation package, whose
-        # campaign module imports this module back — a top-level import here
-        # breaks a cold `import repro.runtime`.
-        from repro.runtime.cost_model import CellCostModel
-
-        if self._cost_model is None:
-            shapes = [
-                tuple(self.datasets[trained.dataset_name].test_images.shape[1:])
-                for trained in self.models
-            ]
-            self._cost_model = CellCostModel.from_models(self.models, shapes)
-        return self._cost_model
-
     def session_context(self) -> dict:
         """The measurement setup of this session, for run manifests.
 
@@ -423,7 +419,7 @@ class EvaluationService:
         }
 
     def _absorb_worker_counters(self, counters: dict[str, int]) -> None:
-        """Fold one chunk's executor-counter delta into the session totals."""
+        """Fold one task's executor-counter delta into the session totals."""
         with self._counters_lock:
             for key, value in counters.items():
                 if key in self._worker_counters:
@@ -490,19 +486,16 @@ class EvaluationService:
         """Schedule a batch of ``(model_index, plan)`` cells; returns a handle.
 
         Cells are ordered with the prefix-aware fingerprint schedule.  The
-        serial path evaluates them in-process as one contiguous block; the
-        pool path cuts the schedule into plan groups (up to
-        :data:`~repro.runtime.scheduling.DEFAULT_PLAN_GROUP_SIZE` consecutive
-        same-model cells, cut at divergence-family boundaries), prices each
-        group as one multi-plan walk (:meth:`CellCostModel.group_cost`), and
-        balances the groups into one contiguous chunk per worker (cuts
-        biased toward prefix-divergence boundaries), dispatched
-        asynchronously.  Chunking never changes what is evaluated: every
-        cell runs the same measurement regardless of worker count (the
-        bit-exactness contract).  ``batch.results()`` resolves to
-        accuracies in the cells' *submission* order.  Plans overriding a
-        layer their model does not have raise :class:`ValueError`.  The
-        service auto-starts on first submission.
+        serial path evaluates the schedule in-process on every image; on
+        the pool path worker ``w`` of ``W`` evaluates the whole schedule
+        on images ``[(w*n)//W, ((w+1)*n)//W)`` of each model's ``n``,
+        dispatched asynchronously (a worker whose ranges are all empty,
+        when ``n < W``, gets no task).  The split never changes what is
+        evaluated: every cell runs the same measurement regardless of
+        worker count (the bit-exactness contract).  ``batch.results()``
+        resolves to accuracies in the cells' *submission* order.  Plans
+        overriding a layer their model does not have raise
+        :class:`ValueError`.  The service auto-starts on first submission.
         """
         if self._closed:
             raise RuntimeError("EvaluationService is closed")
@@ -512,47 +505,24 @@ class EvaluationService:
         self.batches_submitted += 1
         self.cells_submitted += len(cells)
         if not cells:
-            return EvaluationBatch([], [], None, 0)
+            return EvaluationBatch([], [], [], None)
         order = schedule_cells(cells, self._mac_names)
         schedule = [cells[index] for index in order]
+        images = [self._image_counts[model_index] for model_index, _ in schedule]
         if self.serial:
-            chunks = contiguous_chunks(schedule, self.max_workers)
-            chunk_results = [
-                eval_cell_chunk(self._serial_state, chunk) for chunk in chunks
-            ]
-            return EvaluationBatch(order, chunk_results, None, len(cells))
-        cost_model = self.cost_model()
-        depths = shared_prefix_depths(schedule, self._mac_names)
-        # Chunk at plan-group granularity: each group shares its prefix
-        # walk on one worker, so a cut through a group would re-walk it.
-        slices = plan_group_slices(schedule, split_depths=depths)
-        groups = [schedule[start:stop] for start, stop in slices]
-        group_costs = [
-            cost_model.group_cost(
-                group[0][0],
-                [plan for _, plan in group],
-                self._mac_names[group[0][0]],
-            )
-            for group in groups
-        ]
-        # Depth between the last cell of one group and the first of the
-        # next — the prefix a cut between those groups would re-run.
-        group_depths = [depths[stop - 1] for _, stop in slices[:-1]]
-        group_chunks = cost_balanced_chunks(
-            groups, group_costs, self.max_workers, split_depths=group_depths
-        )
+            counts = eval_cell_chunk(self._serial_state, schedule)
+            return EvaluationBatch(order, images, [counts], None)
+        workers = self.max_workers
         futures = [
-            self._pool.submit(
-                _eval_cell_chunk_task, [cell for group in chunk for cell in group]
+            self._pool.submit(_eval_cell_chunk_task, schedule, worker, workers)
+            for worker in range(workers)
+            if any(
+                start < stop
+                for start, stop in (image_range(n, worker, workers) for n in set(images))
             )
-            for chunk in group_chunks
         ]
         return EvaluationBatch(
-            order,
-            None,
-            futures,
-            len(cells),
-            counters_sink=self._absorb_worker_counters,
+            order, images, None, futures, counters_sink=self._absorb_worker_counters
         )
 
     def evaluate_cells(self, cells: Sequence[tuple[int, ExecutionPlan]]) -> list[float]:

@@ -1,4 +1,4 @@
-"""Pool auto-sizing: how many workers can actually win on this host.
+"""Sizing: how many workers and threads can actually win on this host.
 
 The evaluation runtime historically sized its pool from ``os.cpu_count()``
 and trusted the caller's ``--workers`` flag verbatim.  Both are wrong on
@@ -27,11 +27,15 @@ This module is the one place that policy lives:
   ``min(requested, effective_cpu_count())``, so ``repro dse --workers 4``
   on a 1-CPU box degrades to the serial in-process path (1.0x serial)
   instead of running 4 contending processes (0.54x);
-* :func:`pin_pool_worker_blas_threads` — the first step of every pool
-  worker: numpy's OpenBLAS runs one thread per core, so N forked workers
-  would run N x cores BLAS threads on the cores the pool was sized to.
-  Each worker is pinned to :data:`POOL_WORKER_BLAS_THREADS`; the host
-  process and the serial path keep their BLAS threads.
+* :func:`eval_thread_count` — how many image shards (one thread each) a
+  process splits every evaluated batch into: all its schedulable CPUs
+  outside a pool, and ``max(1, cpus // pool size)`` inside a pool worker,
+  whose pool size :func:`join_pool` records;
+* :func:`pin_blas_threads` — numpy's OpenBLAS runs one thread per core,
+  so a process running one shard thread per core would run cores x cores
+  BLAS threads.  Every process that evaluates plans pins its OpenBLAS to
+  :data:`EVAL_BLAS_THREADS` before its first sharded walk; pool workers
+  do it in their initializer.
 
 :class:`~repro.runtime.service.EvaluationService` itself honors an
 *explicit* ``max_workers`` verbatim (tests rely on exercising the pool
@@ -42,11 +46,16 @@ intent enters the system — the campaign/sweep entry points.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 
-#: BLAS threads each pool worker runs with: the pool already has one worker
-#: per schedulable core, so more threads per worker only oversubscribe.
-POOL_WORKER_BLAS_THREADS = 1
+#: BLAS threads of every process that evaluates plans: its image shards
+#: already run one thread per core it owns, so more only oversubscribe.
+EVAL_BLAS_THREADS = 1
+
+#: Processes sharing this process's CPUs: 1 outside a pool, the pool size
+#: inside a pool worker (set by :func:`join_pool`).
+_pool_size = 1
 
 #: ``(setter, getter)`` thread-count symbols of the OpenBLAS builds numpy
 #: ships or links: the scipy-openblas wheels (64- and 32-bit integer
@@ -120,6 +129,26 @@ def resolve_worker_count(
     return max(1, workers)
 
 
+def join_pool(pool_size: int) -> None:
+    """Record that this process is one of ``pool_size`` pool workers and
+    pin its BLAS (the first step of every pool worker)."""
+    global _pool_size
+    _pool_size = max(1, int(pool_size))
+    pin_blas_threads()
+
+
+def eval_thread_count(pool_size: int | None = None) -> int:
+    """Image shards, one thread each, that a process splits a batch into.
+
+    Its share of the schedulable CPUs: all of them outside a pool,
+    ``max(1, cpus // pool_size)`` in a worker of a ``pool_size``-process
+    pool.  ``None`` reads this process's own pool size.
+    """
+    processes = _pool_size if pool_size is None else max(1, int(pool_size))
+    return max(1, effective_cpu_count() // processes)
+
+
+@functools.lru_cache(maxsize=None)
 def _openblas_thread_calls():
     """``(setter, getter)`` of the OpenBLAS numpy loaded, or ``None``.
 
@@ -127,7 +156,8 @@ def _openblas_thread_calls():
     (``/proc/self/maps``) and opened with ``RTLD_NOLOAD``, so the calls
     reach the very library numpy's matmuls run on and never load another.
     ``None`` without ``/proc`` or without an OpenBLAS exporting a known
-    thread-count pair.
+    thread-count pair.  Looked up once per process: a fork inherits the
+    mapping.
     """
     import numpy  # noqa: F401 - importing numpy maps its BLAS
 
@@ -154,17 +184,18 @@ def _openblas_thread_calls():
     return None
 
 
-def pin_pool_worker_blas_threads() -> None:
-    """Pin this process's OpenBLAS to :data:`POOL_WORKER_BLAS_THREADS`.
+def pin_blas_threads() -> None:
+    """Pin this process's OpenBLAS to :data:`EVAL_BLAS_THREADS`.
 
-    Called by each pool worker before it does any work.  Workers fork from
-    a host whose OpenBLAS has already read its environment, so an
-    ``OPENBLAS_NUM_THREADS`` set inside a worker comes too late; the
-    library's own setter does not.  Does nothing when no setter is found.
+    Called by each pool worker before it does any work and by the executor
+    before every sharded walk (a no-op for the library once pinned).  The
+    library read ``OPENBLAS_NUM_THREADS`` when numpy was imported, so
+    setting it now comes too late; the library's own setter does not.
+    Does nothing when no setter is found.
     """
     calls = _openblas_thread_calls()
     if calls is not None:
-        calls[0](POOL_WORKER_BLAS_THREADS)
+        calls[0](EVAL_BLAS_THREADS)
 
 
 def blas_thread_count() -> int | None:
@@ -174,10 +205,12 @@ def blas_thread_count() -> int | None:
 
 
 __all__ = [
-    "POOL_WORKER_BLAS_THREADS",
+    "EVAL_BLAS_THREADS",
     "effective_cpu_count",
     "auto_worker_count",
     "resolve_worker_count",
-    "pin_pool_worker_blas_threads",
+    "join_pool",
+    "eval_thread_count",
+    "pin_blas_threads",
     "blas_thread_count",
 ]

@@ -14,17 +14,21 @@ One worker process hosts:
   kernels (rebuilt on its next segment), so peak memory stays one
   model's working set plus every model's small quantized weights.
 
-Every chunk a worker receives is evaluated one model segment at a time:
-the segment's plans go to one
+Every schedule a worker receives is evaluated one model segment at a
+time: the segment's plans go to one
 :meth:`~repro.simulation.inference.ApproximateExecutor.predict_many` call,
-which walks their shared layer prefixes once.
+which walks their shared layer prefixes once and splits the images into
+one shard thread per core the process owns.  A worker reports per-cell
+correct-prediction counts on its own contiguous share of each model's
+evaluation images (:func:`image_range`); the service sums the workers'
+counts.
 
 The same functions back both execution modes of the
 :class:`~repro.runtime.service.EvaluationService`: worker processes operate
 on the module-global :data:`_WORKER_STATE` (populated by the pool
-initializer, which first pins the worker's BLAS to one thread), while the
-serial in-process path passes the service's own private state dict, so two
-live services in one process never collide.
+initializer, which first records the pool size and pins the worker's BLAS
+to one thread), while the serial in-process path passes the service's own
+private state dict, so two live services in one process never collide.
 """
 
 from __future__ import annotations
@@ -35,15 +39,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.runtime.publishing import SharedDatasets, SharedTrainedModels
-from repro.runtime.sizing import pin_pool_worker_blas_threads
+from repro.runtime.sizing import join_pool
 from repro.simulation.inference import ApproximateExecutor, ExecutionPlan
-from repro.simulation.metrics import accuracy
 
 #: Pool-worker process state (set by :func:`_init_pool_worker`).  The serial
 #: path never touches it — each in-process service owns a private dict.
 _WORKER_STATE: dict = {}
 
-#: Executor counters mirrored into the worker state (and reported per chunk
+#: Executor counters mirrored into the worker state (and reported per task
 #: to the service).  Accumulated as *deltas* around each model segment.
 STAT_COUNTERS = ("fused_launches", "fused_plans_total")
 
@@ -82,14 +85,15 @@ def init_worker_state(
     state.update({counter: 0 for counter in STAT_COUNTERS})
 
 
-def _init_pool_worker(*initargs) -> None:
-    """Pool initializer: pin BLAS to one thread, then populate the state.
+def _init_pool_worker(pool_size: int, *initargs) -> None:
+    """Pool initializer: record the pool size and pin BLAS to one thread,
+    then populate the state.
 
-    The pool runs one worker per schedulable core; a worker that kept the
-    host's one-BLAS-thread-per-core would oversubscribe them
-    (:func:`~repro.runtime.sizing.pin_pool_worker_blas_threads`).
+    The worker's executors run ``max(1, cpus // pool_size)`` image shards
+    (:func:`~repro.runtime.sizing.eval_thread_count`) on one BLAS thread
+    each (:func:`~repro.runtime.sizing.join_pool`).
     """
-    pin_pool_worker_blas_threads()
+    join_pool(pool_size)
     init_worker_state(_WORKER_STATE, *initargs)
 
 
@@ -130,34 +134,53 @@ def eval_arrays(state: dict, trained) -> tuple[np.ndarray, np.ndarray]:
     return test_images, test_labels
 
 
+def image_range(images: int, worker: int, workers: int) -> tuple[int, int]:
+    """``(start, stop)`` of worker ``worker``'s contiguous share of
+    ``images`` evaluation images among ``workers``; empty only when
+    ``images < workers``."""
+    return (worker * images) // workers, ((worker + 1) * images) // workers
+
+
 def eval_plan_cell(state: dict, model_index: int, plan: ExecutionPlan) -> float:
     """Accuracy of one model under one plan, using the cached executor."""
-    return eval_cell_chunk(state, [(model_index, plan)])[0]
+    _, test_labels = eval_arrays(state, state["models"][model_index])
+    return eval_cell_chunk(state, [(model_index, plan)])[0] / len(test_labels)
 
 
 def eval_cell_chunk(
-    state: dict, chunk: Sequence[tuple[int, ExecutionPlan]]
-) -> list[float]:
-    """Accuracies of one contiguous schedule chunk, in chunk order.
+    state: dict,
+    chunk: Sequence[tuple[int, ExecutionPlan]],
+    worker: int = 0,
+    workers: int = 1,
+) -> list[int]:
+    """Correct predictions of every cell of a schedule, in schedule order.
 
+    Each cell is scored on worker ``worker``'s share of its model's
+    evaluation images (:func:`image_range`; all of them by default).
     Consecutive cells of the same model form one segment, evaluated by a
     single :meth:`~repro.simulation.inference.ApproximateExecutor
     .predict_many` call: the executor deduplicates the segment's plans and
     walks each shared layer prefix once, so the prefix adjacency the
-    scheduler arranged turns into shared work.
+    scheduler arranged turns into shared work.  A segment whose share is
+    empty counts 0 without touching the executor.
     """
-    results: list[float] = []
+    results: list[int] = []
     for model_index, segment in itertools.groupby(chunk, key=lambda cell: cell[0]):
         plans = [plan for _, plan in segment]
-        trained = state["models"][model_index]
+        test_images, test_labels = eval_arrays(state, state["models"][model_index])
+        start, stop = image_range(len(test_labels), worker, workers)
+        if start == stop:
+            results.extend([0] * len(plans))
+            continue
         executor = executor_for(state, model_index)
-        test_images, test_labels = eval_arrays(state, trained)
         before = executor.fused_stats()
         predictions_per_plan = executor.predict_many(
-            test_images, plans, batch_size=state["batch_size"]
+            test_images[start:stop], plans, batch_size=state["batch_size"]
         )
+        labels = test_labels[start:stop]
         results.extend(
-            accuracy(predictions, test_labels) for predictions in predictions_per_plan
+            int(np.count_nonzero(predictions == labels))
+            for predictions in predictions_per_plan
         )
         state["cells_evaluated"] += len(plans)
         after = executor.fused_stats()
@@ -167,18 +190,19 @@ def eval_cell_chunk(
 
 
 def _eval_cell_chunk_task(
-    chunk: Sequence[tuple[int, ExecutionPlan]],
-) -> tuple[list[float], dict[str, int]]:
-    """Pool task returning ``(accuracies, counters)`` of one chunk.
+    chunk: Sequence[tuple[int, ExecutionPlan]], worker: int, workers: int
+) -> tuple[list[int], dict[str, int]]:
+    """Pool task returning ``(correct counts, counters)`` of one worker's
+    image share of a schedule.
 
-    ``counters`` is this chunk's *delta* of the :data:`STAT_COUNTERS`
+    ``counters`` is this task's *delta* of the :data:`STAT_COUNTERS`
     (fused launches), which the service aggregates for
     :meth:`EvaluationService.stats`.
     """
     before = {
         counter: _WORKER_STATE.get(counter, 0) for counter in STAT_COUNTERS
     }
-    results = eval_cell_chunk(_WORKER_STATE, chunk)
+    results = eval_cell_chunk(_WORKER_STATE, chunk, worker, workers)
     delta = {
         counter: _WORKER_STATE.get(counter, 0) - before[counter]
         for counter in STAT_COUNTERS
@@ -191,6 +215,7 @@ __all__ = [
     "init_worker_state",
     "executor_for",
     "eval_arrays",
+    "image_range",
     "eval_plan_cell",
     "eval_cell_chunk",
 ]

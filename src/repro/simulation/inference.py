@@ -72,6 +72,23 @@ plan):
   shallowest divergences into several such walks, so the stacked rows stay
   bounded whatever the number of plans a caller sends.
 
+Image shards
+------------
+Every operation between the input and the logits is per-image, so a batch
+splits into contiguous image ranges that walk independently and bit for
+bit identically.  ``forward_many`` runs ``S = min(core share, batch)``
+such shards, one thread each (shard 0 on the caller's), where the core
+share is every schedulable CPU of the process, or its slice of them in a
+pool worker (:func:`repro.runtime.sizing.eval_thread_count`).  Before a
+sharded walk the process pins its OpenBLAS to one thread, so the host
+runs one busy thread per core; each concurrent walk gets
+``_STACKED_ROWS_TARGET // S`` rows, so the live rows stay put, and drops
+every activation after its last reader, which bounds what each shard
+thread's malloc arena keeps after the walk.  The shards share the kernel
+cache (lookup, compilation and eviction under one lock) and the
+fused-launch counters (one count per shard launch); each owns its
+activation buffers.
+
 Nothing computed from the images outlives a call, so results never depend
 on call order.  With ``use_compiled=False`` every plan instead runs the
 per-plan reference walk through :meth:`ProductModel.product_sums` — the
@@ -82,7 +99,9 @@ from __future__ import annotations
 
 import abc
 import hashlib
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -362,16 +381,17 @@ class _QuantizedMacNode:
 
 
 #: Row budget of one stacked suffix launch (images per chunk scale as
-#: target // lines).  Tuned empirically: far below it the chunked walk
+#: target // lines), split evenly among concurrent image shards.  Tuned
+#: empirically: far below it the chunked walk
 #: degenerates into the per-plan loop's call counts; far above it the
 #: stacked activations (and every astype/matmul temp behind them) fall out
 #: of cache into allocation churn.
 _STACKED_ROWS_TARGET = 256
 
 #: Most deduplicated plan lines one stacked walk carries.  A chunk holds
-#: ``_STACKED_ROWS_TARGET // lines`` images, so capping the lines keeps at
-#: least 16 images per chunk and every launch within the row budget; a
-#: larger plan batch is split into several walks.
+#: ``_STACKED_ROWS_TARGET // (lines * shards)`` images, so capping the
+#: lines keeps at least ``16 // shards`` images per chunk and every launch
+#: within the row budget; a larger plan batch is split into several walks.
 _MAX_WALK_LINES = _STACKED_ROWS_TARGET // 16
 
 
@@ -411,9 +431,14 @@ class ApproximateExecutor:
         self.model = model
         self.use_compiled = bool(use_compiled)
         self.engine_backend = resolve_backend(engine_backend)
+        # Index of the last node reading each activation (see _drop_dead).
+        self._last_reader = {
+            name: index for index, node in enumerate(model.nodes) for name in node.inputs
+        }
         self._nodes: dict[str, _QuantizedMacNode] = {}
-        # Batch-persistent uint8 activation-code buffers per (layer, group).
-        self._act_buffers: dict[tuple[str, int], np.ndarray] = {}
+        # Batch-persistent uint8 activation-code buffers per (layer, group,
+        # image shard).
+        self._act_buffers: dict[tuple[str, int, int], np.ndarray] = {}
         # Compiled kernels keyed by (layer, group, per-block fingerprints),
         # oldest evicted first beyond _KERNEL_CACHE_CAP; their per-block
         # kernels are indexed weakly by (layer, group, fingerprint).
@@ -421,8 +446,11 @@ class ApproximateExecutor:
         self._blocks: "weakref.WeakValueDictionary[tuple, ProductKernel]" = (
             weakref.WeakValueDictionary()
         )
-        # Launches of more than one plan block, surfaced through
-        # EvaluationService.stats().
+        # Guards the kernel cache and the counters below against the
+        # concurrent image shards of one forward_many call.
+        self._lock = threading.Lock()
+        # Launches of more than one plan block (one per image shard),
+        # surfaced through EvaluationService.stats().
         self.fused_launches = 0
         self.fused_plans_total = 0
         self._calibrate(calibration_images, activation_percentile)
@@ -551,14 +579,20 @@ class ApproximateExecutor:
         divergence depth on, all diverging lines ride a single stacked
         backend launch per MAC layer (:meth:`EngineBackend.compile_multi`).
         More than :data:`_MAX_WALK_LINES` lines are split into several walks
-        at their shallowest divergences.  With ``use_compiled=False`` every
-        plan runs the per-plan reference walk instead.
+        at their shallowest divergences.  The images are split into
+        contiguous shards walked on one thread each (see "Image shards" in
+        the module docstring); exceptions of any shard propagate.  With
+        ``use_compiled=False`` every plan runs the per-plan reference walk
+        instead, on the calling thread.
         """
         plans = list(plans)
         if not self.use_compiled:
             return [self._reference_forward(images, plan) for plan in plans]
         if not plans:
             return []
+        # Imported here: repro.runtime imports this module.
+        from repro.runtime import sizing
+
         mac_names = tuple(self.mac_layer_names())
         fp_seqs = [plan.fingerprints(mac_names) for plan in plans]
         # Dedupe plans by their full fingerprint sequence: identical plans
@@ -570,15 +604,43 @@ class ApproximateExecutor:
         # contiguous runs and every divergence is a cut between neighbours.
         lines = sorted(line_plans, key=plan_fingerprint_sort_key)
         lcps = [_common_prefix_length(a, b) for a, b in zip(lines, lines[1:])]
+        walks = [
+            (lines[start:stop], lcps[start : stop - 1])
+            for start, stop in _walk_slices(lcps, 0, len(lines))
+        ]
         batch = images.shape[0]
-        outputs: dict[tuple, np.ndarray] = {}
-        for start, stop in _walk_slices(lcps, 0, len(lines)):
-            walk = lines[start:stop]
-            stacked = self._forward_lines(
-                images, [line_plans[seq] for seq in walk], lcps[start : stop - 1]
-            )
-            for offset, seq in enumerate(walk):
-                outputs[seq] = stacked[offset * batch : (offset + 1) * batch]
+        shards = max(1, min(sizing.eval_thread_count(), batch))
+        bounds = [(shard * batch) // shards for shard in range(shards + 1)]
+        # Concurrent walks split the row budget, so the live rows stay put.
+        rows_target = _STACKED_ROWS_TARGET // shards
+
+        def run_shard(shard: int) -> dict[tuple, np.ndarray]:
+            shard_images = images[bounds[shard] : bounds[shard + 1]]
+            size = shard_images.shape[0]
+            outputs: dict[tuple, np.ndarray] = {}
+            for walk, walk_lcps in walks:
+                stacked = self._forward_lines(
+                    shard_images,
+                    [line_plans[seq] for seq in walk],
+                    walk_lcps,
+                    rows_target,
+                    shard,
+                )
+                for offset, seq in enumerate(walk):
+                    outputs[seq] = stacked[offset * size : (offset + 1) * size]
+            return outputs
+
+        if shards == 1:
+            outputs = run_shard(0)
+        else:
+            sizing.pin_blas_threads()
+            with ThreadPoolExecutor(max_workers=shards - 1) as pool:
+                futures = [pool.submit(run_shard, shard) for shard in range(1, shards)]
+                parts = [run_shard(0)] + [future.result() for future in futures]
+            outputs = {
+                seq: np.concatenate([part[seq] for part in parts], axis=0)
+                for seq in lines
+            }
         return [outputs[seq] for seq in fp_seqs]
 
     def _reference_forward(self, images: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
@@ -593,32 +655,54 @@ class ApproximateExecutor:
         start: int,
         stop: int,
         plan: ExecutionPlan,
+        shard: int = 0,
     ) -> None:
         """Execute nodes ``start:stop`` under ``plan`` on top of ``activations``."""
-        for node in self.model.nodes[start:stop]:
+        for index in range(start, stop):
+            node = self.model.nodes[index]
             inputs = [activations[name] for name in node.inputs]
             if node.name not in self._nodes:
                 activations[node.name] = node.layer.forward(*inputs, training=False)
             elif self.use_compiled:
                 activations[node.name] = self._run_mac_node(
-                    node.name, node.layer, inputs[0], [plan.model_for(node.name)], False
+                    node.name,
+                    node.layer,
+                    inputs[0],
+                    [plan.model_for(node.name)],
+                    False,
+                    shard,
                 )
             else:
                 activations[node.name] = self._run_reference_mac(
                     node.layer, self._nodes[node.name], inputs[0], plan.model_for(node.name)
                 )
+            self._drop_dead(activations, index)
+
+    def _drop_dead(self, activations: dict[str, np.ndarray], index: int) -> None:
+        """Drop the activations node ``index`` was the last node to read.
+
+        A walk then holds only the activations later nodes still read, not
+        every node's output: that bounds a shard thread's working set, and
+        with it what its malloc arena keeps after the walk.
+        """
+        for name in self.model.nodes[index].inputs:
+            if self._last_reader[name] == index:
+                activations.pop(name, None)
 
     def _forward_lines(
         self,
         images: np.ndarray,
         line_plans: list[ExecutionPlan],
         lcps: list[int],
+        rows_target: int,
+        shard: int,
     ) -> np.ndarray:
         """Stacked walk over deduped, sorted plan "lines"; returns the
         ``(lines * batch, ...)`` output stack in line order.
 
         ``lcps[i]`` is the number of leading MAC layers lines ``i`` and
-        ``i + 1`` agree on.
+        ``i + 1`` agree on.  ``rows_target`` bounds the rows of one stacked
+        launch; ``shard`` selects the activation buffers the walk owns.
         """
         num_lines = len(line_plans)
         batch = images.shape[0]
@@ -632,7 +716,7 @@ class ApproximateExecutor:
         # The walk is two-phase.  Phase 1 runs the single-block shared
         # prefix at the FULL image batch.  Phase 2 (from the first
         # splitting MAC on) is the stacked walk, chunked over images so
-        # each launch carries ~_STACKED_ROWS_TARGET rows: feeding it
+        # each launch carries ~rows_target rows: feeding it
         # lines * batch rows at once would blow the arrays (and every
         # astype/matmul behind them) past cache into allocation churn.
         split_index = next(
@@ -640,25 +724,24 @@ class ApproximateExecutor:
             len(nodes),
         )
         activations = {"input": images}
-        self._run_nodes(activations, 0, split_index, line_plans[0])
+        self._run_nodes(activations, 0, split_index, line_plans[0], shard)
         if split_index == len(nodes):  # one line: the whole network is shared
             return activations[self.model.output_name]
-        needed = self._names_needed_from(split_index)
-        live = {name: arr for name, arr in activations.items() if name in needed}
-        chunk_rows = _STACKED_ROWS_TARGET // num_lines
+        # ``activations`` now holds only what nodes from split_index on read.
+        chunk_rows = max(1, rows_target // num_lines)
         if chunk_rows >= batch:
             return self._stacked_suffix(
-                live, batch, split_index, line_plans, splits, mac_depth
+                activations, batch, split_index, line_plans, splits, mac_depth, shard
             )
         num_chunks = -(-batch // chunk_rows)
         bounds = [(i * batch) // num_chunks for i in range(num_chunks + 1)]
         chunks: list[np.ndarray] = []
         sizes: list[int] = []
         for start, stop in zip(bounds, bounds[1:]):
-            sliced = {name: arr[start:stop] for name, arr in live.items()}
+            sliced = {name: arr[start:stop] for name, arr in activations.items()}
             chunks.append(
                 self._stacked_suffix(
-                    sliced, stop - start, split_index, line_plans, splits, mac_depth
+                    sliced, stop - start, split_index, line_plans, splits, mac_depth, shard
                 )
             )
             sizes.append(stop - start)
@@ -679,6 +762,7 @@ class ApproximateExecutor:
         line_plans: list[ExecutionPlan],
         splits: dict[int, list[int]],
         mac_depth: dict[str, int],
+        shard: int,
     ) -> np.ndarray:
         """Stacked walk from the first splitting MAC to the output.
 
@@ -693,6 +777,7 @@ class ApproximateExecutor:
             if depth is None:
                 inputs = [activations[name] for name in node.inputs]
                 activations[node.name] = node.layer.forward(*inputs, training=False)
+                self._drop_dead(activations, index)
                 continue
             mac_input = node.inputs[0]
             x = activations[mac_input]
@@ -707,13 +792,9 @@ class ApproximateExecutor:
                     counts.append(len(bounds) - 1)
                     new_runs.extend(zip(bounds, bounds[1:]))
                 shared_split = len(runs) == 1 and counts[0] > 1
-                needed = self._names_needed_from(index)
-                needed_after = self._names_needed_from(index + 1)
                 expanded: dict[str, np.ndarray] = {}
                 for name, arr in activations.items():
-                    if name not in needed:
-                        continue
-                    if shared_split and name == mac_input and name not in needed_after:
+                    if shared_split and name == mac_input and self._last_reader[name] == index:
                         # Consumed only by the fused shared-input launch;
                         # skip the blockwise copy entirely.
                         continue
@@ -726,16 +807,11 @@ class ApproximateExecutor:
             if not shared_split and len({m.fingerprint() for m in models}) == 1:
                 models = models[:1]  # one product model: the stack is one block
             activations[node.name] = self._run_mac_node(
-                node.name, node.layer, x, models, shared_split
+                node.name, node.layer, x, models, shared_split, shard
             )
+            del x
+            self._drop_dead(activations, index)
         return activations[self.model.output_name]
-
-    def _names_needed_from(self, index: int) -> set[str]:
-        """Activation names any node from ``index`` on still consumes."""
-        needed = {self.model.output_name}
-        for node in self.model.nodes[index:]:
-            needed.update(node.inputs)
-        return needed
 
     def logits_many(
         self,
@@ -781,6 +857,7 @@ class ApproximateExecutor:
         x: np.ndarray,
         models: list[ProductModel],
         shared: bool,
+        shard: int,
     ) -> np.ndarray:
         """One compiled launch per group evaluating ``len(models)`` plan blocks.
 
@@ -802,8 +879,9 @@ class ApproximateExecutor:
             kernel = self._kernel(qnode, group, models)
             sums = kernel.product_sums_multi(act_codes, shared=shared)
             if len(models) > 1:
-                self.fused_launches += 1
-                self.fused_plans_total += len(models)
+                with self._lock:
+                    self.fused_launches += 1
+                    self.fused_plans_total += len(models)
             # Every correction is per-patch, so a shared block's act terms
             # are computed once and broadcast across the plan blocks.
             return qnode.ops[group].output_real_stacked(
@@ -811,10 +889,10 @@ class ApproximateExecutor:
             )
 
         if isinstance(layer, Dense):
-            return launch(0, self._quantize_acts(qnode, 0, x))
+            return launch(0, self._quantize_acts(qnode, 0, x, shard))
         cin_per_group = layer.in_channels // layer.groups
         cout_per_group = layer.out_channels // layer.groups
-        codes = self._quantize_acts(qnode, -1, x)
+        codes = self._quantize_acts(qnode, -1, x, shard)
         pad_code = int(np.clip(qnode.act_params.zero_point, 0, 255))
         outputs = []
         for g in range(layer.groups):
@@ -845,28 +923,35 @@ class ApproximateExecutor:
         instances (decoded from the wire, unpickled in a pool worker) reuse
         it.  Blocks are compiled once per ``(layer, group, fingerprint)``
         and shared by every cached kernel through the weak block index, so a
-        LUT error matrix is built once per layer.
+        LUT error matrix is built once per layer.  Lookup, compilation and
+        eviction share one lock: concurrent shards ask for the same kernel
+        at the same moment, and it is compiled once.
         """
         fps = tuple(model.fingerprint() for model in models)
         key = (qnode.node_name, group, fps)
-        kernel = self._kernels.get(key)
-        if kernel is not None:
+        with self._lock:
+            kernel = self._kernels.get(key)
+            if kernel is not None:
+                return kernel
+            override = qnode.weight_overrides[group]
+            weight_codes = (
+                override if override is not None else qnode.ops[group].weight_codes
+            )
+            cv = qnode.control_variates[group]
+            blocks = []
+            for model, fp in zip(models, fps):
+                block = self._blocks.get((qnode.node_name, group, fp))
+                if block is None:
+                    block = self.engine_backend.compile(model, weight_codes, cv)
+                    self._blocks[(qnode.node_name, group, fp)] = block
+                blocks.append(block)
+            kernel = self.engine_backend.compile_multi(
+                models, weight_codes, cv, kernels=blocks
+            )
+            if len(self._kernels) >= self._KERNEL_CACHE_CAP:
+                self._kernels.pop(next(iter(self._kernels)))
+            self._kernels[key] = kernel
             return kernel
-        override = qnode.weight_overrides[group]
-        weight_codes = override if override is not None else qnode.ops[group].weight_codes
-        cv = qnode.control_variates[group]
-        blocks = []
-        for model, fp in zip(models, fps):
-            block = self._blocks.get((qnode.node_name, group, fp))
-            if block is None:
-                block = self.engine_backend.compile(model, weight_codes, cv)
-                self._blocks[(qnode.node_name, group, fp)] = block
-            blocks.append(block)
-        kernel = self.engine_backend.compile_multi(models, weight_codes, cv, kernels=blocks)
-        if len(self._kernels) >= self._KERNEL_CACHE_CAP:
-            self._kernels.pop(next(iter(self._kernels)))
-        self._kernels[key] = kernel
-        return kernel
 
     def _run_reference_mac(
         self,
@@ -896,17 +981,19 @@ class ApproximateExecutor:
             outputs.append(out_flat.reshape(x.shape[0], out_h, out_w, cout_per_group))
         return np.concatenate(outputs, axis=-1) if layer.groups > 1 else outputs[0]
 
-    def _quantize_acts(self, qnode: _QuantizedMacNode, group: int, cols: np.ndarray) -> np.ndarray:
-        """Quantize activations into a per-(layer, group) persistent buffer.
+    def _quantize_acts(
+        self, qnode: _QuantizedMacNode, group: int, cols: np.ndarray, shard: int = 0
+    ) -> np.ndarray:
+        """Quantize activations into a per-(layer, group, shard) persistent buffer.
 
         The buffer is reallocated whenever an incoming batch is larger than
         the current buffer or differs in any trailing (patch/feature) shape;
         smaller batches reuse a leading slice of it, so a batch-size change
         between calls can never write into (or return) a stale-shaped
         window.  Group ``-1`` holds the whole NHWC input of a conv node
-        (compiled path).
+        (compiled path); each concurrent image shard owns its buffers.
         """
-        key = (qnode.node_name, group)
+        key = (qnode.node_name, group, shard)
         buffer = self._act_buffers.get(key)
         if buffer is None or buffer.shape[0] < cols.shape[0] or buffer.shape[1:] != cols.shape[1:]:
             buffer = np.empty(cols.shape, dtype=np.uint8)

@@ -503,8 +503,8 @@ class TestExecutorForwardMany:
         launched: list[int] = []
         run_mac = ApproximateExecutor._run_mac_node
 
-        def spy(self, name, layer, x, models, shared):
-            out = run_mac(self, name, layer, x, models, shared)
+        def spy(self, *args):
+            out = run_mac(self, *args)
             launched.append(out.shape[0])
             return out
 

@@ -43,6 +43,7 @@ from repro.provenance import (
 )
 from repro.provenance.manifest import DIGEST_KEY, jsonable
 from repro.provenance.regression import DEFAULT_TOLERANCE, classify_key
+from repro.runtime import sizing
 from repro.runtime.sizing import blas_thread_count
 
 
@@ -441,6 +442,8 @@ class TestInfoCommand:
         assert set(payload["runtime"]) == {
             "stats_schema",
             "auto_workers",
+            "eval_threads",
+            "pool_worker_eval_threads",
             "blas_threads",
             "pool_worker_blas_threads",
             "default_queue_depth",
@@ -452,6 +455,32 @@ class TestInfoCommand:
         assert payload["runtime"]["pool_worker_blas_threads"] == 1
         for row in payload["engine_backends"]:
             assert set(row) == {"name", "available", "default", "reason"}
+
+    def test_info_records_the_image_shard_threads(self, capsys, monkeypatch):
+        """This process splits a batch over every schedulable CPU; each
+        worker of the auto-sized pool over its share of them."""
+        monkeypatch.setattr(sizing, "effective_cpu_count", lambda: 8)
+        monkeypatch.setattr(sizing, "auto_worker_count", lambda: 3)
+        assert main(["info", "--json"]) == 0
+        runtime = json.loads(capsys.readouterr().out)["runtime"]
+        assert runtime["auto_workers"] == 3
+        assert runtime["eval_threads"] == 8
+        assert runtime["pool_worker_eval_threads"] == 2  # 8 CPUs // 3 workers
+        assert runtime["pool_worker_blas_threads"] == sizing.EVAL_BLAS_THREADS
+        assert main(["info"]) == 0
+        assert "8 image-shard threads here and 2 per pool worker" in (
+            capsys.readouterr().out
+        )
+
+    def test_manifests_record_the_image_shard_threads(self, tmp_path):
+        with record_run("demo", directory=str(tmp_path)):
+            pass
+        loaded = RunManifest.load(os.path.join(str(tmp_path), "demo.json"))
+        runtime = loaded.environment["runtime"]
+        assert runtime["eval_threads"] == sizing.eval_thread_count()
+        assert runtime["pool_worker_eval_threads"] == sizing.eval_thread_count(
+            runtime["auto_workers"]
+        )
 
     def test_info_text_mode(self, capsys):
         assert main(["info"]) == 0

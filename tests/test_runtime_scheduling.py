@@ -1,4 +1,4 @@
-"""Unit tests of the cost-model-driven scheduler (:mod:`repro.runtime`).
+"""Unit tests of the runtime's scheduler and sizing (:mod:`repro.runtime`).
 
 Fast, model-free tests of the runtime's scheduling layer — the properties
 the service's bit-exactness and load balance rest on:
@@ -10,11 +10,12 @@ the service's bit-exactness and load balance rest on:
 * :func:`~repro.runtime.scheduling.cost_balanced_chunks` partitions by
   predicted cost, isolates stragglers, never reorders or drops a cell,
   and biases cuts toward prefix-divergence boundaries;
-* :class:`~repro.runtime.cost_model.CellCostModel` prices LUT-mapped
-  layers far above perforated ones;
+* :func:`~repro.runtime.worker.image_range` gives every pool worker a
+  contiguous share of the images, covering them exactly;
 * :mod:`~repro.runtime.sizing` resolves requested worker counts against
-  the schedulable CPUs (degrade-to-serial clamp) and pins a pool worker's
-  BLAS threads through the library's setter, doing nothing without one.
+  the schedulable CPUs (degrade-to-serial clamp), gives each process its
+  core share of image-shard threads, and pins a process's BLAS threads
+  through the library's setter, doing nothing without one.
 
 These run in milliseconds (no trained models, no pools) and are wired
 into ``make runtime-smoke`` via the ``scheduler-unit`` target.
@@ -26,11 +27,6 @@ import os
 
 import pytest
 
-from repro.runtime.cost_model import (
-    DEFAULT_TECHNIQUE_COST,
-    CellCostModel,
-    fingerprint_kind,
-)
 from repro.runtime.scheduling import (
     contiguous_chunks,
     cost_balanced_chunks,
@@ -38,13 +34,15 @@ from repro.runtime.scheduling import (
 )
 from repro.runtime import sizing
 from repro.runtime.sizing import (
-    POOL_WORKER_BLAS_THREADS,
+    EVAL_BLAS_THREADS,
     auto_worker_count,
     blas_thread_count,
     effective_cpu_count,
-    pin_pool_worker_blas_threads,
+    eval_thread_count,
+    pin_blas_threads,
     resolve_worker_count,
 )
+from repro.runtime.worker import image_range
 from repro.simulation.inference import (
     AccurateProduct,
     ExecutionPlan,
@@ -172,33 +170,17 @@ class TestCostBalancedChunks:
         assert cost_balanced_chunks([], [], 3) == []
 
 
-class TestCellCostModel:
-    def _model(self) -> CellCostModel:
-        return CellCostModel({0: {name: 100.0 for name in NAMES}})
-
-    def test_lut_priced_far_above_perforated(self):
-        model = self._model()
-        lut = model.group_cost(0, [_plan(FakeLUT(), FakeLUT(), FakeLUT())], NAMES)
-        perf = model.group_cost(
-            0, [_plan(PerforatedProduct(2), PerforatedProduct(2), PerforatedProduct(2))], NAMES
-        )
-        accurate = model.group_cost(0, [_plan(None, None, None)], NAMES)
-        assert lut / perf == pytest.approx(
-            DEFAULT_TECHNIQUE_COST["lut"] / DEFAULT_TECHNIQUE_COST["perforated"]
-        )
-        assert lut / accurate == pytest.approx(DEFAULT_TECHNIQUE_COST["lut"])
-        assert lut > 30 * perf  # the bench-calibrated ~40x gap
-
-    def test_fingerprint_kind_tokens(self):
-        assert fingerprint_kind(("accurate",)) == "accurate"
-        assert fingerprint_kind(("perforated", 2, True)) == "perforated"
-        assert fingerprint_kind(("lut", "abc")) == "lut"
-        assert fingerprint_kind((object(),)) == "unknown"
-
-    def test_unknown_model_and_layers_degrade_to_unit_work(self):
-        model = CellCostModel({})
-        cost = model.group_cost(7, [_plan(None, None, None)], NAMES)
-        assert cost == pytest.approx(len(NAMES))  # 1.0 work x 1.0 factor
+class TestImageRange:
+    @pytest.mark.parametrize("images", [0, 1, 2, 3, 7, 24, 360])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_shares_cover_the_images_in_order(self, images, workers):
+        ranges = [image_range(images, worker, workers) for worker in range(workers)]
+        assert ranges[0][0] == 0 and ranges[-1][1] == images
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        sizes = [stop - start for start, stop in ranges]
+        assert max(sizes) - min(sizes) <= 1
+        # A share is empty only when there are fewer images than workers.
+        assert (min(sizes) == 0) == (images < workers)
 
 
 class TestSizing:
@@ -232,11 +214,29 @@ class TestSizing:
             lambda: (lambda count: threads.append(count), lambda: threads[-1]),
         )
         assert blas_thread_count() == 4
-        pin_pool_worker_blas_threads()
-        assert threads == [4, POOL_WORKER_BLAS_THREADS]
+        pin_blas_threads()
+        assert threads == [4, EVAL_BLAS_THREADS]
         assert blas_thread_count() == 1
 
     def test_blas_helpers_do_nothing_without_a_setter(self, monkeypatch):
         monkeypatch.setattr(sizing, "_openblas_thread_calls", lambda: None)
-        pin_pool_worker_blas_threads()  # no library to pin: a no-op
+        pin_blas_threads()  # no library to pin: a no-op
         assert blas_thread_count() is None
+
+    def test_eval_threads_are_the_core_share(self, monkeypatch):
+        monkeypatch.setattr(sizing, "effective_cpu_count", lambda: 8)
+        assert eval_thread_count() == 8  # outside a pool: every CPU
+        assert eval_thread_count(2) == 4
+        assert eval_thread_count(3) == 2
+        assert eval_thread_count(16) == 1  # never below one thread
+
+    def test_join_pool_records_the_share_and_pins_blas(self, monkeypatch):
+        threads = []
+        monkeypatch.setattr(sizing, "effective_cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            sizing, "_openblas_thread_calls", lambda: (threads.append, lambda: 1)
+        )
+        monkeypatch.setattr(sizing, "_pool_size", 1)
+        sizing.join_pool(4)
+        assert eval_thread_count() == 2
+        assert threads == [EVAL_BLAS_THREADS]

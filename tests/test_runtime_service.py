@@ -11,8 +11,11 @@ The acceptance criteria of the subsystem live here:
   (and a ``KeyboardInterrupt`` on the serial path) still drains the
   workers and unlinks every shared-memory block: no leaked ``/dev/shm``
   segments;
+* **image shares** — every pool worker takes the whole batch on its own
+  contiguous range of the images, bit-exact with serial also when the
+  images do not divide among the workers or are fewer than them;
 * **one BLAS thread per pool worker** — workers pin numpy's OpenBLAS to
-  one thread while the host process keeps its own count;
+  one thread in their initializer;
 * **parallel DSE campaigns** — ``run_campaign(workers=N)`` produces a
   Pareto front identical (same points, bit-exact accuracies) to the
   serial campaign, and shares ledger records with it (resume performs
@@ -219,7 +222,8 @@ class TestServiceParity:
     ):
         """Segments of models A, B, A, B build two executors, not four; the
         executor switched away from holds no activation buffers or compiled
-        kernels, and every accuracy equals a fresh executor's."""
+        kernels, and every correct count over the 24 images gives a fresh
+        executor's accuracy."""
         from repro.runtime import worker
 
         second = TrainedModel(
@@ -241,7 +245,8 @@ class TestServiceParity:
         accuracies = []
         for step, model_index in enumerate((0, 1, 0, 1)):
             cells = [(model_index, plan) for plan in plans]
-            accuracies.append(worker.eval_cell_chunk(state, cells))
+            counts = worker.eval_cell_chunk(state, cells)
+            accuracies.append([count / 24 for count in counts])
             active = state["executors"][model_index]
             assert active._act_buffers and active._kernels
             if step:
@@ -252,36 +257,71 @@ class TestServiceParity:
         expected = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
         assert accuracies == [expected] * 4
 
-    def test_one_chunk_per_worker_is_bit_exact_in_input_order(
+    def _pooled_tasks(self, service, cells):
+        """Accuracies of ``cells`` plus the ``(cells, worker, workers)`` of
+        every task the pool received."""
+        tasks: list[tuple[int, int, int]] = []
+        submit = service._pool.submit
+
+        def recording_submit(task, schedule, worker, workers):
+            tasks.append((len(schedule), worker, workers))
+            return submit(task, schedule, worker, workers)
+
+        service._pool.submit = recording_submit
+        return service.evaluate_cells(cells), tasks
+
+    def test_pool_splits_each_batch_by_image_ranges_bit_exact(
         self, trained, tiny_dataset
     ):
-        """A pool batch goes out as one cost-balanced chunk per worker, which
-        changes only *where* cells run: accuracies are bit-exact with the
-        in-process evaluator and returned in submission order."""
+        """A pool batch goes to every worker whole, each on its own
+        contiguous image range (25 images: 12 and 13), which changes only
+        *where* images run: accuracies are bit-exact with the in-process
+        evaluator and returned in submission order, and each worker fuses
+        the whole batch, as the serial path does."""
         plans = _random_plans(trained, count=9, seed=29)
-        kwargs = dict(max_eval_images=24, calibration_images=32)
+        kwargs = dict(max_eval_images=25, calibration_images=32)
+        datasets = {tiny_dataset.name: tiny_dataset}
         with EvaluationService(
-            [trained],
-            {tiny_dataset.name: tiny_dataset},
-            max_workers=2,
-            use_shared_memory=True,
-            **kwargs,
+            [trained], datasets, max_workers=2, use_shared_memory=True, **kwargs
         ) as service:
-            chunk_sizes: list[int] = []
-            submit = service._pool.submit
-
-            def counting_submit(task, chunk):
-                chunk_sizes.append(len(chunk))
-                return submit(task, chunk)
-
-            service._pool.submit = counting_submit
-            pooled = service.evaluate_plans(0, plans)
+            pooled, tasks = self._pooled_tasks(service, [(0, plan) for plan in plans])
             stats = service.stats()
+        with EvaluationService([trained], datasets, max_workers=1, **kwargs) as service:
+            assert service.evaluate_plans(0, plans) == pooled
+            serial_stats = service.stats()
         serial = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
         assert pooled == serial  # bit-exact AND input-ordered
-        # 9 plans make at least two plan groups: one chunk for each worker.
-        assert len(chunk_sizes) == 2 and sum(chunk_sizes) == len(plans)
+        assert tasks == [(len(plans), 0, 2), (len(plans), 1, 2)]
+        assert (
+            stats["engine"]["plans_per_launch_avg"]
+            == serial_stats["engine"]["plans_per_launch_avg"]
+        )
         assert stats["schema"] == "repro-runtime-stats/v1.4"
+
+    def test_fewer_images_than_workers_skips_the_empty_shares(
+        self, trained, tiny_dataset
+    ):
+        """2 images on 3 workers: worker 0's range is empty and it gets no
+        task; the two others score one image each, bit-exact with serial."""
+        second = TrainedModel(
+            name="vgg13-bis",
+            dataset_name=tiny_dataset.name,
+            model=trained.model,
+            float_accuracy=0.0,
+        )
+        plans = _random_plans(trained, count=3, seed=5)
+        cells = [(index, plan) for plan in plans for index in (1, 0)]
+        kwargs = dict(max_eval_images=2, calibration_images=16)
+        with EvaluationService(
+            [trained, second],
+            {tiny_dataset.name: tiny_dataset},
+            max_workers=3,
+            **kwargs,
+        ) as service:
+            pooled, tasks = self._pooled_tasks(service, cells)
+        expected = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
+        assert pooled == [accuracy for accuracy in expected for _ in range(2)]
+        assert tasks == [(len(cells), 1, 3), (len(cells), 2, 3)]
 
     def test_empty_and_single_cell_batches(self, trained, tiny_dataset):
         with EvaluationService(
@@ -503,7 +543,8 @@ class TestServiceLifecycle:
 class TestPoolWorkerBlasThreads:
     def test_pool_workers_pin_blas_to_one_thread(self, trained, tiny_dataset):
         """Each worker reads back one OpenBLAS thread through the library's
-        getter; the host process keeps its own count."""
+        getter; starting a pool leaves the host's count alone (the host
+        pins only before its own first sharded walk)."""
         host_threads = sizing.blas_thread_count()
         if host_threads is None:
             pytest.skip("numpy's BLAS exposes no thread-count getter")
