@@ -25,6 +25,9 @@ check: tier1 engine dse runtime-smoke dse-smoke serve-smoke perfbench-digests ve
 tier1:
 	$(PYTEST) -x -q
 
+# Engine suite: product-kernel parity through the one compile path
+# (NumpyBackend), the float-glue, calibration and image-shard oracles, plus
+# the engine-throughput and sweep-prefix benches.
 engine:
 	$(PYTEST) -q -m engine tests benchmarks/bench_engine_throughput.py benchmarks/bench_sweep_prefix.py
 

@@ -6,14 +6,13 @@ Three measurements back the compiled-engine acceptance criteria:
   filters, 4096 patches): the compiled ``lut = exact - error`` decomposition
   must be at least 5x faster than the legacy 3-D gather of
   :func:`repro.core.approx_conv.lut_product_sums`, with bit-exact outputs.
-* **Per-backend throughput** on the same layer: every *available* engine
-  backend (numpy, lowmem, ...) compiles the accurate, perforated+V and LUT
-  product models and reports patches/s; unavailable backends are listed
-  with their reason.  All backend outputs are asserted bit-exact against
-  the legacy reference; the numpy backend must meet the legacy speedup
-  floor above.  Every backend additionally runs one batched
-  ``compile_multi`` launch over a mixed plan stack and reports fused
-  plan-patches/s next to the per-plan loop, bit-exact against it.
+* **Backend throughput** on the same layer: the executor's one compile
+  path (:class:`~repro.core.backends.NumpyBackend`, the ``numpy`` row)
+  compiles the accurate, perforated+V and LUT product models and reports
+  patches/s.  Every output is asserted bit-exact against the legacy
+  reference, and the LUT case must meet the legacy speedup floor above.
+  One batched ``compile_multi`` launch over a mixed plan stack reports
+  fused plan-patches/s next to the per-plan loop, bit-exact against it.
 * **End-to-end sweep wall-clock** on the Table III configuration (accurate
   baseline plus m = 1..3 with and without the control variate): the
   compiled executor must be at least 2x faster than the legacy executor,
@@ -38,7 +37,7 @@ from repro.core.approx_conv import (
     lut_product_sums,
     perforated_product_sums,
 )
-from repro.core.backends import backend_names, get_backend
+from repro.core.backends import NumpyBackend
 from repro.core.control_variate import ControlVariate
 from repro.core.product_kernels import LUTKernel
 from repro.multipliers.lut import LUTMultiplier
@@ -106,12 +105,11 @@ def run_lut_throughput() -> dict:
 
 
 def run_backend_throughput() -> list[dict]:
-    """Per-backend patches/s of the three compiled product models.
+    """Patches/s of the three product models compiled through the backend.
 
-    Every available backend must be bit-exact against the legacy reference;
-    unavailable backends are reported with their reason, not hidden.  Every
-    backend also times one batched ``compile_multi`` launch over a mixed
-    plan stack, bit-exact against the per-plan loop.
+    One row, ``numpy``.  Every kernel must be bit-exact against the legacy
+    reference; one batched ``compile_multi`` launch over a mixed plan stack
+    is timed too, bit-exact against the per-plan loop.
     """
     rng = np.random.default_rng(0)
     acts = rng.integers(0, 256, size=(PATCHES, TAPS), dtype=np.uint8)
@@ -146,25 +144,18 @@ def run_backend_throughput() -> list[dict]:
         LUTProduct(LUTMultiplier(lut, name="bench")),
         AccurateProduct(),
     ]
-    rows: list[dict] = []
-    for name in backend_names():
-        backend = get_backend(name)
-        available, reason = backend.availability()
-        if not available:
-            rows.append({"backend": name, "available": False, "reason": reason})
-            continue
-        row = {"backend": name, "available": True, "cases": {}}
-        for case_name, model, expected in cases:
-            kernel = backend.compile(model, weights, cv)
-            out = kernel(acts)  # warm-up + correctness in one
-            assert np.array_equal(out, expected), (
-                f"backend {name!r} not bit-exact on {case_name}"
-            )
-            elapsed = _best_of(lambda: kernel(acts))
-            row["cases"][case_name] = PATCHES / elapsed
-        row["fused"] = _run_fused_backend_case(backend, multi_models, weights, cv, acts)
-        rows.append(row)
-    return rows
+    backend = NumpyBackend()
+    row = {"backend": "numpy", "cases": {}}
+    for case_name, model, expected in cases:
+        kernel = backend.compile(model, weights, cv)
+        out = kernel(acts)  # warm-up + correctness in one
+        assert np.array_equal(out, expected), (
+            f"backend 'numpy' not bit-exact on {case_name}"
+        )
+        elapsed = _best_of(lambda: kernel(acts))
+        row["cases"][case_name] = PATCHES / elapsed
+    row["fused"] = _run_fused_backend_case(backend, multi_models, weights, cv, acts)
+    return [row]
 
 
 def _run_fused_backend_case(backend, models, weights, cv, acts) -> dict:
@@ -174,7 +165,7 @@ def _run_fused_backend_case(backend, models, weights, cv, acts) -> dict:
     multi = backend.compile_multi(models, weights, cv)
     out = multi.product_sums_multi(acts, shared=True)  # warm-up + correctness
     assert np.array_equal(out, expected), (
-        f"backend {backend.name!r} fused launch not bit-exact vs per-plan loop"
+        "backend 'numpy' fused launch not bit-exact vs per-plan loop"
     )
 
     def per_plan():
@@ -252,12 +243,9 @@ def _render(lut: dict, backends: list[dict], sweep: dict) -> str:
         f" + {lut['compile_time']:.3f} s one-time compile)",
         f"  speedup   {lut['speedup']:.1f}x  (required >= {LUT_MIN_SPEEDUP:.0f}x)",
         "",
-        "Per-backend throughput (patches/s, bit-exact vs legacy reference):",
+        "Backend throughput (patches/s, bit-exact vs legacy reference):",
     ]
     for row in backends:
-        if not row["available"]:
-            lines.append(f"  {row['backend']:<8} unavailable ({row['reason']})")
-            continue
         cases = "  ".join(
             f"{case}: {pps:10.0f}" for case, pps in row["cases"].items()
         )
@@ -281,7 +269,7 @@ def _render(lut: dict, backends: list[dict], sweep: dict) -> str:
 
 def test_engine_throughput(results_dir):
     """Compiled kernels beat the legacy paths by the required margins, and
-    every available backend reports bit-exact per-backend throughput."""
+    the backend reports bit-exact throughput."""
     lut = run_lut_throughput()
     backends = run_backend_throughput()
     sweep = run_sweep_wallclock()
@@ -314,7 +302,6 @@ def test_engine_throughput(results_dir):
     assert lut["speedup"] >= LUT_MIN_SPEEDUP
     assert sweep["speedup"] >= SWEEP_MIN_SPEEDUP
     by_name = {row["backend"]: row for row in backends}
-    assert by_name["numpy"]["available"], "numpy backend must always be available"
     # The numpy backend's LUT kernel is the same code path as the compiled
     # measurement above, so its floor is the legacy speedup requirement.
     numpy_lut_pps = by_name["numpy"]["cases"]["lut (random table)"]

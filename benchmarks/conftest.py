@@ -12,7 +12,7 @@ Provenance: every write goes through the atomic writers of
 never truncate the shared ``BENCH_engine.json`` ledger), and every bench
 records a :class:`~repro.provenance.manifest.RunManifest` via
 :func:`record_bench`, embedding the full runtime environment (package
-versions, backend availability *with import-failure reasons*, host facts)
+versions *with import-failure reasons*, host facts)
 next to its metrics under ``results/manifests/``.
 
 Environment knobs:

@@ -100,10 +100,7 @@ class WeightOrientedProduct(ProductModel):
         return sums
 
     def compile(
-        self,
-        weight_codes: np.ndarray,
-        control_variate: ControlVariate,
-        options=None,
+        self, weight_codes: np.ndarray, control_variate: ControlVariate
     ) -> ProductKernel:
         return _WeightOrientedKernel(self, weight_codes)
 

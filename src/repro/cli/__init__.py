@@ -28,35 +28,21 @@ regenerate the paper's headline artifacts without writing Python:
 ``--workers`` has identical semantics across ``sweep``, ``table3``,
 ``dse`` and ``serve`` — the worker-process count of the evaluation runtime
 (:mod:`repro.runtime`), 1 meaning in-process serial — and invalid values
-exit with status 2 and a clear message, like unknown backend names.
+exit with status 2 and a clear message, like unknown strategy names.
 ``--remote URL`` likewise has identical semantics across ``sweep``,
 ``table3`` and ``dse``: submit evaluation jobs to the daemon at URL
 instead of evaluating in-process (bit-exact either way).
 
-Each sub-command prints an aligned text table to stdout (``repro backends
+Each sub-command prints an aligned text table to stdout (``repro info
 --json`` and ``repro dse --json`` emit machine-readable JSON instead).
 
-Unknown engine-backend or search-strategy names exit with status 2 and a
-one-line error naming the registered alternatives — never a traceback.
+Unknown search-strategy names exit with status 2 and a one-line error
+naming the registered alternatives — never a traceback.
 
 Reproducibility: ``repro dse`` and ``repro sweep`` accept a single
 ``--seed`` that drives *every* stochastic path (synthetic dataset
 generation, evaluation subsampling, NSGA-II) through named
 :class:`repro.core.seeding.SeedBank` streams.
-
-Engine backends
----------------
-The accuracy sweep compiles its product kernels through a pluggable engine
-backend (:mod:`repro.core.backends`).  ``python -m repro backends`` lists
-the registered backends and their availability, and ``--engine-backend``
-selects one for the sweep::
-
-    python -m repro backends
-    python -m repro accuracy --model vgg13 --engine-backend lowmem
-
-Backends are bit-exact — they change simulation speed and memory only — and
-an unavailable backend (one whose availability probe fails) falls back to
-``numpy`` with a warning.
 
 Package layout
 --------------
@@ -72,7 +58,6 @@ import argparse
 
 from repro.cli import (
     accuracy,
-    backends,
     dse,
     error_model,
     hardware,
@@ -87,7 +72,6 @@ from repro.cli import (
 _VERBS = (
     hardware,
     accuracy,
-    backends,
     sweep,
     table3,
     dse,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.reporting import Table
-from repro.core.backends import backend_names
 from repro.models.zoo import MODEL_NAMES
 from repro.simulation.campaign import (
     TrainedModelCache,
@@ -25,7 +24,6 @@ def cmd_accuracy(args: argparse.Namespace) -> int:
         {dataset.name: dataset},
         perforations=tuple(args.perforations),
         max_eval_images=args.max_eval_images,
-        engine_backend=args.engine_backend,
     )
     table = Table(
         title=f"{args.model} on {dataset.name} "
@@ -51,12 +49,5 @@ def register(sub) -> None:
     accuracy.add_argument("--perforations", type=int, nargs="+", default=[1, 2, 3])
     accuracy.add_argument("--max-eval-images", type=int, default=None)
     accuracy.add_argument("--cache-dir", default=None)
-    accuracy.add_argument(
-        "--engine-backend",
-        choices=backend_names(),
-        default=None,
-        help="engine backend compiling the product kernels (bit-exact; "
-        "unavailable backends fall back to numpy with a warning)",
-    )
     accuracy.add_argument("--verbose", action="store_true")
     accuracy.set_defaults(func=cmd_accuracy)

@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from repro.core.backends import backend_names, has_backend
 from repro.core.seeding import SeedBank
 from repro.simulation.campaign import TrainingSettings, trained_cache_stem
 
@@ -70,22 +69,12 @@ def sweep_manifest_outputs(sweep) -> dict:
 def cli_error(message: str) -> int:
     """Print a one-line error to stderr and return the CLI failure status.
 
-    Used for late-validated names (engine backends, search strategies) so a
-    typo produces a clear message and a non-zero exit instead of a
+    Used for late-validated names (search strategies) and flag values, so
+    a typo produces a clear message and a non-zero exit instead of a
     traceback.
     """
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def check_engine_backend(name: str | None) -> str | None:
-    """Error message for an unknown backend name, or ``None`` when valid."""
-    if name is not None and not has_backend(name):
-        return (
-            f"unknown engine backend {name!r}; registered backends: "
-            f"{', '.join(backend_names())} (see `repro backends`)"
-        )
-    return None
 
 
 def check_workers(workers: int | None) -> str | None:
@@ -162,7 +151,6 @@ def sweep_jobs_local(
     workers: int | None,
     *,
     max_eval_images: int | None = None,
-    engine_backend: str | None = None,
 ):
     """The Table III sweep through the in-process job API.
 
@@ -190,7 +178,6 @@ def sweep_jobs_local(
         max_workers=effective,
         requested_workers=workers,
         max_eval_images=max_eval_images,
-        engine_backend=engine_backend,
     )
     with LocalJobClient(manager) as client:
         sweep, totals = sweep_over_jobs(client, perforations=tuple(perforations))

@@ -27,7 +27,6 @@ from repro.simulation.campaign import (
 from repro.cli.common import (
     add_remote_flag,
     add_workers_flag,
-    check_engine_backend,
     check_workers,
     cli_error,
     model_manifest_entries,
@@ -82,8 +81,8 @@ def _dse_json_payload(dataset, result) -> dict:
 def _check_remote_flags(args: argparse.Namespace) -> str | None:
     """Flags that would silently do nothing against a daemon are rejected.
 
-    The daemon's measurement setup (eval split, calibration head, engine
-    backend, worker pool) wins — mirroring how ``run_campaign`` rejects
+    The daemon's measurement setup (eval split, calibration head, worker
+    pool) wins — mirroring how ``run_campaign`` rejects
     measurement knobs that conflict with an externally-owned service.
     """
     clashes = []
@@ -95,8 +94,6 @@ def _check_remote_flags(args: argparse.Namespace) -> str | None:
         clashes.append("--max-eval-images")
     if args.calibration_images != 128:
         clashes.append("--calibration-images")
-    if args.engine_backend is not None:
-        clashes.append("--engine-backend")
     if not clashes:
         return None
     return (
@@ -115,9 +112,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
             f"unknown search strategy {args.strategy!r}; registered strategies: "
             f"{', '.join(strategy_names())}"
         )
-    for error in (check_engine_backend(args.engine_backend), check_workers(args.workers)):
-        if error is not None:
-            return cli_error(error)
+    error = check_workers(args.workers)
+    if error is not None:
+        return cli_error(error)
     if args.subsample_eval is not None:
         if args.max_eval_images is not None:
             return cli_error(
@@ -178,7 +175,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 "max_eval_images": args.max_eval_images,
                 "subsample_eval": args.subsample_eval,
                 "calibration_images": args.calibration_images,
-                "engine_backend": args.engine_backend,
                 "workers": args.workers,
                 "ledger_dir": ledger_dir,
                 "resume": args.resume,
@@ -214,7 +210,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 args.workers,
                 max_eval_images=args.max_eval_images,
                 calibration_images=args.calibration_images,
-                engine_backend=args.engine_backend,
                 eval_images=eval_images,
                 eval_labels=eval_labels,
             )
@@ -247,7 +242,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
                     rng=bank.generator(rng_stream),
                     max_eval_images=args.max_eval_images,
                     calibration_images=args.calibration_images,
-                    engine_backend=args.engine_backend,
                     # The shared service already hosts any eval subsample as
                     # its dataset's test split; passing the arrays alongside
                     # `service` is rejected by run_campaign.
@@ -465,12 +459,6 @@ def register(sub) -> None:
     )
     dse.add_argument("--calibration-images", type=int, default=128)
     add_workers_flag(dse)
-    dse.add_argument(
-        "--engine-backend",
-        default=None,
-        help="engine backend name (validated against the registry; unknown "
-        "names exit with a clear error)",
-    )
     dse.add_argument("--cache-dir", default=None)
     dse.add_argument(
         "--json", action="store_true", help="emit the campaign result as JSON"

@@ -30,19 +30,6 @@ def cmd_info(args: argparse.Namespace) -> int:
         )
     print()
     print(table.render())
-    table = Table(
-        title="Engine backends",
-        columns=["name", "available", "default", "reason"],
-    )
-    for row in env["engine_backends"]:
-        table.add_row(
-            row["name"],
-            "yes" if row["available"] else "no",
-            "*" if row["default"] else "",
-            row["reason"] or "",
-        )
-    print()
-    print(table.render())
     print()
     print(
         "seed defaults: "
@@ -65,9 +52,9 @@ def cmd_info(args: argparse.Namespace) -> int:
 def register(sub) -> None:
     info = sub.add_parser(
         "info",
-        help="print the provenance environment block (package versions, "
-        "backend availability with failure reasons, seed defaults, runtime "
-        "stats schema) — the block embedded verbatim in every run manifest",
+        help="print the provenance environment block (package versions "
+        "with import-failure reasons, seed defaults, runtime stats schema) "
+        "— the block embedded verbatim in every run manifest",
     )
     info.add_argument(
         "--json", action="store_true", help="emit the block as machine-readable JSON"

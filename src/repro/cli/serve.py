@@ -33,7 +33,6 @@ from repro.simulation.campaign import (
 
 from repro.cli.common import (
     add_workers_flag,
-    check_engine_backend,
     check_workers,
     cli_error,
 )
@@ -77,9 +76,9 @@ def _hosted_models(args: argparse.Namespace):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    for error in (check_engine_backend(args.engine_backend), check_workers(args.workers)):
-        if error is not None:
-            return cli_error(error)
+    error = check_workers(args.workers)
+    if error is not None:
+        return cli_error(error)
     from repro.runtime.jobs import JobManager
     from repro.runtime.server import JobServer
     from repro.runtime.sizing import resolve_worker_count
@@ -93,16 +92,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         requested_workers=args.workers,
         max_eval_images=max_eval_images,
         calibration_images=calibration_images,
-        engine_backend=args.engine_backend,
-        # A daemon's results are meant to be shared: force the publish-once
-        # path when asked, even for a serial pool.
-        use_shared_memory=True if args.force_shared_memory else None,
         max_queue_depth=args.queue_depth,
         max_inflight_per_session=args.session_inflight,
         cache_entries=args.cache_entries,
         cache_persist_dir=args.cache_persist,
         ledger_dir=args.ledger_dir,
-        seed=args.seed,
         record_manifests=args.manifests,
     )
     server = JobServer(manager, host=args.host, port=args.port)
@@ -173,17 +167,11 @@ def register(sub) -> None:
         "--seed",
         type=int,
         default=None,
-        help="root seed: dataset generation and the per-session job seed "
-        "streams derive from it",
+        help="root seed of the hosted datasets' generation (the same "
+        "dataset stream as `repro sweep|table3|dse --seed`)",
     )
     serve.add_argument("--cache-dir", default=None)
     add_workers_flag(serve)
-    serve.add_argument(
-        "--engine-backend",
-        default=None,
-        help="engine backend name (validated against the registry; unknown "
-        "names exit with a clear error)",
-    )
     serve.add_argument("--max-eval-images", type=int, default=None)
     serve.add_argument("--calibration-images", type=int, default=128)
     serve.add_argument(
@@ -225,12 +213,6 @@ def register(sub) -> None:
         "--manifests",
         action="store_true",
         help="write a run manifest per completed job under results/runs/",
-    )
-    serve.add_argument(
-        "--force-shared-memory",
-        action="store_true",
-        help="publish hosted models and datasets through shared memory even "
-        "with a serial pool (exercises the publish-once path)",
     )
     serve.add_argument("--verbose", action="store_true")
     serve.set_defaults(func=cmd_serve)

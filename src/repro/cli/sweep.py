@@ -24,7 +24,6 @@ from repro.simulation.campaign import (
 from repro.cli.common import (
     add_remote_flag,
     add_workers_flag,
-    check_engine_backend,
     check_workers,
     cli_error,
     model_manifest_entries,
@@ -78,9 +77,9 @@ def _remote_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    for error in (check_engine_backend(args.engine_backend), check_workers(args.workers)):
-        if error is not None:
-            return cli_error(error)
+    error = check_workers(args.workers)
+    if error is not None:
+        return cli_error(error)
     if args.remote is not None:
         if args.workers != 1:
             return cli_error(
@@ -110,7 +109,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "perforations": list(args.perforations),
                 "max_eval_images": args.max_eval_images,
-                "engine_backend": args.engine_backend,
                 "workers": args.workers,
             }
         )
@@ -120,7 +118,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             args.perforations,
             args.workers,
             max_eval_images=args.max_eval_images,
-            engine_backend=args.engine_backend,
         )
         manifest.outputs.update(sweep_manifest_outputs(sweep))
         manifest.outputs["jobs"] = totals
@@ -156,12 +153,6 @@ def register(sub) -> None:
     sweep.add_argument("--perforations", type=int, nargs="+", default=[1, 2, 3])
     sweep.add_argument("--max-eval-images", type=int, default=None)
     add_workers_flag(sweep)
-    sweep.add_argument(
-        "--engine-backend",
-        default=None,
-        help="engine backend name (validated against the registry; unknown "
-        "names exit with a clear error)",
-    )
     sweep.add_argument(
         "--seed",
         type=int,

@@ -16,7 +16,6 @@ from repro.simulation.campaign import (
 from repro.cli.common import (
     add_remote_flag,
     add_workers_flag,
-    check_engine_backend,
     check_workers,
     cli_error,
     model_manifest_entries,
@@ -118,9 +117,9 @@ def cmd_table3(args: argparse.Namespace) -> int:
     from the same worker pool — duplicate cells across jobs from the
     service-level result cache.
     """
-    for error in (check_engine_backend(args.engine_backend), check_workers(args.workers)):
-        if error is not None:
-            return cli_error(error)
+    error = check_workers(args.workers)
+    if error is not None:
+        return cli_error(error)
     if args.remote is not None:
         if args.workers != 1:
             return cli_error(
@@ -160,7 +159,6 @@ def cmd_table3(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "perforations": list(args.perforations),
                 "max_eval_images": args.max_eval_images,
-                "engine_backend": args.engine_backend,
                 "workers": args.workers,
             }
         )
@@ -170,7 +168,6 @@ def cmd_table3(args: argparse.Namespace) -> int:
             args.perforations,
             args.workers,
             max_eval_images=args.max_eval_images,
-            engine_backend=args.engine_backend,
         )
         manifest.outputs.update(sweep_manifest_outputs(sweep))
         manifest.outputs["jobs"] = totals
@@ -214,12 +211,6 @@ def register(sub) -> None:
     table3.add_argument("--perforations", type=int, nargs="+", default=[1, 2, 3])
     table3.add_argument("--max-eval-images", type=int, default=None)
     add_workers_flag(table3)
-    table3.add_argument(
-        "--engine-backend",
-        default=None,
-        help="engine backend name (validated against the registry; unknown "
-        "names exit with a clear error)",
-    )
     table3.add_argument(
         "--seed",
         type=int,

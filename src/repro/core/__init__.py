@@ -18,11 +18,9 @@ This package implements Section III of the paper:
   the weight-dependent state of every product model is built once per
   (layer, plan) and reused across batches; the LUT path becomes two matrix
   products via the ``lut = exact - error`` decomposition.
-* :mod:`~repro.core.backends` — the pluggable engine-backend registry
-  (``numpy`` / ``lowmem``) selecting *how* product kernels are
-  compiled; all backends are bit-exact and selectable via
-  ``AcceleratorConfig.engine_backend``, the executor's ``engine_backend``
-  argument and the CLI's ``--engine-backend`` flag.
+* :mod:`~repro.core.backends` — :class:`NumpyBackend`, the one compiler
+  of the executor's kernels: per-block product kernels, fused into
+  multi-plan kernels per layer.
 * :mod:`~repro.core.shared_store` — :class:`SharedArrayStore`, the generic
   one-producer / many-consumer shared-memory channel (POSIX shm with a
   memmap fallback) behind the multi-process sweep's zero-copy publication
@@ -51,27 +49,13 @@ from repro.core.accelerator_model import AcceleratorConfig
 from repro.core.product_kernels import (
     AccurateKernel,
     CallbackKernel,
-    ChunkedKernel,
-    KernelOptions,
     LUTKernel,
     PerforatedKernel,
     ProductKernel,
     exact_int_matmul,
 )
 from repro.core.shared_store import SharedArrayStore
-from repro.core.backends import (
-    DEFAULT_BACKEND,
-    BackendUnavailableError,
-    EngineBackend,
-    LowMemoryBackend,
-    NumpyBackend,
-    available_backend_names,
-    backend_names,
-    get_backend,
-    has_backend,
-    register_backend,
-    resolve_backend,
-)
+from repro.core.backends import NumpyBackend
 
 __all__ = [
     "ControlVariate",
@@ -91,20 +75,8 @@ __all__ = [
     "AccurateKernel",
     "PerforatedKernel",
     "LUTKernel",
-    "ChunkedKernel",
     "CallbackKernel",
-    "KernelOptions",
     "exact_int_matmul",
     "SharedArrayStore",
-    "DEFAULT_BACKEND",
-    "BackendUnavailableError",
-    "EngineBackend",
     "NumpyBackend",
-    "LowMemoryBackend",
-    "register_backend",
-    "backend_names",
-    "available_backend_names",
-    "has_backend",
-    "get_backend",
-    "resolve_backend",
 ]

@@ -29,12 +29,6 @@ class AcceleratorConfig:
         Clock period.  The approximate arrays are synthesized at the accurate
         array's critical path, so by construction all configurations of the
         same ``array_size`` share this value (Section V-A).
-    engine_backend:
-        Name of the registered :mod:`repro.core.backends` engine backend the
-        software simulation of this accelerator should compile its product
-        kernels with (``numpy``, ``lowmem``, ...).  Purely a
-        simulation-speed/memory knob: every backend is bit-exact, so it
-        never changes the modeled accuracy or hardware figures.
     """
 
     array_size: int = 64
@@ -43,18 +37,10 @@ class AcceleratorConfig:
     activation_bits: int = 8
     weight_bits: int = 8
     clock_ns: float = 1.0
-    engine_backend: str = "numpy"
 
     def __post_init__(self) -> None:
-        from repro.core.backends import has_backend
-
         if self.array_size < 1:
             raise ValueError(f"array_size must be positive, got {self.array_size}")
-        if not has_backend(self.engine_backend):
-            raise ValueError(
-                f"unknown engine backend {self.engine_backend!r}; "
-                f"see repro.core.backends.backend_names()"
-            )
         if not 0 <= self.perforation < self.activation_bits:
             raise ValueError(
                 f"perforation must be within [0, {self.activation_bits - 1}], "

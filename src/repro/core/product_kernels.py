@@ -35,7 +35,6 @@ results are bit-identical to the int64 reference paths (enforced by the
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,21 +50,6 @@ except ImportError:  # pragma: no cover - scipy is available in CI
 #: Largest precompiled LUT error matrix, in bytes, before :class:`LUTKernel`
 #: falls back to the low-memory per-tap evaluation.
 DEFAULT_MAX_ERROR_MATRIX_BYTES = 1 << 28
-
-
-@dataclass(frozen=True)
-class KernelOptions:
-    """Backend-tunable knobs honored by ``ProductModel.compile``.
-
-    An :class:`repro.core.backends.EngineBackend` passes these to the
-    product models it compiles; models honor the knobs that apply to them
-    (only the LUT kernel has a memory/speed trade-off today) and ignore the
-    rest, so options never change results — only footprint and speed.
-    """
-
-    #: Cap on the precompiled LUT error matrix; layers whose matrix would
-    #: exceed it use the streaming per-tap evaluation instead.
-    max_error_matrix_bytes: int = DEFAULT_MAX_ERROR_MATRIX_BYTES
 
 
 def _as_int64_weights(weight_codes: np.ndarray) -> np.ndarray:
@@ -317,34 +301,6 @@ class LUTKernel(ProductKernel):
         return err
 
 
-class ChunkedKernel(ProductKernel):
-    """Evaluate a wrapped kernel in bounded patch chunks.
-
-    Rows (patches) are computed independently by every kernel, so splitting
-    the batch along the patch axis is bit-exact while capping the transient
-    memory of the wrapped kernel (one-hot products, correction terms) at the
-    chunk size.  Used by the low-memory engine backend.
-    """
-
-    def __init__(self, base: ProductKernel, chunk_patches: int):
-        if chunk_patches < 1:
-            raise ValueError(f"chunk_patches must be positive, got {chunk_patches}")
-        super().__init__(base.taps, base.filters)
-        self.base = base
-        self.chunk_patches = int(chunk_patches)
-
-    def product_sums(self, act_codes: np.ndarray) -> np.ndarray:
-        act = np.asarray(act_codes)
-        patches = act.shape[0]
-        if patches <= self.chunk_patches:
-            return self.base(act_codes)
-        parts = [
-            self.base(act[start : start + self.chunk_patches])
-            for start in range(0, patches, self.chunk_patches)
-        ]
-        return np.concatenate(parts, axis=0)
-
-
 class CallbackKernel(ProductKernel):
     """Fallback kernel wrapping an uncompiled ``ProductModel.product_sums``.
 
@@ -392,9 +348,10 @@ class MultiPlanKernel:
     dtype :meth:`QuantizedLinearOp.output_real_stacked` dequantizes — with
     block p bit-identical (as a value) to ``kernels[p](act_block_p)``.
     ``P = 1`` is the executor's single-model launch.
-    Kernel types the fusion does not understand (chunked, callback,
-    streaming low-memory LUTs) are evaluated per block through their own
-    kernel, so fusion never changes results, only launch count.
+    Kernel types the fusion does not understand (callback kernels, LUTs
+    streaming their error terms tap by tap) are evaluated per block
+    through their own kernel, so fusion never changes results, only
+    launch count.
 
     All kernels must be compiled against the same weight codes; the shared
     weight operand is borrowed from the first fusable kernel.
@@ -641,12 +598,10 @@ class MultiPlanKernel:
 
 __all__ = [
     "DEFAULT_MAX_ERROR_MATRIX_BYTES",
-    "KernelOptions",
     "ProductKernel",
     "AccurateKernel",
     "PerforatedKernel",
     "LUTKernel",
-    "ChunkedKernel",
     "CallbackKernel",
     "MultiPlanKernel",
     "exact_int_matmul",

@@ -372,7 +372,6 @@ def build_campaign_service(
     workers: int | None,
     max_eval_images: int | None = None,
     calibration_images: int = 128,
-    engine_backend: str | None = None,
     eval_images: np.ndarray | None = None,
     eval_labels: np.ndarray | None = None,
 ) -> "EvaluationService":
@@ -406,7 +405,6 @@ def build_campaign_service(
         max_workers=workers,
         max_eval_images=max_eval_images,
         calibration_images=calibration_images,
-        engine_backend=engine_backend,
     )
 
 
@@ -414,7 +412,6 @@ def _check_service_setup(
     service: "EvaluationService",
     max_eval_images: int | None,
     calibration_images: int,
-    engine_backend: str | None,
     eval_images: np.ndarray | None,
     eval_labels: np.ndarray | None,
 ) -> None:
@@ -441,11 +438,6 @@ def _check_service_setup(
         )
         if ours != theirs
     ]
-    if engine_backend is not None and engine_backend != service.engine_backend:
-        mismatches.append(
-            f"engine_backend={engine_backend!r} "
-            f"(service has {service.engine_backend!r})"
-        )
     if mismatches:
         raise ValueError(
             "campaign measurement knobs conflict with the external service: "
@@ -466,7 +458,6 @@ def run_campaign(
     rng: np.random.Generator | None = None,
     max_eval_images: int | None = None,
     calibration_images: int = 128,
-    engine_backend: str | None = None,
     eval_images: np.ndarray | None = None,
     eval_labels: np.ndarray | None = None,
     workers: int | None = 1,
@@ -560,7 +551,6 @@ def run_campaign(
                     effective_workers,
                     max_eval_images=max_eval_images,
                     calibration_images=calibration_images,
-                    engine_backend=engine_backend,
                     eval_images=eval_images,
                     eval_labels=eval_labels,
                 )
@@ -572,7 +562,6 @@ def run_campaign(
                     service,
                     max_eval_images,
                     calibration_images,
-                    engine_backend,
                     eval_images,
                     eval_labels,
                 )
@@ -587,7 +576,6 @@ def run_campaign(
                     dataset,
                     max_eval_images=max_eval_images,
                     calibration_images=calibration_images,
-                    engine_backend=engine_backend,
                     eval_images=eval_images,
                     eval_labels=eval_labels,
                 )

@@ -30,10 +30,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.backends import EngineBackend
 from repro.datasets.synthetic import Dataset
 from repro.simulation.campaign import TrainedModel
-from repro.simulation.inference import ApproximateExecutor, ExecutionPlan
+from repro.simulation.inference import EVAL_BATCH_SIZE, ApproximateExecutor, ExecutionPlan
 from repro.simulation.metrics import accuracy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,9 +82,8 @@ class PlanEvaluator:
 
     Parameters mirror :func:`~repro.simulation.campaign.plan_sweep` so a
     campaign and a hand-enumerated sweep over the same knobs agree
-    bit-exactly: ``max_eval_images`` caps the test split (prefix slice),
-    ``calibration_images`` slices the head of the training split, and
-    ``engine_backend`` selects the (bit-exact) kernel backend.
+    bit-exactly: ``max_eval_images`` caps the test split (prefix slice) and
+    ``calibration_images`` slices the head of the training split.
     ``eval_images`` / ``eval_labels`` override the evaluation
     arrays entirely — the hook the CLI's seeded eval subsampling uses.
     """
@@ -96,8 +94,6 @@ class PlanEvaluator:
         dataset: Dataset,
         max_eval_images: int | None = None,
         calibration_images: int = 128,
-        engine_backend: "str | EngineBackend | None" = None,
-        batch_size: int = 256,
         eval_images: np.ndarray | None = None,
         eval_labels: np.ndarray | None = None,
     ):
@@ -105,14 +101,11 @@ class PlanEvaluator:
         self.dataset = dataset
         self.max_eval_images = max_eval_images
         self.calibration_images = int(calibration_images)
-        self.batch_size = int(batch_size)
         self.eval_images, self.eval_labels = _resolve_eval_arrays(
             dataset, max_eval_images, eval_images, eval_labels
         )
         self.executor = ApproximateExecutor(
-            trained.model,
-            dataset.train_images[: self.calibration_images],
-            engine_backend=engine_backend,
+            trained.model, dataset.train_images[: self.calibration_images]
         )
         self.evaluations = 0
 
@@ -126,7 +119,7 @@ class PlanEvaluator:
             self.eval_images,
             self.eval_labels,
             self.dataset.train_images[: self.calibration_images],
-            batch_size=self.batch_size,
+            batch_size=EVAL_BATCH_SIZE,
             tag=self.dataset.name,
         )
 
@@ -141,9 +134,7 @@ class PlanEvaluator:
         Bit-exact with evaluating each plan on a fresh executor.
         """
         plans = list(plans)
-        predictions_per_plan = self.executor.predict_many(
-            self.eval_images, plans, batch_size=self.batch_size
-        )
+        predictions_per_plan = self.executor.predict_many(self.eval_images, plans)
         self.evaluations += len(plans)
         return [
             accuracy(predictions, self.eval_labels)
@@ -187,8 +178,6 @@ class ServicePlanEvaluator:
         self.dataset = service.datasets[self.trained.dataset_name]
         self.max_eval_images = service.max_eval_images
         self.calibration_images = service.calibration_images
-        self.batch_size = service.batch_size
-        self.engine_backend = service.engine_backend
         self.eval_images, self.eval_labels = _resolve_eval_arrays(
             self.dataset, self.max_eval_images, None, None
         )
@@ -203,7 +192,6 @@ class ServicePlanEvaluator:
             self._executor = ApproximateExecutor(
                 self.trained.model,
                 self.dataset.train_images[: self.calibration_images],
-                engine_backend=self.engine_backend,
             )
         return self._executor
 
@@ -216,7 +204,7 @@ class ServicePlanEvaluator:
             self.eval_images,
             self.eval_labels,
             self.dataset.train_images[: self.calibration_images],
-            batch_size=self.batch_size,
+            batch_size=EVAL_BATCH_SIZE,
             tag=self.dataset.name,
         )
 

@@ -6,8 +6,8 @@ measurement without provenance cannot be regression-gated.  This package is
 the one place the repo states what it measured:
 
 * :mod:`repro.provenance.environment` — the self-describing runtime block
-  (package versions, backend availability *with import-failure reasons*,
-  host facts, seed defaults) reused verbatim inside every manifest and
+  (package versions *with import-failure reasons*, host facts, seed and
+  runtime defaults) reused verbatim inside every manifest and
   printed by ``repro info --json``;
 * :mod:`repro.provenance.manifest` — :class:`RunManifest` (input identity
   hashes + outputs), atomic temp-file-rename JSON writers, and the

@@ -48,25 +48,6 @@ def probe_package(name: str) -> dict:
     }
 
 
-def _engine_backend_rows() -> list[dict]:
-    """Availability of every registered engine backend (with reasons)."""
-    from repro.core.backends import DEFAULT_BACKEND, backend_names, get_backend
-
-    rows = []
-    for name in backend_names():
-        backend = get_backend(name)
-        available, reason = backend.availability()
-        rows.append(
-            {
-                "name": name,
-                "available": available,
-                "default": name == DEFAULT_BACKEND,
-                "reason": None if available else reason,
-            }
-        )
-    return rows
-
-
 def _seed_defaults() -> dict:
     """The root seeds every stochastic path defaults to without ``--seed``."""
     from repro.simulation.campaign import TrainingSettings
@@ -129,8 +110,7 @@ def provenance_environment() -> dict:
 
     Keys: ``package`` (this distribution), ``python`` / ``platform`` /
     ``machine`` / ``cpu_count`` (host facts), ``packages`` (probe results
-    incl. import-failure reasons), ``engine_backends`` (registry
-    availability with reasons), ``seed_defaults``, ``runtime`` (stats
+    incl. import-failure reasons), ``seed_defaults``, ``runtime`` (stats
     schema, worker and BLAS-thread sizing, admission defaults).
     """
     return {
@@ -141,7 +121,6 @@ def provenance_environment() -> dict:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "packages": {name: probe_package(name) for name in PROBED_PACKAGES},
-        "engine_backends": _engine_backend_rows(),
         "seed_defaults": _seed_defaults(),
         "runtime": _runtime_defaults(),
     }

@@ -5,7 +5,7 @@ A :class:`RunManifest` states what a run measured and what it measured it
 array-hashing recipe :mod:`repro.dse.ledger` keys its records with, so a
 manifest's hashes reproduce the ledger's ``context_key`` and the
 :class:`~repro.simulation.campaign.TrainedModelCache` stem), the seed,
-engine backend, worker count, package version, and the full provenance
+worker count, package version, and the full provenance
 environment block.  :func:`record_run` is the one context manager every
 result-producing entry point wraps itself in — ``repro sweep`` / ``table3``
 / ``dse`` and the benchmarks via ``benchmarks/conftest.py``.
@@ -206,7 +206,7 @@ class RunManifest:
 
     ``inputs`` carries content-addressed identity (model/dataset sha256
     digests, plan fingerprints, ledger context keys, trained-cache stems,
-    seed, backend, workers); ``outputs`` carries what was measured
+    seed, workers); ``outputs`` carries what was measured
     (accuracy records, Pareto fronts, wall clocks, eval counts).  The
     environment block from
     :func:`repro.provenance.environment.provenance_environment` is embedded

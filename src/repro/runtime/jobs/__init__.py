@@ -9,8 +9,8 @@ The runtime stack is three explicit layers::
                          prefix-aware scheduling, worker pool
 
 This package is layer 2: everything *multi-client* about evaluation —
-admission-controlled FIFO job queueing, per-client sessions (seed streams
-+ ledger namespaces), and the content-addressed service-level result
+admission-controlled FIFO job queueing, per-client sessions (ledger
+namespaces and counters), and the content-addressed service-level result
 cache that makes duplicate cells free across any client — without the
 engine below knowing clients exist or the transport above knowing how
 cells execute.

@@ -100,11 +100,15 @@ def decode_product(payload: dict) -> ProductModel:
     if kind == "accurate":
         return AccurateProduct()
     if kind == "perforated":
-        try:
-            m = int(payload["m"])
-        except (KeyError, TypeError, ValueError):
-            raise PlanCodecError(f"bad perforated payload: {payload!r}") from None
-        use_cv = bool(payload.get("use_control_variate", True))
+        # JSON types only: a bool is an int in Python, and int() or bool()
+        # would coerce 2.7, "3" or "false" instead of rejecting them.
+        m = payload.get("m")
+        use_cv = payload.get("use_control_variate", True)
+        if type(m) is not int or not isinstance(use_cv, bool):
+            raise PlanCodecError(
+                "perforated payload needs an integer 'm' and a boolean "
+                f"'use_control_variate': {payload!r}"
+            )
         try:
             return PerforatedProduct(m, use_control_variate=use_cv)
         except ValueError as exc:

@@ -7,8 +7,8 @@ One manager fronts one :class:`~repro.runtime.service.EvaluationService`
   control (bounded depth, per-session in-flight caps), drained by one
   dispatcher thread — the engine keeps its existing single-submitter
   contract, jobs from any number of clients serialize deterministically;
-* per-client :class:`~repro.runtime.jobs.sessions.Session`\\ s (seed
-  streams, ledger namespaces, counters);
+* per-client :class:`~repro.runtime.jobs.sessions.Session`\\ s (ledger
+  namespaces, counters);
 * the service-level :class:`~repro.runtime.jobs.cache.ResultCache` — every
   completed cell is stored under its content-addressed key (the exact
   :func:`~repro.dse.ledger.plan_key` recipe campaign ledgers use), so a
@@ -31,7 +31,6 @@ import threading
 import traceback
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core.seeding import SeedBank
 from repro.datasets.synthetic import Dataset
 from repro.runtime.jobs.cache import ResultCache
 from repro.runtime.jobs.model import Job, JobState
@@ -57,8 +56,7 @@ class JobManager:
     service:
         An already-constructed engine to front (not owned: ``close()``
         leaves it running).  Mutually exclusive with the engine knobs.
-    max_workers / requested_workers / max_eval_images / calibration_images /
-    engine_backend / use_shared_memory / batch_size:
+    max_workers / requested_workers / max_eval_images / calibration_images:
         Engine knobs, as in :class:`~repro.runtime.service.EvaluationService`.
     max_queue_depth / max_inflight_per_session:
         Admission bounds (see :class:`~repro.runtime.jobs.queue.JobQueue`).
@@ -73,8 +71,6 @@ class JobManager:
     ledger_dir:
         Root of per-session ledger namespaces; ``None`` keeps session
         ledgers in memory.
-    seed:
-        Root seed of the per-session seed banks.
     record_manifests:
         Emit one digest-stamped :class:`~repro.provenance.RunManifest` per
         completed job (kind ``"job"``), as the CLI verbs do for their runs.
@@ -94,15 +90,11 @@ class JobManager:
         requested_workers: int | None = None,
         max_eval_images: int | None = None,
         calibration_images: int = 128,
-        engine_backend: str | None = None,
-        use_shared_memory: bool | None = None,
-        batch_size: int = 256,
         max_queue_depth: int = 64,
         max_inflight_per_session: int = 8,
         cache_entries: int | None = None,
         cache_persist_dir: str | None = None,
         ledger_dir: str | None = None,
-        seed: int | None = None,
         record_manifests: bool = False,
         auto_start: bool = True,
     ):
@@ -125,9 +117,6 @@ class JobManager:
                 requested_workers=requested_workers,
                 max_eval_images=max_eval_images,
                 calibration_images=calibration_images,
-                engine_backend=engine_backend,
-                use_shared_memory=use_shared_memory,
-                batch_size=batch_size,
             )
             self._owns_service = True
         self.queue = JobQueue(
@@ -135,7 +124,7 @@ class JobManager:
             max_inflight_per_session=max_inflight_per_session,
         )
         self.cache = ResultCache(cache_entries, persist_dir=cache_persist_dir)
-        self.sessions = SessionRegistry(SeedBank(seed), ledger_dir=ledger_dir)
+        self.sessions = SessionRegistry(ledger_dir=ledger_dir)
         self.record_manifests = bool(record_manifests)
         self._jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
@@ -236,6 +225,7 @@ class JobManager:
             return cached
         from repro.dse.evaluator import _resolve_eval_arrays
         from repro.dse.ledger import evaluation_context_key
+        from repro.simulation.inference import EVAL_BATCH_SIZE
 
         trained = self.service.models[model_index]
         dataset = self.service.datasets[trained.dataset_name]
@@ -247,7 +237,7 @@ class JobManager:
             eval_images,
             eval_labels,
             dataset.train_images[: self.service.calibration_images],
-            batch_size=self.service.batch_size,
+            batch_size=EVAL_BATCH_SIZE,
             tag=dataset.name,
         )
         with self._lock:

@@ -3,7 +3,7 @@
 A job is *model-ref + plan-set + eval context*: the index of a hosted
 model, the list of :class:`~repro.simulation.inference.ExecutionPlan`
 cells to score against it, and the session it belongs to (the evaluation
-context itself — eval/calibration arrays, batch size, backend — is a
+context itself — eval/calibration arrays, batch size — is a
 property of the hosting service and is folded into every cell's
 content-addressed key).  Jobs move through a strict lifecycle::
 

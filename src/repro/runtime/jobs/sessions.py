@@ -1,13 +1,7 @@
-"""Per-client sessions: named seed streams and ledger namespaces.
+"""Per-client sessions: ledger namespaces and counters.
 
 A session is the multi-tenant unit of the jobs layer: each client gets
 
-* **its own deterministic seed streams** — a
-  :class:`~repro.core.seeding.SeedBank` spawned from the service's root
-  bank under the session id, so two clients running seeded algorithms
-  (eval subsampling, NSGA-II) against one daemon draw independent,
-  reproducible streams — and re-connecting under the same session id
-  replays them;
 * **its own ledger namespace** — an optional
   :class:`~repro.dse.ledger.CampaignLedger` rooted at
   ``<ledger_dir>/<session id>/``, so one client's campaign records never
@@ -27,7 +21,6 @@ import os
 import re
 import threading
 
-from repro.core.seeding import SeedBank
 from repro.dse.ledger import CampaignLedger
 
 #: Session ids become directory names (ledger namespaces), so keep them flat.
@@ -41,15 +34,8 @@ class SessionError(ValueError):
 class Session:
     """One client's state within a job service."""
 
-    def __init__(
-        self,
-        session_id: str,
-        seeds: SeedBank,
-        ledger_dir: str | None = None,
-    ):
+    def __init__(self, session_id: str, ledger_dir: str | None = None):
         self.id = session_id
-        #: Seed streams private to this session (``seeds.generator(name)``).
-        self.seeds = seeds
         self.ledger_dir = ledger_dir
         self._ledger: CampaignLedger | None = None
         self.jobs_submitted = 0
@@ -81,19 +67,11 @@ class Session:
 class SessionRegistry:
     """Thread-safe ``session id -> Session`` map with create-on-first-use.
 
-    Parameters
-    ----------
-    seeds:
-        The service's root seed bank; each session's bank is
-        ``seeds.spawn(f"session:{id}")`` — stable per id, independent
-        across ids, unaffected by creation order.
-    ledger_dir:
-        Root of the per-session ledger namespaces (``<dir>/<id>/``);
-        ``None`` keeps every session ledger in memory.
+    ``ledger_dir`` is the root of the per-session ledger namespaces
+    (``<dir>/<id>/``); ``None`` keeps every session ledger in memory.
     """
 
-    def __init__(self, seeds: SeedBank, ledger_dir: str | None = None):
-        self._seeds = seeds
+    def __init__(self, ledger_dir: str | None = None):
         self._ledger_dir = ledger_dir
         self._sessions: dict[str, Session] = {}
         self._lock = threading.Lock()
@@ -117,11 +95,7 @@ class SessionRegistry:
                     if self._ledger_dir is None
                     else os.path.join(self._ledger_dir, session_id)
                 )
-                session = Session(
-                    session_id,
-                    self._seeds.spawn(f"session:{session_id}"),
-                    ledger_dir=ledger_dir,
-                )
+                session = Session(session_id, ledger_dir=ledger_dir)
                 self._sessions[session_id] = session
             return session
 

@@ -81,7 +81,7 @@ from repro.runtime.worker import (
     image_range,
     init_worker_state,
 )
-from repro.simulation.inference import ExecutionPlan
+from repro.simulation.inference import EVAL_BATCH_SIZE, ExecutionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.simulation.campaign import TrainedModel
@@ -184,17 +184,12 @@ class EvaluationService:
         effective ``workers`` in :meth:`stats` so a degraded-to-serial run
         is visible as ``requested_workers=4, workers=1``.  Defaults to
         ``max_workers``.
-    max_eval_images / calibration_images / engine_backend:
+    max_eval_images / calibration_images:
         As in :func:`repro.simulation.campaign.plan_sweep` — they select
-        the (bit-exact) measurement setup every worker reproduces.
-    use_shared_memory:
-        ``None`` (default) publishes models and datasets exactly when
-        worker processes are used; ``True`` forces the publish/attach
-        round trip even in-process (useful for testing), ``False`` ships
-        them directly to the pool initializer.
-    batch_size:
-        Forward batch size of every evaluation (part of the measurement
-        setup: it is hashed into DSE ledger context keys).
+        the measurement setup every worker reproduces.
+
+    Models and datasets are published to shared blocks exactly when a
+    pool runs; the serial path hands them to its worker state directly.
     """
 
     def __init__(
@@ -206,9 +201,6 @@ class EvaluationService:
         requested_workers: int | None = None,
         max_eval_images: int | None = None,
         calibration_images: int = 128,
-        engine_backend: str | None = None,
-        use_shared_memory: bool | None = None,
-        batch_size: int = 256,
     ):
         self.models = list(trained_models)
         if not self.models:
@@ -227,17 +219,12 @@ class EvaluationService:
             raise ValueError(
                 f"max_workers must be a positive integer, got {max_workers}"
             )
-        if int(batch_size) < 1:
-            raise ValueError(f"batch_size must be a positive integer, got {batch_size}")
         self.max_workers = int(max_workers)
         self.requested_workers = (
             self.max_workers if requested_workers is None else int(requested_workers)
         )
         self.max_eval_images = max_eval_images
         self.calibration_images = int(calibration_images)
-        self.engine_backend = engine_backend
-        self.use_shared_memory = use_shared_memory
-        self.batch_size = int(batch_size)
 
         self._worker_counters = {counter: 0 for counter in STAT_COUNTERS}
         self._counters_lock = threading.Lock()
@@ -283,41 +270,25 @@ class EvaluationService:
             raise RuntimeError("EvaluationService is closed")
         if self._started:
             return self
-        share = (
-            (not self.serial)
-            if self.use_shared_memory is None
-            else bool(self.use_shared_memory)
-        )
+        setup = (self.max_eval_images, self.calibration_images)
+        if self.serial:
+            self._serial_state = {}
+            init_worker_state(self._serial_state, self.models, self.datasets, *setup)
+            self._started = True
+            return self
         try:
             # Publish inside the try: if the second publish (or the pool
             # spawn) fails, close() still unlinks the first block.
-            if share:
-                self._model_store = publish_trained_models(self.models)
-                self._dataset_store = publish_datasets(self.datasets)
-            initargs = (
-                self._model_store if self._model_store is not None else self.models,
-                self._dataset_store
-                if self._dataset_store is not None
-                else self.datasets,
-                self.max_eval_images,
-                self.calibration_images,
-                self.engine_backend,
-                self.batch_size,
+            self._model_store = publish_trained_models(self.models)
+            self._dataset_store = publish_datasets(self.datasets)
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork" if "fork" in methods else None)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                mp_context=context,
+                initializer=_init_pool_worker,
+                initargs=(self.max_workers, self._model_store, self._dataset_store, *setup),
             )
-            if self.serial:
-                self._serial_state = {}
-                init_worker_state(self._serial_state, *initargs)
-            else:
-                methods = multiprocessing.get_all_start_methods()
-                context = multiprocessing.get_context(
-                    "fork" if "fork" in methods else None
-                )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    mp_context=context,
-                    initializer=_init_pool_worker,
-                    initargs=(self.max_workers, *initargs),
-                )
         except BaseException:
             self._started = True  # let close() tear down the partial state
             self.close()
@@ -346,7 +317,7 @@ class EvaluationService:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
         if self._serial_state is not None:
-            # Drop the in-process executors/views before unlinking below.
+            # Drop the in-process executors and their buffers.
             self._serial_state.clear()
             self._serial_state = None
         stores = (self._model_store, self._dataset_store)
@@ -387,7 +358,7 @@ class EvaluationService:
         ]
 
     def nbytes_shared(self) -> int:
-        """Total bytes placed in shared blocks (0 when shipping by pickle)."""
+        """Total bytes placed in shared blocks (0 on the serial path)."""
         return sum(
             store.nbytes_shared()
             for store in (self._model_store, self._dataset_store)
@@ -398,9 +369,9 @@ class EvaluationService:
         """The measurement setup of this session, for run manifests.
 
         Everything that selects *what* the service measures (hosted models
-        and datasets, eval caps, calibration size, backend, batch size —
-        the knobs hashed into DSE ledger context keys) plus how it executes
-        (workers, shared memory).  JSON-able by construction.
+        and datasets, eval caps, calibration size, batch size — the knobs
+        hashed into DSE ledger context keys) plus how it executes (workers,
+        shared bytes).  JSON-able by construction.
         """
         return {
             "workers": self.max_workers,
@@ -412,9 +383,7 @@ class EvaluationService:
             "datasets": sorted(self.datasets),
             "max_eval_images": self.max_eval_images,
             "calibration_images": self.calibration_images,
-            "engine_backend": self.engine_backend,
-            "use_shared_memory": self.use_shared_memory,
-            "batch_size": self.batch_size,
+            "batch_size": EVAL_BATCH_SIZE,
             "nbytes_shared": self.nbytes_shared(),
         }
 

@@ -3,7 +3,7 @@
 One worker process hosts:
 
 * the attached trained models and datasets (read-only views into the
-  service's shared blocks when publication is on — see
+  service's shared blocks in a pool worker — see
   :mod:`repro.runtime.publishing`);
 * one calibrated
   :class:`~repro.simulation.inference.ApproximateExecutor` per hosted
@@ -57,8 +57,6 @@ def init_worker_state(
     datasets,
     max_eval_images: int | None,
     calibration_images: int,
-    engine_backend: str | None = None,
-    batch_size: int = 256,
 ) -> None:
     """(Re)initialize one worker's state dict, attaching shared blocks."""
     if isinstance(trained_models, SharedTrainedModels):
@@ -75,8 +73,6 @@ def init_worker_state(
         datasets=dict(datasets),
         max_eval_images=max_eval_images,
         calibration_images=calibration_images,
-        engine_backend=engine_backend,
-        batch_size=int(batch_size),
         executors={},
         active_model=None,
         executor_builds=0,
@@ -110,9 +106,7 @@ def executor_for(state: dict, model_index: int) -> ApproximateExecutor:
         trained = state["models"][model_index]
         dataset = state["datasets"][trained.dataset_name]
         calib = dataset.train_images[: state["calibration_images"]]
-        executor = ApproximateExecutor(
-            trained.model, calib, engine_backend=state["engine_backend"]
-        )
+        executor = ApproximateExecutor(trained.model, calib)
         state["executors"][model_index] = executor
         state["executor_builds"] += 1
     active = state["active_model"]
@@ -139,12 +133,6 @@ def image_range(images: int, worker: int, workers: int) -> tuple[int, int]:
     ``images`` evaluation images among ``workers``; empty only when
     ``images < workers``."""
     return (worker * images) // workers, ((worker + 1) * images) // workers
-
-
-def eval_plan_cell(state: dict, model_index: int, plan: ExecutionPlan) -> float:
-    """Accuracy of one model under one plan, using the cached executor."""
-    _, test_labels = eval_arrays(state, state["models"][model_index])
-    return eval_cell_chunk(state, [(model_index, plan)])[0] / len(test_labels)
 
 
 def eval_cell_chunk(
@@ -174,9 +162,7 @@ def eval_cell_chunk(
             continue
         executor = executor_for(state, model_index)
         before = executor.fused_stats()
-        predictions_per_plan = executor.predict_many(
-            test_images[start:stop], plans, batch_size=state["batch_size"]
-        )
+        predictions_per_plan = executor.predict_many(test_images[start:stop], plans)
         labels = test_labels[start:stop]
         results.extend(
             int(np.count_nonzero(predictions == labels))
@@ -216,6 +202,5 @@ __all__ = [
     "executor_for",
     "eval_arrays",
     "image_range",
-    "eval_plan_cell",
     "eval_cell_chunk",
 ]

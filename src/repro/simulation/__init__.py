@@ -45,7 +45,6 @@ from repro.simulation.campaign import (
     SharedTrainedModels,
     SweepResult,
     accuracy_sweep,
-    order_plan_cells,
     parallel_sweep,
     plan_sweep,
     publish_datasets,
@@ -75,7 +74,6 @@ __all__ = [
     "SharedTrainedModels",
     "SweepResult",
     "accuracy_sweep",
-    "order_plan_cells",
     "parallel_sweep",
     "plan_sweep",
     "publish_datasets",

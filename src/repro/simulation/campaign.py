@@ -26,13 +26,12 @@ Both sweeps are thin clients of the unified evaluation runtime
 (:mod:`repro.runtime`): a :class:`repro.runtime.service.EvaluationService`
 publishes the trained models and datasets once through shared memory
 (:mod:`repro.runtime.publishing` — re-exported here for backward
-compatibility), spawns a persistent worker pool, orders the submitted
-cells with the prefix-aware scheduler
-(:func:`repro.runtime.scheduling.order_plan_cells`) and hands each worker
-one contiguous chunk of the schedule.  Workers never train — they attach
-to already-trained parameters — and the engine backend used to compile
-product kernels is forwarded via ``engine_backend``.  The DSE engine's
-``run_campaign(workers=N)`` rides the very same service.
+compatibility) when it runs a pool, orders the submitted cells with the
+prefix-aware scheduler (:func:`repro.runtime.scheduling.schedule_cells`)
+and hands every worker the whole schedule on its own range of the
+images.  Workers never train — they attach to already-trained
+parameters.  The DSE engine's ``run_campaign(workers=N)`` rides the very
+same service.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -53,17 +52,15 @@ from repro.nn.optimizers import SGD
 from repro.nn.serialization import load_params, save_params
 from repro.nn.training import Trainer, evaluate_accuracy
 
-# Backward-compatible re-exports: the publishing machinery and the
-# prefix-aware scheduler historically lived in this module and are part of
-# its public API (``repro.simulation`` re-exports them in turn).
+# Backward-compatible re-exports: the publishing machinery historically
+# lived in this module and is part of its public API (``repro.simulation``
+# re-exports it in turn).
 from repro.runtime.publishing import (  # noqa: F401  (re-exported)
     SharedDatasets,
     SharedTrainedModels,
     publish_datasets,
     publish_trained_models,
 )
-from repro.runtime.scheduling import order_plan_cells  # noqa: F401  (re-exported)
-from repro.runtime.service import EvaluationService
 from repro.runtime.sizing import resolve_worker_count
 from repro.simulation.inference import (
     AccurateProduct,
@@ -71,6 +68,9 @@ from repro.simulation.inference import (
     PerforatedProduct,
 )
 from repro.simulation.metrics import accuracy_loss_percent
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
+    from repro.runtime.service import EvaluationService
 
 
 def default_cache_dir() -> str:
@@ -363,10 +363,11 @@ def _sweep_service(
     max_eval_images: int | None,
     calibration_images: int,
     max_workers: int | None,
-    engine_backend: str | None,
-    use_shared_memory: bool | None,
 ) -> EvaluationService:
     """One ephemeral :class:`EvaluationService` sized for a sweep's cells."""
+    # Imported here: repro.runtime imports this package's inference module.
+    from repro.runtime.service import EvaluationService
+
     # Affinity/load-aware sizing and the degrade-to-serial clamp: a request
     # beyond the schedulable CPUs (cgroup cpusets, taskset) can only lose to
     # the serial path, so it is clamped rather than oversubscribed.  Never
@@ -378,8 +379,6 @@ def _sweep_service(
         max_workers=max_workers,
         max_eval_images=max_eval_images,
         calibration_images=calibration_images,
-        engine_backend=engine_backend,
-        use_shared_memory=use_shared_memory,
     )
 
 
@@ -390,8 +389,6 @@ def plan_sweep(
     max_eval_images: int | None = None,
     calibration_images: int = 128,
     max_workers: int | None = None,
-    engine_backend: str | None = None,
-    use_shared_memory: bool | None = None,
 ) -> list[PlanAccuracyRecord]:
     """Evaluate every trained model under every labeled execution plan.
 
@@ -427,8 +424,6 @@ def plan_sweep(
         max_eval_images,
         calibration_images,
         max_workers,
-        engine_backend,
-        use_shared_memory,
     )
     with service:
         accuracies = service.evaluate_cells(cells)
@@ -502,8 +497,6 @@ def parallel_sweep(
     max_eval_images: int | None = None,
     calibration_images: int = 128,
     max_workers: int | None = None,
-    engine_backend: str | None = None,
-    use_shared_memory: bool | None = None,
 ) -> SweepResult:
     """:func:`accuracy_sweep` fanned across the evaluation runtime's workers.
 
@@ -525,18 +518,10 @@ def parallel_sweep(
         count and host load, and explicit requests are clamped to the
         schedulable CPUs (:func:`repro.runtime.sizing.resolve_worker_count`
         — ``--workers 4`` on a 1-CPU box runs the serial path at 1.0x
-        serial instead of 4 contending processes).
-    engine_backend:
-        Engine backend name compiled kernels should use in every worker
-        (see :mod:`repro.core.backends`); ``None`` uses the default.
-    use_shared_memory:
-        Publish trained-model parameters (:func:`publish_trained_models`)
-        and the evaluation datasets (:func:`publish_datasets`) once so
-        workers attach read-only views instead of receiving per-process
-        copies.  ``None`` (default) enables it exactly when worker
-        processes are used; ``True`` forces the publish/attach round trip
-        even on the serial path (useful for testing), ``False`` ships
-        models and datasets directly.
+        serial instead of 4 contending processes).  A pool publishes the
+        trained-model parameters (:func:`publish_trained_models`) and the
+        evaluation datasets (:func:`publish_datasets`) once, so workers
+        attach read-only views instead of receiving per-process copies.
     """
     models = list(trained_models)
     specs = _sweep_cell_specs(models, perforations)
@@ -550,8 +535,6 @@ def parallel_sweep(
         max_eval_images,
         calibration_images,
         max_workers,
-        engine_backend,
-        use_shared_memory,
     )
     with service:
         accuracies = service.evaluate_cells(cells)
@@ -568,7 +551,6 @@ def accuracy_sweep(
     perforations: Sequence[int] = (1, 2, 3),
     max_eval_images: int | None = None,
     calibration_images: int = 128,
-    engine_backend: str | None = None,
 ) -> SweepResult:
     """Evaluate every trained model under every approximation mode (serially).
 
@@ -597,5 +579,4 @@ def accuracy_sweep(
         max_eval_images=max_eval_images,
         calibration_images=calibration_images,
         max_workers=1,
-        engine_backend=engine_backend,
     )

@@ -34,22 +34,10 @@ compiled once per ``(layer, group, fingerprint)`` and shared through a weak
 index.  Equal plans built from fresh product-model instances (decoded from
 the wire, unpickled in a pool worker) therefore compile nothing, and the
 persistent uint8 activation buffers are reused across batches, so a sweep
-performs only the unavoidable per-batch work.  The uncompiled reference
-walk is kept behind ``use_compiled=False`` and the ``pytest -m engine``
-parity suite pins both paths bit-exact.
-
-Engine backends
----------------
-*How* kernels are compiled is pluggable: the executor's ``engine_backend``
-parameter selects an :class:`repro.core.backends.EngineBackend` by name —
-``numpy`` (default BLAS kernels) or ``lowmem`` (capped LUT error matrix plus
-chunked evaluation).  All backends are bit-exact; they trade speed and
-memory only.  Selection is exposed end to end::
-
-    executor = ApproximateExecutor(model, calib, engine_backend="lowmem")
-    parallel_sweep(models, datasets, engine_backend="lowmem")
-    # CLI: python -m repro accuracy --model vgg13 --engine-backend lowmem
-    # CLI: python -m repro backends   # list backends + availability
+performs only the unavoidable per-batch work.  Every kernel is compiled
+through one :class:`repro.core.backends.NumpyBackend`.  The uncompiled
+reference walk is kept behind ``use_compiled=False`` and the
+``pytest -m engine`` parity suite pins both paths bit-exact.
 
 Multi-plan evaluation
 ---------------------
@@ -108,7 +96,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.accelerator_model import AcceleratorConfig
-from repro.core.backends import EngineBackend, resolve_backend
+from repro.core.backends import NumpyBackend
 from repro.core.approx_conv import (
     accurate_product_sums,
     lut_product_sums,
@@ -118,7 +106,6 @@ from repro.core.control_variate import ControlVariate
 from repro.core.product_kernels import (
     AccurateKernel,
     CallbackKernel,
-    KernelOptions,
     LUTKernel,
     MultiPlanKernel,
     PerforatedKernel,
@@ -146,18 +133,12 @@ class ProductModel(abc.ABC):
         """Return ``sum_j product(wq_j, aq_j)`` of shape ``(patches, filters)``."""
 
     def compile(
-        self,
-        weight_codes: np.ndarray,
-        control_variate: ControlVariate,
-        options: KernelOptions | None = None,
+        self, weight_codes: np.ndarray, control_variate: ControlVariate
     ) -> ProductKernel:
         """Compile this model against one layer's weights.
 
         The default implementation wraps :meth:`product_sums`; subclasses
         with an exploitable structure return a specialized kernel instead.
-        ``options`` carries backend-tunable knobs (see
-        :class:`~repro.core.product_kernels.KernelOptions`); models honor
-        the knobs that apply to them and ignore the rest.
         """
         return CallbackKernel(self, weight_codes, control_variate)
 
@@ -194,10 +175,7 @@ class AccurateProduct(ProductModel):
         return accurate_product_sums(act_codes, weight_codes)
 
     def compile(
-        self,
-        weight_codes: np.ndarray,
-        control_variate: ControlVariate,
-        options: KernelOptions | None = None,
+        self, weight_codes: np.ndarray, control_variate: ControlVariate
     ) -> ProductKernel:
         return AccurateKernel(weight_codes)
 
@@ -236,10 +214,7 @@ class PerforatedProduct(ProductModel):
         return perforated_product_sums(act_codes, weight_codes, self.m, cv)
 
     def compile(
-        self,
-        weight_codes: np.ndarray,
-        control_variate: ControlVariate,
-        options: KernelOptions | None = None,
+        self, weight_codes: np.ndarray, control_variate: ControlVariate
     ) -> ProductKernel:
         cv = control_variate if self.use_control_variate else None
         return PerforatedKernel(weight_codes, self.m, cv)
@@ -283,22 +258,13 @@ class LUTProduct(ProductModel):
 
     @property
     def lut(self) -> np.ndarray:
-        """The precomputed 256x256 product table (shared by all backends)."""
+        """The precomputed 256x256 product table."""
         return self._lut
 
     def compile(
-        self,
-        weight_codes: np.ndarray,
-        control_variate: ControlVariate,
-        options: KernelOptions | None = None,
+        self, weight_codes: np.ndarray, control_variate: ControlVariate
     ) -> ProductKernel:
-        if options is None:
-            options = KernelOptions()
-        return LUTKernel(
-            weight_codes,
-            self._lut,
-            max_error_matrix_bytes=options.max_error_matrix_bytes,
-        )
+        return LUTKernel(weight_codes, self._lut)
 
     def fingerprint(self) -> tuple:
         return ("lut", self._lut_digest)
@@ -364,7 +330,7 @@ def plan_fingerprint_sort_key(fingerprints: Sequence[tuple]) -> tuple[str, ...]:
     so sequences are compared by element ``repr`` to avoid cross-type
     comparisons.  Equal prefixes sort adjacent — the property both the
     executor's multi-plan walk and the sweep scheduler
-    (:func:`repro.simulation.campaign.order_plan_cells`) rely on.
+    (:func:`repro.runtime.scheduling.order_plan_cells`) rely on.
     """
     return tuple(repr(fp) for fp in fingerprints)
 
@@ -394,6 +360,14 @@ _STACKED_ROWS_TARGET = 256
 #: within the row budget; a larger plan batch is split into several walks.
 _MAX_WALK_LINES = _STACKED_ROWS_TARGET // 16
 
+#: Images per forward batch of every evaluation (sweep workers, DSE
+#: evaluators).  It is part of the measurement setup hashed into the DSE
+#: ledger's evaluation context keys.
+EVAL_BATCH_SIZE = 256
+
+#: The one compiler of every executor's kernels.
+_BACKEND = NumpyBackend()
+
 
 class ApproximateExecutor:
     """Runs a trained model with quantized, possibly approximate, MAC layers.
@@ -413,11 +387,6 @@ class ApproximateExecutor:
         multi-plan walk.  Disable to run every plan through the per-plan
         reference walk over ``ProductModel.product_sums``; both paths are
         bit-exact.
-    engine_backend:
-        Name (or instance) of the :class:`~repro.core.backends.EngineBackend`
-        that compiles the kernels — ``"numpy"`` (default) or ``"lowmem"``.
-        An unavailable backend falls back to numpy with a warning; all
-        backends are bit-exact.
     """
 
     def __init__(
@@ -426,11 +395,9 @@ class ApproximateExecutor:
         calibration_images: np.ndarray,
         activation_percentile: float = 99.9,
         use_compiled: bool = True,
-        engine_backend: str | EngineBackend | None = None,
     ):
         self.model = model
         self.use_compiled = bool(use_compiled)
-        self.engine_backend = resolve_backend(engine_backend)
         # Index of the last node reading each activation (see _drop_dead).
         self._last_reader = {
             name: index for index, node in enumerate(model.nodes) for name in node.inputs
@@ -455,53 +422,21 @@ class ApproximateExecutor:
         self.fused_plans_total = 0
         self._calibrate(calibration_images, activation_percentile)
 
-    @classmethod
-    def from_config(
-        cls,
-        model: Graph,
-        calibration_images: np.ndarray,
-        config: AcceleratorConfig,
-        **kwargs,
-    ) -> "ApproximateExecutor":
-        """Executor honoring ``config.engine_backend``.
-
-        Pair with :meth:`ExecutionPlan.from_config` on the same config to
-        run the product model the accelerator configuration implies::
-
-            executor = ApproximateExecutor.from_config(model, calib, config)
-            logits = executor.forward(images, ExecutionPlan.from_config(config))
-        """
-        return cls(
-            model,
-            calibration_images,
-            engine_backend=config.engine_backend,
-            **kwargs,
-        )
-
     # ------------------------------------------------------------------
     def _calibrate(self, images: np.ndarray, percentile: float) -> None:
-        _, activations = self.model.forward(images, training=False, return_activations=True)
-        for node in self.model.conv_dense_nodes():
-            layer = node.layer
-            parent_output = activations[node.inputs[0]]
-            if percentile >= 100.0:
-                act_params = calibrate_minmax(parent_output)
-            else:
-                act_params = calibrate_percentile(parent_output, percentile)
-            ops: list[QuantizedLinearOp] = []
-            cvs: list[ControlVariate] = []
-            for weight_matrix, bias in _group_weight_matrices(layer):
-                weight_params = calibrate_minmax(weight_matrix)
-                weight_codes = quantize(weight_matrix, weight_params)
-                ops.append(QuantizedLinearOp(weight_codes, weight_params, bias))
-                cvs.append(ControlVariate.from_weight_matrix(weight_codes))
-            self._nodes[node.name] = _QuantizedMacNode(
-                node_name=node.name,
-                ops=ops,
-                weight_overrides=[None] * len(ops),
-                control_variates=cvs,
-                act_params=act_params,
-            )
+        """Quantize every MAC layer on one float walk over ``images``.
+
+        A MAC node is calibrated from its input when the walk reaches it,
+        and every activation is dropped after its last reader, so the walk
+        holds only what later nodes still read, not every node's output.
+        """
+        activations = {"input": images}
+        for index, node in enumerate(self.model.nodes):
+            inputs = [activations[name] for name in node.inputs]
+            if isinstance(node.layer, (Conv2D, Dense)):
+                self._nodes[node.name] = _quantize_mac_node(node, inputs[0], percentile)
+            activations[node.name] = node.layer.forward(*inputs, training=False)
+            self._drop_dead(activations, index)
 
     # ------------------------------------------------------------------
     def mac_layer_names(self) -> list[str]:
@@ -577,7 +512,7 @@ class ApproximateExecutor:
         deduplicated by fingerprint and sorted into prefix-sharing "lines";
         the prefix all lines agree on is walked once and, from each
         divergence depth on, all diverging lines ride a single stacked
-        backend launch per MAC layer (:meth:`EngineBackend.compile_multi`).
+        launch per MAC layer (:meth:`NumpyBackend.compile_multi`).
         More than :data:`_MAX_WALK_LINES` lines are split into several walks
         at their shallowest divergences.  The images are split into
         contiguous shards walked on one thread each (see "Image shards" in
@@ -817,7 +752,7 @@ class ApproximateExecutor:
         self,
         images: np.ndarray,
         plans: Sequence[ExecutionPlan],
-        batch_size: int = 256,
+        batch_size: int = EVAL_BATCH_SIZE,
     ) -> list[np.ndarray]:
         """Batched :meth:`forward_many`; one concatenated logits array per plan."""
         plans = list(plans)
@@ -834,7 +769,7 @@ class ApproximateExecutor:
         self,
         images: np.ndarray,
         plans: Sequence[ExecutionPlan],
-        batch_size: int = 256,
+        batch_size: int = EVAL_BATCH_SIZE,
     ) -> list[np.ndarray]:
         """Predicted class labels per plan."""
         return [
@@ -842,11 +777,15 @@ class ApproximateExecutor:
             for logits in self.logits_many(images, plans, batch_size=batch_size)
         ]
 
-    def logits(self, images: np.ndarray, plan: ExecutionPlan, batch_size: int = 256) -> np.ndarray:
+    def logits(
+        self, images: np.ndarray, plan: ExecutionPlan, batch_size: int = EVAL_BATCH_SIZE
+    ) -> np.ndarray:
         """Batched forward pass returning the concatenated logits."""
         return self.logits_many(images, [plan], batch_size=batch_size)[0]
 
-    def predict(self, images: np.ndarray, plan: ExecutionPlan, batch_size: int = 256) -> np.ndarray:
+    def predict(
+        self, images: np.ndarray, plan: ExecutionPlan, batch_size: int = EVAL_BATCH_SIZE
+    ) -> np.ndarray:
         """Predicted class labels."""
         return self.logits(images, plan, batch_size=batch_size).argmax(axis=1)
 
@@ -942,10 +881,10 @@ class ApproximateExecutor:
             for model, fp in zip(models, fps):
                 block = self._blocks.get((qnode.node_name, group, fp))
                 if block is None:
-                    block = self.engine_backend.compile(model, weight_codes, cv)
+                    block = _BACKEND.compile(model, weight_codes, cv)
                     self._blocks[(qnode.node_name, group, fp)] = block
                 blocks.append(block)
-            kernel = self.engine_backend.compile_multi(
+            kernel = _BACKEND.compile_multi(
                 models, weight_codes, cv, kernels=blocks
             )
             if len(self._kernels) >= self._KERNEL_CACHE_CAP:
@@ -1056,6 +995,29 @@ def _walk_slices(lcps: Sequence[int], start: int, stop: int) -> list[tuple[int, 
     middle = (start + stop) / 2
     cut = min(range(start + 1, stop), key=lambda i: (lcps[i - 1], abs(i - middle)))
     return _walk_slices(lcps, start, cut) + _walk_slices(lcps, cut, stop)
+
+
+def _quantize_mac_node(node, x: np.ndarray, percentile: float) -> _QuantizedMacNode:
+    """Quantized weights, control variates and activation parameters of
+    one conv/dense node whose float input over the calibration batch is ``x``."""
+    if percentile >= 100.0:
+        act_params = calibrate_minmax(x)
+    else:
+        act_params = calibrate_percentile(x, percentile)
+    ops: list[QuantizedLinearOp] = []
+    cvs: list[ControlVariate] = []
+    for weight_matrix, bias in _group_weight_matrices(node.layer):
+        weight_params = calibrate_minmax(weight_matrix)
+        weight_codes = quantize(weight_matrix, weight_params)
+        ops.append(QuantizedLinearOp(weight_codes, weight_params, bias))
+        cvs.append(ControlVariate.from_weight_matrix(weight_codes))
+    return _QuantizedMacNode(
+        node_name=node.name,
+        ops=ops,
+        weight_overrides=[None] * len(ops),
+        control_variates=cvs,
+        act_params=act_params,
+    )
 
 
 def _group_weight_matrices(layer: Conv2D | Dense):

@@ -11,11 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.product_kernels import LUTKernel
 from repro.datasets.synthetic import SyntheticCifarConfig, make_synthetic_cifar
 from repro.models.zoo import build_model
 from repro.nn.optimizers import SGD
 from repro.nn.training import Trainer
-from repro.simulation.inference import ApproximateExecutor
+from repro.simulation.inference import ApproximateExecutor, LUTProduct
 
 
 @pytest.fixture
@@ -62,3 +63,35 @@ def trained_tiny_model(tiny_dataset):
 def tiny_executor(trained_tiny_model, tiny_dataset):
     """Approximate executor calibrated on the tiny dataset."""
     return ApproximateExecutor(trained_tiny_model, tiny_dataset.train_images[:64])
+
+
+class StreamingLUTProduct(LUTProduct):
+    """A LUT product whose kernels stream their error terms tap by tap.
+
+    :class:`~repro.core.product_kernels.LUTKernel` streams on its own once a
+    layer's error matrix exceeds ``DEFAULT_MAX_ERROR_MATRIX_BYTES`` (a
+    512-tap, 512-filter layer does); the tiny test networks never get
+    there, so this model compiles with a zero cap.  Its own fingerprint
+    keeps its kernels apart from the compiled-LUT ones in an executor's
+    kernel cache, and ``compiled`` records every kernel it built, so a test
+    can tell that the streaming path ran.
+    """
+
+    def __init__(self, multiplier):
+        super().__init__(multiplier)
+        self.compiled: list[LUTKernel] = []
+
+    def compile(self, weight_codes, control_variate):
+        kernel = LUTKernel(weight_codes, self.lut, max_error_matrix_bytes=0)
+        self.compiled.append(kernel)
+        return kernel
+
+    def fingerprint(self) -> tuple:
+        return ("lut-streaming", self._lut_digest)
+
+
+@pytest.fixture
+def streaming_lut():
+    """Factory: ``streaming_lut(multiplier)`` is a LUT product model whose
+    kernels always stream (see :class:`StreamingLUTProduct`)."""
+    return StreamingLUTProduct

@@ -52,42 +52,21 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["accuracy", "--model", "alexnet"])
 
-    def test_backends_command(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        for name in ("numpy", "lowmem"):
-            assert name in out
-        assert "numba" not in out
-        assert "available" in out
+    def test_backends_verb_is_unknown(self, capsys):
+        """One compile path: ``backends`` is an unknown verb."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["backends"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'backends'" in capsys.readouterr().err
 
-    def test_accuracy_command_with_engine_backend(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "accuracy",
-                    "--model",
-                    "vgg13",
-                    "--classes",
-                    "10",
-                    "--epochs",
-                    "1",
-                    "--perforations",
-                    "1",
-                    "--max-eval-images",
-                    "16",
-                    "--cache-dir",
-                    str(tmp_path),
-                    "--engine-backend",
-                    "lowmem",
-                ]
-            )
-            == 0
-        )
-        assert "ours loss" in capsys.readouterr().out
-
-    def test_invalid_engine_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["accuracy", "--engine-backend", "gpu"])
+    @pytest.mark.parametrize("verb", ["accuracy", "sweep", "table3", "dse", "serve"])
+    def test_engine_backend_flag_is_unknown(self, capsys, verb):
+        """Every verb that had ``--engine-backend`` rejects it as an
+        unknown argument."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--engine-backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "--engine-backend" in capsys.readouterr().err
 
     def test_no_prefix_reuse_flag(self, capsys):
         """The cross-plan reuse escape hatch is gone: every verb that had
@@ -99,51 +78,15 @@ class TestCli:
             assert "--no-prefix-reuse" in capsys.readouterr().err
 
 
-class TestBackendsJson:
-    def test_backends_json_machine_readable(self, capsys):
-        import json
-
-        assert main(["backends", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        names = [entry["name"] for entry in payload]
-        assert names == ["numpy", "lowmem"]
-        defaults = [entry for entry in payload if entry["default"]]
-        assert len(defaults) == 1 and defaults[0]["name"] == "numpy"
-        for entry in payload:
-            assert set(entry) == {
-                "name",
-                "available",
-                "default",
-                "description",
-                "unavailable_reason",
-            }
-            if not entry["available"]:
-                assert entry["unavailable_reason"]
-
-
 class TestCliErrorPaths:
-    """Unknown backend/strategy names exit non-zero with a clear message."""
+    """Unknown strategy names and bad flag values exit non-zero with a
+    clear message."""
 
     def test_dse_unknown_strategy(self, capsys):
         assert main(["dse", "--strategy", "simulated-annealing"]) == 2
         err = capsys.readouterr().err
         assert "unknown search strategy" in err
         assert "greedy" in err  # the message names the registered options
-
-    def test_dse_unknown_backend(self, capsys):
-        assert main(["dse", "--engine-backend", "gpu"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown engine backend" in err
-        assert "numpy" in err
-
-    def test_numba_is_an_unknown_backend(self, capsys):
-        assert main(["dse", "--engine-backend", "numba"]) == 2
-        assert "unknown engine backend 'numba'" in capsys.readouterr().err
-
-    def test_sweep_unknown_backend(self, capsys):
-        assert main(["sweep", "--engine-backend", "tpu"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown engine backend" in err
 
     def test_dse_subsample_and_cap_mutually_exclusive(self, capsys):
         assert (
@@ -381,7 +324,6 @@ class TestExamples:
         [
             "examples/quickstart.py",
             "examples/accelerator_design_space.py",
-            "examples/engine_backends.py",
         ],
     )
     def test_example_runs(self, script, capsys, monkeypatch):

@@ -1,165 +1,21 @@
-"""Engine-backend registry semantics and exactness-boundary property tests.
+"""Exactness-boundary property tests of the float-BLAS machinery.
 
 Complements the parity suite in ``test_engine_kernels.py``: this file pins
-the *registry* contract (selection, availability, clean fallback, config /
-CLI threading) and the numeric exactness boundaries of the float-BLAS
-machinery (``exact_int_matmul`` and ``_WeightOperand``'s f32/f64 promotion)
-with randomized property tests.
+the numeric exactness boundaries of ``exact_int_matmul`` and
+``_WeightOperand``'s f32/f64 promotion with randomized property tests.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.accelerator_model import AcceleratorConfig
-from repro.core.approx_conv import accurate_product_sums, lut_product_sums
-from repro.core.backends import (
-    DEFAULT_BACKEND,
-    BackendUnavailableError,
-    LowMemoryBackend,
-    NumpyBackend,
-    available_backend_names,
-    backend_names,
-    get_backend,
-    has_backend,
-    register_backend,
-    resolve_backend,
-)
-from repro.core.control_variate import ControlVariate
+from repro.core.approx_conv import accurate_product_sums
 from repro.core.product_kernels import (
-    ChunkedKernel,
-    KernelOptions,
-    LUTKernel,
-    PerforatedKernel,
     _F32_EXACT_BOUND,
     _WeightOperand,
     exact_int_matmul,
 )
-from repro.simulation.inference import ApproximateExecutor, LUTProduct
 
 pytestmark = pytest.mark.engine
-
-
-class _UnavailableBackend(NumpyBackend):
-    """A backend whose availability probe fails."""
-
-    name = "stub-unavailable"
-
-    def availability(self):
-        return False, "stubbed out"
-
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert backend_names() == ["numpy", "lowmem"]
-        assert DEFAULT_BACKEND == "numpy"
-        assert has_backend("numpy") and not has_backend("gpu")
-
-    def test_numpy_backend_always_available(self):
-        assert "numpy" in available_backend_names()
-        assert get_backend("numpy").availability() == (True, "")
-
-    def test_unknown_backend_raises_with_known_names(self):
-        with pytest.raises(KeyError, match="numpy"):
-            get_backend("does-not-exist")
-
-    def test_register_rejects_duplicates_and_anonymous(self):
-        with pytest.raises(ValueError):
-            register_backend(NumpyBackend())
-
-        class Anonymous(NumpyBackend):
-            name = "abstract"
-
-        with pytest.raises(ValueError):
-            register_backend(Anonymous())
-
-    def test_resolve_backend_identity_and_default(self):
-        assert resolve_backend(None).name == DEFAULT_BACKEND
-        backend = get_backend("lowmem")
-        assert resolve_backend(backend) is backend
-        assert resolve_backend("lowmem") is backend
-
-    def test_unavailable_backend_falls_back_with_warning(self):
-        """The 'falls back cleanly' contract, exercised through a stub."""
-        stub = _UnavailableBackend()
-        with pytest.warns(RuntimeWarning, match="stubbed out"):
-            resolved = resolve_backend(stub)
-        assert resolved.name == DEFAULT_BACKEND
-        with pytest.raises(BackendUnavailableError, match="stubbed out"):
-            resolve_backend(stub, allow_fallback=False)
-
-    def test_numba_backend_honest_about_availability(self):
-        """No registered backend claims ``numba``: the name resolves as
-        unknown instead of silently falling back to numpy."""
-        assert "numba" not in backend_names()
-        with pytest.raises(KeyError, match="unknown engine backend 'numba'"):
-            resolve_backend("numba")
-
-    def test_accelerator_config_validates_backend(self):
-        assert AcceleratorConfig().engine_backend == "numpy"
-        assert AcceleratorConfig(engine_backend="lowmem").engine_backend == "lowmem"
-        with pytest.raises(ValueError, match="engine backend"):
-            AcceleratorConfig(engine_backend="not-a-backend")
-
-    def test_executor_from_config_honors_backend(self, trained_tiny_model, tiny_dataset):
-        config = AcceleratorConfig(perforation=2, engine_backend="lowmem")
-        executor = ApproximateExecutor.from_config(
-            trained_tiny_model, tiny_dataset.train_images[:32], config
-        )
-        assert executor.engine_backend.name == "lowmem"
-
-    def test_executor_falls_back_for_unavailable_backend(
-        self, trained_tiny_model, tiny_dataset
-    ):
-        calib = tiny_dataset.train_images[:32]
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            executor = ApproximateExecutor(
-                trained_tiny_model, calib, engine_backend=_UnavailableBackend()
-            )
-        assert executor.engine_backend.name == DEFAULT_BACKEND
-
-
-class TestLowMemoryBackend:
-    def test_caps_lut_error_matrix_and_chunks(self, rng):
-        acts = rng.integers(0, 256, size=(50, 16), dtype=np.uint8)
-        weights = rng.integers(0, 256, size=(16, 6), dtype=np.uint8)
-        lut = np.arange(256)[:, None] * np.arange(256)[None, :] + 1
-        backend = LowMemoryBackend(max_error_matrix_bytes=0, chunk_patches=7)
-        from repro.multipliers.lut import LUTMultiplier
-
-        kernel = backend.compile(LUTProduct(LUTMultiplier(lut, name="t")), weights, None)
-        assert isinstance(kernel, ChunkedKernel) and kernel.chunk_patches == 7
-        assert isinstance(kernel.base, LUTKernel)
-        # The cap forced the streaming per-tap mode: no error matrix built.
-        assert kernel.base._error_matrix is None and not kernel.base.is_exact
-        np.testing.assert_array_equal(kernel(acts), lut_product_sums(acts, weights, lut))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LowMemoryBackend(max_error_matrix_bytes=-1)
-        with pytest.raises(ValueError):
-            LowMemoryBackend(chunk_patches=0)
-
-    def test_chunked_kernel_preserves_float_dtype(self, rng):
-        """Chunk concatenation must not disturb the unquantized-CV float path."""
-        acts = rng.integers(0, 256, size=(23, 9), dtype=np.uint8)
-        weights = rng.integers(0, 256, size=(9, 4), dtype=np.uint8)
-        cv = ControlVariate.from_weight_matrix(weights, quantize=False)
-        chunked = ChunkedKernel(PerforatedKernel(weights, 2, cv), chunk_patches=5)
-        reference = PerforatedKernel(weights, 2, cv)(acts)
-        result = chunked(acts)
-        assert np.asarray(result).dtype == np.asarray(reference).dtype == np.float64
-        np.testing.assert_array_equal(result, reference)
-
-    def test_kernel_options_reach_lut_compile(self, rng):
-        weights = rng.integers(0, 256, size=(8, 3), dtype=np.uint8)
-        from repro.multipliers.lut import LUTMultiplier
-
-        lut = np.arange(256)[:, None] * np.arange(256)[None, :] + 2
-        model = LUTProduct(LUTMultiplier(lut, name="t"))
-        capped = model.compile(weights, None, options=KernelOptions(max_error_matrix_bytes=0))
-        uncapped = model.compile(weights, None)
-        assert capped._error_matrix is None
-        assert uncapped._error_matrix is not None
 
 
 class TestExactnessBoundaries:

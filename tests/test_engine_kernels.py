@@ -1,12 +1,10 @@
 """Parity suite: compiled product kernels vs. the legacy product-sum paths.
 
-Every kernel produced by ``ProductModel.compile`` — through **every
-registered engine backend** — must be *bit-exact* against the corresponding
-stateless function in :mod:`repro.core.approx_conv`; this is what allows the
-executor to run the compiled engine by default while keeping the legacy path
-as the reference.  The ``engine_backend`` fixture parametrizes the suite
-over the backend registry and skips (with a reason) any backend whose
-availability probe fails.
+Every kernel produced by ``ProductModel.compile`` — directly and through
+:class:`~repro.core.backends.NumpyBackend`, the executor's one compile
+path — must be *bit-exact* against the corresponding stateless function in
+:mod:`repro.core.approx_conv`; this is what allows the executor to run the
+compiled engine by default while keeping the legacy path as the reference.
 Run standalone with ``pytest -m engine``.
 """
 
@@ -18,7 +16,7 @@ from repro.core.approx_conv import (
     lut_product_sums,
     perforated_product_sums,
 )
-from repro.core.backends import backend_names, get_backend
+from repro.core.backends import NumpyBackend
 from repro.core.control_variate import ControlVariate
 from repro.core.product_kernels import (
     AccurateKernel,
@@ -41,14 +39,10 @@ from repro.simulation.inference import (
 pytestmark = pytest.mark.engine
 
 
-@pytest.fixture(params=backend_names())
-def engine_backend(request):
-    """Every registered backend; unavailable ones skip with their reason."""
-    backend = get_backend(request.param)
-    available, reason = backend.availability()
-    if not available:
-        pytest.skip(f"engine backend {backend.name!r} unavailable: {reason}")
-    return backend
+@pytest.fixture
+def backend():
+    """The compiler every executor kernel goes through."""
+    return NumpyBackend()
 
 
 @pytest.fixture
@@ -205,26 +199,23 @@ class TestKernelParity:
 
 
 class TestBackendKernelParity:
-    """Every registered backend is bit-exact against the legacy reference.
+    """Kernels compiled through the backend are bit-exact against the
+    legacy reference."""
 
-    Unavailable backends are skipped with a reason by the
-    ``engine_backend`` fixture, never silently dropped.
-    """
-
-    def test_accurate(self, operands, engine_backend):
+    def test_accurate(self, operands, backend):
         acts, weights = operands
         cv = ControlVariate.from_weight_matrix(weights)
-        kernel = engine_backend.compile(AccurateProduct(), weights, cv)
+        kernel = backend.compile(AccurateProduct(), weights, cv)
         expected = accurate_product_sums(acts, weights)
         result = kernel(acts)
         assert np.asarray(result).dtype == expected.dtype
         np.testing.assert_array_equal(result, expected)
 
     @pytest.mark.parametrize("m", [0, 2, 7])
-    def test_perforated(self, operands, engine_backend, m):
+    def test_perforated(self, operands, backend, m):
         acts, weights = operands
         cv = ControlVariate.from_weight_matrix(weights)
-        kernel = engine_backend.compile(
+        kernel = backend.compile(
             PerforatedProduct(m, use_control_variate=False), weights, cv
         )
         np.testing.assert_array_equal(
@@ -233,50 +224,99 @@ class TestBackendKernelParity:
 
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("quantized", [True, False])
-    def test_perforated_with_control_variate(self, operands, engine_backend, m, quantized):
+    def test_perforated_with_control_variate(self, operands, backend, m, quantized):
         acts, weights = operands
         cv = ControlVariate.from_weight_matrix(weights, quantize=quantized)
-        kernel = engine_backend.compile(PerforatedProduct(m, True), weights, cv)
+        kernel = backend.compile(PerforatedProduct(m, True), weights, cv)
         expected = perforated_product_sums(acts, weights, m, cv)
         result = kernel(acts)
         assert np.asarray(result).dtype == np.asarray(expected).dtype
         np.testing.assert_array_equal(result, expected)
 
-    def test_lut_random_table(self, operands, engine_backend, rng):
+    def test_lut_random_table(self, operands, backend, rng):
         acts, weights = operands
         lut = random_lut(rng)
         model = LUTProduct(LUTMultiplier(lut, name="random"))
-        kernel = engine_backend.compile(model, weights, None)
+        kernel = backend.compile(model, weights, None)
         np.testing.assert_array_equal(kernel(acts), lut_product_sums(acts, weights, lut))
 
-    def test_lut_structured_tables(self, operands, engine_backend):
+    def test_lut_structured_tables(self, operands, backend):
         acts, weights = operands
         for multiplier in (PerforatedMultiplier(2), TruncatedMultiplier(2, 3)):
             model = LUTProduct(multiplier)
-            kernel = engine_backend.compile(model, weights, None)
+            kernel = backend.compile(model, weights, None)
             np.testing.assert_array_equal(
                 kernel(acts), lut_product_sums(acts, weights, multiplier.build_lut())
             )
 
-    def test_exotic_model_compiles_through_any_backend(self, operands, engine_backend):
-        """Models without a backend-specialized kernel fall back bit-exact."""
+    def test_exotic_model_compiles_through_the_backend(self, operands, backend):
+        """Models without a specialized kernel fall back bit-exact."""
         from repro.baselines.weight_oriented import WeightOrientedProduct
 
         acts, weights = operands
         cv = ControlVariate.from_weight_matrix(weights)
         model = WeightOrientedProduct(1, 3, threshold=128, compensate_mean=True)
-        kernel = engine_backend.compile(model, weights, cv)
+        kernel = backend.compile(model, weights, cv)
         np.testing.assert_array_equal(kernel(acts), model.product_sums(acts, weights, cv))
 
-    def test_large_batch_chunking_is_exact(self, rng, engine_backend):
+    def test_large_batch_chunking_is_exact(self, rng, backend):
         """Batches larger than any internal chunk size stay bit-exact."""
         acts = rng.integers(0, 256, size=(2600, 12), dtype=np.uint8)
         weights = rng.integers(0, 256, size=(12, 5), dtype=np.uint8)
         cv = ControlVariate.from_weight_matrix(weights)
-        kernel = engine_backend.compile(PerforatedProduct(2, True), weights, cv)
+        kernel = backend.compile(PerforatedProduct(2, True), weights, cv)
         np.testing.assert_array_equal(
             kernel(acts), perforated_product_sums(acts, weights, 2, cv)
         )
+
+
+class TestStreamingLUTParity:
+    """A LUT layer whose error matrix exceeds the byte cap streams its
+    error terms tap by tap, bit-exact with the compiled error matrix."""
+
+    @pytest.mark.parametrize(
+        "multiplier",
+        [PerforatedMultiplier(2), TruncatedMultiplier(2, 3)],
+        ids=["perforated_m2", "truncated_2_3"],
+    )
+    def test_structured_tables_stream_bit_exact(self, operands, multiplier):
+        acts, weights = operands
+        lut = multiplier.build_lut()
+        kernel = LUTKernel(weights, lut, max_error_matrix_bytes=0)
+        assert kernel._error_matrix is None and not kernel.is_exact
+        np.testing.assert_array_equal(kernel(acts), lut_product_sums(acts, weights, lut))
+
+    def test_cap_is_inclusive(self, operands, rng):
+        """An error matrix of exactly the cap is compiled; one byte less
+        streams; both give the same sums."""
+        acts, weights = operands
+        lut = random_lut(rng)
+        matrix_bytes = weights.shape[0] * 256 * weights.shape[1] * 8
+        at_cap = LUTKernel(weights, lut, max_error_matrix_bytes=matrix_bytes)
+        below = LUTKernel(weights, lut, max_error_matrix_bytes=matrix_bytes - 1)
+        assert at_cap._error_matrix is not None
+        assert at_cap._error_matrix.nbytes == matrix_bytes
+        assert below._error_matrix is None
+        expected = lut_product_sums(acts, weights, lut)
+        np.testing.assert_array_equal(at_cap(acts), expected)
+        np.testing.assert_array_equal(below(acts), expected)
+
+    def test_exact_table_never_streams(self, operands):
+        """The exact multiplier has no error term to stream, whatever the cap."""
+        acts, weights = operands
+        kernel = LUTKernel(weights, AccurateMultiplier().build_lut(), max_error_matrix_bytes=0)
+        assert kernel.is_exact and kernel._err_table is None
+        np.testing.assert_array_equal(kernel(acts), accurate_product_sums(acts, weights))
+
+    def test_streaming_model_compiles_through_the_backend(
+        self, operands, backend, rng, streaming_lut
+    ):
+        acts, weights = operands
+        lut = random_lut(rng)
+        model = streaming_lut(LUTMultiplier(lut, name="streaming"))
+        kernel = backend.compile(model, weights, None)
+        assert model.compiled == [kernel] and kernel._error_matrix is None
+        np.testing.assert_array_equal(kernel(acts), lut_product_sums(acts, weights, lut))
 
 
 class TestWeightOrientedKernelParity:
@@ -306,29 +346,23 @@ class TestExecutorEngineParity:
     }
 
     @pytest.mark.parametrize("plan_name", sorted(PLANS))
-    def test_forward_bit_exact(
-        self, trained_tiny_model, tiny_dataset, plan_name, engine_backend
-    ):
+    def test_forward_bit_exact(self, trained_tiny_model, tiny_dataset, plan_name):
         images = tiny_dataset.test_images[:8]
         calib = tiny_dataset.train_images[:32]
-        compiled = ApproximateExecutor(
-            trained_tiny_model, calib, use_compiled=True, engine_backend=engine_backend
-        )
+        compiled = ApproximateExecutor(trained_tiny_model, calib, use_compiled=True)
         legacy = ApproximateExecutor(trained_tiny_model, calib, use_compiled=False)
         plan = self.PLANS[plan_name]()
         np.testing.assert_array_equal(
             compiled.forward(images, plan), legacy.forward(images, plan)
         )
 
-    def test_grouped_conv_bit_exact(self, tiny_dataset, rng, engine_backend):
+    def test_grouped_conv_bit_exact(self, tiny_dataset, rng):
         from repro.models.zoo import build_model
 
         model = build_model("shufflenet", num_classes=tiny_dataset.num_classes, rng=rng)
         calib = tiny_dataset.train_images[:32]
         images = tiny_dataset.test_images[:4]
-        compiled = ApproximateExecutor(
-            model, calib, use_compiled=True, engine_backend=engine_backend
-        )
+        compiled = ApproximateExecutor(model, calib, use_compiled=True)
         legacy = ApproximateExecutor(model, calib, use_compiled=False)
         for plan in (
             ExecutionPlan.uniform(PerforatedProduct(2, True)),
@@ -337,6 +371,31 @@ class TestExecutorEngineParity:
             np.testing.assert_array_equal(
                 compiled.forward(images, plan), legacy.forward(images, plan)
             )
+
+    @pytest.mark.parametrize(
+        "network,kwargs",
+        [("vgg13", {}), ("shufflenet", {}), ("resnet44", {"base_width": 4})],
+        ids=["vgg13", "shufflenet", "resnet44"],
+    )
+    def test_streaming_lut_forward_bit_exact(
+        self, tiny_dataset, rng, streaming_lut, network, kwargs
+    ):
+        """Layers whose LUT error terms stream tap by tap (a plain, a
+        grouped-conv and a residual network) match the legacy path."""
+        from repro.models.zoo import build_model
+
+        model = build_model(network, num_classes=tiny_dataset.num_classes, rng=rng, **kwargs)
+        calib = tiny_dataset.train_images[:32]
+        images = tiny_dataset.test_images[:4]
+        compiled = ApproximateExecutor(model, calib, use_compiled=True)
+        legacy = ApproximateExecutor(model, calib, use_compiled=False)
+        lut = streaming_lut(LUTMultiplier(random_lut(rng), name="streaming"))
+        plan = ExecutionPlan.uniform(lut)
+        np.testing.assert_array_equal(
+            compiled.forward(images, plan), legacy.forward(images, plan)
+        )
+        assert len(lut.compiled) >= len(compiled.mac_layer_names())
+        assert all(kernel._error_matrix is None for kernel in lut.compiled)
 
     def test_accurate_lut_cross_check(self, trained_tiny_model, tiny_dataset):
         """LUT of the exact multiplier == exact matmul through the full model."""

@@ -9,6 +9,10 @@ formula it replaced, bit for bit.
   on one owned temporary; their oracles are the allocating expressions.
 * :func:`~repro.quantization.quantize.calibrate_percentile` takes both
   percentiles from one partition; its oracle is two single-q calls.
+* :class:`~repro.simulation.inference.ApproximateExecutor` calibrates each
+  MAC layer on one float walk that drops every activation after its last
+  reader; its oracle calibrates from ``Graph.forward(...,
+  return_activations=True)``, which keeps them all.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.models.zoo import build_model
 from repro.nn.im2col import im2col, im2col_indices
 from repro.nn.layers import BatchNorm
-from repro.quantization.quantize import calibrate_percentile, quantize
+from repro.quantization.quantize import calibrate_minmax, calibrate_percentile, quantize
 from repro.quantization.schemes import QMAX, QMIN, QuantParams
+from repro.simulation.inference import ApproximateExecutor
 
 pytestmark = pytest.mark.engine
 
@@ -168,3 +174,37 @@ class TestOnePartitionPercentile:
         lo = float(np.percentile(tensor, 100.0 - percentile))
         hi = float(np.percentile(tensor, percentile))
         assert calibrate_percentile(tensor, percentile) == QuantParams.from_range(lo, hi)
+
+
+class TestOneWalkCalibration:
+    @pytest.mark.parametrize(
+        "network, overrides",
+        [
+            ("vgg13", {}),
+            ("resnet44", {"base_width": 4}),  # residual merges
+            ("shufflenet", {}),  # grouped convolutions, channel shuffles
+            ("googlenet", {"base_width": 4}),  # concatenated branches
+        ],
+    )
+    @pytest.mark.parametrize("percentile", [99.9, 100.0])
+    def test_activation_params_equal_the_keep_everything_walk(
+        self, tiny_dataset, network, overrides, percentile
+    ):
+        model = build_model(
+            network,
+            num_classes=tiny_dataset.num_classes,
+            rng=np.random.default_rng(5),
+            **overrides,
+        )
+        images = tiny_dataset.train_images[:32]
+        executor = ApproximateExecutor(model, images, activation_percentile=percentile)
+        _, activations = model.forward(images, training=False, return_activations=True)
+        nodes = model.conv_dense_nodes()
+        assert sorted(executor._nodes) == sorted(node.name for node in nodes)
+        for node in nodes:
+            x = activations[node.inputs[0]]
+            expected = (
+                calibrate_minmax(x) if percentile >= 100.0 else calibrate_percentile(x, percentile)
+            )
+            # A positive finite scale compares equal only to the same bits.
+            assert executor._nodes[node.name].act_params == expected, node.name

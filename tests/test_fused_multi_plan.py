@@ -1,4 +1,4 @@
-"""Multi-plan path: kernels, backends, executor, scheduler, service.
+"""Multi-plan path: kernels, compiler, executor, scheduler, service.
 
 The acceptance criterion of the multi-plan walk is *bit-exactness*:
 collapsing the outer plan loop into one batched backend launch must never
@@ -7,15 +7,18 @@ end:
 
 * :class:`~repro.core.product_kernels.MultiPlanKernel` — stacked and
   shared launches equal the per-plan kernels on randomized mixed stacks
-  (accurate / perforated ± control variate / LUT / fallback);
+  (accurate / perforated ± control variate / LUT / fallback), and a LUT
+  block streaming its error terms tap by tap runs on its own;
 * ``QuantizedLinearOp.output_real_stacked`` — equals the tiled per-plan
   :meth:`output_real` bit for bit;
-* ``EngineBackend.compile_multi`` — reuses precompiled per-plan kernels;
-* ``ApproximateExecutor.forward_many`` — randomized plan families on every
-  backend against the per-plan reference walk (``use_compiled=False``),
-  duplicate plans, single-plan and zero-shared-prefix sets, the bound on
-  stacked launch rows, the fused-launch counters, one-block launches for
-  a single plan, and the bounded fingerprint-keyed kernel cache;
+* ``NumpyBackend.compile_multi`` — bit-exact with the per-plan kernels
+  and reuses precompiled ones;
+* ``ApproximateExecutor.forward_many`` — randomized plan families against
+  the per-plan reference walk (``use_compiled=False``), with and
+  without streaming LUT blocks, duplicate plans, single-plan and
+  zero-shared-prefix sets, the bound on stacked launch rows, the
+  fused-launch counters, one-block launches for a single plan, and the
+  bounded fingerprint-keyed kernel cache;
 * :func:`~repro.runtime.scheduling.plan_group_slices` — depth-aware group
   cuts land on divergence-family boundaries;
 * the service / ``parallel_sweep`` — the sweep reproduces the committed
@@ -27,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.backends import EngineBackend, NumpyBackend, backend_names, get_backend
+from repro.core.backends import NumpyBackend
 from repro.core.control_variate import ControlVariate
 from repro.core.product_kernels import (
     AccurateKernel,
@@ -130,6 +133,33 @@ class TestMultiPlanKernel:
             uncapped.product_sums_multi(act, shared=True),
         )
 
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "stacked"])
+    def test_streaming_lut_blocks_run_on_their_own_bit_exact(self, rng, shared):
+        """A LUT kernel streaming its error terms tap by tap has no error
+        matrix to stack: the fused launch evaluates its block through the
+        kernel itself, equal to the compiled kernel over the same table."""
+        weights = rng.integers(0, 256, size=(7, 3), dtype=np.uint8)
+        lut = _random_lut(rng)
+        streaming = LUTKernel(weights, lut, max_error_matrix_bytes=0)
+        compiled = LUTKernel(weights, lut)
+        kernels = [AccurateKernel(weights), streaming, compiled, PerforatedKernel(weights, 2)]
+        multi = MultiPlanKernel(kernels)
+        assert multi._kinds == ["exact", "fallback", "lut", "perf"]
+        n = 6
+        rows = n if shared else len(kernels) * n
+        act = rng.integers(0, 256, size=(rows, 7), dtype=np.uint8)
+        blocks = [act if shared else act[p * n : (p + 1) * n] for p in range(len(kernels))]
+        out = multi.product_sums_multi(act, shared=shared)
+        np.testing.assert_array_equal(
+            out,
+            np.concatenate(
+                [np.asarray(k(b), dtype=np.float64) for k, b in zip(kernels, blocks)]
+            ),
+        )
+        np.testing.assert_array_equal(
+            out[n : 2 * n], np.asarray(compiled(blocks[1]), dtype=np.float64)
+        )
+
     def test_shared_kernel_instances_share_one_error_matrix_slot(self, rng):
         """Suffix layers reuse one kernel object across blocks; the stacked
         error matrix must not duplicate it per block."""
@@ -211,37 +241,18 @@ class TestOutputRealStacked:
 
 
 class TestCompileMultiContract:
-    def test_capability_flags(self, rng):
-        """No capability flag remains: every registered backend compiles a
-        multi-plan kernel, bit-exact with its per-plan kernels."""
+    def test_compile_multi_matches_per_plan_kernels(self, rng):
+        """The fused kernel is bit-exact with the per-plan kernels."""
         weights = rng.integers(0, 256, size=(6, 4), dtype=np.uint8)
         cv = ControlVariate.from_weight_matrix(weights)
         models = [AccurateProduct(), PerforatedProduct(2), PerforatedProduct(2, False)]
         act = rng.integers(0, 256, size=(5, 6), dtype=np.uint8)
-        for name in backend_names():
-            backend = get_backend(name)
-            assert not hasattr(backend, "fused_multi_plan")
-            multi = backend.compile_multi(models, weights, cv)
-            expected = [backend.compile(model, weights, cv)(act) for model in models]
-            np.testing.assert_array_equal(
-                multi.product_sums_multi(act, shared=True), np.concatenate(expected)
-            )
-
-    def test_base_compile_multi_refuses_without_capability(self):
-        """A backend that cannot compile multi-plan kernels is refused when
-        it is defined, not when the executor first needs one."""
-
-        class NoFusion(EngineBackend):
-            name = "stub-no-fusion"
-
-            def availability(self):
-                return True, ""
-
-            def compile(self, product_model, weight_codes, control_variate):
-                raise AssertionError("not exercised")
-
-        with pytest.raises(TypeError, match="compile_multi"):
-            NoFusion()
+        backend = NumpyBackend()
+        multi = backend.compile_multi(models, weights, cv)
+        expected = [backend.compile(model, weights, cv)(act) for model in models]
+        np.testing.assert_array_equal(
+            multi.product_sums_multi(act, shared=True), np.concatenate(expected)
+        )
 
     def test_numpy_compile_multi_reuses_precompiled_kernels(self, rng):
         weights = rng.integers(0, 256, size=(4, 2), dtype=np.uint8)
@@ -284,13 +295,13 @@ def _random_plans(trained, count: int, seed: int) -> list[ExecutionPlan]:
     return plans
 
 
-def _plan_families(trained, seed: int) -> list[ExecutionPlan]:
+def _plan_families(trained, seed: int, extra_models=()) -> list[ExecutionPlan]:
     """Plan families forking at the first, a middle and the last MAC layer.
 
     Each family shares a random prefix and forks at its layer into several
-    product models (perforated ± control variate, LUT), each followed by a
-    random suffix; the batch repeats one plan object and carries an equal
-    but distinct copy of another.
+    product models (perforated ± control variate, LUT, and
+    ``extra_models``), each followed by a random suffix; the batch repeats
+    one plan object and carries an equal but distinct copy of another.
     """
     rng = np.random.default_rng(seed)
     mac_names = model_mac_names(trained)
@@ -301,6 +312,7 @@ def _plan_families(trained, seed: int) -> list[ExecutionPlan]:
         PerforatedProduct(3),
         LUTProduct(PerforatedMultiplier(2)),
         LUTProduct(TruncatedMultiplier(1, 2)),
+        *extra_models,
     ]
 
     def pick():
@@ -390,7 +402,7 @@ class TestExecutorForwardMany:
         """A single plan runs every MAC layer as a one-block fused launch:
         the executor never calls a per-plan kernel directly."""
         calib = tiny_dataset.train_images[:32]
-        executor = ApproximateExecutor(trained.model, calib, engine_backend="numpy")
+        executor = ApproximateExecutor(trained.model, calib)
         menu = [
             PerforatedProduct(2),
             LUTProduct(TruncatedMultiplier(1, 2)),
@@ -477,15 +489,14 @@ class TestExecutorForwardMany:
                 executor.forward(images, plan), executor.forward_many(images, [plan])[0]
             )
 
-    @pytest.mark.parametrize("backend", backend_names())
     @pytest.mark.parametrize("seed", [0, 1])
     def test_randomized_plan_families_match_reference_walk(
-        self, trained, tiny_dataset, backend, seed
+        self, trained, tiny_dataset, seed
     ):
         """Plan families forking at the first, a middle and the last MAC
         layer, with duplicates and LUT blocks, equal the per-plan reference."""
         calib = tiny_dataset.train_images[:32]
-        compiled = ApproximateExecutor(trained.model, calib, engine_backend=backend)
+        compiled = ApproximateExecutor(trained.model, calib)
         reference = ApproximateExecutor(trained.model, calib, use_compiled=False)
         plans = _plan_families(trained, seed)
         images = tiny_dataset.test_images[:10]
@@ -493,6 +504,28 @@ class TestExecutorForwardMany:
         assert len(outputs) == len(plans)
         for plan, logits in zip(plans, outputs):
             np.testing.assert_array_equal(logits, reference.forward(images, plan))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_plan_families_with_streaming_luts_match_reference_walk(
+        self, trained, tiny_dataset, streaming_lut, seed
+    ):
+        """The same plan families with LUT blocks that stream their error
+        terms tap by tap, next to compiled-LUT blocks over the same tables,
+        equal the per-plan reference."""
+        calib = tiny_dataset.train_images[:32]
+        compiled = ApproximateExecutor(trained.model, calib)
+        reference = ApproximateExecutor(trained.model, calib, use_compiled=False)
+        streaming = [
+            streaming_lut(PerforatedMultiplier(2)),
+            streaming_lut(TruncatedMultiplier(1, 2)),
+        ]
+        plans = _plan_families(trained, seed, extra_models=streaming)
+        images = tiny_dataset.test_images[:10]
+        outputs = compiled.forward_many(images, plans)
+        assert len(outputs) == len(plans)
+        for plan, logits in zip(plans, outputs):
+            np.testing.assert_array_equal(logits, reference.forward(images, plan))
+        assert any(model.compiled for model in streaming)
 
     def test_stacked_launches_stay_within_row_target(
         self, trained, tiny_dataset, monkeypatch

@@ -6,9 +6,10 @@ image shards, one thread each (the process's core share,
 input to the logits is per-image, so the split must never change a bit.
 This suite pins that and the shard-safety of the state the shards share:
 
-* sharded logits equal the one-thread walk bit for bit on every backend,
-  on a plain, a grouped-conv and a residual network, under accurate,
-  perforated and LUT plan mixes, for batches of 1, 2 and an odd size;
+* sharded logits equal the one-thread walk bit for bit on a plain, a
+  grouped-conv and a residual network, under accurate,
+  perforated and LUT plan mixes, for batches of 1, 2 and an odd size, and
+  with LUT layers that stream their error terms tap by tap;
 * the fused-launch counters count every physical launch exactly, and a
   kernel both shards need is compiled once;
 * a failing shard's exception reaches the caller, and the process pins its
@@ -26,7 +27,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.backends import NumpyBackend, backend_names
+from repro.core.backends import NumpyBackend
 from repro.core.product_kernels import LUTKernel, MultiPlanKernel
 from repro.models.zoo import build_model
 from repro.multipliers.perforated import PerforatedMultiplier
@@ -60,22 +61,19 @@ def cpus(monkeypatch):
     return set_cpus
 
 
-_EXECUTORS: dict[tuple[str, str], ApproximateExecutor] = {}
+_EXECUTORS: dict[str, ApproximateExecutor] = {}
 
 
-def _executor(name: str, backend: str, tiny_dataset) -> ApproximateExecutor:
-    key = (name, backend)
-    if key not in _EXECUTORS:
+def _executor(name: str, tiny_dataset) -> ApproximateExecutor:
+    if name not in _EXECUTORS:
         model = build_model(
             name,
             num_classes=tiny_dataset.num_classes,
             rng=np.random.default_rng(3),
             **NETWORKS[name],
         )
-        _EXECUTORS[key] = ApproximateExecutor(
-            model, tiny_dataset.train_images[:32], engine_backend=backend
-        )
-    return _EXECUTORS[key]
+        _EXECUTORS[name] = ApproximateExecutor(model, tiny_dataset.train_images[:32])
+    return _EXECUTORS[name]
 
 
 def _plan_mix(executor: ApproximateExecutor) -> list[ExecutionPlan]:
@@ -97,13 +95,12 @@ def _plan_mix(executor: ApproximateExecutor) -> list[ExecutionPlan]:
 
 
 class TestShardedForwardMany:
-    @pytest.mark.parametrize("backend", backend_names())
     @pytest.mark.parametrize("network", sorted(NETWORKS))
     @pytest.mark.parametrize("batch", [1, 2, 7])
     def test_sharded_logits_equal_the_one_thread_walk_bit_for_bit(
-        self, tiny_dataset, cpus, backend, network, batch
+        self, tiny_dataset, cpus, network, batch
     ):
-        executor = _executor(network, backend, tiny_dataset)
+        executor = _executor(network, tiny_dataset)
         plans = _plan_mix(executor)
         images = tiny_dataset.test_images[:batch]
         cpus(1)
@@ -116,6 +113,31 @@ class TestShardedForwardMany:
             np.testing.assert_array_equal(
                 logits.view(np.uint64), expected.view(np.uint64)
             )
+
+    @pytest.mark.parametrize("network", sorted(NETWORKS))
+    def test_sharded_streaming_lut_logits_equal_the_one_thread_walk(
+        self, tiny_dataset, cpus, streaming_lut, network
+    ):
+        """LUT layers streaming their error terms tap by tap, uniform and
+        mixed with compiled-LUT and perforated layers, split over shards."""
+        executor = _executor(network, tiny_dataset)
+        names = executor.mac_layer_names()
+        lut = streaming_lut(TruncatedMultiplier(1, 2))
+        mixed = ExecutionPlan.uniform(lut)
+        for i, name in enumerate(names):
+            choice = (lut, LUTProduct(PerforatedMultiplier(2)), PerforatedProduct(2))[i % 3]
+            mixed = mixed.with_layer(name, choice)
+        plans = [ExecutionPlan.uniform(lut), mixed]
+        images = tiny_dataset.test_images[:7]
+        cpus(1)
+        one_thread = executor.forward_many(images, plans)
+        cpus(3)
+        sharded = executor.forward_many(images, plans)
+        for expected, logits in zip(one_thread, sharded):
+            np.testing.assert_array_equal(
+                logits.view(np.uint64), expected.view(np.uint64)
+            )
+        assert lut.compiled and all(k._error_matrix is None for k in lut.compiled)
 
     def test_fused_counters_count_every_shard_launch(
         self, trained_tiny_model, tiny_dataset, cpus
@@ -167,6 +189,9 @@ class TestShardedForwardMany:
                 counts[shards] = sorted(compiled)
         finally:
             sys.setswitchinterval(interval)
+        # The spy sits on the executor's one compile path, so it must see
+        # every fused kernel the walk builds.
+        assert counts[1]
         assert counts[4] == counts[1]
 
     def test_a_failing_shard_raises_to_the_caller(

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.models.zoo import build_model
-from repro.simulation.campaign import TrainedModel, order_plan_cells, plan_sweep
+from repro.runtime.scheduling import order_plan_cells
+from repro.simulation.campaign import TrainedModel, plan_sweep
 from repro.simulation.inference import (
     AccurateProduct,
     ExecutionPlan,

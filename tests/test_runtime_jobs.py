@@ -13,14 +13,16 @@ The acceptance criteria of the job-oriented re-architecture live here:
 * **admission control** — a bounded queue rejects with reason
   ``queue_full``, the per-session in-flight cap with ``session_busy``, and
   rejections never corrupt counters;
-* **sessions** — per-client seed streams are distinct and stable, and
-  per-session ledgers land in disjoint namespaces;
+* **sessions** — one session per id, and per-session ledgers land in
+  disjoint namespaces;
 * **graceful close** — ``close()`` with jobs still queued cancels them
   (state ``cancelled``), drains the dispatcher, and unlinks every
   shared-memory block: no leaked ``/dev/shm`` segments;
 * **wire codec** — plans round-trip through JSON with identical
   fingerprints (perforation, control-variate flag, LUT bytes), so
-  content-addressed cell keys survive transport.
+  content-addressed cell keys survive transport, and a perforated payload
+  whose ``m`` is not a JSON integer or whose control-variate flag is not a
+  JSON boolean is a codec error, never coerced.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from repro.runtime.jobs import (
     sweep_over_jobs,
 )
 from repro.runtime.jobs.sessions import SessionRegistry
-from repro.core.seeding import SeedBank
 from repro.simulation.campaign import TrainedModel, parallel_sweep
 from repro.simulation.inference import (
     AccurateProduct,
@@ -130,6 +131,43 @@ class TestCodec:
         with pytest.raises(PlanCodecError):
             decode_plans({"not": "a list"})
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"m": 1e400},  # json.loads reads it as inf: int() overflows
+            {"m": float("nan")},
+            {"m": 2.7},
+            {"m": 2.0},
+            {"m": "3"},
+            {"m": True},
+            {"m": None},
+            {},  # no "m" at all
+            {"m": 8},  # out of range
+            {"m": -1},
+            {"m": 2, "use_control_variate": "false"},
+            {"m": 2, "use_control_variate": 0},
+            {"m": 2, "use_control_variate": None},
+        ],
+    )
+    def test_malformed_perforated_numbers_are_codec_errors(self, fields):
+        """``m`` must be a JSON integer and ``use_control_variate`` a JSON
+        boolean: nothing is coerced, and nothing escapes as another error."""
+        payload = [{"default": {"kind": "perforated", **fields}}]
+        with pytest.raises(PlanCodecError):
+            decode_plans(json.loads(json.dumps(payload)))
+
+    def test_well_formed_perforated_payloads_decode(self):
+        plans = decode_plans(
+            [
+                {"default": {"kind": "perforated", "m": 2}},
+                {"default": {"kind": "perforated", "m": 3, "use_control_variate": False}},
+            ]
+        )
+        assert [(p.default.m, p.default.use_control_variate) for p in plans] == [
+            (2, True),
+            (3, False),
+        ]
+
 
 class TestResultCache:
     def test_hit_miss_and_eviction_counters(self):
@@ -148,20 +186,11 @@ class TestResultCache:
 
 
 class TestSessions:
-    def test_seed_streams_are_distinct_and_stable(self):
-        registry = SessionRegistry(SeedBank(7))
+    def test_ledger_namespaces_are_disjoint(self, tmp_path):
+        registry = SessionRegistry(ledger_dir=str(tmp_path))
         alice = registry.get_or_create("alice")
         bob = registry.get_or_create("bob")
         assert alice is registry.get_or_create("alice")
-        assert alice.seeds.seed_for("jobs") != bob.seeds.seed_for("jobs")
-        # Recreating the registry with the same root reproduces the streams.
-        again = SessionRegistry(SeedBank(7)).get_or_create("alice")
-        assert again.seeds.seed_for("jobs") == alice.seeds.seed_for("jobs")
-
-    def test_ledger_namespaces_are_disjoint(self, tmp_path):
-        registry = SessionRegistry(SeedBank(0), ledger_dir=str(tmp_path))
-        alice = registry.get_or_create("alice")
-        bob = registry.get_or_create("bob")
         alice.ledger.put("k", {"kind": "job-cell", "accuracy": 1.0})
         bob.ledger.put("k", {"kind": "job-cell", "accuracy": 0.0})
         fresh = CampaignLedger(path=str(tmp_path / "alice"))
@@ -170,7 +199,7 @@ class TestSessions:
         assert fresh.get("k")["accuracy"] == 0.0
 
     def test_bad_session_ids_are_rejected(self):
-        registry = SessionRegistry(SeedBank(0))
+        registry = SessionRegistry()
         with pytest.raises(SessionError):
             registry.get_or_create("../escape")
         with pytest.raises(SessionError):
@@ -315,7 +344,7 @@ class TestAdmissionControl:
 
     def test_queue_release_returns_the_inflight_slot(self):
         queue = JobQueue(max_depth=4, max_inflight_per_session=1)
-        session = SessionRegistry(SeedBank(0)).get_or_create()
+        session = SessionRegistry().get_or_create()
         queue.push(object(), session)
         assert session.inflight == 1
         with pytest.raises(AdmissionError):
@@ -330,7 +359,7 @@ class TestAdmissionControl:
     def test_queue_rejects_after_close(self):
         queue = JobQueue(max_depth=4)
         queue.close()
-        session = SessionRegistry(SeedBank(0)).get_or_create()
+        session = SessionRegistry().get_or_create()
         with pytest.raises(AdmissionError) as rejected:
             queue.push(object(), session)
         assert rejected.value.reason == "closed"
@@ -341,7 +370,7 @@ class TestFifoQueue:
 
     @staticmethod
     def _session():
-        return SessionRegistry(SeedBank(0)).get_or_create()
+        return SessionRegistry().get_or_create()
 
     def test_pops_in_submission_order(self):
         queue = JobQueue(max_depth=8)
@@ -439,11 +468,11 @@ class TestGracefulClose:
         manager = JobManager(
             [trained],
             {tiny_dataset.name: tiny_dataset},
-            use_shared_memory=True,
+            max_workers=2,
             auto_start=False,
         )
         plan = [ExecutionPlan.uniform(AccurateProduct())]
-        # One direct evaluation forces the publish-once path (the store
+        # One direct evaluation starts the pool, which publishes (the store
         # handles exist only once the engine has published), then jobs
         # pile up unserved because the dispatcher never started.
         manager.service.evaluate_plans(0, plan)

@@ -5,8 +5,7 @@ The acceptance criteria of the subsystem live here:
 * **service-vs-serial parity** — randomized plan sets scored through an
   :class:`~repro.runtime.service.EvaluationService` are bit-exact with the
   in-process :meth:`~repro.dse.evaluator.PlanEvaluator.evaluate` and with
-  :func:`~repro.simulation.campaign.plan_sweep`, across multiple engine
-  backends;
+  :func:`~repro.simulation.campaign.plan_sweep`;
 * **graceful shutdown** — a forced worker failure, a SIGKILLed worker
   (and a ``KeyboardInterrupt`` on the serial path) still drains the
   workers and unlinks every shared-memory block: no leaked ``/dev/shm``
@@ -152,18 +151,15 @@ def _assert_no_leaked_stores(handles: list[tuple[str, str]]) -> None:
 
 
 class TestServiceParity:
-    @pytest.mark.parametrize("engine_backend", ["numpy", "lowmem"])
     def test_service_bit_exact_with_evaluator_and_plan_sweep(
-        self, trained, tiny_dataset, engine_backend
+        self, trained, tiny_dataset
     ):
         """Randomized plan sets: service == in-process evaluator == plan_sweep."""
         plans = _random_plans(trained, count=6, seed=11)
         datasets = {tiny_dataset.name: tiny_dataset}
-        kwargs = dict(
-            max_eval_images=24, calibration_images=32, engine_backend=engine_backend
-        )
+        kwargs = dict(max_eval_images=24, calibration_images=32)
         with EvaluationService(
-            [trained], datasets, max_workers=2, use_shared_memory=True, **kwargs
+            [trained], datasets, max_workers=2, **kwargs
         ) as service:
             via_service = service.evaluate_plans(0, plans)
         serial = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
@@ -209,7 +205,6 @@ class TestServiceParity:
             [trained, second],
             {tiny_dataset.name: tiny_dataset},
             max_workers=2,
-            use_shared_memory=True,
             **kwargs,
         ) as service:
             assert service.model_index("vgg13-bis") == 1
@@ -281,9 +276,7 @@ class TestServiceParity:
         plans = _random_plans(trained, count=9, seed=29)
         kwargs = dict(max_eval_images=25, calibration_images=32)
         datasets = {tiny_dataset.name: tiny_dataset}
-        with EvaluationService(
-            [trained], datasets, max_workers=2, use_shared_memory=True, **kwargs
-        ) as service:
+        with EvaluationService([trained], datasets, max_workers=2, **kwargs) as service:
             pooled, tasks = self._pooled_tasks(service, [(0, plan) for plan in plans])
             stats = service.stats()
         with EvaluationService([trained], datasets, max_workers=1, **kwargs) as service:
@@ -343,10 +336,9 @@ class TestServiceLifecycle:
         service = EvaluationService(
             [trained],
             {tiny_dataset.name: tiny_dataset},
-            max_workers=1,
+            max_workers=2,
             max_eval_images=8,
             calibration_images=16,
-            use_shared_memory=True,
         )
         service.start()
         handles = service.shared_store_handles()
@@ -408,7 +400,6 @@ class TestServiceLifecycle:
             max_workers=2,
             max_eval_images=8,
             calibration_images=16,
-            use_shared_memory=True,
         )
         try:
             service.start()
@@ -478,7 +469,6 @@ class TestServiceLifecycle:
             max_workers=2,
             max_eval_images=8,
             calibration_images=16,
-            use_shared_memory=True,
         )
         try:
             service.start()
@@ -507,8 +497,9 @@ class TestServiceLifecycle:
     def test_keyboard_interrupt_in_sweep_unlinks_stores(
         self, trained, tiny_dataset, monkeypatch
     ):
-        """KeyboardInterrupt mid-sweep still tears the service down: every
-        published block is unlinked on the way out."""
+        """KeyboardInterrupt mid-sweep (raised in a pool worker, re-raised
+        by the host) still tears the service down: every published block
+        is unlinked on the way out."""
         unlinked: list[SharedArrayStore] = []
         original = SharedArrayStore.unlink
 
@@ -520,13 +511,15 @@ class TestServiceLifecycle:
         poison = ExecutionPlan.uniform(AccurateProduct()).with_layer(
             trained.model.conv_dense_nodes()[0].name, InterruptingProduct()
         )
+        healthy = ExecutionPlan.uniform(PerforatedProduct(2))
+        # plan_sweep clamps to the schedulable CPUs: run a pool on any host.
+        monkeypatch.setattr(sizing, "effective_cpu_count", lambda: 2)
         with pytest.raises(KeyboardInterrupt):
             plan_sweep(
                 [trained],
                 {tiny_dataset.name: tiny_dataset},
-                [("poison", poison)],
-                max_workers=1,
-                use_shared_memory=True,  # serial path, publish forced on
+                [("healthy", healthy), ("poison", poison)],
+                max_workers=2,
                 max_eval_images=8,
                 calibration_images=16,
             )

@@ -15,7 +15,8 @@ The daemon contract lives here:
 * **cross-client caching over the wire** — a duplicate HTTP submission is
   served from the daemon's result cache, visible in ``/stats``;
 * **malformed wire input** — a bad ``Content-Length`` is answered at once
-  without reading the body, and unknown payload keys are named in a 400;
+  without reading the body, and unknown payload keys and malformed plan
+  numbers (``"m": 1e400``, a string control-variate flag) are a 400;
 * **client resilience** — :class:`~repro.runtime.jobs.client.HttpJobClient`
   retries idempotent GETs through transient connection failures (flaky
   stub server) but never retries a POST.
@@ -143,6 +144,31 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as error:
             urllib.request.urlopen(request)
         assert error.value.code == 400
+
+    @pytest.mark.parametrize(
+        "product",
+        [
+            '{"kind": "perforated", "m": 1e400}',
+            '{"kind": "perforated", "m": 2, "use_control_variate": "false"}',
+            '{"kind": "perforated", "m": "3"}',
+        ],
+    )
+    def test_malformed_plan_numbers_are_400(self, server, product):
+        """``1e400`` parses as infinity, which ``int()`` cannot convert: it
+        must be a 400 like any other malformed number, not a 500."""
+        submitted = server.manager.stats()["jobs"]["submitted"]
+        body = '{"model_index": 0, "plans": [{"default": %s}]}' % product
+        request = urllib.request.Request(
+            f"{server.url}/jobs",
+            data=body.encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as error:
+            urllib.request.urlopen(request)
+        assert error.value.code == 400
+        assert "perforated payload" in json.loads(error.value.read().decode())["error"]
+        assert server.manager.stats()["jobs"]["submitted"] == submitted
 
     def test_unknown_layer_is_400(self, server, trained):
         first = trained.model.conv_dense_nodes()[0].name

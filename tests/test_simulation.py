@@ -308,11 +308,12 @@ class TestCampaign:
         assert parallel.lookup("vgg13", small_dataset.name, 0, True).accuracy_loss == 0.0
         assert parallel.lookup("vgg13", small_dataset.name, 0, False).accuracy_loss == 0.0
 
-    def test_parallel_sweep_shared_memory_forced(
+    def test_parallel_sweep_never_retrains_cached_models(
         self, small_dataset, tmp_path, monkeypatch
     ):
-        """Shared-memory path forced on: results and error stats identical to
-        the serial sweep, and no worker ever (re)trains a model."""
+        """In-process and on a pool (which publishes through shared memory):
+        results and error stats identical to the serial sweep, and no worker
+        ever (re)trains a model."""
         import repro.simulation.campaign as campaign
         from repro.simulation.campaign import parallel_sweep
 
@@ -335,11 +336,7 @@ class TestCampaign:
         # inside the sweep would blow up the worker and fail the sweep.
         for max_workers in (1, 2):
             shared = parallel_sweep(
-                [reloaded],
-                datasets,
-                max_workers=max_workers,
-                use_shared_memory=True,
-                **kwargs,
+                [reloaded], datasets, max_workers=max_workers, **kwargs
             )
             assert shared.baselines == serial.baselines
             assert shared.records == serial.records
@@ -353,11 +350,11 @@ class TestCampaign:
         store = campaign.publish_trained_models([reloaded])
         state: dict = {}
         try:
-            worker.init_worker_state(state, store, datasets, 16, 128, None)
+            worker.init_worker_state(state, store, datasets, 16, 128)
             specs = campaign._sweep_cell_specs([reloaded], (1, 2))
             assert len(specs) > 1
             for _, m, with_cv in specs:
-                worker.eval_plan_cell(state, 0, campaign._spec_plan(m, with_cv))
+                worker.eval_cell_chunk(state, [(0, campaign._spec_plan(m, with_cv))])
             assert state["executor_builds"] == 1
         finally:
             state.clear()
@@ -411,8 +408,8 @@ class TestCampaign:
         assert not os.path.exists(store.name)
 
     def test_plan_sweep_parity_across_execution_modes(self, small_dataset, tmp_path):
-        """plan_sweep with shared memory + workers is bit-identical to
-        sweeping every plan on its own, where no layer prefix is shared."""
+        """plan_sweep in-process and on a pool is bit-identical to sweeping
+        every plan on its own, where no layer prefix is shared."""
         from repro.simulation.campaign import plan_sweep
         from repro.simulation.inference import (
             AccurateProduct,
@@ -442,15 +439,11 @@ class TestCampaign:
         assert [r.plan_label for r in reference] == [label for label, _ in plans]
         reused = plan_sweep([trained], datasets, plans, max_workers=1, **kwargs)
         parallel = plan_sweep([trained], datasets, plans, max_workers=2, **kwargs)
-        shared = plan_sweep(
-            [trained], datasets, plans, max_workers=1, use_shared_memory=True, **kwargs
-        )
         assert reused == reference
         assert parallel == reference
-        assert shared == reference
 
     def test_order_plan_cells_groups_shared_prefixes(self, small_dataset, tmp_path):
-        from repro.simulation.campaign import order_plan_cells
+        from repro.runtime.scheduling import order_plan_cells
         from repro.simulation.inference import (
             AccurateProduct,
             ExecutionPlan,
@@ -483,17 +476,6 @@ class TestCampaign:
         deep_block = {"deep_m1", "deep_m2", "baseline"}
         positions = [i for i, label in enumerate(schedule) if label in deep_block]
         assert positions == list(range(min(positions), min(positions) + 3))
-
-    def test_sweep_engine_backend_is_bit_identical(self, small_dataset, tmp_path):
-        """The lowmem backend produces the exact same sweep as the default."""
-        cache = TrainedModelCache(cache_dir=str(tmp_path))
-        trained = cache.load_or_train("vgg13", small_dataset, TrainingSettings(epochs=1, seed=3))
-        datasets = {small_dataset.name: small_dataset}
-        kwargs = dict(perforations=(2,), max_eval_images=16)
-        default = accuracy_sweep([trained], datasets, **kwargs)
-        lowmem = accuracy_sweep([trained], datasets, engine_backend="lowmem", **kwargs)
-        assert lowmem.records == default.records
-        assert lowmem.baselines == default.baselines
 
     def test_accuracy_sweep_structure(self, small_dataset, tmp_path):
         cache = TrainedModelCache(cache_dir=str(tmp_path))
