@@ -158,9 +158,9 @@ def sweep_jobs_local(
     JobManager` and submits one job per model via
     :func:`~repro.runtime.jobs.client.sweep_over_jobs` — the exact code
     path ``--remote`` uses, minus HTTP.  Worker sizing mirrors
-    :func:`~repro.simulation.campaign.parallel_sweep`: the request is
-    clamped to the schedulable CPUs and the cell count, so results (and
-    timings) match the pre-jobs CLI byte for byte.
+    :func:`~repro.simulation.campaign.plan_sweep`: the request is clamped
+    to the schedulable CPUs and the cell count, so results match
+    :func:`~repro.simulation.campaign.accuracy_sweep` byte for byte.
 
     Returns ``(sweep, totals, stats)`` — the :class:`SweepResult`, the
     per-sweep job/cache totals, and the manager's final

@@ -4,8 +4,9 @@ Since the job-oriented re-architecture this verb is a thin client of the
 runtime's job API: locally it hosts the trained models on an in-process
 :class:`~repro.runtime.jobs.manager.JobManager` and submits one job per
 model; with ``--remote URL`` it POSTs the *same* jobs to a running
-``repro serve`` daemon.  Both paths are bit-exact with the pre-jobs
-``parallel_sweep`` because the engine underneath is identical.
+``repro serve`` daemon.  Both paths are bit-exact with
+:func:`~repro.simulation.campaign.accuracy_sweep` because the engine
+underneath is identical.
 """
 
 from __future__ import annotations

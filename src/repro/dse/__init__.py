@@ -14,11 +14,10 @@ substrate into that decision procedure:
 * :mod:`~repro.dse.pareto` — :class:`ParetoFront` with dominance pruning;
 * :mod:`~repro.dse.ledger` — :class:`CampaignLedger`: persistent,
   content-addressed records that make campaigns resumable and re-runs free;
-* :mod:`~repro.dse.evaluator` — :class:`PlanEvaluator` (in-process) and
-  :class:`ServicePlanEvaluator` (fanned across a
-  :class:`repro.runtime.service.EvaluationService` worker pool): accuracy
-  scoring through the executor's multi-plan walk, both bit-exact
-  with :func:`repro.simulation.campaign.plan_sweep`;
+* :mod:`~repro.dse.evaluator` — :class:`PlanEvaluator`: accuracy scoring
+  on a :class:`repro.runtime.service.EvaluationService` (an owned
+  in-process one, or a given worker pool or multi-model session),
+  bit-exact with :func:`repro.simulation.campaign.plan_sweep`;
 * :mod:`~repro.dse.engine` — :func:`run_campaign` wiring it all together
   (the CLI exposes it as ``python -m repro dse``, with ``--workers N``
   selecting the parallel path and ``--models all`` a multi-model session).
@@ -33,7 +32,7 @@ from repro.dse.engine import (
     build_campaign_service,
     run_campaign,
 )
-from repro.dse.evaluator import PlanEvaluator, ServicePlanEvaluator
+from repro.dse.evaluator import PlanEvaluator
 from repro.dse.ledger import CampaignLedger, evaluation_context_key, plan_key
 from repro.dse.pareto import ParetoFront, ParetoPoint
 from repro.dse.space import Candidate, SearchSpace
@@ -61,7 +60,6 @@ __all__ = [
     "evaluation_context_key",
     "plan_key",
     "PlanEvaluator",
-    "ServicePlanEvaluator",
     "CampaignContext",
     "DseResult",
     "build_campaign_service",

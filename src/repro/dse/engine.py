@@ -3,7 +3,9 @@
 :func:`run_campaign` wires the subsystem together for one trained network:
 
 1. build (or accept) the :class:`~repro.dse.space.SearchSpace` and the
-   :class:`~repro.dse.evaluator.PlanEvaluator`;
+   :class:`~repro.dse.evaluator.PlanEvaluator` — at any worker count one
+   evaluator on the given :class:`~repro.runtime.service.EvaluationService`
+   or on one the campaign builds (and closes) itself;
 2. score the all-accurate assignment first — it anchors the quantized
    baseline accuracy every loss figure refers to and the accurate energy
    every saving is measured against;
@@ -21,7 +23,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.datasets.synthetic import Dataset
-from repro.dse.evaluator import PlanEvaluator, ServicePlanEvaluator
+from repro.dse.evaluator import PlanEvaluator, build_campaign_service
 from repro.dse.ledger import CampaignLedger, plan_key
 from repro.dse.pareto import ParetoFront, ParetoPoint
 from repro.dse.space import SearchSpace
@@ -40,6 +41,21 @@ from repro.simulation.campaign import TrainedModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.service import EvaluationService
+
+
+#: Fields a ledger record must carry to be replayed (:meth:`CampaignContext.
+#: _point_from_record` and the baseline anchor read them).  The job layer
+#: keys its ``job-cell`` and ``result-cache`` records with the same
+#: :func:`~repro.dse.ledger.plan_key` recipe but stores only the accuracy;
+#: such a record is a miss, and the campaign overwrites it.
+_REPLAY_FIELDS = (
+    "label",
+    "assignment",
+    "accuracy",
+    "accuracy_loss",
+    "baseline_accuracy",
+    "energy_nj",
+)
 
 
 class PendingScore:
@@ -131,8 +147,8 @@ class CampaignContext:
     :attr:`space`, :attr:`max_loss`, :attr:`rng` and
     :attr:`remaining_evals`.  Pipelining strategies use
     :meth:`score_async` instead — submission dispatches the fresh plans to
-    the evaluator immediately (on a service-backed campaign the pool
-    starts evaluating while the strategy keeps breeding candidates) and
+    the evaluator immediately (on a pool service the workers start
+    evaluating while the strategy keeps breeding candidates) and
     the returned :class:`PendingScore` resolves them later.  Baseline
     adapters additionally reach the shared :attr:`evaluator` (for
     technique ``apply`` calls) and publish their result through
@@ -214,8 +230,8 @@ class CampaignContext:
         Ledger and in-run duplicates (including keys already *in flight*
         from earlier uncollected batches) are resolved without touching the
         evaluator or the budget.  Fresh plans are submitted to the
-        evaluator immediately — on a service-backed campaign the worker
-        pool starts on them while the strategy keeps generating candidates
+        evaluator immediately — on a pool service the workers start on
+        them while the strategy keeps generating candidates
         — and charged against the budget at submission.  Ledger writes,
         baseline anchoring and Pareto admissions happen at *collection*
         (:meth:`PendingScore.points`), strictly in submission order, so the
@@ -239,7 +255,7 @@ class CampaignContext:
                 self.dedup_hits += 1
                 continue
             if self.resume:
-                record = self.ledger.get(key)
+                record = self.ledger.get(key, required=_REPLAY_FIELDS)
                 if record is not None:
                     point = self._point_from_record(key, record)
                     if self._baseline_accuracy is None:
@@ -366,85 +382,6 @@ def front_payload(result: "DseResult") -> list[dict]:
     ]
 
 
-def build_campaign_service(
-    trained_models: "Sequence[TrainedModel]",
-    dataset: Dataset,
-    workers: int | None,
-    max_eval_images: int | None = None,
-    calibration_images: int = 128,
-    eval_images: np.ndarray | None = None,
-    eval_labels: np.ndarray | None = None,
-) -> "EvaluationService":
-    """An :class:`EvaluationService` hosting campaign models on ``dataset``.
-
-    The one place the campaign measurement setup maps onto a service: an
-    explicit evaluation subset (the CLI's seeded eval subsampling) becomes
-    the hosted dataset's test split, so workers score exactly the arrays
-    the serial evaluator would — and the ledger context key, which hashes
-    the actual evaluation bytes, stays identical.  Used both for the
-    single-model service :func:`run_campaign` owns under ``workers=N`` and
-    for the multi-model service the CLI shares across ``--models``
-    campaigns.  ``workers`` passes through the degrade-to-serial clamp of
-    :func:`~repro.runtime.sizing.resolve_worker_count` (``None`` =
-    auto-size); the resulting service runs in-process when only one CPU is
-    schedulable.
-    """
-    from repro.runtime.service import EvaluationService
-
-    if (eval_images is None) != (eval_labels is None):
-        raise ValueError("eval_images and eval_labels must be given together")
-    workers = resolve_worker_count(workers)
-    if eval_images is not None:
-        dataset = dataclasses.replace(
-            dataset, test_images=eval_images, test_labels=eval_labels
-        )
-        max_eval_images = None
-    return EvaluationService(
-        list(trained_models),
-        {dataset.name: dataset},
-        max_workers=workers,
-        max_eval_images=max_eval_images,
-        calibration_images=calibration_images,
-    )
-
-
-def _check_service_setup(
-    service: "EvaluationService",
-    max_eval_images: int | None,
-    calibration_images: int,
-    eval_images: np.ndarray | None,
-    eval_labels: np.ndarray | None,
-) -> None:
-    """Reject campaign knobs that silently diverge from an external service.
-
-    A :class:`ServicePlanEvaluator` measures with the *service's* setup;
-    any conflicting knob passed to :func:`run_campaign` alongside
-    ``service`` would otherwise be ignored without a trace — and the
-    resulting accuracies (and ledger context keys) would differ from the
-    documented serial equivalent.  Mirror the knobs onto the service (see
-    :func:`build_campaign_service`) instead.
-    """
-    if eval_images is not None or eval_labels is not None:
-        raise ValueError(
-            "eval_images/eval_labels cannot be combined with an external "
-            "service: host the subset as the service dataset's test split "
-            "(build_campaign_service does exactly that)"
-        )
-    mismatches = [
-        f"{name}={ours!r} (service has {theirs!r})"
-        for name, ours, theirs in (
-            ("max_eval_images", max_eval_images, service.max_eval_images),
-            ("calibration_images", int(calibration_images), service.calibration_images),
-        )
-        if ours != theirs
-    ]
-    if mismatches:
-        raise ValueError(
-            "campaign measurement knobs conflict with the external service: "
-            + ", ".join(mismatches)
-        )
-
-
 def run_campaign(
     trained: TrainedModel,
     dataset: Dataset,
@@ -452,7 +389,7 @@ def run_campaign(
     max_loss: float = 0.5,
     budget_evals: int | None = None,
     space: SearchSpace | None = None,
-    evaluator: "PlanEvaluator | ServicePlanEvaluator | None" = None,
+    evaluator: "PlanEvaluator | None" = None,
     ledger: CampaignLedger | None = None,
     resume: bool = False,
     rng: np.random.Generator | None = None,
@@ -511,7 +448,8 @@ def run_campaign(
         ``trained`` — the way several sequential campaigns (``repro dse
         --models ...``) reuse one worker pool and one publish of models
         and datasets.  The caller owns the service's lifecycle;
-        ``workers`` is ignored in its favor.
+        ``workers`` is ignored in its favor, and measurement knobs that
+        conflict with the service's setup raise :class:`ValueError`.
     """
     if budget_evals is not None and budget_evals < 1:
         raise ValueError("budget_evals must be at least 1 (the accurate baseline)")
@@ -530,8 +468,8 @@ def run_campaign(
         # service or worker count alongside it would be silently ignored.
         raise ValueError(
             "evaluator is mutually exclusive with workers/service: the "
-            "evaluator already fixes the execution path (pass a "
-            "ServicePlanEvaluator to use a service-backed one)"
+            "evaluator already fixes the execution path (pass "
+            "PlanEvaluator(..., service=...) to score on a service)"
         )
     if space is None:
         space = SearchSpace.build(
@@ -539,13 +477,13 @@ def run_campaign(
         )
     if isinstance(strategy, str):
         strategy = get_strategy(strategy)
-    # Validate the configuration before the expensive evaluator calibration.
+    # Validate the configuration before building the evaluation service.
     strategy.prepare(space, budget_evals)
     owned_service: "EvaluationService | None" = None
     try:
         if evaluator is None:
-            if service is None and effective_workers > 1:
-                owned_service = build_campaign_service(
+            if service is None:
+                service = owned_service = build_campaign_service(
                     [trained],
                     dataset,
                     effective_workers,
@@ -554,31 +492,21 @@ def run_campaign(
                     eval_images=eval_images,
                     eval_labels=eval_labels,
                 )
-                service = owned_service
-            elif service is not None:
-                # External service: its measurement setup wins — reject
-                # conflicting knobs loudly instead of ignoring them.
-                _check_service_setup(
-                    service,
-                    max_eval_images,
-                    calibration_images,
-                    eval_images,
-                    eval_labels,
-                )
-            if service is not None:
-                evaluator = ServicePlanEvaluator(
-                    service,
-                    service.model_index(trained.name, trained.dataset_name),
-                )
-            else:
-                evaluator = PlanEvaluator(
-                    trained,
-                    dataset,
-                    max_eval_images=max_eval_images,
-                    calibration_images=calibration_images,
-                    eval_images=eval_images,
-                    eval_labels=eval_labels,
-                )
+                # The owned service now hosts the knobs' setup (an eval
+                # subset as its test split), so they match it by construction.
+                max_eval_images = service.max_eval_images
+                eval_images = eval_labels = None
+            # An external service's setup wins: PlanEvaluator rejects
+            # conflicting knobs loudly instead of ignoring them.
+            evaluator = PlanEvaluator(
+                trained,
+                dataset,
+                max_eval_images=max_eval_images,
+                calibration_images=calibration_images,
+                eval_images=eval_images,
+                eval_labels=eval_labels,
+                service=service,
+            )
         if ledger is None:
             ledger = CampaignLedger(path=None)
         if rng is None:
@@ -636,12 +564,12 @@ def run_campaign(
             # is traceable to its ledger records by hash alone.
             "context_key": ctx.context_key,
             # Derived from the evaluator actually used, so an explicitly
-            # passed ServicePlanEvaluator reports its service's pool size;
-            # requested_workers keeps the pre-clamp request visible (None
-            # when the caller asked for auto-sizing).
+            # passed PlanEvaluator reports its service's pool size (a
+            # remote one reports 1); requested_workers keeps the pre-clamp
+            # request visible (None when the caller asked for auto-sizing).
             "workers": (
                 evaluator.service.max_workers
-                if isinstance(evaluator, ServicePlanEvaluator)
+                if isinstance(evaluator, PlanEvaluator)
                 else 1
             ),
             "requested_workers": requested_workers,

@@ -1,80 +1,84 @@
-"""Accuracy scoring of candidate batches — in-process or service-backed.
+"""Accuracy scoring of candidate batches on the evaluation service.
 
-Two interchangeable evaluators implement the campaign's scoring surface
-(``evaluate(plans)``, ``submit(plans)`` returning a ``results()`` handle,
-``context_key()``, ``mac_layer_names()``, ``evaluations``):
+:class:`PlanEvaluator` implements the campaign's scoring surface
+(``evaluate(plans)``, ``submit(plans)`` returning an
+:class:`~repro.runtime.service.EvaluationBatch`, ``context_key()``,
+``mac_layer_names()``, ``evaluations``) on one model hosted by an
+:class:`~repro.runtime.service.EvaluationService` — the one place a local
+plan is scored and the one owner of the measurement setup:
 
-* :class:`PlanEvaluator` owns one calibrated
-  :class:`~repro.simulation.inference.ApproximateExecutor` for the whole
-  campaign — exactly the executor a serial
-  :func:`~repro.simulation.campaign.plan_sweep` worker would build — and
-  scores each candidate batch the way a sweep worker does: in one
-  multi-plan walk that runs every shared layer prefix once.
-* :class:`ServicePlanEvaluator` fans each batch across the persistent
-  worker pool of a :class:`~repro.runtime.service.EvaluationService`
-  instead — the parallel path behind ``run_campaign(workers=N)`` — while
-  reporting the *same* ledger context key, so serial and parallel
-  campaigns share records freely.
+* by default the evaluator owns an in-process service built by
+  :func:`build_campaign_service` from its measurement knobs;
+* with ``service=`` it scores on that service instead (a worker pool, or a
+  multi-model session several campaigns share), whose setup wins: knobs
+  that conflict with it are rejected.
 
-Because the executor construction, the multi-plan walk and the service
-workers are all bit-exact, every accuracy either evaluator reports is
+Either way each candidate batch rides the service's prefix-aware schedule
+and one multi-plan walk per model segment, and the ledger
+:meth:`~PlanEvaluator.context_key` is the service's, so every accuracy is
 identical to the value a hand-enumerated
 :func:`~repro.simulation.campaign.plan_sweep` (or a fresh executor scoring
-the plan alone) would measure for the same plan — the acceptance bar of
-the DSE subsystem.
+the plan alone) would measure, and campaigns on any service share ledger
+records — the acceptance bar of the DSE subsystem.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.datasets.synthetic import Dataset
+from repro.runtime.sizing import resolve_worker_count
 from repro.simulation.campaign import TrainedModel
-from repro.simulation.inference import EVAL_BATCH_SIZE, ApproximateExecutor, ExecutionPlan
-from repro.simulation.metrics import accuracy
+from repro.simulation.inference import ApproximateExecutor, ExecutionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.service import EvaluationBatch, EvaluationService
+
+
+def build_campaign_service(
+    trained_models: "Sequence[TrainedModel]",
+    dataset: Dataset,
+    workers: int | None,
+    max_eval_images: int | None = None,
+    calibration_images: int = 128,
+    eval_images: np.ndarray | None = None,
+    eval_labels: np.ndarray | None = None,
+) -> "EvaluationService":
+    """An :class:`EvaluationService` hosting campaign models on ``dataset``.
+
+    The one place the campaign measurement setup maps onto a service: an
+    explicit evaluation subset (the CLI's seeded eval subsampling) becomes
+    the hosted dataset's test split, so the service scores exactly those
+    arrays — and the ledger context key, which hashes the actual
+    evaluation bytes, follows them.  Used for the in-process service a
+    :class:`PlanEvaluator` owns, for the service :func:`~repro.dse.engine.
+    run_campaign` owns, and for the multi-model service the CLI shares
+    across ``--models`` campaigns.  ``workers`` passes through the
+    degrade-to-serial clamp of
+    :func:`~repro.runtime.sizing.resolve_worker_count` (``None`` =
+    auto-size); the resulting service runs in-process when only one CPU is
+    schedulable.
+    """
     from repro.runtime.service import EvaluationService
 
-
-def _resolve_eval_arrays(
-    dataset: Dataset,
-    max_eval_images: int | None,
-    eval_images: np.ndarray | None,
-    eval_labels: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The evaluation arrays a campaign scores against (explicit or capped)."""
     if (eval_images is None) != (eval_labels is None):
         raise ValueError("eval_images and eval_labels must be given together")
-    if eval_images is None:
-        eval_images = dataset.test_images
-        eval_labels = dataset.test_labels
-        if max_eval_images is not None:
-            eval_images = eval_images[:max_eval_images]
-            eval_labels = eval_labels[:max_eval_images]
-    return eval_images, eval_labels
-
-
-class ResolvedBatch:
-    """Already-evaluated :meth:`PlanEvaluator.submit` handle.
-
-    The in-process evaluator has no asynchrony to expose, so ``submit``
-    evaluates eagerly and wraps the accuracies; the handle exists so the
-    campaign engine drives one interface (``submit(...).results()``)
-    regardless of execution path.
-    """
-
-    def __init__(self, accuracies: list[float]):
-        self._accuracies = list(accuracies)
-
-    def __len__(self) -> int:
-        return len(self._accuracies)
-
-    def results(self) -> list[float]:
-        """Accuracies in the submitted plans' input order."""
-        return list(self._accuracies)
+    workers = resolve_worker_count(workers)
+    if eval_images is not None:
+        dataset = dataclasses.replace(
+            dataset, test_images=eval_images, test_labels=eval_labels
+        )
+        max_eval_images = None
+    return EvaluationService(
+        list(trained_models),
+        {dataset.name: dataset},
+        max_workers=workers,
+        max_eval_images=max_eval_images,
+        calibration_images=calibration_images,
+    )
 
 
 class PlanEvaluator:
@@ -84,8 +88,14 @@ class PlanEvaluator:
     campaign and a hand-enumerated sweep over the same knobs agree
     bit-exactly: ``max_eval_images`` caps the test split (prefix slice) and
     ``calibration_images`` slices the head of the training split.
-    ``eval_images`` / ``eval_labels`` override the evaluation
-    arrays entirely — the hook the CLI's seeded eval subsampling uses.
+    ``eval_images`` / ``eval_labels`` override the evaluation arrays
+    entirely — the hook the CLI's seeded eval subsampling uses.
+
+    ``service`` scores on an existing service hosting ``trained`` instead
+    of an owned in-process one.  The evaluator does not own it (callers
+    manage its lifecycle, which is what lets one multi-model service back
+    many sequential campaigns), and a knob that differs from the service's
+    setup raises :class:`ValueError` rather than being ignored.
     """
 
     def __init__(
@@ -96,149 +106,106 @@ class PlanEvaluator:
         calibration_images: int = 128,
         eval_images: np.ndarray | None = None,
         eval_labels: np.ndarray | None = None,
+        service: "EvaluationService | None" = None,
     ):
+        if service is None:
+            service = build_campaign_service(
+                [trained],
+                dataset,
+                1,
+                max_eval_images=max_eval_images,
+                calibration_images=calibration_images,
+                eval_images=eval_images,
+                eval_labels=eval_labels,
+            )
+        else:
+            self._check_service_setup(
+                service, max_eval_images, calibration_images, eval_images, eval_labels
+            )
         self.trained = trained
-        self.dataset = dataset
-        self.max_eval_images = max_eval_images
-        self.calibration_images = int(calibration_images)
-        self.eval_images, self.eval_labels = _resolve_eval_arrays(
-            dataset, max_eval_images, eval_images, eval_labels
-        )
-        self.executor = ApproximateExecutor(
-            trained.model, dataset.train_images[: self.calibration_images]
-        )
-        self.evaluations = 0
-
-    # ------------------------------------------------------------------
-    def context_key(self) -> str:
-        """Ledger context digest of this evaluator's exact measurement setup."""
-        from repro.dse.ledger import evaluation_context_key
-
-        return evaluation_context_key(
-            self.trained.model,
-            self.eval_images,
-            self.eval_labels,
-            self.dataset.train_images[: self.calibration_images],
-            batch_size=EVAL_BATCH_SIZE,
-            tag=self.dataset.name,
-        )
-
-    def mac_layer_names(self) -> list[str]:
-        """MAC layer names of the underlying executor, in execution order."""
-        return self.executor.mac_layer_names()
-
-    def evaluate(self, plans: Sequence[ExecutionPlan]) -> list[float]:
-        """Accuracies of ``plans`` on the evaluation set, in input order.
-
-        The whole batch rides one multi-plan walk of the executor.
-        Bit-exact with evaluating each plan on a fresh executor.
-        """
-        plans = list(plans)
-        predictions_per_plan = self.executor.predict_many(self.eval_images, plans)
-        self.evaluations += len(plans)
-        return [
-            accuracy(predictions, self.eval_labels)
-            for predictions in predictions_per_plan
-        ]
-
-    def submit(self, plans: Sequence[ExecutionPlan]) -> ResolvedBatch:
-        """Async-shaped scoring surface (eager here — no workers to overlap).
-
-        Mirrors :meth:`ServicePlanEvaluator.submit` so the campaign engine's
-        pipelined scoring (:meth:`~repro.dse.engine.CampaignContext.
-        score_async`) runs unchanged on the serial path.
-        """
-        return ResolvedBatch(self.evaluate(plans))
-
-
-class ServicePlanEvaluator:
-    """Service-backed :class:`PlanEvaluator` drop-in for parallel campaigns.
-
-    Scoring fans each candidate batch across the persistent workers of an
-    :class:`~repro.runtime.service.EvaluationService` (which schedules the
-    batch prefix-aware); everything
-    else — evaluation arrays, calibration slice, batch size, and therefore
-    the ledger :meth:`context_key` — matches the in-process evaluator
-    exactly, so serial and parallel campaigns replay each other's ledger
-    records with zero duplicate evaluations.
-
-    The evaluator does **not** own the service: callers (or
-    :func:`~repro.dse.engine.run_campaign`) manage its lifecycle, which is
-    what lets one multi-model service back many sequential campaigns.
-
-    For the one-call baseline techniques — which drive an executor
-    directly rather than scoring plan batches — :attr:`executor` builds a
-    bit-exact in-process executor lazily on first access.
-    """
-
-    def __init__(self, service: "EvaluationService", model_index: int):
         self.service = service
-        self.model_index = int(model_index)
-        self.trained = service.models[self.model_index]
-        self.dataset = service.datasets[self.trained.dataset_name]
-        self.max_eval_images = service.max_eval_images
-        self.calibration_images = service.calibration_images
-        self.eval_images, self.eval_labels = _resolve_eval_arrays(
-            self.dataset, self.max_eval_images, None, None
-        )
+        self.model_index = service.model_index(trained.name, trained.dataset_name)
+        self.eval_images, self.eval_labels = service.evaluation_arrays(self.model_index)
         self.evaluations = 0
         self._executor: ApproximateExecutor | None = None
+
+    @staticmethod
+    def _check_service_setup(
+        service: "EvaluationService",
+        max_eval_images: int | None,
+        calibration_images: int,
+        eval_images: np.ndarray | None,
+        eval_labels: np.ndarray | None,
+    ) -> None:
+        """Reject knobs that would silently diverge from ``service``'s setup.
+
+        The service measures with its own setup; a conflicting knob would
+        otherwise be ignored without a trace — and the accuracies (and
+        ledger context keys) would differ from what the knobs describe.
+        Mirror the knobs onto the service (see :func:`build_campaign_service`)
+        instead.
+        """
+        if eval_images is not None or eval_labels is not None:
+            raise ValueError(
+                "eval_images/eval_labels cannot be combined with an external "
+                "service: host the subset as the service dataset's test split "
+                "(build_campaign_service does exactly that)"
+            )
+        mismatches = [
+            f"{name}={ours!r} (service has {theirs!r})"
+            for name, ours, theirs in (
+                ("max_eval_images", max_eval_images, service.max_eval_images),
+                ("calibration_images", int(calibration_images), service.calibration_images),
+            )
+            if ours != theirs
+        ]
+        if mismatches:
+            raise ValueError(
+                "campaign measurement knobs conflict with the external service: "
+                + ", ".join(mismatches)
+            )
 
     # ------------------------------------------------------------------
     @property
     def executor(self) -> ApproximateExecutor:
-        """Lazily built in-process executor (for baseline ``apply`` calls)."""
+        """Calibrated executor of the evaluated model, for baseline ``apply`` calls.
+
+        On an in-process service it is the executor that scores the plans
+        (so reading its counters after a campaign costs no second
+        calibration); a pool scores in its workers, so the evaluator builds
+        a bit-exact executor of its own on first access.
+        """
+        if self.service.serial:
+            return self.service.serial_executor(self.model_index)
         if self._executor is None:
+            dataset = self.service.datasets[self.trained.dataset_name]
             self._executor = ApproximateExecutor(
                 self.trained.model,
-                self.dataset.train_images[: self.calibration_images],
+                dataset.train_images[: self.service.calibration_images],
             )
         return self._executor
 
     def context_key(self) -> str:
-        """Ledger context digest — identical to the serial evaluator's."""
-        from repro.dse.ledger import evaluation_context_key
-
-        return evaluation_context_key(
-            self.trained.model,
-            self.eval_images,
-            self.eval_labels,
-            self.dataset.train_images[: self.calibration_images],
-            batch_size=EVAL_BATCH_SIZE,
-            tag=self.dataset.name,
-        )
+        """Ledger context digest of the service's measurement setup."""
+        return self.service.context_key(self.model_index)
 
     def mac_layer_names(self) -> list[str]:
-        """MAC layer names of the hosted model, in execution order."""
+        """MAC layer names of the evaluated model, in execution order."""
         return list(self.service.mac_names(self.model_index))
 
-    def evaluate(self, plans: Sequence[ExecutionPlan]) -> list[float]:
-        """Accuracies of ``plans``, scored across the service's workers.
-
-        Bit-exact with :meth:`PlanEvaluator.evaluate` (and with
-        :func:`~repro.simulation.campaign.plan_sweep`) — results come back
-        in input order.
-        """
-        plans = list(plans)
-        if not plans:
-            return []
-        accuracies = self.service.evaluate_plans(self.model_index, plans)
-        self.evaluations += len(plans)
-        return accuracies
-
-    def submit(self, plans: Sequence[ExecutionPlan]):
+    def submit(self, plans: Sequence[ExecutionPlan]) -> "EvaluationBatch":
         """Dispatch ``plans`` to the service without blocking on results.
 
-        Returns the service's :class:`~repro.runtime.service.
-        EvaluationBatch`: the chunks run on the pool while the caller keeps
-        working (e.g. breeding the rest of an NSGA-II generation), and
-        ``results()`` blocks only when the accuracies are actually needed.
-        The evaluation count is charged at submission — the work is in
-        flight from that point on.
+        On a pool the workers run while the caller keeps working (e.g.
+        breeding the rest of an NSGA-II generation), and ``results()``
+        blocks only when the accuracies are needed; in process the batch
+        is scored here.  The evaluation count is charged at submission.
         """
         plans = list(plans)
-        if not plans:
-            return ResolvedBatch([])
         batch = self.service.submit([(self.model_index, plan) for plan in plans])
         self.evaluations += len(plans)
         return batch
+
+    def evaluate(self, plans: Sequence[ExecutionPlan]) -> list[float]:
+        """Accuracies of ``plans`` on the evaluation set, in input order."""
+        return self.submit(plans).results()

@@ -27,11 +27,12 @@ import hashlib
 import json
 import os
 import tempfile
+from typing import Sequence
 
 import numpy as np
 
 from repro.nn.graph import Graph
-from repro.simulation.inference import ExecutionPlan
+from repro.simulation.inference import EVAL_BATCH_SIZE, ExecutionPlan
 
 
 def _hash_arrays(digest: "hashlib._Hash", arrays: dict[str, np.ndarray]) -> None:
@@ -48,7 +49,7 @@ def evaluation_context_key(
     eval_images: np.ndarray,
     eval_labels: np.ndarray,
     calibration_images: np.ndarray,
-    batch_size: int = 256,
+    batch_size: int = EVAL_BATCH_SIZE,
     tag: str = "",
 ) -> str:
     """Digest of everything besides the plan that determines an accuracy.
@@ -138,20 +139,21 @@ class CampaignLedger:
         """
         return len(self._memory)
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str, required: Sequence[str] = ()) -> dict | None:
         """The record stored under ``key``, or ``None`` (counted as a miss).
 
-        A corrupt record file (see :func:`_read_record`) is a miss, so a
-        resumed campaign re-evaluates the point and overwrites it.
+        A corrupt record file (see :func:`_read_record`) is a miss, and so
+        is a record lacking any of the ``required`` fields (e.g. a job-layer
+        record under a campaign's key), so a resumed campaign re-evaluates
+        the point and overwrites it.
         """
         record = self._memory.get(key)
         if record is None and self.path is not None:
             record = _read_record(self._record_path(key))
-            if record is not None:
-                self._memory[key] = record
-        if record is None:
+        if record is None or any(name not in record for name in required):
             self.misses += 1
             return None
+        self._memory[key] = record
         self.hits += 1
         return record
 

@@ -191,8 +191,8 @@ class NSGA2Search(SearchStrategy):
 
     Breeding is *pipelined* within each generation: children are dispatched
     for evaluation in sub-batches as they are bred
-    (:meth:`~repro.dse.engine.CampaignContext.score_async`), so on a
-    service-backed campaign the worker pool evaluates the first children
+    (:meth:`~repro.dse.engine.CampaignContext.score_async`), so on a pool
+    service the workers evaluate the first children
     while tournament selection is still producing the rest.  Overlap never
     crosses a generation boundary — selection needs every child's fitness
     before the next generation's parents exist, so the candidate stream

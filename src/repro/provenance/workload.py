@@ -93,16 +93,15 @@ def run_golden_workload() -> dict[str, dict]:
     """
     from repro.dse import run_campaign
     from repro.dse.engine import front_payload
-    from repro.simulation.campaign import parallel_sweep
+    from repro.simulation.campaign import accuracy_sweep
 
     trained, dataset = _train_workload_model()
 
-    sweep = parallel_sweep(
+    sweep = accuracy_sweep(
         [trained],
         {dataset.name: dataset},
         perforations=PERFORATIONS,
         calibration_images=CALIBRATION_IMAGES,
-        max_workers=1,
     )
     accuracy_table = {
         "model": trained.name,

@@ -21,9 +21,12 @@ execution path that serves them:
   worker pool, the whole schedule to every worker on its own image range,
   graceful shutdown.
 
-:func:`repro.simulation.campaign.parallel_sweep` /
-:func:`~repro.simulation.campaign.plan_sweep` and the DSE engine's
-``run_campaign(workers=N)`` are all thin clients of this package.  See
+:func:`repro.simulation.campaign.plan_sweep` (and the Table III
+:func:`~repro.simulation.campaign.accuracy_sweep` built on it), the DSE
+:class:`~repro.dse.evaluator.PlanEvaluator` behind ``run_campaign`` at any
+worker count, and the job layer are all thin clients of this package; the
+service also owns the one evaluation-context key recipe their ledgers and
+caches share.  See
 ``README.md`` next to this file for the service lifecycle and scheduling
 guarantees.
 """
@@ -38,7 +41,6 @@ from repro.runtime.scheduling import (
     contiguous_chunks,
     cost_balanced_chunks,
     model_mac_names,
-    order_plan_cells,
     schedule_cells,
     shared_prefix_depths,
 )
@@ -59,7 +61,6 @@ __all__ = [
     "contiguous_chunks",
     "cost_balanced_chunks",
     "model_mac_names",
-    "order_plan_cells",
     "schedule_cells",
     "shared_prefix_depths",
     "auto_worker_count",

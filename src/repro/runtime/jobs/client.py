@@ -19,7 +19,7 @@ behind ``repro serve``:
   keeping ledger records interchangeable with local campaigns;
 * :func:`sweep_over_jobs` rebuilds the Table III sweep on the job API (one
   job per model), bit-exact with
-  :func:`~repro.simulation.campaign.parallel_sweep`.
+  :func:`~repro.simulation.campaign.accuracy_sweep`.
 """
 
 from __future__ import annotations
@@ -346,9 +346,9 @@ class RemotePlanEvaluator:
     def submit(self, plans: Sequence[ExecutionPlan]) -> RemoteBatch:
         plans = list(plans)
         if not plans:
-            from repro.dse.evaluator import ResolvedBatch
+            from repro.runtime.service import EvaluationBatch
 
-            return ResolvedBatch([])
+            return EvaluationBatch([], [], [], None)
         self._batch_seq += 1
         job_id = self.client.submit_job(
             self.model_index,
@@ -374,7 +374,7 @@ def sweep_over_jobs(
     Submits every model's cells (accurate baseline + every ``(m, cv)``
     combination) as one job, waits them out in submission order, and
     assembles the standard :class:`~repro.simulation.campaign.SweepResult`
-    — bit-exact with :func:`~repro.simulation.campaign.parallel_sweep`
+    — bit-exact with :func:`~repro.simulation.campaign.accuracy_sweep`
     over the same hosted models, because the engine underneath is the
     same.  Returns ``(result, job_stats)`` where ``job_stats`` carries the
     per-sweep cache totals (``{"jobs", "cells", "cache_hits",

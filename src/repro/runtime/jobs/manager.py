@@ -133,7 +133,6 @@ class JobManager:
         #: overwritten by an ID reuse.  ``_submitted`` counts accepted jobs.
         self._seq = 0
         self._submitted = 0
-        self._context_keys: dict[int, str] = {}
         self._dispatcher: threading.Thread | None = None
         self._closed = False
         self.jobs_completed = 0
@@ -213,36 +212,12 @@ class JobManager:
     def context_key(self, model_index: int) -> str:
         """Evaluation-context digest of one hosted model's measurement setup.
 
-        Byte-identical to the key a
-        :class:`~repro.dse.evaluator.ServicePlanEvaluator` (or the serial
-        :class:`~repro.dse.evaluator.PlanEvaluator` with the same knobs)
-        reports, so job-layer cache keys and campaign-ledger keys agree.
+        The service's own key (:meth:`~repro.runtime.service.
+        EvaluationService.context_key`), which a
+        :class:`~repro.dse.evaluator.PlanEvaluator` with the same setup
+        reports too, so job-layer cache keys and campaign-ledger keys agree.
         """
-        model_index = int(model_index)
-        with self._lock:
-            cached = self._context_keys.get(model_index)
-        if cached is not None:
-            return cached
-        from repro.dse.evaluator import _resolve_eval_arrays
-        from repro.dse.ledger import evaluation_context_key
-        from repro.simulation.inference import EVAL_BATCH_SIZE
-
-        trained = self.service.models[model_index]
-        dataset = self.service.datasets[trained.dataset_name]
-        eval_images, eval_labels = _resolve_eval_arrays(
-            dataset, self.service.max_eval_images, None, None
-        )
-        key = evaluation_context_key(
-            trained.model,
-            eval_images,
-            eval_labels,
-            dataset.train_images[: self.service.calibration_images],
-            batch_size=EVAL_BATCH_SIZE,
-            tag=dataset.name,
-        )
-        with self._lock:
-            self._context_keys[model_index] = key
-        return key
+        return self.service.context_key(model_index)
 
     def job(self, job_id: str) -> Job:
         """The job registered under ``job_id`` (:class:`KeyError` if unknown)."""

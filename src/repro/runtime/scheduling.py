@@ -7,13 +7,10 @@ executor, which runs the shared prefix once
 the order cells run in is a first-order performance knob.  This module
 owns that ordering:
 
-* :func:`order_plan_cells` — the classic sweep schedule over a
-  ``models x plans`` cross product, returning ``(model_index, plan_index)``
-  pairs grouped by model and sorted lexicographically by fingerprint;
-* :func:`schedule_cells` — the generalization the
-  :class:`~repro.runtime.service.EvaluationService` uses for *arbitrary*
-  submitted cell lists (any mix of models and plans), returning a
-  permutation of cell indices;
+* :func:`schedule_cells` — the order the
+  :class:`~repro.runtime.service.EvaluationService` runs any submitted
+  cell list in (any mix of models and plans): a permutation of cell
+  indices, grouped by model and sorted lexicographically by fingerprint;
 * :func:`contiguous_chunks`, :func:`plan_group_slices`,
   :func:`shared_prefix_depths` and :func:`cost_balanced_chunks` — the
   count-, group- and cost-balanced ways of cutting a schedule into
@@ -72,29 +69,6 @@ def schedule_cells(
         names = mac_names_by_model[model_index]
         keys.append((model_index, plan_fingerprint_sort_key(plan.fingerprints(names))))
     return sorted(range(len(cells)), key=keys.__getitem__)
-
-
-def order_plan_cells(
-    models: "list[TrainedModel]", plans: Sequence[tuple[str, ExecutionPlan]]
-) -> list[tuple[int, int]]:
-    """Prefix-aware cell schedule of a ``models x plans`` sweep.
-
-    Cells are grouped by model (one calibrated executor per model is kept
-    per worker), and within one model the plans are ordered
-    lexicographically by their per-MAC-layer fingerprint sequence.  Plans
-    sharing a layer prefix therefore become *adjacent*, so chunking the
-    schedule keeps them in one multi-plan walk.
-    """
-    cells: list[tuple[int, int]] = []
-    for model_index, trained in enumerate(models):
-        mac_names = model_mac_names(trained)
-        sort_keys = {
-            plan_index: plan_fingerprint_sort_key(plan.fingerprints(mac_names))
-            for plan_index, (_, plan) in enumerate(plans)
-        }
-        ordered = sorted(range(len(plans)), key=sort_keys.__getitem__)
-        cells.extend((model_index, plan_index) for plan_index in ordered)
-    return cells
 
 
 def plan_group_slices(
@@ -288,7 +262,6 @@ __all__ = [
     "DEFAULT_PLAN_GROUP_SIZE",
     "model_mac_names",
     "schedule_cells",
-    "order_plan_cells",
     "plan_group_slices",
     "contiguous_chunks",
     "shared_prefix_depths",

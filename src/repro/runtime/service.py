@@ -77,11 +77,13 @@ from repro.runtime.worker import (
     STAT_COUNTERS,
     _eval_cell_chunk_task,
     _init_pool_worker,
+    eval_arrays,
     eval_cell_chunk,
+    executor_for,
     image_range,
     init_worker_state,
 )
-from repro.simulation.inference import EVAL_BATCH_SIZE, ExecutionPlan
+from repro.simulation.inference import EVAL_BATCH_SIZE, ApproximateExecutor, ExecutionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.simulation.campaign import TrainedModel
@@ -233,12 +235,11 @@ class EvaluationService:
             for index, trained in enumerate(self.models)
         }
         # Evaluation images per hosted model: what the pool's image split divides.
-        self._image_counts = []
-        for trained in self.models:
-            labels = self.datasets[trained.dataset_name].test_labels
-            if max_eval_images is not None:
-                labels = labels[:max_eval_images]
-            self._image_counts.append(len(labels))
+        self._image_counts = [
+            len(self.evaluation_arrays(index)[1]) for index in range(len(self.models))
+        ]
+        self._context_keys: dict[int, str] = {}
+        self._context_lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
         self._serial_state: dict | None = None
         self._model_store: SharedTrainedModels | None = None
@@ -348,6 +349,52 @@ class EvaluationService:
     def mac_names(self, model_index: int) -> tuple[str, ...]:
         """MAC layer names of one hosted model, in execution order."""
         return self._mac_names[model_index]
+
+    def evaluation_arrays(self, model_index: int):
+        """``(images, labels)`` every worker scores one hosted model on."""
+        trained = self.models[model_index]
+        return eval_arrays(self.datasets[trained.dataset_name], self.max_eval_images)
+
+    def context_key(self, model_index: int) -> str:
+        """Ledger context digest of one hosted model's measurement setup.
+
+        The one place the evaluation-context recipe
+        (:func:`repro.dse.ledger.evaluation_context_key`) is applied: it
+        hashes the trained parameters, the arrays the workers evaluate
+        (:meth:`evaluation_arrays`) and the calibration slice, so DSE
+        ledgers, the job layer's cache keys and ``/models`` agree.  Cached
+        per model; safe to call from several threads.
+        """
+        # Imported here: repro.dse imports repro.runtime.
+        from repro.dse.ledger import evaluation_context_key
+
+        model_index = int(model_index)
+        with self._context_lock:
+            key = self._context_keys.get(model_index)
+            if key is None:
+                trained = self.models[model_index]
+                dataset = self.datasets[trained.dataset_name]
+                images, labels = self.evaluation_arrays(model_index)
+                key = evaluation_context_key(
+                    trained.model,
+                    images,
+                    labels,
+                    dataset.train_images[: self.calibration_images],
+                    tag=dataset.name,
+                )
+                self._context_keys[model_index] = key
+        return key
+
+    def serial_executor(self, model_index: int) -> ApproximateExecutor:
+        """The in-process executor that scores one hosted model's cells.
+
+        Serial path only (a pool scores in its workers): the calibrated
+        executor of the service's own worker state, built on first use.
+        """
+        if not self.serial:
+            raise RuntimeError("a pool service has no in-process executor")
+        self.start()
+        return executor_for(self._serial_state, int(model_index))
 
     def shared_store_handles(self) -> list[tuple[str, str]]:
         """``(kind, name)`` of every published block (for leak diagnostics)."""
@@ -464,17 +511,18 @@ class EvaluationService:
         worker count (the bit-exactness contract).  ``batch.results()``
         resolves to accuracies in the cells' *submission* order.  Plans
         overriding a layer their model does not have raise
-        :class:`ValueError`.  The service auto-starts on first submission.
+        :class:`ValueError`.  The service auto-starts on the first
+        non-empty submission.
         """
         if self._closed:
             raise RuntimeError("EvaluationService is closed")
-        if not self._started:
-            self.start()
         cells = self._validate_cells(cells)
         self.batches_submitted += 1
         self.cells_submitted += len(cells)
         if not cells:
             return EvaluationBatch([], [], [], None)
+        if not self._started:
+            self.start()
         order = schedule_cells(cells, self._mac_names)
         schedule = [cells[index] for index in order]
         images = [self._image_counts[model_index] for model_index, _ in schedule]

@@ -116,16 +116,10 @@ def executor_for(state: dict, model_index: int) -> ApproximateExecutor:
     return executor
 
 
-def eval_arrays(state: dict, trained) -> tuple[np.ndarray, np.ndarray]:
-    """The (possibly capped) evaluation images and labels of one model."""
-    dataset = state["datasets"][trained.dataset_name]
-    test_images = dataset.test_images
-    test_labels = dataset.test_labels
-    max_eval = state["max_eval_images"]
-    if max_eval is not None:
-        test_images = test_images[:max_eval]
-        test_labels = test_labels[:max_eval]
-    return test_images, test_labels
+def eval_arrays(dataset, max_eval_images: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluation images and labels of ``dataset``: the head of its test
+    split, ``max_eval_images`` long (all of it for ``None``)."""
+    return dataset.test_images[:max_eval_images], dataset.test_labels[:max_eval_images]
 
 
 def image_range(images: int, worker: int, workers: int) -> tuple[int, int]:
@@ -155,7 +149,10 @@ def eval_cell_chunk(
     results: list[int] = []
     for model_index, segment in itertools.groupby(chunk, key=lambda cell: cell[0]):
         plans = [plan for _, plan in segment]
-        test_images, test_labels = eval_arrays(state, state["models"][model_index])
+        trained = state["models"][model_index]
+        test_images, test_labels = eval_arrays(
+            state["datasets"][trained.dataset_name], state["max_eval_images"]
+        )
         start, stop = image_range(len(test_labels), worker, workers)
         if start == stop:
             results.extend([0] * len(plans))

@@ -11,14 +11,14 @@
   gather.
 * :mod:`~repro.simulation.metrics` — accuracy and error metrics.
 * :mod:`~repro.simulation.campaign` — the Table III sweep (six networks, two
-  datasets, m = 1..3, with/without V), its multi-process variant
-  :func:`~repro.simulation.campaign.parallel_sweep`, and the trained-model
+  datasets, m = 1..3, with/without V) built on the labeled-plan sweep
+  :func:`~repro.simulation.campaign.plan_sweep`, and the trained-model
   cache (keyed by the full training settings) that keeps benches fast and
   deterministic.  Both sweeps execute through the unified evaluation
   runtime (:mod:`repro.runtime`): one
-  :class:`~repro.runtime.service.EvaluationService` publishes models and
-  datasets once through shared memory and schedules cells prefix-aware
-  across persistent workers.
+  :class:`~repro.runtime.service.EvaluationService` schedules cells
+  prefix-aware, in process or across persistent workers that attach to
+  models and datasets published once through shared memory.
 """
 
 from repro.simulation.inference import (
@@ -45,7 +45,6 @@ from repro.simulation.campaign import (
     SharedTrainedModels,
     SweepResult,
     accuracy_sweep,
-    parallel_sweep,
     plan_sweep,
     publish_datasets,
     publish_trained_models,
@@ -74,7 +73,6 @@ __all__ = [
     "SharedTrainedModels",
     "SweepResult",
     "accuracy_sweep",
-    "parallel_sweep",
     "plan_sweep",
     "publish_datasets",
     "publish_trained_models",

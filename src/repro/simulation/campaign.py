@@ -10,20 +10,18 @@ This module provides the machinery behind the Table III benchmark:
   carries a hash of the full :class:`TrainingSettings` and the stored
   metadata is validated on load, so changing any hyper-parameter retrains
   instead of silently reusing a stale model;
-* :func:`accuracy_sweep` evaluates the quantized accurate baseline and every
-  requested perforation value with and without the control variate,
-  producing one :class:`AccuracyRecord` per cell of Table III;
-* :func:`parallel_sweep` fans the (model, m, control-variate) cells of the
-  sweep across worker processes; results are bit-identical to the serial
-  sweep;
-* :func:`plan_sweep` generalizes the cells to arbitrary labeled
+* :func:`plan_sweep` evaluates every model under arbitrary labeled
   :class:`~repro.simulation.inference.ExecutionPlan` sets (per-layer
-  approximation, LUT multipliers, ...).
+  approximation, LUT multipliers, ...);
+* :func:`accuracy_sweep` is the Table III sweep built on it: the quantized
+  accurate baseline and every requested perforation value with and
+  without the control variate, one :class:`AccuracyRecord` per cell,
+  in-process or across worker processes with bit-identical results.
 
 Execution runtime
 -----------------
-Both sweeps are thin clients of the unified evaluation runtime
-(:mod:`repro.runtime`): a :class:`repro.runtime.service.EvaluationService`
+Both sweeps run on the unified evaluation runtime (:mod:`repro.runtime`):
+one :class:`repro.runtime.service.EvaluationService`
 publishes the trained models and datasets once through shared memory
 (:mod:`repro.runtime.publishing` — re-exported here for backward
 compatibility) when it runs a pool, orders the submitted cells with the
@@ -41,7 +39,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,9 +66,6 @@ from repro.simulation.inference import (
     PerforatedProduct,
 )
 from repro.simulation.metrics import accuracy_loss_percent
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from repro.runtime.service import EvaluationService
 
 
 def default_cache_dir() -> str:
@@ -356,32 +351,6 @@ class PlanAccuracyRecord:
     accuracy: float
 
 
-def _sweep_service(
-    models: list[TrainedModel],
-    datasets: dict[str, Dataset],
-    num_cells: int,
-    max_eval_images: int | None,
-    calibration_images: int,
-    max_workers: int | None,
-) -> EvaluationService:
-    """One ephemeral :class:`EvaluationService` sized for a sweep's cells."""
-    # Imported here: repro.runtime imports this package's inference module.
-    from repro.runtime.service import EvaluationService
-
-    # Affinity/load-aware sizing and the degrade-to-serial clamp: a request
-    # beyond the schedulable CPUs (cgroup cpusets, taskset) can only lose to
-    # the serial path, so it is clamped rather than oversubscribed.  Never
-    # spawn more workers than there are cells to score, either.
-    max_workers = resolve_worker_count(max_workers, num_cells=num_cells)
-    return EvaluationService(
-        models,
-        datasets,
-        max_workers=max_workers,
-        max_eval_images=max_eval_images,
-        calibration_images=calibration_images,
-    )
-
-
 def plan_sweep(
     trained_models: Iterable[TrainedModel],
     datasets: "dict[str, Dataset]",
@@ -392,22 +361,35 @@ def plan_sweep(
 ) -> list[PlanAccuracyRecord]:
     """Evaluate every trained model under every labeled execution plan.
 
-    The generalization of :func:`parallel_sweep` behind per-layer
-    approximation studies, now a thin client of the evaluation runtime:
-    each ``(label, plan)`` pair is one cell per model, the service orders
+    The sweep behind per-layer approximation studies and the Table III
+    sweep (:func:`accuracy_sweep`), a thin client of the evaluation
+    runtime: each ``(label, plan)`` pair is one cell per model, and one
+    ephemeral :class:`~repro.runtime.service.EvaluationService` orders the
     cells with the prefix-aware scheduler (so consecutive cells share the
-    deepest possible prefix, which each worker's multi-plan walk runs
-    once) and publishes trained parameters and datasets once through
-    shared memory instead of copying them per worker.  Results are
-    returned in ``(model, plan)`` input order and are bit-identical to
-    evaluating each plan on a fresh executor.
+    deepest possible prefix, which each multi-plan walk runs once).
+    Results are returned in ``(model, plan)`` input order and are
+    bit-identical to evaluating each plan on a fresh executor.
 
-    Parameters not shared with :func:`parallel_sweep`:
-
+    Parameters
+    ----------
     plans:
         Labeled :class:`~repro.simulation.inference.ExecutionPlan` objects;
         labels key the returned records.
+    max_eval_images / calibration_images:
+        As in :func:`accuracy_sweep`.
+    max_workers:
+        Worker process count; ``None`` auto-sizes from the schedulable-CPU
+        count and host load.  Requests are clamped to the schedulable CPUs
+        and to the cell count (:func:`repro.runtime.sizing.
+        resolve_worker_count` — a 4-worker request on a 1-CPU box runs the
+        in-process path at 1.0x serial instead of 4 contending processes).
+        A pool publishes the trained-model parameters and the evaluation
+        datasets once through shared memory, so workers attach read-only
+        views instead of receiving per-process copies.
     """
+    # Imported here: repro.runtime imports this package's inference module.
+    from repro.runtime.service import EvaluationService
+
     models = list(trained_models)
     plans = list(plans)
     if not plans:
@@ -417,15 +399,13 @@ def plan_sweep(
         for model_index in range(len(models))
         for _, plan in plans
     ]
-    service = _sweep_service(
+    with EvaluationService(
         models,
         datasets,
-        len(cells),
-        max_eval_images,
-        calibration_images,
-        max_workers,
-    )
-    with service:
+        max_workers=resolve_worker_count(max_workers, num_cells=len(cells)),
+        max_eval_images=max_eval_images,
+        calibration_images=calibration_images,
+    ) as service:
         accuracies = service.evaluate_cells(cells)
     return [
         PlanAccuracyRecord(
@@ -439,17 +419,23 @@ def plan_sweep(
     ]
 
 
+def _spec_row(perforations: Sequence[int]) -> list[tuple[int | None, bool]]:
+    """The (m, cv) cells of one model's Table III row, baseline first
+    (``m is None``)."""
+    return [(None, False)] + [
+        (m, with_cv) for m in perforations for with_cv in (True, False)
+    ]
+
+
 def _sweep_cell_specs(
     models: list[TrainedModel], perforations: Sequence[int]
 ) -> list[tuple[int, int | None, bool]]:
     """The (model, m, cv) cells of a Table III sweep; ``m is None`` = baseline."""
-    specs: list[tuple[int, int | None, bool]] = []
-    for index in range(len(models)):
-        specs.append((index, None, False))
-        for m in perforations:
-            for with_cv in (True, False):
-                specs.append((index, m, with_cv))
-    return specs
+    return [
+        (index, m, with_cv)
+        for index in range(len(models))
+        for m, with_cv in _spec_row(perforations)
+    ]
 
 
 def _spec_plan(m: int | None, with_cv: bool) -> ExecutionPlan:
@@ -490,69 +476,19 @@ def _assemble_sweep_result(
     return result
 
 
-def parallel_sweep(
-    trained_models: Iterable[TrainedModel],
-    datasets: dict[str, Dataset],
-    perforations: Sequence[int] = (1, 2, 3),
-    max_eval_images: int | None = None,
-    calibration_images: int = 128,
-    max_workers: int | None = None,
-) -> SweepResult:
-    """:func:`accuracy_sweep` fanned across the evaluation runtime's workers.
-
-    Every (model, m, control-variate) cell — plus one accurate-baseline cell
-    per model — is one plan cell submitted to an
-    :class:`~repro.runtime.service.EvaluationService`.  Workers cache one
-    calibrated executor per model, so a worker that receives several cells
-    of the same model pays calibration and kernel compilation once.  The
-    result is bit-identical to the serial sweep; ``max_workers=1`` (or a
-    single CPU) degenerates to the in-process serial path with no
-    multiprocessing overhead.
-
-    Parameters
-    ----------
-    trained_models, datasets, perforations, max_eval_images, calibration_images:
-        As in :func:`accuracy_sweep`.
-    max_workers:
-        Worker process count; ``None`` auto-sizes from the schedulable-CPU
-        count and host load, and explicit requests are clamped to the
-        schedulable CPUs (:func:`repro.runtime.sizing.resolve_worker_count`
-        — ``--workers 4`` on a 1-CPU box runs the serial path at 1.0x
-        serial instead of 4 contending processes).  A pool publishes the
-        trained-model parameters (:func:`publish_trained_models`) and the
-        evaluation datasets (:func:`publish_datasets`) once, so workers
-        attach read-only views instead of receiving per-process copies.
-    """
-    models = list(trained_models)
-    specs = _sweep_cell_specs(models, perforations)
-    cells = [
-        (model_index, _spec_plan(m, with_cv)) for model_index, m, with_cv in specs
-    ]
-    service = _sweep_service(
-        models,
-        datasets,
-        len(cells),
-        max_eval_images,
-        calibration_images,
-        max_workers,
-    )
-    with service:
-        accuracies = service.evaluate_cells(cells)
-    results = [
-        (model_index, m, with_cv, acc)
-        for (model_index, m, with_cv), acc in zip(specs, accuracies)
-    ]
-    return _assemble_sweep_result(models, perforations, results)
-
-
 def accuracy_sweep(
     trained_models: Iterable[TrainedModel],
     datasets: dict[str, Dataset],
     perforations: Sequence[int] = (1, 2, 3),
     max_eval_images: int | None = None,
     calibration_images: int = 128,
+    max_workers: int | None = 1,
 ) -> SweepResult:
-    """Evaluate every trained model under every approximation mode (serially).
+    """Evaluate every trained model under every approximation mode.
+
+    The Table III sweep: a :func:`plan_sweep` of each model's row of
+    uniform plans — the accurate baseline, then every perforation ``m``
+    with and without the control variate.
 
     Parameters
     ----------
@@ -568,15 +504,25 @@ def accuracy_sweep(
         Optional cap on the number of test images (keeps CI-style runs fast).
     calibration_images:
         Number of training images used for activation calibration.
-
-    See :func:`parallel_sweep` for the multi-process variant; both produce
-    identical results.
+    max_workers:
+        As in :func:`plan_sweep`; the default ``1`` sweeps in-process.
+        Results are identical at any worker count.
     """
-    return parallel_sweep(
-        trained_models,
+    models = list(trained_models)
+    plans = [_spec_plan(m, with_cv) for m, with_cv in _spec_row(perforations)]
+    records = plan_sweep(
+        models,
         datasets,
-        perforations=perforations,
+        [(plan.default.name, plan) for plan in plans],
         max_eval_images=max_eval_images,
         calibration_images=calibration_images,
-        max_workers=1,
+        max_workers=max_workers,
     )
+    # plan_sweep returns (model, plan) input order: the order of the specs.
+    cell_results = [
+        (model_index, m, with_cv, record.accuracy)
+        for (model_index, m, with_cv), record in zip(
+            _sweep_cell_specs(models, perforations), records
+        )
+    ]
+    return _assemble_sweep_result(models, perforations, cell_results)

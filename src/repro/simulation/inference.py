@@ -235,10 +235,9 @@ class PerforatedProduct(ProductModel):
 class LUTProduct(ProductModel):
     """Arbitrary approximate multiplier evaluated through its 256x256 LUT."""
 
-    def __init__(self, multiplier: Multiplier, chunk_patches: int = 256):
+    def __init__(self, multiplier: Multiplier):
         self.multiplier = multiplier
         self._lut = multiplier.build_lut()
-        self.chunk_patches = int(chunk_patches)
         # Products are fully determined by the table contents, so the
         # fingerprint digests the table — two LUT products over equal tables
         # are interchangeable regardless of the multiplier's name.
@@ -252,9 +251,7 @@ class LUTProduct(ProductModel):
         weight_codes: np.ndarray,
         control_variate: ControlVariate,
     ) -> np.ndarray:
-        return lut_product_sums(
-            act_codes, weight_codes, self._lut, chunk_patches=self.chunk_patches
-        )
+        return lut_product_sums(act_codes, weight_codes, self._lut)
 
     @property
     def lut(self) -> np.ndarray:
@@ -330,7 +327,7 @@ def plan_fingerprint_sort_key(fingerprints: Sequence[tuple]) -> tuple[str, ...]:
     so sequences are compared by element ``repr`` to avoid cross-type
     comparisons.  Equal prefixes sort adjacent — the property both the
     executor's multi-plan walk and the sweep scheduler
-    (:func:`repro.runtime.scheduling.order_plan_cells`) rely on.
+    (:func:`repro.runtime.scheduling.schedule_cells`) rely on.
     """
     return tuple(repr(fp) for fp in fingerprints)
 

@@ -17,6 +17,7 @@ from repro.models.zoo import build_model
 from repro.nn.optimizers import SGD
 from repro.nn.training import Trainer
 from repro.simulation.inference import ApproximateExecutor, LUTProduct
+from repro.simulation.metrics import accuracy
 
 
 @pytest.fixture
@@ -95,3 +96,33 @@ def streaming_lut():
     """Factory: ``streaming_lut(multiplier)`` is a LUT product model whose
     kernels always stream (see :class:`StreamingLUTProduct`)."""
     return StreamingLUTProduct
+
+
+def _fresh_executor_accuracies(
+    trained, dataset, plans, max_eval_images=None, calibration_images=128
+) -> list[float]:
+    """Accuracies of ``plans``, each scored on its own fresh executor.
+
+    The parity oracle of every path that scores through an evaluation
+    service: no service, schedule, worker state or multi-plan batch — one
+    ``ApproximateExecutor(model, calibration).predict(images, plan)`` per
+    plan, scored with :func:`repro.simulation.metrics.accuracy`.
+    """
+    images, labels = dataset.test_images, dataset.test_labels
+    if max_eval_images is not None:
+        images, labels = images[:max_eval_images], labels[:max_eval_images]
+    calibration = dataset.train_images[:calibration_images]
+    return [
+        accuracy(
+            ApproximateExecutor(trained.model, calibration).predict(images, plan), labels
+        )
+        for plan in plans
+    ]
+
+
+@pytest.fixture
+def fresh_accuracies():
+    """``fresh_accuracies(trained, dataset, plans, max_eval_images=None,
+    calibration_images=128)``: the independent per-plan oracle (see
+    :func:`_fresh_executor_accuracies`)."""
+    return _fresh_executor_accuracies

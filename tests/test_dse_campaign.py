@@ -7,26 +7,30 @@ The heavyweight criteria of the subsystem live here:
 * every accuracy the campaign reports is **bit-exact** with the equivalent
   hand-enumerated :func:`repro.simulation.campaign.plan_sweep`;
 * killing and re-running a campaign with ``resume=True`` performs **zero
-  duplicate plan evaluations** (everything replays from the ledger);
+  duplicate plan evaluations** (everything replays from the ledger), and a
+  job-layer record under a campaign key is re-evaluated, not replayed;
 * NSGA-II is deterministic under a fixed seed;
 * exhaustive search reproduces the brute-force front on a small space.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.dse import (
     CampaignLedger,
-    PlanEvaluator,
     SearchSpace,
     get_strategy,
     run_campaign,
 )
 from repro.dse.pareto import ParetoFront, ParetoPoint
 from repro.dse.strategies import SearchStrategy
+from repro.runtime.jobs import JobManager
 from repro.simulation.campaign import TrainedModel, plan_sweep
+from repro.simulation.inference import AccurateProduct, ExecutionPlan
 
 pytestmark = pytest.mark.dse
 
@@ -152,6 +156,57 @@ class TestGreedyAcceptance:
         )
 
 
+    @pytest.mark.parametrize("kind", ["job-cell", "result-cache"])
+    def test_resume_reevaluates_job_layer_records(
+        self, trained, tiny_dataset, tmp_path, kind
+    ):
+        """The job layer keys its session-ledger ("job-cell") and
+        --cache-persist ("result-cache") records with the campaign's
+        plan_key recipe but stores only an accuracy: a resumed campaign
+        treats such a record as a miss, evaluates the plan and overwrites
+        the record with a replayable one."""
+        persist = {"job-cell": "ledger_dir", "result-cache": "cache_persist_dir"}[kind]
+        manager = JobManager(
+            [trained],
+            {tiny_dataset.name: tiny_dataset},
+            calibration_images=CALIBRATION_IMAGES,
+            **{persist: str(tmp_path)},
+        )
+        try:
+            job = manager.submit(
+                0, [ExecutionPlan.uniform(AccurateProduct())], session="dse"
+            )
+            assert job.wait(timeout=120)
+        finally:
+            manager.close()
+        ledger_dir = tmp_path / "dse" if kind == "job-cell" else tmp_path
+        (record_path,) = ledger_dir.glob("*.json")
+        assert json.loads(record_path.read_text())["kind"] == kind
+
+        resumed = _greedy_campaign(
+            trained,
+            tiny_dataset,
+            ledger=CampaignLedger(str(ledger_dir)),
+            resume=True,
+            budget_evals=2,
+        )
+        assert resumed.stats["ledger_replays"] == 0
+        assert resumed.stats["ledger"]["hits"] == 0
+        record = json.loads(record_path.read_text())
+        assert record["accuracy"] == resumed.baseline_accuracy
+        assert record["energy_nj"] == resumed.accurate_energy_nj
+        # The overwritten record replays on the next resume.
+        again = _greedy_campaign(
+            trained,
+            tiny_dataset,
+            ledger=CampaignLedger(str(ledger_dir)),
+            resume=True,
+            budget_evals=2,
+        )
+        assert again.stats["ledger_replays"] >= 1
+        assert again.baseline_accuracy == resumed.baseline_accuracy
+
+
 class TestBudgetAndDedup:
     def test_budget_caps_fresh_evaluations(self, trained, tiny_dataset):
         result = _greedy_campaign(trained, tiny_dataset, budget_evals=5)
@@ -213,7 +268,7 @@ class TestNsga2:
 
 
 class TestExhaustive:
-    def test_matches_brute_force_front(self, trained, tiny_dataset):
+    def test_matches_brute_force_front(self, trained, tiny_dataset, fresh_accuracies):
         layers = ["s0_c0_conv", "s0_c1_conv", "classifier"]
         space = SearchSpace.build(
             trained.model,
@@ -233,12 +288,14 @@ class TestExhaustive:
         )
         assert result.stats["evaluations"] == space.size()
 
-        # Brute force through a fresh evaluator (same measurement setup).
-        evaluator = PlanEvaluator(
-            trained, tiny_dataset, calibration_images=CALIBRATION_IMAGES
-        )
+        # Brute force, every plan on its own fresh executor (same setup).
         assignments = list(space.enumerate_assignments())
-        accuracies = evaluator.evaluate([space.plan(a) for a in assignments])
+        accuracies = fresh_accuracies(
+            trained,
+            tiny_dataset,
+            [space.plan(a) for a in assignments],
+            calibration_images=CALIBRATION_IMAGES,
+        )
         expected = ParetoFront()
         baseline = accuracies[assignments.index((0, 0, 0))]
         for assignment, acc in zip(assignments, accuracies):

@@ -21,7 +21,7 @@ end:
   bounded fingerprint-keyed kernel cache;
 * :func:`~repro.runtime.scheduling.plan_group_slices` — depth-aware group
   cuts land on divergence-family boundaries;
-* the service / ``parallel_sweep`` — the sweep reproduces the committed
+* the service / ``accuracy_sweep`` — the sweep reproduces the committed
   golden accuracy table byte-exactly.
 """
 
@@ -696,19 +696,18 @@ class TestGoldenAccuracyParity:
             PERFORATIONS,
             _train_workload_model,
         )
-        from repro.simulation.campaign import parallel_sweep
+        from repro.simulation.campaign import accuracy_sweep
 
         golden_path = os.path.join("results", "golden", "accuracy_table.json")
         if not os.path.exists(golden_path):
             pytest.skip("no committed golden accuracy table")
         golden = load_json(golden_path)
         trained, dataset = _train_workload_model()
-        sweep = parallel_sweep(
+        sweep = accuracy_sweep(
             [trained],
             {dataset.name: dataset},
             perforations=PERFORATIONS,
             calibration_images=CALIBRATION_IMAGES,
-            max_workers=1,
         )
         rows = [
             {

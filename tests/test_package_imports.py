@@ -2,7 +2,9 @@
 
 An import cycle only shows when the cycle's entry module is imported
 first: in one pytest process the modules are already loaded by whatever
-test ran before.  So each package gets its own ``python -c``.
+test ran before.  So each package gets its own ``python -c``.  A star
+import of every package also resolves each name of its ``__all__``, so a
+name deleted from the package but left in that list fails here.
 """
 
 from __future__ import annotations
@@ -30,6 +32,27 @@ STATEMENTS = [
 ] + [
     # The first line of code in src/repro/runtime/README.md.
     "from repro.runtime import EvaluationService",
+] + [
+    f"from {package} import *"
+    for package in (
+        "repro",
+        "repro.accelerator",
+        "repro.analysis",
+        "repro.baselines",
+        "repro.cli",
+        "repro.core",
+        "repro.datasets",
+        "repro.dse",
+        "repro.hardware",
+        "repro.models",
+        "repro.multipliers",
+        "repro.nn",
+        "repro.provenance",
+        "repro.quantization",
+        "repro.runtime",
+        "repro.runtime.jobs",
+        "repro.simulation",
+    )
 ]
 
 

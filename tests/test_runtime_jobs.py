@@ -5,7 +5,7 @@ The acceptance criteria of the job-oriented re-architecture live here:
 * **job-vs-direct parity** — plan sets submitted as jobs (and the Table III
   sweep rebuilt on the job API) are bit-exact with the engine's direct
   ``evaluate_plans`` and with :func:`~repro.simulation.campaign.
-  parallel_sweep`;
+  accuracy_sweep`;
 * **service-level result cache** — duplicate cells across jobs from *any*
   client are cache hits: two concurrent clients submitting overlapping
   plan sets get bit-identical results, the overlap served from cache, with
@@ -54,7 +54,7 @@ from repro.runtime.jobs import (
     sweep_over_jobs,
 )
 from repro.runtime.jobs.sessions import SessionRegistry
-from repro.simulation.campaign import TrainedModel, parallel_sweep
+from repro.simulation.campaign import TrainedModel, accuracy_sweep
 from repro.simulation.inference import (
     AccurateProduct,
     ExecutionPlan,
@@ -216,11 +216,10 @@ class TestJobParity:
         assert view["state"] == "done"
         assert view["accuracies"] == direct
 
-    def test_sweep_over_jobs_matches_parallel_sweep(self, trained, tiny_dataset):
+    def test_sweep_over_jobs_matches_accuracy_sweep(self, trained, tiny_dataset):
         perforations = (1, 2)
-        reference = parallel_sweep(
-            [trained], {tiny_dataset.name: tiny_dataset},
-            perforations=perforations, max_workers=1,
+        reference = accuracy_sweep(
+            [trained], {tiny_dataset.name: tiny_dataset}, perforations=perforations
         )
         manager = JobManager([trained], {tiny_dataset.name: tiny_dataset})
         with LocalJobClient(manager) as client:

@@ -3,9 +3,13 @@
 The acceptance criteria of the subsystem live here:
 
 * **service-vs-serial parity** — randomized plan sets scored through an
-  :class:`~repro.runtime.service.EvaluationService` are bit-exact with the
-  in-process :meth:`~repro.dse.evaluator.PlanEvaluator.evaluate` and with
+  :class:`~repro.runtime.service.EvaluationService` are bit-exact with
+  every plan scored on its own fresh executor (the ``fresh_accuracies``
+  oracle), with the in-process
+  :meth:`~repro.dse.evaluator.PlanEvaluator.evaluate` and with
   :func:`~repro.simulation.campaign.plan_sweep`;
+* **one context key** — the job layer, the in-process evaluator and an
+  evaluator on a pool report the key of the arrays the workers score;
 * **graceful shutdown** — a forced worker failure, a SIGKILLed worker
   (and a ``KeyboardInterrupt`` on the serial path) still drains the
   workers and unlinks every shared-memory block: no leaked ``/dev/shm``
@@ -25,6 +29,7 @@ The acceptance criteria of the subsystem live here:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import time
@@ -38,7 +43,7 @@ from repro.core.shared_store import SharedArrayStore
 from repro.dse import (
     CampaignLedger,
     PlanEvaluator,
-    ServicePlanEvaluator,
+    evaluation_context_key,
     get_strategy,
     run_campaign,
 )
@@ -49,6 +54,7 @@ from repro.runtime import (
     schedule_cells,
     sizing,
 )
+from repro.runtime.jobs import JobManager
 from repro.simulation.campaign import TrainedModel, plan_sweep
 from repro.simulation.inference import (
     AccurateProduct,
@@ -152,9 +158,10 @@ def _assert_no_leaked_stores(handles: list[tuple[str, str]]) -> None:
 
 class TestServiceParity:
     def test_service_bit_exact_with_evaluator_and_plan_sweep(
-        self, trained, tiny_dataset
+        self, trained, tiny_dataset, fresh_accuracies
     ):
-        """Randomized plan sets: service == in-process evaluator == plan_sweep."""
+        """Randomized plan sets: a pool service, the in-process evaluator and
+        plan_sweep all equal every plan scored on its own fresh executor."""
         plans = _random_plans(trained, count=6, seed=11)
         datasets = {tiny_dataset.name: tiny_dataset}
         kwargs = dict(max_eval_images=24, calibration_images=32)
@@ -162,6 +169,7 @@ class TestServiceParity:
             [trained], datasets, max_workers=2, **kwargs
         ) as service:
             via_service = service.evaluate_plans(0, plans)
+        expected = fresh_accuracies(trained, tiny_dataset, plans, **kwargs)
         serial = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
         swept = plan_sweep(
             [trained],
@@ -170,27 +178,84 @@ class TestServiceParity:
             max_workers=1,
             **kwargs,
         )
-        assert via_service == serial  # bit-exact, no tolerance
-        assert via_service == [record.accuracy for record in swept]
+        assert via_service == expected  # bit-exact, no tolerance
+        assert serial == expected
+        assert [record.accuracy for record in swept] == expected
 
-    def test_service_evaluator_drop_in_matches_plan_evaluator(
-        self, trained, tiny_dataset
+    def test_plan_evaluator_on_a_pool_matches_in_process_and_oracle(
+        self, trained, tiny_dataset, fresh_accuracies
     ):
-        """ServicePlanEvaluator mirrors PlanEvaluator: accuracies, context
-        key (ledger compatibility) and MAC layer names."""
+        """PlanEvaluator on a 2-worker service agrees with the in-process
+        PlanEvaluator and with the independent oracles on accuracies,
+        context key (ledger compatibility), MAC layer names and the
+        evaluation count."""
         plans = _random_plans(trained, count=4, seed=3)
         kwargs = dict(max_eval_images=24, calibration_images=32)
-        serial = PlanEvaluator(trained, tiny_dataset, **kwargs)
+        in_process = PlanEvaluator(trained, tiny_dataset, **kwargs)
         with EvaluationService(
             [trained], {tiny_dataset.name: tiny_dataset}, max_workers=2, **kwargs
         ) as service:
-            backed = ServicePlanEvaluator(service, 0)
-            assert backed.context_key() == serial.context_key()
-            assert backed.mac_layer_names() == serial.mac_layer_names()
-            assert backed.evaluate(plans) == serial.evaluate(plans)
-            assert backed.evaluations == serial.evaluations == len(plans)
+            pooled = PlanEvaluator(trained, tiny_dataset, service=service, **kwargs)
+            key = evaluation_context_key(
+                trained.model,
+                tiny_dataset.test_images[:24],
+                tiny_dataset.test_labels[:24],
+                tiny_dataset.train_images[:32],
+                tag=tiny_dataset.name,
+            )
+            assert pooled.context_key() == in_process.context_key() == key
+            mac_names = [node.name for node in trained.model.conv_dense_nodes()]
+            assert pooled.mac_layer_names() == in_process.mac_layer_names() == mac_names
+            expected = fresh_accuracies(trained, tiny_dataset, plans, **kwargs)
+            assert pooled.evaluate(plans) == in_process.evaluate(plans) == expected
+            assert pooled.evaluations == in_process.evaluations == len(plans)
+            # In process, the executor is the one that scored the plans, so
+            # reading it costs no second calibration; a pool scores in its
+            # workers and the evaluator builds an idle one of its own.
+            assert in_process.executor.fused_stats()["fused_launches"] > 0
+            assert in_process.service.stats()["engine"]["executor_builds"] == 1
+            assert pooled.executor.fused_stats()["fused_launches"] == 0
+            assert pooled.executor is pooled.executor
 
-    def test_multi_model_session(self, trained, tiny_dataset):
+    @pytest.mark.parametrize("setup", ["cap", "subsample"])
+    def test_context_keys_agree_across_scoring_paths(
+        self, trained, tiny_dataset, setup
+    ):
+        """One recipe: the job layer, the in-process PlanEvaluator and a
+        PlanEvaluator on a 2-worker service all report the key of the arrays
+        the workers score, on a max_eval_images cap and on an explicit
+        evaluation subset (hosted as the service dataset's test split)."""
+        if setup == "cap":
+            knobs = dict(max_eval_images=24)
+            images, labels = tiny_dataset.test_images[:24], tiny_dataset.test_labels[:24]
+            hosted = tiny_dataset
+        else:
+            picks = np.array([1, 4, 9, 16, 25, 36])
+            images, labels = tiny_dataset.test_images[picks], tiny_dataset.test_labels[picks]
+            knobs = dict(eval_images=images, eval_labels=labels)
+            hosted = dataclasses.replace(tiny_dataset, test_images=images, test_labels=labels)
+        key = evaluation_context_key(
+            trained.model, images, labels, tiny_dataset.train_images[:32], tag=hosted.name
+        )
+        setup_knobs = dict(
+            max_eval_images=knobs.get("max_eval_images"), calibration_images=32
+        )
+        in_process = PlanEvaluator(trained, tiny_dataset, calibration_images=32, **knobs)
+        pool = EvaluationService(
+            [trained], {hosted.name: hosted}, max_workers=2, **setup_knobs
+        )
+        pooled = PlanEvaluator(trained, tiny_dataset, service=pool, **setup_knobs)
+        manager = JobManager(
+            [trained], {hosted.name: hosted}, auto_start=False, **setup_knobs
+        )
+        try:
+            assert manager.context_key(0) == key
+        finally:
+            manager.close()
+        assert in_process.context_key() == pooled.context_key() == key
+        assert not pool.started  # the key needs no worker
+
+    def test_multi_model_session(self, trained, tiny_dataset, fresh_accuracies):
         """One service hosting several models serves cells of all of them."""
         second = TrainedModel(
             name="vgg13-bis",
@@ -209,11 +274,11 @@ class TestServiceParity:
         ) as service:
             assert service.model_index("vgg13-bis") == 1
             accuracies = service.evaluate_cells(cells)
-        expected = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
+        expected = fresh_accuracies(trained, tiny_dataset, plans, **kwargs)
         assert accuracies == expected + expected  # both hosted models agree
 
     def test_worker_calibrates_each_model_once_with_one_live_working_set(
-        self, trained, tiny_dataset
+        self, trained, tiny_dataset, fresh_accuracies
     ):
         """Segments of models A, B, A, B build two executors, not four; the
         executor switched away from holds no activation buffers or compiled
@@ -249,7 +314,7 @@ class TestServiceParity:
                 assert not idle._act_buffers and not idle._kernels
                 assert len(idle._blocks) == 0
         assert state["executor_builds"] == 2
-        expected = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
+        expected = fresh_accuracies(trained, tiny_dataset, plans, **kwargs)
         assert accuracies == [expected] * 4
 
     def _pooled_tasks(self, service, cells):
@@ -266,12 +331,12 @@ class TestServiceParity:
         return service.evaluate_cells(cells), tasks
 
     def test_pool_splits_each_batch_by_image_ranges_bit_exact(
-        self, trained, tiny_dataset
+        self, trained, tiny_dataset, fresh_accuracies
     ):
         """A pool batch goes to every worker whole, each on its own
         contiguous image range (25 images: 12 and 13), which changes only
         *where* images run: accuracies are bit-exact with the in-process
-        evaluator and returned in submission order, and each worker fuses
+        oracle and returned in submission order, and each worker fuses
         the whole batch, as the serial path does."""
         plans = _random_plans(trained, count=9, seed=29)
         kwargs = dict(max_eval_images=25, calibration_images=32)
@@ -282,7 +347,7 @@ class TestServiceParity:
         with EvaluationService([trained], datasets, max_workers=1, **kwargs) as service:
             assert service.evaluate_plans(0, plans) == pooled
             serial_stats = service.stats()
-        serial = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
+        serial = fresh_accuracies(trained, tiny_dataset, plans, **kwargs)
         assert pooled == serial  # bit-exact AND input-ordered
         assert tasks == [(len(plans), 0, 2), (len(plans), 1, 2)]
         assert (
@@ -292,7 +357,7 @@ class TestServiceParity:
         assert stats["schema"] == "repro-runtime-stats/v1.4"
 
     def test_fewer_images_than_workers_skips_the_empty_shares(
-        self, trained, tiny_dataset
+        self, trained, tiny_dataset, fresh_accuracies
     ):
         """2 images on 3 workers: worker 0's range is empty and it gets no
         task; the two others score one image each, bit-exact with serial."""
@@ -312,11 +377,22 @@ class TestServiceParity:
             **kwargs,
         ) as service:
             pooled, tasks = self._pooled_tasks(service, cells)
-        expected = PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
+        expected = fresh_accuracies(trained, tiny_dataset, plans, **kwargs)
         assert pooled == [accuracy for accuracy in expected for _ in range(2)]
         assert tasks == [(len(cells), 1, 3), (len(cells), 2, 3)]
 
     def test_empty_and_single_cell_batches(self, trained, tiny_dataset):
+        knobs = dict(max_eval_images=8, calibration_images=16)
+        pool = EvaluationService(
+            [trained], {tiny_dataset.name: tiny_dataset}, max_workers=2, **knobs
+        )
+        try:
+            evaluator = PlanEvaluator(trained, tiny_dataset, service=pool, **knobs)
+            assert evaluator.evaluate([]) == []
+            # An empty batch publishes nothing and spawns no worker.
+            assert not pool.started
+        finally:
+            pool.close()
         with EvaluationService(
             [trained],
             {tiny_dataset.name: tiny_dataset},
@@ -556,10 +632,10 @@ class TestPoolWorkerBlasThreads:
         assert sizing.blas_thread_count() == host_threads
 
     def test_pool_without_a_blas_setter_starts_and_stays_bit_exact(
-        self, trained, tiny_dataset, monkeypatch
+        self, trained, tiny_dataset, monkeypatch, fresh_accuracies
     ):
         """When the setter lookup finds nothing the pin is a no-op: the pool
-        still starts and its accuracies stay bit-exact with the evaluator."""
+        still starts and its accuracies stay bit-exact with the oracle."""
         monkeypatch.setattr(sizing, "_openblas_thread_calls", lambda: None)
         plans = _random_plans(trained, count=4, seed=13)
         kwargs = dict(max_eval_images=24, calibration_images=32)
@@ -569,7 +645,7 @@ class TestPoolWorkerBlasThreads:
             pooled = service.evaluate_plans(0, plans)
             # The forked workers inherited the failing lookup.
             assert service._pool.submit(sizing.blas_thread_count).result() is None
-        assert pooled == PlanEvaluator(trained, tiny_dataset, **kwargs).evaluate(plans)
+        assert pooled == fresh_accuracies(trained, tiny_dataset, plans, **kwargs)
 
 
 class TestParallelCampaign:

@@ -45,7 +45,7 @@ from repro.runtime.jobs import (
 )
 from repro.runtime.jobs.client import GET_RETRIES
 from repro.runtime.server import JobServer
-from repro.simulation.campaign import TrainedModel, parallel_sweep
+from repro.simulation.campaign import TrainedModel, accuracy_sweep
 from repro.simulation.inference import AccurateProduct, ExecutionPlan, PerforatedProduct
 
 pytestmark = pytest.mark.serve
@@ -286,12 +286,11 @@ class TestServedParity:
         view = client.wait(job_id, timeout=240)
         assert view["accuracies"] == direct
 
-    def test_served_sweep_matches_parallel_sweep(
+    def test_served_sweep_matches_accuracy_sweep(
         self, client, trained, tiny_dataset
     ):
-        reference = parallel_sweep(
-            [trained], {tiny_dataset.name: tiny_dataset},
-            perforations=(1, 2), max_workers=1,
+        reference = accuracy_sweep(
+            [trained], {tiny_dataset.name: tiny_dataset}, perforations=(1, 2)
         )
         sweep, _totals = sweep_over_jobs(
             client, perforations=(1, 2), session="sweep-http"

@@ -292,14 +292,12 @@ class TestCampaign:
         assert repaired["settings"]["epochs"] == 1
         assert 0.0 <= reloaded.float_accuracy <= 1.0
 
-    def test_parallel_sweep_matches_serial(self, small_dataset, tmp_path):
-        from repro.simulation.campaign import parallel_sweep
-
+    def test_accuracy_sweep_on_a_pool_matches_serial(self, small_dataset, tmp_path):
         cache = TrainedModelCache(cache_dir=str(tmp_path))
         trained = cache.load_or_train("vgg13", small_dataset, TrainingSettings(epochs=1, seed=3))
         kwargs = dict(perforations=(0, 2), max_eval_images=16)
         serial = accuracy_sweep([trained], {small_dataset.name: small_dataset}, **kwargs)
-        parallel = parallel_sweep(
+        parallel = accuracy_sweep(
             [trained], {small_dataset.name: small_dataset}, max_workers=2, **kwargs
         )
         assert parallel.baselines == serial.baselines
@@ -308,14 +306,13 @@ class TestCampaign:
         assert parallel.lookup("vgg13", small_dataset.name, 0, True).accuracy_loss == 0.0
         assert parallel.lookup("vgg13", small_dataset.name, 0, False).accuracy_loss == 0.0
 
-    def test_parallel_sweep_never_retrains_cached_models(
+    def test_accuracy_sweep_never_retrains_cached_models(
         self, small_dataset, tmp_path, monkeypatch
     ):
         """In-process and on a pool (which publishes through shared memory):
         results and error stats identical to the serial sweep, and no worker
         ever (re)trains a model."""
         import repro.simulation.campaign as campaign
-        from repro.simulation.campaign import parallel_sweep
 
         cache = TrainedModelCache(cache_dir=str(tmp_path))
         settings = TrainingSettings(epochs=1, seed=3)
@@ -335,7 +332,7 @@ class TestCampaign:
         # Workers (fork start method) inherit the patched trainer: any retrain
         # inside the sweep would blow up the worker and fail the sweep.
         for max_workers in (1, 2):
-            shared = parallel_sweep(
+            shared = accuracy_sweep(
                 [reloaded], datasets, max_workers=max_workers, **kwargs
             )
             assert shared.baselines == serial.baselines
@@ -442,8 +439,8 @@ class TestCampaign:
         assert reused == reference
         assert parallel == reference
 
-    def test_order_plan_cells_groups_shared_prefixes(self, small_dataset, tmp_path):
-        from repro.runtime.scheduling import order_plan_cells
+    def test_schedule_cells_groups_shared_prefixes(self, small_dataset, tmp_path):
+        from repro.runtime.scheduling import model_mac_names, schedule_cells
         from repro.simulation.inference import (
             AccurateProduct,
             ExecutionPlan,
@@ -468,9 +465,11 @@ class TestCampaign:
             ("shallow_m2", exact_prefix(0, 2)),
             ("baseline", ExecutionPlan.uniform(AccurateProduct())),
         ]
-        cells = order_plan_cells([trained], plans)
-        assert sorted(cells) == [(0, i) for i in range(len(plans))]
-        schedule = [plans[plan_index][0] for _, plan_index in cells]
+        order = schedule_cells(
+            [(0, plan) for _, plan in plans], {0: model_mac_names(trained)}
+        )
+        assert sorted(order) == list(range(len(plans)))
+        schedule = [plans[plan_index][0] for plan_index in order]
         # the two deep-prefix plans (and the baseline, which shares their
         # exact prefix) must be adjacent; shallow plans sort elsewhere
         deep_block = {"deep_m1", "deep_m2", "baseline"}
