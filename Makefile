@@ -27,18 +27,19 @@ tier1:
 
 # Engine suite: product-kernel parity through the one compile path
 # (NumpyBackend), the float-glue, calibration and image-shard oracles, plus
-# the engine-throughput and sweep-prefix benches.
+# the engine-throughput bench.
 engine:
-	$(PYTEST) -q -m engine tests benchmarks/bench_engine_throughput.py benchmarks/bench_sweep_prefix.py
+	$(PYTEST) -q -m engine tests benchmarks/bench_engine_throughput.py
 
 # DSE search suite plus its evaluations-to-front benchmark.
 dse:
 	$(PYTEST) -q -m dse tests benchmarks/bench_dse_search.py
 
-# Scheduler unit subset: model-free tests of the prefix-aware ordering, the
-# chunking contracts, the pool workers' image ranges and the sizing policy
-# (core share of image-shard threads, BLAS pin) — runs in about a second,
-# the first thing to reach for when touching the scheduler.
+# Scheduler unit subset: tests of the prefix-aware ordering (on untrained
+# toy models) and its edge cases, the chunking contracts, the pool workers'
+# image ranges and the sizing policy (core share of image-shard threads,
+# BLAS pin) — runs in about a second, the first thing to reach for when
+# touching the scheduler.
 scheduler-unit:
 	$(PYTEST) -q tests/test_runtime_scheduling.py
 

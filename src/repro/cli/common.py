@@ -100,11 +100,39 @@ def add_workers_flag(parser: argparse.ArgumentParser) -> None:
         help="worker process count of the evaluation service (1 = in-process, "
         "one image shard per schedulable CPU; N > 1 gives each of N "
         "persistent worker processes the whole batch on its own range of "
-        "the images, with models and datasets published once through "
-        "shared memory; results are bit-exact either way). Requests beyond the "
+        "the images, with the models and datasets inherited from this "
+        "process; results are bit-exact either way). Requests beyond the "
         "schedulable CPUs (cgroup/affinity-aware, not the machine's core "
         "count) are clamped — on a 1-CPU host any N degrades to the serial "
         "path at 1.0x serial instead of N contending processes",
+    )
+
+
+def check_remote_flags(
+    args: argparse.Namespace, *local_flags: tuple[str, bool]
+) -> str | None:
+    """Error message for local-evaluation flags next to ``--remote``, or ``None``.
+
+    The daemon's measurement setup and worker pool win, so ``--workers``,
+    ``--max-eval-images`` and a verb's own ``local_flags`` (``(flag,
+    given)`` pairs) would silently do nothing; the verb rejects them before
+    any request is sent — as ``run_campaign`` rejects measurement knobs
+    that conflict with an externally owned service.
+    """
+    clashes = [
+        flag
+        for flag, given in (
+            ("--workers", args.workers != 1),
+            ("--max-eval-images", args.max_eval_images is not None),
+            *local_flags,
+        )
+        if given
+    ]
+    if not clashes:
+        return None
+    return (
+        "--remote delegates evaluation to the daemon, whose measurement "
+        "setup wins; incompatible flags: " + ", ".join(clashes)
     )
 
 
@@ -163,8 +191,8 @@ def sweep_jobs_local(
     :func:`~repro.simulation.campaign.accuracy_sweep` byte for byte.
 
     Returns ``(sweep, totals, stats)`` — the :class:`SweepResult`, the
-    per-sweep job/cache totals, and the manager's final
-    ``repro-runtime-stats/v1.4`` payload.
+    per-sweep job/cache totals, and the manager's final stats payload
+    (schema :data:`~repro.runtime.stats.STATS_SCHEMA`).
     """
     from repro.runtime.jobs import JobManager, LocalJobClient, sweep_over_jobs
     from repro.runtime.sizing import resolve_worker_count
@@ -190,8 +218,10 @@ def sweep_jobs_remote(url: str, model_names, perforations):
 
     Sweeps every hosted model whose name is in ``model_names`` (across all
     datasets the daemon hosts).  Raises :class:`ValueError` with a
-    one-line message when a requested model is not hosted — the verb turns
-    that into an exit-2 CLI error.
+    one-line message when a requested model is not hosted, and the job
+    client's ``JobClientError``, ``AdmissionError`` or ``JobFailedError``
+    when the daemon cannot be reached, rejects a job or fails one — the
+    verbs turn each into an exit-2 CLI error.
 
     Returns ``(sweep, totals, infos)`` — the :class:`SweepResult`, the
     per-sweep job/cache totals, and the swept ``/models`` descriptors.

@@ -27,6 +27,7 @@ from repro.simulation.campaign import (
 from repro.cli.common import (
     add_remote_flag,
     add_workers_flag,
+    check_remote_flags,
     check_workers,
     cli_error,
     model_manifest_entries,
@@ -78,30 +79,6 @@ def _dse_json_payload(dataset, result) -> dict:
     }
 
 
-def _check_remote_flags(args: argparse.Namespace) -> str | None:
-    """Flags that would silently do nothing against a daemon are rejected.
-
-    The daemon's measurement setup (eval split, calibration head, worker
-    pool) wins — mirroring how ``run_campaign`` rejects
-    measurement knobs that conflict with an externally-owned service.
-    """
-    clashes = []
-    if args.workers != 1:
-        clashes.append("--workers")
-    if args.subsample_eval is not None:
-        clashes.append("--subsample-eval")
-    if args.max_eval_images is not None:
-        clashes.append("--max-eval-images")
-    if args.calibration_images != 128:
-        clashes.append("--calibration-images")
-    if not clashes:
-        return None
-    return (
-        "--remote delegates evaluation to the daemon, whose measurement "
-        "setup wins; incompatible flags: " + ", ".join(clashes)
-    )
-
-
 def cmd_dse(args: argparse.Namespace) -> int:
     # Late-validated names: clear one-line errors instead of tracebacks.
     from repro.dse import CampaignLedger, has_strategy, run_campaign, strategy_names
@@ -126,7 +103,11 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 f"--subsample-eval must be positive, got {args.subsample_eval}"
             )
     if args.remote is not None:
-        error = _check_remote_flags(args)
+        error = check_remote_flags(
+            args,
+            ("--subsample-eval", args.subsample_eval is not None),
+            ("--calibration-images", args.calibration_images != 128),
+        )
         if error is not None:
             return cli_error(error)
 
@@ -189,9 +170,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
         )
 
         # A multi-model campaign hosts every network in ONE evaluation
-        # service: models and datasets are published once and the worker
-        # pool (or the in-process serial state) is reused across the
-        # sequential campaigns.  An eval subsample becomes the hosted
+        # service: the worker pool (or the in-process serial state) and
+        # its calibrated executors are reused across the sequential
+        # campaigns.  An eval subsample becomes the hosted
         # dataset's test split inside build_campaign_service, keeping
         # ledger context keys serial-identical.  With --remote the daemon
         # plays that role for every campaign instead.
@@ -275,9 +256,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
             if service is not None:
                 try:
                     # The session context goes into the manifest while the
-                    # service is still alive (shared-block sizes and all).
-                    # Best effort: a partially-started service may not have
-                    # one, and that must not skip close() below.
+                    # service is still alive.  Best effort: a
+                    # partially-started service may not have one, and that
+                    # must not skip close() below.
                     manifest.inputs["service"] = service.session_context()
                 except Exception:
                     pass
@@ -392,7 +373,7 @@ def register(sub) -> None:
         default=None,
         help="run one campaign per listed model (or 'all' for every "
         "reference network), all served by ONE shared evaluation service "
-        "(models and datasets published once, one worker pool); overrides "
+        "(models and datasets hosted once, one worker pool); overrides "
         "--model",
     )
     dse.add_argument("--classes", type=int, choices=(10, 100), default=10)

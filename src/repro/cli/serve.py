@@ -13,8 +13,8 @@ The startup handshake is one line on stdout::
 
 ``--port 0`` (the default) binds an ephemeral port, so scripted users — the
 ``make serve-smoke`` gate among them — parse the URL from that line.
-SIGTERM/SIGINT shut down gracefully: queued jobs are cancelled, the engine
-is closed and every shared-memory block is unlinked before exit.
+SIGTERM/SIGINT shut down gracefully: queued jobs are cancelled and the
+engine is closed, its workers drained, before exit.
 """
 
 from __future__ import annotations
@@ -178,8 +178,9 @@ def register(sub) -> None:
         "--queue-depth",
         type=int,
         default=64,
-        help="admission control: jobs queued or running beyond this are "
-        "rejected with HTTP 429 reason queue_full",
+        help="admission control: a job submitted while this many jobs "
+        "wait in the queue is rejected with HTTP 429 reason queue_full "
+        "(the running job has left the queue and does not count)",
     )
     serve.add_argument(
         "--session-inflight",

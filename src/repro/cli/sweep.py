@@ -25,6 +25,7 @@ from repro.simulation.campaign import (
 from repro.cli.common import (
     add_remote_flag,
     add_workers_flag,
+    check_remote_flags,
     check_workers,
     cli_error,
     model_manifest_entries,
@@ -37,6 +38,7 @@ from repro.cli.common import (
 def _remote_sweep(args: argparse.Namespace) -> int:
     """The ``--remote`` path: sweep the daemon's hosted models as jobs."""
     from repro.provenance import record_run
+    from repro.runtime.jobs import AdmissionError, JobClientError, JobFailedError
 
     with record_run("sweep", label="remote") as manifest:
         manifest.inputs.update(
@@ -50,7 +52,13 @@ def _remote_sweep(args: argparse.Namespace) -> int:
             sweep, totals, infos = sweep_jobs_remote(
                 args.remote, args.models, args.perforations
             )
-        except (ValueError, OSError) as error:
+        except (
+            ValueError,
+            OSError,
+            JobClientError,
+            AdmissionError,
+            JobFailedError,
+        ) as error:
             manifest.status = "error"
             manifest.error = f"{type(error).__name__}: {error}"
             return cli_error(str(error))
@@ -82,11 +90,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if error is not None:
         return cli_error(error)
     if args.remote is not None:
-        if args.workers != 1:
-            return cli_error(
-                "--remote submits jobs to the daemon's worker pool; "
-                "--workers configures a local service and has no effect"
-            )
+        error = check_remote_flags(args)
+        if error is not None:
+            return cli_error(error)
         return _remote_sweep(args)
     from repro.provenance import dataset_digest, record_run
 

@@ -16,6 +16,7 @@ from repro.simulation.campaign import (
 from repro.cli.common import (
     add_remote_flag,
     add_workers_flag,
+    check_remote_flags,
     check_workers,
     cli_error,
     model_manifest_entries,
@@ -72,6 +73,7 @@ def _averages_block(sweep, datasets, perforations) -> dict:
 def _remote_table3(args: argparse.Namespace) -> int:
     """The ``--remote`` path: the full benchmark as jobs against a daemon."""
     from repro.provenance import record_run
+    from repro.runtime.jobs import AdmissionError, JobClientError, JobFailedError
 
     with record_run("table3", label="remote") as manifest:
         manifest.inputs.update(
@@ -85,7 +87,13 @@ def _remote_table3(args: argparse.Namespace) -> int:
             sweep, totals, infos = sweep_jobs_remote(
                 args.remote, args.models, args.perforations
             )
-        except (ValueError, OSError) as error:
+        except (
+            ValueError,
+            OSError,
+            JobClientError,
+            AdmissionError,
+            JobFailedError,
+        ) as error:
             manifest.status = "error"
             manifest.error = f"{type(error).__name__}: {error}"
             return cli_error(str(error))
@@ -113,7 +121,7 @@ def cmd_table3(args: argparse.Namespace) -> int:
 
     All requested (model, dataset) combinations are trained (or loaded from
     cache) and swept through ONE multi-model job manager: every trained
-    network and both datasets are published once and all cells are served
+    network and both datasets are hosted once and all cells are served
     from the same worker pool — duplicate cells across jobs from the
     service-level result cache.
     """
@@ -121,11 +129,9 @@ def cmd_table3(args: argparse.Namespace) -> int:
     if error is not None:
         return cli_error(error)
     if args.remote is not None:
-        if args.workers != 1:
-            return cli_error(
-                "--remote submits jobs to the daemon's worker pool; "
-                "--workers configures a local service and has no effect"
-            )
+        error = check_remote_flags(args)
+        if error is not None:
+            return cli_error(error)
         return _remote_table3(args)
     from repro.provenance import dataset_digest, record_run
 

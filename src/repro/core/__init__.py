@@ -21,10 +21,6 @@ This package implements Section III of the paper:
 * :mod:`~repro.core.backends` — :class:`NumpyBackend`, the one compiler
   of the executor's kernels: per-block product kernels, fused into
   multi-plan kernels per layer.
-* :mod:`~repro.core.shared_store` — :class:`SharedArrayStore`, the generic
-  one-producer / many-consumer shared-memory channel (POSIX shm with a
-  memmap fallback) behind the multi-process sweep's zero-copy publication
-  of trained parameters and evaluation datasets.
 """
 
 from repro.core.control_variate import (
@@ -54,7 +50,6 @@ from repro.core.product_kernels import (
     ProductKernel,
     exact_int_matmul,
 )
-from repro.core.shared_store import SharedArrayStore
 from repro.core.backends import NumpyBackend
 
 __all__ = [
@@ -77,6 +72,5 @@ __all__ = [
     "LUTKernel",
     "CallbackKernel",
     "exact_int_matmul",
-    "SharedArrayStore",
     "NumpyBackend",
 ]

@@ -446,8 +446,8 @@ def run_campaign(
         A started (or startable) multi-model
         :class:`~repro.runtime.service.EvaluationService` hosting
         ``trained`` — the way several sequential campaigns (``repro dse
-        --models ...``) reuse one worker pool and one publish of models
-        and datasets.  The caller owns the service's lifecycle;
+        --models ...``) reuse one worker pool and its calibrated
+        executors.  The caller owns the service's lifecycle;
         ``workers`` is ignored in its favor, and measurement knobs that
         conflict with the service's setup raise :class:`ValueError`.
     """
@@ -539,7 +539,7 @@ def run_campaign(
     finally:
         # A KeyboardInterrupt (or any failure) lands here with every scored
         # plan already ledgered — ledger writes are eager and atomic — so
-        # the only cleanup owed is the service's workers and shared blocks.
+        # the only cleanup owed is the service's workers.
         if owned_service is not None:
             owned_service.close()
 

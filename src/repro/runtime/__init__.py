@@ -5,8 +5,6 @@ operation behind all of the repo's headline artifacts (the Table III
 accuracy sweeps, the Fig. 5 DSE comparison).  This package is the single
 execution path that serves them:
 
-* :mod:`~repro.runtime.publishing` — publish-once shared-memory channel
-  for trained models and datasets (workers attach read-only views);
 * :mod:`~repro.runtime.scheduling` — prefix-aware ordering of
   ``(model, plan)`` cells (plus the chunking helpers no path uses any
   more, kept for their tests and perfbench's hooks);
@@ -18,8 +16,9 @@ execution path that serves them:
   evaluation on a contiguous share of the images (shared by the pool and
   the in-process serial path);
 * :mod:`~repro.runtime.service` — :class:`EvaluationService`: persistent
-  worker pool, the whole schedule to every worker on its own image range,
-  graceful shutdown.
+  worker pool (forked workers inherit the hosted models and datasets),
+  the whole schedule to every worker on its own image range, graceful
+  shutdown.
 
 :func:`repro.simulation.campaign.plan_sweep` (and the Table III
 :func:`~repro.simulation.campaign.accuracy_sweep` built on it), the DSE
@@ -31,12 +30,6 @@ caches share.  See
 guarantees.
 """
 
-from repro.runtime.publishing import (
-    SharedDatasets,
-    SharedTrainedModels,
-    publish_datasets,
-    publish_trained_models,
-)
 from repro.runtime.scheduling import (
     contiguous_chunks,
     cost_balanced_chunks,
@@ -54,10 +47,6 @@ from repro.runtime.sizing import (
 __all__ = [
     "EvaluationBatch",
     "EvaluationService",
-    "SharedDatasets",
-    "SharedTrainedModels",
-    "publish_datasets",
-    "publish_trained_models",
     "contiguous_chunks",
     "cost_balanced_chunks",
     "model_mac_names",

@@ -5,8 +5,8 @@ The runtime stack is three explicit layers::
     layer 3  transport   repro serve (HTTP daemon)  /  in-process clients
     layer 2  jobs        JobManager: queue + admission control, sessions,
                          service-level result cache, provenance
-    layer 1  engine      EvaluationService: publish-once shared memory,
-                         prefix-aware scheduling, worker pool
+    layer 1  engine      EvaluationService: prefix-aware scheduling,
+                         worker pool
 
 This package is layer 2: everything *multi-client* about evaluation —
 admission-controlled FIFO job queueing, per-client sessions (ledger

@@ -45,12 +45,16 @@ RETRY_MAX_BACKOFF_S = 2.0
 
 
 class JobFailedError(RuntimeError):
-    """A polled job reached ``failed`` (or ``cancelled``) instead of ``done``."""
+    """A polled job reached ``failed`` (or ``cancelled``) instead of ``done``.
+
+    The message is one line: the first line of the job's error (the
+    exception type and message).  ``view["error"]`` keeps the daemon's
+    full traceback.
+    """
 
     def __init__(self, view: dict):
-        super().__init__(
-            f"job {view.get('id')} {view.get('state')}: {view.get('error')}"
-        )
+        summary = (str(view.get("error")).splitlines() or [""])[0]
+        super().__init__(f"job {view.get('id')} {view.get('state')}: {summary}")
         self.view = view
 
 

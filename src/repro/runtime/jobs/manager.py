@@ -21,8 +21,7 @@ LocalJobClient` calls it in-process, the HTTP daemon
 one code path, two bindings.
 
 ``close()`` cancels queued jobs (they report ``cancelled``), waits the
-dispatcher out, and closes an *owned* engine — unlinking every shared
-block, so a daemon shutdown leaks nothing in ``/dev/shm``.
+dispatcher out, and closes an *owned* engine, draining its workers.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A long-lived daemon fronting one :class:`~repro.runtime.jobs.manager.
 JobManager`: clients POST (model-ref, plan-set) jobs and poll results,
 many concurrent campaigns multiplex one warm worker pool with hosted
-models already published, and the service-level result cache makes
+models already loaded, and the service-level result cache makes
 duplicate cells free across *all* of them.  Stdlib only
 (:class:`http.server.ThreadingHTTPServer` + ``json``): no new
 dependencies.
@@ -11,7 +11,7 @@ dependencies.
 API (all JSON)::
 
     GET  /healthz        {"status": "ok", "models": N, "uptime_s": ...}
-    GET  /stats          the repro-runtime-stats/v1.4 payload
+    GET  /stats          the STATS_SCHEMA payload (repro.runtime.stats)
     GET  /models         {"models": [{index, name, dataset,
                                       mac_layer_names, context_key}, ...]}
     POST /jobs           {"model": name [, "dataset": name] | "model_index": i,

@@ -4,9 +4,10 @@ Every sweep and DSE campaign in this repo reduces to the same operation —
 score many per-layer approximation plans against trained models.  The
 service is the one execution path behind all of them:
 
-* **publish once** — trained-model parameters and datasets are written
-  once into shared blocks (:mod:`repro.runtime.publishing`); workers
-  attach read-only views, so N workers hold one copy of the bytes;
+* **inherited, not copied** — pool workers are forked wherever ``fork``
+  exists, so they inherit the hosted models and datasets copy-on-write
+  and N workers read one copy of the bytes (a host without ``fork``
+  pickles them to each worker once, with the same results);
 * **persistent workers** — one process pool outlives every submitted
   batch: executors stay calibrated, kernels stay compiled, and successive
   DSE generations or sweep batches pay zero per-batch setup;
@@ -37,9 +38,8 @@ Lifecycle::
         accuracies = batch.results()                          # input order
 
 ``close()`` (or leaving the ``with`` block, normally *or* via an exception
-such as :class:`KeyboardInterrupt`) drains the workers, cancels queued
-tasks, and unlinks every shared block — no leaked ``/dev/shm`` segments,
-even when a worker failed mid-batch.
+such as :class:`KeyboardInterrupt`) drains the workers and cancels queued
+tasks, even when a worker failed mid-batch.
 
 ``max_workers=1`` degenerates to a fully in-process serial path with no
 multiprocessing overhead (the same worker code runs against a service-
@@ -55,12 +55,6 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.datasets.synthetic import Dataset
-from repro.runtime.publishing import (
-    SharedDatasets,
-    SharedTrainedModels,
-    publish_datasets,
-    publish_trained_models,
-)
 # contiguous_chunks, cost_balanced_chunks, plan_group_slices and
 # shared_prefix_depths are unused here but stay importable: perfbench's
 # span hooks resolve them by this module's path.
@@ -165,8 +159,8 @@ class EvaluationService:
     trained_models:
         The models the session hosts; cells reference them by index (see
         :meth:`model_index`).  A multi-model session (e.g. all six
-        reference networks x both datasets) publishes everything once and
-        serves every sweep and campaign from the same pool.
+        reference networks x both datasets) serves every sweep and
+        campaign from the same pool.
     datasets:
         ``{name: Dataset}`` covering every ``TrainedModel.dataset_name``
         (calibration reads the train split's head, evaluation the test
@@ -190,8 +184,9 @@ class EvaluationService:
         As in :func:`repro.simulation.campaign.plan_sweep` — they select
         the measurement setup every worker reproduces.
 
-    Models and datasets are published to shared blocks exactly when a
-    pool runs; the serial path hands them to its worker state directly.
+    The serial path hands the models and datasets to its worker state
+    directly; pool workers receive the same objects through the pool
+    initializer (:meth:`start`).
     """
 
     def __init__(
@@ -212,7 +207,7 @@ class EvaluationService:
             {t.dataset_name for t in self.models} - set(self.datasets)
         )
         if missing:
-            raise ValueError(f"no dataset published for: {missing}")
+            raise ValueError(f"no dataset hosted for: {missing}")
         if max_workers is None:
             # Affinity/load-aware, not os.cpu_count(): a cgroup-limited
             # container reports the machine's cores, not the schedulable ones.
@@ -242,8 +237,6 @@ class EvaluationService:
         self._context_lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
         self._serial_state: dict | None = None
-        self._model_store: SharedTrainedModels | None = None
-        self._dataset_store: SharedDatasets | None = None
         self._started = False
         self._closed = False
         self.cells_submitted = 0
@@ -266,7 +259,7 @@ class EvaluationService:
         return self._closed
 
     def start(self) -> "EvaluationService":
-        """Publish models/datasets and spawn the worker pool (idempotent)."""
+        """Build the in-process worker state or the worker pool (idempotent)."""
         if self._closed:
             raise RuntimeError("EvaluationService is closed")
         if self._started:
@@ -275,25 +268,17 @@ class EvaluationService:
         if self.serial:
             self._serial_state = {}
             init_worker_state(self._serial_state, self.models, self.datasets, *setup)
-            self._started = True
-            return self
-        try:
-            # Publish inside the try: if the second publish (or the pool
-            # spawn) fails, close() still unlinks the first block.
-            self._model_store = publish_trained_models(self.models)
-            self._dataset_store = publish_datasets(self.datasets)
+        else:
+            # Forked workers inherit the models and datasets copy-on-write,
+            # never pickled; without fork they are pickled to each worker.
             methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context("fork" if "fork" in methods else None)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 mp_context=context,
                 initializer=_init_pool_worker,
-                initargs=(self.max_workers, self._model_store, self._dataset_store, *setup),
+                initargs=(self.max_workers, self.models, self.datasets, *setup),
             )
-        except BaseException:
-            self._started = True  # let close() tear down the partial state
-            self.close()
-            raise
         self._started = True
         return self
 
@@ -304,12 +289,12 @@ class EvaluationService:
         self.close()
 
     def close(self) -> None:
-        """Drain workers, cancel queued tasks, unlink shared blocks.
+        """Drain workers, cancel queued tasks, drop the in-process state.
 
         Idempotent, and safe to call at any point of the lifecycle —
         including from an exception path such as :class:`KeyboardInterrupt`
-        or after a worker failure: running tasks are waited out, queued
-        tasks are cancelled, and every published block is released.
+        or after a worker failure: running tasks are waited out and queued
+        tasks are cancelled.
         """
         if self._closed:
             return
@@ -321,11 +306,6 @@ class EvaluationService:
             # Drop the in-process executors and their buffers.
             self._serial_state.clear()
             self._serial_state = None
-        stores = (self._model_store, self._dataset_store)
-        self._model_store = self._dataset_store = None
-        for store in stores:
-            if store is not None:
-                store.unlink()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -396,29 +376,13 @@ class EvaluationService:
         self.start()
         return executor_for(self._serial_state, int(model_index))
 
-    def shared_store_handles(self) -> list[tuple[str, str]]:
-        """``(kind, name)`` of every published block (for leak diagnostics)."""
-        return [
-            (store.store.kind, store.store.name)
-            for store in (self._model_store, self._dataset_store)
-            if store is not None
-        ]
-
-    def nbytes_shared(self) -> int:
-        """Total bytes placed in shared blocks (0 on the serial path)."""
-        return sum(
-            store.nbytes_shared()
-            for store in (self._model_store, self._dataset_store)
-            if store is not None
-        )
-
     def session_context(self) -> dict:
         """The measurement setup of this session, for run manifests.
 
         Everything that selects *what* the service measures (hosted models
         and datasets, eval caps, calibration size, batch size — the knobs
-        hashed into DSE ledger context keys) plus how it executes (workers,
-        shared bytes).  JSON-able by construction.
+        hashed into DSE ledger context keys) plus how it executes (the
+        worker count).  JSON-able by construction.
         """
         return {
             "workers": self.max_workers,
@@ -431,7 +395,6 @@ class EvaluationService:
             "max_eval_images": self.max_eval_images,
             "calibration_images": self.calibration_images,
             "batch_size": EVAL_BATCH_SIZE,
-            "nbytes_shared": self.nbytes_shared(),
         }
 
     def _absorb_worker_counters(self, counters: dict[str, int]) -> None:
@@ -442,13 +405,14 @@ class EvaluationService:
                     self._worker_counters[key] += int(value)
 
     def stats(self) -> dict:
-        """Counters of the session so far (``repro-runtime-stats/v1.4`` schema).
+        """Counters of the session so far, tagged with ``STATS_SCHEMA``.
 
-        The payload nests everything engine-level under ``"engine"``, with
-        ``requested_workers`` (what the caller asked for) next to the
-        effective ``workers`` — the schema the jobs layer extends with its
-        ``jobs``/``cache``/``sessions`` sections — plus the fused
-        multi-plan launch counters ``fused_launches``,
+        The payload (schema :data:`~repro.runtime.stats.STATS_SCHEMA`, keys
+        listed in :mod:`repro.runtime.stats`) nests everything engine-level
+        under ``"engine"``, with ``requested_workers`` (what the caller
+        asked for) next to the effective ``workers`` — the schema the jobs
+        layer extends with its ``jobs``/``cache``/``sessions`` sections —
+        plus the fused multi-plan launch counters ``fused_launches``,
         ``fused_plans_total`` and ``plans_per_launch_avg`` (``None`` until
         the first fused launch), aggregated across every worker.
         """
@@ -461,7 +425,6 @@ class EvaluationService:
             "datasets": len(self.datasets),
             "batches_submitted": self.batches_submitted,
             "cells_submitted": self.cells_submitted,
-            "nbytes_shared": self.nbytes_shared(),
         }
         with self._counters_lock:
             counters = dict(self._worker_counters)

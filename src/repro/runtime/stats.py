@@ -1,45 +1,48 @@
 """One stats schema for the whole runtime stack.
 
-Before the jobs layer, every call site shaped its counters ad hoc —
-``EvaluationService.stats()`` returned one flat dict, DSE campaign stats
-another, and ``repro info`` a third.  This module pins the shared shape:
+:func:`runtime_stats` pins the one shape every emitter reports —
+``EvaluationService.stats()``, ``JobManager.stats()`` (and so the
+daemon's ``GET /stats``) and the sweep helpers:
 
 .. code-block:: json
 
     {
-      "schema": "repro-runtime-stats/v1.4",
+      "schema":   "repro-runtime-stats/v1.5",
       "engine":   { "requested_workers": ..., "workers": ..., ... },
       "jobs":     { "submitted": ..., "depth": ..., "rejected": ..., ... },
-      "cache":    { "entries": ..., "hits": ..., "misses": ..., "evictions": ..., ... },
+      "cache":    { "entries": ..., "hits": ..., "misses": ..., ... },
       "sessions": { "<session id>": { ... }, ... }
     }
 
 ``engine`` is always present; the jobs-layer sections appear exactly when
 the emitting object has that layer (a bare
 :class:`~repro.runtime.service.EvaluationService` reports only
-``engine``).  ``requested_workers`` vs ``workers`` is the one contract
-every emitter follows: the former is what the caller asked for (``None``
-for auto-sizing), the latter the effective pool size actually running.
+``engine``).
 
-v1.1 extended ``engine`` with the fused multi-plan launch counters
-(``fused_launches``, ``fused_plans_total``, ``plans_per_launch_avg``).
-v1.2 drops from ``engine`` the two multi-plan fusion settings and the
-executor's cross-call cache hit/miss counters; every remaining key keeps
-its meaning, so a v1.1 consumer only loses those fields.
-v1.3 drops from ``jobs`` the per-band queue depths, the band-bypass
-bound and counter, and the two job-expiry counters (the queue is one
-FIFO and jobs carry no expiry); again every remaining key keeps its
-meaning.
-v1.4 drops from ``engine`` the ``chunks_per_worker`` setting and the two
-``cost_model_*`` counters (pool batches run one chunk per worker and the
-cost model is no longer refined online); every remaining key keeps its
-meaning.
+* ``engine`` — ``requested_workers`` (what the caller asked for, before
+  the entry point's clamp) and ``workers`` (the effective pool size; 1
+  runs in process); ``models``, ``datasets``,
+  ``batches_submitted``, ``cells_submitted``; the fused multi-plan launch
+  counters summed over every worker, ``fused_launches``,
+  ``fused_plans_total`` and ``plans_per_launch_avg`` (``None`` until the
+  first launch); on the in-process path also ``executor_builds`` and
+  ``cells_evaluated``.
+* ``jobs`` — ``submitted``, ``completed``, ``failed``, ``cancelled``,
+  ``rejected``, ``by_state`` (job count per state), and the queue's
+  ``depth``, ``max_depth`` and ``max_inflight_per_session``.
+* ``cache`` — ``entries``, ``max_entries``, ``hits``, ``misses``,
+  ``evictions``, ``hit_ratio``, ``loaded`` (entries read from the
+  persisted cache at start) and ``persist_path``.
+* ``sessions`` — per session id: ``jobs_submitted``, ``jobs_completed``,
+  ``cells_submitted``, ``cache_hits``, ``inflight`` and ``ledger_dir``.
+
+The version moves whenever a key is dropped or changes meaning.
 """
 
 from __future__ import annotations
 
 #: Version tag embedded in every stats payload.
-STATS_SCHEMA = "repro-runtime-stats/v1.4"
+STATS_SCHEMA = "repro-runtime-stats/v1.5"
 
 
 def runtime_stats(

@@ -2,9 +2,8 @@
 
 One worker process hosts:
 
-* the attached trained models and datasets (read-only views into the
-  service's shared blocks in a pool worker — see
-  :mod:`repro.runtime.publishing`);
+* the service's trained models and datasets (a forked pool worker
+  inherits them copy-on-write);
 * one calibrated
   :class:`~repro.simulation.inference.ApproximateExecutor` per hosted
   model, built on the model's first segment and kept for the worker's
@@ -38,7 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.runtime.publishing import SharedDatasets, SharedTrainedModels
 from repro.runtime.sizing import join_pool
 from repro.simulation.inference import ApproximateExecutor, ExecutionPlan
 
@@ -58,15 +56,7 @@ def init_worker_state(
     max_eval_images: int | None,
     calibration_images: int,
 ) -> None:
-    """(Re)initialize one worker's state dict, attaching shared blocks."""
-    if isinstance(trained_models, SharedTrainedModels):
-        # Attach to the published parameter block: the models rebuilt here
-        # hold read-only views into shared memory, not private copies.
-        trained_models = trained_models.attach()
-    if isinstance(datasets, SharedDatasets):
-        # Same for the evaluation data — images dwarf the weights for small
-        # models, so this is where most of the per-worker RSS would go.
-        datasets = datasets.attach()
+    """(Re)initialize one worker's state dict."""
     state.clear()
     state.update(
         models=list(trained_models),

@@ -17,8 +17,7 @@
   deterministic.  Both sweeps execute through the unified evaluation
   runtime (:mod:`repro.runtime`): one
   :class:`~repro.runtime.service.EvaluationService` schedules cells
-  prefix-aware, in process or across persistent workers that attach to
-  models and datasets published once through shared memory.
+  prefix-aware, in process or across persistent worker processes.
 """
 
 from repro.simulation.inference import (
@@ -41,13 +40,9 @@ from repro.simulation.campaign import (
     TrainingSettings,
     AccuracyRecord,
     PlanAccuracyRecord,
-    SharedDatasets,
-    SharedTrainedModels,
     SweepResult,
     accuracy_sweep,
     plan_sweep,
-    publish_datasets,
-    publish_trained_models,
     settings_fingerprint,
     train_reference_model,
     experiment_dataset,
@@ -69,13 +64,9 @@ __all__ = [
     "TrainingSettings",
     "AccuracyRecord",
     "PlanAccuracyRecord",
-    "SharedDatasets",
-    "SharedTrainedModels",
     "SweepResult",
     "accuracy_sweep",
     "plan_sweep",
-    "publish_datasets",
-    "publish_trained_models",
     "settings_fingerprint",
     "train_reference_model",
     "experiment_dataset",

@@ -21,15 +21,13 @@ This module provides the machinery behind the Table III benchmark:
 Execution runtime
 -----------------
 Both sweeps run on the unified evaluation runtime (:mod:`repro.runtime`):
-one :class:`repro.runtime.service.EvaluationService`
-publishes the trained models and datasets once through shared memory
-(:mod:`repro.runtime.publishing` — re-exported here for backward
-compatibility) when it runs a pool, orders the submitted cells with the
-prefix-aware scheduler (:func:`repro.runtime.scheduling.schedule_cells`)
-and hands every worker the whole schedule on its own range of the
-images.  Workers never train — they attach to already-trained
-parameters.  The DSE engine's ``run_campaign(workers=N)`` rides the very
-same service.
+one :class:`repro.runtime.service.EvaluationService` orders the
+submitted cells with the prefix-aware scheduler
+(:func:`repro.runtime.scheduling.schedule_cells`) and, when it runs a
+pool, hands every worker the whole schedule on its own range of the
+images.  Workers never train — they inherit the already-trained models.
+The DSE engine's ``run_campaign(workers=N)`` rides the very same
+service.
 """
 
 from __future__ import annotations
@@ -50,15 +48,6 @@ from repro.nn.optimizers import SGD
 from repro.nn.serialization import load_params, save_params
 from repro.nn.training import Trainer, evaluate_accuracy
 
-# Backward-compatible re-exports: the publishing machinery historically
-# lived in this module and is part of its public API (``repro.simulation``
-# re-exports it in turn).
-from repro.runtime.publishing import (  # noqa: F401  (re-exported)
-    SharedDatasets,
-    SharedTrainedModels,
-    publish_datasets,
-    publish_trained_models,
-)
 from repro.runtime.sizing import resolve_worker_count
 from repro.simulation.inference import (
     AccurateProduct,
@@ -383,9 +372,6 @@ def plan_sweep(
         and to the cell count (:func:`repro.runtime.sizing.
         resolve_worker_count` — a 4-worker request on a 1-CPU box runs the
         in-process path at 1.0x serial instead of 4 contending processes).
-        A pool publishes the trained-model parameters and the evaluation
-        datasets once through shared memory, so workers attach read-only
-        views instead of receiving per-process copies.
     """
     # Imported here: repro.runtime imports this package's inference module.
     from repro.runtime.service import EvaluationService

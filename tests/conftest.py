@@ -8,6 +8,8 @@ pipeline on a real (if small) network.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,18 @@ def fresh_accuracies():
     calibration_images=128)``: the independent per-plan oracle (see
     :func:`_fresh_executor_accuracies`)."""
     return _fresh_executor_accuracies
+
+
+SHM_DIR = "/dev/shm"
+
+
+def _shm_entries() -> set[str]:
+    return set(os.listdir(SHM_DIR)) if os.path.isdir(SHM_DIR) else set()
+
+
+@pytest.fixture
+def shm_entries():
+    """``shm_entries()``: the names in ``/dev/shm`` (none on a host without
+    it), listed before and after a pool runs to show it created no
+    shared-memory segment."""
+    return _shm_entries

@@ -78,6 +78,31 @@ class TestCli:
             assert "--no-prefix-reuse" in capsys.readouterr().err
 
 
+def _recorded_requests(monkeypatch) -> list[tuple[str, str]]:
+    """``(method, path)`` of every request an ``HttpJobClient`` sends from
+    now on (the requests still go out)."""
+    from repro.runtime.jobs.client import HttpJobClient
+
+    requests = []
+    request_once = HttpJobClient._request_once
+
+    def recording_request_once(client, method, path, payload):
+        requests.append((method, path))
+        return request_once(client, method, path, payload)
+
+    monkeypatch.setattr(HttpJobClient, "_request_once", recording_request_once)
+    return requests
+
+
+def _unreachable_url() -> str:
+    """The URL of a free local port: nothing listens on it."""
+    import socket
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{probe.getsockname()[1]}"
+
+
 class TestCliErrorPaths:
     """Unknown strategy names and bad flag values exit non-zero with a
     clear message."""
@@ -99,6 +124,99 @@ class TestCliErrorPaths:
         assert "must be positive" in capsys.readouterr().err
         assert main(["dse", "--subsample-eval", "0"]) == 2
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["sweep", "table3"])
+    def test_remote_errors_are_one_line_exit_2(
+        self, verb, capsys, monkeypatch, tmp_path
+    ):
+        """``--max-eval-images`` next to ``--remote`` is rejected before any
+        request is sent, and an unreachable daemon is a one-line error
+        with exit 2, not a job-client traceback."""
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
+        requests = _recorded_requests(monkeypatch)
+        url = _unreachable_url()
+
+        assert main([verb, "--remote", url, "--max-eval-images", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "incompatible flags: --max-eval-images" in err
+        assert requests == []
+
+        assert main([verb, "--remote", url]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"cannot reach {url}" in err
+        assert requests  # the daemon was tried
+
+    def test_dse_remote_names_every_local_flag_before_any_request(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """``repro dse --remote`` rejects the shared local-evaluation flags
+        and its own in one message, before any request is sent."""
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
+        requests = _recorded_requests(monkeypatch)
+        argv = ["dse", "--remote", _unreachable_url(), "--workers", "2"]
+        argv += ["--max-eval-images", "8", "--calibration-images", "64"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.rstrip().endswith(
+            "incompatible flags: --workers, --max-eval-images, --calibration-images"
+        )
+        assert requests == []
+
+    @pytest.mark.parametrize("failure", ["queue_full", "job_failed"])
+    @pytest.mark.parametrize("verb", ["sweep", "table3"])
+    def test_remote_rejected_or_failed_job_is_one_line_exit_2(
+        self, verb, failure, capsys, monkeypatch, tmp_path,
+        trained_tiny_model, tiny_dataset,
+    ):
+        """A daemon that refuses a sweep job (HTTP 429) or fails one makes
+        the verb print a one-line error and exit 2, not a traceback."""
+        import dataclasses
+        import threading
+
+        from repro.runtime.jobs import JobManager
+        from repro.runtime.server import JobServer
+        from repro.simulation.campaign import TrainedModel
+
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
+        # One network hosted for two datasets: the sweep submits two jobs.
+        second = dataclasses.replace(tiny_dataset, name=f"{tiny_dataset.name}-b")
+        datasets = {dataset.name: dataset for dataset in (tiny_dataset, second)}
+        models = [
+            TrainedModel(
+                name="vgg13",
+                dataset_name=name,
+                model=trained_tiny_model,
+                float_accuracy=0.0,
+            )
+            for name in datasets
+        ]
+        if failure == "queue_full":
+            # No dispatcher: the first job stays queued, the second is refused.
+            manager = JobManager(models, datasets, max_queue_depth=1, auto_start=False)
+            expected = "job queue is full (1 jobs queued)"
+        else:
+            manager = JobManager(models, datasets)
+
+            def failing_evaluate_plans(model_index, plans):
+                raise RuntimeError("forced evaluation failure")
+
+            monkeypatch.setattr(manager.service, "evaluate_plans", failing_evaluate_plans)
+            expected = "failed: RuntimeError: forced evaluation failure"
+        server = JobServer(manager)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            argv = [verb, "--remote", server.url, "--models", "vgg13"]
+            status = main(argv + ["--perforations", "1"])
+        finally:
+            server.shutdown_and_close()
+            thread.join(timeout=10)
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert expected in err
 
     @pytest.mark.parametrize("command", ["sweep", "table3", "dse"])
     def test_invalid_workers_rejected_uniformly(self, command, capsys):

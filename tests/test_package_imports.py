@@ -4,11 +4,15 @@ An import cycle only shows when the cycle's entry module is imported
 first: in one pytest process the modules are already loaded by whatever
 test ran before.  So each package gets its own ``python -c``.  A star
 import of every package also resolves each name of its ``__all__``, so a
-name deleted from the package but left in that list fails here.
+name deleted from the package but left in that list fails here.  The
+retired shared-memory publishing modules stay gone, and no package
+exports a name of theirs.
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -16,6 +20,26 @@ import sys
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+STAR_PACKAGES = (
+    "repro",
+    "repro.accelerator",
+    "repro.analysis",
+    "repro.baselines",
+    "repro.cli",
+    "repro.core",
+    "repro.datasets",
+    "repro.dse",
+    "repro.hardware",
+    "repro.models",
+    "repro.multipliers",
+    "repro.nn",
+    "repro.provenance",
+    "repro.quantization",
+    "repro.runtime",
+    "repro.runtime.jobs",
+    "repro.simulation",
+)
 
 STATEMENTS = [
     f"import {package}"
@@ -32,28 +56,18 @@ STATEMENTS = [
 ] + [
     # The first line of code in src/repro/runtime/README.md.
     "from repro.runtime import EvaluationService",
-] + [
-    f"from {package} import *"
-    for package in (
-        "repro",
-        "repro.accelerator",
-        "repro.analysis",
-        "repro.baselines",
-        "repro.cli",
-        "repro.core",
-        "repro.datasets",
-        "repro.dse",
-        "repro.hardware",
-        "repro.models",
-        "repro.multipliers",
-        "repro.nn",
-        "repro.provenance",
-        "repro.quantization",
-        "repro.runtime",
-        "repro.runtime.jobs",
-        "repro.simulation",
-    )
-]
+] + [f"from {package} import *" for package in STAR_PACKAGES]
+
+#: Shared-memory publishing, retired: pool workers inherit the hosted
+#: models and datasets, so no module or exported name of it remains.
+RETIRED_MODULES = ("repro.core.shared_store", "repro.runtime.publishing")
+RETIRED_NAMES = {
+    "SharedArrayStore",
+    "SharedDatasets",
+    "SharedTrainedModels",
+    "publish_datasets",
+    "publish_trained_models",
+}
 
 
 @pytest.mark.parametrize("statement", STATEMENTS)
@@ -66,3 +80,12 @@ def test_package_imports_first(statement):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_shared_memory_publishing_is_gone():
+    for module in RETIRED_MODULES:
+        assert importlib.util.find_spec(module) is None, module
+    for package in STAR_PACKAGES + ("repro.simulation.campaign",):
+        imported = importlib.import_module(package)
+        exported = set(vars(imported)) | set(getattr(imported, "__all__", ()))
+        assert not exported & RETIRED_NAMES, package

@@ -11,13 +11,16 @@ The acceptance criteria of the job-oriented re-architecture live here:
   plan sets get bit-identical results, the overlap served from cache, with
   hit/miss/eviction counters in ``stats()``;
 * **admission control** — a bounded queue rejects with reason
-  ``queue_full``, the per-session in-flight cap with ``session_busy``, and
-  rejections never corrupt counters;
+  ``queue_full`` (the bound counts waiting jobs, not the running one), the
+  per-session in-flight cap with ``session_busy``, and rejections never
+  corrupt counters;
 * **sessions** — one session per id, and per-session ledgers land in
   disjoint namespaces;
 * **graceful close** — ``close()`` with jobs still queued cancels them
-  (state ``cancelled``), drains the dispatcher, and unlinks every
-  shared-memory block: no leaked ``/dev/shm`` segments;
+  (state ``cancelled``) and drains the dispatcher, and a 2-worker engine
+  leaves ``/dev/shm`` as it found it;
+* **one stats schema** — the :mod:`repro.runtime.stats` docstring names
+  exactly the keys each section reports;
 * **wire codec** — plans round-trip through JSON with identical
   fingerprints (perforation, control-variate flag, LUT bytes), so
   content-addressed cell keys survive transport, and a perforated payload
@@ -28,9 +31,8 @@ The acceptance criteria of the job-oriented re-architecture live here:
 from __future__ import annotations
 
 import json
-import os
+import re
 import threading
-from multiprocessing import shared_memory
 from types import SimpleNamespace
 
 import numpy as np
@@ -355,6 +357,20 @@ class TestAdmissionControl:
         queue.release(session)  # over-release clamps at zero
         assert session.inflight == 0
 
+    def test_a_running_job_does_not_count_against_the_depth(self):
+        """``max_depth`` (``repro serve --queue-depth``) bounds the jobs that
+        wait in the queue: a popped, running job has left it, so its slot
+        admits the next job."""
+        queue = JobQueue(max_depth=1)
+        session = SessionRegistry().get_or_create()
+        queue.push("first", session)
+        with pytest.raises(AdmissionError) as full:
+            queue.push("second", session)
+        assert full.value.reason == "queue_full"
+        assert queue.pop(0.1) == "first"  # the dispatcher runs it
+        queue.push("second", session)
+        assert queue.depth == 1
+
     def test_queue_rejects_after_close(self):
         queue = JobQueue(max_depth=4)
         queue.close()
@@ -461,9 +477,10 @@ class TestCachePersistence:
 
 
 class TestGracefulClose:
-    def test_close_cancels_queued_jobs_and_unlinks_stores(
-        self, trained, tiny_dataset
+    def test_close_cancels_queued_jobs_and_leaves_no_shm(
+        self, trained, tiny_dataset, shm_entries
     ):
+        before = shm_entries()
         manager = JobManager(
             [trained],
             {tiny_dataset.name: tiny_dataset},
@@ -471,23 +488,15 @@ class TestGracefulClose:
             auto_start=False,
         )
         plan = [ExecutionPlan.uniform(AccurateProduct())]
-        # One direct evaluation starts the pool, which publishes (the store
-        # handles exist only once the engine has published), then jobs
-        # pile up unserved because the dispatcher never started.
+        # One direct evaluation starts the pool's workers, then jobs pile
+        # up unserved because the dispatcher never started.
         manager.service.evaluate_plans(0, plan)
         queued = [manager.submit(0, plan, session=f"s{i}") for i in range(3)]
-        handles = manager.service.shared_store_handles()
-        assert handles, "service published no shared blocks"
         manager.close()
         for job in queued:
             assert job.state is JobState.CANCELLED
             assert manager.job(job.id).view()["state"] == "cancelled"
-        for kind, name in handles:
-            if kind == "shm":
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name)
-            else:
-                assert not os.path.exists(name)
+        assert shm_entries() == before
         stats = manager.stats()
         assert stats["jobs"]["cancelled"] == 3
 
@@ -502,11 +511,30 @@ class TestGracefulClose:
 class TestStatsSchema:
     def test_manager_stats_schema(self, manager):
         stats = manager.stats()
-        assert stats["schema"] == "repro-runtime-stats/v1.4"
+        assert stats["schema"] == "repro-runtime-stats/v1.5"
         assert {"requested_workers", "workers"} <= set(stats["engine"])
         assert {"submitted", "completed", "rejected", "depth"} <= set(stats["jobs"])
         assert {"hits", "misses", "evictions", "hit_ratio"} <= set(stats["cache"])
         assert isinstance(stats["sessions"], dict)
+
+    @pytest.mark.parametrize("section", ["engine", "jobs", "cache", "sessions"])
+    def test_stats_docstring_names_every_emitted_key(self, manager, trained, section):
+        """The :mod:`repro.runtime.stats` docstring lists exactly the keys
+        each section reports (the in-process engine's included)."""
+        import repro.runtime.stats
+
+        documented = {}
+        for bullet in repro.runtime.stats.__doc__.split("\n* ")[1:]:
+            names = re.findall(r"``(\w+)``", bullet)
+            documented[names[0]] = set(names[1:]) - {"None"}
+        with LocalJobClient(manager, own_manager=False) as client:
+            job_id = client.submit_job(0, _plans(trained, count=2, seed=5))
+            client.wait(job_id, timeout=120)
+        stats = manager.stats()
+        emitted = stats[section]
+        if section == "sessions":
+            (emitted,) = emitted.values()
+        assert set(emitted) == documented[section]
 
     def test_session_ledger_records_job_cells(self, trained, tiny_dataset, tmp_path):
         manager = JobManager(

@@ -11,9 +11,12 @@ The acceptance criteria of the subsystem live here:
 * **one context key** — the job layer, the in-process evaluator and an
   evaluator on a pool report the key of the arrays the workers score;
 * **graceful shutdown** — a forced worker failure, a SIGKILLed worker
-  (and a ``KeyboardInterrupt`` on the serial path) still drains the
-  workers and unlinks every shared-memory block: no leaked ``/dev/shm``
-  segments;
+  and a ``KeyboardInterrupt`` mid-sweep still drain the workers; a pool
+  creates no ``/dev/shm`` segment from ``start()`` through ``close()``
+  (its forked workers inherit the models and datasets);
+* **hosted objects reach the workers** — forked workers score bit-exact
+  with the models and datasets made unpicklable, and a host without fork
+  pickles them to spawned workers with the same results;
 * **image shares** — every pool worker takes the whole batch on its own
   contiguous range of the images, bit-exact with serial also when the
   images do not divide among the workers or are fewer than them;
@@ -31,15 +34,17 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 import signal
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.shared_store import SharedArrayStore
+from repro.datasets.synthetic import Dataset
 from repro.dse import (
     CampaignLedger,
     PlanEvaluator,
@@ -51,7 +56,6 @@ from repro.runtime import (
     EvaluationService,
     contiguous_chunks,
     resolve_worker_count,
-    schedule_cells,
     sizing,
 )
 from repro.runtime.jobs import JobManager
@@ -143,17 +147,6 @@ def _random_plans(trained, count: int, seed: int) -> list[ExecutionPlan]:
                 plan = plan.with_layer(name, choice)
         plans.append(plan)
     return plans
-
-
-def _assert_no_leaked_stores(handles: list[tuple[str, str]]) -> None:
-    """Every published block must be gone after close()."""
-    assert handles, "service published no shared blocks"
-    for kind, name in handles:
-        if kind == "shm":
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        else:
-            assert not os.path.exists(name)
 
 
 class TestServiceParity:
@@ -354,7 +347,7 @@ class TestServiceParity:
             stats["engine"]["plans_per_launch_avg"]
             == serial_stats["engine"]["plans_per_launch_avg"]
         )
-        assert stats["schema"] == "repro-runtime-stats/v1.4"
+        assert stats["schema"] == "repro-runtime-stats/v1.5"
 
     def test_fewer_images_than_workers_skips_the_empty_shares(
         self, trained, tiny_dataset, fresh_accuracies
@@ -408,7 +401,12 @@ class TestServiceParity:
 
 
 class TestServiceLifecycle:
-    def test_close_is_idempotent_and_rejects_new_work(self, trained, tiny_dataset):
+    def test_close_is_idempotent_and_rejects_new_work(
+        self, trained, tiny_dataset, shm_entries
+    ):
+        """A 2-worker service creates no /dev/shm segment while its workers
+        run, leaves none behind, and a closed service rejects new work."""
+        before = shm_entries()
         service = EvaluationService(
             [trained],
             {tiny_dataset.name: tiny_dataset},
@@ -417,11 +415,11 @@ class TestServiceLifecycle:
             calibration_images=16,
         )
         service.start()
-        handles = service.shared_store_handles()
-        assert service.nbytes_shared() > 0
+        assert service.evaluate_plans(0, [ExecutionPlan.uniform(AccurateProduct())])
+        assert shm_entries() == before
         service.close()
         service.close()  # idempotent
-        _assert_no_leaked_stores(handles)
+        assert shm_entries() == before
         with pytest.raises(RuntimeError):
             service.submit([(0, ExecutionPlan.uniform(AccurateProduct()))])
         with pytest.raises(RuntimeError):
@@ -433,7 +431,7 @@ class TestServiceLifecycle:
             EvaluationService([trained], datasets, max_workers=0)
         with pytest.raises(ValueError, match="at least one trained model"):
             EvaluationService([], datasets)
-        with pytest.raises(ValueError, match="no dataset published"):
+        with pytest.raises(ValueError, match="no dataset hosted"):
             EvaluationService([trained], {})
         with EvaluationService(
             [trained], datasets, max_workers=1, max_eval_images=8
@@ -461,11 +459,11 @@ class TestServiceLifecycle:
             assert service.cells_submitted == 0
             assert len(service.evaluate_plans(0, [valid])) == 1
 
-    def test_forced_worker_failure_propagates_and_unlinks(
-        self, trained, tiny_dataset
+    def test_forced_worker_failure_propagates_and_leaves_no_shm(
+        self, trained, tiny_dataset, shm_entries
     ):
         """A worker dying mid-batch surfaces the error; close() still drains
-        the pool and unlinks every shared block (no /dev/shm leak)."""
+        the pool, and /dev/shm is left as it was."""
         poison = ExecutionPlan.uniform(AccurateProduct()).with_layer(
             trained.model.conv_dense_nodes()[0].name, ExplodingProduct()
         )
@@ -477,16 +475,15 @@ class TestServiceLifecycle:
             max_eval_images=8,
             calibration_images=16,
         )
+        before = shm_entries()
         try:
             service.start()
-            handles = service.shared_store_handles()
             with pytest.raises(RuntimeError, match="forced worker failure"):
                 service.evaluate_plans(0, [healthy, poison])
         finally:
             service.close()
-        _assert_no_leaked_stores(handles)
-        # The pool survives a clean close after the failure: a fresh service
-        # can publish into shared memory again (names never collided).
+        assert shm_entries() == before
+        # The failure leaves nothing behind: a fresh service evaluates.
         with EvaluationService(
             [trained],
             {tiny_dataset.name: tiny_dataset},
@@ -524,15 +521,15 @@ class TestServiceLifecycle:
                 batch.results()
             assert again.value is first.value  # cached, not a CancelledError
 
-    def test_sigkilled_worker_breaks_the_batch_and_close_unlinks(
-        self, trained, tiny_dataset, tmp_path
+    def test_sigkilled_worker_breaks_the_batch_and_close_returns(
+        self, trained, tiny_dataset, tmp_path, shm_entries
     ):
         """Failure injection: SIGKILL one pool worker mid-chunk.
 
         ``results()`` raises ``BrokenProcessPool`` promptly (long before the
         stalled chunk would have finished), a second ``results()`` re-raises
-        the same exception object, and ``close()`` returns and unlinks every
-        shared block.
+        the same exception object, and ``close()`` returns promptly and
+        leaves /dev/shm as it was.
         """
         pid_path = str(tmp_path / "stalled-worker.pid")
         stall = ExecutionPlan.uniform(AccurateProduct()).with_layer(
@@ -546,9 +543,9 @@ class TestServiceLifecycle:
             max_eval_images=8,
             calibration_images=16,
         )
+        before = shm_entries()
         try:
             service.start()
-            handles = service.shared_store_handles()
             batch = service.submit([(0, healthy), (0, stall)])
             deadline = time.monotonic() + 30.0
             while not os.path.exists(pid_path):
@@ -568,22 +565,25 @@ class TestServiceLifecycle:
             service.close()
             close_s = time.monotonic() - started
         assert close_s < 5.0
-        _assert_no_leaked_stores(handles)
+        assert shm_entries() == before
 
-    def test_keyboard_interrupt_in_sweep_unlinks_stores(
+    def test_keyboard_interrupt_in_sweep_closes_the_pool(
         self, trained, tiny_dataset, monkeypatch
     ):
         """KeyboardInterrupt mid-sweep (raised in a pool worker, re-raised
-        by the host) still tears the service down: every published block
-        is unlinked on the way out."""
-        unlinked: list[SharedArrayStore] = []
-        original = SharedArrayStore.unlink
+        by the host) still tears the service down: the sweep's service is
+        closed on the way out and none of its workers outlives it."""
+        closed: list[EvaluationService] = []
+        workers: list = []
+        original = EvaluationService.close
 
-        def tracking_unlink(self):
-            unlinked.append(self)
+        def tracking_close(self):
+            closed.append(self)
+            if self._pool is not None:  # close() joins and forgets them
+                workers.extend(self._pool._processes.values())
             return original(self)
 
-        monkeypatch.setattr(SharedArrayStore, "unlink", tracking_unlink)
+        monkeypatch.setattr(EvaluationService, "close", tracking_close)
         poison = ExecutionPlan.uniform(AccurateProduct()).with_layer(
             trained.model.conv_dense_nodes()[0].name, InterruptingProduct()
         )
@@ -599,14 +599,68 @@ class TestServiceLifecycle:
                 max_eval_images=8,
                 calibration_images=16,
             )
-        # Both blocks (models + datasets) released despite the interrupt.
-        assert len(unlinked) >= 2
-        for store in unlinked:
-            if store.kind == "shm":
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=store.name)
-            else:
-                assert not os.path.exists(store.name)
+        # The pool service was closed despite the interrupt, and every one
+        # of its workers has exited.
+        assert closed and all(service.closed for service in closed)
+        assert workers, "the sweep ran no pool"
+        assert not any(worker.is_alive() for worker in workers)
+
+
+def _refuse_pickling(self, protocol):
+    raise pickle.PicklingError(f"{type(self).__name__} was pickled")
+
+
+class TestHostedObjectsReachWorkers:
+    """Pool workers receive the service's own models and datasets through
+    the pool initializer: forked workers inherit them, and a host without
+    fork pickles them to each worker."""
+
+    def test_forked_workers_inherit_models_and_datasets_unpickled(
+        self, trained, tiny_dataset, monkeypatch, fresh_accuracies
+    ):
+        """With the model, its graph and the dataset made unpicklable, a
+        2-worker pool still scores bit-exact: none of them crosses a pipe."""
+        plans = _random_plans(trained, count=4, seed=17)
+        kwargs = dict(max_eval_images=24, calibration_images=32)
+        expected = fresh_accuracies(trained, tiny_dataset, plans, **kwargs)
+        for cls in (TrainedModel, type(trained.model), Dataset):
+            monkeypatch.setattr(cls, "__reduce_ex__", _refuse_pickling)
+        with pytest.raises(pickle.PicklingError):
+            pickle.dumps(tiny_dataset)
+        with EvaluationService(
+            [trained], {tiny_dataset.name: tiny_dataset}, max_workers=2, **kwargs
+        ) as service:
+            pooled = service.evaluate_plans(0, plans)
+            assert service._pool._mp_context.get_start_method() == "fork"
+        assert pooled == expected
+
+    def test_a_host_without_fork_pickles_them_with_the_same_results(
+        self, trained, tiny_dataset, monkeypatch, fresh_accuracies
+    ):
+        """Where fork is missing the pool starts with the platform default
+        (``spawn`` here): the initializer's models and datasets are pickled
+        to each worker, and the accuracies stay bit-exact."""
+        import multiprocessing
+
+        service_module = sys.modules[EvaluationService.__module__]
+        monkeypatch.setattr(
+            service_module,
+            "multiprocessing",
+            SimpleNamespace(
+                get_all_start_methods=lambda: ["spawn"],
+                get_context=lambda method=None: multiprocessing.get_context(
+                    method or "spawn"
+                ),
+            ),
+        )
+        plans = _random_plans(trained, count=4, seed=19)
+        kwargs = dict(max_eval_images=24, calibration_images=32)
+        with EvaluationService(
+            [trained], {tiny_dataset.name: tiny_dataset}, max_workers=2, **kwargs
+        ) as service:
+            pooled = service.evaluate_plans(0, plans)
+            assert service._pool._mp_context.get_start_method() == "spawn"
+        assert pooled == fresh_accuracies(trained, tiny_dataset, plans, **kwargs)
 
 
 class TestPoolWorkerBlasThreads:
@@ -811,22 +865,6 @@ class TestParallelCampaign:
 
 
 class TestScheduling:
-    def test_schedule_cells_groups_models_and_is_stable(self, trained):
-        plans = _random_plans(trained, count=5, seed=2)
-        mac_names = {
-            0: tuple(n.name for n in trained.model.conv_dense_nodes()),
-            1: tuple(n.name for n in trained.model.conv_dense_nodes()),
-        }
-        cells = [(index, plan) for plan in plans for index in (1, 0)]
-        order = schedule_cells(cells, mac_names)
-        assert sorted(order) == list(range(len(cells)))
-        models_in_order = [cells[i][0] for i in order]
-        assert models_in_order == sorted(models_in_order)
-        # Identical plans keep submission order within a model (stable sort).
-        duplicates = [(0, plans[0]), (0, plans[0])]
-        dup_order = schedule_cells(duplicates, mac_names)
-        assert dup_order == [0, 1]
-
     def test_contiguous_chunks_cover_schedule_in_order(self):
         schedule = list(range(17))
         for max_chunks in (1, 2, 3, 5, 17, 40):

@@ -95,7 +95,7 @@ class TestEndpoints:
 
     def test_stats_schema_over_the_wire(self, client):
         stats = client.stats()
-        assert stats["schema"] == "repro-runtime-stats/v1.4"
+        assert stats["schema"] == "repro-runtime-stats/v1.5"
         assert {"engine", "jobs", "cache", "sessions"} <= set(stats)
 
     def test_unknown_job_is_404(self, client):

@@ -309,9 +309,9 @@ class TestCampaign:
     def test_accuracy_sweep_never_retrains_cached_models(
         self, small_dataset, tmp_path, monkeypatch
     ):
-        """In-process and on a pool (which publishes through shared memory):
-        results and error stats identical to the serial sweep, and no worker
-        ever (re)trains a model."""
+        """In-process and on a pool (whose forked workers inherit the
+        models): results and error stats identical to the serial sweep, and
+        no worker ever (re)trains a model."""
         import repro.simulation.campaign as campaign
 
         cache = TrainedModelCache(cache_dir=str(tmp_path))
@@ -344,65 +344,13 @@ class TestCampaign:
         # executor — the worker builds it exactly once.
         from repro.runtime import worker
 
-        store = campaign.publish_trained_models([reloaded])
         state: dict = {}
-        try:
-            worker.init_worker_state(state, store, datasets, 16, 128)
-            specs = campaign._sweep_cell_specs([reloaded], (1, 2))
-            assert len(specs) > 1
-            for _, m, with_cv in specs:
-                worker.eval_cell_chunk(state, [(0, campaign._spec_plan(m, with_cv))])
-            assert state["executor_builds"] == 1
-        finally:
-            state.clear()
-            store.unlink()
-
-    def test_publish_trained_models_zero_copy_views(self, small_dataset, tmp_path):
-        """Attached models view one shared block read-only and predict
-        identically to the originals."""
-        from repro.simulation.campaign import publish_trained_models
-
-        cache = TrainedModelCache(cache_dir=str(tmp_path))
-        trained = cache.load_or_train("vgg13", small_dataset, TrainingSettings(epochs=1, seed=3))
-        store = publish_trained_models([trained])
-        try:
-            assert store.nbytes_shared() > 0
-            attached = store.attach()
-            assert len(attached) == 1
-            clone = attached[0]
-            assert clone.name == trained.name
-            assert clone.float_accuracy == trained.float_accuracy
-            x = small_dataset.test_images[:4]
-            np.testing.assert_array_equal(clone.model.forward(x), trained.model.forward(x))
-            # Parameters are read-only views into the block, not copies.
-            assert all(
-                not p.flags.writeable and not p.flags.owndata
-                for _, _, p in clone.model.parameters()
-            )
-            # attach() is idempotent per process.
-            assert store.attach() is attached
-        finally:
-            del attached, clone
-            store.unlink()
-
-    def test_publish_trained_models_memmap_fallback(self, small_dataset, tmp_path):
-        """Without POSIX shared memory the block degrades to a memmapped file."""
-        import os
-
-        from repro.simulation.campaign import publish_trained_models
-
-        cache = TrainedModelCache(cache_dir=str(tmp_path))
-        trained = cache.load_or_train("vgg13", small_dataset, TrainingSettings(epochs=1, seed=3))
-        store = publish_trained_models([trained], prefer_shared_memory=False)
-        try:
-            assert store.kind == "memmap" and os.path.exists(store.name)
-            clone = store.attach()[0]
-            x = small_dataset.test_images[:4]
-            np.testing.assert_array_equal(clone.model.forward(x), trained.model.forward(x))
-        finally:
-            del clone
-            store.unlink()
-        assert not os.path.exists(store.name)
+        worker.init_worker_state(state, [reloaded], datasets, 16, 128)
+        specs = campaign._sweep_cell_specs([reloaded], (1, 2))
+        assert len(specs) > 1
+        for _, m, with_cv in specs:
+            worker.eval_cell_chunk(state, [(0, campaign._spec_plan(m, with_cv))])
+        assert state["executor_builds"] == 1
 
     def test_plan_sweep_parity_across_execution_modes(self, small_dataset, tmp_path):
         """plan_sweep in-process and on a pool is bit-identical to sweeping
