@@ -62,8 +62,8 @@ dse-smoke:
 	  --seed 0 --cache-dir $(DSE_SMOKE_DIR) --ledger $(DSE_SMOKE_DIR)/ledger
 
 # HTTP job-daemon suite + end-to-end serve smoke.  The pytest leg runs the
-# endpoint-contract/served-parity/admission/client-retry tests plus the
-# serve-throughput bench (jobs/sec + cache-hit ratio merged into
+# endpoint-contract/wire-input/served-parity/queue-admission/client-retry
+# tests plus the serve-throughput bench (jobs/sec + cache-hit ratio merged into
 # results/BENCH_engine.json); the script leg boots the real `repro serve
 # --golden-workload --cache-persist` CLI on an ephemeral port, POSTs the
 # golden sweep over HTTP, verifies it byte-exactly against

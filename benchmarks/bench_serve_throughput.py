@@ -135,7 +135,6 @@ def run_serve_throughput(trained, dataset, clients=CLIENTS, jobs_per_client=JOBS
         {dataset.name: dataset},
         calibration_images=64,
         max_queue_depth=clients * jobs_per_client + 1,
-        max_inflight_per_session=jobs_per_client + 1,
     )
     server = JobServer(manager)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

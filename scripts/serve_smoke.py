@@ -108,13 +108,11 @@ def _shutdown(daemon: subprocess.Popen, tag: str, shm_before: set[str]) -> None:
         raise SmokeFailure(f"leaked shared-memory blocks: {sorted(leaked)}")
 
 
-def _served_accuracy_table(client, perforations, session: str):
+def _served_accuracy_table(client, perforations):
     """The golden ``accuracy_table.json`` payload, rebuilt from served jobs."""
     from repro.runtime.jobs import sweep_over_jobs
 
-    sweep, totals = sweep_over_jobs(
-        client, perforations=perforations, session=session
-    )
+    sweep, totals = sweep_over_jobs(client, perforations=perforations)
     (model_name, dataset_name), baseline = next(iter(sweep.baselines.items()))
     table = {
         "model": model_name,
@@ -174,7 +172,7 @@ def _cold_leg(env, persist_dir, golden, perforations, shm_before) -> None:
         print(f"serve-smoke: daemon healthy at {url}")
 
         # 1st sweep over HTTP: byte-exact against the committed golden.
-        table, totals = _served_accuracy_table(client, perforations, "smoke")
+        table, totals = _served_accuracy_table(client, perforations)
         _check_golden(table, golden, "served sweep")
         print(
             f"serve-smoke: served sweep matches the golden accuracy table "
@@ -182,7 +180,7 @@ def _cold_leg(env, persist_dir, golden, perforations, shm_before) -> None:
         )
 
         # 2nd identical sweep: every cell must come from the result cache.
-        table_again, totals_again = _served_accuracy_table(client, perforations, "smoke")
+        table_again, totals_again = _served_accuracy_table(client, perforations)
         _check_golden(table_again, golden, "cached resubmission")
         if totals_again["cache_hits"] != totals_again["cells"]:
             raise SmokeFailure(
@@ -221,7 +219,7 @@ def _warm_leg(env, persist_dir, golden, perforations, shm_before) -> None:
         loaded = client.stats()["cache"].get("loaded", 0)
         if loaded <= 0:
             raise SmokeFailure(f"restarted daemon loaded nothing from {persist_dir}")
-        table, totals = _served_accuracy_table(client, perforations, "warm")
+        table, totals = _served_accuracy_table(client, perforations)
         _check_golden(table, golden, "warm-restarted sweep")
         if totals["cache_misses"] != 0:
             raise SmokeFailure(

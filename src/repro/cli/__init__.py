@@ -27,8 +27,10 @@ regenerate the paper's headline artifacts without writing Python:
 
 ``--workers`` has identical semantics across ``sweep``, ``table3``,
 ``dse`` and ``serve`` — the worker-process count of the evaluation runtime
-(:mod:`repro.runtime`), 1 meaning in-process serial — and invalid values
-exit with status 2 and a clear message, like unknown strategy names.
+(:mod:`repro.runtime`), 1 meaning in-process serial.  It and every other
+count flag (``--queue-depth``, ``--max-eval-images``,
+``--calibration-images``) exit with status 2 and a clear message on a
+value below 1, before any model loads, like unknown strategy names.
 ``--remote URL`` likewise has identical semantics across ``sweep``,
 ``table3`` and ``dse``: submit evaluation jobs to the daemon at URL
 instead of evaluating in-process (bit-exact either way).

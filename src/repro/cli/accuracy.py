@@ -13,8 +13,13 @@ from repro.simulation.campaign import (
     experiment_dataset,
 )
 
+from repro.cli.common import check_counts, cli_error
+
 
 def cmd_accuracy(args: argparse.Namespace) -> int:
+    error = check_counts(args)
+    if error is not None:
+        return cli_error(error)
     dataset = experiment_dataset(num_classes=args.classes)
     cache = TrainedModelCache(cache_dir=args.cache_dir)
     settings = TrainingSettings(epochs=args.epochs)

@@ -2,10 +2,11 @@
 
 One module per verb lives next to this one (``repro.cli.sweep``,
 ``repro.cli.dse``, ...); everything two or more verbs need — error
-formatting, late name validation, the shared ``--workers`` / ``--remote``
-flags, manifest blocks, and the job-API sweep runners behind ``sweep`` and
-``table3`` — is defined here exactly once, so the per-verb modules stay
-pure "parse flags, call the library, print a table".
+formatting, late name validation, the early check of count flags, the
+shared ``--workers`` / ``--remote`` flags, manifest blocks, and the
+job-API sweep runners behind ``sweep`` and ``table3`` — is defined here
+exactly once, so the per-verb modules stay pure "parse flags, call the
+library, print a table".
 """
 
 from __future__ import annotations
@@ -77,17 +78,28 @@ def cli_error(message: str) -> int:
     return 2
 
 
-def check_workers(workers: int | None) -> str | None:
-    """Error message for an invalid ``--workers`` value, or ``None``.
+#: Count flags (and their argparse destinations) that must be positive
+#: integers on every verb that has them.
+COUNT_FLAGS = (
+    ("--workers", "workers"),
+    ("--queue-depth", "queue_depth"),
+    ("--max-eval-images", "max_eval_images"),
+    ("--calibration-images", "calibration_images"),
+)
 
-    One contract across every command that evaluates plans (``sweep``,
-    ``table3``, ``dse``, ``serve``): the flag is the worker-process count
-    of the evaluation service — ``1`` (the default) runs in-process,
-    ``N > 1`` fans cells across ``N`` persistent worker processes, and
-    anything below ``1`` is a usage error.
+
+def check_counts(args: argparse.Namespace) -> str | None:
+    """Error message for the first of a verb's :data:`COUNT_FLAGS` below 1,
+    or ``None``.
+
+    Verbs call it before loading or training any model, so a bad count is
+    a one-line exit-2 error at once, not a traceback after the models
+    load.  ``None`` (an unset ``--max-eval-images``) passes.
     """
-    if workers is not None and int(workers) < 1:
-        return f"--workers must be a positive integer, got {workers}"
+    for flag, dest in COUNT_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            return f"{flag} must be a positive integer, got {value}"
     return None
 
 

@@ -27,8 +27,8 @@ from repro.simulation.campaign import (
 from repro.cli.common import (
     add_remote_flag,
     add_workers_flag,
+    check_counts,
     check_remote_flags,
-    check_workers,
     cli_error,
     model_manifest_entries,
     subsampled_eval,
@@ -89,7 +89,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
             f"unknown search strategy {args.strategy!r}; registered strategies: "
             f"{', '.join(strategy_names())}"
         )
-    error = check_workers(args.workers)
+    error = check_counts(args)
     if error is not None:
         return cli_error(error)
     if args.subsample_eval is not None:
@@ -203,9 +203,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
                     from repro.runtime.jobs import RemotePlanEvaluator
 
                     try:
-                        evaluator = RemotePlanEvaluator(
-                            remote_client, trained.name, session="dse"
-                        )
+                        evaluator = RemotePlanEvaluator(remote_client, trained.name)
                     except KeyError as error:
                         manifest.status = "error"
                         manifest.error = f"KeyError: {error}"

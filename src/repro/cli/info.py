@@ -43,8 +43,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"{runtime['pool_worker_eval_threads']} per pool worker, "
         f"BLAS threads {runtime['blas_threads']} here and "
         f"{runtime['pool_worker_blas_threads']} per pool worker, "
-        f"job queue depth {runtime['default_queue_depth']}, "
-        f"per-session in-flight cap {runtime['default_session_inflight']}"
+        f"job queue depth {runtime['default_queue_depth']}"
     )
     return 0
 

@@ -2,10 +2,9 @@
 
 Hosts trained models on one :class:`~repro.runtime.jobs.manager.JobManager`
 behind the stdlib HTTP server (:mod:`repro.runtime.server`): clients POST
-``/jobs`` and poll ``/jobs/<id>``, many concurrent campaigns share one warm
-worker pool, and the service-level result cache makes duplicate cells free
-across all of them.  ``repro sweep|table3|dse --remote URL`` are the
-matching clients.
+``/jobs`` and poll ``/jobs/<id>``, every job runs on one warm engine, and
+the service-level result cache makes duplicate cells free across all of
+them.  ``repro sweep|table3|dse --remote URL`` are the matching clients.
 
 The startup handshake is one line on stdout::
 
@@ -33,7 +32,7 @@ from repro.simulation.campaign import (
 
 from repro.cli.common import (
     add_workers_flag,
-    check_workers,
+    check_counts,
     cli_error,
 )
 
@@ -76,7 +75,7 @@ def _hosted_models(args: argparse.Namespace):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    error = check_workers(args.workers)
+    error = check_counts(args)
     if error is not None:
         return cli_error(error)
     from repro.runtime.jobs import JobManager
@@ -93,11 +92,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_eval_images=max_eval_images,
         calibration_images=calibration_images,
         max_queue_depth=args.queue_depth,
-        max_inflight_per_session=args.session_inflight,
-        cache_entries=args.cache_entries,
         cache_persist_dir=args.cache_persist,
-        ledger_dir=args.ledger_dir,
-        record_manifests=args.manifests,
     )
     server = JobServer(manager, host=args.host, port=args.port)
 
@@ -183,37 +178,12 @@ def register(sub) -> None:
         "(the running job has left the queue and does not count)",
     )
     serve.add_argument(
-        "--session-inflight",
-        type=int,
-        default=8,
-        help="admission control: per-session in-flight job cap (HTTP 429 "
-        "reason session_busy beyond it)",
-    )
-    serve.add_argument(
         "--cache-persist",
         default=None,
         metavar="DIR",
         help="spill the result cache through an on-disk ledger here; a "
         "restarted daemon reloads it and starts warm (a repeated sweep "
         "is a 100%% cache-hit run)",
-    )
-    serve.add_argument(
-        "--cache-entries",
-        type=int,
-        default=None,
-        help="service-level result cache capacity in cells (default: "
-        "unbounded; LRU eviction when set)",
-    )
-    serve.add_argument(
-        "--ledger-dir",
-        default=None,
-        help="write per-session job-cell ledgers under this directory "
-        "(content-addressed, namespaced per session)",
-    )
-    serve.add_argument(
-        "--manifests",
-        action="store_true",
-        help="write a run manifest per completed job under results/runs/",
     )
     serve.add_argument("--verbose", action="store_true")
     serve.set_defaults(func=cmd_serve)

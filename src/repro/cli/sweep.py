@@ -25,8 +25,8 @@ from repro.simulation.campaign import (
 from repro.cli.common import (
     add_remote_flag,
     add_workers_flag,
+    check_counts,
     check_remote_flags,
-    check_workers,
     cli_error,
     model_manifest_entries,
     sweep_jobs_local,
@@ -86,7 +86,7 @@ def _remote_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    error = check_workers(args.workers)
+    error = check_counts(args)
     if error is not None:
         return cli_error(error)
     if args.remote is not None:

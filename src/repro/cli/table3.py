@@ -16,8 +16,8 @@ from repro.simulation.campaign import (
 from repro.cli.common import (
     add_remote_flag,
     add_workers_flag,
+    check_counts,
     check_remote_flags,
-    check_workers,
     cli_error,
     model_manifest_entries,
     sweep_jobs_local,
@@ -125,7 +125,7 @@ def cmd_table3(args: argparse.Namespace) -> int:
     from the same worker pool — duplicate cells across jobs from the
     service-level result cache.
     """
-    error = check_workers(args.workers)
+    error = check_counts(args)
     if error is not None:
         return cli_error(error)
     if args.remote is not None:

@@ -45,9 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Fields a ledger record must carry to be replayed (:meth:`CampaignContext.
 #: _point_from_record` and the baseline anchor read them).  The job layer
-#: keys its ``job-cell`` and ``result-cache`` records with the same
-#: :func:`~repro.dse.ledger.plan_key` recipe but stores only the accuracy;
-#: such a record is a miss, and the campaign overwrites it.
+#: keys its ``result-cache`` records (``repro serve --cache-persist``) with
+#: the same :func:`~repro.dse.ledger.plan_key` recipe but stores only the
+#: accuracy; such a record is a miss, and the campaign overwrites it.
 _REPLAY_FIELDS = (
     "label",
     "assignment",

@@ -101,7 +101,6 @@ def _runtime_defaults() -> dict:
         # What every pool worker pins its OpenBLAS to before its first task.
         "pool_worker_blas_threads": EVAL_BLAS_THREADS,
         "default_queue_depth": JobQueue().max_depth,
-        "default_session_inflight": JobQueue().max_inflight_per_session,
     }
 
 

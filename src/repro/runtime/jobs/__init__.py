@@ -3,17 +3,17 @@
 The runtime stack is three explicit layers::
 
     layer 3  transport   repro serve (HTTP daemon)  /  in-process clients
-    layer 2  jobs        JobManager: queue + admission control, sessions,
-                         service-level result cache, provenance
+    layer 2  jobs        JobManager: bounded FIFO queue, service-level
+                         result cache
     layer 1  engine      EvaluationService: prefix-aware scheduling,
                          worker pool
 
-This package is layer 2: everything *multi-client* about evaluation —
-admission-controlled FIFO job queueing, per-client sessions (ledger
-namespaces and counters), and the content-addressed service-level result
-cache that makes duplicate cells free across any client — without the
-engine below knowing clients exist or the transport above knowing how
-cells execute.
+This package is layer 2: a FIFO job queue with a bounded depth, drained
+in submission order by one dispatcher, and the content-addressed
+service-level result cache that makes duplicate cells free across any
+client — without the engine below knowing clients exist or the transport
+above knowing how cells execute.  A job's ``session`` is a tag its client
+chooses; nothing is keyed or capped by it.
 
 Entry points: :class:`JobManager` (host a service), :class:`LocalJobClient`
 / :class:`HttpJobClient` (talk to one), :class:`RemotePlanEvaluator` (run
@@ -42,7 +42,6 @@ from repro.runtime.jobs.codec import (
 from repro.runtime.jobs.manager import JobManager
 from repro.runtime.jobs.model import Job, JobState
 from repro.runtime.jobs.queue import AdmissionError, JobQueue
-from repro.runtime.jobs.sessions import Session, SessionError, SessionRegistry
 
 __all__ = [
     "AdmissionError",
@@ -58,9 +57,6 @@ __all__ = [
     "RemoteBatch",
     "RemotePlanEvaluator",
     "ResultCache",
-    "Session",
-    "SessionError",
-    "SessionRegistry",
     "TableMultiplier",
     "decode_plan",
     "decode_plans",

@@ -6,67 +6,53 @@ whole service: every completed cell is stored under its
 :func:`~repro.dse.ledger.plan_key` (sha256 of the evaluation-context
 digest — model bytes, eval/calibration bytes, batch size — plus the plan's
 per-layer fingerprint sequence), so a duplicate cell submitted by *any*
-client, in any job, in any session, is a cache hit that costs zero
-evaluations.
+client, in any job, is a cache hit that costs zero evaluations.
 
 With ``persist_dir`` the cache additionally **survives restarts**: every
 ``put`` is written through to an on-disk :class:`~repro.dse.ledger.
 CampaignLedger` (one atomic ``<key>.json`` per cell, kind
 ``"result-cache"``), and construction loads the directory back — a
-restarted daemon (or a freshly spawned shard pointed at a shared
-directory) starts warm, so resubmitting yesterday's sweep is a 100%
+restarted daemon starts warm, so resubmitting yesterday's sweep is a 100%
 cache-hit run.  Keys are content-addressed, so a stale or foreign record
 can never alias a different measurement setup.
 
-Bounded LRU with hit/miss/eviction counters (surfaced through
-``stats()``); thread-safe — the dispatcher thread populates it while HTTP
-handler threads read stats concurrently.
+Unbounded (one accuracy is a float, so even large campaigns stay tiny),
+with hit/miss counters surfaced through ``stats()``; thread-safe — the
+dispatcher thread populates it while HTTP handler threads read stats
+concurrently.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 from repro.dse.ledger import CampaignLedger
 
-#: Record kind the persistent spill writes; other kinds sharing the
-#: directory (e.g. session ledgers' "job-cell" records) are loadable too —
-#: anything with a numeric "accuracy" field is a valid warm-start source.
+#: Record kind the persistent spill writes.  Loading accepts any record
+#: with a numeric "accuracy" field (a campaign ledger's records included).
 PERSIST_KIND = "result-cache"
 
 
 class ResultCache:
-    """Bounded, thread-safe LRU of ``cell key -> accuracy``.
+    """Thread-safe map of ``cell key -> accuracy``.
 
-    Parameters
-    ----------
-    max_entries:
-        Capacity; inserting beyond it evicts the least-recently-used
-        entry.  ``None`` means unbounded (the in-process default — one
-        accuracy is a float, so even large campaigns stay tiny).
-    persist_dir:
-        Directory for the write-through spill (see module docstring).
-        ``None`` keeps the cache memory-only.
+    ``persist_dir`` is the directory of the write-through spill (see the
+    module docstring); ``None`` keeps the cache memory-only.
     """
 
-    def __init__(self, max_entries: int | None = None, persist_dir: str | None = None):
-        if max_entries is not None and int(max_entries) < 1:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self.max_entries = None if max_entries is None else int(max_entries)
+    def __init__(self, persist_dir: str | None = None):
         self.persist_dir = persist_dir
         self._ledger = None if persist_dir is None else CampaignLedger(persist_dir)
-        self._entries: "OrderedDict[str, float]" = OrderedDict()
+        self._entries: dict[str, float] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.loaded = 0
         if self._ledger is not None:
             self._load()
 
     def _load(self) -> None:
-        """Warm-start from the spill directory (eviction-capped, no counters)."""
+        """Warm-start from the spill directory (no counters)."""
         assert self._ledger is not None
         for key, record in self._ledger.iter_disk_records():
             accuracy = record.get("accuracy")
@@ -74,11 +60,6 @@ class ResultCache:
                 continue
             self._entries[key] = float(accuracy)
             self.loaded += 1
-            while (
-                self.max_entries is not None
-                and len(self._entries) > self.max_entries
-            ):
-                self._entries.popitem(last=False)
 
     def __len__(self) -> int:
         with self._lock:
@@ -87,27 +68,18 @@ class ResultCache:
     def get(self, key: str) -> float | None:
         """The cached accuracy under ``key``, or ``None`` (counted as a miss)."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
+            accuracy = self._entries.get(key)
+            if accuracy is None:
+                self.misses += 1
+            else:
                 self.hits += 1
-                return self._entries[key]
-            self.misses += 1
-            return None
+            return accuracy
 
     def put(self, key: str, accuracy: float) -> None:
-        """Store ``accuracy`` under ``key``, evicting LRU entries over capacity.
-
-        With persistence enabled the value is also written through to disk
-        (atomic temp-file + rename); eviction only trims the in-memory
-        LRU — the disk record survives, so an evicted-then-resubmitted
-        cell is a warm start away, never a lost measurement.
-        """
+        """Store ``accuracy`` under ``key``; with persistence enabled it is
+        also written through to disk (atomic temp-file + rename)."""
         with self._lock:
             self._entries[key] = float(accuracy)
-            self._entries.move_to_end(key)
-            while self.max_entries is not None and len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
             if self._ledger is not None:
                 self._ledger.put(
                     key, {"kind": PERSIST_KIND, "accuracy": float(accuracy)}
@@ -119,10 +91,8 @@ class ResultCache:
             total = self.hits + self.misses
             return {
                 "entries": len(self._entries),
-                "max_entries": self.max_entries,
                 "hits": self.hits,
                 "misses": self.misses,
-                "evictions": self.evictions,
                 "hit_ratio": (self.hits / total) if total else 0.0,
                 "loaded": self.loaded,
                 "persist_path": self.persist_dir,

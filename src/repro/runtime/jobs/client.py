@@ -10,7 +10,7 @@ behind ``repro serve``:
   :class:`~repro.runtime.jobs.manager.JobManager`;
 * :class:`HttpJobClient` speaks the daemon's JSON API over stdlib
   ``urllib`` (POST ``/jobs``, poll GET ``/jobs/<id>``), translating
-  admission rejections (HTTP 429) back into
+  admission rejections (HTTP 429: ``queue_full`` or ``closed``) back into
   :class:`~repro.runtime.jobs.queue.AdmissionError`;
 * :class:`RemotePlanEvaluator` adapts either client to the DSE campaign's
   evaluator surface (``evaluate`` / ``submit`` / ``context_key`` /
@@ -70,15 +70,11 @@ class JobClientError(RuntimeError):
 
 
 class LocalJobClient:
-    """The in-process binding: a thin veneer over one :class:`JobManager`.
+    """The in-process binding: a thin veneer over one :class:`JobManager`,
+    which it owns — closing the client closes the manager."""
 
-    ``own_manager=True`` (default) closes the manager with the client —
-    the single-owner shape the CLI verbs use.
-    """
-
-    def __init__(self, manager: JobManager, own_manager: bool = True):
+    def __init__(self, manager: JobManager):
         self.manager = manager
-        self._own_manager = bool(own_manager)
 
     # ------------------------------------------------------------------
     def models(self) -> list[dict]:
@@ -117,8 +113,7 @@ class LocalJobClient:
         return self.manager.stats()
 
     def close(self) -> None:
-        if self._own_manager:
-            self.manager.close()
+        self.manager.close()
 
     def __enter__(self) -> "LocalJobClient":
         return self
@@ -146,10 +141,10 @@ class HttpJobClient:
     :data:`RETRY_BACKOFF_S` capped at :data:`RETRY_MAX_BACKOFF_S`: status
     polls and stats reads are idempotent, so one blip mid-campaign should
     not fail hours of work.  ``POST /jobs`` is *never* retried — a
-    submission that died after reaching the daemon may already hold an
-    in-flight slot, and a blind resend would double-submit.  HTTP error
-    responses (4xx/5xx) are never retried either: the daemon answered;
-    retrying cannot change it.
+    submission that died after reaching the daemon may already be queued,
+    and a blind resend would double-submit.  HTTP error responses
+    (4xx/5xx) are never retried either: the daemon answered; retrying
+    cannot change it.
     """
 
     def __init__(
@@ -308,10 +303,8 @@ class RemotePlanEvaluator:
         client: "LocalJobClient | HttpJobClient",
         model: "int | str",
         dataset: str | None = None,
-        session: str = "default",
     ):
         self.client = client
-        self.session = session
         infos = client.models()
         if isinstance(model, int):
             matches = [info for info in infos if info["index"] == model]
@@ -355,10 +348,7 @@ class RemotePlanEvaluator:
             return EvaluationBatch([], [], [], None)
         self._batch_seq += 1
         job_id = self.client.submit_job(
-            self.model_index,
-            plans,
-            session=self.session,
-            label=f"dse-batch-{self._batch_seq}",
+            self.model_index, plans, label=f"dse-batch-{self._batch_seq}"
         )
         self.evaluations += len(plans)
         return RemoteBatch(self.client, job_id, len(plans))
@@ -370,7 +360,6 @@ class RemotePlanEvaluator:
 def sweep_over_jobs(
     client: "LocalJobClient | HttpJobClient",
     perforations: Sequence[int] = (1, 2, 3),
-    session: str = "default",
     models: "Sequence[int] | None" = None,
 ):
     """The Table III sweep as jobs: one job per hosted model.
@@ -418,7 +407,6 @@ def sweep_over_jobs(
                 client.submit_job(
                     infos[ref_index]["index"],
                     plans,
-                    session=session,
                     label=f"sweep-{refs[ref_index].name}",
                 ),
             )

@@ -1,19 +1,19 @@
 """`JobManager`: the jobs layer between clients and the evaluation engine.
 
-One manager fronts one :class:`~repro.runtime.service.EvaluationService`
-(layer 1) and owns everything multi-client about it:
+One manager owns one :class:`~repro.runtime.service.EvaluationService`
+(layer 1) and puts two things in front of it:
 
-* a FIFO :class:`~repro.runtime.jobs.queue.JobQueue` with admission
-  control (bounded depth, per-session in-flight caps), drained by one
-  dispatcher thread — the engine keeps its existing single-submitter
-  contract, jobs from any number of clients serialize deterministically;
-* per-client :class:`~repro.runtime.jobs.sessions.Session`\\ s (ledger
-  namespaces, counters);
+* a FIFO :class:`~repro.runtime.jobs.queue.JobQueue` with a bounded
+  depth, drained by one dispatcher thread — the engine keeps its
+  single-submitter contract, and jobs from any number of clients
+  serialize deterministically;
 * the service-level :class:`~repro.runtime.jobs.cache.ResultCache` — every
   completed cell is stored under its content-addressed key (the exact
   :func:`~repro.dse.ledger.plan_key` recipe campaign ledgers use), so a
-  duplicate cell from *any* client is a recorded cache hit;
-* optional :class:`~repro.provenance.RunManifest` emission per served job.
+  duplicate cell from *any* client is a recorded cache hit.
+
+A job's ``session`` is a tag the client chooses (checked against
+:data:`SESSION_ID_PATTERN`); nothing is keyed or capped by it.
 
 Both transports sit on top of it: :class:`~repro.runtime.jobs.client.
 LocalJobClient` calls it in-process, the HTTP daemon
@@ -21,11 +21,12 @@ LocalJobClient` calls it in-process, the HTTP daemon
 one code path, two bindings.
 
 ``close()`` cancels queued jobs (they report ``cancelled``), waits the
-dispatcher out, and closes an *owned* engine, draining its workers.
+dispatcher out, and closes the engine, draining its workers.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 import traceback
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -34,7 +35,6 @@ from repro.datasets.synthetic import Dataset
 from repro.runtime.jobs.cache import ResultCache
 from repro.runtime.jobs.model import Job, JobState
 from repro.runtime.jobs.queue import AdmissionError, JobQueue
-from repro.runtime.jobs.sessions import SessionRegistry
 from repro.runtime.service import EvaluationService
 from repro.runtime.stats import runtime_stats
 from repro.simulation.inference import ExecutionPlan
@@ -42,37 +42,29 @@ from repro.simulation.inference import ExecutionPlan
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.campaign import TrainedModel
 
+#: Session tags: 1-64 characters from ``[A-Za-z0-9._-]``, starting with an
+#: alphanumeric.
+SESSION_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+
 
 class JobManager:
-    """Queue, sessions, result cache and dispatcher over one evaluation engine.
+    """Queue, result cache and dispatcher over one evaluation engine.
 
     Parameters
     ----------
     trained_models / datasets:
-        The hosted models and their datasets; forwarded to an owned
-        :class:`~repro.runtime.service.EvaluationService` unless
-        ``service`` is given.
-    service:
-        An already-constructed engine to front (not owned: ``close()``
-        leaves it running).  Mutually exclusive with the engine knobs.
+        The hosted models and their datasets, served by an owned
+        :class:`~repro.runtime.service.EvaluationService`.
     max_workers / requested_workers / max_eval_images / calibration_images:
         Engine knobs, as in :class:`~repro.runtime.service.EvaluationService`.
-    max_queue_depth / max_inflight_per_session:
-        Admission bounds (see :class:`~repro.runtime.jobs.queue.JobQueue`).
-    cache_entries:
-        Result-cache capacity (``None`` = unbounded).
+    max_queue_depth:
+        Admission bound (see :class:`~repro.runtime.jobs.queue.JobQueue`).
     cache_persist_dir:
         Spill the result cache through an on-disk
         :class:`~repro.dse.ledger.CampaignLedger` rooted here: every
         completed cell is written through, and a restarted manager loads
         the directory back so it starts warm (a repeated sweep is a 100%
         cache-hit run).  ``None`` keeps the cache memory-only.
-    ledger_dir:
-        Root of per-session ledger namespaces; ``None`` keeps session
-        ledgers in memory.
-    record_manifests:
-        Emit one digest-stamped :class:`~repro.provenance.RunManifest` per
-        completed job (kind ``"job"``), as the CLI verbs do for their runs.
     auto_start:
         Start the dispatcher thread immediately.  ``False`` leaves jobs
         queued until :meth:`start` — deterministic admission-control tests
@@ -81,50 +73,27 @@ class JobManager:
 
     def __init__(
         self,
-        trained_models: "Iterable[TrainedModel] | None" = None,
-        datasets: dict[str, Dataset] | None = None,
+        trained_models: "Iterable[TrainedModel]",
+        datasets: dict[str, Dataset],
         *,
-        service: EvaluationService | None = None,
         max_workers: int | None = 1,
         requested_workers: int | None = None,
         max_eval_images: int | None = None,
         calibration_images: int = 128,
         max_queue_depth: int = 64,
-        max_inflight_per_session: int = 8,
-        cache_entries: int | None = None,
         cache_persist_dir: str | None = None,
-        ledger_dir: str | None = None,
-        record_manifests: bool = False,
         auto_start: bool = True,
     ):
-        if service is not None:
-            if trained_models is not None or datasets is not None:
-                raise ValueError(
-                    "pass either a prebuilt service or models+datasets, not both"
-                )
-            self.service = service
-            self._owns_service = False
-        else:
-            if trained_models is None or datasets is None:
-                raise ValueError(
-                    "JobManager needs trained_models and datasets (or a service)"
-                )
-            self.service = EvaluationService(
-                trained_models,
-                datasets,
-                max_workers=max_workers,
-                requested_workers=requested_workers,
-                max_eval_images=max_eval_images,
-                calibration_images=calibration_images,
-            )
-            self._owns_service = True
-        self.queue = JobQueue(
-            max_depth=max_queue_depth,
-            max_inflight_per_session=max_inflight_per_session,
+        self.service = EvaluationService(
+            trained_models,
+            datasets,
+            max_workers=max_workers,
+            requested_workers=requested_workers,
+            max_eval_images=max_eval_images,
+            calibration_images=calibration_images,
         )
-        self.cache = ResultCache(cache_entries, persist_dir=cache_persist_dir)
-        self.sessions = SessionRegistry(ledger_dir=ledger_dir)
-        self.record_manifests = bool(record_manifests)
+        self.queue = JobQueue(max_depth=max_queue_depth)
+        self.cache = ResultCache(persist_dir=cache_persist_dir)
         self._jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
         #: Monotonic ID mint.  Never decremented — a rejected submission
@@ -161,7 +130,7 @@ class JobManager:
         self.close()
 
     def close(self) -> None:
-        """Cancel queued jobs, stop the dispatcher, close an owned engine.
+        """Cancel queued jobs, stop the dispatcher, close the engine.
 
         Queued (never started) jobs transition to ``cancelled``; the job
         currently running is waited out.  Idempotent.
@@ -169,6 +138,8 @@ class JobManager:
         if self._closed:
             return
         self._closed = True
+        # The closed queue admits nothing more, so one drain cancels every
+        # job the dispatcher has not popped.
         self.queue.close()
         for job in self.queue.drain():
             job.cancel()
@@ -176,12 +147,7 @@ class JobManager:
         if self._dispatcher is not None:
             self._dispatcher.join()
             self._dispatcher = None
-        # Cancel anything pushed between drain() and the dispatcher's exit.
-        for job in self.queue.drain():
-            job.cancel()
-            self._finalize(job)
-        if self._owns_service:
-            self.service.close()
+        self.service.close()
 
     @property
     def closed(self) -> bool:
@@ -224,7 +190,7 @@ class JobManager:
             return self._jobs[job_id]
 
     def stats(self) -> dict:
-        """One consistent schema over engine, jobs, cache and sessions."""
+        """One consistent schema over engine, jobs and cache."""
         with self._lock:
             jobs_submitted = self._submitted
             states: dict[str, int] = {}
@@ -243,7 +209,6 @@ class JobManager:
                 **self.queue.stats(),
             },
             cache=self.cache.stats(),
-            sessions=self.sessions.stats(),
         )
 
     # ------------------------------------------------------------------
@@ -259,13 +224,21 @@ class JobManager:
         """Admit one job; returns it immediately (poll or :meth:`Job.wait`).
 
         Raises :class:`~repro.runtime.jobs.queue.AdmissionError` when the
-        queue is full or the session is over its in-flight cap, and plain
-        ``IndexError`` / ``TypeError`` / ``ValueError`` on malformed input —
-        including a plan that overrides a layer the model does not have
-        (the transport maps the two families to 429 and 400).
+        service is closed or the queue is full, and plain ``IndexError`` /
+        ``TypeError`` / ``ValueError`` on malformed input — a ``session``
+        or ``label`` that is not a string, a session tag outside
+        :data:`SESSION_ID_PATTERN`, or a plan that overrides a layer the
+        model does not have (the transport maps the two families to 429
+        and 400).  Every refusal comes from the queue, which counts it.
         """
-        if self._closed:
-            raise AdmissionError("closed", "job service is shut down")
+        for name, value in (("session", session), ("label", label)):
+            if not isinstance(value, str):
+                raise TypeError(f"job {name} must be a string, got {value!r}")
+        if not SESSION_ID_PATTERN.match(session):
+            raise ValueError(
+                f"invalid session id {session!r}: use 1-64 characters from "
+                "[A-Za-z0-9._-], starting with an alphanumeric"
+            )
         model_index = int(model_index)
         if not 0 <= model_index < len(self.service.models):
             raise IndexError(
@@ -280,13 +253,12 @@ class JobManager:
             if not isinstance(plan, ExecutionPlan):
                 raise TypeError(f"job plans must be ExecutionPlans, got {plan!r}")
             plan.check_layers(mac_names)
-        sess = self.sessions.get_or_create(session)
         with self._lock:
             self._seq += 1
-            job = Job(f"job-{self._seq:06d}", sess.id, model_index, plans, label=label)
+            job = Job(f"job-{self._seq:06d}", session, model_index, plans, label=label)
             self._jobs[job.id] = job
         try:
-            self.queue.push(job, sess)
+            self.queue.push(job)
         except AdmissionError:
             # Forget the job but keep `_seq` where it is: rolling the mint
             # back would race a concurrent submit into reusing a live ID.
@@ -295,8 +267,6 @@ class JobManager:
             raise
         with self._lock:
             self._submitted += 1
-            sess.jobs_submitted += 1
-            sess.cells_submitted += len(plans)
         return job
 
     # ------------------------------------------------------------------
@@ -323,7 +293,6 @@ class JobManager:
         from repro.dse.ledger import plan_key
 
         keys = [plan_key(context, plan, mac_names) for plan in job.plans]
-        job.cell_keys = keys
         # Dedup within the job, then against the service-level cache.
         first_plan: dict[str, ExecutionPlan] = {}
         unique_keys: list[str] = []
@@ -343,68 +312,20 @@ class JobManager:
             accuracies = self.service.evaluate_plans(
                 job.model_index, [first_plan[key] for key in miss_keys]
             )
-            session = self.sessions.get_or_create(job.session_id)
             for key, acc in zip(miss_keys, accuracies):
                 values[key] = acc
                 self.cache.put(key, acc)
-                session.ledger.put(
-                    key,
-                    {
-                        "kind": "job-cell",
-                        "accuracy": acc,
-                        "context": context,
-                        "job": job.id,
-                        "label": job.label,
-                    },
-                )
         hits = len(keys) - len(miss_keys)
-        results = [values[key] for key in keys]
-        if self.record_manifests:
-            self._write_manifest(job, context, results, hits, len(miss_keys))
-        job.finish(results, hits, len(miss_keys))
-
-    def _write_manifest(
-        self, job: Job, context: str, results: list[float], hits: int, misses: int
-    ) -> None:
-        from repro.provenance import record_run
-
-        with record_run(
-            "job",
-            label=job.id,
-            inputs={
-                "job": {
-                    "id": job.id,
-                    "session": job.session_id,
-                    "label": job.label,
-                    "model": self.service.models[job.model_index].name,
-                    "dataset": self.service.models[job.model_index].dataset_name,
-                    "cells": len(job.plans),
-                    "context_key": context,
-                    "cell_keys": list(job.cell_keys or []),
-                },
-                "service": self.service.session_context(),
-            },
-        ) as manifest:
-            manifest.outputs = {
-                "accuracies": results,
-                "cache_hits": hits,
-                "cache_misses": misses,
-            }
+        job.finish([values[key] for key in keys], hits, len(miss_keys))
 
     def _finalize(self, job: Job) -> None:
-        session = self.sessions.get_or_create(job.session_id)
-        # The in-flight slot is owned by the queue lock (same lock push()
-        # increments under); everything else here is manager-lock state.
-        self.queue.release(session)
         with self._lock:
             if job.state is JobState.DONE:
                 self.jobs_completed += 1
-                session.jobs_completed += 1
-                session.cache_hits += job.cache_hits
             elif job.state is JobState.FAILED:
                 self.jobs_failed += 1
             elif job.state is JobState.CANCELLED:
                 self.jobs_cancelled += 1
 
 
-__all__ = ["JobManager"]
+__all__ = ["JobManager", "SESSION_ID_PATTERN"]

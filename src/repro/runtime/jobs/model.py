@@ -1,11 +1,12 @@
 """The :class:`Job` model: one submitted unit of evaluation work.
 
 A job is *model-ref + plan-set + eval context*: the index of a hosted
-model, the list of :class:`~repro.simulation.inference.ExecutionPlan`
-cells to score against it, and the session it belongs to (the evaluation
-context itself — eval/calibration arrays, batch size — is a
-property of the hosting service and is folded into every cell's
-content-addressed key).  Jobs move through a strict lifecycle::
+model and the list of :class:`~repro.simulation.inference.ExecutionPlan`
+cells to score against it (the evaluation context itself —
+eval/calibration arrays, batch size — is a property of the hosting
+service and is folded into every cell's content-addressed key).  The
+``session`` and ``label`` a client chooses are tags the job and its view
+carry; nothing is keyed by them.  Jobs move through a strict lifecycle::
 
     QUEUED -> RUNNING -> DONE | FAILED
     QUEUED ------------> CANCELLED        (service closed)
@@ -66,8 +67,6 @@ class Job:
         self.accuracies: list[float] | None = None
         #: Human-readable failure reason (set when FAILED/CANCELLED).
         self.error: str | None = None
-        #: Content-addressed cell keys (set by the dispatcher before running).
-        self.cell_keys: list[str] | None = None
         #: Cells served from the service-level result cache / freshly evaluated.
         self.cache_hits = 0
         self.cache_misses = 0

@@ -2,11 +2,10 @@
 
 A long-lived daemon fronting one :class:`~repro.runtime.jobs.manager.
 JobManager`: clients POST (model-ref, plan-set) jobs and poll results,
-many concurrent campaigns multiplex one warm worker pool with hosted
-models already loaded, and the service-level result cache makes
-duplicate cells free across *all* of them.  Stdlib only
-(:class:`http.server.ThreadingHTTPServer` + ``json``): no new
-dependencies.
+every job runs on one warm engine with the hosted models already loaded,
+and the service-level result cache makes duplicate cells free across
+all of them.  Stdlib only (:class:`http.server.ThreadingHTTPServer` +
+``json``): no new dependencies.
 
 API (all JSON)::
 
@@ -15,21 +14,22 @@ API (all JSON)::
     GET  /models         {"models": [{index, name, dataset,
                                       mac_layer_names, context_key}, ...]}
     POST /jobs           {"model": name [, "dataset": name] | "model_index": i,
-                          "plans": [...], "session": ..., "label": ...}
+                          "plans": [...], "session": tag, "label": text}
                          -> 202 {"job": {...}}   (409-free: poll the job)
                          -> 400 bad Content-Length, unknown payload keys,
-                                bad model/plan payloads
+                                bad model/plan payloads, a session or
+                                label that is not a JSON string, a bad
+                                session tag
                          -> 404 unknown model
-                         -> 429 {"reason": "closed" | "queue_full" |
-                                           "session_busy"}
+                         -> 429 {"reason": "closed" | "queue_full"}
     GET  /jobs/<id>      {"job": {id, state, accuracies, cache_hits, ...}}
 
 Plans travel through the fingerprint-preserving codec
 (:mod:`repro.runtime.jobs.codec`), so a served job's content-addressed
-cell keys — and therefore its cache hits and ledger records — are
-identical to running the same job in-process.  Handler threads only
-enqueue and snapshot; all evaluation happens on the manager's dispatcher
-thread, keeping the engine single-submitter.
+cell keys — and therefore its cache hits — are identical to running the
+same job in-process.  Handler threads only enqueue and snapshot; all
+evaluation happens on the manager's dispatcher thread, keeping the
+engine single-submitter.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.runtime.jobs.codec import PlanCodecError, decode_plans
 from repro.runtime.jobs.manager import JobManager
 from repro.runtime.jobs.queue import AdmissionError
-from repro.runtime.jobs.sessions import SessionError
 
 #: Every key a ``POST /jobs`` payload may carry; anything else is a 400, so
 #: a misspelled ``session`` cannot silently run in the default session.
@@ -205,17 +204,16 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(400, "a job needs at least one plan")
             return
         try:
+            # Passed as sent: the manager refuses a non-string session or
+            # label (TypeError, a 400) rather than coercing it.
             job = manager.submit(
                 model_index,
                 plans,
-                session=str(payload.get("session", "default")),
-                label=str(payload.get("label", "")),
+                session=payload.get("session", "default"),
+                label=payload.get("label", ""),
             )
         except AdmissionError as error:
             self._send_error_json(429, error.message, reason=error.reason)
-            return
-        except SessionError as error:
-            self._send_error_json(400, str(error))
             return
         except (ValueError, TypeError, IndexError) as error:
             self._send_error_json(400, str(error))

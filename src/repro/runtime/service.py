@@ -182,7 +182,10 @@ class EvaluationService:
         ``max_workers``.
     max_eval_images / calibration_images:
         As in :func:`repro.simulation.campaign.plan_sweep` — they select
-        the measurement setup every worker reproduces.
+        the measurement setup every worker reproduces.  Each must be at
+        least 1 (``max_eval_images=None`` evaluates the whole test split);
+        anything else is a :class:`ValueError` here, before a slice such
+        as ``[:-5]`` or ``[:0]`` could pick the wrong images.
 
     The serial path hands the models and datasets to its worker state
     directly; pool workers receive the same objects through the pool
@@ -220,6 +223,12 @@ class EvaluationService:
         self.requested_workers = (
             self.max_workers if requested_workers is None else int(requested_workers)
         )
+        if max_eval_images is not None and max_eval_images < 1:
+            raise ValueError(f"max_eval_images must be at least 1, got {max_eval_images}")
+        if calibration_images < 1:
+            raise ValueError(
+                f"calibration_images must be at least 1, got {calibration_images}"
+            )
         self.max_eval_images = max_eval_images
         self.calibration_images = int(calibration_images)
 
@@ -411,7 +420,7 @@ class EvaluationService:
         listed in :mod:`repro.runtime.stats`) nests everything engine-level
         under ``"engine"``, with ``requested_workers`` (what the caller
         asked for) next to the effective ``workers`` — the schema the jobs
-        layer extends with its ``jobs``/``cache``/``sessions`` sections —
+        layer extends with its ``jobs``/``cache`` sections —
         plus the fused multi-plan launch counters ``fused_launches``,
         ``fused_plans_total`` and ``plans_per_launch_avg`` (``None`` until
         the first fused launch), aggregated across every worker.

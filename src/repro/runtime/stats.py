@@ -7,11 +7,10 @@ daemon's ``GET /stats``) and the sweep helpers:
 .. code-block:: json
 
     {
-      "schema":   "repro-runtime-stats/v1.5",
-      "engine":   { "requested_workers": ..., "workers": ..., ... },
-      "jobs":     { "submitted": ..., "depth": ..., "rejected": ..., ... },
-      "cache":    { "entries": ..., "hits": ..., "misses": ..., ... },
-      "sessions": { "<session id>": { ... }, ... }
+      "schema": "repro-runtime-stats/v1.6",
+      "engine": { "requested_workers": ..., "workers": ..., ... },
+      "jobs":   { "submitted": ..., "depth": ..., "rejected": ..., ... },
+      "cache":  { "entries": ..., "hits": ..., "misses": ..., ... }
     }
 
 ``engine`` is always present; the jobs-layer sections appear exactly when
@@ -29,12 +28,10 @@ the emitting object has that layer (a bare
   ``cells_evaluated``.
 * ``jobs`` — ``submitted``, ``completed``, ``failed``, ``cancelled``,
   ``rejected``, ``by_state`` (job count per state), and the queue's
-  ``depth``, ``max_depth`` and ``max_inflight_per_session``.
-* ``cache`` — ``entries``, ``max_entries``, ``hits``, ``misses``,
-  ``evictions``, ``hit_ratio``, ``loaded`` (entries read from the
-  persisted cache at start) and ``persist_path``.
-* ``sessions`` — per session id: ``jobs_submitted``, ``jobs_completed``,
-  ``cells_submitted``, ``cache_hits``, ``inflight`` and ``ledger_dir``.
+  ``depth`` and ``max_depth``.
+* ``cache`` — ``entries``, ``hits``, ``misses``, ``hit_ratio``,
+  ``loaded`` (entries read from the persisted cache at start) and
+  ``persist_path``.
 
 The version moves whenever a key is dropped or changes meaning.
 """
@@ -42,14 +39,13 @@ The version moves whenever a key is dropped or changes meaning.
 from __future__ import annotations
 
 #: Version tag embedded in every stats payload.
-STATS_SCHEMA = "repro-runtime-stats/v1.5"
+STATS_SCHEMA = "repro-runtime-stats/v1.6"
 
 
 def runtime_stats(
     engine: dict,
     jobs: dict | None = None,
     cache: dict | None = None,
-    sessions: dict | None = None,
 ) -> dict:
     """Assemble one schema-tagged stats payload from per-layer sections."""
     stats: dict = {"schema": STATS_SCHEMA, "engine": dict(engine)}
@@ -57,8 +53,6 @@ def runtime_stats(
         stats["jobs"] = dict(jobs)
     if cache is not None:
         stats["cache"] = dict(cache)
-    if sessions is not None:
-        stats["sessions"] = dict(sessions)
     return stats
 
 

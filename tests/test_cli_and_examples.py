@@ -218,15 +218,57 @@ class TestCliErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert expected in err
 
-    @pytest.mark.parametrize("command", ["sweep", "table3", "dse"])
-    def test_invalid_workers_rejected_uniformly(self, command, capsys):
-        """One --workers contract across every evaluating command: values
-        below 1 exit 2 with the same clear message."""
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("accuracy", "--max-eval-images"),
+            ("sweep", "--workers"),
+            ("sweep", "--max-eval-images"),
+            ("table3", "--workers"),
+            ("table3", "--max-eval-images"),
+            ("dse", "--workers"),
+            ("dse", "--max-eval-images"),
+            ("dse", "--calibration-images"),
+            ("serve", "--workers"),
+            ("serve", "--queue-depth"),
+            ("serve", "--max-eval-images"),
+            ("serve", "--calibration-images"),
+        ],
+    )
+    def test_invalid_counts_exit_2_before_any_model_loads(
+        self, command, flag, capsys, monkeypatch
+    ):
+        """One contract for every count flag of every verb that has it:
+        values below 1 are a one-line error with exit 2, reported before
+        any model is loaded or trained."""
+        from repro.simulation.campaign import TrainedModelCache
+
+        def no_model_loads(*args, **kwargs):
+            raise AssertionError("a model was loaded before the count check")
+
+        monkeypatch.setattr(TrainedModelCache, "load_or_train", no_model_loads)
         for bad in ("0", "-4"):
-            assert main([command, "--workers", bad]) == 2
+            assert main([command, flag, bad]) == 2
             err = capsys.readouterr().err
-            assert "--workers must be a positive integer" in err
-            assert bad in err
+            assert err == f"error: {flag} must be a positive integer, got {bad}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--session-inflight", "2"],
+            ["--ledger-dir", "D"],
+            ["--manifests"],
+            ["--cache-entries", "5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_retired_serve_flags_are_unknown(self, capsys, argv):
+        """Per-session caps and ledgers, per-job manifests and the cache
+        capacity are gone: their ``repro serve`` flags exit 2."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *argv])
+        assert excinfo.value.code == 2
+        assert argv[0] in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -156,37 +156,31 @@ class TestGreedyAcceptance:
         )
 
 
-    @pytest.mark.parametrize("kind", ["job-cell", "result-cache"])
     def test_resume_reevaluates_job_layer_records(
-        self, trained, tiny_dataset, tmp_path, kind
+        self, trained, tiny_dataset, tmp_path
     ):
-        """The job layer keys its session-ledger ("job-cell") and
-        --cache-persist ("result-cache") records with the campaign's
-        plan_key recipe but stores only an accuracy: a resumed campaign
-        treats such a record as a miss, evaluates the plan and overwrites
-        the record with a replayable one."""
-        persist = {"job-cell": "ledger_dir", "result-cache": "cache_persist_dir"}[kind]
+        """The job layer keys its --cache-persist ("result-cache") records
+        with the campaign's plan_key recipe but stores only an accuracy: a
+        resumed campaign treats such a record as a miss, evaluates the plan
+        and overwrites the record with a replayable one."""
         manager = JobManager(
             [trained],
             {tiny_dataset.name: tiny_dataset},
             calibration_images=CALIBRATION_IMAGES,
-            **{persist: str(tmp_path)},
+            cache_persist_dir=str(tmp_path),
         )
         try:
-            job = manager.submit(
-                0, [ExecutionPlan.uniform(AccurateProduct())], session="dse"
-            )
+            job = manager.submit(0, [ExecutionPlan.uniform(AccurateProduct())])
             assert job.wait(timeout=120)
         finally:
             manager.close()
-        ledger_dir = tmp_path / "dse" if kind == "job-cell" else tmp_path
-        (record_path,) = ledger_dir.glob("*.json")
-        assert json.loads(record_path.read_text())["kind"] == kind
+        (record_path,) = tmp_path.glob("*.json")
+        assert json.loads(record_path.read_text())["kind"] == "result-cache"
 
         resumed = _greedy_campaign(
             trained,
             tiny_dataset,
-            ledger=CampaignLedger(str(ledger_dir)),
+            ledger=CampaignLedger(str(tmp_path)),
             resume=True,
             budget_evals=2,
         )
@@ -199,7 +193,7 @@ class TestGreedyAcceptance:
         again = _greedy_campaign(
             trained,
             tiny_dataset,
-            ledger=CampaignLedger(str(ledger_dir)),
+            ledger=CampaignLedger(str(tmp_path)),
             resume=True,
             budget_evals=2,
         )

@@ -5,8 +5,8 @@ first: in one pytest process the modules are already loaded by whatever
 test ran before.  So each package gets its own ``python -c``.  A star
 import of every package also resolves each name of its ``__all__``, so a
 name deleted from the package but left in that list fails here.  The
-retired shared-memory publishing modules stay gone, and no package
-exports a name of theirs.
+retired shared-memory publishing and job-session modules stay gone, and
+no package exports a name of theirs.
 """
 
 from __future__ import annotations
@@ -82,10 +82,22 @@ def test_package_imports_first(statement):
     assert result.returncode == 0, result.stderr
 
 
-def test_shared_memory_publishing_is_gone():
-    for module in RETIRED_MODULES:
+def _assert_retired(modules, names) -> None:
+    for module in modules:
         assert importlib.util.find_spec(module) is None, module
     for package in STAR_PACKAGES + ("repro.simulation.campaign",):
         imported = importlib.import_module(package)
         exported = set(vars(imported)) | set(getattr(imported, "__all__", ()))
-        assert not exported & RETIRED_NAMES, package
+        assert not exported & names, package
+
+
+def test_shared_memory_publishing_is_gone():
+    _assert_retired(RETIRED_MODULES, RETIRED_NAMES)
+
+
+def test_job_sessions_are_gone():
+    """A job's session is a plain tag: no session registry, per-session
+    state or session error type remains."""
+    _assert_retired(
+        ("repro.runtime.jobs.sessions",), {"Session", "SessionRegistry", "SessionError"}
+    )

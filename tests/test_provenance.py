@@ -445,7 +445,6 @@ class TestInfoCommand:
             "blas_threads",
             "pool_worker_blas_threads",
             "default_queue_depth",
-            "default_session_inflight",
         }
         # The host's own BLAS threads, read through the library's getter,
         # next to the one thread every pool worker pins itself to.

@@ -347,7 +347,7 @@ class TestServiceParity:
             stats["engine"]["plans_per_launch_avg"]
             == serial_stats["engine"]["plans_per_launch_avg"]
         )
-        assert stats["schema"] == "repro-runtime-stats/v1.5"
+        assert stats["schema"] == "repro-runtime-stats/v1.6"
 
     def test_fewer_images_than_workers_skips_the_empty_shares(
         self, trained, tiny_dataset, fresh_accuracies
@@ -440,6 +440,32 @@ class TestServiceLifecycle:
                 service.evaluate_plans(5, [ExecutionPlan.uniform(AccurateProduct())])
             with pytest.raises(KeyError):
                 service.model_index("resnet44")
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"max_eval_images": -5},
+            {"max_eval_images": 0},
+            {"calibration_images": 0},
+            {"calibration_images": -3},
+        ],
+        ids=lambda knobs: "{}={}".format(*next(iter(knobs.items()))),
+    )
+    def test_measurement_counts_below_one_are_rejected(
+        self, trained, tiny_dataset, knobs
+    ):
+        """A count below 1 would slice the wrong images (``[:-5]`` drops
+        the last five, ``[:0]`` keeps none and divides by zero later): the
+        service refuses it at construction, and so every path built on it."""
+        (name,) = knobs
+        datasets = {tiny_dataset.name: tiny_dataset}
+        for build in (
+            lambda: EvaluationService([trained], datasets, **knobs),
+            lambda: JobManager([trained], datasets, auto_start=False, **knobs),
+            lambda: PlanEvaluator(trained, tiny_dataset, **knobs),
+        ):
+            with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+                build()
 
     def test_plan_naming_an_unknown_layer_is_rejected(self, trained, tiny_dataset):
         """An override of a layer the model lacks must not be evaluated as

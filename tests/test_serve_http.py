@@ -15,8 +15,9 @@ The daemon contract lives here:
 * **cross-client caching over the wire** — a duplicate HTTP submission is
   served from the daemon's result cache, visible in ``/stats``;
 * **malformed wire input** — a bad ``Content-Length`` is answered at once
-  without reading the body, and unknown payload keys and malformed plan
-  numbers (``"m": 1e400``, a string control-variate flag) are a 400;
+  without reading the body, and unknown payload keys, malformed plan
+  numbers (``"m": 1e400``, a string control-variate flag) and a
+  ``session`` or ``label`` that is not a JSON string are a 400;
 * **client resilience** — :class:`~repro.runtime.jobs.client.HttpJobClient`
   retries idempotent GETs through transient connection failures (flaky
   stub server) but never retries a POST.
@@ -95,8 +96,10 @@ class TestEndpoints:
 
     def test_stats_schema_over_the_wire(self, client):
         stats = client.stats()
-        assert stats["schema"] == "repro-runtime-stats/v1.5"
-        assert {"engine", "jobs", "cache", "sessions"} <= set(stats)
+        assert stats["schema"] == "repro-runtime-stats/v1.6"
+        assert set(stats) == {"schema", "engine", "jobs", "cache"}
+        assert "max_inflight_per_session" not in stats["jobs"]
+        assert not {"max_entries", "evictions"} & set(stats["cache"])
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(JobClientError) as error:
@@ -243,6 +246,48 @@ class TestEndpoints:
             assert f"unknown job payload keys: {named} " in message
         assert server.manager.stats()["jobs"]["submitted"] == submitted
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"session": None}, "session"),
+            ({"session": True}, "session"),
+            ({"session": 7}, "session"),
+            ({"session": ["alice"]}, "session"),
+            ({"label": {"a": 1}}, "label"),
+            ({"label": 3.5}, "label"),
+            ({"label": None}, "label"),
+            ({"session": "../escape"}, "session"),
+        ],
+        ids=[
+            "session-null",
+            "session-bool",
+            "session-int",
+            "session-list",
+            "label-object",
+            "label-float",
+            "label-null",
+            "session-path",
+        ],
+    )
+    def test_session_and_label_must_be_json_strings(self, server, fields, named):
+        """``session`` and ``label`` are taken as sent, never ``str()``-ed:
+        ``null`` must not run as session ``"None"``, nor a dict as the
+        label ``"{'a': 1}"``."""
+        plans = encode_plans([ExecutionPlan.uniform(AccurateProduct())])
+        submitted = server.manager.stats()["jobs"]["submitted"]
+        request = urllib.request.Request(
+            f"{server.url}/jobs",
+            data=json.dumps({"model_index": 0, "plans": plans, **fields}).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as error:
+            urllib.request.urlopen(request)
+        with error.value:
+            assert error.value.code == 400
+            assert named in json.loads(error.value.read().decode())["error"]
+        assert server.manager.stats()["jobs"]["submitted"] == submitted
+
     @pytest.mark.parametrize("length", ["-1", "abc", "+5", "1.5", ""])
     def test_bad_content_length_is_400_at_once(self, server, length):
         """A Content-Length that is not a non-negative integer is answered
@@ -292,9 +337,7 @@ class TestServedParity:
         reference = accuracy_sweep(
             [trained], {tiny_dataset.name: tiny_dataset}, perforations=(1, 2)
         )
-        sweep, _totals = sweep_over_jobs(
-            client, perforations=(1, 2), session="sweep-http"
-        )
+        sweep, _totals = sweep_over_jobs(client, perforations=(1, 2))
         assert sweep.baselines == reference.baselines
         assert sweep.records == reference.records
 
@@ -317,7 +360,7 @@ class TestServedParity:
             perforations=(1, 2),
         )
         local = run_campaign(trained, tiny_dataset, **kwargs)
-        evaluator = RemotePlanEvaluator(client, trained.name, session="dse-http")
+        evaluator = RemotePlanEvaluator(client, trained.name)
         remote = run_campaign(trained, tiny_dataset, evaluator=evaluator, **kwargs)
         assert remote.baseline_accuracy == local.baseline_accuracy
         local_points = [
@@ -338,7 +381,6 @@ class TestAdmissionOverTheWire:
             [trained],
             {tiny_dataset.name: tiny_dataset},
             max_queue_depth=2,
-            max_inflight_per_session=1,
             auto_start=False,
         )
         srv = JobServer(manager)
@@ -348,12 +390,9 @@ class TestAdmissionOverTheWire:
             client = HttpJobClient(srv.url)
             plans = [ExecutionPlan.uniform(AccurateProduct())]
             client.submit_job(0, plans, session="alice")
-            with pytest.raises(AdmissionError) as busy:
-                client.submit_job(0, plans, session="alice")
-            assert busy.value.reason == "session_busy"
-            client.submit_job(0, plans, session="bob")
+            client.submit_job(0, plans, session="alice")
             with pytest.raises(AdmissionError) as full:
-                client.submit_job(0, plans, session="carol")
+                client.submit_job(0, plans, session="bob")
             assert full.value.reason == "queue_full"
         finally:
             srv.shutdown_and_close()
