@@ -12,12 +12,13 @@ cache.
 Recorded into the ``serve_throughput`` section of the machine-readable
 ``results/BENCH_engine.json`` ledger:
 
-* ``jobs_pps`` / ``cells_pps`` — end-to-end served throughput (submit +
-  poll + result decode over HTTP).  Regression-gated as tolerance *floors*
+* ``jobs_pps`` / ``cells_pps`` — end-to-end served throughput (submit,
+  blocking wait and result decode over HTTP).  Regression-gated as tolerance *floors*
   by ``repro verify-results``: improvements always pass, a collapse fails.
 * ``cache_hit_ratio`` and the hit/miss split — **deterministic** by
-  construction (the dispatcher serializes execution, so exactly one miss
-  per unique recipe regardless of client interleaving) and therefore
+  construction (the dispatcher serializes evaluation, and a job whose
+  cell is already cached is answered at submit, so exactly one miss per
+  unique recipe regardless of client interleaving) and therefore
   compared exactly against the golden ledger: a changed ratio means the
   content-addressed recipe key or the dedup itself changed.
 * ``wall_clock_s`` — observability only (ignored by the gate).
@@ -103,7 +104,7 @@ def _drive_clients(url: str, clients: int, jobs_per_client: int) -> float:
 
     def client_loop(index: int) -> None:
         try:
-            client = HttpJobClient(url, poll_interval=0.01)
+            client = HttpJobClient(url)
             for step in range(jobs_per_client):
                 plans = [PLAN_POOL[(index + step) % len(PLAN_POOL)]]
                 job_id = client.submit_job(

@@ -14,8 +14,8 @@ The script asserts, in order:
    workload's perforations) reproduces ``results/golden/accuracy_table.json``
    byte-exactly: served jobs run the same engine as the in-process gate;
 3. **cross-submission caching** — resubmitting the identical sweep is
-   served entirely from the daemon's result cache, and ``/stats`` records
-   the hits;
+   served entirely from the daemon's result cache: every ``POST /jobs``
+   reply of it already reads ``done``, and ``/stats`` records the hits;
 4. **CLI clients** — ``repro sweep --remote URL`` and ``repro table3
    --remote URL`` exit 0 against the daemon;
 5. **clean shutdown** — SIGTERM drains the daemon (exit code 0, the
@@ -108,6 +108,25 @@ def _shutdown(daemon: subprocess.Popen, tag: str, shm_before: set[str]) -> None:
         raise SmokeFailure(f"leaked shared-memory blocks: {sorted(leaked)}")
 
 
+def _recording_client(url: str):
+    """An ``HttpJobClient`` that keeps the state of every ``POST /jobs``
+    reply in ``post_states``."""
+    from repro.runtime.jobs import HttpJobClient
+
+    class RecordingClient(HttpJobClient):
+        def __init__(self, base_url: str):
+            super().__init__(base_url)
+            self.post_states: list[str] = []
+
+        def _request(self, method, path, payload=None):
+            reply = super()._request(method, path, payload)
+            if method == "POST":
+                self.post_states.append(reply["job"]["state"])
+            return reply
+
+    return RecordingClient(url)
+
+
 def _served_accuracy_table(client, perforations):
     """The golden ``accuracy_table.json`` payload, rebuilt from served jobs."""
     from repro.runtime.jobs import sweep_over_jobs
@@ -161,11 +180,9 @@ def _run_remote_clients(url: str, env: dict) -> None:
 
 
 def _cold_leg(env, persist_dir, golden, perforations, shm_before) -> None:
-    from repro.runtime.jobs import HttpJobClient
-
     daemon, url = _boot(env, persist_dir, "cold")
     try:
-        client = HttpJobClient(url, poll_interval=0.05)
+        client = _recording_client(url)
         health = client.healthz()
         if health.get("status") != "ok" or health.get("models") != 1:
             raise SmokeFailure(f"unexpected /healthz payload: {health}")
@@ -179,13 +196,20 @@ def _cold_leg(env, persist_dir, golden, perforations, shm_before) -> None:
             f"({totals['cells']} cells, {totals['cache_misses']} evaluated)"
         )
 
-        # 2nd identical sweep: every cell must come from the result cache.
+        # 2nd identical sweep: every cell must come from the result cache,
+        # and every job must be answered by its POST reply.
+        client.post_states.clear()
         table_again, totals_again = _served_accuracy_table(client, perforations)
         _check_golden(table_again, golden, "cached resubmission")
         if totals_again["cache_hits"] != totals_again["cells"]:
             raise SmokeFailure(
                 "duplicate sweep was not fully served from cache: "
                 f"{totals_again['cache_hits']}/{totals_again['cells']} hits"
+            )
+        if client.post_states != ["done"] * totals_again["jobs"]:
+            raise SmokeFailure(
+                "a POST /jobs reply of the fully cached sweep was not done: "
+                f"{client.post_states}"
             )
         stats = client.stats()
         if stats["cache"]["hits"] < totals_again["cells"]:
@@ -196,6 +220,7 @@ def _cold_leg(env, persist_dir, golden, perforations, shm_before) -> None:
         print(
             f"serve-smoke: duplicate submission fully cached "
             f"({totals_again['cache_hits']}/{totals_again['cells']} hits, "
+            f"{len(client.post_states)} POST replies done, "
             f"/stats hit ratio {stats['cache']['hit_ratio']:.2f})"
         )
 
@@ -215,7 +240,7 @@ def _warm_leg(env, persist_dir, golden, perforations, shm_before) -> None:
 
     daemon, url = _boot(env, persist_dir, "warm")
     try:
-        client = HttpJobClient(url, poll_interval=0.05)
+        client = HttpJobClient(url)
         loaded = client.stats()["cache"].get("loaded", 0)
         if loaded <= 0:
             raise SmokeFailure(f"restarted daemon loaded nothing from {persist_dir}")

@@ -19,7 +19,8 @@ regenerate the paper's headline artifacts without writing Python:
   candidate batches across N persistent worker processes and ``--models
   all`` runs one campaign per reference network on one shared service;
 * ``python -m repro serve --port 8752`` — the evaluation runtime as a
-  long-lived HTTP job daemon (POST ``/jobs``, poll ``/jobs/<id>``); and
+  long-lived HTTP job daemon (POST ``/jobs``, wait on
+  ``/jobs/<id>?wait=S``); and
   ``repro sweep|table3|dse --remote http://...`` run the exact same
   workloads as thin clients of such a daemon;
 * ``python -m repro error-model --m 2`` — the closed-form vs Monte-Carlo

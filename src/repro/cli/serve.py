@@ -2,9 +2,10 @@
 
 Hosts trained models on one :class:`~repro.runtime.jobs.manager.JobManager`
 behind the stdlib HTTP server (:mod:`repro.runtime.server`): clients POST
-``/jobs`` and poll ``/jobs/<id>``, every job runs on one warm engine, and
-the service-level result cache makes duplicate cells free across all of
-them.  ``repro sweep|table3|dse --remote URL`` are the matching clients.
+``/jobs`` and wait on ``/jobs/<id>?wait=S``, every job runs on one warm
+engine, and the service-level result cache makes duplicate cells free
+across all of them (a fully cached job is answered by its POST).
+``repro sweep|table3|dse --remote URL`` are the matching clients.
 
 The startup handshake is one line on stdout::
 

@@ -97,6 +97,7 @@ def _remote_table3(args: argparse.Namespace) -> int:
             manifest.status = "error"
             manifest.error = f"{type(error).__name__}: {error}"
             return cli_error(str(error))
+        names = list(dict.fromkeys(info["name"] for info in infos))
         datasets = list(dict.fromkeys(info["dataset"] for info in infos))
         manifest.outputs.update(sweep_manifest_outputs(sweep))
         manifest.outputs["jobs"] = totals
@@ -109,7 +110,7 @@ def _remote_table3(args: argparse.Namespace) -> int:
         datasets,
         args.perforations,
         f"Table III accuracy sweep via {args.remote} "
-        f"({len(infos)} hosted models x {len(datasets)} datasets, "
+        f"({len(names)} hosted models x {len(datasets)} datasets, "
         f"m = {', '.join(map(str, args.perforations))}, "
         f"{totals['cache_hits']}/{totals['cells']} cells from cache)",
     )

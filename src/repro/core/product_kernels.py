@@ -41,10 +41,23 @@ import numpy as np
 from repro.core.control_variate import ControlVariate
 from repro.multipliers.base import OPERAND_LEVELS
 
-try:  # pragma: no cover - exercised indirectly via LUTKernel paths
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy is available in CI
-    _sparse = None
+#: ``scipy.sparse`` once :func:`_scipy_sparse` has imported it, ``None`` when
+#: scipy is missing (a test sets it to ``None`` to force the gather path).
+#: Imported on the first LUT use, not with this module: most runs compile
+#: no LUT kernel, and importing ``scipy.sparse`` also loads ``numpy.f2py``.
+_sparse = _NOT_IMPORTED = object()
+
+
+def _scipy_sparse():
+    """``scipy.sparse``, imported on first use, or ``None`` without scipy."""
+    global _sparse
+    if _sparse is _NOT_IMPORTED:
+        try:
+            from scipy import sparse
+        except ImportError:  # pragma: no cover - scipy is available in CI
+            sparse = None
+        _sparse = sparse
+    return _sparse
 
 
 #: Largest precompiled LUT error matrix, in bytes, before :class:`LUTKernel`
@@ -274,7 +287,8 @@ class LUTKernel(ProductKernel):
     def _error_sums_compiled(self, act: np.ndarray) -> np.ndarray:
         patches = act.shape[0]
         indices = (act + self._tap_offsets[None, :]).ravel()
-        if _sparse is not None:
+        sparse = _scipy_sparse()
+        if sparse is not None:
             # int8 ones: 8x smaller than int64 for a patches*taps-long array
             # that is pure structure; scipy promotes the product back to the
             # error matrix's int64.  Bound once: a concurrent caller may
@@ -283,7 +297,7 @@ class LUTKernel(ProductKernel):
             if ones.shape[0] < indices.shape[0]:
                 ones = self._ones = np.ones(indices.shape[0], dtype=np.int8)
             indptr = np.arange(patches + 1, dtype=np.int64) * self.taps
-            onehot = _sparse.csr_matrix(
+            onehot = sparse.csr_matrix(
                 (ones[: indices.shape[0]], indices, indptr),
                 shape=(patches, self.taps * OPERAND_LEVELS),
             )
@@ -408,7 +422,7 @@ class MultiPlanKernel:
                     distinct.append(matrix)
                 self._block_slots[i] = slot
             total_bytes = sum(m.nbytes for m in distinct)
-            if total_bytes <= max_error_matrix_bytes and _sparse is not None:
+            if total_bytes <= max_error_matrix_bytes and _scipy_sparse() is not None:
                 self._stacked_error = (
                     distinct[0] if len(distinct) == 1 else np.vstack(distinct)
                 )
@@ -587,7 +601,7 @@ class MultiPlanKernel:
         if ones.shape[0] < flat.shape[0]:
             ones = self._ones = np.ones(flat.shape[0], dtype=np.int8)
         indptr = np.arange(rows + 1, dtype=np.int64) * self.taps
-        onehot = _sparse.csr_matrix(
+        onehot = _scipy_sparse().csr_matrix(
             (ones[: flat.shape[0]], flat, indptr),
             shape=(rows, self._stacked_error.shape[0]),
         )

@@ -11,9 +11,10 @@ The runtime stack is three explicit layers::
 This package is layer 2: a FIFO job queue with a bounded depth, drained
 in submission order by one dispatcher, and the content-addressed
 service-level result cache that makes duplicate cells free across any
-client — without the engine below knowing clients exist or the transport
-above knowing how cells execute.  A job's ``session`` is a tag its client
-chooses; nothing is keyed or capped by it.
+client (a job whose every cell is cached finishes at submit, without
+queueing) — without the engine below knowing clients exist or the
+transport above knowing how cells execute.  A job's ``session`` is a tag
+its client chooses; nothing is keyed or capped by it.
 
 Entry points: :class:`JobManager` (host a service), :class:`LocalJobClient`
 / :class:`HttpJobClient` (talk to one), :class:`RemotePlanEvaluator` (run

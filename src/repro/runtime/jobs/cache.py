@@ -16,15 +16,18 @@ restarted daemon starts warm, so resubmitting yesterday's sweep is a 100%
 cache-hit run.  Keys are content-addressed, so a stale or foreign record
 can never alias a different measurement setup.
 
-Unbounded (one accuracy is a float, so even large campaigns stay tiny),
-with hit/miss counters surfaced through ``stats()``; thread-safe — the
-dispatcher thread populates it while HTTP handler threads read stats
-concurrently.
+Unbounded (one accuracy is a float, so even large campaigns stay tiny):
+no entry is ever dropped, so a key :meth:`ResultCache.contains_all` found
+is still there when the counted :meth:`ResultCache.get` reads it.
+Hit/miss counters are surfaced through ``stats()``; thread-safe — the
+dispatcher thread populates it while HTTP handler threads look keys up
+and read stats concurrently.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Iterable
 
 from repro.dse.ledger import CampaignLedger
 
@@ -64,6 +67,11 @@ class ResultCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def contains_all(self, keys: "Iterable[str]") -> bool:
+        """Whether every key is cached; counts nothing (see ``get``)."""
+        with self._lock:
+            return all(key in self._entries for key in keys)
 
     def get(self, key: str) -> float | None:
         """The cached accuracy under ``key``, or ``None`` (counted as a miss)."""

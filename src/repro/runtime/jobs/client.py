@@ -9,8 +9,9 @@ behind ``repro serve``:
 * :class:`LocalJobClient` binds the interface straight onto a
   :class:`~repro.runtime.jobs.manager.JobManager`;
 * :class:`HttpJobClient` speaks the daemon's JSON API over stdlib
-  ``urllib`` (POST ``/jobs``, poll GET ``/jobs/<id>``), translating
-  admission rejections (HTTP 429: ``queue_full`` or ``closed``) back into
+  ``urllib`` (POST ``/jobs``, then a blocking GET ``/jobs/<id>?wait=S``
+  unless the POST reply already ended the job), translating admission
+  rejections (HTTP 429: ``queue_full`` or ``closed``) back into
   :class:`~repro.runtime.jobs.queue.AdmissionError`;
 * :class:`RemotePlanEvaluator` adapts either client to the DSE campaign's
   evaluator surface (``evaluate`` / ``submit`` / ``context_key`` /
@@ -45,7 +46,7 @@ RETRY_MAX_BACKOFF_S = 2.0
 
 
 class JobFailedError(RuntimeError):
-    """A polled job reached ``failed`` (or ``cancelled``) instead of ``done``.
+    """A waited-on job reached ``failed`` (or ``cancelled``) instead of ``done``.
 
     The message is one line: the first line of the job's error (the
     exception type and message).  ``view["error"]`` keeps the daemon's
@@ -130,16 +131,19 @@ class HttpJobClient:
     and therefore cache hits and ledger records — are identical to
     submitting the same plans in-process.
 
-    ``request_timeout`` bounds every single HTTP round trip, so a hung
-    daemon surfaces as :class:`JobClientError` instead of blocking forever
-    — in particular :meth:`wait`'s deadline keeps ticking because no one
-    poll can stall past the request timeout.
+    :meth:`wait` sends no request for a job the ``POST /jobs`` reply
+    already showed ended (every cell cached); otherwise it holds one
+    ``GET /jobs/<id>?wait=S`` open at a time, which the daemon answers as
+    soon as the job ends.  ``request_timeout`` bounds every single HTTP
+    round trip, so a hung daemon surfaces as :class:`JobClientError`
+    instead of blocking forever; a held GET asks for at most half of it,
+    so the daemon always answers first.
 
     Transport-level failures (connection refused/reset, timeout — i.e. no
     HTTP response at all) are **retried for GETs only**, up to
     :data:`GET_RETRIES` times with exponential backoff from
-    :data:`RETRY_BACKOFF_S` capped at :data:`RETRY_MAX_BACKOFF_S`: status
-    polls and stats reads are idempotent, so one blip mid-campaign should
+    :data:`RETRY_BACKOFF_S` capped at :data:`RETRY_MAX_BACKOFF_S`: job
+    views and stats reads are idempotent, so one blip mid-campaign should
     not fail hours of work.  ``POST /jobs`` is *never* retried — a
     submission that died after reaching the daemon may already be queued,
     and a blind resend would double-submit.  HTTP error responses
@@ -147,16 +151,13 @@ class HttpJobClient:
     cannot change it.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        poll_interval: float = 0.05,
-        request_timeout: float = 60.0,
-    ):
+    def __init__(self, base_url: str, request_timeout: float = 60.0):
         self.base_url = base_url.rstrip("/")
-        self.poll_interval = float(poll_interval)
         self.request_timeout = float(request_timeout)
         self._model_cache: list[dict] | None = None
+        #: Views of jobs whose POST reply already showed them ended, until
+        #: :meth:`wait` takes them.
+        self._ended: dict[str, dict] = {}
 
     # ------------------------------------------------------------------
     def _request_once(self, method: str, path: str, payload: dict | None) -> dict:
@@ -241,23 +242,33 @@ class HttpJobClient:
             payload["model"] = model
             if dataset is not None:
                 payload["dataset"] = dataset
-        return self._request("POST", "/jobs", payload)["job"]["id"]
+        view = self._request("POST", "/jobs", payload)["job"]
+        if JobState(view["state"]).terminal:
+            self._ended[view["id"]] = view
+        return view["id"]
 
-    def job(self, job_id: str) -> dict:
-        return self._request("GET", f"/jobs/{job_id}")["job"]
+    def job(self, job_id: str, wait: float = 0.0) -> dict:
+        """The job's view; with ``wait`` seconds, the daemon holds the
+        reply until the job ends or the wait (at most its cap) runs out."""
+        query = f"?wait={wait:.3f}" if wait > 0 else ""
+        return self._request("GET", f"/jobs/{job_id}{query}")["job"]
 
     def wait(self, job_id: str, timeout: float | None = None) -> dict:
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            view = self.job(job_id)
-            state = view["state"]
-            if state == JobState.DONE.value:
-                return view
-            if state in (JobState.FAILED.value, JobState.CANCELLED.value):
-                raise JobFailedError(view)
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(f"job {job_id} still {state} after {timeout}s")
-            time.sleep(self.poll_interval)
+        view = self._ended.pop(job_id, None)
+        while view is None or not JobState(view["state"]).terminal:
+            hold = self.request_timeout / 2
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if view is not None and remaining <= 0:
+                    raise TimeoutError(
+                        f"job {job_id} still {view['state']} after {timeout}s"
+                    )
+                hold = max(0.0, min(hold, remaining))
+            view = self.job(job_id, wait=hold)
+        if view["state"] != JobState.DONE.value:
+            raise JobFailedError(view)
+        return view
 
     def stats(self) -> dict:
         return self._request("GET", "/stats")
@@ -273,7 +284,8 @@ class HttpJobClient:
 
 
 class RemoteBatch:
-    """Async handle of one submitted job (``results()`` polls to completion)."""
+    """Async handle of one submitted job (``results()`` waits it out
+    through the client's :meth:`wait`)."""
 
     def __init__(self, client, job_id: str, num_plans: int):
         self._client = client

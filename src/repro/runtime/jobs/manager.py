@@ -10,7 +10,9 @@ One manager owns one :class:`~repro.runtime.service.EvaluationService`
 * the service-level :class:`~repro.runtime.jobs.cache.ResultCache` — every
   completed cell is stored under its content-addressed key (the exact
   :func:`~repro.dse.ledger.plan_key` recipe campaign ledgers use), so a
-  duplicate cell from *any* client is a recorded cache hit.
+  duplicate cell from *any* client is a recorded cache hit.  A job whose
+  every cell is cached finishes inside :meth:`JobManager.submit` and never
+  waits behind the queue.
 
 A job's ``session`` is a tag the client chooses (checked against
 :data:`SESSION_ID_PATTERN`); nothing is keyed or capped by it.
@@ -221,7 +223,12 @@ class JobManager:
         session: str = "default",
         label: str = "",
     ) -> Job:
-        """Admit one job; returns it immediately (poll or :meth:`Job.wait`).
+        """Admit one job and return it (see :meth:`Job.wait`).
+
+        The job's cell keys are computed here, once.  When the result
+        cache already holds every cell, the job runs to ``done`` on the
+        calling thread before this returns; otherwise it queues for the
+        dispatcher, which evaluates the missing cells.
 
         Raises :class:`~repro.runtime.jobs.queue.AdmissionError` when the
         service is closed or the queue is full, and plain ``IndexError`` /
@@ -253,12 +260,23 @@ class JobManager:
             if not isinstance(plan, ExecutionPlan):
                 raise TypeError(f"job plans must be ExecutionPlans, got {plan!r}")
             plan.check_layers(mac_names)
+        from repro.dse.ledger import plan_key
+
+        context = self.context_key(model_index)
+        keys = [plan_key(context, plan, mac_names) for plan in plans]
+        # Uncounted: the lookup that counts is _run_job's, once per cell.
+        all_cached = self.cache.contains_all(keys)
         with self._lock:
             self._seq += 1
-            job = Job(f"job-{self._seq:06d}", session, model_index, plans, label=label)
+            job = Job(
+                f"job-{self._seq:06d}", session, model_index, plans, keys, label=label
+            )
             self._jobs[job.id] = job
         try:
-            self.queue.push(job)
+            if all_cached:
+                self.queue.admit()
+            else:
+                self.queue.push(job)
         except AdmissionError:
             # Forget the job but keep `_seq` where it is: rolling the mint
             # back would race a concurrent submit into reusing a live ID.
@@ -267,6 +285,10 @@ class JobManager:
             raise
         with self._lock:
             self._submitted += 1
+        if all_cached:
+            # Every lookup hits (the cache never drops an entry), so this
+            # thread never calls the engine: only the dispatcher does.
+            self._execute(job)
         return job
 
     # ------------------------------------------------------------------
@@ -279,44 +301,38 @@ class JobManager:
                 if self.queue.closed:
                     return
                 continue
-            try:
-                self._run_job(job)
-            except BaseException as exc:  # dispatcher must survive any job
-                job.fail(f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")
-            finally:
-                self._finalize(job)
+            self._execute(job)
+
+    def _execute(self, job: Job) -> None:
+        try:
+            self._run_job(job)
+        except BaseException as exc:  # the calling thread must survive any job
+            job.fail(f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")
+        finally:
+            self._finalize(job)
 
     def _run_job(self, job: Job) -> None:
         job.mark_running()
-        mac_names = self.service.mac_names(job.model_index)
-        context = self.context_key(job.model_index)
-        from repro.dse.ledger import plan_key
-
-        keys = [plan_key(context, plan, mac_names) for plan in job.plans]
         # Dedup within the job, then against the service-level cache.
-        first_plan: dict[str, ExecutionPlan] = {}
-        unique_keys: list[str] = []
-        for key, plan in zip(keys, job.plans):
-            if key not in first_plan:
-                first_plan[key] = plan
-                unique_keys.append(key)
         values: dict[str, float] = {}
-        miss_keys: list[str] = []
-        for key in unique_keys:
+        missing: dict[str, ExecutionPlan] = {}
+        for key, plan in zip(job.keys, job.plans):
+            if key in values or key in missing:
+                continue
             cached = self.cache.get(key)
-            if cached is not None:
-                values[key] = cached
+            if cached is None:
+                missing[key] = plan
             else:
-                miss_keys.append(key)
-        if miss_keys:
+                values[key] = cached
+        if missing:
             accuracies = self.service.evaluate_plans(
-                job.model_index, [first_plan[key] for key in miss_keys]
+                job.model_index, list(missing.values())
             )
-            for key, acc in zip(miss_keys, accuracies):
+            for key, acc in zip(missing, accuracies):
                 values[key] = acc
                 self.cache.put(key, acc)
-        hits = len(keys) - len(miss_keys)
-        job.finish([values[key] for key in keys], hits, len(miss_keys))
+        hits = len(job.keys) - len(missing)
+        job.finish([values[key] for key in job.keys], hits, len(missing))
 
     def _finalize(self, job: Job) -> None:
         with self._lock:

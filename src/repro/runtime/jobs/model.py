@@ -4,19 +4,25 @@ A job is *model-ref + plan-set + eval context*: the index of a hosted
 model and the list of :class:`~repro.simulation.inference.ExecutionPlan`
 cells to score against it (the evaluation context itself —
 eval/calibration arrays, batch size — is a property of the hosting
-service and is folded into every cell's content-addressed key).  The
-``session`` and ``label`` a client chooses are tags the job and its view
-carry; nothing is keyed by them.  Jobs move through a strict lifecycle::
+service and is folded into every cell's content-addressed key; the
+manager computes the keys once, at submit, and the job carries them as
+:attr:`Job.keys`).  The ``session`` and ``label`` a client chooses are
+tags the job and its view carry; nothing is keyed by them.  Jobs move
+through a strict lifecycle::
 
     QUEUED -> RUNNING -> DONE | FAILED
     QUEUED ------------> CANCELLED        (service closed)
+
+A job whose every cell is already cached runs through ``RUNNING`` to
+``DONE`` inside the submit call, so it is never queued.
 
 Cancellations carry a machine-readable :attr:`Job.reason` code alongside
 the human message: ``"service_closed"`` when the daemon shut down with
 the job still queued.
 
-State transitions happen on the dispatcher thread; readers (HTTP handler
-threads, polling clients) synchronize through :meth:`Job.wait` /
+State transitions happen on the dispatcher thread, or on the submitting
+thread for a job whose every cell is already cached; readers (HTTP
+handler threads, waiting clients) synchronize through :meth:`Job.wait` /
 :meth:`Job.view`, which snapshot under the job's lock.
 """
 
@@ -52,12 +58,15 @@ class Job:
         session_id: str,
         model_index: int,
         plans: Sequence[ExecutionPlan],
+        keys: Sequence[str],
         label: str = "",
     ):
         self.id = job_id
         self.session_id = session_id
         self.model_index = int(model_index)
         self.plans = list(plans)
+        #: The result-cache key of each plan, in plan order.
+        self.keys = list(keys)
         self.label = str(label)
         #: Machine-readable cancellation code (``service_closed``);
         #: ``None`` unless CANCELLED.

@@ -7,7 +7,9 @@ memory growth).
 
 Rejections raise :class:`AdmissionError` with a machine-readable
 ``reason`` code (``"closed"`` / ``"queue_full"``) plus a human message —
-the transport layer maps them to HTTP 429 bodies verbatim.
+the transport layer maps them to HTTP 429 bodies verbatim.  A job whose
+cells are all cached never enters the queue, but still passes
+:meth:`JobQueue.admit`, so a closed service refuses it too.
 
 Ordering is strict FIFO: the dispatcher pops jobs in submission order,
 which is what keeps duplicate-cell behavior deterministic (the *first*
@@ -58,12 +60,22 @@ class JobQueue:
     def closed(self) -> bool:
         return self._closed
 
+    def _refuse_if_closed(self) -> None:
+        """Raise (and count) the ``closed`` rejection; the caller holds the lock."""
+        if self._closed:
+            self.rejected += 1
+            raise AdmissionError("closed", "job service is shut down")
+
+    def admit(self) -> None:
+        """Admit a job that never queues (every cell cached) or raise the
+        ``closed`` :class:`AdmissionError`; the depth bound does not apply."""
+        with self._lock:
+            self._refuse_if_closed()
+
     def push(self, job: Job) -> None:
         """Admit ``job`` or raise :class:`AdmissionError`."""
         with self._not_empty:
-            if self._closed:
-                self.rejected += 1
-                raise AdmissionError("closed", "job service is shut down")
+            self._refuse_if_closed()
             if len(self._jobs) >= self.max_depth:
                 self.rejected += 1
                 raise AdmissionError(

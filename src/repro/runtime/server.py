@@ -1,11 +1,11 @@
 """`repro serve`: the evaluation runtime behind an HTTP boundary (layer 3).
 
 A long-lived daemon fronting one :class:`~repro.runtime.jobs.manager.
-JobManager`: clients POST (model-ref, plan-set) jobs and poll results,
-every job runs on one warm engine with the hosted models already loaded,
-and the service-level result cache makes duplicate cells free across
-all of them.  Stdlib only (:class:`http.server.ThreadingHTTPServer` +
-``json``): no new dependencies.
+JobManager`: clients POST (model-ref, plan-set) jobs and wait for their
+results, every job runs on one warm engine with the hosted models already
+loaded, and the service-level result cache makes duplicate cells free
+across all of them.  Stdlib only (:class:`http.server.ThreadingHTTPServer`
++ ``json``): no new dependencies.
 
 API (all JSON)::
 
@@ -15,28 +15,37 @@ API (all JSON)::
                                       mac_layer_names, context_key}, ...]}
     POST /jobs           {"model": name [, "dataset": name] | "model_index": i,
                           "plans": [...], "session": tag, "label": text}
-                         -> 202 {"job": {...}}   (409-free: poll the job)
+                         -> 202 {"job": {...}}   ("state": "done", with the
+                                accuracies, when every cell was cached;
+                                otherwise "queued": wait on the job)
                          -> 400 bad Content-Length, unknown payload keys,
-                                bad model/plan payloads, a session or
+                                a model or dataset that is not a JSON
+                                string, bad plan payloads, a session or
                                 label that is not a JSON string, a bad
                                 session tag
                          -> 404 unknown model
                          -> 429 {"reason": "closed" | "queue_full"}
     GET  /jobs/<id>      {"job": {id, state, accuracies, cache_hits, ...}}
+         [?wait=S]       holds the reply until the job ends or S seconds
+                         pass (at most JOB_WAIT_CAP_S)
+                         -> 400 S is not a finite number >= 0
+                         -> 404 unknown job
 
 Plans travel through the fingerprint-preserving codec
 (:mod:`repro.runtime.jobs.codec`), so a served job's content-addressed
 cell keys — and therefore its cache hits — are identical to running the
-same job in-process.  Handler threads only enqueue and snapshot; all
-evaluation happens on the manager's dispatcher thread, keeping the
-engine single-submitter.
+same job in-process.  Handler threads only enqueue, read the result
+cache and snapshot; all evaluation happens on the manager's dispatcher
+thread, keeping the engine single-submitter.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs
 
 from repro.runtime.jobs.codec import PlanCodecError, decode_plans
 from repro.runtime.jobs.manager import JobManager
@@ -47,6 +56,26 @@ from repro.runtime.jobs.queue import AdmissionError
 JOB_PAYLOAD_KEYS = frozenset(
     {"model", "model_index", "dataset", "plans", "session", "label"}
 )
+
+#: Longest ``GET /jobs/<id>?wait=S`` holds its reply, in seconds; it stays
+#: under :class:`~repro.runtime.jobs.client.HttpJobClient`'s default 60 s
+#: request timeout.
+JOB_WAIT_CAP_S = 30.0
+
+
+def _wait_seconds(query: str) -> float:
+    """The ``wait`` of a job query string (0 without one); ``ValueError``
+    unless it is one finite number of seconds, at least 0."""
+    values = parse_qs(query, keep_blank_values=True).get("wait", ["0"])
+    try:
+        (seconds,) = map(float, values)
+    except ValueError:  # not a number, or not exactly one
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError(
+            f"wait must be one finite number of seconds >= 0, got {values}"
+        )
+    return seconds
 
 
 class JobServer(ThreadingHTTPServer):
@@ -83,8 +112,8 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
     server: JobServer
     protocol_version = "HTTP/1.1"
 
-    # Quiet by default: a polling client would flood stderr with one log
-    # line per request.
+    # Quiet by default: busy clients would flood stderr with one log line
+    # per request.
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
 
@@ -105,7 +134,8 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
         manager = self.server.manager
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        path, _, query = self.path.partition("?")
+        path = path.rstrip("/") or "/"
         try:
             if path == "/healthz":
                 self._send_json(
@@ -123,10 +153,16 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
             elif path.startswith("/jobs/"):
                 job_id = path[len("/jobs/"):]
                 try:
+                    wait_s = _wait_seconds(query)
+                except ValueError as error:
+                    self._send_error_json(400, str(error))
+                    return
+                try:
                     job = manager.job(job_id)
                 except KeyError:
                     self._send_error_json(404, f"unknown job {job_id!r}")
                     return
+                job.wait(min(wait_s, JOB_WAIT_CAP_S))
                 self._send_json(200, {"job": job.view()})
             else:
                 self._send_error_json(404, f"no such endpoint: {path}")
@@ -173,6 +209,14 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
                 f"(allowed: {', '.join(sorted(JOB_PAYLOAD_KEYS))})",
             )
             return
+        # Names are taken as sent, never str()-ed: `null` is no model "None".
+        for key in ("model", "dataset"):
+            if key in payload and not isinstance(payload[key], str):
+                self._send_error_json(
+                    400,
+                    f"job {key} must be a JSON string, got {json.dumps(payload[key])}",
+                )
+                return
         # Resolve the model reference: explicit index or name (+ dataset).
         if "model_index" in payload:
             model_index = payload["model_index"]
@@ -187,7 +231,7 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
         elif "model" in payload:
             try:
                 model_index = manager.resolve_model(
-                    str(payload["model"]), payload.get("dataset")
+                    payload["model"], payload.get("dataset")
                 )
             except KeyError as error:
                 self._send_error_json(404, str(error))
@@ -228,4 +272,4 @@ def serve(
     return JobServer(manager, host=host, port=port)
 
 
-__all__ = ["JobServer", "serve"]
+__all__ = ["JobServer", "JOB_WAIT_CAP_S", "serve"]

@@ -271,6 +271,45 @@ class TestCliErrorPaths:
         assert argv[0] in capsys.readouterr().err
 
 
+class TestRemoteTable3:
+    def test_title_counts_networks_not_hosted_pairs(
+        self, capsys, monkeypatch, tmp_path, trained_tiny_model, tiny_dataset
+    ):
+        """Two networks hosted for two datasets are four (model, dataset)
+        pairs: the title counts 2 models, as the local path does."""
+        import dataclasses
+        import threading
+
+        from repro.runtime.jobs import JobManager
+        from repro.runtime.server import JobServer
+        from repro.simulation.campaign import TrainedModel
+
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
+        second = dataclasses.replace(tiny_dataset, name=f"{tiny_dataset.name}-b")
+        datasets = {dataset.name: dataset for dataset in (tiny_dataset, second)}
+        models = [
+            TrainedModel(
+                name=name,
+                dataset_name=dataset_name,
+                model=trained_tiny_model,
+                float_accuracy=0.0,
+            )
+            for name in ("vgg13", "resnet44")
+            for dataset_name in datasets
+        ]
+        server = JobServer(JobManager(models, datasets))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            argv = ["table3", "--remote", server.url, "--models", "vgg13", "resnet44"]
+            assert main(argv + ["--perforations", "1"]) == 0
+        finally:
+            server.shutdown_and_close()
+            thread.join(timeout=10)
+        out = capsys.readouterr().out
+        assert "(2 hosted models x 2 datasets, m = 1, " in out
+
+
 class TestSweepCommand:
     def test_sweep_command_small(self, capsys, tmp_path):
         assert (

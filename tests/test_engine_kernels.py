@@ -116,6 +116,20 @@ class TestKernelParity:
         assert lowmem._error_matrix is None and not lowmem.is_exact
         np.testing.assert_array_equal(lowmem(acts), lut_product_sums(acts, weights, lut))
 
+    def test_lut_kernel_imports_scipy_on_first_use(self, operands, rng, monkeypatch):
+        """scipy is not imported with the module: the first LUT error sum
+        imports it and then takes the sparse one-hot product."""
+        import scipy.sparse
+
+        import repro.core.product_kernels as pk
+
+        monkeypatch.setattr(pk, "_sparse", pk._NOT_IMPORTED)
+        acts, weights = operands
+        lut = random_lut(rng)
+        kernel = LUTKernel(weights, lut)
+        np.testing.assert_array_equal(kernel(acts), lut_product_sums(acts, weights, lut))
+        assert pk._sparse is scipy.sparse
+
     def test_lut_kernel_gather_fallback_bit_exact(self, operands, rng, monkeypatch):
         """The no-scipy per-tap gather path stays bit-exact."""
         import repro.core.product_kernels as pk

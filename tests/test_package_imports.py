@@ -6,7 +6,8 @@ test ran before.  So each package gets its own ``python -c``.  A star
 import of every package also resolves each name of its ``__all__``, so a
 name deleted from the package but left in that list fails here.  The
 retired shared-memory publishing and job-session modules stay gone, and
-no package exports a name of theirs.
+no package exports a name of theirs.  Importing the packages a run starts
+with leaves scipy unloaded: only a LUT kernel needs it.
 """
 
 from __future__ import annotations
@@ -80,6 +81,25 @@ def test_package_imports_first(statement):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_startup_imports_leave_scipy_unloaded():
+    """scipy (which pulls in ``numpy.f2py``) is imported on the first LUT
+    kernel compile or call, not by the packages every run imports."""
+    statement = (
+        "import sys\n"
+        "import repro.simulation, repro.runtime, repro.cli, repro.dse\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", statement],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def _assert_retired(modules, names) -> None:

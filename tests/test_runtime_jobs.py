@@ -9,7 +9,9 @@ The acceptance criteria of the job-oriented re-architecture live here:
 * **service-level result cache** — duplicate cells across jobs from *any*
   client are cache hits: two concurrent clients submitting overlapping
   plan sets get bit-identical results, the overlap served from cache, with
-  hit/miss counters in ``stats()``;
+  hit/miss counters in ``stats()``; a job whose every cell is cached is
+  ``done`` when ``submit`` returns (never queued, still refused once the
+  service is closed), and each cell lookup is counted once;
 * **admission control** — a bounded queue rejects with reason
   ``queue_full`` (the bound counts waiting jobs, not the running one),
   rejections never corrupt counters, and one session may have any number
@@ -20,7 +22,8 @@ The acceptance criteria of the job-oriented re-architecture live here:
 * **graceful close** — ``close()`` with jobs still queued cancels them
   (state ``cancelled``) and drains the dispatcher, a 2-worker engine
   leaves ``/dev/shm`` as it found it, and submissions racing ``close()``
-  end ``done`` or ``cancelled`` with consistent counters;
+  (cache hits or misses) end ``done`` or ``cancelled`` with consistent
+  counters;
 * **one stats schema** — the :mod:`repro.runtime.stats` docstring names
   exactly the keys each section reports, and :data:`STATS_KEYS` pins that
   key set to the schema version;
@@ -34,6 +37,7 @@ The acceptance criteria of the job-oriented re-architecture live here:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import re
 import sys
@@ -47,6 +51,7 @@ from repro.cli.common import sweep_jobs_local
 from repro.multipliers.library import MultiplierLibrary
 from repro.runtime.jobs import (
     AdmissionError,
+    Job,
     JobManager,
     JobQueue,
     JobState,
@@ -101,6 +106,18 @@ def _plans(trained, count: int, seed: int) -> list[ExecutionPlan]:
                 plan = plan.with_layer(name, choice)
         plans.append(plan)
     return plans
+
+
+def _nth_plan(mac_names, index: int) -> ExecutionPlan:
+    """The ``index``-th of a sequence of distinct plans: the base-4 digits
+    of ``index`` perforate each layer by ``m = digit`` (0 keeps it
+    accurate)."""
+    plan = ExecutionPlan.uniform(AccurateProduct())
+    for name in mac_names:
+        index, digit = divmod(index, 4)
+        if digit:
+            plan = plan.with_layer(name, PerforatedProduct(digit))
+    return plan
 
 
 class TestCodec:
@@ -291,6 +308,116 @@ class TestResultCacheAcrossClients:
         assert totals_second["cache_hits"] == totals_second["cells"]
         assert second.baselines == first.baselines
         assert second.records == first.records
+
+
+class TestCachedJobsFinishAtSubmit:
+    """A job whose every cell is cached ends ``done`` inside ``submit``;
+    any other job queues, and each cell lookup is counted once."""
+
+    @staticmethod
+    def _record_transitions(monkeypatch) -> list[tuple[str, str]]:
+        events: list[tuple[str, str]] = []
+        for name in ("mark_running", "finish"):
+            original = getattr(Job, name)
+
+            def record(job, *args, _name=name, _original=original, **kwargs):
+                events.append((_name, job.id))
+                return _original(job, *args, **kwargs)
+
+            monkeypatch.setattr(Job, name, record)
+        return events
+
+    def test_fully_cached_job_is_done_when_submit_returns(
+        self, manager, trained, monkeypatch
+    ):
+        plans = _plans(trained, 3, seed=9)
+        first = manager.submit(0, plans)
+        assert first.wait(timeout=120)
+        expected = first.view()["accuracies"]
+        events = self._record_transitions(monkeypatch)
+
+        def no_evaluation(model_index, plans):
+            raise AssertionError("a fully cached job reached the engine")
+
+        monkeypatch.setattr(manager.service, "evaluate_plans", no_evaluation)
+        job = manager.submit(0, plans + plans[:1])  # one cell twice
+        assert job.state is JobState.DONE and job.finished
+        view = job.view()
+        assert view["accuracies"] == expected + expected[:1]
+        assert (view["cache_hits"], view["cache_misses"]) == (4, 0)
+        assert events == [("mark_running", job.id), ("finish", job.id)]
+        stats = manager.stats()
+        jobs = stats["jobs"]
+        assert jobs["submitted"] == 2
+        assert jobs["submitted"] == jobs["completed"] + jobs["failed"] + jobs["cancelled"]
+        # The first job's three misses, then one counted hit per distinct cell.
+        assert (stats["cache"]["misses"], stats["cache"]["hits"]) == (3, 3)
+
+    @staticmethod
+    def _cache(manager, plan: ExecutionPlan, accuracy: float) -> None:
+        """Store ``accuracy`` under ``plan``'s cell key (no counted lookup)."""
+        from repro.dse.ledger import plan_key
+
+        key = plan_key(manager.context_key(0), plan, manager.service.mac_names(0))
+        manager.cache.put(key, accuracy)
+
+    def test_partly_cached_job_queues_and_counts_each_lookup_once(
+        self, trained, tiny_dataset, monkeypatch
+    ):
+        manager = JobManager(
+            [trained], {tiny_dataset.name: tiny_dataset}, auto_start=False
+        )
+        plans = _plans(trained, 3, seed=11)
+        try:
+            for plan in plans[:2]:
+                self._cache(manager, plan, 0.5)
+            events = self._record_transitions(monkeypatch)
+            job = manager.submit(0, plans)
+            assert job.state is JobState.QUEUED and events == []
+            manager.start()
+            assert job.wait(timeout=120)
+            assert events == [("mark_running", job.id), ("finish", job.id)]
+            assert job.view()["accuracies"][:2] == [0.5, 0.5]
+            assert (job.cache_hits, job.cache_misses) == (2, 1)
+            cache = manager.stats()["cache"]
+            assert (cache["misses"], cache["hits"]) == (1, 2)
+        finally:
+            manager.close()
+
+    def test_a_full_queue_admits_a_fully_cached_job(self, trained, tiny_dataset):
+        """Only queued jobs count against the depth: a fully cached job
+        never queues, so a full queue still admits it."""
+        manager = JobManager(
+            [trained],
+            {tiny_dataset.name: tiny_dataset},
+            max_queue_depth=1,
+            auto_start=False,
+        )
+        accurate = ExecutionPlan.uniform(AccurateProduct())
+        perforated = ExecutionPlan.uniform(PerforatedProduct(2))
+        try:
+            self._cache(manager, accurate, 0.5)
+            queued = manager.submit(0, [perforated])
+            cached = manager.submit(0, [accurate])
+            assert queued.state is JobState.QUEUED
+            assert cached.view()["accuracies"] == [0.5]
+            with pytest.raises(AdmissionError) as full:
+                manager.submit(0, [perforated])
+            assert full.value.reason == "queue_full"
+        finally:
+            manager.close()
+
+    def test_a_closed_service_refuses_a_fully_cached_job(self, manager):
+        plan = [ExecutionPlan.uniform(AccurateProduct())]
+        assert manager.submit(0, plan).wait(timeout=120)
+        manager.close()
+        with pytest.raises(AdmissionError) as rejected:
+            manager.submit(0, plan)
+        assert rejected.value.reason == "closed"
+        stats = manager.stats()
+        assert stats["jobs"]["rejected"] == 1
+        assert stats["jobs"]["submitted"] == stats["jobs"]["completed"] == 1
+        assert stats["cache"]["hits"] == 0  # the refused job counted no lookup
 
 
 class TestAdmissionControl:
@@ -509,28 +636,34 @@ class TestGracefulClose:
         stats = manager.stats()
         assert stats["jobs"]["cancelled"] == 3
 
-    def test_submit_racing_close_loses_no_job(self, trained, tiny_dataset):
+    @pytest.mark.parametrize("cached", [True, False], ids=["cache-hits", "cache-misses"])
+    def test_submit_racing_close_loses_no_job(self, trained, tiny_dataset, cached):
         """Eight threads submit while ``close()`` runs: every accepted job
         ends ``done`` or ``cancelled`` (none stays queued), the counters
-        add up, and no job id is handed out twice."""
+        add up, and no job id is handed out twice.  Cache hits finish
+        inside ``submit``, so none is cancelled; misses queue behind the
+        dispatcher, and ``close()`` cancels those still waiting."""
         manager = JobManager(
             [trained], {tiny_dataset.name: tiny_dataset}, max_queue_depth=100_000
         )
-        plan = [ExecutionPlan.uniform(AccurateProduct())]
-        # One finished job first: the racing jobs are cache hits, so the
-        # dispatcher drains them while the threads submit and close() ends
-        # with some jobs done and some cancelled.
-        warm = manager.submit(0, plan)
+        accurate = [ExecutionPlan.uniform(AccurateProduct())]
+        # One finished job first: with `cached`, every racing job repeats it.
+        warm = manager.submit(0, accurate)
         assert warm.wait(timeout=120)
+        mac_names = manager.service.mac_names(0)
+        fresh = itertools.count(1)  # a never-submitted plan per racing miss
         accepted: list[list] = [[] for _ in range(8)]
         reasons: list[str] = []
         streaming = threading.Event()
 
         def submitter(index: int) -> None:
-            # Submit until refused; close() refuses each thread once.
-            while True:
+            # Submit until refused; close() refuses each thread once.  The
+            # bound turns a close() that refuses nothing into a failure
+            # below instead of an endless loop.
+            for _ in range(5_000):
+                plans = accurate if cached else [_nth_plan(mac_names, next(fresh))]
                 try:
-                    job = manager.submit(0, plan, session=f"s{index}")
+                    job = manager.submit(0, plans, session=f"s{index}")
                 except AdmissionError as error:
                     reasons.append(error.reason)
                     return
@@ -553,7 +686,11 @@ class TestGracefulClose:
         assert not any(thread.is_alive() for thread in threads)
         jobs = [warm] + [job for batch in accepted for job in batch]
         assert reasons == ["closed"] * 8
-        assert {job.state for job in jobs} <= {JobState.DONE, JobState.CANCELLED}
+        states = {job.state for job in jobs}
+        if cached:
+            assert states == {JobState.DONE}
+        else:
+            assert states == {JobState.DONE, JobState.CANCELLED}
         assert len({job.id for job in jobs}) == len(jobs)
         stats = manager.stats()["jobs"]
         assert stats["submitted"] == len(jobs)

@@ -14,10 +14,15 @@ The daemon contract lives here:
   exact front of a local campaign with the same measurement setup;
 * **cross-client caching over the wire** — a duplicate HTTP submission is
   served from the daemon's result cache, visible in ``/stats``;
+* **no polling** — the ``POST`` reply of a fully cached job reads
+  ``done`` with its accuracies, and the client then sends no ``GET``;
+  ``GET /jobs/<id>?wait=S`` answers when the job ends, or after S seconds
+  capped by the server, and ``close()`` ends a held wait;
 * **malformed wire input** — a bad ``Content-Length`` is answered at once
   without reading the body, and unknown payload keys, malformed plan
-  numbers (``"m": 1e400``, a string control-variate flag) and a
-  ``session`` or ``label`` that is not a JSON string are a 400;
+  numbers (``"m": 1e400``, a string control-variate flag), a ``model``,
+  ``dataset``, ``session`` or ``label`` that is not a JSON string and a
+  ``wait`` that is not a finite number ``>= 0`` are a 400;
 * **client resilience** — :class:`~repro.runtime.jobs.client.HttpJobClient`
   retries idempotent GETs through transient connection failures (flaky
   stub server) but never retries a POST.
@@ -28,6 +33,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -38,6 +44,7 @@ from repro.runtime.jobs import (
     AdmissionError,
     HttpJobClient,
     JobClientError,
+    JobFailedError,
     JobManager,
     LocalJobClient,
     RemotePlanEvaluator,
@@ -75,7 +82,34 @@ def server(trained, tiny_dataset):
 
 @pytest.fixture()
 def client(server):
-    return HttpJobClient(server.url, poll_interval=0.01)
+    return HttpJobClient(server.url)
+
+
+@pytest.fixture()
+def idle_server(trained, tiny_dataset):
+    """A daemon whose dispatcher has not started: jobs stay queued until
+    the test calls ``idle_server.manager.start()``."""
+    manager = JobManager(
+        [trained], {tiny_dataset.name: tiny_dataset}, auto_start=False
+    )
+    srv = JobServer(manager)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown_and_close()
+    thread.join(timeout=10)
+
+
+def _post_job(url: str, payload: dict) -> dict:
+    request = urllib.request.Request(
+        f"{url}/jobs",
+        data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with urllib.request.urlopen(request) as response:
+        assert response.status == 202
+        return json.loads(response.read().decode())["job"]
 
 
 class TestEndpoints:
@@ -288,6 +322,39 @@ class TestEndpoints:
             assert named in json.loads(error.value.read().decode())["error"]
         assert server.manager.stats()["jobs"]["submitted"] == submitted
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"model": None}, "model"),
+            ({"model": ["vgg13"]}, "model"),
+            ({"model": 7}, "model"),
+            ({"model": "vgg13", "dataset": 7}, "dataset"),
+            ({"model": "vgg13", "dataset": None}, "dataset"),
+            ({"model_index": 0, "dataset": ["tiny"]}, "dataset"),
+        ],
+        ids=[
+            "model-null",
+            "model-list",
+            "model-int",
+            "dataset-int",
+            "dataset-null",
+            "dataset-list-with-index",
+        ],
+    )
+    def test_model_and_dataset_must_be_json_strings(self, server, fields, named):
+        """Model and dataset names are taken as sent, never ``str()``-ed:
+        ``null`` must not resolve to a model named ``"None"``, nor
+        ``["vgg13"]`` or ``7`` be looked up as names (a 404)."""
+        plans = encode_plans([ExecutionPlan.uniform(AccurateProduct())])
+        submitted = server.manager.stats()["jobs"]["submitted"]
+        with pytest.raises(urllib.error.HTTPError) as error:
+            _post_job(server.url, {"plans": plans, **fields})
+        with error.value:
+            assert error.value.code == 400
+            message = json.loads(error.value.read().decode())["error"]
+        assert f"job {named} must be a JSON string" in message
+        assert server.manager.stats()["jobs"]["submitted"] == submitted
+
     @pytest.mark.parametrize("length", ["-1", "abc", "+5", "1.5", ""])
     def test_bad_content_length_is_400_at_once(self, server, length):
         """A Content-Length that is not a non-negative integer is answered
@@ -375,6 +442,101 @@ class TestServedParity:
         assert remote.stats["context_key"] == local.stats["context_key"]
 
 
+class TestBlockingWait:
+    """No polling: a fully cached job is answered by its ``POST``, and
+    ``GET /jobs/<id>?wait=S`` holds its reply until the job ends."""
+
+    def test_fully_cached_post_reply_is_done(self, server, client, monkeypatch):
+        plans = [ExecutionPlan.uniform(PerforatedProduct(3, use_control_variate=False))]
+        first = client.wait(client.submit_job(0, plans), timeout=240)
+        reply = _post_job(server.url, {"model_index": 0, "plans": encode_plans(plans)})
+        assert reply["state"] == "done"
+        assert reply["accuracies"] == first["accuracies"]
+        assert (reply["cache_hits"], reply["cache_misses"]) == (1, 0)
+
+        def no_get(*args, **kwargs):
+            raise AssertionError("wait sent a GET for a job its POST reply ended")
+
+        monkeypatch.setattr(client, "job", no_get)
+        view = client.wait(client.submit_job(0, plans), timeout=240)
+        assert view["accuracies"] == first["accuracies"]
+
+    def test_wait_returns_when_the_job_ends(self, idle_server):
+        client = HttpJobClient(idle_server.url)
+        job_id = client.submit_job(0, [ExecutionPlan.uniform(AccurateProduct())])
+        held: dict = {}
+
+        def hold() -> None:
+            start = time.monotonic()
+            held["view"] = client.job(job_id, wait=20)
+            held["elapsed"] = time.monotonic() - start
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        time.sleep(0.3)
+        assert "view" not in held  # still held: the job is queued
+        idle_server.manager.start()
+        thread.join(timeout=60)
+        assert held["view"]["state"] == "done"
+        assert 0.3 <= held["elapsed"] < 10  # at the finish, well before the wait
+
+    def test_wait_is_capped(self, idle_server, monkeypatch):
+        import repro.runtime.server as server_module
+
+        monkeypatch.setattr(server_module, "JOB_WAIT_CAP_S", 0.2)
+        client = HttpJobClient(idle_server.url)
+        job_id = client.submit_job(0, [ExecutionPlan.uniform(AccurateProduct())])
+        start = time.monotonic()
+        view = client.job(job_id, wait=25)
+        assert view["state"] == "queued"
+        assert 0.2 <= time.monotonic() - start < 10
+
+    def test_client_wait_keeps_its_timeout(self, idle_server):
+        client = HttpJobClient(idle_server.url)
+        job_id = client.submit_job(0, [ExecutionPlan.uniform(AccurateProduct())])
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="still queued"):
+            client.wait(job_id, timeout=0.3)
+        assert 0.3 <= time.monotonic() - start < 10
+
+    def test_close_ends_a_held_wait(self, idle_server):
+        client = HttpJobClient(idle_server.url)
+        job_id = client.submit_job(0, [ExecutionPlan.uniform(AccurateProduct())])
+        errors: list = []
+
+        def wait() -> None:
+            try:
+                client.wait(job_id)
+            except JobFailedError as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=wait)
+        thread.start()
+        time.sleep(0.2)
+        idle_server.manager.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [error.view["state"] for error in errors] == ["cancelled"]
+
+    @pytest.mark.parametrize("wait", ["abc", "-1", "nan", "inf", "", "1&wait=2"])
+    def test_bad_wait_is_400(self, idle_server, wait):
+        client = HttpJobClient(idle_server.url)
+        job_id = client.submit_job(0, [ExecutionPlan.uniform(AccurateProduct())])
+        with pytest.raises(urllib.error.HTTPError) as error:
+            urllib.request.urlopen(f"{idle_server.url}/jobs/{job_id}?wait={wait}")
+        with error.value:
+            assert error.value.code == 400
+            assert "wait must be" in json.loads(error.value.read().decode())["error"]
+
+    def test_unknown_job_with_wait_is_404(self, server):
+        start = time.monotonic()
+        with pytest.raises(urllib.error.HTTPError) as error:
+            urllib.request.urlopen(f"{server.url}/jobs/job-999999?wait=20")
+        with error.value:
+            assert error.value.code == 404
+        assert time.monotonic() - start < 10
+
+
 class TestAdmissionOverTheWire:
     def test_429_maps_back_to_admission_error(self, trained, tiny_dataset):
         manager = JobManager(
@@ -406,7 +568,7 @@ class TestAdmissionOverTheWire:
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:
-            client = HttpJobClient(srv.url, poll_interval=0.01)
+            client = HttpJobClient(srv.url)
             job_id = client.submit_job(
                 0, [ExecutionPlan.uniform(AccurateProduct())], session="alice"
             )
