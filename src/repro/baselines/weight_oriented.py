@@ -124,7 +124,7 @@ class _WeightOrientedKernel(ProductKernel):
             raise ValueError(
                 f"weight_codes must be 2-D (taps, filters), got {weights.shape}"
             )
-        super().__init__(*weights.shape)
+        super().__init__(weights)
         aggressive = product.mode_masks(weights)
         self._w_op = _WeightOperand(weights)
         self._modes: list[tuple[int, _WeightOperand]] = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.product_kernels import MultiPlanKernel, ProductKernel
+from repro.core.product_kernels import MultiPlanKernel, ProductKernel, ZeroPointFold
 
 
 class NumpyBackend:
@@ -41,19 +41,24 @@ class NumpyBackend:
         weight_codes: np.ndarray,
         control_variate,
         kernels=None,
+        fold: ZeroPointFold | None = None,
     ) -> MultiPlanKernel:
         """Fuse P per-plan product models into one batched multi-plan kernel.
 
         ``kernels``, when given, carries the already compiled per-plan
         kernels for the same ``(models, weights, cv)`` triple so precompiled
-        state (LUT error matrices) is reused instead of rebuilt.
+        state (LUT error matrices) is reused instead of rebuilt.  ``fold``
+        carries the layer group's zero points and centered weights; the
+        kernel then returns the folded sums that
+        ``QuantizedLinearOp.output_real_stacked`` scales (raw product sums
+        without it).
         """
         if kernels is None:
             kernels = [
                 self.compile(model, weight_codes, control_variate)
                 for model in product_models
             ]
-        return MultiPlanKernel(kernels)
+        return MultiPlanKernel(kernels, fold=fold)
 
 
 __all__ = ["NumpyBackend"]

@@ -25,16 +25,25 @@ The one-hot matrix has exactly ``taps`` ones per row, so the product is
 evaluated through a scipy CSR matrix when scipy is available, or through a
 per-tap gather loop otherwise — either way the 3-D gather is gone.
 
-All integer matrix products are executed in float64 BLAS and cast back: every
-partial product and every partial sum is a non-negative integer bounded by
-``taps * 255 * 255 << 2^53``, so the float64 accumulation is exact and the
-results are bit-identical to the int64 reference paths (enforced by the
-``pytest -m engine`` parity suite).
+All integer matrix products run in float BLAS and are exact: every partial
+product and every partial sum is an integer below the float format's exact
+range (``taps * 255 * 255 << 2^53`` for float64; float32 only where
+``255 * max_f sum_j |w_jf| < 2^24``), so the results are bit-identical to the
+int64 reference paths (enforced by the ``pytest -m engine`` parity suite).
+
+A fused launch (:class:`MultiPlanKernel`) folds the layer's zero points into
+its weights (:class:`ZeroPointFold`): it multiplies the centered weights
+``W' = W - z_w`` and returns the exact integer that dequantization scales,
+``lhs @ W' + (c - z_w) * sum_j x_j - z_a * sum_j W'_j`` (``c`` the
+control-variate constant, 0 without it), so no launch sums the activation
+codes.  The centered weights are signed; the float32 bound above covers
+them, since it bounds ``|w|``.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 
 import numpy as np
 
@@ -65,11 +74,11 @@ def _scipy_sparse():
 DEFAULT_MAX_ERROR_MATRIX_BYTES = 1 << 28
 
 
-def _as_int64_weights(weight_codes: np.ndarray) -> np.ndarray:
+def _check_weights(weight_codes: np.ndarray) -> np.ndarray:
     w = np.asarray(weight_codes)
     if w.ndim != 2:
         raise ValueError(f"weight_codes must be 2-D (taps, filters), got {w.shape}")
-    return w.astype(np.int64)
+    return w
 
 
 def exact_int_matmul(lhs: np.ndarray, rhs_f64: np.ndarray) -> np.ndarray:
@@ -87,41 +96,41 @@ _F32_EXACT_BOUND = 1 << 24
 
 
 class _WeightOperand:
-    """A weight matrix prepared for exact floating-point BLAS products.
+    """An integer weight matrix prepared for exact floating-point BLAS products.
 
-    Stores the float64 copy of the ``(taps, filters)`` weights and, when
-    every possible product sum of 8-bit activations against them fits below
-    2^24 (``255 * max_f sum_j w[j, f] < 2^24``), a float32 copy as well —
+    Holds a float32 copy of the ``(taps, filters)`` weights when every
+    product sum of 8-bit activations against them stays an integer below
+    2^24 (``255 * max_f sum_j |w[j, f]| < 2^24``, which bounds every
+    partial sum whatever the weights' signs) and a float64 copy otherwise.
     float32 sgemm is about twice as fast as dgemm and still bit-exact in
-    that regime, because every partial sum is a non-negative integer below
-    the float32 exact-integer limit.
+    that regime.
     """
 
     def __init__(self, w: np.ndarray):
-        self._f64 = w.astype(np.float64)
-        w64 = w.astype(np.int64)
-        # The bound argument requires genuine 8-bit codes: signed or
-        # out-of-range weights could overflow float32 partial products even
-        # with a small column sum, so they disqualify the f32 copy entirely.
-        is_8bit = w64.size == 0 or (w64.min() >= 0 and w64.max() < OPERAND_LEVELS)
-        max_col_sum = int(w64.sum(axis=0).max()) if w64.size else 0
-        self._f32 = (
-            w.astype(np.float32)
-            if is_8bit and 255 * max_col_sum < _F32_EXACT_BOUND
-            else None
-        )
+        w64 = np.asarray(w).astype(np.int64)
+        reach = 255 * int(np.abs(w64).sum(axis=0).max()) if w64.size else 0
+        if reach < _F32_EXACT_BOUND:
+            self._f32, self._f64 = w64.astype(np.float32), None
+        else:
+            self._f32, self._f64 = None, w64.astype(np.float64)
+
+    def product(self, lhs: np.ndarray) -> np.ndarray:
+        """Exact ``lhs @ w`` in float for integer-valued ``lhs``.
+
+        float32 for uint8 operands on the float32 copy (the dtype
+        guarantees the <= 255 bound the exactness argument needs); any
+        other input runs in float64, which is exact for every partial sum
+        below 2^53.
+        """
+        if self._f32 is None:
+            return lhs.astype(np.float64) @ self._f64
+        if lhs.dtype == np.uint8:
+            return lhs.astype(np.float32) @ self._f32
+        return lhs.astype(np.float64) @ self._f32.astype(np.float64)
 
     def matmul(self, lhs: np.ndarray) -> np.ndarray:
-        """Exact ``lhs @ w`` as int64 for integer-valued ``lhs``.
-
-        The float32 path is only taken for uint8 operands — the dtype
-        guarantees the <= 255 bound the exactness argument needs; any other
-        integer input goes through float64, which is exact for every partial
-        sum below 2^53.
-        """
-        if self._f32 is not None and lhs.dtype == np.uint8:
-            return (lhs.astype(np.float32) @ self._f32).astype(np.int64)
-        return exact_int_matmul(lhs, self._f64)
+        """Exact ``lhs @ w`` as int64 for integer-valued ``lhs``."""
+        return self.product(lhs).astype(np.int64)
 
 
 class ProductKernel(abc.ABC):
@@ -130,11 +139,23 @@ class ProductKernel(abc.ABC):
     Calling the kernel with ``(patches, taps)`` activation codes returns the
     ``(patches, filters)`` raw product sums, exactly as the corresponding
     legacy function in :mod:`repro.core.approx_conv` would.
+    ``weight_codes`` are the ``(taps, filters)`` codes it was compiled
+    against.
     """
 
-    def __init__(self, taps: int, filters: int):
-        self.taps = int(taps)
-        self.filters = int(filters)
+    def __init__(self, weight_codes: np.ndarray):
+        self.weight_codes = _check_weights(weight_codes)
+        self.taps, self.filters = (int(n) for n in self.weight_codes.shape)
+
+    @functools.cached_property
+    def _w_op(self) -> _WeightOperand:
+        """The kernel's own weight operand, built by its first product.
+
+        A fused launch multiplies the layer's centered operand
+        (:class:`ZeroPointFold`) instead, so the kernels it fuses never
+        build theirs.
+        """
+        return _WeightOperand(self.weight_codes)
 
     @abc.abstractmethod
     def product_sums(self, act_codes: np.ndarray) -> np.ndarray:
@@ -161,11 +182,6 @@ class ProductKernel(abc.ABC):
 class AccurateKernel(ProductKernel):
     """Compiled exact ``act @ weights`` product sums."""
 
-    def __init__(self, weight_codes: np.ndarray):
-        w = _as_int64_weights(weight_codes)
-        super().__init__(*w.shape)
-        self._w_op = _WeightOperand(w)
-
     def product_sums(self, act_codes: np.ndarray) -> np.ndarray:
         act = self._check_acts(act_codes)
         return self._w_op.matmul(act)
@@ -187,8 +203,7 @@ class PerforatedKernel(ProductKernel):
     ):
         if not 0 <= int(m) < 8:
             raise ValueError(f"m must be within [0, 7], got {m}")
-        w = _as_int64_weights(weight_codes)
-        super().__init__(*w.shape)
+        super().__init__(weight_codes)
         if control_variate is not None and control_variate.n_filters != self.filters:
             raise ValueError(
                 f"control variate has {control_variate.n_filters} filters, "
@@ -196,7 +211,6 @@ class PerforatedKernel(ProductKernel):
             )
         self.m = int(m)
         self._mask = (1 << self.m) - 1
-        self._w_op = _WeightOperand(w)
         self.control_variate = control_variate
 
     def product_sums(self, act_codes: np.ndarray) -> np.ndarray:
@@ -231,11 +245,10 @@ class LUTKernel(ProductKernel):
         lut = np.asarray(lut, dtype=np.int64)
         if lut.shape != (OPERAND_LEVELS, OPERAND_LEVELS):
             raise ValueError(f"lut must have shape (256, 256), got {lut.shape}")
-        w = _as_int64_weights(weight_codes)
+        super().__init__(weight_codes)
+        w = self.weight_codes.astype(np.int64)
         if w.size and (w.min() < 0 or w.max() >= OPERAND_LEVELS):
             raise ValueError(f"weight codes out of range [0, {OPERAND_LEVELS - 1}]")
-        super().__init__(*w.shape)
-        self._w_op = _WeightOperand(w)
         levels = np.arange(OPERAND_LEVELS, dtype=np.int64)
         err_table = levels[:, None] * levels[None, :] - lut
         # _err_table/_w are only needed by the low-memory per-batch fallback;
@@ -324,18 +337,96 @@ class CallbackKernel(ProductKernel):
     """
 
     def __init__(self, product_model, weight_codes: np.ndarray, control_variate):
-        w = np.asarray(weight_codes)
-        if w.ndim != 2:
-            raise ValueError(f"weight_codes must be 2-D (taps, filters), got {w.shape}")
-        super().__init__(*w.shape)
+        super().__init__(weight_codes)
         self._product_model = product_model
-        self._weight_codes = weight_codes
         self._control_variate = control_variate
 
     def product_sums(self, act_codes: np.ndarray) -> np.ndarray:
         return self._product_model.product_sums(
-            act_codes, self._weight_codes, self._control_variate
+            act_codes, self.weight_codes, self._control_variate
         )
+
+
+class ZeroPointFold:
+    """The zero points of one layer group, folded into its weights.
+
+    With affine codes ``r = s (q - z)``, the dot product of ``k`` taps
+    dequantizes from the exact integer
+
+        T = sum_j w_j a_j - z_w sum_j a_j - z_a sum_j W_j + k z_w z_a
+          = sum_j (w_j - z_w) a_j - z_a sum_j (W_j - z_w)
+
+    where ``w`` are the codes the products use (an ALWANN override, or
+    ``W`` itself) and ``W`` the layer's own codes, which the zero-point
+    and control-variate terms keep.  A launch against the centered weights
+    ``W' = w - z_w`` (:attr:`operand`, built once per layer group and
+    shared by all its fused kernels) therefore needs no ``sum_j a_j``.  A
+    perforated block multiplies ``a'_j = a_j - x_j``, and since
+    ``sum_j a_j = sum_j a'_j + sum_j x_j`` its ``T`` is
+    ``a' @ W' + (c - z_w) sum_j x_j - z_a sum_j (W_j - z_w)``, with ``c``
+    the control constant ``C`` (0 without the control variate).
+
+    Every term is an integer far below 2^53, so ``T`` is exact in float64,
+    and scaling it (``QuantizedLinearOp.output_real_stacked``) gives
+    bit for bit what the textbook chain of ``QuantizedLinearOp.output_real``
+    gives.  Zero points of 0 (the default) make ``T`` the raw product sums.
+    """
+
+    def __init__(
+        self,
+        weight_codes: np.ndarray,
+        weight_zero_point: int = 0,
+        act_zero_point: int = 0,
+        original_codes: np.ndarray | None = None,
+    ):
+        w = _check_weights(weight_codes).astype(np.int64)
+        original = w if original_codes is None else _check_weights(original_codes)
+        if original.shape != w.shape:
+            raise ValueError(
+                f"original codes {original.shape} do not match weight codes {w.shape}"
+            )
+        self.taps, self.filters = (int(n) for n in w.shape)
+        self.weight_zero_point = int(weight_zero_point)
+        self.act_zero_point = int(act_zero_point)
+        self.operand = _WeightOperand(w - self.weight_zero_point)
+        self.weight_sums = original.astype(np.int64).sum(axis=0)
+        centered_sums = self.weight_sums - self.taps * self.weight_zero_point
+        # -z_a * sum_j (W_j - z_w), written 0 - x so that a zero is +0.0.
+        self.offsets = 0.0 - float(self.act_zero_point) * centered_sums.astype(np.float64)
+
+    def subtract_zero_points(
+        self, product_sums: np.ndarray, act: np.ndarray, out: np.ndarray
+    ) -> None:
+        """``out = product_sums - z_w sum_j a_j - z_a sum_j W_j + k z_w z_a``.
+
+        The textbook chain, in the operation order of
+        ``QuantizedLinearOp.output_real``, for raw sums that need not be
+        integers (callback kernels, real control constants).
+        """
+        act_sums = act.sum(axis=1, keepdims=True, dtype=np.int64).astype(np.float64)
+        z_w = float(self.weight_zero_point)
+        z_a = float(self.act_zero_point)
+        np.subtract(np.asarray(product_sums, dtype=np.float64), z_w * act_sums, out=out)
+        np.subtract(out, z_a * self.weight_sums.astype(np.float64), out=out)
+        np.add(out, float(self.taps) * z_w * z_a, out=out)
+
+
+def _perforate(
+    block: np.ndarray, mask: int, out: np.ndarray, sums: bool
+) -> np.ndarray | None:
+    """Write ``block`` with its ``mask`` bits cleared into ``out``; return
+    the per-row sums of the cleared bits ``x`` when ``sums`` is set.
+
+    The sums stay in uint16 wherever ``taps * mask < 2^16`` bounds them.
+    """
+    bits = block.dtype.type(mask)
+    np.bitwise_and(block, np.invert(bits), out=out)
+    if not sums:
+        return None
+    exact_in_uint16 = block.shape[1] * mask < (1 << 16)
+    return np.bitwise_and(block, bits).sum(
+        axis=1, dtype=np.uint16 if exact_in_uint16 else np.int64
+    )
 
 
 class MultiPlanKernel:
@@ -345,10 +436,10 @@ class MultiPlanKernel:
     models, one :class:`ProductKernel` launch each.  This kernel collapses
     those P launches into one: the per-plan ``exact - err`` decompositions
     are *stacked along the patch axis*, so the dense parts become a single
-    ``(P*N, taps)``-shaped BLAS product against the shared weight operand
-    and the LUT error parts become one block-stacked one-hot sparse product
-    (block p's one-hot columns are offset into its own copy of the error
-    matrix).  Two input conventions are supported:
+    ``(P*N, taps)``-shaped BLAS product against the layer's centered
+    weights and the LUT error parts become one block-stacked one-hot
+    sparse product (block p's one-hot columns are offset into its own copy
+    of the error matrix).  Two input conventions are supported:
 
     * ``shared=False`` — ``act_codes`` is the ``(P*N, taps)`` stack of P
       per-plan activation blocks (plans already diverged upstream);
@@ -358,23 +449,27 @@ class MultiPlanKernel:
       by mask so e.g. the ±V variants of one ``m`` share a single masked
       matmul.
 
-    Output is always the ``(P*N, filters)`` product sums in float64 — the
-    dtype :meth:`QuantizedLinearOp.output_real_stacked` dequantizes — with
-    block p bit-identical (as a value) to ``kernels[p](act_block_p)``.
-    ``P = 1`` is the executor's single-model launch.
-    Kernel types the fusion does not understand (callback kernels, LUTs
-    streaming their error terms tap by tap) are evaluated per block
-    through their own kernel, so fusion never changes results, only
-    launch count.
+    Output is always ``(P*N, filters)`` float64: block p holds the folded
+    integer ``T`` of ``fold`` (see :class:`ZeroPointFold`) for
+    ``kernels[p](act_block_p)``, which
+    :meth:`QuantizedLinearOp.output_real_stacked` only scales.  Without a
+    ``fold`` the zero points are 0 and block p equals (as a value)
+    ``kernels[p](act_block_p)``.  ``P = 1`` is the executor's
+    single-model launch.  Kernel types the fusion does not understand
+    (callback kernels, LUTs streaming their error terms tap by tap,
+    control variates with real constants) are evaluated per block through
+    their own kernel and folded by the textbook chain, so fusion never
+    changes results, only launch count.
 
-    All kernels must be compiled against the same weight codes; the shared
-    weight operand is borrowed from the first fusable kernel.
+    All kernels must be compiled against the same weight codes, which
+    ``fold`` (built from ``kernels[0]`` when not given) must share.
     """
 
     def __init__(
         self,
         kernels,
         max_error_matrix_bytes: int = DEFAULT_MAX_ERROR_MATRIX_BYTES,
+        fold: ZeroPointFold | None = None,
     ):
         kernels = list(kernels)
         if not kernels:
@@ -387,9 +482,22 @@ class MultiPlanKernel:
                     "all fused kernels must share one layer shape; got "
                     f"({kernel.taps}, {kernel.filters}) vs ({self.taps}, {self.filters})"
                 )
+        if fold is None:
+            fold = ZeroPointFold(kernels[0].weight_codes)
+        if (fold.taps, fold.filters) != (self.taps, self.filters):
+            raise ValueError(
+                f"fold of shape ({fold.taps}, {fold.filters}) does not match "
+                f"the kernels' ({self.taps}, {self.filters})"
+            )
         self.kernels = kernels
+        self.fold = fold
         self._kinds: list[str] = []
-        self._w_op: _WeightOperand | None = None
+        # Per block: the perforation mask (0 for unmasked blocks) and, for
+        # a perforated block whose T has a sum_j x_j term, the (2, filters)
+        # rows [c - z_w; offsets] that one k = 2 product turns into that
+        # term plus the offsets.
+        self._masks: list[int] = []
+        self._x_rows: list[np.ndarray | None] = []
         for kernel in kernels:
             if isinstance(kernel, AccurateKernel):
                 kind = "exact"
@@ -397,13 +505,24 @@ class MultiPlanKernel:
                 kind = "exact"
             elif isinstance(kernel, LUTKernel) and kernel._error_matrix is not None:
                 kind = "lut"
-            elif isinstance(kernel, PerforatedKernel):
+            elif isinstance(kernel, PerforatedKernel) and (
+                kernel.control_variate is None or kernel.control_variate.quantized
+            ):
                 kind = "perf"
             else:
                 kind = "fallback"
-            if kind != "fallback" and self._w_op is None:
-                self._w_op = kernel._w_op
             self._kinds.append(kind)
+            mask = kernel._mask if kind == "perf" else 0
+            self._masks.append(mask)
+            x_rows = None
+            if mask and (kernel.control_variate is not None or fold.weight_zero_point):
+                c = (
+                    kernel.control_variate.constants
+                    if kernel.control_variate is not None
+                    else np.zeros(self.filters)
+                )
+                x_rows = np.stack([c - fold.weight_zero_point, fold.offsets])
+            self._x_rows.append(x_rows)
         self._lut_blocks = [i for i, k in enumerate(self._kinds) if k == "lut"]
         # One stacked error matrix over the *distinct* per-block matrices
         # (blocks may share a kernel instance, e.g. suffix layers where only
@@ -437,7 +556,7 @@ class MultiPlanKernel:
     def product_sums_multi(
         self, act_codes: np.ndarray, shared: bool = False
     ) -> np.ndarray:
-        """Stacked ``(plans * N, filters)`` float64 product sums.
+        """Stacked ``(plans * N, filters)`` float64 folded sums.
 
         ``act_codes`` is ``(N, taps)`` when ``shared`` (one activation block
         evaluated under every plan) or ``(plans * N, taps)`` otherwise
@@ -471,114 +590,100 @@ class MultiPlanKernel:
         if dense_blocks:
             # One (D*N, taps) dense product: perforated blocks contribute
             # their masked activations, exact/LUT blocks contribute as-is.
-            # The stack keeps uint8 inputs uint8, so the weight operand's
-            # float32 fast path applies exactly as it does per plan.
-            needs_copy = any(
-                self._kinds[p] == "perf" and self.kernels[p]._mask for p in dense_blocks
-            )
-            masked_sums: dict[int, np.ndarray] = {}
-            if len(dense_blocks) == self.plans and not needs_copy:
+            # The stack keeps uint8 inputs uint8, so the float32 path
+            # applies exactly as it does per plan.
+            x_sums: dict[int, np.ndarray | None] = {}
+            if len(dense_blocks) == self.plans and not any(self._masks):
                 lhs = act
             else:
                 lhs = np.empty((len(dense_blocks) * n, self.taps), dtype=act.dtype)
                 for row, p in enumerate(dense_blocks):
                     dst = lhs[row * n : (row + 1) * n]
-                    if self._kinds[p] == "perf" and self.kernels[p]._mask:
-                        block = blocks[p]
-                        x = block & self.kernels[p]._mask
-                        if self.kernels[p].control_variate is not None:
-                            masked_sums[p] = x.sum(axis=1, dtype=np.int64)
-                        np.subtract(block, x, out=dst)
+                    if self._masks[p]:
+                        x_sums[p] = _perforate(
+                            blocks[p], self._masks[p], dst, self._x_rows[p] is not None
+                        )
                     else:
                         dst[...] = blocks[p]
-            dense = self._w_op.matmul(lhs)
+            dense = self.fold.operand.product(lhs)
             for row, p in enumerate(dense_blocks):
-                sums = dense[row * n : (row + 1) * n]
                 self._finish_block(
-                    out, p, n, blocks[p], sums, masked_sums=masked_sums.get(p)
+                    out[p * n : (p + 1) * n], p, dense[row * n : (row + 1) * n], x_sums.get(p)
                 )
         if self._lut_blocks:
             self._subtract_errors(out, n, blocks)
         for p, kind in enumerate(self._kinds):
             if kind == "fallback":
-                out[p * n : (p + 1) * n] = self.kernels[p](blocks[p])
+                self._fold_block(out[p * n : (p + 1) * n], p, blocks[p])
         return out
 
     def _sums_shared(self, act: np.ndarray) -> np.ndarray:
         n = act.shape[0]
         out = np.empty((self.plans * n, self.filters), dtype=np.float64)
-        # Exact sums feed every accurate/LUT block and every m = 0
-        # perforated block — computed once, broadcast into each.
-        exact: np.ndarray | None = None
-        masked: dict[int, np.ndarray] = {}
-        masked_x_sums: dict[int, np.ndarray] = {}
-        distinct_masks = sorted(
-            {
-                self.kernels[p]._mask
-                for p, k in enumerate(self._kinds)
-                if k == "perf" and self.kernels[p]._mask
-            }
-        )
-        if distinct_masks:
+        masks = sorted({mask for mask in self._masks if mask})
+        x_sums: dict[int, np.ndarray | None] = {}
+        if masks:
             # One (D*N, taps) product over the distinct masked variants.
-            lhs = np.empty((len(distinct_masks) * n, self.taps), dtype=act.dtype)
-            for row, mask in enumerate(distinct_masks):
-                x = act & mask
-                masked_x_sums[mask] = x.sum(axis=1, dtype=np.int64)
-                np.subtract(act, x, out=lhs[row * n : (row + 1) * n])
-            dense = self._w_op.matmul(lhs)
-            masked = {
-                mask: dense[row * n : (row + 1) * n]
-                for row, mask in enumerate(distinct_masks)
-            }
+            lhs = np.empty((len(masks) * n, self.taps), dtype=act.dtype)
+            for row, mask in enumerate(masks):
+                needs_sums = any(
+                    rows is not None
+                    for m, rows in zip(self._masks, self._x_rows)
+                    if m == mask
+                )
+                x_sums[mask] = _perforate(
+                    act, mask, lhs[row * n : (row + 1) * n], needs_sums
+                )
+            masked = self.fold.operand.product(lhs)
+        # The unmasked T feeds every accurate/LUT block and every m = 0
+        # perforated block — computed into the first, copied into the rest.
+        exact: np.ndarray | None = None
         for p, kind in enumerate(self._kinds):
+            dst = out[p * n : (p + 1) * n]
+            mask = self._masks[p]
             if kind == "fallback":
-                out[p * n : (p + 1) * n] = self.kernels[p](act)
-                continue
-            if kind == "perf" and self.kernels[p]._mask:
-                sums = masked[self.kernels[p]._mask]
+                self._fold_block(dst, p, act)
+            elif mask:
+                row = masks.index(mask)
+                self._finish_block(dst, p, masked[row * n : (row + 1) * n], x_sums[mask])
+            elif exact is None:
+                self._finish_block(dst, p, self.fold.operand.product(act), None)
+                exact = dst
             else:
-                if exact is None:
-                    exact = self._w_op.matmul(act)
-                sums = exact
-            self._finish_block(
-                out, p, n, act, sums,
-                masked_sums=masked_x_sums.get(self.kernels[p]._mask)
-                if kind == "perf"
-                else None,
-            )
+                dst[...] = exact
         if self._lut_blocks:
             self._subtract_errors(out, n, [act] * self.plans)
         return out
 
     def _finish_block(
         self,
-        out: np.ndarray,
+        dst: np.ndarray,
         p: int,
-        n: int,
-        act_block: np.ndarray,
-        sums: np.ndarray,
-        masked_sums: np.ndarray | None = None,
+        dense: np.ndarray,
+        x_sums: np.ndarray | None,
     ) -> None:
-        """Write block ``p``'s dense sums (+ CV correction) into ``out``.
+        """Write block ``p``'s ``T`` from its dense product into ``dst``.
 
-        ``masked_sums`` optionally carries the per-row sums of
-        ``act_block & mask`` already computed while assembling the dense
-        product, saving the second full pass over the activations.  LUT
-        error terms are subtracted afterwards by ``_subtract_errors``.
+        ``dense`` is the block's product against the centered weights and
+        ``x_sums`` the per-row sums of its perforated bits, already taken
+        while its masked operand was built.  LUT error terms are
+        subtracted afterwards by ``_subtract_errors``.
         """
-        dst = out[p * n : (p + 1) * n]
-        kernel = self.kernels[p]
-        if self._kinds[p] == "perf" and kernel.control_variate is not None:
-            if masked_sums is None:
-                x = act_block & kernel._mask
-                masked_sums = x.sum(axis=1, dtype=np.int64)
-            correction = kernel.control_variate.correction(masked_sums)
-            if kernel.control_variate.quantized:
-                correction = correction.astype(np.int64)
-            np.add(sums, correction, out=dst, casting="unsafe")
-        else:
-            dst[...] = sums
+        x_rows = self._x_rows[p]
+        if x_rows is None:
+            np.add(dense, self.fold.offsets, out=dst)
+            return
+        # [sum_j x_j, 1] @ [c - z_w; offsets]: one k = 2 product, exact
+        # because both of its terms are integers far below 2^53.
+        terms = np.empty((dst.shape[0], 2), dtype=np.float64)
+        terms[:, 0] = x_sums
+        terms[:, 1] = 1.0
+        np.matmul(terms, x_rows, out=dst)
+        np.add(dst, dense, out=dst)
+
+    def _fold_block(self, dst: np.ndarray, p: int, block: np.ndarray) -> None:
+        """Block ``p`` through its own kernel, folded by the textbook chain."""
+        self.fold.subtract_zero_points(self.kernels[p](block), block, dst)
 
     def _subtract_errors(self, out: np.ndarray, n: int, blocks) -> None:
         """Subtract every LUT block's error sums, fused when possible."""
@@ -618,5 +723,6 @@ __all__ = [
     "LUTKernel",
     "CallbackKernel",
     "MultiPlanKernel",
+    "ZeroPointFold",
     "exact_int_matmul",
 ]

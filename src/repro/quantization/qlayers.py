@@ -8,13 +8,23 @@ expands into integer arithmetic as
                                 - z_a sum_j wq_j
                                 + k z_w z_a )
 
-Only the first term, ``sum_j wq_j aq_j``, involves per-element products and
-is therefore the term executed on the (possibly approximate) MAC array.  The
-remaining terms are exact integer corrections.  :class:`QuantizedLinearOp`
-keeps the weights and the exact correction terms and accepts the raw product
-sum from any product model — the accurate matmul by default, or the
-approximate / control-variate-corrected sums produced by
-:mod:`repro.core.approx_conv`.
+(Jacob et al., "Quantization and Training of Neural Networks for Efficient
+Integer-Arithmetic-Only Inference", CVPR 2018).  Only the first term,
+``sum_j wq_j aq_j``, involves per-element products and is therefore the
+term executed on the (possibly approximate) MAC array.  The remaining terms
+are exact integer corrections.  :class:`QuantizedLinearOp` keeps the
+weights and the exact correction terms:
+
+* :meth:`QuantizedLinearOp.output_real` accepts the raw product sum from
+  any product model (the accurate matmul by default, or the approximate /
+  control-variate-corrected sums of :mod:`repro.core.approx_conv`) and
+  applies the textbook chain above: the oracle, run by the reference walk;
+* :meth:`QuantizedLinearOp.output_real_stacked` scales sums whose zero
+  points a compiled launch already folded in
+  (:class:`repro.core.product_kernels.ZeroPointFold` rewrites the bracket
+  as ``sum_j (wq_j - z_w) aq_j - z_a sum_j (wq_j - z_w)``), so it only
+  multiplies by ``s_w s_a`` and adds the bias, in place.  The bracket is
+  the same exact integer either way, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -77,7 +87,11 @@ class QuantizedLinearOp:
     ) -> np.ndarray:
         """Dequantized real output of the quantized linear operation.
 
-        The one-block case of :meth:`output_real_stacked`.
+        Corrected as
+
+            s_w s_a (sums - z_w sum_j aq_j - z_a sum_j wq_j + k z_w z_a) + bias
+
+        one step at a time, in this order.
 
         Parameters
         ----------
@@ -89,57 +103,55 @@ class QuantizedLinearOp:
             Raw ``sum_j product(wq_j, aq_j)`` of shape ``(patches, filters)``.
             When ``None``, the exact sum is used.  Approximate product models
             (perforation, LUT multipliers, control-variate correction) pass
-            their own sums here.
-        """
-        if product_sum is None:
-            product_sum = self.exact_product_sum(act_codes)
-        return self.output_real_stacked(act_codes, act_params, product_sum, 1)
-
-    def output_real_stacked(
-        self,
-        act_codes: np.ndarray,
-        act_params: QuantParams,
-        product_sums: np.ndarray,
-        plans: int,
-    ) -> np.ndarray:
-        """Dequantized outputs of ``plans`` product-sum blocks sharing one
-        activation block (block ``p`` = rows ``[p*N, (p+1)*N)``).
-
-        Each block is corrected as
-
-            s_w s_a (sums - z_w sum_j aq_j - z_a sum_j wq_j + k z_w z_a) + bias
-
-        with the act-dependent term (the per-patch sums of the shared codes)
-        computed once for all blocks, so the result equals ``plans`` one-block
-        calls bit for bit.  ``product_sums`` is never modified.
+            their own sums here.  It is never modified.
         """
         act = self._check_activations(act_codes)
-        product_sums = np.asarray(product_sums, dtype=np.float64)
-        n = act.shape[0]
-        expected = (plans * n, self.filters)
-        if product_sums.shape != expected:
+        if product_sum is None:
+            product_sum = self.exact_product_sum(act)
+        product_sum = np.asarray(product_sum, dtype=np.float64)
+        expected = (act.shape[0], self.filters)
+        if product_sum.shape != expected:
             raise ValueError(
-                f"product_sums must have shape {expected}, got {product_sums.shape}"
+                f"product_sum must have shape {expected}, got {product_sum.shape}"
             )
         # int64-accumulated reduce: exact integer sums without materializing
         # an 8x-wider int64 copy of the codes.
         act_sums = act.sum(axis=1, keepdims=True, dtype=np.int64).astype(np.float64)
         z_w = float(self.weight_params.zero_point)
         z_a = float(act_params.zero_point)
-        # The first step allocates the output; the rest of the correction
-        # chain runs in place on it, one elementwise operation at a time.
-        out = np.subtract(
-            product_sums.reshape(plans, n, self.filters), (z_w * act_sums)[None]
-        )
-        np.subtract(
-            out, (z_a * self._weight_code_sums.astype(np.float64))[None, None, :],
-            out=out,
-        )
+        # The first step allocates the output; the rest of the chain runs in
+        # place on it.
+        out = np.subtract(product_sum, z_w * act_sums)
+        np.subtract(out, z_a * self._weight_code_sums.astype(np.float64), out=out)
         np.add(out, float(self.taps) * z_w * z_a, out=out)
+        np.multiply(out, self.weight_params.scale * act_params.scale, out=out)
+        np.add(out, self.bias, out=out)
+        return out
+
+    def output_real_stacked(
+        self, folded_sums: np.ndarray, act_params: QuantParams
+    ) -> np.ndarray:
+        """Dequantize sums whose zero-point terms are already folded in.
+
+        ``folded_sums`` is ``(rows, filters)`` float64, any number of rows
+        (a fused launch stacks its plan blocks): each row holds the exact
+        bracket ``sums - z_w sum_j aq_j - z_a sum_j wq_j + k z_w z_a``.  It
+        is scaled by ``s_w s_a`` and offset by the bias **in place** and
+        returned.
+        """
+        if (
+            folded_sums.dtype != np.float64
+            or folded_sums.ndim != 2
+            or folded_sums.shape[1] != self.filters
+        ):
+            raise ValueError(
+                f"folded_sums must be float64 of shape (rows, {self.filters}), "
+                f"got {folded_sums.dtype} {folded_sums.shape}"
+            )
         scale = self.weight_params.scale * act_params.scale
-        np.multiply(out, scale, out=out)
-        np.add(out, self.bias[None, None, :], out=out)
-        return out.reshape(expected)
+        np.multiply(folded_sums, scale, out=folded_sums)
+        np.add(folded_sums, self.bias, out=folded_sums)
+        return folded_sums
 
     # ------------------------------------------------------------------
     def _check_activations(self, act_codes: np.ndarray) -> np.ndarray:

@@ -17,7 +17,9 @@ def calibrate_minmax(tensor: np.ndarray) -> QuantParams:
     return QuantParams.from_range(float(arr.min()), float(arr.max()))
 
 
-def calibrate_percentile(tensor: np.ndarray, percentile: float = 99.9) -> QuantParams:
+def calibrate_percentile(
+    tensor: np.ndarray, percentile: float = 99.9, overwrite_input: bool = False
+) -> QuantParams:
     """Derive quantization parameters from symmetric percentiles.
 
     Clipping a small fraction of outliers typically improves post-training
@@ -30,6 +32,9 @@ def calibrate_percentile(tensor: np.ndarray, percentile: float = 99.9) -> QuantP
     percentile:
         Upper percentile to keep, in ``(50, 100]``.  ``100`` degenerates to
         min/max calibration.
+    overwrite_input:
+        Partition a float64 ``tensor`` in place instead of a copy (the
+        caller no longer reads it); the parameters are the same.
     """
     if not 50.0 < percentile <= 100.0:
         raise ValueError(f"percentile must be in (50, 100], got {percentile}")
@@ -37,7 +42,9 @@ def calibrate_percentile(tensor: np.ndarray, percentile: float = 99.9) -> QuantP
     if arr.size == 0:
         raise ValueError("cannot calibrate an empty tensor")
     # One partition serves both order statistics.
-    lo, hi = np.percentile(arr, [100.0 - percentile, percentile])
+    lo, hi = np.percentile(
+        arr, [100.0 - percentile, percentile], overwrite_input=overwrite_input
+    )
     return QuantParams.from_range(float(lo), float(hi))
 
 

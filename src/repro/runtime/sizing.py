@@ -34,8 +34,12 @@ This module is the one place that policy lives:
 * :func:`pin_blas_threads` — numpy's OpenBLAS runs one thread per core,
   so a process running one shard thread per core would run cores x cores
   BLAS threads.  Every process that evaluates plans pins its OpenBLAS to
-  :data:`EVAL_BLAS_THREADS` before its first sharded walk; pool workers
-  do it in their initializer.
+  :data:`EVAL_BLAS_THREADS` before it calibrates an executor and before
+  every sharded walk; pool workers do it in their initializer.  Pinning
+  before calibration also makes the activation parameters independent of
+  call order and of the host's core count: float64 products on a
+  multi-threaded OpenBLAS round differently, so an executor calibrated
+  before the first pin got other parameters than one calibrated after.
 
 :class:`~repro.runtime.service.EvaluationService` itself honors an
 *explicit* ``max_workers`` verbatim (tests rely on exercising the pool
@@ -188,7 +192,8 @@ def pin_blas_threads() -> None:
     """Pin this process's OpenBLAS to :data:`EVAL_BLAS_THREADS`.
 
     Called by each pool worker before it does any work and by the executor
-    before every sharded walk (a no-op for the library once pinned).  The
+    before it calibrates and before every sharded walk (a no-op for the
+    library once pinned).  The
     library read ``OPENBLAS_NUM_THREADS`` when numpy was imported, so
     setting it now comes too late; the library's own setter does not.
     Does nothing when no setter is found.

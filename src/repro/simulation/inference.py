@@ -22,12 +22,20 @@ Kernel compilation
 Every :class:`ProductModel` can be *compiled* against one layer's quantized
 weights via :meth:`ProductModel.compile`, yielding a
 :class:`repro.core.product_kernels.ProductKernel` that hoists all
-weight-dependent work (int64 weight conversion, LUT error-matrix
-construction, control constants) out of the per-batch hot loop.  Every
-compiled MAC launch is one
+weight-dependent work (LUT error-matrix construction, control constants)
+out of the per-batch hot loop.  Every compiled MAC launch is one
 :class:`~repro.core.product_kernels.MultiPlanKernel` call followed by one
 dequantization (:meth:`QuantizedLinearOp.output_real_stacked`); a layer
-that runs a single product model is a one-block launch.  Kernels are cached
+that runs a single product model is a one-block launch.  Each
+``(layer, group)`` folds its zero points into its weights once
+(:class:`~repro.core.product_kernels.ZeroPointFold`: the centered weights
+``W' = W - z_w`` and the constant ``-z_a sum_j W'_j``), shared by every
+kernel of that group, so a launch returns the exact integer
+``lhs @ W' + (c - z_w) sum_j x_j - z_a sum_j W'_j`` and sums no activation
+codes; dequantization is then ``* (s_w s_a) + bias`` in place.  The
+float32 sgemm stays exact while ``255 * max_f sum_j |W'_jf| < 2^24``
+(every MAC layer group of the trained networks meets it) and otherwise
+runs in float64.  Kernels are cached
 per ``(layer, group, per-block fingerprints)``, at most
 ``_KERNEL_CACHE_CAP`` of them, oldest evicted first, and their blocks are
 compiled once per ``(layer, group, fingerprint)`` and shared through a weak
@@ -36,8 +44,20 @@ the wire, unpickled in a pool worker) therefore compile nothing, and the
 persistent uint8 activation buffers are reused across batches, so a sweep
 performs only the unavoidable per-batch work.  Every kernel is compiled
 through one :class:`repro.core.backends.NumpyBackend`.  The uncompiled
-reference walk is kept behind ``use_compiled=False`` and the
+reference walk is kept behind ``use_compiled=False``: it dequantizes by the
+textbook chain of :meth:`QuantizedLinearOp.output_real`, and the
 ``pytest -m engine`` parity suite pins both paths bit-exact.
+
+Calibration
+-----------
+The executor calibrates every MAC layer on one float walk over the whole
+calibration batch, dropping each activation after its last reader.  The
+process pins its OpenBLAS to one thread first: the float64 products of a
+multi-threaded BLAS round differently, and the quantization parameters
+must not depend on what ran in the process before.  Each MAC node's
+percentile (``np.percentile``, which releases the GIL) runs on one helper
+thread while the walk runs on; an input the walk has already dropped is
+partitioned in place rather than copied.
 
 Multi-plan evaluation
 ---------------------
@@ -68,8 +88,8 @@ bit identically.  ``forward_many`` runs ``S = min(core share, batch)``
 such shards, one thread each (shard 0 on the caller's), where the core
 share is every schedulable CPU of the process, or its slice of them in a
 pool worker (:func:`repro.runtime.sizing.eval_thread_count`).  Before a
-sharded walk the process pins its OpenBLAS to one thread, so the host
-runs one busy thread per core; each concurrent walk gets
+sharded walk (as before calibrating) the process pins its OpenBLAS to one
+thread, so the host runs one busy thread per core; each concurrent walk gets
 ``_STACKED_ROWS_TARGET // S`` rows, so the live rows stay put, and drops
 every activation after its last reader, which bounds what each shard
 thread's malloc arena keeps after the walk.  The shards share the kernel
@@ -110,6 +130,7 @@ from repro.core.product_kernels import (
     MultiPlanKernel,
     PerforatedKernel,
     ProductKernel,
+    ZeroPointFold,
 )
 from repro.multipliers.base import Multiplier
 from repro.nn.graph import Graph
@@ -406,10 +427,9 @@ class ApproximateExecutor:
         # Compiled kernels keyed by (layer, group, per-block fingerprints),
         # oldest evicted first beyond _KERNEL_CACHE_CAP; their per-block
         # kernels are indexed weakly by (layer, group, fingerprint).
-        self._kernels: dict[tuple, MultiPlanKernel] = {}
-        self._blocks: "weakref.WeakValueDictionary[tuple, ProductKernel]" = (
-            weakref.WeakValueDictionary()
-        )
+        # Each (layer, group)'s zero-point fold is built once and shared by
+        # all its kernels.
+        self._drop_kernels()
         # Guards the kernel cache and the counters below against the
         # concurrent image shards of one forward_many call.
         self._lock = threading.Lock()
@@ -423,17 +443,39 @@ class ApproximateExecutor:
     def _calibrate(self, images: np.ndarray, percentile: float) -> None:
         """Quantize every MAC layer on one float walk over ``images``.
 
-        A MAC node is calibrated from its input when the walk reaches it,
+        A MAC node is calibrated from its input when the walk has run it,
         and every activation is dropped after its last reader, so the walk
         holds only what later nodes still read, not every node's output.
+        BLAS is pinned to one thread first, so the parameters do not depend
+        on what this process ran before.  A node's activation range is
+        taken on one helper thread while the walk runs on to the next MAC
+        node, which waits for it: at most one range is pending.  An input
+        that neither a live activation nor ``images`` shares memory with is
+        partitioned in place.
         """
+        # Imported here: repro.runtime imports this module.
+        from repro.runtime import sizing
+
+        sizing.pin_blas_threads()
         activations = {"input": images}
-        for index, node in enumerate(self.model.nodes):
-            inputs = [activations[name] for name in node.inputs]
-            if isinstance(node.layer, (Conv2D, Dense)):
-                self._nodes[node.name] = _quantize_mac_node(node, inputs[0], percentile)
-            activations[node.name] = node.layer.forward(*inputs, training=False)
-            self._drop_dead(activations, index)
+        ranges: list[tuple] = []
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            for index, node in enumerate(self.model.nodes):
+                inputs = [activations[name] for name in node.inputs]
+                activations[node.name] = node.layer.forward(*inputs, training=False)
+                self._drop_dead(activations, index)
+                if not isinstance(node.layer, (Conv2D, Dense)):
+                    continue
+                if ranges:
+                    ranges[-1][1].result()  # at most one range pending
+                x = inputs[0]
+                owned = not any(
+                    np.may_share_memory(x, arr) for arr in (images, *activations.values())
+                )
+                ranges.append((node, helper.submit(_activation_params, x, percentile, owned)))
+                del inputs, x
+        for node, params in ranges:
+            self._nodes[node.name] = _quantize_mac_node(node, params.result())
 
     # ------------------------------------------------------------------
     def mac_layer_names(self) -> list[str]:
@@ -464,13 +506,13 @@ class ApproximateExecutor:
                 raise ValueError("override shape mismatch")
             overrides.append(codes)
         node.weight_overrides = overrides
-        self._kernels, self._blocks = {}, weakref.WeakValueDictionary()
+        self._drop_kernels()
 
     def clear_weight_overrides(self) -> None:
         """Remove all inference-time weight overrides."""
         for node in self._nodes.values():
             node.weight_overrides = [None] * len(node.ops)
-        self._kernels, self._blocks = {}, weakref.WeakValueDictionary()
+        self._drop_kernels()
 
     def drop_working_set(self) -> None:
         """Free the activation buffers and compiled kernels.
@@ -479,7 +521,15 @@ class ApproximateExecutor:
         parameters, quantized weights, control variates) is kept.
         """
         self._act_buffers = {}
-        self._kernels, self._blocks = {}, weakref.WeakValueDictionary()
+        self._drop_kernels()
+
+    def _drop_kernels(self) -> None:
+        """Forget every compiled kernel, block and zero-point fold."""
+        self._kernels: dict[tuple, MultiPlanKernel] = {}
+        self._blocks: "weakref.WeakValueDictionary[tuple, ProductKernel]" = (
+            weakref.WeakValueDictionary()
+        )
+        self._folds: dict[tuple[str, int], ZeroPointFold] = {}
 
     def reuse_stats(self) -> dict[str, int]:
         """Cross-call cache counters: none, since no activations outlive a call."""
@@ -818,11 +868,7 @@ class ApproximateExecutor:
                 with self._lock:
                     self.fused_launches += 1
                     self.fused_plans_total += len(models)
-            # Every correction is per-patch, so a shared block's act terms
-            # are computed once and broadcast across the plan blocks.
-            return qnode.ops[group].output_real_stacked(
-                act_codes, qnode.act_params, sums, plans
-            )
+            return qnode.ops[group].output_real_stacked(sums, qnode.act_params)
 
         if isinstance(layer, Dense):
             return launch(0, self._quantize_acts(qnode, 0, x, shard))
@@ -859,9 +905,11 @@ class ApproximateExecutor:
         instances (decoded from the wire, unpickled in a pool worker) reuse
         it.  Blocks are compiled once per ``(layer, group, fingerprint)``
         and shared by every cached kernel through the weak block index, so a
-        LUT error matrix is built once per layer.  Lookup, compilation and
-        eviction share one lock: concurrent shards ask for the same kernel
-        at the same moment, and it is compiled once.
+        LUT error matrix is built once per layer, and every kernel of a
+        layer group launches against the group's one
+        :class:`ZeroPointFold`.  Lookup, compilation and eviction share one
+        lock: concurrent shards ask for the same kernel at the same moment,
+        and it is compiled once.
         """
         fps = tuple(model.fingerprint() for model in models)
         key = (qnode.node_name, group, fps)
@@ -869,10 +917,19 @@ class ApproximateExecutor:
             kernel = self._kernels.get(key)
             if kernel is not None:
                 return kernel
+            op = qnode.ops[group]
             override = qnode.weight_overrides[group]
-            weight_codes = (
-                override if override is not None else qnode.ops[group].weight_codes
-            )
+            weight_codes = override if override is not None else op.weight_codes
+            fold = self._folds.get((qnode.node_name, group))
+            if fold is None:
+                # Products use the override; the zero-point terms keep the
+                # layer's own codes, as the control variate does.
+                fold = self._folds[(qnode.node_name, group)] = ZeroPointFold(
+                    weight_codes,
+                    op.weight_params.zero_point,
+                    qnode.act_params.zero_point,
+                    original_codes=op.weight_codes,
+                )
             cv = qnode.control_variates[group]
             blocks = []
             for model, fp in zip(models, fps):
@@ -882,7 +939,7 @@ class ApproximateExecutor:
                     self._blocks[(qnode.node_name, group, fp)] = block
                 blocks.append(block)
             kernel = _BACKEND.compile_multi(
-                models, weight_codes, cv, kernels=blocks
+                models, weight_codes, cv, kernels=blocks, fold=fold
             )
             if len(self._kernels) >= self._KERNEL_CACHE_CAP:
                 self._kernels.pop(next(iter(self._kernels)))
@@ -994,13 +1051,17 @@ def _walk_slices(lcps: Sequence[int], start: int, stop: int) -> list[tuple[int, 
     return _walk_slices(lcps, start, cut) + _walk_slices(lcps, cut, stop)
 
 
-def _quantize_mac_node(node, x: np.ndarray, percentile: float) -> _QuantizedMacNode:
-    """Quantized weights, control variates and activation parameters of
-    one conv/dense node whose float input over the calibration batch is ``x``."""
+def _activation_params(x: np.ndarray, percentile: float, owned: bool) -> QuantParams:
+    """Activation parameters of a MAC node whose float input over the
+    calibration batch is ``x``; an ``owned`` input is partitioned in place."""
     if percentile >= 100.0:
-        act_params = calibrate_minmax(x)
-    else:
-        act_params = calibrate_percentile(x, percentile)
+        return calibrate_minmax(x)
+    return calibrate_percentile(x, percentile, overwrite_input=owned)
+
+
+def _quantize_mac_node(node, act_params: QuantParams) -> _QuantizedMacNode:
+    """Quantized weights and control variates of one conv/dense node,
+    with its activation parameters."""
     ops: list[QuantizedLinearOp] = []
     cvs: list[ControlVariate] = []
     for weight_matrix, bias in _group_weight_matrices(node.layer):

@@ -2,7 +2,8 @@
 
 Complements the parity suite in ``test_engine_kernels.py``: this file pins
 the numeric exactness boundaries of ``exact_int_matmul`` and
-``_WeightOperand``'s f32/f64 promotion with randomized property tests.
+``_WeightOperand``'s f32/f64 promotion (``255 * max_f sum_j |w_jf| < 2^24``,
+signed weights included) with randomized property tests.
 """
 
 import numpy as np
@@ -81,20 +82,37 @@ class TestExactnessBoundaries:
             assert result.shape == (3, shape[1])
             np.testing.assert_array_equal(result, np.zeros((3, shape[1]), dtype=np.int64))
 
-    def test_signed_weights_disable_f32_but_stay_exact(self, rng):
-        weights = rng.integers(-4, 4, size=(6, 3))
-        weights[0, 0] = -1  # force at least one negative entry
-        op = _WeightOperand(weights.astype(np.int64))
-        assert op._f32 is None
+    def test_signed_weights_take_f32_below_the_absolute_bound(self, rng):
+        """Centered weights are signed: the float32 bound is on sum_j |w|,
+        which bounds every partial sum whatever the signs, so a column with
+        255 * sum_j |w| just below 2^24 takes float32 and stays exact, and
+        one just above falls back to float64."""
+        threshold = _F32_EXACT_BOUND // 255
+        for abs_sum, expect_f32 in ((threshold, True), (threshold + 1, False)):
+            col = self._column_with_sum(abs_sum)
+            col[1::2] *= -1  # alternate signs: the plain sum stays small
+            weights = np.stack([col, -col], axis=1)
+            op = _WeightOperand(weights)
+            assert (op._f32 is not None) == expect_f32
+            acts = rng.integers(0, 256, size=(9, weights.shape[0]), dtype=np.uint8)
+            acts[0] = 255 * (col > 0)  # the largest product sum of column 0
+            acts[1] = 255 * (col < 0)  # and of column 1
+            expected = acts.astype(np.int64) @ weights
+            assert expected[0, 0] == 255 * int(col[col > 0].sum())
+            assert expected[1, 1] == -255 * int(col[col < 0].sum())
+            np.testing.assert_array_equal(op.matmul(acts), expected)
+
+    def test_out_of_range_weights_stay_exact(self, rng):
+        """Codes beyond 8 bits are fine under the absolute bound too."""
+        weights = rng.integers(0, 2, size=(6, 3)).astype(np.int64)
+        weights[0, 0] = 300
+        op = _WeightOperand(weights)
+        assert op._f32 is not None
         acts = rng.integers(0, 256, size=(9, 6), dtype=np.uint8)
         np.testing.assert_array_equal(op.matmul(acts), acts.astype(np.int64) @ weights)
-
-    def test_out_of_range_weights_disable_f32_but_stay_exact(self, rng):
-        weights = rng.integers(0, 2, size=(6, 3)).astype(np.int64)
-        weights[0, 0] = 300  # beyond 8-bit codes: f32 bound argument is void
+        weights[0, 0] = _F32_EXACT_BOUND  # one product alone leaves float32
         op = _WeightOperand(weights)
         assert op._f32 is None
-        acts = rng.integers(0, 256, size=(9, 6), dtype=np.uint8)
         np.testing.assert_array_equal(op.matmul(acts), acts.astype(np.int64) @ weights)
 
     def test_wide_activations_bypass_f32_path(self, rng):

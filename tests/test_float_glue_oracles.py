@@ -11,11 +11,19 @@ formula it replaced, bit for bit.
   percentiles from one partition; its oracle is two single-q calls.
 * :class:`~repro.simulation.inference.ApproximateExecutor` calibrates each
   MAC layer on one float walk that drops every activation after its last
-  reader; its oracle calibrates from ``Graph.forward(...,
-  return_activations=True)``, which keeps them all.
+  reader, taking each range on a helper thread and partitioning dropped
+  inputs in place; its oracle calibrates from ``Graph.forward(...,
+  return_activations=True)``, which keeps them all, at calibration counts
+  from 1 to 32 images.  Calibration pins BLAS to one thread first, so an
+  executor built first in a fresh interpreter gets the parameters of one
+  built after another executor's sharded walk.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -187,8 +195,9 @@ class TestOneWalkCalibration:
         ],
     )
     @pytest.mark.parametrize("percentile", [99.9, 100.0])
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 32])
     def test_activation_params_equal_the_keep_everything_walk(
-        self, tiny_dataset, network, overrides, percentile
+        self, tiny_dataset, network, overrides, percentile, count
     ):
         model = build_model(
             network,
@@ -196,8 +205,11 @@ class TestOneWalkCalibration:
             rng=np.random.default_rng(5),
             **overrides,
         )
-        images = tiny_dataset.train_images[:32]
+        images = tiny_dataset.train_images[:count].copy()
+        before = images.copy()
         executor = ApproximateExecutor(model, images, activation_percentile=percentile)
+        # The first MAC node reads the caller's images: never partitioned.
+        np.testing.assert_array_equal(images, before)
         _, activations = model.forward(images, training=False, return_activations=True)
         nodes = model.conv_dense_nodes()
         assert sorted(executor._nodes) == sorted(node.name for node in nodes)
@@ -208,3 +220,45 @@ class TestOneWalkCalibration:
             )
             # A positive finite scale compares equal only to the same bits.
             assert executor._nodes[node.name].act_params == expected, node.name
+
+
+#: Builds vgg13 on the test suite's synthetic images in a fresh interpreter
+#: and prints whether an executor built first calibrates like one built
+#: after a sharded walk of another network.  Before calibration pinned BLAS,
+#: the first ran on OpenBLAS's default threads (one per core) and every
+#: later one on one thread, and the two disagreed on one vgg13 node at 32
+#: images on a 2-CPU host.
+_FIRST_EXECUTOR_SCRIPT = """
+import numpy as np
+from repro.datasets.synthetic import SyntheticCifarConfig, make_synthetic_cifar
+from repro.models.zoo import build_model
+from repro.runtime import sizing
+from repro.simulation.inference import ApproximateExecutor, AccurateProduct, ExecutionPlan
+
+config = SyntheticCifarConfig(num_classes=4, image_size=16, train_per_class=40,
+                              test_per_class=10, noise_std=0.10, confusion=0.20, seed=7)
+dataset = make_synthetic_cifar(config)
+images = dataset.train_images[:32]
+model = build_model("vgg13", num_classes=4, rng=np.random.default_rng(5))
+first = ApproximateExecutor(model, images)
+sizing.effective_cpu_count = lambda: 2
+other = build_model("shufflenet", num_classes=4, rng=np.random.default_rng(5))
+ApproximateExecutor(other, images).forward(
+    dataset.test_images[:4], ExecutionPlan.uniform(AccurateProduct())
+)
+later = ApproximateExecutor(model, images)
+print(sorted(n for n in first._nodes if first._nodes[n].act_params != later._nodes[n].act_params))
+"""
+
+
+def test_first_executor_calibrates_like_one_built_after_a_sharded_walk():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    result = subprocess.run(
+        [sys.executable, "-c", _FIRST_EXECUTOR_SCRIPT],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

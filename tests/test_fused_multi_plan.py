@@ -9,8 +9,8 @@ end:
   shared launches equal the per-plan kernels on randomized mixed stacks
   (accurate / perforated ± control variate / LUT / fallback), and a LUT
   block streaming its error terms tap by tap runs on its own;
-* ``QuantizedLinearOp.output_real_stacked`` — equals the tiled per-plan
-  :meth:`output_real` bit for bit;
+* ``QuantizedLinearOp.output_real_stacked`` — scaling the folded sums in
+  place equals the tiled per-plan :meth:`output_real` bit for bit;
 * ``NumpyBackend.compile_multi`` — bit-exact with the per-plan kernels
   and reuses precompiled ones;
 * ``ApproximateExecutor.forward_many`` — randomized plan families against
@@ -203,6 +203,16 @@ class TestOutputRealStacked:
         act_params = QuantParams(scale=0.07, zero_point=int(rng.integers(0, 256)))
         return op, act_params
 
+    @staticmethod
+    def _folded(op, act_params, act, sums):
+        """The bracket of output_real, folded exactly in int64."""
+        z_w, z_a = op.weight_params.zero_point, act_params.zero_point
+        act_sums = act.astype(np.int64).sum(axis=1, keepdims=True)
+        weight_sums = op.weight_codes.astype(np.int64).sum(axis=0)
+        return (sums - z_w * act_sums - z_a * weight_sums + op.taps * z_w * z_a).astype(
+            np.float64
+        )
+
     def test_bit_exact_with_tiled_output_real(self, rng):
         for _ in range(5):
             taps = int(rng.integers(2, 16))
@@ -211,33 +221,45 @@ class TestOutputRealStacked:
             plans = int(rng.integers(1, 5))
             op, act_params = self._op_and_params(rng, taps, filters)
             act = rng.integers(0, 256, size=(n, taps), dtype=np.uint8)
-            sums = rng.integers(0, 1 << 20, size=(plans * n, filters)).astype(
-                np.float64
-            )
+            sums = rng.integers(0, 1 << 20, size=(plans * n, filters))
             expected = np.concatenate(
                 [
                     op.output_real(act, act_params, sums[p * n : (p + 1) * n])
                     for p in range(plans)
                 ]
             )
-            result = op.output_real_stacked(act, act_params, sums, plans)
-            np.testing.assert_array_equal(result, expected)
+            folded = np.concatenate(
+                [
+                    self._folded(op, act_params, act, sums[p * n : (p + 1) * n])
+                    for p in range(plans)
+                ]
+            )
+            result = op.output_real_stacked(folded, act_params)
+            np.testing.assert_array_equal(
+                result.view(np.uint64), expected.view(np.uint64)
+            )
 
-    def test_does_not_mutate_product_sums(self, rng):
+    def test_scales_in_place(self, rng):
+        op, act_params = self._op_and_params(rng, 5, 3)
+        folded = rng.integers(-1000, 1000, size=(8, 3)).astype(np.float64)
+        expected = folded * (op.weight_params.scale * act_params.scale) + op.bias
+        assert op.output_real_stacked(folded, act_params) is folded
+        np.testing.assert_array_equal(folded, expected)
+
+    def test_output_real_does_not_mutate_product_sums(self, rng):
         op, act_params = self._op_and_params(rng, 5, 3)
         act = rng.integers(0, 256, size=(4, 5), dtype=np.uint8)
-        sums = rng.integers(0, 1000, size=(8, 3)).astype(np.float64)
+        sums = rng.integers(0, 1000, size=(4, 3)).astype(np.float64)
         before = sums.copy()
-        op.output_real_stacked(act, act_params, sums, 2)
+        op.output_real(act, act_params, sums)
         np.testing.assert_array_equal(sums, before)
 
     def test_shape_validation(self, rng):
         op, act_params = self._op_and_params(rng, 5, 3)
-        act = rng.integers(0, 256, size=(4, 5), dtype=np.uint8)
-        with pytest.raises(ValueError, match="product_sums"):
-            op.output_real_stacked(
-                act, act_params, np.zeros((7, 3), dtype=np.float64), 2
-            )
+        with pytest.raises(ValueError, match="folded_sums"):
+            op.output_real_stacked(np.zeros((7, 4), dtype=np.float64), act_params)
+        with pytest.raises(ValueError, match="folded_sums"):
+            op.output_real_stacked(np.zeros((7, 3), dtype=np.int64), act_params)
 
 
 class TestCompileMultiContract:

@@ -13,7 +13,7 @@ This suite pins that and the shard-safety of the state the shards share:
 * the fused-launch counters count every physical launch exactly, and a
   kernel both shards need is compiled once;
 * a failing shard's exception reaches the caller, and the process pins its
-  BLAS to one thread before a sharded walk only;
+  BLAS to one thread before it calibrates and before every sharded walk;
 * one compiled LUT kernel called from two threads with different row
   counts gives every caller its one-thread result (the one-hot scratch
   array is bound once per call).
@@ -209,7 +209,7 @@ class TestShardedForwardMany:
         with pytest.raises(RuntimeError, match="shard failure"):
             executor.forward(tiny_dataset.test_images[:4], ExecutionPlan.uniform(Exploding()))
 
-    def test_blas_is_pinned_before_a_sharded_walk_only(
+    def test_blas_is_pinned_before_calibration_and_before_every_sharded_walk(
         self, trained_tiny_model, tiny_dataset, cpus, monkeypatch
     ):
         threads: list[int] = []
@@ -217,12 +217,14 @@ class TestShardedForwardMany:
             sizing, "_openblas_thread_calls", lambda: (threads.append, lambda: 1)
         )
         executor = ApproximateExecutor(trained_tiny_model, tiny_dataset.train_images[:32])
+        assert threads == [sizing.EVAL_BLAS_THREADS]
         plan = ExecutionPlan.uniform(PerforatedProduct(2))
         cpus(2)
         executor.forward(tiny_dataset.test_images[:1], plan)  # one image: one shard
-        assert threads == []
-        executor.forward(tiny_dataset.test_images[:2], plan)
         assert threads == [sizing.EVAL_BLAS_THREADS]
+        executor.forward(tiny_dataset.test_images[:2], plan)
+        executor.forward(tiny_dataset.test_images[:2], plan)
+        assert threads == [sizing.EVAL_BLAS_THREADS] * 3
 
 
 def _lut_table() -> np.ndarray:
