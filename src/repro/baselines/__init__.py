@@ -14,22 +14,28 @@ techniques that, like it, avoid retraining:
   2020) — layer-wise accuracy configuration of reconfigurable multipliers
   (:mod:`~repro.baselines.reconfigurable`).
 
-Each baseline produces an :class:`~repro.baselines.base.TechniqueResult`
-holding its execution plan, array power model and measured accuracy, which
-the Fig. 5 bench turns into energy-reduction / accuracy-loss pairs.
+Each technique's ``apply(evaluator)`` scores its candidate plans through a
+:class:`~repro.dse.evaluator.PlanEvaluator` or a
+:class:`~repro.runtime.jobs.client.RemotePlanEvaluator`, one ``evaluate``
+call per candidate, and returns a
+:class:`~repro.baselines.base.TechniqueResult` holding its execution plan,
+array power model and measured accuracy, which the Fig. 5 bench, the
+golden workload and the DSE adapters turn into energy / accuracy points.
+Every candidate is an :class:`~repro.simulation.inference.ExecutionPlan`:
+ALWANN's weight tuning is a LUT product over a remapped table.
 """
 
-from repro.baselines.base import TechniqueResult, evaluate_plan_accuracy
-from repro.baselines.alwann import AlwannBaseline, tune_weights
+from repro.baselines.base import TechniqueResult
+from repro.baselines.alwann import AlwannBaseline, tune_weights, tuned_product
 from repro.baselines.weight_oriented import WeightOrientedBaseline, WeightOrientedProduct
 from repro.baselines.reconfigurable import ReconfigurableBaseline
 from repro.baselines.ours import ControlVariateTechnique
 
 __all__ = [
     "TechniqueResult",
-    "evaluate_plan_accuracy",
     "AlwannBaseline",
     "tune_weights",
+    "tuned_product",
     "WeightOrientedBaseline",
     "WeightOrientedProduct",
     "ReconfigurableBaseline",

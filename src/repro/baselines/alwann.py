@@ -9,25 +9,32 @@ The original work searches a per-layer (non-uniform) assignment with NSGA-II;
 the paper's comparison uses the *uniform* variant (one multiplier type for
 the whole network) for fairness, which is what this class implements: it
 scans the library's Pareto front from cheapest to most accurate and keeps the
-cheapest multiplier whose calibration-set accuracy stays within the allowed
-drop.
+cheapest multiplier whose accuracy stays within the allowed drop.
+
+Uniform tuning maps every weight code ``w`` to one ``t(w)``, so the tuned
+products ``lut[t(w), a]`` are the multiplier's table with its rows
+remapped.  :func:`tuned_product` is a LUT product over that table, run on
+the layer's own codes: its fingerprint digests the table, so the tuning is
+part of the plan, while the zero-point terms and the control constants
+keep the stored codes.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.baselines.base import TechniqueResult, evaluate_plan_accuracy
+from repro.baselines.base import TechniqueResult
 from repro.hardware.area_power import array_cost_from_multiplier
 from repro.hardware.technology import GENERIC_14NM, TechnologyModel
 from repro.multipliers.base import Multiplier, OPERAND_LEVELS
 from repro.multipliers.library import LibraryEntry, MultiplierLibrary
-from repro.simulation.inference import (
-    AccurateProduct,
-    ApproximateExecutor,
-    ExecutionPlan,
-    LUTProduct,
-)
+from repro.multipliers.lut import TableMultiplier
+from repro.simulation.inference import AccurateProduct, ExecutionPlan, LUTProduct
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.baselines.base import Evaluator
 
 
 def tune_weights(
@@ -69,6 +76,17 @@ def tune_weights(
     return mapping[codes].astype(np.uint8)
 
 
+def tuned_product(multiplier: Multiplier) -> LUTProduct:
+    """``multiplier`` under uniform weight tuning, as one LUT product.
+
+    Row ``w`` of its table is row ``tune_weights(w)`` of the multiplier's,
+    so on a layer's own codes it multiplies the tuned weights.
+    """
+    mapping = tune_weights(np.arange(OPERAND_LEVELS), multiplier)
+    table = multiplier.build_lut()[mapping]
+    return LUTProduct(TableMultiplier(table, name=f"{multiplier.name}+tuned"))
+
+
 class AlwannBaseline:
     """Uniform ALWANN: one library multiplier for the whole network."""
 
@@ -94,66 +112,36 @@ class AlwannBaseline:
         entries = [e for e in self.library.pareto_front() if not e.reconfigurable]
         return sorted(entries, key=lambda e: e.relative_power)
 
-    def _apply_tuning(self, executor: ApproximateExecutor, multiplier: Multiplier) -> None:
-        if not self.apply_weight_tuning:
-            return
-        for layer_name in executor.mac_layer_names():
-            tuned = [
-                tune_weights(codes, multiplier)
-                for codes in executor.quantized_weights(layer_name)
-            ]
-            executor.set_weight_override(layer_name, tuned)
-
-    def apply(
-        self,
-        executor: ApproximateExecutor,
-        eval_images: np.ndarray,
-        eval_labels: np.ndarray,
-        calibration_images: np.ndarray | None = None,
-        calibration_labels: np.ndarray | None = None,
-    ) -> TechniqueResult:
-        """Select the cheapest feasible multiplier and evaluate the result."""
-        if calibration_images is None or calibration_labels is None:
-            calibration_images, calibration_labels = eval_images, eval_labels
+    def apply(self, evaluator: "Evaluator") -> TechniqueResult:
+        """Select the cheapest multiplier whose accuracy fits the budget."""
         baseline_plan = ExecutionPlan.uniform(AccurateProduct())
-        baseline_acc = evaluate_plan_accuracy(executor, baseline_plan, eval_images, eval_labels)
-        calib_baseline = evaluate_plan_accuracy(
-            executor, baseline_plan, calibration_images, calibration_labels
-        )
-
-        chosen: LibraryEntry | None = None
-        chosen_plan: ExecutionPlan | None = None
+        baseline_acc = evaluator.evaluate([baseline_plan])[0]
         for entry in self._candidates():
-            plan = ExecutionPlan.uniform(LUTProduct(entry.multiplier))
-            self._apply_tuning(executor, entry.multiplier)
-            calib_acc = evaluate_plan_accuracy(
-                executor, plan, calibration_images, calibration_labels
+            product = (
+                tuned_product(entry.multiplier)
+                if self.apply_weight_tuning
+                else LUTProduct(entry.multiplier)
             )
-            executor.clear_weight_overrides()
-            if calib_baseline - calib_acc <= self.max_accuracy_drop:
-                chosen = entry
-                chosen_plan = plan
+            plan = ExecutionPlan.uniform(product)
+            accuracy = evaluator.evaluate([plan])[0]
+            if baseline_acc - accuracy <= self.max_accuracy_drop:
                 break
-        if chosen is None:
+        else:
             # No approximate entry satisfies the budget: fall back to accurate.
-            chosen = self.library.accurate_entry()
-            chosen_plan = ExecutionPlan.uniform(AccurateProduct())
-
-        self._apply_tuning(executor, chosen.multiplier)
-        final_acc = evaluate_plan_accuracy(executor, chosen_plan, eval_images, eval_labels)
-        executor.clear_weight_overrides()
+            entry = self.library.accurate_entry()
+            plan, accuracy = baseline_plan, baseline_acc
         power_mw = array_cost_from_multiplier(
-            chosen.relative_power,
-            chosen.relative_area,
+            entry.relative_power,
+            entry.relative_area,
             self.array_size,
             tech=self.technology,
         ).power_mw
         return TechniqueResult(
             technique=self.name,
-            plan=chosen_plan,
+            plan=plan,
             array_power_mw=power_mw,
             extra_cycles_per_layer=0,
-            accuracy=final_acc,
+            accuracy=accuracy,
             baseline_accuracy=baseline_acc,
-            details={"multiplier": chosen.name, "weight_tuning": self.apply_weight_tuning},
+            details={"multiplier": entry.name, "weight_tuning": self.apply_weight_tuning},
         )

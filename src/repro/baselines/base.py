@@ -1,13 +1,27 @@
-"""Shared infrastructure of the Fig. 5 techniques."""
+"""Shared infrastructure of the Fig. 5 techniques.
+
+Every technique scores plans through the evaluator surface of a
+:class:`~repro.dse.evaluator.PlanEvaluator` or a
+:class:`~repro.runtime.jobs.client.RemotePlanEvaluator`: ``evaluate(plans)``
+returns the accuracies on the evaluator's evaluation set and
+``mac_layer_names()`` names the MAC layers in execution order.  A technique
+scores the accurate baseline once and each search candidate in an
+``evaluate`` call of its own, and reports the accuracy its chosen plan was
+scored at.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+from repro.simulation.inference import ExecutionPlan
 
-from repro.simulation.inference import ApproximateExecutor, ExecutionPlan
-from repro.simulation.metrics import accuracy
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dse.evaluator import PlanEvaluator
+    from repro.runtime.jobs.client import RemotePlanEvaluator
+
+    Evaluator = PlanEvaluator | RemotePlanEvaluator
 
 
 @dataclass
@@ -46,15 +60,3 @@ class TechniqueResult:
     def accuracy_loss_percent(self) -> float:
         """Accuracy loss in percentage points versus the accurate design."""
         return 100.0 * (self.baseline_accuracy - self.accuracy)
-
-
-def evaluate_plan_accuracy(
-    executor: ApproximateExecutor,
-    plan: ExecutionPlan,
-    images: np.ndarray,
-    labels: np.ndarray,
-    batch_size: int = 256,
-) -> float:
-    """Top-1 accuracy of ``executor`` under ``plan`` on a labelled set."""
-    predictions = executor.predict(images, plan, batch_size=batch_size)
-    return accuracy(predictions, np.asarray(labels))

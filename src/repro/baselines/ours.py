@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.baselines.base import TechniqueResult, evaluate_plan_accuracy
+from repro.baselines.base import TechniqueResult
 from repro.core.accelerator_model import AcceleratorConfig
 from repro.hardware.area_power import array_cost
 from repro.hardware.technology import GENERIC_14NM, TechnologyModel
-from repro.simulation.inference import (
-    AccurateProduct,
-    ApproximateExecutor,
-    ExecutionPlan,
-    PerforatedProduct,
-)
+from repro.simulation.inference import AccurateProduct, ExecutionPlan, PerforatedProduct
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.baselines.base import Evaluator
 
 
 class ControlVariateTechnique:
@@ -35,25 +33,13 @@ class ControlVariateTechnique:
         self.array_size = int(array_size)
         self.technology = technology
 
-    def apply(
-        self,
-        executor: ApproximateExecutor,
-        eval_images: np.ndarray,
-        eval_labels: np.ndarray,
-        calibration_images: np.ndarray | None = None,
-        calibration_labels: np.ndarray | None = None,
-    ) -> TechniqueResult:
-        """Evaluate the technique on one trained network.
-
-        The calibration arguments are unused — our technique needs no search
-        — but the signature matches the other techniques so the Fig. 5 bench
-        can treat every entry identically.
-        """
+    def apply(self, evaluator: "Evaluator") -> TechniqueResult:
+        """Score the technique's plan against the accurate array (no search)."""
         config = AcceleratorConfig.make(self.array_size, self.m, use_control_variate=True)
         plan = ExecutionPlan.uniform(PerforatedProduct(self.m, use_control_variate=True))
-        baseline_plan = ExecutionPlan.uniform(AccurateProduct())
-        baseline_acc = evaluate_plan_accuracy(executor, baseline_plan, eval_images, eval_labels)
-        approx_acc = evaluate_plan_accuracy(executor, plan, eval_images, eval_labels)
+        baseline_acc, approx_acc = evaluator.evaluate(
+            [ExecutionPlan.uniform(AccurateProduct()), plan]
+        )
         power_mw = array_cost(config, self.technology).power_mw
         return TechniqueResult(
             technique=self.name,

@@ -8,25 +8,24 @@ granularity forces conservative settings on sensitive layers — the two
 reasons the paper gives for its limited energy savings.
 
 The implementation below performs a greedy per-layer search: layers are
-visited in order of decreasing MAC share, each layer is assigned the most
-aggressive perforation level whose cumulative calibration accuracy drop stays
-within the budget, and the array power follows the cycle-weighted mix of the
-selected levels times the reconfiguration overhead.
+visited in execution order, each layer is assigned the most aggressive
+perforation level whose cumulative accuracy drop stays within the budget,
+and the array power follows the mean power factor of the layers' levels
+(unweighted, an accurate layer counting 1) times the reconfiguration
+overhead.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.baselines.base import TechniqueResult, evaluate_plan_accuracy
+from repro.baselines.base import TechniqueResult
 from repro.hardware.area_power import array_cost_from_multiplier
 from repro.hardware.technology import GENERIC_14NM, TechnologyModel
-from repro.simulation.inference import (
-    AccurateProduct,
-    ApproximateExecutor,
-    ExecutionPlan,
-    PerforatedProduct,
-)
+from repro.simulation.inference import AccurateProduct, ExecutionPlan, PerforatedProduct
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.baselines.base import Evaluator
 
 
 class ReconfigurableBaseline:
@@ -41,7 +40,6 @@ class ReconfigurableBaseline:
         accuracy_levels: tuple[int, ...] = (2, 1),
         reconfiguration_overhead: float = 1.05,
         technology: TechnologyModel = GENERIC_14NM,
-        layer_mac_weights: dict[str, float] | None = None,
     ):
         self.array_size = int(array_size)
         self.max_accuracy_drop = float(max_accuracy_drop)
@@ -50,20 +48,10 @@ class ReconfigurableBaseline:
             raise ValueError("accuracy levels must be within [1, 7]")
         self.reconfiguration_overhead = float(reconfiguration_overhead)
         self.technology = technology
-        self.layer_mac_weights = dict(layer_mac_weights or {})
 
     # ------------------------------------------------------------------
-    def _layer_order(self, executor: ApproximateExecutor) -> list[str]:
-        """Layers sorted by descending MAC share (largest savings first)."""
-        names = executor.mac_layer_names()
-        if not self.layer_mac_weights:
-            return names
-        return sorted(
-            names, key=lambda name: self.layer_mac_weights.get(name, 0.0), reverse=True
-        )
-
     def _effective_multiplier_power(self, assignment: dict[str, int]) -> float:
-        """Cycle/MAC-weighted relative multiplier power of the assignment.
+        """Mean relative multiplier power over the layers of the assignment.
 
         The multipliers must be runtime-reconfigurable (the accuracy level
         changes between layers), so a layer configured at level ``m`` only
@@ -72,48 +60,27 @@ class ReconfigurableBaseline:
         tech = self.technology
         if not assignment:
             return 1.0
-        total_weight = 0.0
-        weighted = 0.0
-        for layer, m in assignment.items():
-            weight = self.layer_mac_weights.get(layer, 1.0)
-            total_weight += weight
-            factor = tech.reconfigurable_power_factor(m) if m > 0 else 1.0
-            weighted += weight * factor
-        return weighted / total_weight if total_weight else 1.0
+        total = 0.0
+        for m in assignment.values():
+            total += tech.reconfigurable_power_factor(m) if m > 0 else 1.0
+        return total / len(assignment)
 
-    def apply(
-        self,
-        executor: ApproximateExecutor,
-        eval_images: np.ndarray,
-        eval_labels: np.ndarray,
-        calibration_images: np.ndarray | None = None,
-        calibration_labels: np.ndarray | None = None,
-    ) -> TechniqueResult:
+    def apply(self, evaluator: "Evaluator") -> TechniqueResult:
         """Greedy per-layer accuracy-level assignment within the drop budget."""
-        if calibration_images is None or calibration_labels is None:
-            calibration_images, calibration_labels = eval_images, eval_labels
-        baseline_plan = ExecutionPlan.uniform(AccurateProduct())
-        baseline_acc = evaluate_plan_accuracy(executor, baseline_plan, eval_images, eval_labels)
-        calib_baseline = evaluate_plan_accuracy(
-            executor, baseline_plan, calibration_images, calibration_labels
-        )
-
         plan = ExecutionPlan.uniform(AccurateProduct())
-        assignment: dict[str, int] = {name: 0 for name in executor.mac_layer_names()}
-        for layer in self._layer_order(executor):
+        baseline_acc = accuracy = evaluator.evaluate([plan])[0]
+        assignment: dict[str, int] = {name: 0 for name in evaluator.mac_layer_names()}
+        for layer in assignment:
             for m in self.accuracy_levels:
                 candidate = plan.with_layer(
                     layer, PerforatedProduct(m, use_control_variate=False)
                 )
-                calib_acc = evaluate_plan_accuracy(
-                    executor, candidate, calibration_images, calibration_labels
-                )
-                if calib_baseline - calib_acc <= self.max_accuracy_drop:
-                    plan = candidate
+                candidate_acc = evaluator.evaluate([candidate])[0]
+                if baseline_acc - candidate_acc <= self.max_accuracy_drop:
+                    plan, accuracy = candidate, candidate_acc
                     assignment[layer] = m
                     break
 
-        final_acc = evaluate_plan_accuracy(executor, plan, eval_images, eval_labels)
         effective = self._effective_multiplier_power(assignment)
         approximated_layers = sum(1 for m in assignment.values() if m > 0)
         # If the search could not approximate any layer the design degenerates
@@ -131,7 +98,7 @@ class ReconfigurableBaseline:
             plan=plan,
             array_power_mw=power_mw,
             extra_cycles_per_layer=0,
-            accuracy=final_acc,
+            accuracy=accuracy,
             baseline_accuracy=baseline_acc,
             details={
                 "assignment": dict(assignment),

@@ -21,20 +21,19 @@ This implementation expresses the idea on the perforation family:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.baselines.base import TechniqueResult, evaluate_plan_accuracy
+from repro.baselines.base import TechniqueResult
 from repro.core.control_variate import ControlVariate
 from repro.core.product_kernels import ProductKernel, _WeightOperand
 from repro.hardware.area_power import array_cost_from_multiplier
 from repro.hardware.technology import GENERIC_14NM, TechnologyModel
-from repro.simulation.inference import (
-    AccurateProduct,
-    ApproximateExecutor,
-    ExecutionPlan,
-    ProductModel,
-)
+from repro.simulation.inference import AccurateProduct, ExecutionPlan, ProductModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.baselines.base import Evaluator
 
 
 def _x_mean(m: int) -> float:
@@ -187,21 +186,6 @@ class WeightOrientedBaseline:
         self.technology = technology
 
     # ------------------------------------------------------------------
-    def _threshold_and_fraction(
-        self, executor: ApproximateExecutor, percentile: float
-    ) -> tuple[int, float]:
-        """Weight-code threshold at a global percentile and the aggressive fraction."""
-        all_codes = np.concatenate(
-            [
-                codes.reshape(-1)
-                for layer in executor.mac_layer_names()
-                for codes in executor.quantized_weights(layer)
-            ]
-        )
-        threshold = int(np.percentile(all_codes, percentile))
-        fraction = float((all_codes < threshold).mean())
-        return threshold, fraction
-
     def _relative_multiplier_power(self, config: _ModeConfig, aggressive_fraction: float) -> float:
         # The technique needs *runtime-reconfigurable* multipliers (the mode
         # depends on the weight streamed in), so each mode only recovers a
@@ -213,40 +197,38 @@ class WeightOrientedBaseline:
         )
         return aggressive_fraction * high + (1.0 - aggressive_fraction) * low
 
-    def apply(
-        self,
-        executor: ApproximateExecutor,
-        eval_images: np.ndarray,
-        eval_labels: np.ndarray,
-        calibration_images: np.ndarray | None = None,
-        calibration_labels: np.ndarray | None = None,
-    ) -> TechniqueResult:
-        """Pick the most aggressive mode configuration within the budget."""
-        if calibration_images is None or calibration_labels is None:
-            calibration_images, calibration_labels = eval_images, eval_labels
-        baseline_plan = ExecutionPlan.uniform(AccurateProduct())
-        baseline_acc = evaluate_plan_accuracy(executor, baseline_plan, eval_images, eval_labels)
-        calib_baseline = evaluate_plan_accuracy(
-            executor, baseline_plan, calibration_images, calibration_labels
+    def apply(self, evaluator: "Evaluator") -> TechniqueResult:
+        """Pick the most aggressive mode configuration within the budget.
+
+        The mode thresholds are percentiles of the network's weight codes,
+        read from the evaluator's local executor: a remote evaluator has
+        none, and raises :class:`RuntimeError`.
+        """
+        executor = evaluator.executor
+        all_codes = np.concatenate(
+            [
+                codes.reshape(-1)
+                for layer in evaluator.mac_layer_names()
+                for codes in executor.quantized_weights(layer)
+            ]
         )
+        baseline_plan = ExecutionPlan.uniform(AccurateProduct())
+        baseline_acc = evaluator.evaluate([baseline_plan])[0]
 
         # Fallback: if no mode configuration fits the budget the design keeps
         # the plain accurate array (and pays no reconfiguration overhead).
-        chosen_plan = baseline_plan
+        chosen_plan, chosen_acc = baseline_plan, baseline_acc
         chosen_power_rel = 1.0
         chosen_overhead = 1.0
         chosen_details: dict[str, object] = {"configuration": "accurate"}
         for candidate in _CANDIDATES:
-            threshold, fraction = self._threshold_and_fraction(
-                executor, candidate.threshold_percentile
-            )
+            threshold = int(np.percentile(all_codes, candidate.threshold_percentile))
+            fraction = float((all_codes < threshold).mean())
             product = WeightOrientedProduct(candidate.m_low, candidate.m_high, threshold)
             plan = ExecutionPlan.uniform(product)
-            calib_acc = evaluate_plan_accuracy(
-                executor, plan, calibration_images, calibration_labels
-            )
-            if calib_baseline - calib_acc <= self.max_accuracy_drop:
-                chosen_plan = plan
+            accuracy = evaluator.evaluate([plan])[0]
+            if baseline_acc - accuracy <= self.max_accuracy_drop:
+                chosen_plan, chosen_acc = plan, accuracy
                 chosen_power_rel = self._relative_multiplier_power(candidate, fraction)
                 chosen_overhead = self.reconfiguration_overhead
                 chosen_details = {
@@ -255,7 +237,6 @@ class WeightOrientedBaseline:
                 }
                 break
 
-        final_acc = evaluate_plan_accuracy(executor, chosen_plan, eval_images, eval_labels)
         power_mw = array_cost_from_multiplier(
             chosen_power_rel,
             chosen_power_rel,
@@ -268,7 +249,7 @@ class WeightOrientedBaseline:
             plan=chosen_plan,
             array_power_mw=power_mw,
             extra_cycles_per_layer=0,
-            accuracy=final_acc,
+            accuracy=chosen_acc,
             baseline_accuracy=baseline_acc,
             details=chosen_details,
         )

@@ -242,9 +242,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
             manifest.error = f"{type(error).__name__}: {error}"
             return cli_error(str(error))
         except RuntimeError as error:
-            # The remote evaluator raises RuntimeError for operations a
-            # daemon cannot serve (e.g. baseline strategies that drive a
-            # local executor) and for transport failures mid-campaign.
+            # The remote evaluator raises RuntimeError for transport
+            # failures mid-campaign and for the one operation a daemon
+            # cannot serve: the weight-oriented strategy's local executor.
             if remote_client is None:
                 raise
             manifest.status = "error"

@@ -353,18 +353,18 @@ class ZeroPointFold:
     With affine codes ``r = s (q - z)``, the dot product of ``k`` taps
     dequantizes from the exact integer
 
-        T = sum_j w_j a_j - z_w sum_j a_j - z_a sum_j W_j + k z_w z_a
-          = sum_j (w_j - z_w) a_j - z_a sum_j (W_j - z_w)
+        T = sum_j W_j a_j - z_w sum_j a_j - z_a sum_j W_j + k z_w z_a
+          = sum_j (W_j - z_w) a_j - z_a sum_j (W_j - z_w)
 
-    where ``w`` are the codes the products use (an ALWANN override, or
-    ``W`` itself) and ``W`` the layer's own codes, which the zero-point
-    and control-variate terms keep.  A launch against the centered weights
-    ``W' = w - z_w`` (:attr:`operand`, built once per layer group and
-    shared by all its fused kernels) therefore needs no ``sum_j a_j``.  A
-    perforated block multiplies ``a'_j = a_j - x_j``, and since
+    where ``W`` are the layer's codes.  A launch against the centered
+    weights ``W' = W - z_w`` (:attr:`operand`, built once per layer group
+    and shared by all its fused kernels) therefore needs no ``sum_j a_j``.
+    A perforated block multiplies ``a'_j = a_j - x_j``, and since
     ``sum_j a_j = sum_j a'_j + sum_j x_j`` its ``T`` is
-    ``a' @ W' + (c - z_w) sum_j x_j - z_a sum_j (W_j - z_w)``, with ``c``
-    the control constant ``C`` (0 without the control variate).
+    ``a' @ W' + (c - z_w) sum_j x_j - z_a sum_j W'_j``, with ``c`` the
+    control constant ``C`` (0 without the control variate).  Every block
+    reads the layer's own codes: ALWANN's weight tuning is a row remap of
+    its LUT (:mod:`repro.baselines.alwann`), not other codes.
 
     Every term is an integer far below 2^53, so ``T`` is exact in float64,
     and scaling it (``QuantizedLinearOp.output_real_stacked``) gives
@@ -377,19 +377,13 @@ class ZeroPointFold:
         weight_codes: np.ndarray,
         weight_zero_point: int = 0,
         act_zero_point: int = 0,
-        original_codes: np.ndarray | None = None,
     ):
         w = _check_weights(weight_codes).astype(np.int64)
-        original = w if original_codes is None else _check_weights(original_codes)
-        if original.shape != w.shape:
-            raise ValueError(
-                f"original codes {original.shape} do not match weight codes {w.shape}"
-            )
         self.taps, self.filters = (int(n) for n in w.shape)
         self.weight_zero_point = int(weight_zero_point)
         self.act_zero_point = int(act_zero_point)
         self.operand = _WeightOperand(w - self.weight_zero_point)
-        self.weight_sums = original.astype(np.int64).sum(axis=0)
+        self.weight_sums = w.sum(axis=0)
         centered_sums = self.weight_sums - self.taps * self.weight_zero_point
         # -z_a * sum_j (W_j - z_w), written 0 - x so that a zero is +0.0.
         self.offsets = 0.0 - float(self.act_zero_point) * centered_sums.astype(np.float64)

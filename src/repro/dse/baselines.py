@@ -4,16 +4,21 @@ The Fig. 5 techniques (:mod:`repro.baselines`) each pick their own execution
 plan and array design through ``apply``; wrapping them as
 :class:`~repro.dse.strategies.SearchStrategy` entries makes a SOTA
 comparison just another ``--strategy`` value of the DSE subsystem: the
-technique runs once against the campaign's shared executor and evaluation
-split, and its result enters the Pareto front as an external point costed
-by the same cycle model as every searched assignment
+technique runs once against the campaign's evaluator (a
+:class:`~repro.dse.evaluator.PlanEvaluator`, or a
+:class:`~repro.runtime.jobs.client.RemotePlanEvaluator` with ``--remote``),
+and its result enters the Pareto front as an external point costed by the
+same cycle model as every searched assignment
 (:meth:`~repro.dse.space.SearchSpace.uniform_energy_nj` over the
 technique's reported array power).
 
 The techniques search internally (library scans, per-layer mode selection)
-through the same executor, so their own intermediate evaluations are not
-counted against the campaign's evaluation budget — the budget governs the
-campaign's plan scoring, and each adapter contributes exactly one point.
+through the same evaluator, but not through the campaign's ledger, so their
+own intermediate evaluations are not counted against the campaign's
+evaluation budget — the budget governs the campaign's plan scoring, and
+each adapter contributes exactly one point.  ``weight-oriented`` also reads
+the weight codes from the evaluator's local executor, so it cannot run
+against a remote evaluator.
 """
 
 from __future__ import annotations
@@ -40,15 +45,7 @@ class BaselineStrategy(SearchStrategy):
         raise NotImplementedError
 
     def search(self, ctx: "CampaignContext") -> None:
-        technique = self.build_technique(ctx)
-        evaluator = ctx.evaluator
-        result = technique.apply(
-            evaluator.executor,
-            evaluator.eval_images,
-            evaluator.eval_labels,
-            calibration_images=evaluator.eval_images,
-            calibration_labels=evaluator.eval_labels,
-        )
+        result = self.build_technique(ctx).apply(ctx.evaluator)
         energy_nj = ctx.space.uniform_energy_nj(
             result.array_power_mw,
             extra_cycles_per_layer=result.extra_cycles_per_layer,

@@ -168,7 +168,8 @@ class PlanEvaluator:
     # ------------------------------------------------------------------
     @property
     def executor(self) -> ApproximateExecutor:
-        """Calibrated executor of the evaluated model, for baseline ``apply`` calls.
+        """Calibrated executor of the evaluated model, whose quantized
+        weight codes the weight-oriented technique reads.
 
         On an in-process service it is the executor that scores the plans
         (so reading its counters after a campaign costs no second

@@ -14,7 +14,8 @@ Public API
   approximate multiplier; error ``eps = W * (A mod 2^m)``.
 * :class:`~repro.multipliers.truncated.TruncatedMultiplier`
 * :class:`~repro.multipliers.compensated.CompensatedMultiplier`
-* :class:`~repro.multipliers.lut.LUTMultiplier` and LUT helpers.
+* :class:`~repro.multipliers.lut.LUTMultiplier`,
+  :class:`~repro.multipliers.lut.TableMultiplier` and LUT helpers.
 * :class:`~repro.multipliers.library.MultiplierLibrary` — a synthetic
   EvoApprox-like library with power/area/delay metadata.
 * :mod:`~repro.multipliers.error_stats` — empirical and analytical error
@@ -26,7 +27,7 @@ from repro.multipliers.accurate import AccurateMultiplier
 from repro.multipliers.perforated import PerforatedMultiplier
 from repro.multipliers.truncated import TruncatedMultiplier
 from repro.multipliers.compensated import CompensatedMultiplier
-from repro.multipliers.lut import LUTMultiplier, build_lut, apply_lut
+from repro.multipliers.lut import LUTMultiplier, TableMultiplier, build_lut, apply_lut
 from repro.multipliers.library import LibraryEntry, MultiplierLibrary
 from repro.multipliers.error_stats import (
     ErrorStats,
@@ -43,6 +44,7 @@ __all__ = [
     "TruncatedMultiplier",
     "CompensatedMultiplier",
     "LUTMultiplier",
+    "TableMultiplier",
     "build_lut",
     "apply_lut",
     "LibraryEntry",

@@ -10,6 +10,9 @@ This module provides the same mechanism for the numpy engine:
 * :class:`LUTMultiplier` turns an arbitrary table back into a
   :class:`Multiplier`, which is how externally-characterized multipliers
   (e.g. EvoApprox-style netlist simulations) would be imported.
+* :class:`TableMultiplier` is the same idea without the operand checks:
+  the wire codec decodes LUT products into it, and ALWANN's weight tuning
+  is one (a row remap of the library multiplier's table).
 """
 
 from __future__ import annotations
@@ -77,3 +80,27 @@ class LUTMultiplier(Multiplier):
     def from_multiplier(cls, multiplier: Multiplier) -> "LUTMultiplier":
         """Freeze any multiplier into its LUT form (used to cross-check paths)."""
         return cls(build_lut(multiplier), name=f"lut[{multiplier.name}]")
+
+
+class TableMultiplier(Multiplier):
+    """A multiplier defined extensionally by its full product table.
+
+    Products *are* the table, so a :class:`~repro.simulation.inference.
+    LUTProduct` over it is fingerprint-identical to one over whatever
+    multiplier produced the table.
+    """
+
+    def __init__(self, table: np.ndarray, name: str = "table"):
+        table = np.asarray(table, dtype=np.int64)
+        if table.shape != (OPERAND_LEVELS, OPERAND_LEVELS):
+            raise ValueError(
+                f"LUT table must have shape {(OPERAND_LEVELS, OPERAND_LEVELS)}, "
+                f"got {table.shape}"
+            )
+        self._table = np.ascontiguousarray(table)
+        self.name = str(name)
+
+    def multiply(self, w: np.ndarray, a: np.ndarray) -> np.ndarray:
+        w = np.asarray(w, dtype=np.int64)
+        a = np.asarray(a, dtype=np.int64)
+        return self._table[w, a]

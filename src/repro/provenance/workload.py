@@ -4,11 +4,12 @@ A regression gate needs a workload that is (a) cheap enough to run inside
 ``make check`` and (b) **bit-exact by construction**, so any drift is a
 behavior change rather than noise.  This module provides exactly that: a
 tiny seeded synthetic dataset, a quickly but deterministically trained
-vgg13, one serial Table-III-style accuracy sweep and one greedy DSE
+vgg13, one serial Table-III-style accuracy sweep, one greedy DSE
 campaign — the same shape (and the same dataset/model configuration) as
-``benchmarks/bench_dse_search.py``, shrunk to a fixed evaluation budget.
+``benchmarks/bench_dse_search.py``, shrunk to a fixed evaluation budget —
+and the four Fig. 5 techniques.
 
-Three golden documents come out of one run:
+Four golden documents come out of one run:
 
 ``inputs.json``
     The content-addressed identity of the workload — model parameter
@@ -22,8 +23,14 @@ Three golden documents come out of one run:
     The greedy campaign's front, each point carrying its ledger record
     key, plus the deterministic campaign statistics (exact match,
     order-insensitive front).
+``fig5.json``
+    Ours, weight-oriented, ALWANN and reconfigurable on the same model,
+    each scored through one :class:`~repro.dse.evaluator.PlanEvaluator`
+    on every test image (the synthetic library, a 0.1 accuracy-drop
+    budget): accuracy, baseline accuracy, array power, extra cycles and
+    the chosen configuration (exact match).
 
-Wall-clock is deliberately absent from all three: the goldens contain only
+Wall-clock is deliberately absent from all four: the goldens contain only
 reproducible values, so ``verify-results`` needs no tolerance for them.
 """
 
@@ -44,7 +51,12 @@ from repro.provenance.regression import (
 )
 
 #: The golden documents one workload run produces, in comparison order.
-GOLDEN_FILES = ("inputs.json", "accuracy_table.json", "pareto_front.json")
+GOLDEN_FILES = (
+    "inputs.json",
+    "accuracy_table.json",
+    "pareto_front.json",
+    "fig5.json",
+)
 
 #: Workload constants (also recorded verbatim in ``inputs.json``).
 PERFORATIONS = (1, 2)
@@ -52,6 +64,10 @@ MAX_LOSS = 0.5
 BUDGET_EVALS = 40
 CALIBRATION_IMAGES = 64
 ARRAY_SIZE = 64
+
+#: Accuracy-drop budget of the Fig. 5 techniques (recorded in ``fig5.json``):
+#: at 0.02 the weight-oriented technique keeps the accurate array here.
+FIG5_MAX_ACCURACY_DROP = 0.1
 
 
 def _train_workload_model():
@@ -156,6 +172,54 @@ def run_golden_workload() -> dict[str, dict]:
         "inputs.json": inputs,
         "accuracy_table.json": accuracy_table,
         "pareto_front.json": pareto_front,
+        "fig5.json": _fig5_payload(trained, dataset),
+    }
+
+
+def _fig5_payload(trained, dataset) -> dict:
+    """The four Fig. 5 techniques on the workload model, every test image."""
+    from repro.baselines import (
+        AlwannBaseline,
+        ControlVariateTechnique,
+        ReconfigurableBaseline,
+        WeightOrientedBaseline,
+    )
+    from repro.dse.evaluator import PlanEvaluator
+    from repro.multipliers.library import MultiplierLibrary
+
+    evaluator = PlanEvaluator(trained, dataset, calibration_images=CALIBRATION_IMAGES)
+    techniques = [
+        ControlVariateTechnique(array_size=ARRAY_SIZE),
+        WeightOrientedBaseline(
+            array_size=ARRAY_SIZE, max_accuracy_drop=FIG5_MAX_ACCURACY_DROP
+        ),
+        AlwannBaseline(
+            MultiplierLibrary.synthetic_evoapprox(),
+            array_size=ARRAY_SIZE,
+            max_accuracy_drop=FIG5_MAX_ACCURACY_DROP,
+        ),
+        ReconfigurableBaseline(
+            array_size=ARRAY_SIZE, max_accuracy_drop=FIG5_MAX_ACCURACY_DROP
+        ),
+    ]
+    rows = []
+    for technique in techniques:
+        result = technique.apply(evaluator)
+        rows.append(
+            {
+                "technique": result.technique,
+                "accuracy": result.accuracy,
+                "baseline_accuracy": result.baseline_accuracy,
+                "array_power_mw": result.array_power_mw,
+                "extra_cycles_per_layer": result.extra_cycles_per_layer,
+                "details": result.details,
+            }
+        )
+    return {
+        "model": trained.name,
+        "dataset": dataset.name,
+        "max_accuracy_drop": FIG5_MAX_ACCURACY_DROP,
+        "techniques": rows,
     }
 
 

@@ -34,7 +34,6 @@ from repro.runtime.jobs.client import (
 )
 from repro.runtime.jobs.codec import (
     PlanCodecError,
-    TableMultiplier,
     decode_plan,
     decode_plans,
     encode_plan,
@@ -58,7 +57,6 @@ __all__ = [
     "RemoteBatch",
     "RemotePlanEvaluator",
     "ResultCache",
-    "TableMultiplier",
     "decode_plan",
     "decode_plans",
     "encode_plan",

@@ -306,8 +306,10 @@ class RemotePlanEvaluator:
     Scoring submits one job per candidate batch; the context key and MAC
     layer names come from the server's ``/models`` descriptors, so ledger
     records a remote campaign writes are interchangeable with local runs
-    of the same measurement setup.  The one-call baseline adapters need a
-    local executor (:attr:`executor`) — not available remotely by design.
+    of the same measurement setup.  The Fig. 5 techniques score through
+    this same surface, except that the weight-oriented one reads weight
+    codes from a local executor (:attr:`executor`), which a remote
+    evaluator does not have.
     """
 
     def __init__(
@@ -342,8 +344,9 @@ class RemotePlanEvaluator:
     @property
     def executor(self):
         raise RuntimeError(
-            "baseline strategies drive a local executor directly and cannot "
-            "run against a remote evaluation service; run them without --remote"
+            "the weight-oriented strategy reads the model's weight codes from "
+            "a local executor, which a remote evaluation service does not "
+            "expose; run it without --remote"
         )
 
     def context_key(self) -> str:

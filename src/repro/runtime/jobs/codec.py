@@ -20,7 +20,7 @@ and of one plan::
 
 LUT tables travel by value (the 256x256 int64 grid, base64-encoded) so a
 remote client can submit a multiplier the server has never seen; decoding
-wraps the table in a :class:`TableMultiplier`, whose
+wraps the table in a :class:`~repro.multipliers.lut.TableMultiplier`, whose
 :meth:`~repro.multipliers.base.Multiplier.build_lut` reproduces the table
 bit-exactly — keeping the LUT fingerprint (a digest of the table bytes)
 stable across the round trip.
@@ -32,7 +32,8 @@ import base64
 
 import numpy as np
 
-from repro.multipliers.base import OPERAND_LEVELS, Multiplier
+from repro.multipliers.base import OPERAND_LEVELS
+from repro.multipliers.lut import TableMultiplier
 from repro.simulation.inference import (
     AccurateProduct,
     ExecutionPlan,
@@ -44,30 +45,6 @@ from repro.simulation.inference import (
 
 class PlanCodecError(ValueError):
     """A payload that does not decode to a valid plan (HTTP 400 material)."""
-
-
-class TableMultiplier(Multiplier):
-    """A multiplier defined extensionally by its full product table.
-
-    The decode-side stand-in for whatever multiplier object produced a
-    serialized LUT product: behaviorally identical (products *are* the
-    table) and therefore fingerprint-identical.
-    """
-
-    def __init__(self, table: np.ndarray, name: str = "table"):
-        table = np.asarray(table, dtype=np.int64)
-        if table.shape != (OPERAND_LEVELS, OPERAND_LEVELS):
-            raise PlanCodecError(
-                f"LUT table must have shape {(OPERAND_LEVELS, OPERAND_LEVELS)}, "
-                f"got {table.shape}"
-            )
-        self._table = np.ascontiguousarray(table)
-        self.name = str(name)
-
-    def multiply(self, w: np.ndarray, a: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=np.int64)
-        a = np.asarray(a, dtype=np.int64)
-        return self._table[w, a]
 
 
 def encode_product(model: ProductModel) -> dict:
@@ -167,7 +144,6 @@ def decode_plans(payloads: "list[dict]") -> list[ExecutionPlan]:
 
 __all__ = [
     "PlanCodecError",
-    "TableMultiplier",
     "encode_product",
     "decode_product",
     "encode_plan",

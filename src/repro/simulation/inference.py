@@ -8,8 +8,9 @@ MAC array performs — are produced by a pluggable :class:`ProductModel`:
 * :class:`AccurateProduct` — the accurate array (quantization error only);
 * :class:`PerforatedProduct` — the paper's perforated multiplier, with or
   without the control-variate MAC+ column;
-* :class:`LUTProduct` — an arbitrary library multiplier (used by the
-  state-of-the-art baselines), optionally with ALWANN-style weight tuning.
+* :class:`LUTProduct` — an arbitrary multiplier through its product table
+  (used by the state-of-the-art baselines; ALWANN's weight tuning is a row
+  remap of that table, so it needs no state of its own).
 
 An :class:`ExecutionPlan` assigns one product model per MAC layer, which is
 how layer-wise techniques (ALWANN [7], the reconfigurable approach [8]) are
@@ -359,7 +360,6 @@ class _QuantizedMacNode:
 
     node_name: str
     ops: list[QuantizedLinearOp]
-    weight_overrides: list[np.ndarray | None]
     control_variates: list[ControlVariate]
     act_params: QuantParams
 
@@ -485,34 +485,6 @@ class ApproximateExecutor:
     def quantized_weights(self, layer_name: str) -> list[np.ndarray]:
         """The uint8 weight matrices (one per group) of a MAC layer."""
         return [op.weight_codes for op in self._nodes[layer_name].ops]
-
-    def set_weight_override(self, layer_name: str, codes_per_group: list[np.ndarray]) -> None:
-        """Replace the weight codes used at inference time (ALWANN weight tuning).
-
-        The override only affects the products sent to the MAC array; the
-        dequantization, zero-point corrections and control variates keep
-        using the original weights, mirroring how ALWANN retunes the stored
-        weights without retraining.
-        """
-        node = self._nodes[layer_name]
-        if len(codes_per_group) != len(node.ops):
-            raise ValueError(
-                f"expected {len(node.ops)} weight matrices for layer {layer_name!r}"
-            )
-        overrides: list[np.ndarray | None] = []
-        for op, codes in zip(node.ops, codes_per_group):
-            codes = np.asarray(codes, dtype=np.uint8)
-            if codes.shape != op.weight_codes.shape:
-                raise ValueError("override shape mismatch")
-            overrides.append(codes)
-        node.weight_overrides = overrides
-        self._drop_kernels()
-
-    def clear_weight_overrides(self) -> None:
-        """Remove all inference-time weight overrides."""
-        for node in self._nodes.values():
-            node.weight_overrides = [None] * len(node.ops)
-        self._drop_kernels()
 
     def drop_working_set(self) -> None:
         """Free the activation buffers and compiled kernels.
@@ -918,17 +890,11 @@ class ApproximateExecutor:
             if kernel is not None:
                 return kernel
             op = qnode.ops[group]
-            override = qnode.weight_overrides[group]
-            weight_codes = override if override is not None else op.weight_codes
+            weight_codes = op.weight_codes
             fold = self._folds.get((qnode.node_name, group))
             if fold is None:
-                # Products use the override; the zero-point terms keep the
-                # layer's own codes, as the control variate does.
                 fold = self._folds[(qnode.node_name, group)] = ZeroPointFold(
-                    weight_codes,
-                    op.weight_params.zero_point,
-                    qnode.act_params.zero_point,
-                    original_codes=op.weight_codes,
+                    weight_codes, op.weight_params.zero_point, qnode.act_params.zero_point
                 )
             cv = qnode.control_variates[group]
             blocks = []
@@ -1001,10 +967,8 @@ class ApproximateExecutor:
         product_model: ProductModel,
     ) -> np.ndarray:
         op = qnode.ops[group]
-        override = qnode.weight_overrides[group]
-        weight_codes = override if override is not None else op.weight_codes
         sums = product_model.product_sums(
-            act_codes, weight_codes, qnode.control_variates[group]
+            act_codes, op.weight_codes, qnode.control_variates[group]
         )
         return op.output_real(act_codes, qnode.act_params, product_sum=sums)
 
@@ -1072,7 +1036,6 @@ def _quantize_mac_node(node, act_params: QuantParams) -> _QuantizedMacNode:
     return _QuantizedMacNode(
         node_name=node.name,
         ops=ops,
-        weight_overrides=[None] * len(ops),
         control_variates=cvs,
         act_params=act_params,
     )

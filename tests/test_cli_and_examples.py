@@ -514,6 +514,80 @@ class TestDseCommand:
             assert entry["stats"]["evaluations"] <= 4
 
 
+class TestDseRemoteBaselines:
+    """``repro dse --strategy <baseline> --remote URL`` against an in-process
+    daemon hosting the model the local run trains."""
+
+    @pytest.fixture(scope="class")
+    def remote(self, tmp_path_factory):
+        import threading
+
+        from repro.runtime.jobs import JobManager
+        from repro.runtime.server import JobServer
+        from repro.simulation.campaign import (
+            TrainedModelCache,
+            TrainingSettings,
+            experiment_dataset,
+        )
+
+        cache_dir = str(tmp_path_factory.mktemp("remote-dse-cache"))
+        dataset = experiment_dataset(num_classes=10)
+        trained = TrainedModelCache(cache_dir=cache_dir).load_or_train(
+            "vgg13", dataset, TrainingSettings(epochs=1)
+        )
+        server = JobServer(
+            JobManager([trained], {dataset.name: dataset}, max_eval_images=16)
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield cache_dir, server.url
+        server.shutdown_and_close()
+        thread.join(timeout=10)
+
+    @staticmethod
+    def _argv(cache_dir: str, strategy: str) -> list[str]:
+        return [
+            "dse",
+            "--classes",
+            "10",
+            "--epochs",
+            "1",
+            "--strategy",
+            strategy,
+            "--max-loss",
+            "10",
+            "--cache-dir",
+            cache_dir,
+            "--no-ledger",
+            "--json",
+        ]
+
+    def test_alwann_remote_point_equals_local(self, remote, capsys, monkeypatch, tmp_path):
+        import json
+
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
+        cache_dir, url = remote
+        argv = self._argv(cache_dir, "alwann")
+        assert main(argv + ["--max-eval-images", "16"]) == 0
+        local = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--remote", url]) == 0
+        remote_run = json.loads(capsys.readouterr().out)
+        assert "alwann" in [point["label"] for point in local["front"]]
+        assert remote_run["front"] == local["front"]
+        assert remote_run["baseline_accuracy"] == local["baseline_accuracy"]
+        assert remote_run["stats"]["context_key"] == local["stats"]["context_key"]
+
+    def test_weight_oriented_remote_is_one_line_exit_2(
+        self, remote, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
+        cache_dir, url = remote
+        assert main(self._argv(cache_dir, "weight-oriented") + ["--remote", url]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "weight-oriented" in err and "without --remote" in err
+
+
 class TestExamples:
     """The fast examples must run end to end (the training-heavy ones are
     exercised indirectly through the campaign tests and benches)."""

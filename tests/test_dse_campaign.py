@@ -10,7 +10,9 @@ The heavyweight criteria of the subsystem live here:
   duplicate plan evaluations** (everything replays from the ledger), and a
   job-layer record under a campaign key is re-evaluated, not replayed;
 * NSGA-II is deterministic under a fixed seed;
-* exhaustive search reproduces the brute-force front on a small space.
+* exhaustive search reproduces the brute-force front on a small space;
+* each baseline adapter's external point is what its technique's ``apply``
+  measures on the campaign's evaluator, in process and on a worker pool.
 """
 
 from __future__ import annotations
@@ -20,15 +22,19 @@ import json
 import numpy as np
 import pytest
 
+from repro.baselines import AlwannBaseline, ReconfigurableBaseline, WeightOrientedBaseline
 from repro.dse import (
     CampaignLedger,
+    PlanEvaluator,
     SearchSpace,
     get_strategy,
     run_campaign,
 )
 from repro.dse.pareto import ParetoFront, ParetoPoint
 from repro.dse.strategies import SearchStrategy
+from repro.multipliers.library import MultiplierLibrary
 from repro.runtime.jobs import JobManager
+from repro.runtime.service import EvaluationService
 from repro.simulation.campaign import TrainedModel, plan_sweep
 from repro.simulation.inference import AccurateProduct, ExecutionPlan
 
@@ -330,4 +336,67 @@ class TestBaselineStrategies:
         assert external[0].label == "ours"
         assert external[0].energy_nj > 0
         # One-call techniques spend no campaign evaluations beyond the anchor.
+        assert result.stats["evaluations"] == 1
+
+
+#: Loss budget of the adapter tests, in percentage points: loose enough that
+#: every technique approximates something on the tiny network.
+ADAPTER_MAX_LOSS = 10.0
+
+_TECHNIQUES = {
+    "alwann": lambda: AlwannBaseline(
+        MultiplierLibrary.synthetic_evoapprox(),
+        array_size=64,
+        max_accuracy_drop=ADAPTER_MAX_LOSS / 100.0,
+    ),
+    "weight-oriented": lambda: WeightOrientedBaseline(
+        array_size=64, max_accuracy_drop=ADAPTER_MAX_LOSS / 100.0
+    ),
+    "reconfigurable": lambda: ReconfigurableBaseline(
+        array_size=64, max_accuracy_drop=ADAPTER_MAX_LOSS / 100.0
+    ),
+}
+
+
+@pytest.fixture(scope="class", params=[1, 2], ids=["in-process", "2-worker"])
+def service_evaluator(request, trained, tiny_dataset):
+    """A :class:`PlanEvaluator` on an in-process service and on a 2-worker pool."""
+    with EvaluationService(
+        [trained],
+        {tiny_dataset.name: tiny_dataset},
+        max_workers=request.param,
+        calibration_images=CALIBRATION_IMAGES,
+    ) as service:
+        yield PlanEvaluator(
+            trained, tiny_dataset, calibration_images=CALIBRATION_IMAGES, service=service
+        )
+
+
+class TestBaselineAdapters:
+    @pytest.mark.parametrize("strategy", sorted(_TECHNIQUES))
+    def test_external_point_equals_the_technique(
+        self, trained, tiny_dataset, service_evaluator, strategy
+    ):
+        result = run_campaign(
+            trained,
+            tiny_dataset,
+            strategy=strategy,
+            max_loss=ADAPTER_MAX_LOSS,
+            evaluator=service_evaluator,
+            array_size=64,
+        )
+        external = [p for p in result.points if p.meta.get("external")]
+        assert len(external) == 1
+        point = external[0]
+        expected = _TECHNIQUES[strategy]().apply(service_evaluator)
+        space = SearchSpace.build(trained.model, tiny_dataset.image_shape, array_size=64)
+        assert point.label == expected.technique
+        assert point.accuracy == expected.accuracy
+        assert point.energy_nj == space.uniform_energy_nj(
+            expected.array_power_mw,
+            extra_cycles_per_layer=expected.extra_cycles_per_layer,
+        )
+        assert point.meta["details"] == expected.details
+        assert result.baseline_accuracy == expected.baseline_accuracy
+        # The technique's own search is not charged to the campaign budget.
         assert result.stats["evaluations"] == 1

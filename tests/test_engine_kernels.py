@@ -434,22 +434,6 @@ class TestExecutorEngineParity:
             executor.forward(images, plan), legacy.forward(images, plan)
         )
 
-    def test_weight_override_invalidates_kernels(self, trained_tiny_model, tiny_dataset):
-        """Compiled kernels must track inference-time weight overrides."""
-        calib = tiny_dataset.train_images[:32]
-        images = tiny_dataset.test_images[:4]
-        executor = ApproximateExecutor(trained_tiny_model, calib)
-        plan = ExecutionPlan.uniform(AccurateProduct())
-        reference = executor.forward(images, plan)
-        layer = executor.mac_layer_names()[0]
-        zeroed = [np.zeros_like(codes) for codes in executor.quantized_weights(layer)]
-        executor.set_weight_override(layer, zeroed)
-        overridden = executor.forward(images, plan)
-        executor.clear_weight_overrides()
-        restored = executor.forward(images, plan)
-        assert not np.array_equal(overridden, reference)
-        np.testing.assert_array_equal(restored, reference)
-
     def test_batched_logits_match_single_batch(self, trained_tiny_model, tiny_dataset):
         """Persistent activation buffers must not leak state across batches."""
         images = tiny_dataset.test_images[:10]

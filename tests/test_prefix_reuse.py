@@ -130,28 +130,6 @@ class TestPrefixBitExactness:
             reference_executor.forward(batch, outsider),
         )
 
-    def test_weight_override_invalidates_checkpoints(self, executor, tiny_dataset):
-        """Compiled single- and multi-plan kernels embed layer weights:
-        overriding them must recompile, not serve stale results."""
-        names = executor.mac_layer_names()
-        perf = PerforatedProduct(2)
-        plans = [_exact_prefix_plan(names, 3, perf), _exact_prefix_plan(names, 5, perf)]
-        batch = tiny_dataset.test_images[:8]
-        before = executor.forward_many(batch, plans)
-        # Override the layer where the two plans' walks fork: it runs as a
-        # stacked multi-plan launch.
-        fork = names[3]
-        zeroed = [np.zeros_like(c) for c in executor.quantized_weights(fork)]
-        executor.set_weight_override(fork, zeroed)
-        try:
-            overridden = executor.forward_many(batch, plans)
-        finally:
-            executor.clear_weight_overrides()
-        restored = executor.forward_many(batch, plans)
-        for old, new, back in zip(before, overridden, restored):
-            assert not np.allclose(new, old)
-            np.testing.assert_array_equal(back, old)
-
 
 class TestActBufferReshaping:
     def test_batch_size_change_between_calls_is_bit_exact(

@@ -184,31 +184,6 @@ class TestApproximateExecutor:
         )
         assert not np.allclose(out, ref)
 
-    def test_weight_overrides(self, tiny_executor, tiny_dataset):
-        layer = tiny_executor.mac_layer_names()[0]
-        original = tiny_executor.quantized_weights(layer)
-        zeroed = [np.zeros_like(codes) for codes in original]
-        tiny_executor.set_weight_override(layer, zeroed)
-        try:
-            overridden = tiny_executor.forward(
-                tiny_dataset.test_images[:4], ExecutionPlan.uniform(AccurateProduct())
-            )
-        finally:
-            tiny_executor.clear_weight_overrides()
-        restored = tiny_executor.forward(
-            tiny_dataset.test_images[:4], ExecutionPlan.uniform(AccurateProduct())
-        )
-        reference = tiny_executor.forward(
-            tiny_dataset.test_images[:4], ExecutionPlan.uniform(AccurateProduct())
-        )
-        assert not np.allclose(overridden, reference)
-        assert np.allclose(restored, reference)
-
-    def test_weight_override_validation(self, tiny_executor):
-        layer = tiny_executor.mac_layer_names()[0]
-        with pytest.raises(ValueError):
-            tiny_executor.set_weight_override(layer, [])
-
     def test_mac_layer_names_match_model(self, tiny_executor, trained_tiny_model):
         assert tiny_executor.mac_layer_names() == [
             node.name for node in trained_tiny_model.conv_dense_nodes()

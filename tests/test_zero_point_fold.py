@@ -10,13 +10,13 @@ per-block :meth:`ProductKernel.product_sums` followed by the textbook
 
 * on random launches: zero points 0, mid and 255; ``m`` from 0 to 7 with
   and without the control variate, whose constants are quantized or real;
-  compiled and streaming LUTs and callback blocks; shared and stacked
-  launches; ALWANN weight overrides (products use the override codes,
-  ``sum_j W_j`` and ``C`` the layer's own); and layers whose
-  ``255 * sum_j |W'_j|`` leaves float32, so they multiply in float64
-  (and perforated bit sums past 2^16, which leave uint16);
+  compiled and streaming LUTs, over a library table or a tuned one (its
+  rows remapped, as ALWANN's weight tuning does), and callback blocks;
+  shared and stacked launches; and layers whose ``255 * sum_j |W'_j|``
+  leaves float32, so they multiply in float64 (and perforated bit sums
+  past 2^16, which leave uint16);
 * on every launch of an executor walking a grouped-convolution network
-  under random plan mixes, with and without a weight override.
+  under random plan mixes, with and without a tuned-table LUT layer.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.core.product_kernels import (
     ZeroPointFold,
 )
 from repro.models.zoo import build_model
+from repro.multipliers.lut import TableMultiplier
 from repro.multipliers.truncated import TruncatedMultiplier
 from repro.quantization.qlayers import QuantizedLinearOp
 from repro.quantization.schemes import QuantParams
@@ -62,6 +63,8 @@ _BLOCKS = st.one_of(
     st.just(("lut",)),
     st.just(("exact_lut",)),
     st.just(("streaming_lut",)),
+    st.just(("tuned_lut",)),
+    st.just(("tuned_streaming_lut",)),
     st.tuples(st.just("callback"), st.integers(0, 7), st.booleans()),
 )
 
@@ -70,26 +73,34 @@ def _zero_point(kind: str, rng: np.random.Generator) -> int:
     return {"zero": 0, "mid": int(rng.integers(1, 255)), "max": 255}[kind]
 
 
-def _compile(spec, codes: np.ndarray, original: np.ndarray):
-    """The per-block kernel of ``spec`` over the product codes ``codes``;
-    control constants come from the layer's ``original`` codes."""
+def _tuned_lut(rng: np.random.Generator) -> np.ndarray:
+    """``_LUT`` with its weight rows remapped at random: a tuned table."""
+    return _LUT[rng.integers(0, 256, size=256)]
+
+
+def _compile(spec, weights: np.ndarray, tuned_lut: np.ndarray):
+    """The per-block kernel of ``spec`` over the layer's codes ``weights``."""
     if spec[0] == "accurate":
-        return AccurateKernel(codes)
+        return AccurateKernel(weights)
     if spec[0] == "perf":
         _, m, cv_kind = spec
         cv = None
         if cv_kind != "none":
-            cv = ControlVariate.from_weight_matrix(original, quantize=cv_kind == "quantized")
-        return PerforatedKernel(codes, m, cv)
+            cv = ControlVariate.from_weight_matrix(weights, quantize=cv_kind == "quantized")
+        return PerforatedKernel(weights, m, cv)
     if spec[0] == "lut":
-        return LUTKernel(codes, _LUT)
+        return LUTKernel(weights, _LUT)
     if spec[0] == "exact_lut":
-        return LUTKernel(codes, _EXACT_LUT)
+        return LUTKernel(weights, _EXACT_LUT)
     if spec[0] == "streaming_lut":
-        return LUTKernel(codes, _LUT, max_error_matrix_bytes=0)
+        return LUTKernel(weights, _LUT, max_error_matrix_bytes=0)
+    if spec[0] == "tuned_lut":
+        return LUTKernel(weights, tuned_lut)
+    if spec[0] == "tuned_streaming_lut":
+        return LUTKernel(weights, tuned_lut, max_error_matrix_bytes=0)
     _, m, use_cv = spec
     return CallbackKernel(
-        PerforatedProduct(m, use_cv), codes, ControlVariate.from_weight_matrix(original)
+        PerforatedProduct(m, use_cv), weights, ControlVariate.from_weight_matrix(weights)
     )
 
 
@@ -104,13 +115,12 @@ def _assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
     weight_zero=st.sampled_from(["zero", "mid", "max"]),
     act_zero=st.sampled_from(["zero", "mid", "max"]),
     shared=st.booleans(),
-    override=st.booleans(),
     wide=st.booleans(),
     capped=st.booleans(),
 )
 @settings(max_examples=120, deadline=None)
 def test_a_folded_launch_equals_product_sums_plus_output_real(
-    seed, specs, weight_zero, act_zero, shared, override, wide, capped
+    seed, specs, weight_zero, act_zero, shared, wide, capped
 ):
     rng = np.random.default_rng(seed)
     filters = int(rng.integers(1, 5))
@@ -121,16 +131,16 @@ def test_a_folded_launch_equals_product_sums_plus_output_real(
     z_w = 0 if wide else _zero_point(weight_zero, rng)
     weights = rng.integers(low, 256, size=(taps, filters), dtype=np.uint8)
     z_a = _zero_point(act_zero, rng)
-    codes = rng.integers(low, 256, size=weights.shape, dtype=np.uint8) if override else weights
     op = QuantizedLinearOp(
         weights, QuantParams(scale=float(rng.uniform(1e-3, 0.1)), zero_point=z_w),
         bias=rng.normal(size=filters),
     )
     act_params = QuantParams(scale=float(rng.uniform(1e-3, 0.1)), zero_point=z_a)
-    kernels = [_compile(spec, codes, weights) for spec in specs]
-    fold = ZeroPointFold(codes, z_w, z_a, original_codes=weights)
+    tuned_lut = _tuned_lut(rng)
+    kernels = [_compile(spec, weights, tuned_lut) for spec in specs]
+    fold = ZeroPointFold(weights, z_w, z_a)
     if wide:
-        assert 255 * int(np.abs(codes.astype(np.int64) - z_w).sum(axis=0).max()) >= _F32_EXACT_BOUND
+        assert 255 * int(np.abs(weights.astype(np.int64) - z_w).sum(axis=0).max()) >= _F32_EXACT_BOUND
         assert fold.operand._f32 is None
     multi = MultiPlanKernel(kernels, max_error_matrix_bytes=0 if capped else 1 << 28, fold=fold)
     act = rng.integers(0, 256, size=(rows if shared else rows * len(specs), taps), dtype=np.uint8)
@@ -208,13 +218,16 @@ def _executor(tiny_dataset) -> ApproximateExecutor:
         min_size=1,
         max_size=3,
     ),
-    override_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    tuned_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
 )
 @settings(max_examples=15, deadline=None)
 def test_every_launch_of_a_grouped_conv_walk_equals_the_textbook_chain(
-    tiny_dataset, choices, override_seed
+    tiny_dataset, choices, tuned_seed
 ):
     executor = _executor(tiny_dataset)
+    # Start from an empty kernel cache: the check below finds each launch's
+    # kernel in it, and a hit on an old entry would not save it from eviction.
+    executor.drop_working_set()
     names = executor.mac_layer_names()
     plans = [
         ExecutionPlan(
@@ -225,16 +238,12 @@ def test_every_launch_of_a_grouped_conv_walk_equals_the_textbook_chain(
         )
         for line in choices
     ]
-    if override_seed is not None:
-        rng = np.random.default_rng(override_seed)
+    if tuned_seed is not None:
+        # One layer of every plan runs a tuned table, as ALWANN plans do.
+        rng = np.random.default_rng(tuned_seed)
         layer = names[int(rng.integers(len(names)))]
-        executor.set_weight_override(
-            layer,
-            [
-                rng.integers(0, 256, size=codes.shape, dtype=np.uint8)
-                for codes in executor.quantized_weights(layer)
-            ],
-        )
+        tuned = LUTProduct(TableMultiplier(_tuned_lut(rng)))
+        plans = [plan.with_layer(layer, tuned) for plan in plans]
     launches = []
     launch = MultiPlanKernel.product_sums_multi
 
@@ -243,30 +252,27 @@ def test_every_launch_of_a_grouped_conv_walk_equals_the_textbook_chain(
         launches.append((kernel, act_codes.copy(), shared, sums.copy()))
         return sums
 
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(MultiPlanKernel, "product_sums_multi", record)
-            executor.forward_many(tiny_dataset.test_images[:2], plans)
-        owners = {id(kernel): key for key, kernel in executor._kernels.items()}
-        grouped = 0
-        assert launches
-        for kernel, act, shared, sums in launches:
-            name, group, _ = owners[id(kernel)]
-            qnode = executor._nodes[name]
-            op = qnode.ops[group]
-            grouped += len(qnode.ops) > 1
-            rows = act.shape[0] if shared else act.shape[0] // kernel.plans
-            blocks = [
-                act if shared else act[p * rows : (p + 1) * rows]
-                for p in range(kernel.plans)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MultiPlanKernel, "product_sums_multi", record)
+        executor.forward_many(tiny_dataset.test_images[:2], plans)
+    owners = {id(kernel): key for key, kernel in executor._kernels.items()}
+    grouped = 0
+    assert launches
+    for kernel, act, shared, sums in launches:
+        name, group, _ = owners[id(kernel)]
+        qnode = executor._nodes[name]
+        op = qnode.ops[group]
+        grouped += len(qnode.ops) > 1
+        rows = act.shape[0] if shared else act.shape[0] // kernel.plans
+        blocks = [
+            act if shared else act[p * rows : (p + 1) * rows]
+            for p in range(kernel.plans)
+        ]
+        expected = np.concatenate(
+            [
+                op.output_real(block, qnode.act_params, block_kernel.product_sums(block))
+                for block_kernel, block in zip(kernel.kernels, blocks)
             ]
-            expected = np.concatenate(
-                [
-                    op.output_real(block, qnode.act_params, block_kernel.product_sums(block))
-                    for block_kernel, block in zip(kernel.kernels, blocks)
-                ]
-            )
-            _assert_same_bits(op.output_real_stacked(sums, qnode.act_params), expected)
-        assert grouped
-    finally:
-        executor.clear_weight_overrides()
+        )
+        _assert_same_bits(op.output_real_stacked(sums, qnode.act_params), expected)
+    assert grouped
