@@ -51,15 +51,19 @@ scheduler-unit:
 runtime-smoke: scheduler-unit
 	$(PYTEST) -q -m runtime tests
 
-# End-to-end greedy exploration on the synthetic workload (< 60 s; trains a
-# 1-epoch reference model on the first run).  Hermetic: the model cache and
-# the campaign ledger live under a repo-local scratch directory, not the
-# user's global cache.
+# End-to-end greedy and NSGA-II explorations through the CLI on the
+# synthetic workload (< 60 s; the first leg trains a 1-epoch reference model
+# on the first run, and the NSGA-II leg reuses it).  Hermetic: the model
+# cache and the campaign ledger live under a repo-local scratch directory,
+# not the user's global cache.
 DSE_SMOKE_DIR ?= .dse-smoke
+DSE_SMOKE_FLAGS = --classes 10 --epochs 1 --max-loss 0.5 --max-eval-images 64 \
+  --seed 0 --cache-dir $(DSE_SMOKE_DIR) --ledger $(DSE_SMOKE_DIR)/ledger
 dse-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro dse --strategy greedy --classes 10 \
-	  --epochs 1 --max-loss 0.5 --budget-evals 60 --max-eval-images 64 \
-	  --seed 0 --cache-dir $(DSE_SMOKE_DIR) --ledger $(DSE_SMOKE_DIR)/ledger
+	PYTHONPATH=src $(PYTHON) -m repro dse --strategy greedy --budget-evals 60 \
+	  $(DSE_SMOKE_FLAGS)
+	PYTHONPATH=src $(PYTHON) -m repro dse --strategy nsga2 --budget-evals 40 \
+	  $(DSE_SMOKE_FLAGS)
 
 # HTTP job-daemon suite + end-to-end serve smoke.  The pytest leg runs the
 # endpoint-contract/wire-input/served-parity/queue-admission/client-retry

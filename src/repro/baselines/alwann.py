@@ -30,7 +30,7 @@ from repro.hardware.area_power import array_cost_from_multiplier
 from repro.hardware.technology import GENERIC_14NM, TechnologyModel
 from repro.multipliers.base import Multiplier, OPERAND_LEVELS
 from repro.multipliers.library import LibraryEntry, MultiplierLibrary
-from repro.multipliers.lut import TableMultiplier
+from repro.multipliers.lut import LUTMultiplier
 from repro.simulation.inference import AccurateProduct, ExecutionPlan, LUTProduct
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,7 +84,7 @@ def tuned_product(multiplier: Multiplier) -> LUTProduct:
     """
     mapping = tune_weights(np.arange(OPERAND_LEVELS), multiplier)
     table = multiplier.build_lut()[mapping]
-    return LUTProduct(TableMultiplier(table, name=f"{multiplier.name}+tuned"))
+    return LUTProduct(LUTMultiplier(table, name=f"{multiplier.name}+tuned"))
 
 
 class AlwannBaseline:

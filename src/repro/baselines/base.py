@@ -1,13 +1,14 @@
 """Shared infrastructure of the Fig. 5 techniques.
 
-Every technique scores plans through the evaluator surface of a
-:class:`~repro.dse.evaluator.PlanEvaluator` or a
-:class:`~repro.runtime.jobs.client.RemotePlanEvaluator`: ``evaluate(plans)``
-returns the accuracies on the evaluator's evaluation set and
-``mac_layer_names()`` names the MAC layers in execution order.  A technique
-scores the accurate baseline once and each search candidate in an
-``evaluate`` call of its own, and reports the accuracy its chosen plan was
-scored at.
+Every technique scores plans through the evaluator surface that a
+:class:`~repro.dse.evaluator.PlanEvaluator` and a
+:class:`~repro.runtime.jobs.client.RemotePlanEvaluator` share
+(``evaluate``, ``context_key``, ``mac_layer_names`` and the
+``evaluations`` count): the blocking ``evaluate(plans)`` returns the
+accuracies on the evaluator's evaluation set and ``mac_layer_names()``
+names the MAC layers in execution order.  A technique scores the accurate
+baseline once and each search candidate in an ``evaluate`` call of its
+own, and reports the accuracy its chosen plan was scored at.
 """
 
 from __future__ import annotations

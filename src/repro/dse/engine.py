@@ -10,13 +10,14 @@
    baseline accuracy every loss figure refers to and the accurate energy
    every saving is measured against;
 3. hand a :class:`CampaignContext` to the selected
-   :class:`~repro.dse.strategies.SearchStrategy`, whose ``score`` callback
-   dedups assignments within the run, replays ledger records on resume,
-   evaluates fresh plans in batches through the multi-plan walk,
-   records each result in the ledger *as soon as it is measured* (so a
-   killed campaign loses at most the in-flight batch), updates the
-   :class:`~repro.dse.pareto.ParetoFront`, and enforces the evaluation
-   budget;
+   :class:`~repro.dse.strategies.SearchStrategy`, whose blocking ``score``
+   call is the only way a strategy scores plans: it dedups assignments
+   within the run, replays ledger records on resume, scores a batch's
+   fresh plans in one ``evaluator.evaluate`` call (one multi-plan walk),
+   records each result in the ledger *as soon as the batch is measured*
+   (so a killed campaign loses at most the batch being scored), updates
+   the :class:`~repro.dse.pareto.ParetoFront`, and enforces the
+   evaluation budget;
 4. return a :class:`DseResult` with the front, every evaluated point and
    the campaign statistics (fresh evaluations, ledger hits, wall-clock).
 """
@@ -24,7 +25,6 @@
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,6 +41,7 @@ from repro.simulation.campaign import TrainedModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.service import EvaluationService
+    from repro.simulation.inference import ExecutionPlan
 
 
 #: Fields a ledger record must carry to be replayed (:meth:`CampaignContext.
@@ -58,101 +59,15 @@ _REPLAY_FIELDS = (
 )
 
 
-class PendingScore:
-    """Handle of one in-flight :meth:`CampaignContext.score_async` batch.
-
-    Holds the evaluator's submission handle plus everything needed to
-    record the batch once its accuracies land: the ledger keys of the whole
-    batch (in input order) and the fresh ``(key, assignment)`` pairs that
-    were actually dispatched.  Collection is FIFO: resolving this handle
-    first resolves every batch submitted before it, so ledger writes,
-    baseline anchoring and Pareto admissions happen in submission order —
-    exactly the order the blocking :meth:`~CampaignContext.score` would
-    have produced.
-    """
-
-    def __init__(
-        self,
-        ctx: "CampaignContext",
-        keys: list[str],
-        pending: list[tuple[str, tuple[int, ...]]],
-        handle,
-        truncated: bool,
-    ):
-        self._ctx = ctx
-        self._keys = keys
-        self._pending = pending
-        self._handle = handle
-        self._truncated = truncated
-        self.collected = False
-
-    def _collect(self) -> None:
-        """Record this batch's fresh results (idempotent; called in FIFO)."""
-        if self.collected:
-            return
-        self.collected = True
-        ctx = self._ctx
-        try:
-            if self._handle is None:
-                return
-            accuracies = self._handle.results()
-            if ctx._baseline_accuracy is None and accuracies:
-                # The engine scores the all-accurate assignment first, so
-                # the first fresh accuracy is the quantized baseline.
-                ctx._baseline_accuracy = accuracies[0]
-            for (key, assignment), acc in zip(self._pending, accuracies):
-                point = ParetoPoint(
-                    label=ctx.space.label(assignment),
-                    energy_nj=ctx.space.energy_nj(assignment),
-                    accuracy=acc,
-                    accuracy_loss=ctx.loss_percent(acc),
-                    meta={"assignment": assignment, "key": key},
-                )
-                ctx.ledger.put(
-                    key,
-                    {
-                        "label": point.label,
-                        "assignment": list(assignment),
-                        "layers": ctx.space.describe(assignment),
-                        "accuracy": point.accuracy,
-                        "accuracy_loss": point.accuracy_loss,
-                        "baseline_accuracy": ctx.baseline_accuracy,
-                        "energy_nj": point.energy_nj,
-                        "context": ctx._context_key,
-                    },
-                )
-                ctx._admit(key, point)
-        finally:
-            ctx._pending_keys.difference_update(key for key, _ in self._pending)
-
-    def points(self) -> list[ParetoPoint]:
-        """Resolve to points in the batch's input order (blocking).
-
-        Raises :class:`BudgetExhausted` when the batch was truncated at
-        submission — after recording whatever part of it still fit, the
-        same contract as the blocking :meth:`~CampaignContext.score`.
-        """
-        self._ctx._drain_through(self)
-        if self._truncated:
-            raise BudgetExhausted(
-                f"evaluation budget of {self._ctx.budget_evals} reached"
-            )
-        return [self._ctx.points[key] for key in self._keys]
-
-
 class CampaignContext:
     """The campaign surface a :class:`SearchStrategy` drives.
 
-    Strategies call :meth:`score` with assignment batches and read
-    :attr:`space`, :attr:`max_loss`, :attr:`rng` and
-    :attr:`remaining_evals`.  Pipelining strategies use
-    :meth:`score_async` instead — submission dispatches the fresh plans to
-    the evaluator immediately (on a pool service the workers start
-    evaluating while the strategy keeps breeding candidates) and
-    the returned :class:`PendingScore` resolves them later.  Baseline
-    adapters additionally reach the shared :attr:`evaluator` (for
-    technique ``apply`` calls) and publish their result through
-    :meth:`add_external_point`.
+    Strategies call :meth:`score` with assignment batches — it blocks
+    until the batch is scored, one ``evaluator.evaluate`` call per batch —
+    and read :attr:`space`, :attr:`max_loss`, :attr:`rng` and
+    :attr:`remaining_evals`.  Baseline adapters additionally reach the
+    shared :attr:`evaluator` (for technique ``apply`` calls) and publish
+    their result through :meth:`add_external_point`.
     """
 
     def __init__(
@@ -179,8 +94,6 @@ class CampaignContext:
         self.dedup_hits = 0
         self._context_key = evaluator.context_key()
         self._baseline_accuracy: float | None = None
-        self._outstanding: "deque[PendingScore]" = deque()
-        self._pending_keys: set[str] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -224,93 +137,74 @@ class CampaignContext:
         self.points[key] = point
         self.front.add(point)
 
-    def score_async(self, assignments: Sequence[Sequence[int]]) -> PendingScore:
-        """Dispatch a batch of assignments, returning an in-flight handle.
+    def score(self, assignments: Sequence[Sequence[int]]) -> list[ParetoPoint]:
+        """Evaluate a batch of assignments, returning points in input order.
 
-        Ledger and in-run duplicates (including keys already *in flight*
-        from earlier uncollected batches) are resolved without touching the
-        evaluator or the budget.  Fresh plans are submitted to the
-        evaluator immediately — on a pool service the workers start on
-        them while the strategy keeps generating candidates
-        — and charged against the budget at submission.  Ledger writes,
-        baseline anchoring and Pareto admissions happen at *collection*
-        (:meth:`PendingScore.points`), strictly in submission order, so the
-        observable campaign state is identical to blocking :meth:`score`
-        calls in the same order.
+        Ledger and in-run duplicates are replayed without touching the
+        evaluator or the budget.  The fresh plans are scored in one
+        ``evaluator.evaluate`` call, then ledgered and admitted to the front
+        in input order; the first fresh assignment ever scored fixes the
+        campaign's baseline accuracy (the engine guarantees it is the
+        all-accurate one).  Raises :class:`BudgetExhausted` when fresh work
+        would exceed the evaluation budget — after recording whatever part
+        of the batch still fit.
         """
         normalized = [self.space.validate(a) for a in assignments]
         keys: list[str] = []
-        fresh: dict[str, tuple[int, ...]] = {}
+        fresh: dict[str, tuple[tuple[int, ...], ExecutionPlan]] = {}
         for assignment in normalized:
-            key = plan_key(
-                self._context_key,
-                self.space.plan(assignment),
-                self.space.layer_names,
-            )
+            plan = self.space.plan(assignment)
+            key = plan_key(self._context_key, plan, self.space.layer_names)
             keys.append(key)
-            if key in self.points or key in self._pending_keys:
-                self.dedup_hits += 1
-                continue
-            if key in fresh:
+            if key in self.points or key in fresh:
                 self.dedup_hits += 1
                 continue
             if self.resume:
                 record = self.ledger.get(key, required=_REPLAY_FIELDS)
                 if record is not None:
-                    point = self._point_from_record(key, record)
                     if self._baseline_accuracy is None:
                         self._baseline_accuracy = float(record["baseline_accuracy"])
                     self.ledger_replays += 1
-                    self._admit(key, point)
+                    self._admit(key, self._point_from_record(key, record))
                     continue
-            fresh[key] = assignment
+            fresh[key] = (assignment, plan)
 
-        truncated = False
         pending = list(fresh.items())
-        if pending and self.remaining_evals < len(pending):
+        truncated = len(pending) > self.remaining_evals
+        if truncated:
             pending = pending[: int(self.remaining_evals)]
-            truncated = True
-        handle = None
         if pending:
-            plans = [self.space.plan(assignment) for _, assignment in pending]
-            handle = self.evaluator.submit(plans)
-            self.evaluations += len(plans)
-            self._pending_keys.update(key for key, _ in pending)
-        score = PendingScore(self, keys, pending, handle, truncated)
-        self._outstanding.append(score)
-        return score
-
-    def score(self, assignments: Sequence[Sequence[int]]) -> list[ParetoPoint]:
-        """Evaluate a batch of assignments, returning points in input order.
-
-        Ledger and in-run duplicates are replayed without touching the
-        evaluator or the budget; the first fresh assignment ever scored
-        fixes the campaign's baseline accuracy (the engine guarantees it is
-        the all-accurate one).  Raises :class:`BudgetExhausted` when fresh
-        work would exceed the evaluation budget — after recording whatever
-        part of the batch still fit.
-        """
-        return self.score_async(assignments).points()
-
-    def _drain_through(self, target: PendingScore) -> None:
-        """Collect outstanding batches in FIFO order up to ``target``."""
-        if target.collected:
-            return
-        while self._outstanding:
-            head = self._outstanding.popleft()
-            head._collect()
-            if head is target:
-                return
-
-    def finish(self) -> None:
-        """Collect every outstanding :meth:`score_async` batch.
-
-        The engine calls this after the strategy returns so no in-flight
-        evaluation is dropped unrecorded; a well-behaved strategy has
-        already collected everything and this is a no-op.
-        """
-        while self._outstanding:
-            self._outstanding.popleft()._collect()
+            accuracies = self.evaluator.evaluate([plan for _, (_, plan) in pending])
+            self.evaluations += len(pending)
+            if self._baseline_accuracy is None:
+                # The engine scores the all-accurate assignment first, so
+                # the first fresh accuracy is the quantized baseline.
+                self._baseline_accuracy = accuracies[0]
+            for (key, (assignment, _)), accuracy in zip(pending, accuracies):
+                point = ParetoPoint(
+                    label=self.space.label(assignment),
+                    energy_nj=self.space.energy_nj(assignment),
+                    accuracy=accuracy,
+                    accuracy_loss=self.loss_percent(accuracy),
+                    meta={"assignment": assignment, "key": key},
+                )
+                self.ledger.put(
+                    key,
+                    {
+                        "label": point.label,
+                        "assignment": list(assignment),
+                        "layers": self.space.describe(assignment),
+                        "accuracy": point.accuracy,
+                        "accuracy_loss": point.accuracy_loss,
+                        "baseline_accuracy": self.baseline_accuracy,
+                        "energy_nj": point.energy_nj,
+                        "context": self._context_key,
+                    },
+                )
+                self._admit(key, point)
+        if truncated:
+            raise BudgetExhausted(f"evaluation budget of {self.budget_evals} reached")
+        return [self.points[key] for key in keys]
 
     def add_external_point(
         self,
@@ -527,14 +421,8 @@ def run_campaign(
         ctx.score([space.accurate_assignment()])
         try:
             strategy.search(ctx)
-            # Pipelining strategies may leave in-flight batches; collect
-            # them so nothing evaluated goes unrecorded.
-            ctx.finish()
         except BudgetExhausted:
-            try:
-                ctx.finish()
-            except BudgetExhausted:  # pragma: no cover - defensive
-                pass
+            pass
         wall_clock = time.perf_counter() - start
     finally:
         # A KeyboardInterrupt (or any failure) lands here with every scored

@@ -1,11 +1,12 @@
 """Accuracy scoring of candidate batches on the evaluation service.
 
-:class:`PlanEvaluator` implements the campaign's scoring surface
-(``evaluate(plans)``, ``submit(plans)`` returning an
-:class:`~repro.runtime.service.EvaluationBatch`, ``context_key()``,
-``mac_layer_names()``, ``evaluations``) on one model hosted by an
-:class:`~repro.runtime.service.EvaluationService` — the one place a local
-plan is scored and the one owner of the measurement setup:
+:class:`PlanEvaluator` implements the campaign's scoring surface — the
+blocking ``evaluate(plans)``, ``context_key()``, ``mac_layer_names()`` and
+the ``evaluations`` count, the same four names
+:class:`~repro.runtime.jobs.client.RemotePlanEvaluator` exposes — on one
+model hosted by an :class:`~repro.runtime.service.EvaluationService`, the
+one place a local plan is scored and the one owner of the measurement
+setup:
 
 * by default the evaluator owns an in-process service built by
   :func:`build_campaign_service` from its measurement knobs;
@@ -35,7 +36,7 @@ from repro.simulation.campaign import TrainedModel
 from repro.simulation.inference import ApproximateExecutor, ExecutionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.service import EvaluationBatch, EvaluationService
+    from repro.runtime.service import EvaluationService
 
 
 def build_campaign_service(
@@ -194,19 +195,10 @@ class PlanEvaluator:
         """MAC layer names of the evaluated model, in execution order."""
         return list(self.service.mac_names(self.model_index))
 
-    def submit(self, plans: Sequence[ExecutionPlan]) -> "EvaluationBatch":
-        """Dispatch ``plans`` to the service without blocking on results.
-
-        On a pool the workers run while the caller keeps working (e.g.
-        breeding the rest of an NSGA-II generation), and ``results()``
-        blocks only when the accuracies are needed; in process the batch
-        is scored here.  The evaluation count is charged at submission.
-        """
-        plans = list(plans)
-        batch = self.service.submit([(self.model_index, plan) for plan in plans])
-        self.evaluations += len(plans)
-        return batch
-
     def evaluate(self, plans: Sequence[ExecutionPlan]) -> list[float]:
-        """Accuracies of ``plans`` on the evaluation set, in input order."""
-        return self.submit(plans).results()
+        """Accuracies of ``plans`` on the evaluation set, in input order
+        (one service batch; blocks until it is scored)."""
+        plans = list(plans)
+        accuracies = self.service.evaluate_plans(self.model_index, plans)
+        self.evaluations += len(plans)
+        return accuracies

@@ -189,23 +189,14 @@ class GreedySearch(SearchStrategy):
 class NSGA2Search(SearchStrategy):
     """Seeded NSGA-II genetic multi-objective search.
 
-    Breeding is *pipelined* within each generation: children are dispatched
-    for evaluation in sub-batches as they are bred
-    (:meth:`~repro.dse.engine.CampaignContext.score_async`), so on a pool
-    service the workers evaluate the first children
-    while tournament selection is still producing the rest.  Overlap never
-    crosses a generation boundary — selection needs every child's fitness
-    before the next generation's parents exist, so the candidate stream
-    (and therefore the Pareto front) is bit-identical to the fully
-    blocking implementation at any worker count.
+    Each generation breeds all its children first and scores them as one
+    batch (one :meth:`~repro.dse.engine.CampaignContext.score` call), so
+    the multi-plan walk shares every layer prefix across the whole
+    generation.  Every accuracy is bit-exact at any worker count, so the
+    candidate stream (and therefore the Pareto front) is too.
     """
 
     name = "nsga2"
-
-    #: Children per pipelined evaluation sub-batch, as a fraction of the
-    #: population (at least 1): smaller sub-batches start the pool earlier,
-    #: larger ones give the scheduler more cells to cost-balance.
-    pipeline_fraction = 4
 
     def __init__(
         self,
@@ -353,13 +344,6 @@ class NSGA2Search(SearchStrategy):
             children: list[tuple[int, ...]] = []
             seen = set(population)
             attempts = 0
-            # Pipelined breeding: dispatch each sub-batch of children the
-            # moment it is bred, then keep breeding while it evaluates.
-            # Breeding only reads the *previous* generation's fitness, so
-            # overlapping it with evaluation changes nothing observable.
-            sub_batch = max(1, self.population // self.pipeline_fraction)
-            in_flight: list = []
-            dispatched = 0
             while len(children) < self.population and attempts < 50 * self.population:
                 child = self._mutate(
                     ctx,
@@ -371,18 +355,9 @@ class NSGA2Search(SearchStrategy):
                 if child not in seen:
                     children.append(child)
                     seen.add(child)
-                    if len(children) - dispatched >= sub_batch:
-                        in_flight.append(
-                            ctx.score_async(children[dispatched:])
-                        )
-                        dispatched = len(children)
             if not children:
                 return
-            if dispatched < len(children):
-                in_flight.append(ctx.score_async(children[dispatched:]))
-            child_points = [
-                point for pending in in_flight for point in pending.points()
-            ]
+            child_points = ctx.score(children)
 
             combined = population + children
             combined_points = points + child_points

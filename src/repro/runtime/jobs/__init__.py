@@ -28,7 +28,6 @@ from repro.runtime.jobs.client import (
     JobClientError,
     JobFailedError,
     LocalJobClient,
-    RemoteBatch,
     RemotePlanEvaluator,
     sweep_over_jobs,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "JobState",
     "LocalJobClient",
     "PlanCodecError",
-    "RemoteBatch",
     "RemotePlanEvaluator",
     "ResultCache",
     "decode_plan",

@@ -14,10 +14,12 @@ behind ``repro serve``:
   rejections (HTTP 429: ``queue_full`` or ``closed``) back into
   :class:`~repro.runtime.jobs.queue.AdmissionError`;
 * :class:`RemotePlanEvaluator` adapts either client to the DSE campaign's
-  evaluator surface (``evaluate`` / ``submit`` / ``context_key`` /
-  ``mac_layer_names``), so ``repro dse --remote URL`` runs the exact same
-  search loop against a daemon — with the server-reported context key
-  keeping ledger records interchangeable with local campaigns;
+  evaluator surface (the blocking ``evaluate``, ``context_key``,
+  ``mac_layer_names`` and the ``evaluations`` count, as
+  :class:`~repro.dse.evaluator.PlanEvaluator`), so ``repro dse --remote
+  URL`` runs the exact same search loop against a daemon — with the
+  server-reported context key keeping ledger records interchangeable with
+  local campaigns;
 * :func:`sweep_over_jobs` rebuilds the Table III sweep on the job API (one
   job per model), bit-exact with
   :func:`~repro.simulation.campaign.accuracy_sweep`.
@@ -283,33 +285,16 @@ class HttpJobClient:
         self.close()
 
 
-class RemoteBatch:
-    """Async handle of one submitted job (``results()`` waits it out
-    through the client's :meth:`wait`)."""
-
-    def __init__(self, client, job_id: str, num_plans: int):
-        self._client = client
-        self.job_id = job_id
-        self._num_plans = num_plans
-
-    def __len__(self) -> int:
-        return self._num_plans
-
-    def results(self) -> list[float]:
-        view = self._client.wait(self.job_id)
-        return [float(value) for value in view["accuracies"]]
-
-
 class RemotePlanEvaluator:
     """DSE evaluator surface over a job client (the ``--remote`` campaign path).
 
-    Scoring submits one job per candidate batch; the context key and MAC
-    layer names come from the server's ``/models`` descriptors, so ledger
-    records a remote campaign writes are interchangeable with local runs
-    of the same measurement setup.  The Fig. 5 techniques score through
-    this same surface, except that the weight-oriented one reads weight
-    codes from a local executor (:attr:`executor`), which a remote
-    evaluator does not have.
+    :meth:`evaluate` submits one job per candidate batch and waits it out;
+    the context key and MAC layer names come from the server's ``/models``
+    descriptors, so ledger records a remote campaign writes are
+    interchangeable with local runs of the same measurement setup.  The
+    Fig. 5 techniques score through this same surface, except that the
+    weight-oriented one reads weight codes from a local executor
+    (:attr:`executor`), which a remote evaluator does not have.
     """
 
     def __init__(
@@ -355,21 +340,18 @@ class RemotePlanEvaluator:
     def mac_layer_names(self) -> list[str]:
         return list(self.info["mac_layer_names"])
 
-    def submit(self, plans: Sequence[ExecutionPlan]) -> RemoteBatch:
+    def evaluate(self, plans: Sequence[ExecutionPlan]) -> list[float]:
+        """Accuracies of ``plans``, in input order: one job, waited out."""
         plans = list(plans)
         if not plans:
-            from repro.runtime.service import EvaluationBatch
-
-            return EvaluationBatch([], [], [], None)
+            return []
         self._batch_seq += 1
         job_id = self.client.submit_job(
             self.model_index, plans, label=f"dse-batch-{self._batch_seq}"
         )
         self.evaluations += len(plans)
-        return RemoteBatch(self.client, job_id, len(plans))
-
-    def evaluate(self, plans: Sequence[ExecutionPlan]) -> list[float]:
-        return self.submit(plans).results()
+        view = self.client.wait(job_id)
+        return [float(value) for value in view["accuracies"]]
 
 
 def sweep_over_jobs(
@@ -441,7 +423,6 @@ def sweep_over_jobs(
 __all__ = [
     "LocalJobClient",
     "HttpJobClient",
-    "RemoteBatch",
     "RemotePlanEvaluator",
     "JobFailedError",
     "JobClientError",

@@ -20,7 +20,7 @@ and of one plan::
 
 LUT tables travel by value (the 256x256 int64 grid, base64-encoded) so a
 remote client can submit a multiplier the server has never seen; decoding
-wraps the table in a :class:`~repro.multipliers.lut.TableMultiplier`, whose
+wraps the table in a :class:`~repro.multipliers.lut.LUTMultiplier`, whose
 :meth:`~repro.multipliers.base.Multiplier.build_lut` reproduces the table
 bit-exactly — keeping the LUT fingerprint (a digest of the table bytes)
 stable across the round trip.
@@ -33,7 +33,7 @@ import base64
 import numpy as np
 
 from repro.multipliers.base import OPERAND_LEVELS
-from repro.multipliers.lut import TableMultiplier
+from repro.multipliers.lut import LUTMultiplier
 from repro.simulation.inference import (
     AccurateProduct,
     ExecutionPlan,
@@ -103,7 +103,7 @@ def decode_product(payload: dict) -> ProductModel:
         table = np.frombuffer(raw, dtype=np.int64).reshape(
             OPERAND_LEVELS, OPERAND_LEVELS
         )
-        return LUTProduct(TableMultiplier(table, name=payload.get("name", "table")))
+        return LUTProduct(LUTMultiplier(table, name=payload.get("name", "table")))
     raise PlanCodecError(f"unknown product kind {kind!r}")
 
 

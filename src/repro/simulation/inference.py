@@ -38,13 +38,14 @@ float32 sgemm stays exact while ``255 * max_f sum_j |W'_jf| < 2^24``
 (every MAC layer group of the trained networks meets it) and otherwise
 runs in float64.  Kernels are cached
 per ``(layer, group, per-block fingerprints)``, at most
-``_KERNEL_CACHE_CAP`` of them, oldest evicted first, and their blocks are
-compiled once per ``(layer, group, fingerprint)`` and shared through a weak
-index.  Equal plans built from fresh product-model instances (decoded from
-the wire, unpickled in a pool worker) therefore compile nothing, and the
-persistent uint8 activation buffers are reused across batches, so a sweep
-performs only the unavoidable per-batch work.  Every kernel is compiled
-through one :class:`repro.core.backends.NumpyBackend`.  The uncompiled
+``_KERNEL_CACHE_CAP`` of them, the least recently used evicted first, and
+their blocks are compiled once per ``(layer, group, fingerprint)`` and
+shared through a weak index.  Equal plans built from fresh product-model
+instances (decoded from the wire, unpickled in a pool worker) therefore
+compile nothing, and the persistent uint8 activation buffers are reused
+across batches, so a sweep performs only the unavoidable per-batch work.
+Every kernel is compiled through one
+:class:`repro.core.backends.NumpyBackend`.  The uncompiled
 reference walk is kept behind ``use_compiled=False``: it dequantizes by the
 textbook chain of :meth:`QuantizedLinearOp.output_real`, and the
 ``pytest -m engine`` parity suite pins both paths bit-exact.
@@ -425,7 +426,8 @@ class ApproximateExecutor:
         # image shard).
         self._act_buffers: dict[tuple[str, int, int], np.ndarray] = {}
         # Compiled kernels keyed by (layer, group, per-block fingerprints),
-        # oldest evicted first beyond _KERNEL_CACHE_CAP; their per-block
+        # in least-recently-used order (a hit moves its key to the end), the
+        # first evicted beyond _KERNEL_CACHE_CAP; their per-block
         # kernels are indexed weakly by (layer, group, fingerprint).
         # Each (layer, group)'s zero-point fold is built once and shared by
         # all its kernels.
@@ -879,15 +881,17 @@ class ApproximateExecutor:
         and shared by every cached kernel through the weak block index, so a
         LUT error matrix is built once per layer, and every kernel of a
         layer group launches against the group's one
-        :class:`ZeroPointFold`.  Lookup, compilation and eviction share one
-        lock: concurrent shards ask for the same kernel at the same moment,
-        and it is compiled once.
+        :class:`ZeroPointFold`.  The least recently used kernel is evicted
+        first.  Lookup, compilation and eviction share one lock: concurrent
+        shards ask for the same kernel at the same moment, and it is
+        compiled once.
         """
         fps = tuple(model.fingerprint() for model in models)
         key = (qnode.node_name, group, fps)
         with self._lock:
-            kernel = self._kernels.get(key)
+            kernel = self._kernels.pop(key, None)
             if kernel is not None:
+                self._kernels[key] = kernel
                 return kernel
             op = qnode.ops[group]
             weight_codes = op.weight_codes

@@ -9,7 +9,8 @@ The heavyweight criteria of the subsystem live here:
 * killing and re-running a campaign with ``resume=True`` performs **zero
   duplicate plan evaluations** (everything replays from the ledger), and a
   job-layer record under a campaign key is re-evaluated, not replayed;
-* NSGA-II is deterministic under a fixed seed;
+* NSGA-II is deterministic under a fixed seed and scores each generation
+  in one evaluator call;
 * exhaustive search reproduces the brute-force front on a small space;
 * each baseline adapter's external point is what its technique's ``apply``
   measures on the campaign's evaluator, in process and on a worker pool.
@@ -265,6 +266,34 @@ class TestNsga2:
         labels = {p.label for p in result.points}
         accurate_label = "-".join(["A"] * 9)
         assert any(label == accurate_label for label in labels)
+
+    def test_one_evaluate_call_per_generation(self, trained, tiny_dataset):
+        """The baseline, the initial population and each generation's
+        children are one ``evaluate`` call (one service batch) each."""
+        calls: list[int] = []
+
+        class CountingEvaluator(PlanEvaluator):
+            def evaluate(self, plans):
+                calls.append(len(plans))
+                return super().evaluate(plans)
+
+        evaluator = CountingEvaluator(
+            trained, tiny_dataset, calibration_images=CALIBRATION_IMAGES
+        )
+        generations = 2
+        result = run_campaign(
+            trained,
+            tiny_dataset,
+            strategy=get_strategy("nsga2", population=6, generations=generations),
+            max_loss=MAX_LOSS,
+            rng=np.random.default_rng(3),
+            evaluator=evaluator,
+            array_size=64,
+        )
+        assert len(calls) == 2 + generations
+        assert calls[0] == 1  # the all-accurate baseline
+        assert sum(calls) == result.stats["evaluations"] == evaluator.evaluations
+        assert evaluator.service.batches_submitted == len(calls)
 
 
 class TestExhaustive:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 
@@ -147,6 +148,27 @@ class TestCampaignLedger:
         assert ledger.misses == 1
         assert list(ledger.iter_disk_records()) == [("good", {"accuracy": 0.5})]
         assert ResultCache(persist_dir=str(tmp_path)).get("good") == 0.5
+
+    def test_enospc_on_overwrite_keeps_the_old_record(self, tmp_path, monkeypatch):
+        """A full disk while ``put`` overwrites a record: the error
+        propagates, no temp file is left, and the old record file is
+        byte-identical and still readable by a fresh ledger."""
+        ledger = CampaignLedger(path=str(tmp_path))
+        ledger.put("k", {"accuracy": 0.5})
+        record = tmp_path / "k.json"
+        before = record.read_bytes()
+
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+
+        monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(OSError) as raised:
+            ledger.put("k", {"accuracy": 0.75})
+        monkeypatch.undo()
+        assert raised.value.errno == errno.ENOSPC
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["k.json"]
+        assert record.read_bytes() == before
+        assert CampaignLedger(path=str(tmp_path)).get("k") == {"accuracy": 0.5}
 
     def test_memory_only_ledger(self):
         ledger = CampaignLedger(path=None)

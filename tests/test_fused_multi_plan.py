@@ -482,8 +482,8 @@ class TestExecutorForwardMany:
         assert compiled == []
 
     def test_kernel_cache_is_bounded(self, trained, tiny_dataset):
-        """More distinct fused combinations than the cap evict the oldest
-        kernels instead of growing the cache, and results stay exact."""
+        """More distinct fused combinations than the cap evict kernels
+        instead of growing the cache, and results stay exact."""
         calib = tiny_dataset.train_images[:32]
         executor = ApproximateExecutor(trained.model, calib)
         cap = ApproximateExecutor._KERNEL_CACHE_CAP
@@ -503,6 +503,28 @@ class TestExecutorForwardMany:
         reference = ApproximateExecutor(trained.model, calib, use_compiled=False)
         for plan, logits in zip(plans, outputs):
             np.testing.assert_array_equal(logits, reference.forward(images, plan))
+
+    def test_kernel_cache_evicts_the_least_recently_used(self, trained, tiny_dataset):
+        """A hit refreshes a kernel: at a cap of 2, compiling A and B,
+        hitting A and compiling C evicts B, not A."""
+        executor = ApproximateExecutor(trained.model, tiny_dataset.train_images[:32])
+        executor._KERNEL_CACHE_CAP = 2
+        qnode = executor._nodes[model_mac_names(trained)[0]]
+        models = {
+            "A": AccurateProduct(),
+            "B": PerforatedProduct(1),
+            "C": PerforatedProduct(2),
+        }
+        keys = {
+            label: (qnode.node_name, 0, (model.fingerprint(),))
+            for label, model in models.items()
+        }
+        kernel_a = executor._kernel(qnode, 0, [models["A"]])
+        executor._kernel(qnode, 0, [models["B"]])
+        assert executor._kernel(qnode, 0, [models["A"]]) is kernel_a
+        executor._kernel(qnode, 0, [models["C"]])
+        assert list(executor._kernels) == [keys["A"], keys["C"]]
+        assert executor._kernels[keys["A"]] is kernel_a
 
     def test_forward_is_forward_many_of_one_plan(self, executor, trained, tiny_dataset):
         images = tiny_dataset.test_images[:6]

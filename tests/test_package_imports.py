@@ -6,8 +6,10 @@ test ran before.  So each package gets its own ``python -c``.  A star
 import of every package also resolves each name of its ``__all__``, so a
 name deleted from the package but left in that list fails here.  The
 retired shared-memory publishing and job-session modules stay gone, and
-no package exports a name of theirs.  Importing the packages a run starts
-with leaves scipy unloaded: only a LUT kernel needs it.
+no package exports a name of theirs; nor does any name of the DSE's
+retired async scoring pipeline or of ``TableMultiplier`` remain.
+Importing the packages a run starts with leaves scipy unloaded: only a LUT
+kernel needs it.
 """
 
 from __future__ import annotations
@@ -70,6 +72,17 @@ RETIRED_NAMES = {
     "publish_trained_models",
 }
 
+#: The DSE's async scoring pipeline and the second table-multiplier class,
+#: retired: ``CampaignContext.score`` scores each batch in one blocking
+#: ``evaluate`` call, and ``LUTMultiplier`` is the one table multiplier.
+RETIRED_SCORING_NAMES = {"PendingScore", "RemoteBatch", "TableMultiplier"}
+RETIRED_SCORING_MEMBERS = {
+    "repro.dse.engine.CampaignContext": ("score_async", "_drain_through", "finish"),
+    "repro.dse.strategies.NSGA2Search": ("pipeline_fraction",),
+    "repro.dse.evaluator.PlanEvaluator": ("submit",),
+    "repro.runtime.jobs.client.RemotePlanEvaluator": ("submit",),
+}
+
 
 @pytest.mark.parametrize("statement", STATEMENTS)
 def test_package_imports_first(statement):
@@ -102,10 +115,10 @@ def test_startup_imports_leave_scipy_unloaded():
     assert result.stdout.strip() == "[]"
 
 
-def _assert_retired(modules, names) -> None:
+def _assert_retired(modules, names, defining=()) -> None:
     for module in modules:
         assert importlib.util.find_spec(module) is None, module
-    for package in STAR_PACKAGES + ("repro.simulation.campaign",):
+    for package in STAR_PACKAGES + ("repro.simulation.campaign",) + tuple(defining):
         imported = importlib.import_module(package)
         exported = set(vars(imported)) | set(getattr(imported, "__all__", ()))
         assert not exported & names, package
@@ -121,3 +134,18 @@ def test_job_sessions_are_gone():
     _assert_retired(
         ("repro.runtime.jobs.sessions",), {"Session", "SessionRegistry", "SessionError"}
     )
+
+
+def test_async_scoring_pipeline_is_gone():
+    """The DSE scores through one blocking call: neither evaluator has a
+    ``submit``, the campaign context has no ``score_async`` and NSGA-II no
+    sub-batch fraction, and no module defines or exports a retired name."""
+    _assert_retired(
+        (),
+        RETIRED_SCORING_NAMES,
+        ("repro.dse.engine", "repro.runtime.jobs.client", "repro.multipliers.lut"),
+    )
+    for path, members in RETIRED_SCORING_MEMBERS.items():
+        module, _, name = path.rpartition(".")
+        owner = getattr(importlib.import_module(module), name)
+        assert not [member for member in members if hasattr(owner, member)], path

@@ -11,7 +11,8 @@ The acceptance criteria of the job-oriented re-architecture live here:
   plan sets get bit-identical results, the overlap served from cache, with
   hit/miss counters in ``stats()``; a job whose every cell is cached is
   ``done`` when ``submit`` returns (never queued, still refused once the
-  service is closed), and each cell lookup is counted once;
+  service is closed), and each cell lookup is counted once; a full disk
+  under the persistent write-through fails that job, not the dispatcher;
 * **admission control** — a bounded queue rejects with reason
   ``queue_full`` (the bound counts waiting jobs, not the running one),
   rejections never corrupt counters, and one session may have any number
@@ -37,8 +38,10 @@ The acceptance criteria of the job-oriented re-architecture live here:
 from __future__ import annotations
 
 import dataclasses
+import errno
 import itertools
 import json
+import os
 import re
 import sys
 import threading
@@ -610,6 +613,40 @@ class TestCachePersistence:
         assert stats["cache"]["hit_ratio"] == 1.0
         assert second.baselines == first.baselines
         assert second.records == first.records
+
+    def test_enospc_write_through_fails_the_job_not_the_dispatcher(
+        self, trained, tiny_dataset, tmp_path, monkeypatch
+    ):
+        """A full disk under the cache's write-through fails that job with
+        a one-line ``OSError``; the dispatcher lives on and runs the next
+        job to ``done``, and no temp file is left behind."""
+        persist = tmp_path / "cache"
+        replace = os.replace
+        refused: list[str] = []
+
+        def no_space_once(src, dst):
+            if not refused:
+                refused.append(dst)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+            return replace(src, dst)
+
+        mac_names = [node.name for node in trained.model.conv_dense_nodes()]
+        manager = JobManager(
+            [trained], {tiny_dataset.name: tiny_dataset}, cache_persist_dir=str(persist)
+        )
+        monkeypatch.setattr(os, "replace", no_space_once)
+        try:
+            failed = manager.submit(0, [_nth_plan(mac_names, 1)])
+            assert failed.wait(timeout=120)
+            assert failed.state is JobState.FAILED
+            assert failed.error.splitlines()[0].startswith("OSError: [Errno 28] ")
+            done = manager.submit(0, [_nth_plan(mac_names, 2)])
+            assert done.wait(timeout=120)
+            assert done.state is JobState.DONE
+        finally:
+            manager.close()
+        assert len(refused) == 1
+        assert sorted(path.name for path in persist.iterdir()) == [f"{done.keys[0]}.json"]
 
 
 class TestGracefulClose:

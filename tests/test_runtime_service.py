@@ -810,12 +810,10 @@ class TestParallelCampaign:
         # Identical model + dataset: the campaigns must agree bit-exactly.
         assert first.front.points() == bis.front.points()
 
-    def test_nsga2_pipelined_breeding_front_identical_to_serial(
-        self, trained, tiny_dataset
-    ):
-        """NSGA-II with pipelined breeding (sub-batches scored while the
-        next ones breed) lands on the identical front at any worker count:
-        the candidate stream and every accuracy are bit-exact vs serial."""
+    def test_nsga2_pool_front_identical_to_serial(self, trained, tiny_dataset):
+        """NSGA-II, each generation scored as one batch, lands on the
+        identical front on a worker pool: the candidate stream and every
+        accuracy are bit-exact vs serial."""
         kwargs = dict(
             max_loss=0.5,
             budget_evals=24,

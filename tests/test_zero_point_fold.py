@@ -37,7 +37,7 @@ from repro.core.product_kernels import (
     ZeroPointFold,
 )
 from repro.models.zoo import build_model
-from repro.multipliers.lut import TableMultiplier
+from repro.multipliers.lut import LUTMultiplier
 from repro.multipliers.truncated import TruncatedMultiplier
 from repro.quantization.qlayers import QuantizedLinearOp
 from repro.quantization.schemes import QuantParams
@@ -242,7 +242,7 @@ def test_every_launch_of_a_grouped_conv_walk_equals_the_textbook_chain(
         # One layer of every plan runs a tuned table, as ALWANN plans do.
         rng = np.random.default_rng(tuned_seed)
         layer = names[int(rng.integers(len(names)))]
-        tuned = LUTProduct(TableMultiplier(_tuned_lut(rng)))
+        tuned = LUTProduct(LUTMultiplier(_tuned_lut(rng)))
         plans = [plan.with_layer(layer, tuned) for plan in plans]
     launches = []
     launch = MultiPlanKernel.product_sums_multi
