@@ -53,9 +53,12 @@ runtime-smoke: scheduler-unit
 
 # End-to-end greedy and NSGA-II explorations through the CLI on the
 # synthetic workload (< 60 s; the first leg trains a 1-epoch reference model
-# on the first run, and the NSGA-II leg reuses it).  Hermetic: the model
-# cache and the campaign ledger live under a repo-local scratch directory,
-# not the user's global cache.
+# on the first run, and the NSGA-II leg reuses it), then the Pareto example
+# (examples/dse_pareto.py: trains its own small model, runs greedy and
+# NSGA-II through run_campaign on one evaluator and a shared ledger in a
+# temporary directory; ~8 s).  Hermetic: the model cache and the campaign
+# ledger live under a repo-local scratch directory, not the user's global
+# cache.
 DSE_SMOKE_DIR ?= .dse-smoke
 DSE_SMOKE_FLAGS = --classes 10 --epochs 1 --max-loss 0.5 --max-eval-images 64 \
   --seed 0 --cache-dir $(DSE_SMOKE_DIR) --ledger $(DSE_SMOKE_DIR)/ledger
@@ -64,6 +67,7 @@ dse-smoke:
 	  $(DSE_SMOKE_FLAGS)
 	PYTHONPATH=src $(PYTHON) -m repro dse --strategy nsga2 --budget-evals 40 \
 	  $(DSE_SMOKE_FLAGS)
+	PYTHONPATH=src $(PYTHON) examples/dse_pareto.py
 
 # HTTP job-daemon suite + end-to-end serve smoke.  The pytest leg runs the
 # endpoint-contract/wire-input/served-parity/queue-admission/client-retry

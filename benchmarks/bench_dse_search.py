@@ -15,8 +15,9 @@ PRs, next to the engine-throughput and sweep-prefix sections.  Run via
 pytest (``pytest -m dse benchmarks/bench_dse_search.py``) or as a script.
 
 A second benchmark measures the **parallel campaign** path: the same greedy
-campaign fanned across ``run_campaign(workers=N)`` evaluation-service
-workers, recording workers-vs-wallclock (section ``dse_parallel_campaign``)
+campaign scored on a ``build_campaign_service(..., N)`` service passed as
+``run_campaign(service=...)``, whose build, run and close are timed
+together, recording workers-vs-wallclock (section ``dse_parallel_campaign``)
 and asserting the Pareto front is identical — same points, bit-exact
 accuracies — to the serial run.  ``speedup_vs_serial`` must never drop
 below 1.0 (the regression gate holds it to an absolute floor): a worker
@@ -38,7 +39,7 @@ import pytest
 from conftest import record_bench, update_json_result, write_result
 
 from repro.datasets.synthetic import SyntheticCifarConfig, make_synthetic_cifar
-from repro.dse import get_strategy, run_campaign
+from repro.dse import PlanEvaluator, build_campaign_service, get_strategy, run_campaign
 from repro.models.zoo import build_model
 from repro.nn.optimizers import SGD
 from repro.nn.training import Trainer
@@ -90,7 +91,7 @@ def run_strategy(trained, dataset, strategy, budget=None, rng_seed=0) -> dict:
         strategy=strategy,
         max_loss=MAX_LOSS,
         budget_evals=budget,
-        calibration_images=64,
+        evaluator=PlanEvaluator(trained, dataset, calibration_images=64),
         rng=np.random.default_rng(rng_seed),
         array_size=64,
     )
@@ -158,16 +159,19 @@ def run_parallel_campaigns(trained, dataset, workers_list=PARALLEL_WORKERS) -> d
     fronts = {}
     for workers in workers_list:
         start = time.perf_counter()
-        result = run_campaign(
-            trained,
-            dataset,
-            strategy="greedy",
-            max_loss=MAX_LOSS,
-            budget_evals=60,
-            calibration_images=64,
-            array_size=64,
-            workers=workers,
-        )
+        service = build_campaign_service([trained], dataset, workers, calibration_images=64)
+        try:
+            result = run_campaign(
+                trained,
+                dataset,
+                strategy="greedy",
+                max_loss=MAX_LOSS,
+                budget_evals=60,
+                service=service,
+                array_size=64,
+            )
+        finally:
+            service.close()
         wall = time.perf_counter() - start
         fronts[workers] = result.front.points()
         runs[workers] = {
@@ -203,9 +207,9 @@ def run_parallel_campaigns(trained, dataset, workers_list=PARALLEL_WORKERS) -> d
 
 
 def test_dse_parallel_campaign_benchmark(results_dir):
-    """run_campaign(workers=N) fans candidate batches across the evaluation
-    service and lands on the identical Pareto front; workers-vs-wallclock
-    goes into the JSON ledger."""
+    """run_campaign(service=...) on an N-worker service lands on the
+    identical Pareto front; workers-vs-wallclock goes into the JSON
+    ledger."""
     trained, dataset = _setup()
     metrics = run_parallel_campaigns(trained, dataset)
     json_path = update_json_result(results_dir, "dse_parallel_campaign", metrics)

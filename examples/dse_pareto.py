@@ -4,8 +4,9 @@ Trains a small reference network on a synthetic CIFAR-like dataset, then
 lets the DSE engine search the per-layer mix of perforated multipliers
 (with and without the control-variate MAC+ column) that minimizes the
 modeled array energy within an accuracy-loss budget — the paper's decision
-procedure, automated.  Two strategies run on the same campaign ledger, so
-the second one re-uses every plan the first already evaluated:
+procedure, automated.  Two strategies score on one evaluator and run on
+the same campaign ledger, so the second one re-uses every plan the first
+already evaluated:
 
 * ``greedy`` — the energy-per-accuracy descent the paper's selection implies;
 * ``nsga2`` — seeded genetic multi-objective search.
@@ -21,7 +22,7 @@ import numpy as np
 from repro.analysis import pareto_front_table
 from repro.core.seeding import SeedBank
 from repro.datasets.synthetic import SyntheticCifarConfig, make_synthetic_cifar
-from repro.dse import CampaignLedger, get_strategy, run_campaign
+from repro.dse import CampaignLedger, PlanEvaluator, get_strategy, run_campaign
 from repro.models.zoo import build_model
 from repro.nn.optimizers import SGD
 from repro.nn.training import Trainer
@@ -51,6 +52,10 @@ def main() -> None:
         name="vgg13", dataset_name=dataset.name, model=model, float_accuracy=0.0
     )
 
+    # The evaluator owns the measurement setup (calibration on 64 training
+    # images, every test image) and its calibrated executor serves both
+    # campaigns.
+    evaluator = PlanEvaluator(trained, dataset, calibration_images=64)
     with tempfile.TemporaryDirectory() as ledger_dir:
         for index, strategy in enumerate(
             ["greedy", get_strategy("nsga2", population=12, generations=3)]
@@ -61,7 +66,7 @@ def main() -> None:
                 strategy=strategy,
                 max_loss=MAX_LOSS,
                 budget_evals=120,
-                calibration_images=64,
+                evaluator=evaluator,
                 ledger=CampaignLedger(ledger_dir),
                 resume=index > 0,  # the second strategy replays the first's ledger
                 rng=bank.generator("nsga2"),

@@ -109,14 +109,15 @@ def add_workers_flag(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker process count of the evaluation service (1 = in-process, "
-        "one image shard per schedulable CPU; N > 1 gives each of N "
-        "persistent worker processes the whole batch on its own range of "
-        "the images, with the models and datasets inherited from this "
-        "process; results are bit-exact either way). Requests beyond the "
-        "schedulable CPUs (cgroup/affinity-aware, not the machine's core "
-        "count) are clamped — on a 1-CPU host any N degrades to the serial "
-        "path at 1.0x serial instead of N contending processes",
+        help="worker process count of the evaluation service, a positive "
+        "integer (1, the default, = in-process, one image shard per "
+        "schedulable CPU; N > 1 gives each of N persistent worker "
+        "processes the whole batch on its own range of the images, with "
+        "the models and datasets inherited from this process; results are "
+        "bit-exact either way). Requests beyond the schedulable CPUs "
+        "(cgroup/affinity-aware, not the machine's core count) are clamped "
+        "— on a 1-CPU host any N degrades to the serial path at 1.0x "
+        "serial instead of N contending processes",
     )
 
 
@@ -128,8 +129,8 @@ def check_remote_flags(
     The daemon's measurement setup and worker pool win, so ``--workers``,
     ``--max-eval-images`` and a verb's own ``local_flags`` (``(flag,
     given)`` pairs) would silently do nothing; the verb rejects them before
-    any request is sent — as ``run_campaign`` rejects measurement knobs
-    that conflict with an externally owned service.
+    any request is sent — as ``PlanEvaluator`` rejects measurement knobs
+    given alongside a service.
     """
     clashes = [
         flag
@@ -188,7 +189,7 @@ def sweep_jobs_local(
     trained_models,
     datasets,
     perforations,
-    workers: int | None,
+    workers: int,
     *,
     max_eval_images: int | None = None,
 ):
@@ -211,12 +212,10 @@ def sweep_jobs_local(
     from repro.simulation.campaign import _sweep_cell_specs
 
     num_cells = len(_sweep_cell_specs(list(trained_models), tuple(perforations)))
-    effective = resolve_worker_count(workers, num_cells=num_cells)
     manager = JobManager(
         trained_models,
         datasets,
-        max_workers=effective,
-        requested_workers=workers,
+        max_workers=resolve_worker_count(workers, num_cells=num_cells),
         max_eval_images=max_eval_images,
     )
     with LocalJobClient(manager) as client:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 
 from repro.analysis.reporting import Table, pareto_front_table
@@ -38,9 +39,9 @@ from repro.cli.common import (
 def _dse_model_names(args: argparse.Namespace) -> list[str]:
     """The models one ``repro dse`` invocation explores.
 
-    ``--models`` (a list, or the ``all`` sentinel) selects a multi-model
-    campaign served by one shared evaluation service; without it the
-    single ``--model`` is explored, exactly as before.
+    ``--models`` (a list, or the ``all`` sentinel) selects one campaign
+    per model; without it the single ``--model`` is explored.  Either way
+    one evaluation service serves every campaign.
     """
     if not args.models:
         return [args.model]
@@ -92,6 +93,10 @@ def cmd_dse(args: argparse.Namespace) -> int:
     error = check_counts(args)
     if error is not None:
         return cli_error(error)
+    if not math.isfinite(args.max_loss):
+        # NaN or inf would reach the JSON output and the manifest as
+        # non-standard JSON, and compares false against every loss.
+        return cli_error(f"--max-loss must be a finite number, got {args.max_loss}")
     if args.subsample_eval is not None:
         if args.max_eval_images is not None:
             return cli_error(
@@ -169,20 +174,19 @@ def cmd_dse(args: argparse.Namespace) -> int:
             else None
         )
 
-        # A multi-model campaign hosts every network in ONE evaluation
-        # service: the worker pool (or the in-process serial state) and
-        # its calibrated executors are reused across the sequential
-        # campaigns.  An eval subsample becomes the hosted
-        # dataset's test split inside build_campaign_service, keeping
-        # ledger context keys serial-identical.  With --remote the daemon
-        # plays that role for every campaign instead.
+        # Every campaign scores on ONE evaluation service, the one owner of
+        # the measurement setup: the worker pool (or the in-process serial
+        # state) and its calibrated executors are reused across the
+        # sequential campaigns, and an eval subsample becomes the hosted
+        # dataset's test split inside build_campaign_service.  With
+        # --remote the daemon plays that role for every campaign instead.
         service = None
         remote_client = None
         if args.remote is not None:
             from repro.runtime.jobs import HttpJobClient
 
             remote_client = HttpJobClient(args.remote)
-        elif multi:
+        else:
             from repro.dse.engine import build_campaign_service
 
             service = build_campaign_service(
@@ -197,6 +201,8 @@ def cmd_dse(args: argparse.Namespace) -> int:
 
         results = []
         try:
+            if service is not None:
+                manifest.inputs["service"] = service.session_context()
             for trained in trained_models:
                 evaluator = None
                 if remote_client is not None:
@@ -216,18 +222,10 @@ def cmd_dse(args: argparse.Namespace) -> int:
                     max_loss=args.max_loss,
                     budget_evals=args.budget_evals,
                     evaluator=evaluator,
+                    service=service,
                     ledger=CampaignLedger(path=ledger_dir),
                     resume=args.resume,
                     rng=bank.generator(rng_stream),
-                    max_eval_images=args.max_eval_images,
-                    calibration_images=args.calibration_images,
-                    # The shared service already hosts any eval subsample as
-                    # its dataset's test split; passing the arrays alongside
-                    # `service` is rejected by run_campaign.
-                    eval_images=None if service is not None else eval_images,
-                    eval_labels=None if service is not None else eval_labels,
-                    workers=args.workers,
-                    service=service,
                     array_size=args.array_size,
                     perforations=tuple(args.perforations),
                     library=library,
@@ -252,16 +250,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
             return cli_error(str(error))
         finally:
             if service is not None:
-                try:
-                    # The session context goes into the manifest while the
-                    # service is still alive.  Best effort: a
-                    # partially-started service may not have one, and that
-                    # must not skip close() below.
-                    manifest.inputs["service"] = service.session_context()
-                except Exception:
-                    pass
-                finally:
-                    service.close()
+                service.close()
 
         # Each campaign's outputs: the front with its ledger record keys
         # and the stats block, whose context_key is the exact digest the

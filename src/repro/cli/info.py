@@ -38,9 +38,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     runtime = env["runtime"]
     print(
         f"runtime: stats schema {runtime['stats_schema']}, "
-        f"auto workers resolve to {runtime['auto_workers']} on this host, "
-        f"{runtime['eval_threads']} image-shard threads here and "
-        f"{runtime['pool_worker_eval_threads']} per pool worker, "
+        f"{runtime['eval_threads']} image-shard threads here, "
         f"BLAS threads {runtime['blas_threads']} here and "
         f"{runtime['pool_worker_blas_threads']} per pool worker, "
         f"job queue depth {runtime['default_queue_depth']}"

@@ -84,12 +84,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.runtime.sizing import resolve_worker_count
 
     trained_models, datasets, calibration_images, max_eval_images = _hosted_models(args)
-    effective_workers = resolve_worker_count(args.workers)
     manager = JobManager(
         trained_models,
         datasets,
-        max_workers=effective_workers,
-        requested_workers=args.workers,
+        max_workers=resolve_worker_count(args.workers),
         max_eval_images=max_eval_images,
         calibration_images=calibration_images,
         max_queue_depth=args.queue_depth,

@@ -128,10 +128,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         manifest.outputs.update(sweep_manifest_outputs(sweep))
         manifest.outputs["jobs"] = totals
-        manifest.inputs["service"] = {
-            "requested_workers": stats["engine"]["requested_workers"],
-            "workers": stats["engine"]["workers"],
-        }
+        manifest.inputs["service"] = {"workers": stats["engine"]["workers"]}
     table = Table(
         title=f"Accuracy sweep on {dataset.name} "
         f"({len(args.models)} models, m = {', '.join(map(str, args.perforations))})",

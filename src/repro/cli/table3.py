@@ -178,10 +178,7 @@ def cmd_table3(args: argparse.Namespace) -> int:
         )
         manifest.outputs.update(sweep_manifest_outputs(sweep))
         manifest.outputs["jobs"] = totals
-        manifest.inputs["service"] = {
-            "requested_workers": stats["engine"]["requested_workers"],
-            "workers": stats["engine"]["workers"],
-        }
+        manifest.inputs["service"] = {"workers": stats["engine"]["workers"]}
         manifest.outputs["averages"] = _averages_block(
             sweep, datasets, args.perforations
         )

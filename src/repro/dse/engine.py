@@ -2,10 +2,11 @@
 
 :func:`run_campaign` wires the subsystem together for one trained network:
 
-1. build (or accept) the :class:`~repro.dse.space.SearchSpace` and the
-   :class:`~repro.dse.evaluator.PlanEvaluator` — at any worker count one
-   evaluator on the given :class:`~repro.runtime.service.EvaluationService`
-   or on one the campaign builds (and closes) itself;
+1. build (or accept) the :class:`~repro.dse.space.SearchSpace` and pick
+   the evaluator: the one given, else a
+   :class:`~repro.dse.evaluator.PlanEvaluator` on the given
+   :class:`~repro.runtime.service.EvaluationService`, else one on its own
+   in-process service — the campaign itself sets no measurement knob;
 2. score the all-accurate assignment first — it anchors the quantized
    baseline accuracy every loss figure refers to and the accurate energy
    every saving is measured against;
@@ -31,12 +32,13 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.datasets.synthetic import Dataset
-from repro.dse.evaluator import PlanEvaluator, build_campaign_service
+# build_campaign_service is unused here but stays importable from this
+# module: perfbench's passes import it by this path.
+from repro.dse.evaluator import PlanEvaluator, build_campaign_service  # noqa: F401
 from repro.dse.ledger import CampaignLedger, plan_key
 from repro.dse.pareto import ParetoFront, ParetoPoint
 from repro.dse.space import SearchSpace
 from repro.dse.strategies import BudgetExhausted, SearchStrategy, get_strategy
-from repro.runtime.sizing import resolve_worker_count
 from repro.simulation.campaign import TrainedModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -287,11 +289,6 @@ def run_campaign(
     ledger: CampaignLedger | None = None,
     resume: bool = False,
     rng: np.random.Generator | None = None,
-    max_eval_images: int | None = None,
-    calibration_images: int = 128,
-    eval_images: np.ndarray | None = None,
-    eval_labels: np.ndarray | None = None,
-    workers: int | None = 1,
     service: "EvaluationService | None" = None,
     **space_kwargs,
 ) -> DseResult:
@@ -311,11 +308,21 @@ def run_campaign(
         constraint, e.g. 0.5).
     budget_evals:
         Cap on *fresh* accuracy evaluations; ledger replays are free.
-    space / evaluator:
-        Prebuilt :class:`SearchSpace` / evaluator; by default both are
-        built here (``space_kwargs`` forwards to
-        :meth:`SearchSpace.build`, e.g. ``array_size=...``,
-        ``library=...``).
+    space:
+        Prebuilt :class:`SearchSpace`; by default built here
+        (``space_kwargs`` forwards to :meth:`SearchSpace.build`, e.g.
+        ``array_size=...``, ``library=...``).
+    evaluator / service:
+        Where the campaign scores, and so its whole measurement setup:
+        ``evaluator`` (a :class:`PlanEvaluator` or a remote one) as given;
+        else ``PlanEvaluator(trained, dataset, service=service)``, the way
+        several sequential campaigns (``repro dse --models ...``) share one
+        service, its worker pool and its calibrated executors; else an
+        in-process ``PlanEvaluator(trained, dataset)`` with the default
+        setup.  Passing both is a :class:`ValueError`.  The caller owns a
+        given service's lifecycle.  Every accuracy is bit-exact at any
+        worker count, so campaigns on any service find the identical
+        Pareto front and share ledger records.
     ledger / resume:
         Persistent ledger and whether to *replay* its records.  Records are
         always written when a ledger is given, so a crashed campaign can be
@@ -323,47 +330,13 @@ def run_campaign(
     rng:
         Seeded generator for the stochastic strategies (NSGA-II); defaults
         to ``np.random.default_rng(0)`` for reproducibility.
-    workers:
-        Candidate batches are fanned across this many evaluation-service
-        worker processes (must be >= 1; ``None`` auto-sizes from the
-        schedulable CPUs and host load).  The request is clamped to the
-        schedulable-CPU count
-        (:func:`repro.runtime.sizing.resolve_worker_count`): ``workers=4``
-        on a 1-CPU box degrades to the serial in-process path — 1.0x the
-        serial wall-clock instead of four contending processes.  The
-        candidate generations of NSGA-II and the frontier expansions of
-        the greedy descent are embarrassingly parallel, and every accuracy
-        stays bit-exact with the serial path — ``workers=N`` produces the
-        identical Pareto front and shares ledger records with
-        ``workers=1``.
-    service:
-        A started (or startable) multi-model
-        :class:`~repro.runtime.service.EvaluationService` hosting
-        ``trained`` — the way several sequential campaigns (``repro dse
-        --models ...``) reuse one worker pool and its calibrated
-        executors.  The caller owns the service's lifecycle;
-        ``workers`` is ignored in its favor, and measurement knobs that
-        conflict with the service's setup raise :class:`ValueError`.
     """
     if budget_evals is not None and budget_evals < 1:
         raise ValueError("budget_evals must be at least 1 (the accurate baseline)")
-    if workers is not None and int(workers) < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
-    requested_workers = workers if workers is None else int(workers)
-    # The degrade-to-serial clamp: never more workers than schedulable CPUs
-    # (a 4-worker request on a 1-CPU box runs the serial path at 1.0x
-    # serial, not 4 time-slicing processes at ~0.5x).
-    effective_workers = resolve_worker_count(workers)
-    if evaluator is not None and (
-        service is not None
-        or (requested_workers is not None and requested_workers > 1)
-    ):
-        # An explicit evaluator fully determines the execution path; a
-        # service or worker count alongside it would be silently ignored.
+    if evaluator is not None and service is not None:
         raise ValueError(
-            "evaluator is mutually exclusive with workers/service: the "
-            "evaluator already fixes the execution path (pass "
-            "PlanEvaluator(..., service=...) to score on a service)"
+            "pass evaluator or service, not both: the evaluator already fixes "
+            "where the campaign scores (use PlanEvaluator(..., service=...))"
         )
     if space is None:
         space = SearchSpace.build(
@@ -371,65 +344,33 @@ def run_campaign(
         )
     if isinstance(strategy, str):
         strategy = get_strategy(strategy)
-    # Validate the configuration before building the evaluation service.
+    # Validate the configuration before building an evaluation service.
     strategy.prepare(space, budget_evals)
-    owned_service: "EvaluationService | None" = None
-    try:
-        if evaluator is None:
-            if service is None:
-                service = owned_service = build_campaign_service(
-                    [trained],
-                    dataset,
-                    effective_workers,
-                    max_eval_images=max_eval_images,
-                    calibration_images=calibration_images,
-                    eval_images=eval_images,
-                    eval_labels=eval_labels,
-                )
-                # The owned service now hosts the knobs' setup (an eval
-                # subset as its test split), so they match it by construction.
-                max_eval_images = service.max_eval_images
-                eval_images = eval_labels = None
-            # An external service's setup wins: PlanEvaluator rejects
-            # conflicting knobs loudly instead of ignoring them.
-            evaluator = PlanEvaluator(
-                trained,
-                dataset,
-                max_eval_images=max_eval_images,
-                calibration_images=calibration_images,
-                eval_images=eval_images,
-                eval_labels=eval_labels,
-                service=service,
-            )
-        if ledger is None:
-            ledger = CampaignLedger(path=None)
-        if rng is None:
-            rng = np.random.default_rng(0)
+    if evaluator is None:
+        evaluator = PlanEvaluator(trained, dataset, service=service)
+    if ledger is None:
+        ledger = CampaignLedger(path=None)
+    if rng is None:
+        rng = np.random.default_rng(0)
 
-        ctx = CampaignContext(
-            space=space,
-            evaluator=evaluator,
-            ledger=ledger,
-            max_loss=max_loss,
-            budget_evals=budget_evals,
-            rng=rng,
-            resume=resume,
-        )
-        start = time.perf_counter()
-        # The all-accurate design anchors the baseline accuracy and the energy
-        # reference; scoring it first also guarantees it is always on record.
-        ctx.score([space.accurate_assignment()])
-        try:
-            strategy.search(ctx)
-        except BudgetExhausted:
-            pass
-        wall_clock = time.perf_counter() - start
-    finally:
-        # A KeyboardInterrupt (or any failure) lands here with every scored
-        # plan already ledgered — ledger writes are eager and atomic — so
-        # the only cleanup owed is the service's workers.
-        if owned_service is not None:
-            owned_service.close()
+    ctx = CampaignContext(
+        space=space,
+        evaluator=evaluator,
+        ledger=ledger,
+        max_loss=max_loss,
+        budget_evals=budget_evals,
+        rng=rng,
+        resume=resume,
+    )
+    start = time.perf_counter()
+    # The all-accurate design anchors the baseline accuracy and the energy
+    # reference; scoring it first also guarantees it is always on record.
+    ctx.score([space.accurate_assignment()])
+    try:
+        strategy.search(ctx)
+    except BudgetExhausted:
+        pass
+    wall_clock = time.perf_counter() - start
 
     return DseResult(
         strategy=strategy.name,
@@ -451,15 +392,12 @@ def run_campaign(
             # campaign is keyed under — run manifests embed it so a front
             # is traceable to its ledger records by hash alone.
             "context_key": ctx.context_key,
-            # Derived from the evaluator actually used, so an explicitly
-            # passed PlanEvaluator reports its service's pool size (a
-            # remote one reports 1); requested_workers keeps the pre-clamp
-            # request visible (None when the caller asked for auto-sizing).
+            # The pool size of the service that scored (a remote
+            # evaluator reports 1).
             "workers": (
                 evaluator.service.max_workers
                 if isinstance(evaluator, PlanEvaluator)
                 else 1
             ),
-            "requested_workers": requested_workers,
         },
     )

@@ -5,14 +5,14 @@ blocking ``evaluate(plans)``, ``context_key()``, ``mac_layer_names()`` and
 the ``evaluations`` count, the same four names
 :class:`~repro.runtime.jobs.client.RemotePlanEvaluator` exposes — on one
 model hosted by an :class:`~repro.runtime.service.EvaluationService`, the
-one place a local plan is scored and the one owner of the measurement
+one place a local plan is scored.  The service owns the measurement
 setup:
 
-* by default the evaluator owns an in-process service built by
+* by default the evaluator builds its own in-process service with
   :func:`build_campaign_service` from its measurement knobs;
 * with ``service=`` it scores on that service instead (a worker pool, or a
-  multi-model session several campaigns share), whose setup wins: knobs
-  that conflict with it are rejected.
+  multi-model session several campaigns share), whose setup is the one
+  used: a knob passed alongside it is rejected, never mirrored.
 
 Either way each candidate batch rides the service's prefix-aware schedule
 and one multi-plan walk per model segment, and the ledger
@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def build_campaign_service(
     trained_models: "Sequence[TrainedModel]",
     dataset: Dataset,
-    workers: int | None,
+    workers: int,
     max_eval_images: int | None = None,
     calibration_images: int = 128,
     eval_images: np.ndarray | None = None,
@@ -55,13 +55,11 @@ def build_campaign_service(
     the hosted dataset's test split, so the service scores exactly those
     arrays — and the ledger context key, which hashes the actual
     evaluation bytes, follows them.  Used for the in-process service a
-    :class:`PlanEvaluator` owns, for the service :func:`~repro.dse.engine.
-    run_campaign` owns, and for the multi-model service the CLI shares
-    across ``--models`` campaigns.  ``workers`` passes through the
-    degrade-to-serial clamp of
-    :func:`~repro.runtime.sizing.resolve_worker_count` (``None`` =
-    auto-size); the resulting service runs in-process when only one CPU is
-    schedulable.
+    :class:`PlanEvaluator` owns and for the service ``repro dse`` shares
+    across its campaigns.  ``workers`` passes through the degrade-to-serial
+    clamp of :func:`~repro.runtime.sizing.resolve_worker_count`; the
+    resulting service runs in-process when only one CPU is schedulable.
+    The caller owns the service and closes it.
     """
     from repro.runtime.service import EvaluationService
 
@@ -85,18 +83,20 @@ def build_campaign_service(
 class PlanEvaluator:
     """Measures plan accuracies for the DSE campaign (bit-exact with sweeps).
 
-    Parameters mirror :func:`~repro.simulation.campaign.plan_sweep` so a
-    campaign and a hand-enumerated sweep over the same knobs agree
-    bit-exactly: ``max_eval_images`` caps the test split (prefix slice) and
-    ``calibration_images`` slices the head of the training split.
-    ``eval_images`` / ``eval_labels`` override the evaluation arrays
-    entirely — the hook the CLI's seeded eval subsampling uses.
+    The knobs build the evaluator's own in-process service and mirror
+    :func:`~repro.simulation.campaign.plan_sweep`, so a campaign and a
+    hand-enumerated sweep over the same knobs agree bit-exactly:
+    ``max_eval_images`` caps the test split (prefix slice) and
+    ``calibration_images`` (128 when not given) slices the head of the
+    training split.  ``eval_images`` / ``eval_labels`` override the
+    evaluation arrays entirely — the hook the CLI's seeded eval
+    subsampling uses.
 
-    ``service`` scores on an existing service hosting ``trained`` instead
-    of an owned in-process one.  The evaluator does not own it (callers
-    manage its lifecycle, which is what lets one multi-model service back
-    many sequential campaigns), and a knob that differs from the service's
-    setup raises :class:`ValueError` rather than being ignored.
+    ``service`` scores on an existing service hosting ``trained`` instead.
+    The evaluator does not own it (callers manage its lifecycle, which is
+    what lets one multi-model service back many sequential campaigns), and
+    the service's setup is the one measured: any knob given alongside it
+    raises :class:`ValueError` naming the knob.
     """
 
     def __init__(
@@ -104,24 +104,28 @@ class PlanEvaluator:
         trained: TrainedModel,
         dataset: Dataset,
         max_eval_images: int | None = None,
-        calibration_images: int = 128,
+        calibration_images: int | None = None,
         eval_images: np.ndarray | None = None,
         eval_labels: np.ndarray | None = None,
         service: "EvaluationService | None" = None,
     ):
-        if service is None:
-            service = build_campaign_service(
-                [trained],
-                dataset,
-                1,
-                max_eval_images=max_eval_images,
-                calibration_images=calibration_images,
-                eval_images=eval_images,
-                eval_labels=eval_labels,
+        knobs = {
+            name: value
+            for name, value in (
+                ("max_eval_images", max_eval_images),
+                ("calibration_images", calibration_images),
+                ("eval_images", eval_images),
+                ("eval_labels", eval_labels),
             )
-        else:
-            self._check_service_setup(
-                service, max_eval_images, calibration_images, eval_images, eval_labels
+            if value is not None
+        }
+        if service is None:
+            service = build_campaign_service([trained], dataset, 1, **knobs)
+        elif knobs:
+            raise ValueError(
+                f"{', '.join(knobs)} cannot be combined with service=: the "
+                "service's measurement setup is the one used (set the knobs "
+                "where the service is built)"
             )
         self.trained = trained
         self.service = service
@@ -129,42 +133,6 @@ class PlanEvaluator:
         self.eval_images, self.eval_labels = service.evaluation_arrays(self.model_index)
         self.evaluations = 0
         self._executor: ApproximateExecutor | None = None
-
-    @staticmethod
-    def _check_service_setup(
-        service: "EvaluationService",
-        max_eval_images: int | None,
-        calibration_images: int,
-        eval_images: np.ndarray | None,
-        eval_labels: np.ndarray | None,
-    ) -> None:
-        """Reject knobs that would silently diverge from ``service``'s setup.
-
-        The service measures with its own setup; a conflicting knob would
-        otherwise be ignored without a trace — and the accuracies (and
-        ledger context keys) would differ from what the knobs describe.
-        Mirror the knobs onto the service (see :func:`build_campaign_service`)
-        instead.
-        """
-        if eval_images is not None or eval_labels is not None:
-            raise ValueError(
-                "eval_images/eval_labels cannot be combined with an external "
-                "service: host the subset as the service dataset's test split "
-                "(build_campaign_service does exactly that)"
-            )
-        mismatches = [
-            f"{name}={ours!r} (service has {theirs!r})"
-            for name, ours, theirs in (
-                ("max_eval_images", max_eval_images, service.max_eval_images),
-                ("calibration_images", int(calibration_images), service.calibration_images),
-            )
-            if ours != theirs
-        ]
-        if mismatches:
-            raise ValueError(
-                "campaign measurement knobs conflict with the external service: "
-                + ", ".join(mismatches)
-            )
 
     # ------------------------------------------------------------------
     @property

@@ -164,9 +164,13 @@ class CampaignLedger:
         return self.path is not None and os.path.exists(self._record_path(key))
 
     def put(self, key: str, record: dict) -> None:
-        """Store ``record`` under ``key`` (atomic write-then-rename on disk)."""
-        self._memory[key] = record
+        """Store ``record`` under ``key`` (atomic write-then-rename on disk).
+
+        On disk the record is kept in memory only once the rename has
+        succeeded: a failed write raises and leaves the ledger as it was.
+        """
         if self.path is None:
+            self._memory[key] = record
             return
         os.makedirs(self.path, exist_ok=True)
         payload = json.dumps(record, indent=2, sort_keys=True)
@@ -181,6 +185,7 @@ class CampaignLedger:
             except OSError:
                 pass
             raise
+        self._memory[key] = record
 
     def iter_disk_records(self):
         """Yield every ``(key, record)`` pair stored in the ledger directory.

@@ -69,31 +69,24 @@ def _runtime_defaults() -> dict:
 
     ``repro info`` surfaces the same schema identifier every live
     ``stats()`` payload carries (:data:`repro.runtime.stats.STATS_SCHEMA`),
-    plus the worker sizing this host would resolve an auto request to, the
-    image-shard and BLAS threads of this process and of each pool worker,
-    and the job layer's admission-control defaults — so a manifest records
-    how the runtime *would* be configured even for runs that never start a
-    service.
+    plus the image-shard and BLAS threads of this process, the BLAS
+    threads of each pool worker, and the job layer's admission-control
+    defaults — so a manifest records how the runtime *would* be configured
+    even for runs that never start a service.
     """
     from repro.runtime.jobs.queue import JobQueue
     from repro.runtime.sizing import (
         EVAL_BLAS_THREADS,
         blas_thread_count,
         eval_thread_count,
-        resolve_worker_count,
     )
     from repro.runtime.stats import STATS_SCHEMA
 
-    auto_workers = resolve_worker_count(None)
     return {
         "stats_schema": STATS_SCHEMA,
-        # A `workers=None` auto request resolved on this host (affinity/
-        # load-aware) — the effective pool an unconstrained run would get.
-        "auto_workers": auto_workers,
         # Image-shard threads this process splits each evaluated batch
-        # into (the serial path), and each worker of that auto-sized pool.
+        # into (the serial path).
         "eval_threads": eval_thread_count(),
-        "pool_worker_eval_threads": eval_thread_count(auto_workers),
         # OpenBLAS threads of this process right now: the library default
         # until its first sharded walk pins it; None when numpy's BLAS
         # exposes no thread-count getter.
@@ -110,7 +103,7 @@ def provenance_environment() -> dict:
     Keys: ``package`` (this distribution), ``python`` / ``platform`` /
     ``machine`` / ``cpu_count`` (host facts), ``packages`` (probe results
     incl. import-failure reasons), ``seed_defaults``, ``runtime`` (stats
-    schema, worker and BLAS-thread sizing, admission defaults).
+    schema, image-shard and BLAS-thread sizing, admission defaults).
     """
     return {
         "package": {"name": "repro-dac21", "version": __version__},

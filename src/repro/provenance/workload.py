@@ -107,7 +107,7 @@ def run_golden_workload() -> dict[str, dict]:
     sweep, greedy search), so two runs on any host with the same code
     produce byte-identical documents.
     """
-    from repro.dse import run_campaign
+    from repro.dse import PlanEvaluator, run_campaign
     from repro.dse.engine import front_payload
     from repro.simulation.campaign import accuracy_sweep
 
@@ -140,7 +140,9 @@ def run_golden_workload() -> dict[str, dict]:
         strategy="greedy",
         max_loss=MAX_LOSS,
         budget_evals=BUDGET_EVALS,
-        calibration_images=CALIBRATION_IMAGES,
+        evaluator=PlanEvaluator(
+            trained, dataset, calibration_images=CALIBRATION_IMAGES
+        ),
         array_size=ARRAY_SIZE,
     )
     pareto_front = {

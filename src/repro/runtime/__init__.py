@@ -8,10 +8,10 @@ execution path that serves them:
 * :mod:`~repro.runtime.scheduling` — prefix-aware ordering of
   ``(model, plan)`` cells (plus the chunking helpers no path uses any
   more, kept for their tests and perfbench's hooks);
-* :mod:`~repro.runtime.sizing` — pool auto-sizing policy (affinity-aware
-  CPU count, load discount, degrade-to-serial clamp of requested counts),
-  each process's core share of image-shard threads, and the
-  one-BLAS-thread pin of every process that evaluates plans;
+* :mod:`~repro.runtime.sizing` — worker sizing policy (affinity-aware
+  CPU count, degrade-to-serial clamp of requested counts), each
+  process's core share of image-shard threads, and the one-BLAS-thread
+  pin of every process that evaluates plans;
 * :mod:`~repro.runtime.worker` — per-process executor cache and cell
   evaluation on a contiguous share of the images (shared by the pool and
   the in-process serial path);
@@ -22,8 +22,8 @@ execution path that serves them:
 
 :func:`repro.simulation.campaign.plan_sweep` (and the Table III
 :func:`~repro.simulation.campaign.accuracy_sweep` built on it), the DSE
-:class:`~repro.dse.evaluator.PlanEvaluator` behind ``run_campaign`` at any
-worker count, and the job layer are all thin clients of this package; the
+:class:`~repro.dse.evaluator.PlanEvaluator` behind every ``run_campaign``,
+and the job layer are all thin clients of this package; the
 service also owns the one evaluation-context key recipe their ledgers and
 caches share.  See
 ``README.md`` next to this file for the service lifecycle and scheduling
@@ -38,11 +38,7 @@ from repro.runtime.scheduling import (
     shared_prefix_depths,
 )
 from repro.runtime.service import EvaluationBatch, EvaluationService
-from repro.runtime.sizing import (
-    auto_worker_count,
-    effective_cpu_count,
-    resolve_worker_count,
-)
+from repro.runtime.sizing import effective_cpu_count, resolve_worker_count
 
 __all__ = [
     "EvaluationBatch",
@@ -52,7 +48,6 @@ __all__ = [
     "model_mac_names",
     "schedule_cells",
     "shared_prefix_depths",
-    "auto_worker_count",
     "effective_cpu_count",
     "resolve_worker_count",
 ]

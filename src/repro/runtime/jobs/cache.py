@@ -85,13 +85,15 @@ class ResultCache:
 
     def put(self, key: str, accuracy: float) -> None:
         """Store ``accuracy`` under ``key``; with persistence enabled it is
-        also written through to disk (atomic temp-file + rename)."""
+        first written through to disk (atomic temp-file + rename), and a
+        failed write (a full disk, say) raises and caches nothing, so a
+        resubmission is evaluated again instead of answered from memory."""
         with self._lock:
-            self._entries[key] = float(accuracy)
             if self._ledger is not None:
                 self._ledger.put(
                     key, {"kind": PERSIST_KIND, "accuracy": float(accuracy)}
                 )
+            self._entries[key] = float(accuracy)
 
     def stats(self) -> dict:
         """Counters of the cache so far (one consistent snapshot)."""

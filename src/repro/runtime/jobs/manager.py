@@ -57,8 +57,9 @@ class JobManager:
     trained_models / datasets:
         The hosted models and their datasets, served by an owned
         :class:`~repro.runtime.service.EvaluationService`.
-    max_workers / requested_workers / max_eval_images / calibration_images:
-        Engine knobs, as in :class:`~repro.runtime.service.EvaluationService`.
+    max_workers / max_eval_images / calibration_images:
+        Engine knobs, as in :class:`~repro.runtime.service.EvaluationService`
+        (the worker count is honored verbatim).
     max_queue_depth:
         Admission bound (see :class:`~repro.runtime.jobs.queue.JobQueue`).
     cache_persist_dir:
@@ -78,8 +79,7 @@ class JobManager:
         trained_models: "Iterable[TrainedModel]",
         datasets: dict[str, Dataset],
         *,
-        max_workers: int | None = 1,
-        requested_workers: int | None = None,
+        max_workers: int = 1,
         max_eval_images: int | None = None,
         calibration_images: int = 128,
         max_queue_depth: int = 64,
@@ -90,7 +90,6 @@ class JobManager:
             trained_models,
             datasets,
             max_workers=max_workers,
-            requested_workers=requested_workers,
             max_eval_images=max_eval_images,
             calibration_images=calibration_images,
         )

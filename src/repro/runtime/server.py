@@ -195,7 +195,9 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             payload = json.loads(self.rfile.read(int(length)).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as error:
+            # RecursionError: arrays or objects nested deeper than the
+            # decoder's recursion limit (a 2 KB body suffices).
             self._send_error_json(400, f"request body is not valid JSON: {error}")
             return
         if not isinstance(payload, dict):

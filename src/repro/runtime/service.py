@@ -66,7 +66,6 @@ from repro.runtime.scheduling import (  # noqa: F401
     schedule_cells,
     shared_prefix_depths,
 )
-from repro.runtime.sizing import auto_worker_count
 from repro.runtime.worker import (
     STAT_COUNTERS,
     _eval_cell_chunk_task,
@@ -166,20 +165,11 @@ class EvaluationService:
         (calibration reads the train split's head, evaluation the test
         split).
     max_workers:
-        Worker process count; ``None`` auto-sizes from the schedulable-CPU
-        count (CPU affinity / cgroup cpusets, not the machine's core
-        count) discounted by host load
-        (:func:`repro.runtime.sizing.auto_worker_count`); ``1`` runs fully
-        in-process.  An explicit count is honored verbatim — the
-        degrade-to-serial clamp of
-        :func:`~repro.runtime.sizing.resolve_worker_count` applies at the
-        campaign/sweep/CLI entry points, not here.
-    requested_workers:
-        What the caller originally asked for, *before* any clamping at the
-        entry point (``None`` for auto-sizing), reported next to the
-        effective ``workers`` in :meth:`stats` so a degraded-to-serial run
-        is visible as ``requested_workers=4, workers=1``.  Defaults to
-        ``max_workers``.
+        Worker process count, honored verbatim; ``1`` (the default) runs
+        fully in-process.  The degrade-to-serial clamp of
+        :func:`~repro.runtime.sizing.resolve_worker_count` applies where a
+        request enters the system (the CLI, ``build_campaign_service``,
+        ``plan_sweep``), not here.
     max_eval_images / calibration_images:
         As in :func:`repro.simulation.campaign.plan_sweep` — they select
         the measurement setup every worker reproduces.  Each must be at
@@ -197,8 +187,7 @@ class EvaluationService:
         trained_models: "Iterable[TrainedModel]",
         datasets: dict[str, Dataset],
         *,
-        max_workers: int | None = None,
-        requested_workers: int | None = None,
+        max_workers: int = 1,
         max_eval_images: int | None = None,
         calibration_images: int = 128,
     ):
@@ -211,18 +200,11 @@ class EvaluationService:
         )
         if missing:
             raise ValueError(f"no dataset hosted for: {missing}")
-        if max_workers is None:
-            # Affinity/load-aware, not os.cpu_count(): a cgroup-limited
-            # container reports the machine's cores, not the schedulable ones.
-            max_workers = auto_worker_count()
         if int(max_workers) < 1:
             raise ValueError(
                 f"max_workers must be a positive integer, got {max_workers}"
             )
         self.max_workers = int(max_workers)
-        self.requested_workers = (
-            self.max_workers if requested_workers is None else int(requested_workers)
-        )
         if max_eval_images is not None and max_eval_images < 1:
             raise ValueError(f"max_eval_images must be at least 1, got {max_eval_images}")
         if calibration_images < 1:
@@ -418,9 +400,8 @@ class EvaluationService:
 
         The payload (schema :data:`~repro.runtime.stats.STATS_SCHEMA`, keys
         listed in :mod:`repro.runtime.stats`) nests everything engine-level
-        under ``"engine"``, with ``requested_workers`` (what the caller
-        asked for) next to the effective ``workers`` — the schema the jobs
-        layer extends with its ``jobs``/``cache`` sections —
+        under ``"engine"``, starting with the pool size ``workers`` — the
+        schema the jobs layer extends with its ``jobs``/``cache`` sections —
         plus the fused multi-plan launch counters ``fused_launches``,
         ``fused_plans_total`` and ``plans_per_launch_avg`` (``None`` until
         the first fused launch), aggregated across every worker.
@@ -428,7 +409,6 @@ class EvaluationService:
         from repro.runtime.stats import runtime_stats
 
         engine = {
-            "requested_workers": self.requested_workers,
             "workers": self.max_workers,
             "models": len(self.models),
             "datasets": len(self.datasets),

@@ -1,29 +1,20 @@
 """Sizing: how many workers and threads can actually win on this host.
 
-The evaluation runtime historically sized its pool from ``os.cpu_count()``
-and trusted the caller's ``--workers`` flag verbatim.  Both are wrong on
-shared or containerized hosts:
-
-* ``os.cpu_count()`` reports the *machine's* cores, not the cores this
-  process may run on — a cgroup/affinity-limited CI container reports 4
-  while only 1 is schedulable, so a 4-worker pool time-slices one CPU and
-  loses to the serial path (``results/BENCH_engine.json`` recorded the
-  parallel DSE campaign at 0.54x serial exactly this way);
-* a worker count above the schedulable cores can never win: the workers
-  contend for the same cores the serial path would have used exclusively,
-  and pay pickling + process-switch overhead on top.
-
-This module is the one place that policy lives:
+A worker count is always an explicit integer, chosen where a service is
+built (the CLI's ``--workers``, ``build_campaign_service``, ``plan_sweep``,
+``JobManager``); nothing sizes a pool from the host on its own.  Counts
+above the schedulable cores can never win: the workers contend for the
+cores the serial path would have used exclusively, and ``os.cpu_count()``
+reports the *machine's* cores, not the ones this process may run on (a
+cgroup/affinity-limited CI container reports 4 while only 1 is
+schedulable).  This module is the one place that policy lives:
 
 * :func:`effective_cpu_count` — the schedulable-CPU count
   (``len(os.sched_getaffinity(0))``, honoring cgroup cpusets and
   ``taskset``), falling back to ``os.cpu_count()`` where affinity is not
   exposed (macOS);
-* :func:`auto_worker_count` — the default pool size when the caller does
-  not pass one: the affinity-aware count, discounted by a cheap measured
-  check of how busy the host already is (1-minute load average);
-* :func:`resolve_worker_count` — the clamp applied to *requested* worker
-  counts by ``run_campaign(workers=N)``, the sweeps and the CLI:
+* :func:`resolve_worker_count` — the clamp applied to a *requested*
+  worker count by the campaign service builder, the sweeps and the CLI:
   ``min(requested, effective_cpu_count())``, so ``repro dse --workers 4``
   on a 1-CPU box degrades to the serial in-process path (1.0x serial)
   instead of running 4 contending processes (0.54x);
@@ -42,9 +33,9 @@ This module is the one place that policy lives:
   before the first pin got other parameters than one calibrated after.
 
 :class:`~repro.runtime.service.EvaluationService` itself honors an
-*explicit* ``max_workers`` verbatim (tests rely on exercising the pool
-path regardless of host size); the degradation policy applies where user
-intent enters the system — the campaign/sweep entry points.
+explicit ``max_workers`` verbatim (tests rely on exercising the pool path
+regardless of host size); the clamp applies where user intent enters the
+system.
 """
 
 from __future__ import annotations
@@ -85,52 +76,23 @@ def effective_cpu_count() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def _load_average() -> float:
-    """1-minute load average, or 0.0 where the host does not expose one."""
-    try:
-        return float(os.getloadavg()[0])
-    except (AttributeError, OSError):  # pragma: no cover - non-POSIX fallback
-        return 0.0
-
-
-def auto_worker_count() -> int:
-    """Default pool size: schedulable CPUs minus what the host is busy with.
-
-    The affinity-aware CPU count, discounted by the measured 1-minute load
-    average beyond the ~1 core this process itself accounts for — a cheap
-    effective-parallelism probe: a pool sized to CPUs that other processes
-    already saturate would contend rather than scale.  Always at least 1.
-    """
-    cpus = effective_cpu_count()
-    busy_elsewhere = max(0.0, _load_average() - 1.0)
-    return max(1, min(cpus, int(cpus - busy_elsewhere)))
-
-
-def resolve_worker_count(
-    requested: int | None, num_cells: int | None = None
-) -> int:
+def resolve_worker_count(requested: int, num_cells: int | None = None) -> int:
     """Effective worker count for a *requested* one (the degradation policy).
 
-    ``None`` means "size it for me" (:func:`auto_worker_count`); an
-    explicit request is honored up to :func:`effective_cpu_count` — more
+    The request is honored up to :func:`effective_cpu_count` — more
     workers than schedulable CPUs can only lose to serial, so the excess
     is dropped rather than oversubscribed.  ``num_cells`` optionally caps
     the count at the available work (never more workers than cells).
     The result is always at least 1; 1 means "run the serial in-process
-    path" to every caller.
+    path" to every caller.  A request below 1 is a :class:`ValueError`.
     """
-    if requested is None:
-        workers = auto_worker_count()
-    else:
-        requested = int(requested)
-        if requested < 1:
-            raise ValueError(
-                f"worker count must be a positive integer, got {requested}"
-            )
-        workers = min(requested, effective_cpu_count())
+    requested = int(requested)
+    if requested < 1:
+        raise ValueError(f"worker count must be a positive integer, got {requested}")
+    workers = min(requested, effective_cpu_count())
     if num_cells is not None:
         workers = min(workers, max(1, int(num_cells)))
-    return max(1, workers)
+    return workers
 
 
 def join_pool(pool_size: int) -> None:
@@ -212,7 +174,6 @@ def blas_thread_count() -> int | None:
 __all__ = [
     "EVAL_BLAS_THREADS",
     "effective_cpu_count",
-    "auto_worker_count",
     "resolve_worker_count",
     "join_pool",
     "eval_thread_count",

@@ -7,8 +7,8 @@ daemon's ``GET /stats``) and the sweep helpers:
 .. code-block:: json
 
     {
-      "schema": "repro-runtime-stats/v1.6",
-      "engine": { "requested_workers": ..., "workers": ..., ... },
+      "schema": "repro-runtime-stats/v1.7",
+      "engine": { "workers": ..., "models": ..., ... },
       "jobs":   { "submitted": ..., "depth": ..., "rejected": ..., ... },
       "cache":  { "entries": ..., "hits": ..., "misses": ..., ... }
     }
@@ -18,11 +18,10 @@ the emitting object has that layer (a bare
 :class:`~repro.runtime.service.EvaluationService` reports only
 ``engine``).
 
-* ``engine`` — ``requested_workers`` (what the caller asked for, before
-  the entry point's clamp) and ``workers`` (the effective pool size; 1
-  runs in process); ``models``, ``datasets``,
-  ``batches_submitted``, ``cells_submitted``; the fused multi-plan launch
-  counters summed over every worker, ``fused_launches``,
+* ``engine`` — ``workers`` (the pool size; 1 runs in process),
+  ``models``, ``datasets``, ``batches_submitted``, ``cells_submitted``;
+  the fused multi-plan launch counters summed over every worker,
+  ``fused_launches``,
   ``fused_plans_total`` and ``plans_per_launch_avg`` (``None`` until the
   first launch); on the in-process path also ``executor_builds`` and
   ``cells_evaluated``.
@@ -39,7 +38,7 @@ The version moves whenever a key is dropped or changes meaning.
 from __future__ import annotations
 
 #: Version tag embedded in every stats payload.
-STATS_SCHEMA = "repro-runtime-stats/v1.6"
+STATS_SCHEMA = "repro-runtime-stats/v1.7"
 
 
 def runtime_stats(

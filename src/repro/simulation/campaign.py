@@ -26,7 +26,7 @@ submitted cells with the prefix-aware scheduler
 (:func:`repro.runtime.scheduling.schedule_cells`) and, when it runs a
 pool, hands every worker the whole schedule on its own range of the
 images.  Workers never train — they inherit the already-trained models.
-The DSE engine's ``run_campaign(workers=N)`` rides the very same
+The DSE engine's ``run_campaign(service=...)`` rides the very same
 service.
 """
 
@@ -346,7 +346,7 @@ def plan_sweep(
     plans: Sequence[tuple[str, ExecutionPlan]],
     max_eval_images: int | None = None,
     calibration_images: int = 128,
-    max_workers: int | None = None,
+    max_workers: int = 1,
 ) -> list[PlanAccuracyRecord]:
     """Evaluate every trained model under every labeled execution plan.
 
@@ -367,11 +367,11 @@ def plan_sweep(
     max_eval_images / calibration_images:
         As in :func:`accuracy_sweep`.
     max_workers:
-        Worker process count; ``None`` auto-sizes from the schedulable-CPU
-        count and host load.  Requests are clamped to the schedulable CPUs
-        and to the cell count (:func:`repro.runtime.sizing.
-        resolve_worker_count` — a 4-worker request on a 1-CPU box runs the
-        in-process path at 1.0x serial instead of 4 contending processes).
+        Worker process count (``1``, the default, sweeps in-process).
+        Requests are clamped to the schedulable CPUs and to the cell count
+        (:func:`repro.runtime.sizing.resolve_worker_count` — a 4-worker
+        request on a 1-CPU box runs the in-process path at 1.0x serial
+        instead of 4 contending processes).
     """
     # Imported here: repro.runtime imports this package's inference module.
     from repro.runtime.service import EvaluationService
@@ -468,7 +468,7 @@ def accuracy_sweep(
     perforations: Sequence[int] = (1, 2, 3),
     max_eval_images: int | None = None,
     calibration_images: int = 128,
-    max_workers: int | None = 1,
+    max_workers: int = 1,
 ) -> SweepResult:
     """Evaluate every trained model under every approximation mode.
 

@@ -119,6 +119,21 @@ class TestCliErrorPaths:
         )
         assert "mutually exclusive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_dse_max_loss_must_be_finite(self, value, capsys, monkeypatch):
+        """NaN or an infinite loss budget would reach the JSON output and the
+        manifest as non-standard JSON: a one-line exit-2 error before any
+        model loads."""
+        from repro.simulation.campaign import TrainedModelCache
+
+        def no_model_loads(*args, **kwargs):
+            raise AssertionError("a model was loaded before the --max-loss check")
+
+        monkeypatch.setattr(TrainedModelCache, "load_or_train", no_model_loads)
+        assert main(["dse", f"--max-loss={value}", "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --max-loss must be a finite number, got {float(value)}\n"
+
     def test_dse_non_positive_subsample_rejected(self, capsys):
         assert main(["dse", "--subsample-eval", "-3"]) == 2
         assert "must be positive" in capsys.readouterr().err
@@ -444,9 +459,14 @@ class TestDseCommand:
         assert first["front"] == second["front"]
         assert first["baseline_accuracy"] == second["baseline_accuracy"]
 
-    def test_dse_workers_matches_serial_front(self, capsys, tmp_path):
-        """--workers N is bit-exact with the serial path: identical fronts."""
+    def test_dse_workers_matches_serial_front(self, capsys, tmp_path, monkeypatch):
+        """--workers N is bit-exact with the serial path: identical fronts.
+        A single-model run records the service it scored on in its
+        manifest, with the effective worker count."""
         import json
+
+        from repro.provenance import RunManifest
+        from repro.runtime.sizing import resolve_worker_count
 
         args = [
             "dse",
@@ -467,18 +487,23 @@ class TestDseCommand:
             "--no-ledger",
             "--json",
         ]
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "serial"))
         assert main(args + ["--workers", "1"]) == 0
         serial = json.loads(capsys.readouterr().out)
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "parallel"))
         assert main(args + ["--workers", "2"]) == 0
         parallel = json.loads(capsys.readouterr().out)
         assert parallel["front"] == serial["front"]
         assert parallel["baseline_accuracy"] == serial["baseline_accuracy"]
-        # The request survives verbatim in the stats; the effective pool
-        # size is clamped to the schedulable CPUs (degrade-to-serial).
-        from repro.runtime.sizing import resolve_worker_count
-
-        assert parallel["stats"]["requested_workers"] == 2
-        assert parallel["stats"]["workers"] == resolve_worker_count(2)
+        # The effective pool size is the request clamped to the
+        # schedulable CPUs (degrade-to-serial).
+        workers = resolve_worker_count(2)
+        assert parallel["stats"]["workers"] == workers
+        for run, expected in (("serial", 1), ("parallel", workers)):
+            manifest = RunManifest.load(str(tmp_path / run / "dse-vgg13.json"))
+            service = manifest.inputs["service"]
+            assert service["workers"] == expected
+            assert service["models"] == [{"name": "vgg13", "dataset": serial["dataset"]}]
 
     def test_dse_multi_model_shared_service(self, capsys, tmp_path):
         """--models runs one campaign per model on one shared service."""

@@ -55,13 +55,18 @@ def trained(trained_tiny_model, tiny_dataset):
     )
 
 
+def _evaluator(trained, tiny_dataset):
+    """An in-process evaluator with the campaigns' calibration setup."""
+    return PlanEvaluator(trained, tiny_dataset, calibration_images=CALIBRATION_IMAGES)
+
+
 def _greedy_campaign(trained, tiny_dataset, **kwargs):
     return run_campaign(
         trained,
         tiny_dataset,
         strategy="greedy",
         max_loss=MAX_LOSS,
-        calibration_images=CALIBRATION_IMAGES,
+        evaluator=_evaluator(trained, tiny_dataset),
         array_size=64,
         **kwargs,
     )
@@ -232,7 +237,7 @@ class TestBudgetAndDedup:
             tiny_dataset,
             strategy=DuplicateStrategy(),
             max_loss=MAX_LOSS,
-            calibration_images=CALIBRATION_IMAGES,
+            evaluator=_evaluator(trained, tiny_dataset),
             array_size=64,
         )
         # accurate + the single stepped plan; duplicates only bump the counter.
@@ -248,7 +253,7 @@ class TestNsga2:
             strategy=get_strategy("nsga2", population=8, generations=2),
             max_loss=MAX_LOSS,
             budget_evals=40,
-            calibration_images=CALIBRATION_IMAGES,
+            evaluator=_evaluator(trained, tiny_dataset),
             rng=np.random.default_rng(seed),
             array_size=64,
         )
@@ -313,7 +318,7 @@ class TestExhaustive:
             strategy="exhaustive",
             max_loss=MAX_LOSS,
             space=space,
-            calibration_images=CALIBRATION_IMAGES,
+            evaluator=_evaluator(trained, tiny_dataset),
         )
         assert result.stats["evaluations"] == space.size()
 
@@ -346,7 +351,6 @@ class TestExhaustive:
                 tiny_dataset,
                 strategy="exhaustive",
                 max_loss=MAX_LOSS,
-                calibration_images=CALIBRATION_IMAGES,
             )
 
 
@@ -357,7 +361,7 @@ class TestBaselineStrategies:
             tiny_dataset,
             strategy="ours-fixed",
             max_loss=MAX_LOSS,
-            calibration_images=CALIBRATION_IMAGES,
+            evaluator=_evaluator(trained, tiny_dataset),
             array_size=64,
         )
         external = [p for p in result.points if p.meta.get("external")]
@@ -396,9 +400,7 @@ def service_evaluator(request, trained, tiny_dataset):
         max_workers=request.param,
         calibration_images=CALIBRATION_IMAGES,
     ) as service:
-        yield PlanEvaluator(
-            trained, tiny_dataset, calibration_images=CALIBRATION_IMAGES, service=service
-        )
+        yield PlanEvaluator(trained, tiny_dataset, service=service)
 
 
 class TestBaselineAdapters:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -84,6 +85,20 @@ RETIRED_SCORING_MEMBERS = {
 }
 
 
+#: Host-sized pools and campaign-level measurement knobs, retired: a
+#: worker count is an explicit integer, and a campaign scores on the
+#: evaluator or service it is given, whose setup is the one measured.
+RETIRED_SIZING_NAMES = {"auto_worker_count", "_load_average"}
+RETIRED_CAMPAIGN_KNOBS = {
+    "workers",
+    "max_eval_images",
+    "calibration_images",
+    "eval_images",
+    "eval_labels",
+}
+RETIRED_RUNTIME_KEYS = {"auto_workers", "pool_worker_eval_threads"}
+
+
 @pytest.mark.parametrize("statement", STATEMENTS)
 def test_package_imports_first(statement):
     result = subprocess.run(
@@ -149,3 +164,23 @@ def test_async_scoring_pipeline_is_gone():
         module, _, name = path.rpartition(".")
         owner = getattr(importlib.import_module(module), name)
         assert not [member for member in members if hasattr(owner, member)], path
+
+
+def test_auto_sizing_and_campaign_knobs_are_gone():
+    """No module sizes a pool from the host, ``None`` is no worker count,
+    nothing reports a ``requested_workers``, the evaluator has no
+    service-setup check and ``run_campaign`` takes no measurement knob."""
+    from repro.dse import PlanEvaluator, run_campaign
+    from repro.provenance import provenance_environment
+    from repro.runtime import EvaluationService
+    from repro.runtime.jobs import JobManager
+    from repro.runtime.sizing import resolve_worker_count
+
+    _assert_retired((), RETIRED_SIZING_NAMES, ("repro.runtime.sizing",))
+    with pytest.raises(TypeError):
+        resolve_worker_count(None)
+    for owner in (EvaluationService, JobManager):
+        assert "requested_workers" not in inspect.signature(owner).parameters
+    assert not hasattr(PlanEvaluator, "_check_service_setup")
+    assert not set(inspect.signature(run_campaign).parameters) & RETIRED_CAMPAIGN_KNOBS
+    assert not set(provenance_environment()["runtime"]) & RETIRED_RUNTIME_KEYS

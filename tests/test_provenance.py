@@ -439,9 +439,7 @@ class TestInfoCommand:
         assert "packages" in payload and "engine_backends" not in payload
         assert set(payload["runtime"]) == {
             "stats_schema",
-            "auto_workers",
             "eval_threads",
-            "pool_worker_eval_threads",
             "blas_threads",
             "pool_worker_blas_threads",
             "default_queue_depth",
@@ -452,20 +450,14 @@ class TestInfoCommand:
         assert payload["runtime"]["pool_worker_blas_threads"] == 1
 
     def test_info_records_the_image_shard_threads(self, capsys, monkeypatch):
-        """This process splits a batch over every schedulable CPU; each
-        worker of the auto-sized pool over its share of them."""
+        """This process splits a batch over every schedulable CPU."""
         monkeypatch.setattr(sizing, "effective_cpu_count", lambda: 8)
-        monkeypatch.setattr(sizing, "auto_worker_count", lambda: 3)
         assert main(["info", "--json"]) == 0
         runtime = json.loads(capsys.readouterr().out)["runtime"]
-        assert runtime["auto_workers"] == 3
         assert runtime["eval_threads"] == 8
-        assert runtime["pool_worker_eval_threads"] == 2  # 8 CPUs // 3 workers
         assert runtime["pool_worker_blas_threads"] == sizing.EVAL_BLAS_THREADS
         assert main(["info"]) == 0
-        assert "8 image-shard threads here and 2 per pool worker" in (
-            capsys.readouterr().out
-        )
+        assert "8 image-shard threads here, BLAS threads" in capsys.readouterr().out
 
     def test_manifests_record_the_image_shard_threads(self, tmp_path):
         with record_run("demo", directory=str(tmp_path)):
@@ -473,9 +465,6 @@ class TestInfoCommand:
         loaded = RunManifest.load(os.path.join(str(tmp_path), "demo.json"))
         runtime = loaded.environment["runtime"]
         assert runtime["eval_threads"] == sizing.eval_thread_count()
-        assert runtime["pool_worker_eval_threads"] == sizing.eval_thread_count(
-            runtime["auto_workers"]
-        )
 
     def test_info_text_mode(self, capsys):
         assert main(["info"]) == 0
@@ -687,7 +676,7 @@ class TestDigestAlignment:
     def test_campaign_context_key_matches_ledger_records(
         self, trained_tiny_model, tiny_dataset, tmp_path
     ):
-        from repro.dse import CampaignLedger, run_campaign
+        from repro.dse import CampaignLedger, PlanEvaluator, run_campaign
         from repro.dse.engine import front_payload
         from repro.simulation.campaign import TrainedModel
 
@@ -704,8 +693,9 @@ class TestDigestAlignment:
             strategy="greedy",
             max_loss=5.0,
             budget_evals=4,
-            max_eval_images=32,
-            calibration_images=32,
+            evaluator=PlanEvaluator(
+                trained, tiny_dataset, max_eval_images=32, calibration_images=32
+            ),
             array_size=16,
             ledger=ledger,
         )

@@ -32,11 +32,14 @@ The acceptance criteria of the job-oriented re-architecture live here:
   fingerprints (perforation, control-variate flag, LUT bytes), so
   content-addressed cell keys survive transport, and a perforated payload
   whose ``m`` is not a JSON integer or whose control-variate flag is not a
-  JSON boolean is a codec error, never coerced.
+  JSON boolean is a codec error, never coerced; on arbitrary JSON the
+  decoder returns plans that round-trip or raises a codec error, nothing
+  else (hypothesis).
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import errno
 import itertools
@@ -49,6 +52,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli.common import sweep_jobs_local
 from repro.multipliers.library import MultiplierLibrary
@@ -123,7 +128,77 @@ def _nth_plan(mac_names, index: int) -> ExecutionPlan:
     return plan
 
 
+#: Arbitrary JSON documents (NaN and the infinities included, which
+#: ``json.loads`` accepts too).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+#: The exact 8-bit product grid on the wire: a valid LUT table payload.
+EXACT_TABLE = base64.b64encode(
+    np.outer(np.arange(256), np.arange(256)).astype(np.int64).tobytes()
+).decode("ascii")
+
+#: Product payloads near the wire format: every field either plausible or
+#: arbitrary JSON, so some decode and most do not.
+PRODUCT_PAYLOADS = (
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["accurate", "perforated", "lut", "warp-drive"]) | JSON_VALUES},
+        optional={
+            "m": st.integers(-1, 8) | JSON_VALUES,
+            "use_control_variate": st.booleans() | JSON_VALUES,
+            "table": st.sampled_from([EXACT_TABLE, "", "AAAA", "not base64!"]) | JSON_VALUES,
+            "name": st.text(max_size=8) | JSON_VALUES,
+        },
+    )
+    | JSON_VALUES
+)
+
+PLANS_PAYLOADS = (
+    st.lists(
+        st.fixed_dictionaries(
+            {"default": PRODUCT_PAYLOADS},
+            optional={
+                "per_layer": st.dictionaries(st.text(max_size=6), PRODUCT_PAYLOADS, max_size=3)
+                | JSON_VALUES
+            },
+        )
+        | JSON_VALUES,
+        max_size=3,
+    )
+    | JSON_VALUES
+)
+
+
 class TestCodec:
+    def test_arbitrary_json_round_trips_or_is_a_codec_error(self):
+        """``decode_plans`` on any JSON document either returns plans whose
+        wire encoding decodes to the same fingerprints, or raises
+        :class:`PlanCodecError` — never another exception."""
+        outcomes: set[str] = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(payload=PLANS_PAYLOADS)
+        def decode(payload):
+            payload = json.loads(json.dumps(payload))
+            try:
+                plans = decode_plans(payload)
+            except PlanCodecError:
+                outcomes.add("refused")
+                return
+            outcomes.add("decoded")
+            again = decode_plans(json.loads(json.dumps(encode_plans(plans))))
+            assert len(again) == len(plans)
+            for plan, copy in zip(plans, again):
+                names = (*sorted(plan.per_layer), "<default>")
+                assert copy.fingerprints(names) == plan.fingerprints(names)
+
+        decode()
+        assert outcomes == {"decoded", "refused"}
+
     def test_plan_round_trip_preserves_fingerprints(self, trained):
         mac_names = tuple(
             node.name for node in trained.model.conv_dense_nodes()
@@ -619,7 +694,10 @@ class TestCachePersistence:
     ):
         """A full disk under the cache's write-through fails that job with
         a one-line ``OSError``; the dispatcher lives on and runs the next
-        job to ``done``, and no temp file is left behind."""
+        job to ``done``, and no temp file is left behind.  The failed
+        accuracy was never cached: resubmitted, the plan is evaluated
+        again (one miss) and its record reaches the disk, where a
+        restarted manager finds it."""
         persist = tmp_path / "cache"
         replace = os.replace
         refused: list[str] = []
@@ -643,10 +721,17 @@ class TestCachePersistence:
             done = manager.submit(0, [_nth_plan(mac_names, 2)])
             assert done.wait(timeout=120)
             assert done.state is JobState.DONE
+            again = manager.submit(0, [_nth_plan(mac_names, 1)])
+            assert again.wait(timeout=120)
+            assert again.state is JobState.DONE
+            assert (again.cache_hits, again.cache_misses) == (0, 1)
         finally:
             manager.close()
         assert len(refused) == 1
-        assert sorted(path.name for path in persist.iterdir()) == [f"{done.keys[0]}.json"]
+        assert sorted(path.name for path in persist.iterdir()) == sorted(
+            f"{job.keys[0]}.json" for job in (done, again)
+        )
+        assert ResultCache(persist_dir=str(persist)).loaded == 2
 
 
 class TestGracefulClose:
@@ -752,9 +837,8 @@ class TestGracefulClose:
 #: key gets a new name when its meaning changes, and a new version a new
 #: row.
 STATS_KEYS = {
-    "repro-runtime-stats/v1.6": {
+    "repro-runtime-stats/v1.7": {
         "engine": {
-            "requested_workers",
             "workers",
             "models",
             "datasets",
@@ -784,7 +868,7 @@ STATS_KEYS = {
 class TestStatsSchema:
     def test_manager_stats_schema(self, manager):
         stats = manager.stats()
-        assert stats["schema"] == "repro-runtime-stats/v1.6"
+        assert stats["schema"] == "repro-runtime-stats/v1.7"
         assert set(stats) == {"schema", "engine", "jobs", "cache"}
 
     def test_emitted_keys_match_the_schema_table(self, manager, trained):

@@ -43,7 +43,6 @@ from repro.runtime.scheduling import (
 from repro.runtime import sizing
 from repro.runtime.sizing import (
     EVAL_BLAS_THREADS,
-    auto_worker_count,
     blas_thread_count,
     effective_cpu_count,
     eval_thread_count,
@@ -300,17 +299,11 @@ class TestSizing:
     def test_effective_cpu_count_matches_affinity(self):
         assert effective_cpu_count() == max(1, len(os.sched_getaffinity(0)))
 
-    def test_auto_worker_count_within_bounds(self):
-        assert 1 <= auto_worker_count() <= effective_cpu_count()
-
     def test_explicit_request_clamped_to_schedulable_cpus(self):
         cpus = effective_cpu_count()
         assert resolve_worker_count(1) == 1
         assert resolve_worker_count(cpus) == cpus
         assert resolve_worker_count(cpus + 7) == cpus  # degrade, don't contend
-
-    def test_none_means_auto(self):
-        assert resolve_worker_count(None) == auto_worker_count()
 
     def test_num_cells_caps_workers(self):
         assert resolve_worker_count(effective_cpu_count(), num_cells=1) == 1
@@ -318,6 +311,8 @@ class TestSizing:
     def test_invalid_request_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
             resolve_worker_count(0)
+        with pytest.raises(TypeError):  # a count is an explicit integer
+            resolve_worker_count(None)
 
     def test_pin_calls_the_setter_and_the_count_reads_the_getter(self, monkeypatch):
         threads = [4]

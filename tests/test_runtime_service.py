@@ -22,10 +22,10 @@ The acceptance criteria of the subsystem live here:
   images do not divide among the workers or are fewer than them;
 * **one BLAS thread per pool worker** — workers pin numpy's OpenBLAS to
   one thread in their initializer;
-* **parallel DSE campaigns** — ``run_campaign(workers=N)`` produces a
-  Pareto front identical (same points, bit-exact accuracies) to the
-  serial campaign, and shares ledger records with it (resume performs
-  zero duplicate evaluations);
+* **parallel DSE campaigns** — ``run_campaign(service=...)`` on a worker
+  pool produces a Pareto front identical (same points, bit-exact
+  accuracies) to the serial campaign, and shares ledger records with it
+  (resume performs zero duplicate evaluations);
 * **multi-model sessions** — one service hosting several models serves
   cells of all of them, bit-exactly.
 """
@@ -48,6 +48,7 @@ from repro.datasets.synthetic import Dataset
 from repro.dse import (
     CampaignLedger,
     PlanEvaluator,
+    build_campaign_service,
     evaluation_context_key,
     get_strategy,
     run_campaign,
@@ -188,7 +189,7 @@ class TestServiceParity:
         with EvaluationService(
             [trained], {tiny_dataset.name: tiny_dataset}, max_workers=2, **kwargs
         ) as service:
-            pooled = PlanEvaluator(trained, tiny_dataset, service=service, **kwargs)
+            pooled = PlanEvaluator(trained, tiny_dataset, service=service)
             key = evaluation_context_key(
                 trained.model,
                 tiny_dataset.test_images[:24],
@@ -237,7 +238,7 @@ class TestServiceParity:
         pool = EvaluationService(
             [trained], {hosted.name: hosted}, max_workers=2, **setup_knobs
         )
-        pooled = PlanEvaluator(trained, tiny_dataset, service=pool, **setup_knobs)
+        pooled = PlanEvaluator(trained, tiny_dataset, service=pool)
         manager = JobManager(
             [trained], {hosted.name: hosted}, auto_start=False, **setup_knobs
         )
@@ -347,7 +348,7 @@ class TestServiceParity:
             stats["engine"]["plans_per_launch_avg"]
             == serial_stats["engine"]["plans_per_launch_avg"]
         )
-        assert stats["schema"] == "repro-runtime-stats/v1.6"
+        assert stats["schema"] == "repro-runtime-stats/v1.7"
 
     def test_fewer_images_than_workers_skips_the_empty_shares(
         self, trained, tiny_dataset, fresh_accuracies
@@ -380,7 +381,7 @@ class TestServiceParity:
             [trained], {tiny_dataset.name: tiny_dataset}, max_workers=2, **knobs
         )
         try:
-            evaluator = PlanEvaluator(trained, tiny_dataset, service=pool, **knobs)
+            evaluator = PlanEvaluator(trained, tiny_dataset, service=pool)
             assert evaluator.evaluate([]) == []
             # An empty batch publishes nothing and spawns no worker.
             assert not pool.started
@@ -440,6 +441,14 @@ class TestServiceLifecycle:
                 service.evaluate_plans(5, [ExecutionPlan.uniform(AccurateProduct())])
             with pytest.raises(KeyError):
                 service.model_index("resnet44")
+
+    def test_default_worker_count_is_serial(self, trained, tiny_dataset):
+        """A service built without a count runs in process: nothing sizes a
+        pool from the host or its load."""
+        service = EvaluationService([trained], {tiny_dataset.name: tiny_dataset})
+        assert service.max_workers == 1 and service.serial
+        assert service.session_context()["workers"] == 1
+        assert service.stats()["engine"]["workers"] == 1
 
     @pytest.mark.parametrize(
         "knobs",
@@ -732,38 +741,37 @@ class TestParallelCampaign:
     def test_workers_produce_identical_front_and_share_ledger(
         self, trained, tiny_dataset, tmp_path
     ):
-        """run_campaign(workers=2) == workers=1: same Pareto points with
-        bit-exact accuracies, and the parallel path writes ledger records
-        the serial path replays verbatim (context keys match)."""
-        kwargs = dict(
-            strategy="greedy",
-            max_loss=0.5,
-            budget_evals=10,
-            max_eval_images=24,
-            calibration_images=32,
-            array_size=64,
-        )
+        """A campaign on a 2-worker service == one on the in-process
+        evaluator: same Pareto points with bit-exact accuracies, and the
+        pool writes ledger records the serial path replays verbatim
+        (context keys match)."""
+        knobs = dict(max_eval_images=24, calibration_images=32)
+        kwargs = dict(strategy="greedy", max_loss=0.5, budget_evals=10, array_size=64)
         serial = run_campaign(
             trained,
             tiny_dataset,
+            evaluator=PlanEvaluator(trained, tiny_dataset, **knobs),
             ledger=CampaignLedger(str(tmp_path / "serial")),
-            workers=1,
             **kwargs,
         )
-        parallel = run_campaign(
-            trained,
-            tiny_dataset,
-            ledger=CampaignLedger(str(tmp_path / "parallel")),
-            workers=2,
-            **kwargs,
-        )
+        service = build_campaign_service([trained], tiny_dataset, 2, **knobs)
+        try:
+            parallel = run_campaign(
+                trained,
+                tiny_dataset,
+                service=service,
+                ledger=CampaignLedger(str(tmp_path / "parallel")),
+                **kwargs,
+            )
+        finally:
+            service.close()
         assert parallel.front.points() == serial.front.points()
         assert parallel.baseline_accuracy == serial.baseline_accuracy
         assert parallel.stats["evaluations"] == serial.stats["evaluations"]
-        # The request is visible verbatim; the effective pool size is the
-        # request clamped to the schedulable CPUs (degrade-to-serial: on a
-        # 1-CPU host the "parallel" campaign runs the serial path).
-        assert parallel.stats["requested_workers"] == 2
+        # The pool size is the request clamped to the schedulable CPUs
+        # (degrade-to-serial: on a 1-CPU host the "parallel" campaign runs
+        # the serial path).
+        assert serial.stats["workers"] == 1
         assert parallel.stats["workers"] == resolve_worker_count(2)
         # Ledger compatibility: a serial resume over the parallel run's
         # ledger replays every parallel record — the context keys of both
@@ -771,8 +779,8 @@ class TestParallelCampaign:
         resumed = run_campaign(
             trained,
             tiny_dataset,
+            evaluator=PlanEvaluator(trained, tiny_dataset, **knobs),
             ledger=CampaignLedger(str(tmp_path / "parallel")),
-            workers=1,
             resume=True,
             **kwargs,
         )
@@ -788,14 +796,7 @@ class TestParallelCampaign:
             model=trained.model,
             float_accuracy=0.0,
         )
-        kwargs = dict(
-            strategy="greedy",
-            max_loss=0.5,
-            budget_evals=6,
-            max_eval_images=24,
-            calibration_images=32,
-            array_size=64,
-        )
+        kwargs = dict(strategy="greedy", max_loss=0.5, budget_evals=6, array_size=64)
         with EvaluationService(
             [trained, second],
             {tiny_dataset.name: tiny_dataset},
@@ -814,30 +815,21 @@ class TestParallelCampaign:
         """NSGA-II, each generation scored as one batch, lands on the
         identical front on a worker pool: the candidate stream and every
         accuracy are bit-exact vs serial."""
-        kwargs = dict(
-            max_loss=0.5,
-            budget_evals=24,
-            max_eval_images=24,
-            calibration_images=32,
-            array_size=64,
-        )
+        knobs = dict(max_eval_images=24, calibration_images=32)
+        kwargs = dict(max_loss=0.5, budget_evals=24, array_size=64)
         serial = run_campaign(
             trained,
             tiny_dataset,
             strategy=get_strategy("nsga2", population=6, generations=2),
             rng=np.random.default_rng(5),
-            workers=1,
+            evaluator=PlanEvaluator(trained, tiny_dataset, **knobs),
             **kwargs,
         )
-        # An explicit external service exercises the true pool path even on
-        # a 1-CPU host (the degrade-to-serial clamp applies to workers=N
-        # requests, not to a caller-managed service).
+        # An explicit service exercises the true pool path even on a 1-CPU
+        # host (the degrade-to-serial clamp applies where a count is
+        # requested, not to a caller-built service).
         with EvaluationService(
-            [trained],
-            {tiny_dataset.name: tiny_dataset},
-            max_workers=2,
-            max_eval_images=24,
-            calibration_images=32,
+            [trained], {tiny_dataset.name: tiny_dataset}, max_workers=2, **knobs
         ) as service:
             pooled = run_campaign(
                 trained,
@@ -852,13 +844,17 @@ class TestParallelCampaign:
         assert pooled.baseline_accuracy == serial.baseline_accuracy
 
     def test_invalid_workers_rejected(self, trained, tiny_dataset):
+        """A worker count is a positive integer where a campaign service is
+        built; ``None`` is not a count."""
         with pytest.raises(ValueError, match="positive integer"):
-            run_campaign(trained, tiny_dataset, workers=0, array_size=64)
+            build_campaign_service([trained], tiny_dataset, 0)
+        with pytest.raises(TypeError):
+            build_campaign_service([trained], tiny_dataset, None)
 
     def test_external_service_rejects_conflicting_knobs(self, trained, tiny_dataset):
-        """Knobs that would silently diverge from the external service's
-        measurement setup are rejected loudly instead of ignored."""
-        kwargs = dict(strategy="greedy", max_loss=0.5, budget_evals=2, array_size=64)
+        """On a given service the service's measurement setup is the one
+        used: any knob passed alongside it is rejected by name, even one
+        that matches the service, instead of being ignored or mirrored."""
         with EvaluationService(
             [trained],
             {tiny_dataset.name: tiny_dataset},
@@ -866,26 +862,36 @@ class TestParallelCampaign:
             max_eval_images=24,
             calibration_images=32,
         ) as service:
-            with pytest.raises(ValueError, match="conflict"):
-                run_campaign(
+            with pytest.raises(ValueError, match="^max_eval_images cannot be combined"):
+                PlanEvaluator(trained, tiny_dataset, service=service, max_eval_images=8)
+            with pytest.raises(ValueError, match="^calibration_images cannot"):
+                PlanEvaluator(trained, tiny_dataset, service=service, calibration_images=32)
+            with pytest.raises(ValueError, match="^eval_images, eval_labels cannot"):
+                PlanEvaluator(
                     trained,
                     tiny_dataset,
                     service=service,
-                    max_eval_images=8,  # != the service's 24
-                    calibration_images=32,
-                    **kwargs,
-                )
-            with pytest.raises(ValueError, match="eval_images"):
-                run_campaign(
-                    trained,
-                    tiny_dataset,
-                    service=service,
-                    max_eval_images=24,
-                    calibration_images=32,
                     eval_images=tiny_dataset.test_images[:8],
                     eval_labels=tiny_dataset.test_labels[:8],
-                    **kwargs,
                 )
+            assert service.batches_submitted == 0
+
+    def test_campaign_scores_on_the_evaluator_or_the_service(self, trained, tiny_dataset):
+        """run_campaign takes the evaluator or the service it scores on,
+        never both, and refuses before scoring anything."""
+        with EvaluationService(
+            [trained], {tiny_dataset.name: tiny_dataset}, max_eval_images=8
+        ) as service:
+            evaluator = PlanEvaluator(trained, tiny_dataset, service=service)
+            with pytest.raises(ValueError, match="evaluator or service, not both"):
+                run_campaign(
+                    trained,
+                    tiny_dataset,
+                    evaluator=evaluator,
+                    service=service,
+                    array_size=64,
+                )
+            assert service.batches_submitted == 0
 
 
 class TestScheduling:

@@ -21,8 +21,10 @@ The daemon contract lives here:
 * **malformed wire input** — a bad ``Content-Length`` is answered at once
   without reading the body, and unknown payload keys, malformed plan
   numbers (``"m": 1e400``, a string control-variate flag), a ``model``,
-  ``dataset``, ``session`` or ``label`` that is not a JSON string and a
-  ``wait`` that is not a finite number ``>= 0`` are a 400;
+  ``dataset``, ``session`` or ``label`` that is not a JSON string, arrays
+  nested past the JSON decoder's recursion limit and a ``wait`` that is
+  not a finite number ``>= 0`` are a 400; fuzzed ``POST /jobs`` bodies
+  (hypothesis) get only 202, 400 or 404, and the daemon keeps serving;
 * **client resilience** — :class:`~repro.runtime.jobs.client.HttpJobClient`
   retries idempotent GETs through transient connection failures (flaky
   stub server) but never retries a POST.
@@ -38,6 +40,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dse import run_campaign
 from repro.runtime.jobs import (
@@ -112,6 +116,22 @@ def _post_job(url: str, payload: dict) -> dict:
         return json.loads(response.read().decode())["job"]
 
 
+def _post_status(url: str, body: bytes) -> int:
+    """HTTP status of ``POST /jobs`` with a raw body."""
+    request = urllib.request.Request(
+        f"{url}/jobs",
+        data=body,
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        with error:
+            return error.code
+
+
 class TestEndpoints:
     def test_healthz(self, client):
         payload = client.healthz()
@@ -130,7 +150,7 @@ class TestEndpoints:
 
     def test_stats_schema_over_the_wire(self, client):
         stats = client.stats()
-        assert stats["schema"] == "repro-runtime-stats/v1.6"
+        assert stats["schema"] == "repro-runtime-stats/v1.7"
         assert set(stats) == {"schema", "engine", "jobs", "cache"}
         assert "max_inflight_per_session" not in stats["jobs"]
         assert not {"max_entries", "evictions"} & set(stats["cache"])
@@ -249,6 +269,25 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as error:
             urllib.request.urlopen(request)
         assert error.value.code == 400
+
+    def test_deeply_nested_body_is_400(self, server):
+        """Arrays nested past the JSON decoder's recursion limit (a 2 KB
+        body) are malformed input like any other: a 400, not a 500, at the
+        top level and inside ``plans``."""
+        nested = "[" * 1000 + "]" * 1000
+        for body in (nested, '{"model_index": 0, "plans": %s}' % nested):
+            request = urllib.request.Request(
+                f"{server.url}/jobs",
+                data=body.encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as error:
+                urllib.request.urlopen(request)
+            with error.value:
+                assert error.value.code == 400
+                message = json.loads(error.value.read().decode())["error"]
+            assert message.startswith("request body is not valid JSON: ")
 
     def test_unknown_endpoint_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as error:
@@ -381,6 +420,112 @@ class TestEndpoints:
         assert head.startswith(b"HTTP/1.1 400 "), head
         assert b"connection: close" in head.lower()
         assert "Content-Length" in json.loads(body)["error"]
+
+
+#: Arbitrary JSON documents, the junk a fuzzed body field carries.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _job_bodies(model: str, dataset: str, mac_names: list[str]):
+    """``POST /jobs`` bodies: a well-formed payload naming a hosted or an
+    unknown model, with up to two fields replaced by junk, added or
+    dropped, or a body that is no JSON object at all (arbitrary JSON,
+    arbitrary bytes, arrays nested 1 to 2000 deep) — so some jobs are
+    accepted, some name no hosted model and most are malformed."""
+    products = st.sampled_from(
+        [
+            {"kind": "accurate"},
+            {"kind": "perforated", "m": 2},
+            {"kind": "perforated", "m": 1, "use_control_variate": False},
+        ]
+    )
+    plan = st.fixed_dictionaries(
+        {"default": products},
+        optional={"per_layer": st.dictionaries(st.sampled_from(mac_names), products, max_size=2)},
+    )
+    references = st.sampled_from(
+        [
+            {"model_index": 0},
+            {"model": model},
+            {"model": model, "dataset": dataset},
+            {"model_index": 1},
+            {"model": "resnet44"},
+            {"model": model, "dataset": f"{dataset}-b"},
+        ]
+    )
+    well_formed = st.builds(
+        lambda reference, rest: {**rest, **reference},
+        references,
+        st.fixed_dictionaries(
+            {"plans": st.lists(plan, min_size=1, max_size=3)},
+            optional={
+                "session": st.sampled_from(["default", "fuzz-1"]),
+                "label": st.text(max_size=8),
+            },
+        ),
+    )
+    junk = st.dictionaries(
+        st.sampled_from(
+            ["model", "model_index", "dataset", "plans", "session", "label", "priority"]
+        ),
+        JSON_VALUES | st.lists(plan.map(lambda p: {**p, "per_layer": {"no_layer": p["default"]}})),
+        max_size=2,
+    )
+    dropped = st.sets(st.sampled_from(["plans", "model", "model_index"]), max_size=1)
+    payloads = st.builds(
+        lambda payload, extra, drop: {
+            key: value for key, value in {**payload, **extra}.items() if key not in drop
+        },
+        well_formed,
+        st.just({}) | junk,
+        st.just(set()) | dropped,
+    )
+    return st.one_of(
+        payloads.map(lambda payload: json.dumps(payload).encode()),
+        JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+        st.binary(max_size=32),
+        st.sampled_from([1, 100, 1000, 2000]).map(lambda depth: b"[" * depth + b"]" * depth),
+    )
+
+
+class TestFuzzedJobBodies:
+    def test_fuzzed_bodies_get_202_400_or_404(self, trained, tiny_dataset):
+        """Whatever the body, ``POST /jobs`` answers 202 (accepted), 400
+        (malformed) or 404 (unknown model) — never a 500 — and the daemon
+        still answers ``/healthz`` afterwards.  Accepted jobs stay queued:
+        the dispatcher never starts, so nothing is evaluated."""
+        manager = JobManager(
+            [trained],
+            {tiny_dataset.name: tiny_dataset},
+            max_queue_depth=100_000,
+            auto_start=False,
+        )
+        srv = JobServer(manager)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        statuses: list[int] = []
+        mac_names = [node.name for node in trained.model.conv_dense_nodes()]
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(body=_job_bodies(trained.name, tiny_dataset.name, mac_names))
+        def post(body):
+            statuses.append(_post_status(srv.url, body))
+            assert statuses[-1] in (202, 400, 404), body[:200]
+
+        try:
+            post()
+            assert {202, 400, 404} <= set(statuses)
+            with urllib.request.urlopen(f"{srv.url}/healthz") as response:
+                assert response.status == 200
+            assert manager.stats()["jobs"]["submitted"] == statuses.count(202)
+        finally:
+            srv.shutdown_and_close()
+            thread.join(timeout=10)
 
 
 @pytest.mark.runtime
