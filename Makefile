@@ -76,10 +76,11 @@ dse-smoke:
 # --golden-workload --cache-persist` CLI on an ephemeral port, POSTs the
 # golden sweep over HTTP, verifies it byte-exactly against
 # results/golden/accuracy_table.json, asserts a duplicate submission is
-# served from the result cache, runs `repro sweep|table3 --remote <url>`,
-# SIGTERMs into a clean shutdown with no leaked /dev/shm blocks, then
-# warm-restarts a daemon on the persisted cache and demands a 0-miss
-# golden sweep.
+# served from the result cache, runs `repro table3 --remote <url>` at the
+# golden perforations and demands its manifest hold the golden table with
+# every cell from cache, SIGTERMs into a clean shutdown with no leaked
+# /dev/shm blocks, then warm-restarts a daemon on the persisted cache and
+# demands a 0-miss golden sweep.
 serve-smoke:
 	$(PYTEST) -q -m serve tests benchmarks/bench_serve_throughput.py
 	PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py

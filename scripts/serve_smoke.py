@@ -16,8 +16,11 @@ The script asserts, in order:
 3. **cross-submission caching** — resubmitting the identical sweep is
    served entirely from the daemon's result cache: every ``POST /jobs``
    reply of it already reads ``done``, and ``/stats`` records the hits;
-4. **CLI clients** — ``repro sweep --remote URL`` and ``repro table3
-   --remote URL`` exit 0 against the daemon;
+4. **CLI client** — ``repro table3 --remote URL`` at the golden
+   workload's perforations exits 0 and writes its run manifest into the
+   smoke's temporary directory; the manifest's records reproduce
+   ``results/golden/accuracy_table.json`` and its job totals read every
+   cell from the daemon's result cache;
 5. **clean shutdown** — SIGTERM drains the daemon (exit code 0, the
    ``shut down cleanly`` line) and leaves no leaked ``/dev/shm`` blocks;
 6. **warm restart** — a second daemon on the same ``--cache-persist``
@@ -127,27 +130,33 @@ def _recording_client(url: str):
     return RecordingClient(url)
 
 
+def _accuracy_table(outputs: dict) -> dict:
+    """The golden ``accuracy_table.json`` payload of a one-model sweep,
+    read from the sweep's run-manifest outputs block."""
+    records = outputs["records"]
+    return {
+        "model": records[0]["model"],
+        "dataset": records[0]["dataset"],
+        "baseline_accuracy": records[0]["baseline_accuracy"],
+        "rows": [
+            {
+                "m": record["m"],
+                "with_control_variate": record["with_control_variate"],
+                "accuracy": record["approximate_accuracy"],
+                "accuracy_loss": record["accuracy_loss"],
+            }
+            for record in records
+        ],
+    }
+
+
 def _served_accuracy_table(client, perforations):
     """The golden ``accuracy_table.json`` payload, rebuilt from served jobs."""
+    from repro.cli.common import sweep_manifest_outputs
     from repro.runtime.jobs import sweep_over_jobs
 
     sweep, totals = sweep_over_jobs(client, perforations=perforations)
-    (model_name, dataset_name), baseline = next(iter(sweep.baselines.items()))
-    table = {
-        "model": model_name,
-        "dataset": dataset_name,
-        "baseline_accuracy": baseline,
-        "rows": [
-            {
-                "m": record.m,
-                "with_control_variate": record.with_control_variate,
-                "accuracy": record.approximate_accuracy,
-                "accuracy_loss": record.accuracy_loss,
-            }
-            for record in sweep.records
-        ],
-    }
-    return table, totals
+    return _accuracy_table(sweep_manifest_outputs(sweep)), totals
 
 
 def _check_golden(table: dict, golden: dict, what: str) -> None:
@@ -159,27 +168,37 @@ def _check_golden(table: dict, golden: dict, what: str) -> None:
         )
 
 
-def _run_remote_clients(url: str, env: dict) -> None:
-    """``repro sweep|table3 --remote URL`` must exit 0 against the daemon."""
-    for verb in ("sweep", "table3"):
-        print(f"serve-smoke: `repro {verb} --remote {url} --models vgg13` ...")
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", verb, "--remote", url, "--models", "vgg13"],
-            cwd=REPO_ROOT,
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            timeout=BOOT_TIMEOUT_S,
+def _run_remote_client(url, env, golden, perforations, manifest_dir) -> None:
+    """``repro table3 --remote URL`` exits 0, and its manifest holds the
+    golden accuracy table, every cell read from the daemon's cache."""
+    argv = ["table3", "--remote", url, "--models", "vgg13", "--perforations"]
+    argv += [str(m) for m in perforations]
+    print(f"serve-smoke: `repro {' '.join(argv)}` ...")
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=REPO_ROOT,
+        env={**env, "REPRO_MANIFEST_DIR": manifest_dir},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        timeout=BOOT_TIMEOUT_S,
+    )
+    if result.returncode != 0:
+        tail = "\n".join(result.stdout.splitlines()[-15:])
+        raise SmokeFailure(f"`repro table3 --remote` exited {result.returncode}:\n{tail}")
+    path = os.path.join(manifest_dir, "table3-remote.json")
+    with open(path, "r", encoding="utf-8") as handle:
+        outputs = json.load(handle)["outputs"]
+    _check_golden(_accuracy_table(outputs), golden, "`repro table3 --remote` manifest")
+    jobs = outputs["jobs"]
+    if jobs["cache_hits"] != jobs["cells"]:
+        raise SmokeFailure(
+            "`repro table3 --remote` was not fully served from cache: "
+            f"{jobs['cache_hits']}/{jobs['cells']} hits"
         )
-        if result.returncode != 0:
-            tail = "\n".join(result.stdout.splitlines()[-15:])
-            raise SmokeFailure(
-                f"`repro {verb} --remote` exited {result.returncode}:\n{tail}"
-            )
 
 
-def _cold_leg(env, persist_dir, golden, perforations, shm_before) -> None:
+def _cold_leg(env, persist_dir, manifest_dir, golden, perforations, shm_before) -> None:
     daemon, url = _boot(env, persist_dir, "cold")
     try:
         client = _recording_client(url)
@@ -224,8 +243,11 @@ def _cold_leg(env, persist_dir, golden, perforations, shm_before) -> None:
             f"/stats hit ratio {stats['cache']['hit_ratio']:.2f})"
         )
 
-        _run_remote_clients(url, env)
-        print("serve-smoke: sweep and table3 --remote clients pass")
+        _run_remote_client(url, env, golden, perforations, manifest_dir)
+        print(
+            "serve-smoke: the table3 --remote manifest matches the golden "
+            "accuracy table, every cell from cache"
+        )
 
         _shutdown(daemon, "cold", shm_before)
         print("serve-smoke: clean shutdown, no leaked shared memory")
@@ -277,7 +299,7 @@ def main() -> int:
             golden = json.load(handle)
         with tempfile.TemporaryDirectory(prefix="serve-smoke-") as scratch:
             persist_dir = os.path.join(scratch, "result-cache")
-            _cold_leg(env, persist_dir, golden, PERFORATIONS, shm_before)
+            _cold_leg(env, persist_dir, scratch, golden, PERFORATIONS, shm_before)
             _warm_leg(env, persist_dir, golden, PERFORATIONS, shm_before)
     except SmokeFailure as failure:
         print(f"serve-smoke: FAIL — {failure}", file=sys.stderr)

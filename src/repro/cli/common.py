@@ -1,12 +1,12 @@
 """Shared helpers of the CLI package.
 
-One module per verb lives next to this one (``repro.cli.sweep``,
+One module per verb lives next to this one (``repro.cli.table3``,
 ``repro.cli.dse``, ...); everything two or more verbs need — error
-formatting, late name validation, the early check of count flags, the
-shared ``--workers`` / ``--remote`` flags, manifest blocks, and the
-job-API sweep runners behind ``sweep`` and ``table3`` — is defined here
-exactly once, so the per-verb modules stay pure "parse flags, call the
-library, print a table".
+formatting, late name validation, the early check of count and perforation
+flags, the shared ``--workers`` / ``--remote`` flags, the one loader of
+datasets and trained models, manifest blocks, and the job-API sweep runners
+behind ``table3`` — is defined here exactly once, so the per-verb modules
+stay pure "parse flags, call the library, print a table".
 """
 
 from __future__ import annotations
@@ -17,7 +17,13 @@ import sys
 import numpy as np
 
 from repro.core.seeding import SeedBank
-from repro.simulation.campaign import TrainingSettings, trained_cache_stem
+from repro.multipliers.base import OPERAND_BITS
+from repro.simulation.campaign import (
+    TrainedModelCache,
+    TrainingSettings,
+    experiment_dataset,
+    trained_cache_stem,
+)
 
 
 def model_manifest_entries(trained_models, settings: TrainingSettings) -> list[dict]:
@@ -78,29 +84,82 @@ def cli_error(message: str) -> int:
     return 2
 
 
-#: Count flags (and their argparse destinations) that must be positive
-#: integers on every verb that has them.
+#: Count flags (and their argparse destinations) whose every value must be
+#: a positive integer on every verb that has them.
 COUNT_FLAGS = (
     ("--workers", "workers"),
     ("--queue-depth", "queue_depth"),
     ("--max-eval-images", "max_eval_images"),
     ("--calibration-images", "calibration_images"),
+    ("--array-size", "array_size"),
+    ("--array-sizes", "array_sizes"),
+    ("--taps", "taps"),
+    ("--trials", "trials"),
 )
+
+#: Perforation flags: an 8-bit operand can drop at most 7 low bits.
+PERFORATION_FLAGS = (("--perforations", "perforations"), ("--m", "m"))
+MAX_PERFORATION = OPERAND_BITS - 1
+
+
+def _flag_values(args: argparse.Namespace, dest: str) -> list:
+    """A flag's values as a list (``None``, an unset flag, has none)."""
+    value = getattr(args, dest, None)
+    if value is None:
+        return []
+    return value if isinstance(value, list) else [value]
 
 
 def check_counts(args: argparse.Namespace) -> str | None:
-    """Error message for the first of a verb's :data:`COUNT_FLAGS` below 1,
-    or ``None``.
+    """Error message for the first out-of-range value of a verb's
+    :data:`COUNT_FLAGS` (below 1) or :data:`PERFORATION_FLAGS` (outside
+    ``[0, MAX_PERFORATION]``), or ``None``.
 
-    Verbs call it before loading or training any model, so a bad count is
-    a one-line exit-2 error at once, not a traceback after the models
-    load.  ``None`` (an unset ``--max-eval-images``) passes.
+    Verbs call it before loading or training any model or doing any other
+    work, so a bad value is a one-line exit-2 error at once, not a
+    traceback after the models load.
     """
     for flag, dest in COUNT_FLAGS:
-        value = getattr(args, dest, None)
-        if value is not None and value < 1:
-            return f"{flag} must be a positive integer, got {value}"
+        for value in _flag_values(args, dest):
+            if value < 1:
+                return f"{flag} must be a positive integer, got {value}"
+    for flag, dest in PERFORATION_FLAGS:
+        for value in _flag_values(args, dest):
+            if not 0 <= value <= MAX_PERFORATION:
+                return f"{flag} must lie in [0, {MAX_PERFORATION}], got {value}"
     return None
+
+
+def load_models(args: argparse.Namespace, class_counts, names):
+    """The datasets and trained models of a verb: trained, or loaded from
+    the ``--cache-dir`` trained-model cache.
+
+    One loop over the class counts, then the names, keeping the first of
+    each repeated value.  Every dataset draws its seed from the ``--seed``
+    bank's ``dataset`` stream (the class count already tells the generated
+    data and the dataset name apart), so one ``--seed`` gives the same
+    datasets, and hits the same trained models, on every verb.
+
+    Returns ``(datasets, trained_models, settings)``: the datasets by
+    name, the trained models in (class count, name) order and the
+    :class:`TrainingSettings` they were trained with.
+    """
+    bank = SeedBank(args.seed)
+    cache = TrainedModelCache(cache_dir=args.cache_dir)
+    settings = TrainingSettings(epochs=args.epochs)
+    datasets = {}
+    trained_models = []
+    for classes in dict.fromkeys(class_counts):
+        dataset = experiment_dataset(
+            num_classes=classes,
+            seed=bank.seed_for("dataset") if args.seed is not None else None,
+        )
+        datasets[dataset.name] = dataset
+        for name in dict.fromkeys(names):
+            trained_models.append(
+                cache.load_or_train(name, dataset, settings, verbose=args.verbose)
+            )
+    return datasets, trained_models, settings
 
 
 def add_workers_flag(parser: argparse.ArgumentParser) -> None:

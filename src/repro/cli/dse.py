@@ -18,12 +18,7 @@ import os
 from repro.analysis.reporting import Table, pareto_front_table
 from repro.core.seeding import SeedBank
 from repro.models.zoo import MODEL_NAMES
-from repro.simulation.campaign import (
-    TrainedModelCache,
-    TrainingSettings,
-    default_cache_dir,
-    experiment_dataset,
-)
+from repro.simulation.campaign import default_cache_dir
 
 from repro.cli.common import (
     add_remote_flag,
@@ -31,6 +26,7 @@ from repro.cli.common import (
     check_counts,
     check_remote_flags,
     cli_error,
+    load_models,
     model_manifest_entries,
     subsampled_eval,
 )
@@ -119,21 +115,14 @@ def cmd_dse(args: argparse.Namespace) -> int:
     from repro.dse.engine import front_payload
     from repro.provenance import dataset_digest, record_run
 
-    with record_run("dse", label="-".join(_dse_model_names(args))) as manifest:
-        bank = SeedBank(args.seed)
-        dataset = experiment_dataset(
-            num_classes=args.classes,
-            seed=bank.seed_for("dataset") if args.seed is not None else None,
+    model_names = _dse_model_names(args)
+    multi = len(model_names) > 1
+    with record_run("dse", label="-".join(model_names)) as manifest:
+        datasets, trained_models, settings = load_models(
+            args, [args.classes], model_names
         )
-        cache = TrainedModelCache(cache_dir=args.cache_dir)
-        settings = TrainingSettings(epochs=args.epochs)
-        model_names = _dse_model_names(args)
-        multi = len(model_names) > 1
-        trained_models = [
-            cache.load_or_train(name, dataset, settings, verbose=args.verbose)
-            for name in model_names
-        ]
-
+        (dataset,) = datasets.values()
+        bank = SeedBank(args.seed)
         eval_images = eval_labels = None
         if args.subsample_eval is not None:
             eval_images, eval_labels = subsampled_eval(

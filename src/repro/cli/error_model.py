@@ -9,8 +9,13 @@ import numpy as np
 from repro.analysis.reporting import Table
 from repro.core.error_model import convolution_error_stats, simulate_convolution_error
 
+from repro.cli.common import check_counts, cli_error
+
 
 def cmd_error_model(args: argparse.Namespace) -> int:
+    error = check_counts(args)
+    if error is not None:
+        return cli_error(error)
     rng = np.random.default_rng(args.seed)
     weights = np.clip(np.round(rng.normal(128, 20, size=args.taps)), 0, 255)
     table = Table(

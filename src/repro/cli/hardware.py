@@ -14,8 +14,13 @@ from repro.hardware.area_power import (
 )
 from repro.hardware.full_adders import total_fa_decrease
 
+from repro.cli.common import check_counts, cli_error
+
 
 def cmd_hardware(args: argparse.Namespace) -> int:
+    error = check_counts(args)
+    if error is not None:
+        return cli_error(error)
     table = Table(
         title="Approximate MAC-array design space",
         columns=["N", "m", "norm. power", "norm. area", "MAC+ power %", "MAC+ area %", "FA decrease"],

@@ -5,7 +5,7 @@ behind the stdlib HTTP server (:mod:`repro.runtime.server`): clients POST
 ``/jobs`` and wait on ``/jobs/<id>?wait=S``, every job runs on one warm
 engine, and the service-level result cache makes duplicate cells free
 across all of them (a fully cached job is answered by its POST).
-``repro sweep|table3|dse --remote URL`` are the matching clients.
+``repro table3|dse --remote URL`` are the matching clients.
 
 The startup handshake is one line on stdout::
 
@@ -23,19 +23,9 @@ import argparse
 import signal
 import threading
 
-from repro.core.seeding import SeedBank
 from repro.models.zoo import MODEL_NAMES
-from repro.simulation.campaign import (
-    TrainedModelCache,
-    TrainingSettings,
-    experiment_dataset,
-)
 
-from repro.cli.common import (
-    add_workers_flag,
-    check_counts,
-    cli_error,
-)
+from repro.cli.common import add_workers_flag, check_counts, cli_error, load_models
 
 
 def _hosted_models(args: argparse.Namespace):
@@ -57,21 +47,7 @@ def _hosted_models(args: argparse.Namespace):
         trained, dataset = _train_workload_model()
         return [trained], {dataset.name: dataset}, CALIBRATION_IMAGES, None
 
-    bank = SeedBank(args.seed)
-    cache = TrainedModelCache(cache_dir=args.cache_dir)
-    settings = TrainingSettings(epochs=args.epochs)
-    datasets = {}
-    trained_models = []
-    for classes in args.classes:
-        dataset = experiment_dataset(
-            num_classes=classes,
-            seed=bank.seed_for("dataset") if args.seed is not None else None,
-        )
-        datasets[dataset.name] = dataset
-        for name in args.models:
-            trained_models.append(
-                cache.load_or_train(name, dataset, settings, verbose=args.verbose)
-            )
+    datasets, trained_models, _ = load_models(args, args.classes, args.models)
     return trained_models, datasets, args.calibration_images, args.max_eval_images
 
 
@@ -123,7 +99,7 @@ def register(sub) -> None:
         "serve",
         help="run the evaluation runtime as an HTTP job daemon "
         "(POST /jobs, GET /jobs/<id>, /models, /stats, /healthz); "
-        "`repro sweep|table3|dse --remote URL` are the matching clients",
+        "`repro table3|dse --remote URL` are the matching clients",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -162,7 +138,7 @@ def register(sub) -> None:
         type=int,
         default=None,
         help="root seed of the hosted datasets' generation (the same "
-        "dataset stream as `repro sweep|table3|dse --seed`)",
+        "dataset stream as `repro table3|dse --seed`)",
     )
     serve.add_argument("--cache-dir", default=None)
     add_workers_flag(serve)

@@ -1,17 +1,20 @@
-"""``repro table3`` — the full Table III benchmark over the job API."""
+"""``repro table3`` — the Table III accuracy sweep over the job API.
+
+The CLI's one accuracy sweep, from one model on one dataset to the full
+benchmark.  Locally it hosts the trained models on an in-process
+:class:`~repro.runtime.jobs.manager.JobManager` and submits one job per
+model; with ``--remote URL`` it POSTs the same jobs to a running ``repro
+serve`` daemon.  Both paths are bit-exact with
+:func:`~repro.simulation.campaign.accuracy_sweep`, because the engine
+underneath is the same.
+"""
 
 from __future__ import annotations
 
 import argparse
 
 from repro.analysis.reporting import Table
-from repro.core.seeding import SeedBank
 from repro.models.zoo import MODEL_NAMES
-from repro.simulation.campaign import (
-    TrainedModelCache,
-    TrainingSettings,
-    experiment_dataset,
-)
 
 from repro.cli.common import (
     add_remote_flag,
@@ -19,6 +22,7 @@ from repro.cli.common import (
     check_counts,
     check_remote_flags,
     cli_error,
+    load_models,
     model_manifest_entries,
     sweep_jobs_local,
     sweep_jobs_remote,
@@ -59,8 +63,11 @@ def _render_table3(sweep, rows, datasets, perforations, title) -> None:
     print(table.render(float_format="{:.3f}"))
 
 
-def _averages_block(sweep, datasets, perforations) -> dict:
-    return {
+def _record_outputs(manifest, sweep, totals, datasets, perforations) -> None:
+    """The outputs block of a ``table3`` manifest, local or remote."""
+    manifest.outputs.update(sweep_manifest_outputs(sweep))
+    manifest.outputs["jobs"] = totals
+    manifest.outputs["averages"] = {
         f"{dataset_name}/m={m}/cv={with_cv}": sweep.average_loss(
             dataset_name, m, with_cv
         )
@@ -70,7 +77,7 @@ def _averages_block(sweep, datasets, perforations) -> dict:
     }
 
 
-def _remote_table3(args: argparse.Namespace) -> int:
+def _remote_table3(args: argparse.Namespace, perforations: list[int]) -> int:
     """The ``--remote`` path: the full benchmark as jobs against a daemon."""
     from repro.provenance import record_run
     from repro.runtime.jobs import AdmissionError, JobClientError, JobFailedError
@@ -80,12 +87,12 @@ def _remote_table3(args: argparse.Namespace) -> int:
             {
                 "remote": args.remote,
                 "models": list(args.models),
-                "perforations": list(args.perforations),
+                "perforations": perforations,
             }
         )
         try:
             sweep, totals, infos = sweep_jobs_remote(
-                args.remote, args.models, args.perforations
+                args.remote, args.models, perforations
             )
         except (
             ValueError,
@@ -99,63 +106,44 @@ def _remote_table3(args: argparse.Namespace) -> int:
             return cli_error(str(error))
         names = list(dict.fromkeys(info["name"] for info in infos))
         datasets = list(dict.fromkeys(info["dataset"] for info in infos))
-        manifest.outputs.update(sweep_manifest_outputs(sweep))
-        manifest.outputs["jobs"] = totals
-        manifest.outputs["averages"] = _averages_block(
-            sweep, datasets, args.perforations
-        )
+        _record_outputs(manifest, sweep, totals, datasets, perforations)
     _render_table3(
         sweep,
         [(info["name"], info["dataset"]) for info in infos],
         datasets,
-        args.perforations,
+        perforations,
         f"Table III accuracy sweep via {args.remote} "
         f"({len(names)} hosted models x {len(datasets)} datasets, "
-        f"m = {', '.join(map(str, args.perforations))}, "
+        f"m = {', '.join(map(str, perforations))}, "
         f"{totals['cache_hits']}/{totals['cells']} cells from cache)",
     )
     return 0
 
 
 def cmd_table3(args: argparse.Namespace) -> int:
-    """The full Table III benchmark: every model x both datasets, one service.
+    """The Table III sweep: every requested model x dataset, one service.
 
     All requested (model, dataset) combinations are trained (or loaded from
     cache) and swept through ONE multi-model job manager: every trained
-    network and both datasets are hosted once and all cells are served
+    network and every dataset is hosted once and all cells are served
     from the same worker pool — duplicate cells across jobs from the
-    service-level result cache.
+    service-level result cache.  A repeated model, class count or
+    perforation is swept once.
     """
     error = check_counts(args)
+    if error is None and args.remote is not None:
+        error = check_remote_flags(args)
     if error is not None:
         return cli_error(error)
+    perforations = list(dict.fromkeys(args.perforations))
     if args.remote is not None:
-        error = check_remote_flags(args)
-        if error is not None:
-            return cli_error(error)
-        return _remote_table3(args)
+        return _remote_table3(args, perforations)
     from repro.provenance import dataset_digest, record_run
 
     with record_run("table3") as manifest:
-        bank = SeedBank(args.seed)
-        cache = TrainedModelCache(cache_dir=args.cache_dir)
-        settings = TrainingSettings(epochs=args.epochs)
-        datasets = {}
-        trained_models = []
-        for classes in args.classes:
-            # Same seed stream as `sweep` and `dse` (num_classes already
-            # differentiates the generated data and the dataset name), so one
-            # --seed yields the same datasets — and therefore cache-hits the
-            # same trained models — across all three commands.
-            dataset = experiment_dataset(
-                num_classes=classes,
-                seed=bank.seed_for("dataset") if args.seed is not None else None,
-            )
-            datasets[dataset.name] = dataset
-            for name in args.models:
-                trained_models.append(
-                    cache.load_or_train(name, dataset, settings, verbose=args.verbose)
-                )
+        datasets, trained_models, settings = load_models(
+            args, args.classes, args.models
+        )
         manifest.inputs.update(
             {
                 "datasets": {
@@ -164,7 +152,7 @@ def cmd_table3(args: argparse.Namespace) -> int:
                 },
                 "models": model_manifest_entries(trained_models, settings),
                 "seed": args.seed,
-                "perforations": list(args.perforations),
+                "perforations": perforations,
                 "max_eval_images": args.max_eval_images,
                 "workers": args.workers,
             }
@@ -172,23 +160,19 @@ def cmd_table3(args: argparse.Namespace) -> int:
         sweep, totals, stats = sweep_jobs_local(
             trained_models,
             datasets,
-            args.perforations,
+            perforations,
             args.workers,
             max_eval_images=args.max_eval_images,
         )
-        manifest.outputs.update(sweep_manifest_outputs(sweep))
-        manifest.outputs["jobs"] = totals
+        _record_outputs(manifest, sweep, totals, datasets, perforations)
         manifest.inputs["service"] = {"workers": stats["engine"]["workers"]}
-        manifest.outputs["averages"] = _averages_block(
-            sweep, datasets, args.perforations
-        )
     _render_table3(
         sweep,
         [(trained.name, trained.dataset_name) for trained in trained_models],
         datasets,
-        args.perforations,
-        f"Table III accuracy sweep ({len(args.models)} models x "
-        f"{len(datasets)} datasets, m = {', '.join(map(str, args.perforations))}, "
+        perforations,
+        f"Table III accuracy sweep ({len(set(args.models))} models x "
+        f"{len(datasets)} datasets, m = {', '.join(map(str, perforations))}, "
         f"workers={args.workers})",
     )
     return 0
@@ -197,8 +181,9 @@ def cmd_table3(args: argparse.Namespace) -> int:
 def register(sub) -> None:
     table3 = sub.add_parser(
         "table3",
-        help="the full Table III benchmark: every model x both datasets "
-        "served by one multi-model evaluation session",
+        help="the Table III accuracy sweep: every requested model x dataset "
+        "served by one multi-model evaluation session (default: the full "
+        "benchmark, every model x both datasets)",
     )
     table3.add_argument(
         "--models", nargs="+", choices=MODEL_NAMES, default=list(MODEL_NAMES)

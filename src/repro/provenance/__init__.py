@@ -11,8 +11,8 @@ the one place the repo states what it measured:
   printed by ``repro info --json``;
 * :mod:`repro.provenance.manifest` — :class:`RunManifest` (input identity
   hashes + outputs), atomic temp-file-rename JSON writers, and the
-  :func:`record_run` context manager adopted by ``repro sweep`` /
-  ``table3`` / ``dse`` and every benchmark via ``benchmarks/conftest.py``;
+  :func:`record_run` context manager adopted by ``repro table3`` /
+  ``dse`` and every benchmark via ``benchmarks/conftest.py``;
 * :mod:`repro.provenance.regression` — the golden-baseline comparator
   behind ``repro verify-results``: exact match for accuracy tables and
   Pareto fronts (bit-exact by construction), configurable tolerance bands

@@ -7,8 +7,8 @@ manifest's hashes reproduce the ledger's ``context_key`` and the
 :class:`~repro.simulation.campaign.TrainedModelCache` stem), the seed,
 worker count, package version, and the full provenance
 environment block.  :func:`record_run` is the one context manager every
-result-producing entry point wraps itself in — ``repro sweep`` / ``table3``
-/ ``dse`` and the benchmarks via ``benchmarks/conftest.py``.
+result-producing entry point wraps itself in — ``repro table3`` / ``dse``
+and the benchmarks via ``benchmarks/conftest.py``.
 
 All disk writes in this module are **atomic** (temp file in the target
 directory + ``os.replace``), the same pattern

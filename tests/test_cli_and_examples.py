@@ -24,42 +24,57 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ours (+V)" in out and "w/o V" in out
 
-    def test_accuracy_command_small(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "accuracy",
-                    "--model",
-                    "vgg13",
-                    "--classes",
-                    "10",
-                    "--epochs",
-                    "1",
-                    "--perforations",
-                    "1",
-                    "--max-eval-images",
-                    "16",
-                    "--cache-dir",
-                    str(tmp_path),
-                ]
-            )
-            == 0
+    def test_table3_matches_accuracy_sweep(self, capsys, monkeypatch, tmp_path):
+        """One model's ``repro table3`` run records exactly the accuracies
+        that :func:`accuracy_sweep` returns on the same setup."""
+        from repro.cli.common import sweep_manifest_outputs
+        from repro.provenance import RunManifest
+        from repro.simulation.campaign import (
+            TrainedModelCache,
+            TrainingSettings,
+            accuracy_sweep,
+            experiment_dataset,
         )
-        out = capsys.readouterr().out
-        assert "ours loss" in out
+
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "manifests"))
+        argv = ["table3", "--models", "vgg13", "--classes", "10", "--epochs", "1"]
+        argv += ["--perforations", "0", "1", "--max-eval-images", "16"]
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+        assert "ours loss" in capsys.readouterr().out
+        outputs = RunManifest.load(str(tmp_path / "manifests" / "table3.json")).outputs
+
+        dataset = experiment_dataset(num_classes=10)
+        trained = TrainedModelCache(cache_dir=str(tmp_path)).load_or_train(
+            "vgg13", dataset, TrainingSettings(epochs=1)
+        )
+        sweep = accuracy_sweep(
+            [trained], {dataset.name: dataset}, perforations=(0, 1), max_eval_images=16
+        )
+        expected = sweep_manifest_outputs(sweep)
+        assert outputs["baselines"] == expected["baselines"]
+        assert outputs["records"] == expected["records"]
 
     def test_invalid_model_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["accuracy", "--model", "alexnet"])
+            build_parser().parse_args(["table3", "--models", "alexnet"])
 
-    def test_backends_verb_is_unknown(self, capsys):
-        """One compile path: ``backends`` is an unknown verb."""
+    def test_help_lists_the_verbs(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["backends"])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'backends'" in capsys.readouterr().err
+            main(["--help"])
+        assert excinfo.value.code == 0
+        verbs = "{hardware,table3,dse,info,verify-results,error-model,serve}"
+        assert verbs in capsys.readouterr().out
 
-    @pytest.mark.parametrize("verb", ["accuracy", "sweep", "table3", "dse", "serve"])
+    @pytest.mark.parametrize("verb", ["backends", "accuracy", "sweep"])
+    def test_retired_verb_is_unknown(self, capsys, verb):
+        """One compile path, so no ``backends``; one accuracy sweep,
+        ``table3``, so no ``accuracy`` or ``sweep``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{verb}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["table3", "dse", "serve"])
     def test_engine_backend_flag_is_unknown(self, capsys, verb):
         """Every verb that had ``--engine-backend`` rejects it as an
         unknown argument."""
@@ -71,7 +86,7 @@ class TestCli:
     def test_no_prefix_reuse_flag(self, capsys):
         """The cross-plan reuse escape hatch is gone: every verb that had
         ``--no-prefix-reuse`` now rejects it as an unknown argument."""
-        for verb in ("accuracy", "sweep", "table3", "dse", "serve"):
+        for verb in ("table3", "dse", "serve"):
             with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args([verb, "--no-prefix-reuse"])
             assert excinfo.value.code == 2
@@ -140,10 +155,7 @@ class TestCliErrorPaths:
         assert main(["dse", "--subsample-eval", "0"]) == 2
         assert "must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["sweep", "table3"])
-    def test_remote_errors_are_one_line_exit_2(
-        self, verb, capsys, monkeypatch, tmp_path
-    ):
+    def test_remote_errors_are_one_line_exit_2(self, capsys, monkeypatch, tmp_path):
         """``--max-eval-images`` next to ``--remote`` is rejected before any
         request is sent, and an unreachable daemon is a one-line error
         with exit 2, not a job-client traceback."""
@@ -151,12 +163,12 @@ class TestCliErrorPaths:
         requests = _recorded_requests(monkeypatch)
         url = _unreachable_url()
 
-        assert main([verb, "--remote", url, "--max-eval-images", "8"]) == 2
+        assert main(["table3", "--remote", url, "--max-eval-images", "8"]) == 2
         err = capsys.readouterr().err
         assert "incompatible flags: --max-eval-images" in err
         assert requests == []
 
-        assert main([verb, "--remote", url]) == 2
+        assert main(["table3", "--remote", url]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"cannot reach {url}" in err
@@ -180,10 +192,8 @@ class TestCliErrorPaths:
         assert requests == []
 
     @pytest.mark.parametrize("failure", ["queue_full", "job_failed"])
-    @pytest.mark.parametrize("verb", ["sweep", "table3"])
     def test_remote_rejected_or_failed_job_is_one_line_exit_2(
-        self, verb, failure, capsys, monkeypatch, tmp_path,
-        trained_tiny_model, tiny_dataset,
+        self, failure, capsys, monkeypatch, tmp_path, trained_tiny_model, tiny_dataset
     ):
         """A daemon that refuses a sweep job (HTTP 429) or fails one makes
         the verb print a one-line error and exit 2, not a traceback."""
@@ -223,7 +233,7 @@ class TestCliErrorPaths:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            argv = [verb, "--remote", server.url, "--models", "vgg13"]
+            argv = ["table3", "--remote", server.url, "--models", "vgg13"]
             status = main(argv + ["--perforations", "1"])
         finally:
             server.shutdown_and_close()
@@ -236,36 +246,50 @@ class TestCliErrorPaths:
     @pytest.mark.parametrize(
         "command, flag",
         [
-            ("accuracy", "--max-eval-images"),
-            ("sweep", "--workers"),
-            ("sweep", "--max-eval-images"),
             ("table3", "--workers"),
             ("table3", "--max-eval-images"),
+            ("table3", "--perforations"),
             ("dse", "--workers"),
             ("dse", "--max-eval-images"),
             ("dse", "--calibration-images"),
+            ("dse", "--array-size"),
+            ("dse", "--perforations"),
             ("serve", "--workers"),
             ("serve", "--queue-depth"),
             ("serve", "--max-eval-images"),
             ("serve", "--calibration-images"),
+            ("hardware", "--array-sizes"),
+            ("hardware", "--perforations"),
+            ("error-model", "--taps"),
+            ("error-model", "--trials"),
+            ("error-model", "--m"),
         ],
     )
     def test_invalid_counts_exit_2_before_any_model_loads(
         self, command, flag, capsys, monkeypatch
     ):
-        """One contract for every count flag of every verb that has it:
-        values below 1 are a one-line error with exit 2, reported before
-        any model is loaded or trained."""
+        """One contract for every count and perforation flag of every verb
+        that has it: a count below 1, or a perforation outside [0, 7], is
+        a one-line error with exit 2, reported before any model is loaded
+        or trained and before any work starts."""
         from repro.simulation.campaign import TrainedModelCache
 
         def no_model_loads(*args, **kwargs):
             raise AssertionError("a model was loaded before the count check")
 
         monkeypatch.setattr(TrainedModelCache, "load_or_train", no_model_loads)
-        for bad in ("0", "-4"):
-            assert main([command, flag, bad]) == 2
-            err = capsys.readouterr().err
-            assert err == f"error: {flag} must be a positive integer, got {bad}\n"
+        if flag in ("--perforations", "--m"):
+            cases, bound = ("-1", "8", "9"), "must lie in [0, 7]"
+        else:
+            cases, bound = ("0", "-4"), "must be a positive integer"
+        for bad in cases:
+            argv = [command, flag, bad]
+            if flag in ("--perforations", "--array-sizes"):
+                argv = [command, flag, "1", bad]  # a later value is checked too
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {flag} {bound}, got {bad}\n"
+            assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -325,33 +349,7 @@ class TestRemoteTable3:
         assert "(2 hosted models x 2 datasets, m = 1, " in out
 
 
-class TestSweepCommand:
-    def test_sweep_command_small(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--models",
-                    "vgg13",
-                    "--classes",
-                    "10",
-                    "--epochs",
-                    "1",
-                    "--perforations",
-                    "1",
-                    "--max-eval-images",
-                    "16",
-                    "--workers",
-                    "1",
-                    "--cache-dir",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "ours loss" in out and "vgg13" in out
-
+class TestTable3Command:
     def test_table3_command_small(self, capsys, tmp_path):
         """table3 runs the multi-model session end to end (subset config)."""
         assert (
@@ -378,6 +376,21 @@ class TestSweepCommand:
         )
         out = capsys.readouterr().out
         assert "Table III" in out and "average" in out and "vgg13" in out
+
+    def test_repeated_values_are_swept_once(self, capsys, monkeypatch, tmp_path):
+        """A repeated model, class count or perforation prints the table of
+        the distinct values: a repeated model would count twice in the
+        average rows."""
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "manifests"))
+        argv = ["table3", "--epochs", "1", "--max-eval-images", "32"]
+        argv += ["--cache-dir", str(tmp_path)]
+        distinct = ["--models", "vgg13", "resnet44", "--classes", "10"]
+        assert main(argv + distinct + ["--perforations", "2"]) == 0
+        expected = capsys.readouterr().out
+        assert "(2 models x 1 datasets, m = 2, " in expected
+        repeated = ["--models", "vgg13", "vgg13", "resnet44", "--classes", "10", "10"]
+        assert main(argv + repeated + ["--perforations", "2", "2"]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestDseCommand:

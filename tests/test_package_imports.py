@@ -7,7 +7,8 @@ import of every package also resolves each name of its ``__all__``, so a
 name deleted from the package but left in that list fails here.  The
 retired shared-memory publishing and job-session modules stay gone, and
 no package exports a name of theirs; nor does any name of the DSE's
-retired async scoring pipeline or of ``TableMultiplier`` remain.
+retired async scoring pipeline or of ``TableMultiplier`` remain, nor the
+retired ``sweep`` and ``accuracy`` CLI verbs.
 Importing the packages a run starts with leaves scipy unloaded: only a LUT
 kernel needs it.
 """
@@ -98,6 +99,11 @@ RETIRED_CAMPAIGN_KNOBS = {
 }
 RETIRED_RUNTIME_KEYS = {"auto_workers", "pool_worker_eval_threads"}
 
+#: The CLI's second and third accuracy sweeps, retired: ``repro table3`` is
+#: the one sweep verb.
+RETIRED_CLI_MODULES = ("repro.cli.sweep", "repro.cli.accuracy")
+RETIRED_CLI_NAMES = {"cmd_sweep", "cmd_accuracy"}
+
 
 @pytest.mark.parametrize("statement", STATEMENTS)
 def test_package_imports_first(statement):
@@ -184,3 +190,7 @@ def test_auto_sizing_and_campaign_knobs_are_gone():
     assert not hasattr(PlanEvaluator, "_check_service_setup")
     assert not set(inspect.signature(run_campaign).parameters) & RETIRED_CAMPAIGN_KNOBS
     assert not set(provenance_environment()["runtime"]) & RETIRED_RUNTIME_KEYS
+
+
+def test_retired_sweep_verbs_are_gone():
+    _assert_retired(RETIRED_CLI_MODULES, RETIRED_CLI_NAMES, ("repro.cli.common",))
