@@ -110,14 +110,17 @@ def _flag_values(args: argparse.Namespace, dest: str) -> list:
     return value if isinstance(value, list) else [value]
 
 
-def check_counts(args: argparse.Namespace) -> str | None:
+def check_counts(args: argparse.Namespace, min_perforation: int = 0) -> str | None:
     """Error message for the first out-of-range value of a verb's
     :data:`COUNT_FLAGS` (below 1) or :data:`PERFORATION_FLAGS` (outside
-    ``[0, MAX_PERFORATION]``), or ``None``.
+    ``[min_perforation, MAX_PERFORATION]``), or ``None``.
 
     Verbs call it before loading or training any model or doing any other
     work, so a bad value is a one-line exit-2 error at once, not a
-    traceback after the models load.
+    traceback after the models load.  ``m = 0``, the accurate array, is a
+    valid point of an accuracy sweep, a DSE or an error model; ``repro
+    hardware`` passes ``min_perforation=1``, since its MAC+ shares exist
+    only for an approximate array.
     """
     for flag, dest in COUNT_FLAGS:
         for value in _flag_values(args, dest):
@@ -125,8 +128,11 @@ def check_counts(args: argparse.Namespace) -> str | None:
                 return f"{flag} must be a positive integer, got {value}"
     for flag, dest in PERFORATION_FLAGS:
         for value in _flag_values(args, dest):
-            if not 0 <= value <= MAX_PERFORATION:
-                return f"{flag} must lie in [0, {MAX_PERFORATION}], got {value}"
+            if not min_perforation <= value <= MAX_PERFORATION:
+                return (
+                    f"{flag} must lie in [{min_perforation}, {MAX_PERFORATION}], "
+                    f"got {value}"
+                )
     return None
 
 

@@ -18,7 +18,7 @@ from repro.cli.common import check_counts, cli_error
 
 
 def cmd_hardware(args: argparse.Namespace) -> int:
-    error = check_counts(args)
+    error = check_counts(args, min_perforation=1)
     if error is not None:
         return cli_error(error)
     table = Table(

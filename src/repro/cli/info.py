@@ -43,6 +43,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"{runtime['pool_worker_blas_threads']} per pool worker, "
         f"job queue depth {runtime['default_queue_depth']}"
     )
+    print(f"BLAS configuration: {runtime['blas_config']}")
     return 0
 
 

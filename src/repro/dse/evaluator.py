@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.datasets.synthetic import Dataset
 from repro.runtime.sizing import resolve_worker_count
-from repro.simulation.campaign import TrainedModel
+from repro.simulation.campaign import TrainedModel, calibrated_executor
 from repro.simulation.inference import ApproximateExecutor, ExecutionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -143,15 +143,16 @@ class PlanEvaluator:
         On an in-process service it is the executor that scores the plans
         (so reading its counters after a campaign costs no second
         calibration); a pool scores in its workers, so the evaluator builds
-        a bit-exact executor of its own on first access.
+        a bit-exact executor of its own on first access, through
+        :func:`~repro.simulation.campaign.calibrated_executor` as the
+        workers do.
         """
         if self.service.serial:
             return self.service.serial_executor(self.model_index)
         if self._executor is None:
             dataset = self.service.datasets[self.trained.dataset_name]
-            self._executor = ApproximateExecutor(
-                self.trained.model,
-                dataset.train_images[: self.service.calibration_images],
+            self._executor = calibrated_executor(
+                self.trained, dataset.train_images[: self.service.calibration_images]
             )
         return self._executor
 

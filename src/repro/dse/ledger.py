@@ -32,16 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.nn.graph import Graph
+from repro.simulation.campaign import hash_arrays, read_json_object
 from repro.simulation.inference import EVAL_BATCH_SIZE, ExecutionPlan
-
-
-def _hash_arrays(digest: "hashlib._Hash", arrays: dict[str, np.ndarray]) -> None:
-    for name in sorted(arrays):
-        array = np.ascontiguousarray(arrays[name])
-        digest.update(name.encode("utf-8"))
-        digest.update(str(array.shape).encode("utf-8"))
-        digest.update(array.dtype.str.encode("utf-8"))
-        digest.update(array.tobytes())
 
 
 def evaluation_context_key(
@@ -63,8 +55,8 @@ def evaluation_context_key(
     stay distinct.
     """
     digest = hashlib.sha256()
-    _hash_arrays(digest, dict(model.state_dict()))
-    _hash_arrays(
+    hash_arrays(digest, dict(model.state_dict()))
+    hash_arrays(
         digest,
         {
             "eval_images": eval_images,
@@ -92,17 +84,6 @@ def plan_key(context_key: str, plan: ExecutionPlan, layer_names: "tuple[str, ...
     digest.update(context_key.encode("utf-8"))
     digest.update(repr(plan.fingerprints(tuple(layer_names))).encode("utf-8"))
     return digest.hexdigest()
-
-
-def _read_record(path: str) -> dict | None:
-    """The JSON object stored at ``path``, or ``None`` when the file is
-    missing, unreadable, not UTF-8, not JSON, or not a JSON object."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    return record if isinstance(record, dict) else None
 
 
 class CampaignLedger:
@@ -142,14 +123,15 @@ class CampaignLedger:
     def get(self, key: str, required: Sequence[str] = ()) -> dict | None:
         """The record stored under ``key``, or ``None`` (counted as a miss).
 
-        A corrupt record file (see :func:`_read_record`) is a miss, and so
+        A corrupt record file (see
+        :func:`~repro.simulation.campaign.read_json_object`) is a miss, and so
         is a record lacking any of the ``required`` fields (e.g. a job-layer
         record under a campaign's key), so a resumed campaign re-evaluates
         the point and overwrites it.
         """
         record = self._memory.get(key)
         if record is None and self.path is not None:
-            record = _read_record(self._record_path(key))
+            record = read_json_object(self._record_path(key))
         if record is None or any(name not in record for name in required):
             self.misses += 1
             return None
@@ -202,7 +184,7 @@ class CampaignLedger:
         for filename in sorted(os.listdir(self.path)):
             if not filename.endswith(".json"):
                 continue
-            record = _read_record(os.path.join(self.path, filename))
+            record = read_json_object(os.path.join(self.path, filename))
             if record is not None:
                 yield filename[: -len(".json")], record
 

@@ -70,13 +70,15 @@ def _runtime_defaults() -> dict:
     ``repro info`` surfaces the same schema identifier every live
     ``stats()`` payload carries (:data:`repro.runtime.stats.STATS_SCHEMA`),
     plus the image-shard and BLAS threads of this process, the BLAS
-    threads of each pool worker, and the job layer's admission-control
-    defaults — so a manifest records how the runtime *would* be configured
-    even for runs that never start a service.
+    threads of each pool worker, the OpenBLAS configuration and the job
+    layer's admission-control defaults — so a manifest records how the
+    runtime *would* be configured even for runs that never start a
+    service.
     """
     from repro.runtime.jobs.queue import JobQueue
     from repro.runtime.sizing import (
         EVAL_BLAS_THREADS,
+        blas_config,
         blas_thread_count,
         eval_thread_count,
     )
@@ -93,6 +95,11 @@ def _runtime_defaults() -> dict:
         "blas_threads": blas_thread_count(),
         # What every pool worker pins its OpenBLAS to before its first task.
         "pool_worker_blas_threads": EVAL_BLAS_THREADS,
+        # The OpenBLAS build and the core whose kernels it runs: part of
+        # the key of the activation parameters the trained-model cache
+        # stores, so it says which kernels computed them.  None without
+        # such a string.
+        "blas_config": blas_config(),
         "default_queue_depth": JobQueue().max_depth,
     }
 
@@ -103,7 +110,8 @@ def provenance_environment() -> dict:
     Keys: ``package`` (this distribution), ``python`` / ``platform`` /
     ``machine`` / ``cpu_count`` (host facts), ``packages`` (probe results
     incl. import-failure reasons), ``seed_defaults``, ``runtime`` (stats
-    schema, image-shard and BLAS-thread sizing, admission defaults).
+    schema, image-shard and BLAS-thread sizing, OpenBLAS configuration,
+    admission defaults).
     """
     return {
         "package": {"name": "repro-dac21", "version": __version__},

@@ -36,7 +36,7 @@ import numpy as np
 # sorted by name.  Reusing it (rather than re-implementing it) is what makes
 # a manifest's model/dataset digests line up with the CampaignLedger's
 # evaluation-context hashing.
-from repro.dse.ledger import _hash_arrays
+from repro.simulation.campaign import hash_arrays
 
 #: Environment variable overriding where :func:`record_run` writes manifests.
 MANIFEST_DIR_ENV = "REPRO_MANIFEST_DIR"
@@ -105,14 +105,14 @@ def model_digest(model: Any) -> str:
     into the campaign ledger's context key.
     """
     digest = hashlib.sha256()
-    _hash_arrays(digest, dict(model.state_dict()))
+    hash_arrays(digest, dict(model.state_dict()))
     return digest.hexdigest()
 
 
 def dataset_digest(dataset: Any) -> str:
     """sha256 of a dataset's split arrays plus its identity metadata."""
     digest = hashlib.sha256()
-    _hash_arrays(
+    hash_arrays(
         digest,
         {
             "train_images": dataset.train_images,

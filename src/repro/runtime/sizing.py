@@ -30,7 +30,11 @@ schedulable).  This module is the one place that policy lives:
   before calibration also makes the activation parameters independent of
   call order and of the host's core count: float64 products on a
   multi-threaded OpenBLAS round differently, so an executor calibrated
-  before the first pin got other parameters than one calibrated after.
+  before the first pin got other parameters than one calibrated after;
+* :func:`blas_config` — the OpenBLAS configuration string, whose core
+  name picks the dgemm kernels (and so the rounding) in a
+  ``DYNAMIC_ARCH`` build: the trained-model cache keys its stored
+  activation parameters on it, and ``repro info`` reports it.
 
 :class:`~repro.runtime.service.EvaluationService` itself honors an
 explicit ``max_workers`` verbatim (tests rely on exercising the pool path
@@ -52,14 +56,15 @@ EVAL_BLAS_THREADS = 1
 #: inside a pool worker (set by :func:`join_pool`).
 _pool_size = 1
 
-#: ``(setter, getter)`` thread-count symbols of the OpenBLAS builds numpy
-#: ships or links: the scipy-openblas wheels (64- and 32-bit integer
-#: interfaces) and a distribution's own OpenBLAS.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
+#: ``(prefix, suffix)`` of the exported symbol names of the OpenBLAS builds
+#: numpy ships or links: the scipy-openblas wheels (64- and 32-bit integer
+#: interfaces) and a distribution's own OpenBLAS.  ``openblas_get_config``
+#: of the 64-bit wheel is ``scipy_openblas_get_config64_``.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_", "64_"),
+    ("scipy_openblas_", ""),
+    ("openblas_", "64_"),
+    ("openblas_", ""),
 )
 
 
@@ -115,12 +120,14 @@ def eval_thread_count(pool_size: int | None = None) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _openblas_thread_calls():
-    """``(setter, getter)`` of the OpenBLAS numpy loaded, or ``None``.
+def _openblas():
+    """``(library, prefix, suffix)`` of the OpenBLAS numpy loaded, or ``None``.
 
-    Looked up among the shared objects already mapped into this process
-    (``/proc/self/maps``) and opened with ``RTLD_NOLOAD``, so the calls
-    reach the very library numpy's matmuls run on and never load another.
+    The library exports ``openblas_<call>`` as ``<prefix><call><suffix>``
+    (:data:`_OPENBLAS_SYMBOLS`).  It is looked up among the shared objects
+    already mapped into this process (``/proc/self/maps``) and opened with
+    ``RTLD_NOLOAD``, so the calls reach the very library numpy's matmuls
+    run on and never load another.
     ``None`` without ``/proc`` or without an OpenBLAS exporting a known
     thread-count pair.  Looked up once per process: a fork inherits the
     mapping.
@@ -139,15 +146,28 @@ def _openblas_thread_calls():
             library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
         except OSError:
             continue
-        for setter, getter in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(library, setter) and hasattr(library, getter):
-                # void set(int count); int get(void)
-                set_threads = getattr(library, setter)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads = getattr(library, getter)
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                return set_threads, get_threads
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            if all(
+                hasattr(library, f"{prefix}{call}{suffix}")
+                for call in ("set_num_threads", "get_num_threads")
+            ):
+                return library, prefix, suffix
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_calls():
+    """``(setter, getter)`` of the OpenBLAS numpy loaded, or ``None``."""
+    found = _openblas()
+    if found is None:
+        return None
+    library, prefix, suffix = found
+    # void set(int count); int get(void)
+    set_threads = getattr(library, f"{prefix}set_num_threads{suffix}")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads = getattr(library, f"{prefix}get_num_threads{suffix}")
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return set_threads, get_threads
 
 
 def pin_blas_threads() -> None:
@@ -171,6 +191,28 @@ def blas_thread_count() -> int | None:
     return None if calls is None else int(calls[1]())
 
 
+def blas_config() -> str | None:
+    """The configuration string of numpy's OpenBLAS, or ``None`` without one.
+
+    It names the library version, its build options and, in a
+    ``DYNAMIC_ARCH`` build, the CPU core whose kernels it picked (e.g.
+    ``SkylakeX``): those kernels decide how float64 products round, and
+    with them the calibrated activation parameters, so the trained-model
+    cache keys its stored parameters on this string.
+    """
+    found = _openblas()
+    if found is None:
+        return None
+    library, prefix, suffix = found
+    name = f"{prefix}get_config{suffix}"
+    if not hasattr(library, name):
+        return None
+    get_config = getattr(library, name)  # char *get_config(void)
+    get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+    config = get_config()
+    return None if config is None else config.decode("utf-8", "replace").strip()
+
+
 __all__ = [
     "EVAL_BLAS_THREADS",
     "effective_cpu_count",
@@ -179,4 +221,5 @@ __all__ = [
     "eval_thread_count",
     "pin_blas_threads",
     "blas_thread_count",
+    "blas_config",
 ]

@@ -8,7 +8,12 @@ One worker process hosts:
   :class:`~repro.simulation.inference.ApproximateExecutor` per hosted
   model, built on the model's first segment and kept for the worker's
   life, so each model is calibrated once however often the schedule
-  switches between models.  Only the active model keeps its working set:
+  switches between models.  It is built by
+  :func:`~repro.simulation.campaign.calibrated_executor`: a model from
+  the trained-model cache loads the activation parameters an earlier
+  process stored for the same calibration set and skips the calibration
+  walk, so a warm ``repro table3``, ``dse`` or ``serve`` calibrates
+  nothing.  Only the active model keeps its working set:
   a switch drops the idle executor's activation buffers and compiled
   kernels (rebuilt on its next segment), so peak memory stays one
   model's working set plus every model's small quantized weights.
@@ -86,17 +91,23 @@ def _init_pool_worker(pool_size: int, *initargs) -> None:
 def executor_for(state: dict, model_index: int) -> ApproximateExecutor:
     """Calibrated executor of one model, built once per worker.
 
+    Built by :func:`~repro.simulation.campaign.calibrated_executor`, so a
+    model from the trained-model cache loads its stored activation
+    parameters instead of calibrating when an earlier process stored them.
     Switching models drops the previously active executor's working set
     (:meth:`~repro.simulation.inference.ApproximateExecutor
     .drop_working_set`), so one model's buffers and kernels are live at a
     time while no model is calibrated twice.
     """
+    # Imported here: repro.simulation.campaign imports this package.
+    from repro.simulation.campaign import calibrated_executor
+
     executor = state["executors"].get(model_index)
     if executor is None:
         trained = state["models"][model_index]
         dataset = state["datasets"][trained.dataset_name]
         calib = dataset.train_images[: state["calibration_images"]]
-        executor = ApproximateExecutor(trained.model, calib)
+        executor = calibrated_executor(trained, calib)
         state["executors"][model_index] = executor
         state["executor_builds"] += 1
     active = state["active_model"]

@@ -9,7 +9,14 @@ This module provides the machinery behind the Table III benchmark:
   (architecture, dataset, training-settings) combination — the cache stem
   carries a hash of the full :class:`TrainingSettings` and the stored
   metadata is validated on load, so changing any hyper-parameter retrains
-  instead of silently reusing a stale model;
+  instead of silently reusing a stale model.  Next to each entry it keeps
+  one small calibration record per calibration set: the activation
+  parameters of every MAC layer, keyed by the trained parameter bytes,
+  the calibration images, the percentile and the host's BLAS facts.
+  :func:`calibrated_executor`, which builds the executor of every hosted
+  model, loads them on a hit and skips the calibration walk, and
+  calibrates and stores them on a miss, so a model calibrates once per
+  calibration set rather than once per process;
 * :func:`plan_sweep` evaluates every model under arbitrary labeled
   :class:`~repro.simulation.inference.ExecutionPlan` sets (per-layer
   approximation, LUT multipliers, ...);
@@ -36,6 +43,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -48,13 +56,53 @@ from repro.nn.optimizers import SGD
 from repro.nn.serialization import load_params, save_params
 from repro.nn.training import Trainer, evaluate_accuracy
 
+from repro.quantization.schemes import QuantParams
+from repro.runtime import sizing
 from repro.runtime.sizing import resolve_worker_count
 from repro.simulation.inference import (
     AccurateProduct,
+    ApproximateExecutor,
     ExecutionPlan,
     PerforatedProduct,
 )
 from repro.simulation.metrics import accuracy_loss_percent
+
+#: Layout version of the stored calibration records, part of their key:
+#: bumping it turns every older record into a miss.
+CALIBRATION_RECORD_FORMAT = 1
+
+
+def hash_arrays(digest: "hashlib._Hash", arrays: dict[str, np.ndarray]) -> None:
+    """Fold named arrays into ``digest``: the name, shape, dtype and bytes
+    of each, in name order.
+
+    The one array-hashing recipe of the repo: the DSE ledger's context
+    keys, the run manifests' model and dataset digests and the calibration
+    records' keys all hash arrays through it.
+    """
+    for name in sorted(arrays):
+        array = np.ascontiguousarray(arrays[name])
+        digest.update(name.encode("utf-8"))
+        digest.update(str(array.shape).encode("utf-8"))
+        digest.update(array.dtype.str.encode("utf-8"))
+        digest.update(array.tobytes())
+
+
+def read_json_object(path: str) -> dict | None:
+    """The JSON object stored at ``path``, or ``None`` when the file is
+    missing, unreadable, not UTF-8, not JSON (or nested past the decoder's
+    recursion limit), or not a JSON object.
+
+    The one reader of the repo's on-disk records: the trained-model cache's
+    metadata and calibration records and the DSE ledger's records, each of
+    which treats ``None`` as a miss.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            record = json.load(handle)
+    except (OSError, ValueError, RecursionError):
+        return None
+    return record if isinstance(record, dict) else None
 
 
 def default_cache_dir() -> str:
@@ -116,12 +164,20 @@ def experiment_dataset(
 
 @dataclass
 class TrainedModel:
-    """A trained architecture together with its float test accuracy."""
+    """A trained architecture together with its float test accuracy.
+
+    ``cache_entry`` is the path stem (``<cache dir>/<stem>``) of the
+    :class:`TrainedModelCache` entry the model was loaded from or saved
+    to, next to which :func:`calibrated_executor` keeps its calibration
+    records; ``None`` for a model built any other way, which never reads
+    or writes a record.
+    """
 
     name: str
     dataset_name: str
     model: Graph
     float_accuracy: float
+    cache_entry: str | None = None
 
 
 @dataclass(frozen=True)
@@ -202,19 +258,21 @@ class TrainedModelCache:
     The cache stem embeds :func:`settings_fingerprint`, and the stored JSON
     metadata (model, dataset, full settings) is re-validated on load; any
     mismatch retrains and overwrites the entry rather than returning a stale
-    model.
+    model.  Beside each entry, :func:`calibrated_executor` keeps the
+    entry's calibration records.
     """
 
     def __init__(self, cache_dir: str | None = None):
         self.cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
 
-    def _paths(
+    def _entry(
         self, model_name: str, dataset_name: str, settings: TrainingSettings
-    ) -> tuple[str, str]:
-        stem = trained_cache_stem(model_name, dataset_name, settings)
-        return (
-            os.path.join(self.cache_dir, f"{stem}.npz"),
-            os.path.join(self.cache_dir, f"{stem}.json"),
+    ) -> str:
+        """The path stem of one entry: ``.npz`` holds its parameters,
+        ``.json`` its metadata and ``.calib-*.json`` its calibration
+        records."""
+        return os.path.join(
+            self.cache_dir, trained_cache_stem(model_name, dataset_name, settings)
         )
 
     def _load_valid_meta(
@@ -225,10 +283,8 @@ class TrainedModelCache:
         settings: TrainingSettings,
     ) -> dict | None:
         """The stored metadata, or ``None`` when it does not match the request."""
-        try:
-            with open(meta_path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        meta = read_json_object(meta_path)
+        if meta is None:
             return None
         if meta.get("model") != model_name or meta.get("dataset") != dataset_name:
             return None
@@ -245,8 +301,14 @@ class TrainedModelCache:
         settings: TrainingSettings = TrainingSettings(),
         verbose: bool = False,
     ) -> TrainedModel:
-        """Return a cached trained model, training and caching it if missing."""
-        params_path, meta_path = self._paths(model_name, dataset.name, settings)
+        """Return a cached trained model, training and caching it if missing.
+
+        Either way the model knows its entry (:attr:`TrainedModel
+        .cache_entry`), so its executors calibrate once per calibration set
+        (:func:`calibrated_executor`).
+        """
+        entry = self._entry(model_name, dataset.name, settings)
+        params_path, meta_path = f"{entry}.npz", f"{entry}.json"
         if os.path.exists(params_path) and os.path.exists(meta_path):
             meta = self._load_valid_meta(meta_path, model_name, dataset.name, settings)
             if meta is not None:
@@ -261,6 +323,7 @@ class TrainedModelCache:
                     dataset_name=dataset.name,
                     model=model,
                     float_accuracy=float(meta["float_accuracy"]),
+                    cache_entry=entry,
                 )
         trained = train_reference_model(model_name, dataset, settings, verbose=verbose)
         os.makedirs(self.cache_dir, exist_ok=True)
@@ -277,7 +340,115 @@ class TrainedModelCache:
                 handle,
                 indent=2,
             )
-        return trained
+        return dataclasses.replace(trained, cache_entry=entry)
+
+
+def calibrated_executor(
+    trained: TrainedModel,
+    calibration_images: np.ndarray,
+    activation_percentile: float = 99.9,
+) -> ApproximateExecutor:
+    """The executor of ``trained``, calibrated on ``calibration_images``.
+
+    The one way the runtime builds the executor of a hosted model.  A
+    model from :class:`TrainedModelCache` calibrates once per calibration
+    set: its record (:func:`_calibration_record`) stores every MAC layer's
+    activation parameters.  On a hit the executor is built from them and
+    skips the calibration walk.  On a miss (no record, an unreadable one,
+    or one with another key, other MAC layers or a value
+    :class:`~repro.quantization.schemes.QuantParams` rejects) it
+    calibrates, and the record is written to a temporary file and moved
+    into place, so concurrent writers leave one whole record.  A failed
+    write is ignored: the executor is calibrated all the same.  Float
+    ``repr`` round-trips through JSON, so a hit is bit-identical to a
+    miss.  A model with no cache entry calibrates every time.
+    """
+    model = trained.model
+    if trained.cache_entry is None:
+        return ApproximateExecutor(model, calibration_images, activation_percentile)
+    path, key = _calibration_record(trained, calibration_images, activation_percentile)
+    names = [node.name for node in model.conv_dense_nodes()]
+    stored = _stored_act_params(path, key, names)
+    if stored is not None:
+        return ApproximateExecutor(
+            model, calibration_images, activation_percentile, act_params=stored
+        )
+    executor = ApproximateExecutor(model, calibration_images, activation_percentile)
+    record = {
+        "key": key,
+        "act_params": {
+            name: [params.scale, params.zero_point]
+            for name, params in executor.act_params().items()
+        },
+    }
+    # Imported here: repro.provenance imports this module.
+    from repro.provenance.manifest import write_text_atomic
+
+    try:
+        write_text_atomic(path, json.dumps(record))
+    except OSError:
+        pass  # a full disk or a read-only cache costs the next process a walk
+    return executor
+
+
+def _calibration_record(
+    trained: TrainedModel, calibration_images: np.ndarray, percentile: float
+) -> tuple[str, str]:
+    """``(path, key)`` of the calibration record of a cached model.
+
+    The file is named by the cache entry and a digest of the calibration
+    set (the images' bytes, shape and dtype, and the percentile): one
+    record per entry and calibration set.  The key adds what else decides
+    the parameters: the trained parameter bytes, the record format and
+    the host's BLAS facts (numpy's version, the machine and the OpenBLAS
+    configuration, whose core name picks the dgemm kernels and so the
+    rounding).  A retrained model, or a cache directory shared with a host
+    of another CPU, misses and overwrites the record.
+    """
+    calibration_set = hashlib.sha256()
+    hash_arrays(calibration_set, {"calibration_images": calibration_images})
+    calibration_set.update(repr(float(percentile)).encode("utf-8"))
+    key = hashlib.sha256()
+    key.update(
+        json.dumps(
+            {
+                "format": CALIBRATION_RECORD_FORMAT,
+                "calibration_set": calibration_set.hexdigest(),
+                "numpy": np.__version__,
+                "machine": platform.machine(),
+                "blas_config": sizing.blas_config(),
+            },
+            sort_keys=True,
+        ).encode("utf-8")
+    )
+    hash_arrays(key, dict(trained.model.state_dict()))
+    path = f"{trained.cache_entry}.calib-{calibration_set.hexdigest()[:16]}.json"
+    return path, key.hexdigest()
+
+
+def _stored_act_params(
+    path: str, key: str, names: Sequence[str]
+) -> dict[str, QuantParams] | None:
+    """The activation parameters the record at ``path`` holds for the MAC
+    layers ``names`` under ``key``, or ``None`` (a miss)."""
+    record = read_json_object(path)
+    if record is None or record.get("key") != key:
+        return None
+    stored = record.get("act_params")
+    if not isinstance(stored, dict) or sorted(stored) != sorted(names):
+        return None
+    params: dict[str, QuantParams] = {}
+    for name, value in stored.items():
+        if not isinstance(value, list) or len(value) != 2:
+            return None
+        scale, zero_point = value
+        if type(scale) is not float or type(zero_point) is not int:
+            return None
+        try:
+            params[name] = QuantParams(scale, zero_point)
+        except ValueError:
+            return None
+    return params
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,16 @@ percentile (``np.percentile``, which releases the GIL) runs on one helper
 thread while the walk runs on; an input the walk has already dropped is
 partitioned in place rather than copied.
 
+The parameters are then a pure function of the trained weights, the
+calibration images, the percentile and the host's BLAS kernels, so they
+are calibrated once per model and calibration set: an executor built
+with ``act_params`` (the stored result of an earlier walk, as
+:meth:`ApproximateExecutor.act_params` returns it) skips the walk and
+only quantizes the weights and builds the control variates.
+:func:`repro.simulation.campaign.calibrated_executor` stores the
+parameters next to the trained-model cache entry and loads them, bit for
+bit, in every later process.
+
 Multi-plan evaluation
 ---------------------
 A Table III cell or a DSE point re-runs the *same* trained network on the
@@ -406,6 +416,14 @@ class ApproximateExecutor:
         multi-plan walk.  Disable to run every plan through the per-plan
         reference walk over ``ProductModel.product_sums``; both paths are
         bit-exact.
+    act_params:
+        Stored activation parameters of every MAC node, as
+        :meth:`act_params` returned them for the same model, calibration
+        images and percentile.  The executor then skips the calibration
+        walk (``calibration_images`` is not read) and only quantizes the
+        weights and builds the control variates.
+        :func:`repro.simulation.campaign.calibrated_executor` stores and
+        loads them with the trained-model cache.
     """
 
     def __init__(
@@ -414,6 +432,7 @@ class ApproximateExecutor:
         calibration_images: np.ndarray,
         activation_percentile: float = 99.9,
         use_compiled: bool = True,
+        act_params: "dict[str, QuantParams] | None" = None,
     ):
         self.model = model
         self.use_compiled = bool(use_compiled)
@@ -439,7 +458,17 @@ class ApproximateExecutor:
         # surfaced through EvaluationService.stats().
         self.fused_launches = 0
         self.fused_plans_total = 0
-        self._calibrate(calibration_images, activation_percentile)
+        if act_params is None:
+            self._calibrate(calibration_images, activation_percentile)
+            return
+        names = self.mac_layer_names()
+        if sorted(act_params) != sorted(names):
+            raise ValueError(
+                f"act_params covers {sorted(act_params)}, the model's MAC "
+                f"layers are {sorted(names)}"
+            )
+        for node in model.conv_dense_nodes():
+            self._nodes[node.name] = _quantize_mac_node(node, act_params[node.name])
 
     # ------------------------------------------------------------------
     def _calibrate(self, images: np.ndarray, percentile: float) -> None:
@@ -483,6 +512,10 @@ class ApproximateExecutor:
     def mac_layer_names(self) -> list[str]:
         """Names of the quantized MAC layers, in execution order."""
         return [node.name for node in self.model.conv_dense_nodes()]
+
+    def act_params(self) -> dict[str, QuantParams]:
+        """The activation parameters of every MAC layer, by name."""
+        return {name: node.act_params for name, node in self._nodes.items()}
 
     def quantized_weights(self, layer_name: str) -> list[np.ndarray]:
         """The uint8 weight matrices (one per group) of a MAC layer."""

@@ -22,6 +22,33 @@ from repro.simulation.inference import ApproximateExecutor, LUTProduct
 from repro.simulation.metrics import accuracy
 
 
+@pytest.fixture(autouse=True)
+def hermetic_run_dirs(tmp_path_factory, monkeypatch):
+    """Point the run-manifest and trained-model cache directories of every
+    test at a fresh temporary directory, so no test writes manifests into
+    the checkout (``results/manifests/``) or models and calibration records
+    into ``~/.cache``.  A test that sets either variable itself, or passes
+    ``--cache-dir``, still decides where its files go."""
+    root = tmp_path_factory.mktemp("run-dirs")
+    monkeypatch.setenv("REPRO_MANIFEST_DIR", str(root / "manifests"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root / "cache"))
+
+
+@pytest.fixture
+def calibration_walks(monkeypatch):
+    """The arguments of every calibration walk an executor runs from now on
+    (a spy on ``ApproximateExecutor._calibrate``)."""
+    walks = []
+    calibrate = ApproximateExecutor._calibrate
+
+    def counted(executor, *args):
+        walks.append(args)
+        return calibrate(executor, *args)
+
+    monkeypatch.setattr(ApproximateExecutor, "_calibrate", counted)
+    return walks
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Fresh deterministic random generator per test."""

@@ -269,9 +269,10 @@ class TestCliErrorPaths:
         self, command, flag, capsys, monkeypatch
     ):
         """One contract for every count and perforation flag of every verb
-        that has it: a count below 1, or a perforation outside [0, 7], is
-        a one-line error with exit 2, reported before any model is loaded
-        or trained and before any work starts."""
+        that has it: a count below 1, or a perforation outside [0, 7]
+        ([1, 7] for ``hardware``, whose MAC+ shares need an approximate
+        array), is a one-line error with exit 2, reported before any model
+        is loaded or trained and before any work starts."""
         from repro.simulation.campaign import TrainedModelCache
 
         def no_model_loads(*args, **kwargs):
@@ -279,17 +280,21 @@ class TestCliErrorPaths:
 
         monkeypatch.setattr(TrainedModelCache, "load_or_train", no_model_loads)
         if flag in ("--perforations", "--m"):
-            cases, bound = ("-1", "8", "9"), "must lie in [0, 7]"
+            low = 1 if command == "hardware" else 0
+            cases, bound = ("-1", "8", "9"), f"must lie in [{low}, 7]"
+            if low:
+                cases = ("0",) + cases
         else:
             cases, bound = ("0", "-4"), "must be a positive integer"
         for bad in cases:
-            argv = [command, flag, bad]
+            argvs = [[command, flag, bad]]
             if flag in ("--perforations", "--array-sizes"):
-                argv = [command, flag, "1", bad]  # a later value is checked too
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.err == f"error: {flag} {bound}, got {bad}\n"
-            assert captured.out == ""
+                argvs.append([command, flag, "1", bad])  # a later value too
+            for argv in argvs:
+                assert main(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.err == f"error: {flag} {bound}, got {bad}\n"
+                assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -376,6 +381,27 @@ class TestTable3Command:
         )
         out = capsys.readouterr().out
         assert "Table III" in out and "average" in out and "vgg13" in out
+
+    def test_runs_in_the_suite_write_nothing_into_the_working_directory(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """The suite's autouse fixture points the manifest and trained-model
+        cache directories at a temporary directory: a table3 run that sets
+        neither leaves its manifest, its model and its calibration record
+        there, and nothing under its working directory."""
+        import glob
+        import os
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["table3", "--models", "vgg13", "--classes", "10", "--epochs", "1"]
+        assert main(argv + ["--perforations", "1", "--max-eval-images", "16"]) == 0
+        assert "Table III" in capsys.readouterr().out
+        assert not (tmp_path / "results" / "manifests").exists()
+        assert os.listdir(tmp_path) == []
+        manifests = os.environ["REPRO_MANIFEST_DIR"]
+        assert os.path.exists(os.path.join(manifests, "table3.json"))
+        cache = os.environ["REPRO_CACHE_DIR"]
+        assert len(glob.glob(os.path.join(cache, "vgg13__*.calib-*.json"))) == 1
 
     def test_repeated_values_are_swept_once(self, capsys, monkeypatch, tmp_path):
         """A repeated model, class count or perforation prints the table of

@@ -17,6 +17,11 @@ formula it replaced, bit for bit.
   from 1 to 32 images.  Calibration pins BLAS to one thread first, so an
   executor built first in a fresh interpreter gets the parameters of one
   built after another executor's sharded walk.
+* :func:`~repro.simulation.campaign.calibrated_executor` calibrates a
+  cached model once per calibration set and builds later executors from
+  the stored parameters; its oracle is the executor that calibrated (the
+  miss) and a plain ``ApproximateExecutor``, whose parameters and logits a
+  hit reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -29,11 +34,23 @@ import numpy as np
 import pytest
 
 from repro.models.zoo import build_model
+from repro.multipliers.perforated import PerforatedMultiplier
 from repro.nn.im2col import im2col, im2col_indices
 from repro.nn.layers import BatchNorm
 from repro.quantization.quantize import calibrate_minmax, calibrate_percentile, quantize
 from repro.quantization.schemes import QMAX, QMIN, QuantParams
-from repro.simulation.inference import ApproximateExecutor
+from repro.simulation.campaign import (
+    TrainedModelCache,
+    TrainingSettings,
+    calibrated_executor,
+)
+from repro.simulation.inference import (
+    AccurateProduct,
+    ApproximateExecutor,
+    ExecutionPlan,
+    LUTProduct,
+    PerforatedProduct,
+)
 
 pytestmark = pytest.mark.engine
 
@@ -220,6 +237,40 @@ class TestOneWalkCalibration:
             )
             # A positive finite scale compares equal only to the same bits.
             assert executor._nodes[node.name].act_params == expected, node.name
+
+
+class TestStoredCalibration:
+    @pytest.fixture(scope="class")
+    def cached(self, tiny_dataset, tmp_path_factory):
+        """vgg13 loaded back from a trained-model cache entry."""
+        cache = TrainedModelCache(cache_dir=str(tmp_path_factory.mktemp("stored-calibration")))
+        settings = TrainingSettings(epochs=1)
+        cache.load_or_train("vgg13", tiny_dataset, settings)
+        return cache.load_or_train("vgg13", tiny_dataset, settings)
+
+    @pytest.mark.parametrize("percentile", [99.9, 100.0])
+    def test_a_hit_is_bit_identical_to_a_miss_and_a_fresh_executor(
+        self, cached, tiny_dataset, calibration_walks, percentile
+    ):
+        walks = calibration_walks
+        images = tiny_dataset.train_images[:32]
+        miss = calibrated_executor(cached, images, percentile)
+        hit = calibrated_executor(cached, images, percentile)
+        fresh = ApproximateExecutor(cached.model, images, activation_percentile=percentile)
+        assert len(walks) == 2  # the miss and the fresh executor; the hit walked nothing
+        assert hit.act_params() == miss.act_params() == fresh.act_params()
+        assert list(hit.act_params()) == hit.mac_layer_names()
+        test_images = tiny_dataset.test_images[:16]
+        for plan in (
+            ExecutionPlan.uniform(AccurateProduct()),
+            ExecutionPlan.uniform(PerforatedProduct(2)),
+            ExecutionPlan.uniform(PerforatedProduct(3, use_control_variate=False)),
+            ExecutionPlan.uniform(LUTProduct(PerforatedMultiplier(1))),
+        ):
+            expected = fresh.forward(test_images, plan).view(np.uint64)
+            for executor in (hit, miss):
+                got = executor.forward(test_images, plan).view(np.uint64)
+                np.testing.assert_array_equal(got, expected)
 
 
 #: Builds vgg13 on the test suite's synthetic images in a fresh interpreter

@@ -442,12 +442,15 @@ class TestInfoCommand:
             "eval_threads",
             "blas_threads",
             "pool_worker_blas_threads",
+            "blas_config",
             "default_queue_depth",
         }
         # The host's own BLAS threads, read through the library's getter,
-        # next to the one thread every pool worker pins itself to.
+        # next to the one thread every pool worker pins itself to, and the
+        # configuration string the calibration records are keyed on.
         assert payload["runtime"]["blas_threads"] == blas_thread_count()
         assert payload["runtime"]["pool_worker_blas_threads"] == 1
+        assert payload["runtime"]["blas_config"] == sizing.blas_config()
 
     def test_info_records_the_image_shard_threads(self, capsys, monkeypatch):
         """This process splits a batch over every schedulable CPU."""
@@ -668,9 +671,8 @@ class TestDigestAlignment:
         settings = TrainingSettings()
         cache = TrainedModelCache(cache_dir=str(tmp_path))
         stem = trained_cache_stem("vgg13", "synthetic-cifar10", settings)
-        npz_path, meta_path = cache._paths("vgg13", "synthetic-cifar10", settings)
-        assert os.path.basename(npz_path) == f"{stem}.npz"
-        assert os.path.basename(meta_path) == f"{stem}.json"
+        entry = cache._entry("vgg13", "synthetic-cifar10", settings)
+        assert entry == os.path.join(str(tmp_path), stem)
         assert f"seed{settings.seed}" in stem
 
     def test_campaign_context_key_matches_ledger_records(

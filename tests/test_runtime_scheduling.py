@@ -331,6 +331,19 @@ class TestSizing:
         pin_blas_threads()  # no library to pin: a no-op
         assert blas_thread_count() is None
 
+    def test_blas_config_is_the_library_string_or_none(self, monkeypatch):
+        """The configuration string the calibration records are keyed on;
+        ``None`` without an OpenBLAS or without its config symbol."""
+        from types import SimpleNamespace
+
+        config = sizing.blas_config()
+        if sizing._openblas() is not None:
+            assert config.startswith("OpenBLAS ")
+        monkeypatch.setattr(sizing, "_openblas", lambda: None)
+        assert sizing.blas_config() is None
+        monkeypatch.setattr(sizing, "_openblas", lambda: (SimpleNamespace(), "openblas_", ""))
+        assert sizing.blas_config() is None
+
     def test_eval_threads_are_the_core_share(self, monkeypatch):
         monkeypatch.setattr(sizing, "effective_cpu_count", lambda: 8)
         assert eval_thread_count() == 8  # outside a pool: every CPU

@@ -215,6 +215,7 @@ class TestCampaign:
         )
         assert trained.name == "vgg13"
         assert 0.0 <= trained.float_accuracy <= 1.0
+        assert trained.cache_entry is None  # never reads or writes a record
 
     def test_cache_round_trip(self, small_dataset, tmp_path):
         cache = TrainedModelCache(cache_dir=str(tmp_path))
@@ -222,6 +223,8 @@ class TestCampaign:
         first = cache.load_or_train("vgg13", small_dataset, settings)
         second = cache.load_or_train("vgg13", small_dataset, settings)
         assert second.float_accuracy == pytest.approx(first.float_accuracy)
+        # Trained or loaded, the model knows its entry.
+        assert first.cache_entry == second.cache_entry is not None
         x = small_dataset.test_images[:4]
         assert np.allclose(first.model.forward(x), second.model.forward(x))
 
@@ -435,3 +438,239 @@ class TestCampaign:
         assert ds100.num_classes == 100
         with pytest.raises(ValueError):
             experiment_dataset(50)
+
+
+class TestCalibrationRecords:
+    """The activation parameters a cached model stores per calibration set
+    (:func:`~repro.simulation.campaign.calibrated_executor`): what keys a
+    record, what a bad record or a failed write does, and the service
+    paths on top of it."""
+
+    SETTINGS = TrainingSettings(epochs=1, seed=4)
+
+    @pytest.fixture(scope="class")
+    def stored_entry(self, tiny_dataset, tmp_path_factory):
+        """The files of one trained vgg13 cache entry."""
+        directory = tmp_path_factory.mktemp("trained-entry")
+        TrainedModelCache(cache_dir=str(directory)).load_or_train(
+            "vgg13", tiny_dataset, self.SETTINGS
+        )
+        return sorted(directory.iterdir())
+
+    @pytest.fixture
+    def cached(self, stored_entry, tiny_dataset, tmp_path):
+        """The entry loaded from a cache directory of the test's own."""
+        import shutil
+
+        for path in stored_entry:
+            shutil.copy(path, tmp_path)
+        return TrainedModelCache(cache_dir=str(tmp_path)).load_or_train(
+            "vgg13", tiny_dataset, self.SETTINGS
+        )
+
+    @staticmethod
+    def records(trained) -> list[str]:
+        import glob
+
+        return sorted(glob.glob(f"{trained.cache_entry}.calib-*.json"))
+
+    def test_only_cached_models_keep_records(
+        self, cached, tiny_dataset, calibration_walks, tmp_path
+    ):
+        import dataclasses
+        import os
+
+        from repro.simulation.campaign import calibrated_executor, trained_cache_stem
+
+        images = tiny_dataset.train_images[:32]
+        stem = trained_cache_stem("vgg13", tiny_dataset.name, self.SETTINGS)
+        assert cached.cache_entry == os.path.join(str(tmp_path), stem)
+        uncached = dataclasses.replace(cached, cache_entry=None)
+        calibrated_executor(uncached, images)
+        calibrated_executor(uncached, images)
+        assert len(calibration_walks) == 2 and self.records(cached) == []
+        calibrated_executor(cached, images)
+        calibrated_executor(cached, images)
+        assert len(calibration_walks) == 3 and len(self.records(cached)) == 1
+
+    def test_stored_params_must_cover_the_mac_layers(self, cached, tiny_dataset):
+        images = tiny_dataset.train_images[:32]
+        params = ApproximateExecutor(cached.model, images).act_params()
+        first = next(iter(params))
+        for stored in ({**params, "ghost": params[first]}, dict(list(params.items())[1:])):
+            with pytest.raises(ValueError, match="MAC layers"):
+                ApproximateExecutor(cached.model, images, act_params=stored)
+
+    def test_every_input_of_the_key_misses(
+        self, cached, tiny_dataset, calibration_walks, monkeypatch
+    ):
+        """Changed weights, one changed calibration pixel, another image
+        count, another percentile and another BLAS configuration each
+        calibrate again; each then hits its own record."""
+        from repro.runtime import sizing
+        from repro.simulation.campaign import calibrated_executor
+
+        images = tiny_dataset.train_images[:32]
+        pixel = images.copy()
+        pixel[0, 0, 0, 0] += 0.25
+        other_cpu = "OpenBLAS 0.3.31  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64"
+        calibrated_executor(cached, images)
+        calibrated_executor(cached, images)
+        assert len(calibration_walks) == 1
+        for calibration, percentile in (
+            (pixel, 99.9),
+            (tiny_dataset.train_images[:31], 99.9),
+            (images, 99.0),
+        ):
+            calibrated_executor(cached, calibration, percentile)
+            calibrated_executor(cached, calibration, percentile)
+        assert len(calibration_walks) == 4 and len(self.records(cached)) == 4
+        with monkeypatch.context() as patch:
+            patch.setattr(sizing, "blas_config", lambda: other_cpu)
+            calibrated_executor(cached, images)
+            calibrated_executor(cached, images)
+        assert len(calibration_walks) == 5
+        calibrated_executor(cached, images)  # the record now holds the other CPU's key
+        assert len(calibration_walks) == 6
+        weight = cached.model.conv_dense_nodes()[0].layer.weight
+        weight *= 1.0 + 1e-6  # in place: a retrained model
+        calibrated_executor(cached, images)
+        calibrated_executor(cached, images)
+        assert len(calibration_walks) == 7
+        # A record per calibration set: a miss on the same set overwrites.
+        assert len(self.records(cached)) == 4
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated",
+            "not an object",
+            "another key",
+            "a missing node",
+            "an extra node",
+            "a zero scale",
+            "a NaN scale",
+            "a zero point of 256",
+            "a zero point of true",
+        ],
+    )
+    def test_a_bad_record_recalibrates_and_is_rewritten(
+        self, cached, tiny_dataset, calibration_walks, damage
+    ):
+        import json
+
+        from repro.simulation.campaign import calibrated_executor
+
+        images = tiny_dataset.train_images[:32]
+        expected = calibrated_executor(cached, images).act_params()
+        (path,) = self.records(cached)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        good = json.loads(text)
+        record = json.loads(text)
+        first = cached.model.conv_dense_nodes()[0].name
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+        elif damage == "not an object":
+            text = json.dumps([record])
+        else:
+            if damage == "another key":
+                record["key"] = "0" * 64
+            elif damage == "a missing node":
+                del record["act_params"][first]
+            elif damage == "an extra node":
+                record["act_params"]["ghost"] = [0.5, 0]
+            elif damage == "a zero scale":
+                record["act_params"][first][0] = 0.0
+            elif damage == "a NaN scale":
+                record["act_params"][first][0] = float("nan")
+            elif damage == "a zero point of 256":
+                record["act_params"][first][1] = 256
+            elif damage == "a zero point of true":
+                record["act_params"][first][1] = True
+            text = json.dumps(record)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        assert calibrated_executor(cached, images).act_params() == expected
+        assert len(calibration_walks) == 2
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle) == good
+        assert calibrated_executor(cached, images).act_params() == expected
+        assert len(calibration_walks) == 2
+
+    @pytest.mark.parametrize("failure", ["read-only directory", "ENOSPC"])
+    def test_a_failed_write_changes_no_result(
+        self, cached, tiny_dataset, monkeypatch, fresh_accuracies, failure
+    ):
+        """The sweep scores as it would have, raises nothing and leaves
+        neither a record nor a temporary file."""
+        import errno
+        import os
+        import tempfile
+
+        from repro.simulation.campaign import plan_sweep
+
+        directory = os.path.dirname(cached.cache_entry)
+        plans = [
+            ExecutionPlan.uniform(AccurateProduct()),
+            ExecutionPlan.uniform(PerforatedProduct(2)),
+        ]
+        kwargs = dict(max_eval_images=16, calibration_images=32)
+        expected = fresh_accuracies(cached, tiny_dataset, plans, **kwargs)
+        if failure == "ENOSPC":
+
+            def no_space(src, dst):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+
+            monkeypatch.setattr(os, "replace", no_space)
+        else:
+            os.chmod(directory, 0o555)
+            if os.access(directory, os.W_OK):
+                # The mode does not stop root: raise what it stops others with.
+                def read_only(*args, **kwargs):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), directory)
+
+                monkeypatch.setattr(tempfile, "mkstemp", read_only)
+        try:
+            records = plan_sweep(
+                [cached],
+                {tiny_dataset.name: tiny_dataset},
+                [(str(index), plan) for index, plan in enumerate(plans)],
+                **kwargs,
+            )
+        finally:
+            os.chmod(directory, 0o755)
+        assert [record.accuracy for record in records] == expected
+        names = os.listdir(directory)
+        assert not [name for name in names if name.endswith(".tmp")]
+        assert self.records(cached) == []
+
+    def test_a_pool_and_the_serial_path_agree_cold_and_warm(
+        self, cached, tiny_dataset, fresh_accuracies
+    ):
+        """A cold pass on either path leaves one record for the model and
+        calibration set (two pool workers miss at once and both write it),
+        and the warm pass scores the same accuracies from it."""
+        import os
+
+        from repro.runtime import EvaluationService
+
+        plans = [
+            ExecutionPlan.uniform(AccurateProduct()),
+            ExecutionPlan.uniform(PerforatedProduct(1)),
+            ExecutionPlan.uniform(PerforatedProduct(3, use_control_variate=False)),
+        ]
+        kwargs = dict(max_eval_images=16, calibration_images=32)
+        expected = fresh_accuracies(cached, tiny_dataset, plans, **kwargs)
+        datasets = {tiny_dataset.name: tiny_dataset}
+        for workers in (2, 1):
+            for path in self.records(cached):
+                os.remove(path)
+            for _ in ("cold", "warm"):
+                with EvaluationService(
+                    [cached], datasets, max_workers=workers, **kwargs
+                ) as service:
+                    assert service.evaluate_plans(0, plans) == expected
+                assert len(self.records(cached)) == 1
+        directory = os.path.dirname(cached.cache_entry)
+        assert not [name for name in os.listdir(directory) if name.endswith(".tmp")]
